@@ -193,8 +193,8 @@ int main(int argc, char** argv) {
     worker_alloc_bytes[w] = t_alloc_bytes;
   });
 
-  // executed() sums every shard's queue, which in --threads mode is the
-  // only correct event count (scheduler() would see one shard's slice).
+  // executed() sums every shard's queue (scheduler() would see one shard's
+  // slice).
   const std::uint64_t events_before = cluster.sharded().executed();
   const std::uint64_t allocs_before = g_allocs.load();
   const std::uint64_t bytes_before = g_alloc_bytes.load();
@@ -247,11 +247,11 @@ int main(int argc, char** argv) {
   std::printf("  allocs/event      %12.3f\n", allocs_per_event);
   std::printf("  peak versions/key %12llu\n",
               static_cast<unsigned long long>(peak_chain));
+  std::printf("  epoch barriers    %12llu\n",
+              static_cast<unsigned long long>(epochs));
+  std::printf("  cross-shard posts %12llu\n",
+              static_cast<unsigned long long>(cross_posts));
   if (opt.threads > 1) {
-    std::printf("  epoch barriers    %12llu\n",
-                static_cast<unsigned long long>(epochs));
-    std::printf("  cross-shard posts %12llu\n",
-                static_cast<unsigned long long>(cross_posts));
     for (std::uint32_t w = 0; w < workers; ++w) {
       std::printf("  worker %u allocs   %12llu (%llu bytes)\n", w,
                   static_cast<unsigned long long>(worker_allocs[w]),

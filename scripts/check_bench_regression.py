@@ -13,7 +13,8 @@ Two metrics are gated (see docs/PERFORMANCE.md for the schema):
                     this is the sharp edge of the gate).
 
 When the two runs share seed and virtual duration, the deterministic
-counters (events, commits, peak_versions_per_key) must match exactly —
+counters (events, commits, peak_versions_per_key, epoch_barriers,
+cross_shard_posts) must match exactly —
 any drift there is a behaviour change, not a performance change, and the
 golden-determinism test suite is the place to account for it.
 """
@@ -71,7 +72,8 @@ def main():
     same_run = (base["seed"] == fresh["seed"]
                 and base["virtual_duration_s"] == fresh["virtual_duration_s"])
     if same_run:
-        for name in ("events", "commits", "peak_versions_per_key"):
+        for name in ("events", "commits", "peak_versions_per_key",
+                     "epoch_barriers", "cross_shard_posts"):
             b, f = base[name], fresh[name]
             mark = "ok" if b == f else "FAIL"
             print(f"  {name:<22} baseline {b:>12}  fresh {f:>12}  "

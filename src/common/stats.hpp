@@ -33,6 +33,9 @@ class RunningStats {
 
 /// Counts events (commits) against virtual time and reports throughput over
 /// a trailing window. The self-tuner uses this to compare configurations.
+/// Events need not arrive in time order: a region-sharded run appends each
+/// shard's commits of an epoch window in turn, so rate() and trim() look at
+/// every stored event instead of stopping at the first out-of-window one.
 class ThroughputMeter {
  public:
   void record_event(Timestamp at) { events_.push_back(at); }

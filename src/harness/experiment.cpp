@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/assert.hpp"
 #include "obs/export.hpp"
 #include "verify/spsi_checker.hpp"
 #include "workload/client.hpp"
@@ -28,12 +27,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const WorkloadFactory& factory) {
   protocol::Cluster::Config cluster_config = config.cluster;
-  // The self-tuner samples the raw commit meter, whose event order is
-  // wall-clock-dependent when commits land from several worker threads —
-  // its decisions would not be reproducible. Reject the combination rather
-  // than silently produce runs that cannot be compared.
-  STR_ASSERT_MSG(!(config.self_tuning && cluster_config.threads > 1),
-                 "self-tuning requires --threads 1");
   // A faulty network without timeouts/retries would simply wedge: enable
   // the recovery machinery whenever a fault plan is present. And unless the
   // plan says otherwise, stop injecting stochastic drops/dups when the
@@ -184,10 +177,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
   r.quiesce = cluster.quiesce_report();
   if (config.verify) {
-    // Parallel runs append history from worker threads in wall-clock order;
+    // Shards append history in execution order, which depends on the
+    // worker count (and, with several workers, on wall-clock interleaving);
     // canonicalize to the content order so the checker's verdict (and any
     // dumped history) is a pure function of the simulated trajectory.
-    if (cluster_config.threads > 1) history.canonicalize();
+    history.canonicalize();
     verify::SpsiChecker checker(history);
     r.violations = checker.check_all();
   }

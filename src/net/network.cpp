@@ -9,15 +9,26 @@
 
 namespace str::net {
 
-Network::Network(sim::Scheduler& sched, Topology topology, Rng rng,
+Network::Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
                  double jitter_frac)
-    : sched_(sched),
+    : sharded_(sharded),
       topology_(std::move(topology)),
-      rng_(rng),
       jitter_frac_(jitter_frac),
-      msg_pools_(1),
-      msg_frees_(1) {
+      msg_pools_(sharded.num_shards()),
+      msg_frees_(sharded.num_shards()),
+      fault_rngs_(sharded.num_shards(), Rng(0)) {
   STR_ASSERT(jitter_frac_ >= 0.0);
+  STR_ASSERT_MSG(sharded_.num_shards() == topology_.num_regions(),
+                 "the network needs one shard per region");
+  // One jitter stream per shard (fault streams fork in set_fault_plan).
+  for (std::uint32_t s = 0; s < sharded_.num_shards(); ++s) {
+    rngs_.push_back(rng.fork(s));
+  }
+  sharded_.set_installer([this](std::uint32_t dst, Timestamp at,
+                                sim::DeliveryGate gate,
+                                UniqueFunction<void()> fn) {
+    enqueue_delivery(dst, at, gate, std::move(fn));
+  });
 }
 
 void Network::register_node(NodeId node, RegionId region) {
@@ -45,31 +56,8 @@ Timestamp Network::sample_latency(NodeId from, NodeId to) {
 
 void Network::set_fault_plan(const FaultPlan& plan, Rng fault_rng) {
   plan_ = plan;
-  fault_rng_ = fault_rng;
-  if (striped_) {
-    fault_rngs_.clear();
-    for (std::uint32_t s = 0; s < sharded_->num_shards(); ++s) {
-      fault_rngs_.push_back(fault_rng_.fork(s));
-    }
-  }
-}
-
-void Network::set_sharded(sim::ShardedScheduler* sharded) {
-  sharded_ = sharded;
-  striped_ = sharded_ != nullptr && sharded_->parallel();
-  if (!striped_) return;
-  const std::uint32_t n = sharded_->num_shards();
-  msg_pools_.resize(n);
-  msg_frees_.resize(n);
-  // Fork one jitter and one fault stream per shard. Each shard's draw
-  // sequence then depends only on its own (deterministic) send order, never
-  // on cross-shard interleaving — the per-stream analogue of the classic
-  // single sequence, and the reason striped runs are worker-count invariant.
-  rngs_.clear();
-  fault_rngs_.clear();
-  for (std::uint32_t s = 0; s < n; ++s) {
-    rngs_.push_back(rng_.fork(s));
-    fault_rngs_.push_back(fault_rng_.fork(s));
+  for (std::uint32_t s = 0; s < sharded_.num_shards(); ++s) {
+    fault_rngs_[s] = fault_rng.fork(s);
   }
 }
 
@@ -101,19 +89,17 @@ void Network::set_registry(obs::Registry* registry) {
 }
 
 void Network::count_drop() {
-  std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-  if (striped_) lk.lock();
+  const auto lk = stats_lock();
   ++stats_.dropped;
   if (c_dropped_ != nullptr) c_dropped_->inc();
 }
 
 void Network::note_arrival(NodeId from, NodeId to, Timestamp arrival) {
   // The directed link slot is only ever touched from `from`'s shard, so the
-  // read-modify-write below is single-threaded even in striped mode.
+  // read-modify-write below is single-threaded for every worker count.
   Timestamp& last = last_arrival_[from * node_region_.size() + to];
   if (arrival < last) {
-    std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-    if (striped_) lk.lock();
+    const auto lk = stats_lock();
     ++stats_.inversions;
     if (c_inversions_ != nullptr) c_inversions_->inc();
   } else {
@@ -123,37 +109,30 @@ void Network::note_arrival(NodeId from, NodeId to, Timestamp arrival) {
 
 void Network::schedule_delivery(NodeId to, Timestamp latency,
                                 UniqueFunction<void()> fn) {
-  const std::uint64_t epoch = node_epoch_[to];
-  const std::uint32_t sp =
-      striped_ ? sim::ShardedScheduler::current_shard() : 0;
-  if (striped_) {
-    // Shard id == region id in striped mode, so a cross-shard delivery is
-    // exactly a cross-region one — whose base latency is at least the
-    // lookahead horizon, making the arrival time safe to merge next epoch.
-    const auto dst = static_cast<std::uint32_t>(region_of(to));
-    if (dst != sp) {
-      // The handler rides the mailbox entry itself: a pooled slot would be
-      // freed on the destination's thread while the source's pool grows —
-      // a cross-thread race the mailbox hand-off exists to avoid.
-      sharded_->post_cross(
-          dst, cur_sched().now() + latency,
-          [this, to, epoch, fn = std::move(fn)]() mutable {
-            if (node_up_[to] == 0 || node_epoch_[to] != epoch) {
-              count_drop();
-              return;
-            }
-            fn();
-          });
-      return;
-    }
+  const sim::DeliveryGate gate{to, node_epoch_[to]};
+  const Timestamp at = cur_sched().now() + latency;
+  const std::uint32_t src = sim::ShardedScheduler::current_shard();
+  const auto dst = static_cast<std::uint32_t>(region_of(to));
+  if (dst != src) {
+    // The handler rides the mailbox entry itself and lands in dst's pool at
+    // the barrier (enqueue_delivery via the installer): a slot taken from
+    // src's pool would be freed on dst's thread while src's pool grows — a
+    // cross-thread race the mailbox hand-off exists to avoid.
+    sharded_.post_cross(dst, at, std::move(fn), gate);
+    return;
   }
-  // Same-shard (or unsharded) delivery. Park the handler in a pooled slot so
-  // the scheduled closure captures a few words instead of a whole
-  // UniqueFunction — keeping it inside the scheduler's small-buffer and off
-  // the heap. The slot is vacated before the handler runs: the handler may
-  // send again and reuse it.
-  std::vector<UniqueFunction<void()>>& pool = msg_pools_[sp];
-  std::vector<std::uint32_t>& free_list = msg_frees_[sp];
+  enqueue_delivery(src, at, gate, std::move(fn));
+}
+
+void Network::enqueue_delivery(std::uint32_t s, Timestamp at,
+                               sim::DeliveryGate gate,
+                               UniqueFunction<void()> fn) {
+  // Park the handler in a pooled slot so the scheduled closure captures a
+  // few words instead of a whole UniqueFunction — keeping it inside the
+  // scheduler's small-buffer and off the heap. The slot is vacated before
+  // the handler runs: the handler may send again and reuse it.
+  std::vector<UniqueFunction<void()>>& pool = msg_pools_[s];
+  std::vector<std::uint32_t>& free_list = msg_frees_[s];
   std::uint32_t slot;
   if (!free_list.empty()) {
     slot = free_list.back();
@@ -163,10 +142,10 @@ void Network::schedule_delivery(NodeId to, Timestamp latency,
     slot = static_cast<std::uint32_t>(pool.size());
     pool.push_back(std::move(fn));
   }
-  cur_sched().schedule_after(latency, [this, to, epoch, slot, sp] {
-    UniqueFunction<void()> handler = std::move(msg_pools_[sp][slot]);
-    msg_frees_[sp].push_back(slot);
-    if (node_up_[to] == 0 || node_epoch_[to] != epoch) {
+  sharded_.shard(s).schedule_at(at, [this, gate, slot, s] {
+    UniqueFunction<void()> handler = std::move(msg_pools_[s][slot]);
+    msg_frees_[s].push_back(slot);
+    if (node_up_[gate.to] == 0 || node_epoch_[gate.to] != gate.epoch) {
       // The destination crashed while this message was in flight.
       count_drop();
       return;
@@ -188,8 +167,7 @@ bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
   const RegionId rb = region_of(to);
   const bool wan = ra != rb;
   {
-    std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-    if (striped_) lk.lock();
+    const auto lk = stats_lock();
     ++stats_.messages_sent;
     stats_.bytes_sent += bytes;
     if (wan) ++stats_.wan_messages;
@@ -232,8 +210,7 @@ bool Network::corrupt_draw(std::size_t bytes, std::uint64_t& bit_index) {
 }
 
 void Network::count_corrupted() {
-  std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-  if (striped_) lk.lock();
+  const auto lk = stats_lock();
   ++stats_.corrupted;
   if (c_corrupted_ != nullptr) c_corrupted_->inc();
 }
@@ -241,8 +218,7 @@ void Network::count_corrupted() {
 void Network::finish_send(NodeId from, NodeId to, UniqueFunction<void()> fn) {
   const Timestamp latency = sample_latency(from, to);
   if (t_latency_ != nullptr) {
-    std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-    if (striped_) lk.lock();
+    const auto lk = stats_lock();
     t_latency_->record(latency);
   }
   note_arrival(from, to, latency + cur_sched().now());
@@ -255,8 +231,7 @@ void Network::finish_send(NodeId from, NodeId to, UniqueFunction<void()> fn) {
     // measures jitter reordering between distinct messages, and a duplicate
     // racing its own primary is not that.
     {
-      std::unique_lock<std::mutex> lk(*stats_mu_, std::defer_lock);
-      if (striped_) lk.lock();
+      const auto lk = stats_lock();
       ++stats_.duplicated;
       if (c_duplicated_ != nullptr) c_duplicated_->inc();
     }

@@ -53,10 +53,15 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// `jitter_frac` adds uniform jitter in [0, jitter_frac] of the base
-  /// one-way latency to each message (default 5%).
-  Network(sim::Scheduler& sched, Topology topology, Rng rng,
+  /// Runs on `sharded`, which must hold one shard per region of `topology`
+  /// (shard id == region id). `jitter_frac` adds uniform jitter in
+  /// [0, jitter_frac] of the base one-way latency to each message (default
+  /// 5%). Installs itself as `sharded`'s cross-shard installer, which is
+  /// why a Network never moves.
+  Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
           double jitter_frac = 0.05);
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Register a node in `region`; nodes must be registered in id order.
   void register_node(NodeId node, RegionId region);
@@ -138,20 +143,30 @@ class Network {
   /// corrupted, same as the DES path). Must run on the protocol thread.
   void deliver_frame(NodeId to, const std::uint8_t* data, std::size_t size);
 
-  /// Attach the region-sharded scheduler. When it is parallel, the network
-  /// stripes itself by shard: per-shard jitter and fault RNG streams, per-
-  /// shard delivery pools, and mailbox handoff for cross-region sends
-  /// (shard id == region id, so cross-shard ⟺ cross-region, whose latency
-  /// the lookahead horizon bounds from below). Stats and registry counters
-  /// are commutative sums, taken under a mutex only in striped mode — the
-  /// single-shard hot path is untouched. Call before any traffic.
-  void set_sharded(sim::ShardedScheduler* sharded);
-
  private:
   /// Schedule one delivery of `fn` to `to` after `latency`, gated on the
   /// destination still being alive in the same epoch at delivery time.
+  /// Same-region deliveries go straight onto the current shard's queue;
+  /// cross-region ones (cross-shard, since shard id == region id, so the
+  /// lookahead horizon bounds their latency from below) ride the mailbox
+  /// with the gate beside the handler and are installed at the barrier.
   void schedule_delivery(NodeId to, Timestamp latency,
                          UniqueFunction<void()> fn);
+
+  /// Park `fn` in shard `s`'s handler pool and schedule its gated delivery
+  /// on that shard. Called from shard s's own context, or from the barrier
+  /// installer while every worker is parked.
+  void enqueue_delivery(std::uint32_t s, Timestamp at,
+                        sim::DeliveryGate gate,
+                        UniqueFunction<void()> fn);
+
+  /// Stats and registry counters are commutative sums shared by every
+  /// shard: lock them only when more than one worker runs.
+  std::unique_lock<std::mutex> stats_lock() {
+    std::unique_lock<std::mutex> lk(stats_mu_, std::defer_lock);
+    if (sharded_.num_workers() > 1) lk.lock();
+    return lk;
+  }
 
   /// Shared send front end: traffic counting plus the pre-flight fault
   /// gauntlet (endpoint down, partition window, drop draw). Returns false
@@ -175,53 +190,39 @@ class Network {
 
   void count_drop();
 
-  /// The calling context's scheduler: its shard's queue in striped mode
-  /// (sends execute on the sending node's shard), else the one queue.
-  sim::Scheduler& cur_sched() {
-    return striped_ ? sharded_->current() : sched_;
-  }
-  const sim::Scheduler& cur_sched() const {
-    return striped_ ? sharded_->current() : sched_;
-  }
-  /// Jitter stream of the calling shard (per-shard forks in striped mode
-  /// keep every draw sequence a pure function of the shard's trajectory).
-  Rng& cur_rng() {
-    return striped_ ? rngs_[sim::ShardedScheduler::current_shard()] : rng_;
-  }
+  /// The calling context's shard: its queue (sends execute on the sending
+  /// node's shard), its jitter stream and its fault stream. Per-shard
+  /// forks keep every draw sequence a pure function of the shard's own
+  /// trajectory, never of cross-shard interleaving.
+  sim::Scheduler& cur_sched() { return sharded_.current(); }
+  Rng& cur_rng() { return rngs_[sim::ShardedScheduler::current_shard()]; }
   Rng& cur_fault_rng() {
-    return striped_ ? fault_rngs_[sim::ShardedScheduler::current_shard()]
-                    : fault_rng_;
+    return fault_rngs_[sim::ShardedScheduler::current_shard()];
   }
 
-  sim::Scheduler& sched_;
+  sim::ShardedScheduler& sharded_;
   Topology topology_;
-  Rng rng_;
   double jitter_frac_;
   std::vector<RegionId> node_region_;
   NetworkStats stats_;
   FaultPlan plan_;
-  Rng fault_rng_{0};
   std::vector<char> node_up_;
   std::vector<std::uint64_t> node_epoch_;
   /// Latest scheduled arrival per directed link, indexed from * n + to.
   /// Directed link (from, to) is only touched from `from`'s shard, so the
-  /// flat layout needs no locking in striped mode (a hash map would race on
-  /// rehash even for disjoint keys).
+  /// flat layout needs no locking (a hash map would race on rehash even
+  /// for disjoint keys).
   std::vector<Timestamp> last_arrival_;
   /// In-flight message handlers, one pool per shard (slot recycling must
   /// stay shard-local), indexed by the slot the scheduled delivery closure
-  /// captures (see schedule_delivery). Unsharded mode uses pool 0.
+  /// captures (see enqueue_delivery).
   std::vector<std::vector<UniqueFunction<void()>>> msg_pools_;
   std::vector<std::vector<std::uint32_t>> msg_frees_;
-  sim::ShardedScheduler* sharded_ = nullptr;
   Transport* transport_ = nullptr;
-  bool striped_ = false;  ///< sharded_ attached AND parallel
-  std::vector<Rng> rngs_;        ///< per-shard jitter streams (striped)
-  std::vector<Rng> fault_rngs_;  ///< per-shard fault streams (striped)
-  /// Guards stats_, the registry counters and t_latency_ in striped mode —
-  /// all commutative sums/histograms, so totals are thread-count invariant.
-  /// Boxed so Network stays movable (tests build networks in helpers).
-  std::unique_ptr<std::mutex> stats_mu_ = std::make_unique<std::mutex>();
+  std::vector<Rng> rngs_;        ///< per-shard jitter streams
+  std::vector<Rng> fault_rngs_;  ///< per-shard fault streams
+  /// Guards stats_, the registry counters and t_latency_ (stats_lock).
+  std::mutex stats_mu_;
   FrameHandler frame_handler_;
   obs::Counter* c_messages_ = nullptr;
   obs::Counter* c_wan_messages_ = nullptr;

@@ -17,18 +17,18 @@ std::uint64_t Cluster::sharded_now_cb(const void* sharded) {
 
 Cluster::Cluster(Config config)
     : config_(std::move(config)),
-      // threads=1 runs the classic single queue (one shard, no workers,
-      // bit-identical trajectory); threads>1 shards by region with the
-      // topology's minimum cross-region one-way latency as the conservative
-      // lookahead horizon. Each worker thread installs the sharded log clock
-      // at startup so its log lines carry its shard's virtual time.
-      sharded_(config_.threads > 1 ? config_.topology.num_regions() : 1,
-               config_.threads, config_.topology.min_cross_region_one_way(),
+      // One shard per region, with the topology's minimum cross-region
+      // one-way latency as the conservative lookahead horizon; the worker
+      // count only decides how many threads run them. Each worker thread
+      // installs the sharded log clock at startup so its log lines carry
+      // its shard's virtual time.
+      sharded_(config_.topology.num_regions(), config_.threads,
+               config_.topology.min_cross_region_one_way(),
                [this] { Log::set_sim_clock(&Cluster::sharded_now_cb,
                                            &sharded_); }),
       master_rng_(config_.seed),
       storage_rng_(master_rng_.fork(0x57a6)),
-      net_(sharded_.shard(0), config_.topology, master_rng_.fork(0xfee7),
+      net_(sharded_, config_.topology, master_rng_.fork(0xfee7),
            config_.jitter_frac),
       pmap_(config_.num_nodes, config_.partitions_per_node,
             config_.replication_factor) {
@@ -53,7 +53,6 @@ Cluster::Cluster(Config config)
   flight_slack_ =
       config_.topology.max_one_way() + config_.max_clock_skew + 1;
   net_.set_registry(&cluster_obs_);
-  net_.set_sharded(&sharded_);
   // Per-message-type traffic counters (slot 0 is a never-hit placeholder so
   // the arrays index directly by MessageType).
   c_wire_msgs_[0] = &cluster_obs_.counter("wire.msgs.invalid");
@@ -116,7 +115,6 @@ Cluster::Cluster(Config config)
       // Crashes and restarts touch the network, all of the node's replicas
       // and the remote coordinators' timeout machinery at once — they run as
       // global tasks, with every shard quiesced at exactly the event time.
-      // (Single-shard mode: an ordinary event on the one queue, unchanged.)
       sharded_.schedule_global(ev.at,
                                [this, id = ev.node]() { crash_node(id); });
       if (ev.restart_at != kTsInfinity) {
@@ -134,6 +132,8 @@ Cluster::Cluster(Config config)
     rt_driver_ = std::make_unique<sim::RealtimeDriver>(sharded_);
     rt_driver_->set_deliver(
         [this](NodeId to, std::vector<std::uint8_t> frame) {
+          // The handler schedules follow-up work on the receiver's shard.
+          sim::ShardedScheduler::ShardGuard guard(shard_of(to));
           net_.deliver_frame(to, frame.data(), frame.size());
         });
     c_transport_.frames_sent = &cluster_obs_.counter("transport.frames_sent");

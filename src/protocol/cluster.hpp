@@ -69,13 +69,10 @@ class Cluster {
     /// determinism and fault injection; real transports own realism.
     net::TransportKind transport = net::TransportKind::kDes;
     net::TransportOptions transport_opts;
-    /// Worker threads for region-sharded parallel simulation
-    /// (docs/PERFORMANCE.md, "Sharded scheduler"). 1 (the default) runs the
-    /// classic single queue, bit-identical to every release before sharding
-    /// existed. >1 shards the event queue by region onto real threads with
-    /// conservative lookahead; the trajectory is a pure function of (seed,
-    /// topology) — the same for 2 workers or 8, but distinct from the
-    /// threads=1 interleaving.
+    /// Worker threads running the region-sharded lattice (one shard per
+    /// region; docs/PERFORMANCE.md, "Region-sharded lattice"). Only a speed
+    /// setting: output depends on (seed, topology, fault plan), never on
+    /// the worker count.
     std::uint32_t threads = 1;
   };
 
@@ -85,20 +82,19 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// The scheduler of the shard the calling context executes on: a node's
-  /// protocol code always sees its own region's queue, and with threads=1
-  /// this is the one global queue, exactly as before sharding existed.
+  /// protocol code always sees its own region's queue.
   sim::Scheduler& scheduler() { return sharded_.current(); }
   sim::ShardedScheduler& sharded() { return sharded_; }
 
-  /// Shard hosting `id` (its region when sharding is on, else 0).
+  /// Shard hosting `id`: its region.
   std::uint32_t shard_of(NodeId id) const {
-    return sharded_.parallel() ? id % config_.topology.num_regions() : 0;
+    return id % config_.topology.num_regions();
   }
 
   /// Run `fn` in node `id`'s shard context (events it schedules land on the
   /// node's queue). Callable only while the simulation is NOT running —
   /// from the main thread between run_for calls — or from the node's own
-  /// shard. With threads=1 this is a plain call.
+  /// shard.
   void run_on_node(NodeId id, const std::function<void()>& fn) {
     sim::ShardedScheduler::ShardGuard guard(shard_of(id));
     fn();
@@ -128,13 +124,9 @@ class Cluster {
   void count_wire_message(wire::MessageType type, std::size_t bytes) {
     const auto i = static_cast<std::size_t>(type);
     if (c_wire_msgs_[i] == nullptr) return;
-    if (sharded_.parallel()) {
-      // Commutative sums: totals are identical for every worker count.
-      std::lock_guard<std::mutex> lk(wire_mu_);
-      c_wire_msgs_[i]->inc();
-      c_wire_bytes_[i]->inc(bytes);
-      return;
-    }
+    // Commutative sums: totals are identical for every worker count.
+    std::unique_lock<std::mutex> lk(wire_mu_, std::defer_lock);
+    if (sharded_.num_workers() > 1) lk.lock();
     c_wire_msgs_[i]->inc();
     c_wire_bytes_[i]->inc(bytes);
   }
@@ -175,8 +167,8 @@ class Cluster {
   /// Load one key into every replica of its partition (committed, ts 0).
   void load(Key key, Value value);
 
-  /// Advance virtual time by `duration`, executing all due events. With
-  /// threads>1 the calling thread doubles as worker 0 of the epoch loop.
+  /// Advance virtual time by `duration`, executing all due events. The
+  /// calling thread doubles as worker 0 of the epoch loop.
   /// With a real transport, virtual time is paced to the wall clock and
   /// inbound frames are dispatched between events (sim/realtime.hpp).
   void run_for(Timestamp duration);
@@ -324,7 +316,7 @@ class Cluster {
   /// Per-node WAL counters, lazily registered in the owning node's registry
   /// by make_wal — per-node so parallel shards never contend on the sums.
   std::vector<storage::Wal::Counters> wal_counters_;
-  std::mutex wire_mu_;  ///< guards wire counters when threads > 1
+  std::mutex wire_mu_;  ///< guards wire counters when several workers run
   obs::Registry cluster_obs_;  ///< before net_: the network caches handles
   obs::Tracer tracer_;
   net::Network net_;

@@ -616,7 +616,6 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
   // proposals; on any conflict, abort (prepared participants are rolled
   // back by the abort path).
   Timestamp lc = rec.rs + 1;
-  std::vector<PartitionId> prepared_local;
   bool conflict = false;
   for (const auto& [pid, updates] : groups.local) {
     PartitionActor* actor = node_.replica(pid);
@@ -627,7 +626,6 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
       conflict = true;
       break;
     }
-    prepared_local.push_back(pid);
     lc = std::max(lc, pr.proposed_ts);
   }
   const bool use_cache = spec_active() && !groups.cache.empty();

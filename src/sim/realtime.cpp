@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "sim/sharded.hpp"
 
 namespace str::sim {
 
 RealtimeDriver::RealtimeDriver(ShardedScheduler& sharded)
-    : sharded_(sharded), origin_(std::chrono::steady_clock::now()) {
-  STR_ASSERT_MSG(!sharded_.parallel(),
-                 "RealtimeDriver requires a single-shard scheduler");
-}
+    : sharded_(sharded), origin_(std::chrono::steady_clock::now()) {}
 
 void RealtimeDriver::enqueue(NodeId to, std::vector<std::uint8_t> frame) {
   {
@@ -54,10 +50,10 @@ void RealtimeDriver::run_until(Timestamp target) {
 
     if (wall_now() >= target) break;
 
-    // Idle: sleep until the earliest timer, the target, or a frame arrival.
-    // Both bounds are finite (target is), so the wait never overflows.
-    const Timestamp wake_vt =
-        std::min(sharded_.shard(0).next_event_time(), target);
+    // Idle: sleep until the earliest event on any shard or global task, the
+    // target, or a frame arrival. Both bounds are finite (target is), so
+    // the wait never overflows.
+    const Timestamp wake_vt = std::min(sharded_.next_event_time(), target);
     std::unique_lock<std::mutex> lk(mu_);
     if (!inbox_.empty()) continue;
     cv_.wait_until(lk, origin_ + std::chrono::microseconds(wake_vt),

@@ -2,14 +2,16 @@
 // wall microsecond, anchored at construction.
 //
 // The DES stays the protocol oracle — every timer, retry and maintenance
-// tick is still an event on the (single-shard) scheduler. What changes is
-// who advances the clock: instead of jumping straight to the next event
-// time, run_until() lets it track the wall clock, and in the gaps between
-// events it sleeps on a condition variable that transport loop threads
-// poke whenever a decoded frame lands in the inbox. Frames are delivered
-// on THIS thread (via the deliver callback, normally Network::deliver_frame
-// → wire::dispatch_frame), so protocol code remains single-threaded and
-// needs no locks — exactly the DES execution model, at wall-clock speed.
+// tick is still an event on the same region-sharded lattice every DES run
+// uses, driven here by one worker. What changes is who advances the clock:
+// instead of jumping straight to the next event time, run_until() lets it
+// track the wall clock, and in the gaps between events it sleeps on a
+// condition variable that transport loop threads poke whenever a decoded
+// frame lands in the inbox. Frames are delivered on THIS thread (via the
+// deliver callback, normally Network::deliver_frame → wire::dispatch_frame
+// under the receiver's shard context), so protocol code remains
+// single-threaded and needs no locks — exactly the DES execution model, at
+// wall-clock speed.
 #pragma once
 
 #include <chrono>
@@ -32,8 +34,8 @@ class RealtimeDriver {
   /// Called on the driver thread for each frame the transport delivered.
   using Deliver = std::function<void(NodeId to, std::vector<std::uint8_t>)>;
 
-  /// `sharded` must be single-shard: real transports are incompatible with
-  /// the parallel window barrier (validated by the cluster before this).
+  /// Frames are delivered on the driver thread between the lattice's
+  /// run_until calls, never while a shard window is executing.
   explicit RealtimeDriver(ShardedScheduler& sharded);
 
   void set_deliver(Deliver d) { deliver_ = std::move(d); }

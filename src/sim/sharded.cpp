@@ -14,17 +14,13 @@ ShardedScheduler::ShardedScheduler(std::uint32_t num_shards,
                                    std::function<void()> on_worker_start)
     : horizon_(horizon), on_worker_start_(std::move(on_worker_start)) {
   STR_ASSERT(num_shards >= 1);
+  STR_ASSERT_MSG(horizon_ > 0,
+                 "conservative lookahead needs a positive horizon");
   shards_.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Scheduler>());
   }
   num_workers_ = std::max(1u, std::min(num_workers, num_shards));
-  if (!parallel()) {
-    num_workers_ = 1;
-    return;
-  }
-  STR_ASSERT_MSG(horizon_ > 0,
-                 "conservative lookahead needs a positive horizon");
   mailboxes_.resize(static_cast<std::size_t>(num_shards) * num_shards);
   workers_.reserve(num_workers_ - 1);
   for (std::uint32_t w = 1; w < num_workers_; ++w) {
@@ -44,24 +40,17 @@ ShardedScheduler::~ShardedScheduler() {
 }
 
 void ShardedScheduler::post_cross(std::uint32_t dst_shard, Timestamp at,
-                                  UniqueFunction<void()> fn) {
-  STR_ASSERT(parallel());
+                                  UniqueFunction<void()> fn,
+                                  DeliveryGate gate) {
   STR_ASSERT(dst_shard < num_shards());
   const std::uint32_t src = current_shard();
   STR_ASSERT_MSG(src != dst_shard, "post_cross to the current shard");
-  Mailbox& mb =
-      mailboxes_[static_cast<std::size_t>(src) * num_shards() + dst_shard];
-  mb.entries.push_back({at, mb.next_seq++, std::move(fn)});
+  mailboxes_[static_cast<std::size_t>(src) * num_shards() + dst_shard]
+      .push_back({at, gate, std::move(fn)});
 }
 
 void ShardedScheduler::schedule_global(Timestamp at,
                                        UniqueFunction<void()> fn) {
-  if (!parallel()) {
-    // Bit-identical to the classic scheduler: cluster-scope activities are
-    // ordinary events on the one queue.
-    shards_[0]->schedule_at(at, std::move(fn));
-    return;
-  }
   global_tasks_.push_back({at, global_seq_++, std::move(fn)});
   std::push_heap(global_tasks_.begin(), global_tasks_.end(),
                  [](const GlobalTask& a, const GlobalTask& b) {
@@ -75,44 +64,36 @@ Timestamp ShardedScheduler::next_shard_event_time() const {
   return w;
 }
 
+Timestamp ShardedScheduler::next_event_time() const {
+  Timestamp t = next_shard_event_time();
+  if (!global_tasks_.empty()) t = std::min(t, global_tasks_.front().at);
+  for (const auto& mb : mailboxes_) {
+    for (const MailboxEntry& e : mb) t = std::min(t, e.at);
+  }
+  return t;
+}
+
 void ShardedScheduler::merge_mailboxes() {
   const std::uint32_t n = num_shards();
   for (std::uint32_t dst = 0; dst < n; ++dst) {
-    // Gather this destination's handoffs from every source shard, then
-    // install them in (arrival, src, seq) order: the destination queue's
-    // tie-break sequence numbers — and so the whole trajectory — become a
-    // pure function of virtual time, independent of worker interleaving.
-    std::vector<MailboxEntry> batch;
-    std::uint32_t srcs = 0;
-    for (std::uint32_t src = 0; src < n; ++src) {
-      Mailbox& mb = mailboxes_[static_cast<std::size_t>(src) * n + dst];
-      if (mb.entries.empty()) continue;
-      ++srcs;
-      if (batch.empty()) {
-        batch.swap(mb.entries);
-      } else {
-        batch.insert(batch.end(), std::make_move_iterator(mb.entries.begin()),
-                     std::make_move_iterator(mb.entries.end()));
-        mb.entries.clear();
-      }
-      mb.next_seq = 0;
-    }
-    if (batch.empty()) continue;
-    if (srcs > 1) {
-      // Entries were appended src-major and each mailbox is already in seq
-      // order, so a *stable* sort on arrival time alone yields the full
-      // (at, src, seq) order without carrying src in every entry.
-      std::stable_sort(batch.begin(), batch.end(),
-                       [](const MailboxEntry& a, const MailboxEntry& b) {
-                         return a.at < b.at;
-                       });
-    }
     Scheduler& q = *shards_[dst];
-    for (MailboxEntry& e : batch) {
-      STR_ASSERT_MSG(e.at >= q.now(),
-                     "cross-shard arrival violates the lookahead horizon");
-      q.schedule_at(e.at, std::move(e.fn));
-      ++cross_posts_total_;
+    // Install src-major, each mailbox in send order. No sort by arrival is
+    // needed: the queue orders by (time, insertion), so only the relative
+    // order of same-instant arrivals is up to us, and (src, send order) is
+    // a pure function of the trajectory, never of worker interleaving.
+    for (std::uint32_t src = 0; src < n; ++src) {
+      auto& mb = mailboxes_[static_cast<std::size_t>(src) * n + dst];
+      for (MailboxEntry& e : mb) {
+        STR_ASSERT_MSG(e.at >= q.now(),
+                       "cross-shard arrival violates the lookahead horizon");
+        if (installer_) {
+          installer_(dst, e.at, e.gate, std::move(e.fn));
+        } else {
+          q.schedule_at(e.at, std::move(e.fn));
+        }
+      }
+      cross_posts_total_ += mb.size();
+      mb.clear();  // keeps the capacity for the next epoch
     }
   }
 }
@@ -152,7 +133,7 @@ void ShardedScheduler::worker_main(std::uint32_t worker_index) {
   }
 }
 
-void ShardedScheduler::run_parallel_until(Timestamp t) {
+void ShardedScheduler::run_until(Timestamp t) {
   merge_mailboxes();
   for (;;) {
     const Timestamp w = next_shard_event_time();
@@ -181,8 +162,11 @@ void ShardedScheduler::run_parallel_until(Timestamp t) {
     // Conservative window: every shard may run to (w + horizon) because no
     // cross-shard send from inside the window can arrive before it; global
     // tasks and the run edge clamp it. end is exclusive; the +1 lets events
-    // at exactly t execute, matching run_until's inclusive contract.
-    const Timestamp end = std::min({w + horizon_, g, t + 1});
+    // at exactly t execute, matching run_until's inclusive contract. (w + H
+    // saturates: a lone shard has an infinite horizon.)
+    const Timestamp lookahead =
+        horizon_ > kTsInfinity - w ? kTsInfinity : w + horizon_;
+    const Timestamp end = std::min({lookahead, g, t + 1});
     if (num_workers_ > 1) {
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -207,14 +191,6 @@ void ShardedScheduler::run_parallel_until(Timestamp t) {
   for (auto& s : shards_) s->advance_to(t);
 }
 
-void ShardedScheduler::run_until(Timestamp t) {
-  if (!parallel()) {
-    shards_[0]->run_until(t);
-    return;
-  }
-  run_parallel_until(t);
-}
-
 std::uint64_t ShardedScheduler::executed() const {
   std::uint64_t n = 0;
   for (const auto& s : shards_) n += s->executed();
@@ -224,7 +200,7 @@ std::uint64_t ShardedScheduler::executed() const {
 std::size_t ShardedScheduler::pending() const {
   std::size_t n = global_tasks_.size();
   for (const auto& s : shards_) n += s->pending();
-  for (const auto& mb : mailboxes_) n += mb.entries.size();
+  for (const auto& mb : mailboxes_) n += mb.size();
   return n;
 }
 

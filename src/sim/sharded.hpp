@@ -1,30 +1,33 @@
-// Region-sharded parallel discrete-event simulation with conservative
-// lookahead (docs/PERFORMANCE.md, "Sharded scheduler").
+// Region-sharded discrete-event simulation with conservative lookahead
+// (docs/PERFORMANCE.md, "Region-sharded lattice"). This is the only
+// execution driver: every run, DES or real-time, executes this lattice.
 //
-// The event queue is split into one Scheduler per region shard and the
-// shards run on real threads. Safety comes from the WAN itself: no message
-// crosses a region boundary faster than the minimum inter-region one-way
-// latency H, so every shard may freely execute events in the window
-// [W, W + H), where W is the global minimum pending-event time. No null
-// messages, no rollback — just an epoch barrier at every window edge.
+// The event queue is split into one Scheduler per region shard, and the
+// shards run on one or more worker threads. Safety comes from the WAN
+// itself: no message crosses a region boundary faster than the minimum
+// inter-region one-way latency H, so every shard may freely execute events
+// in the window [W, W + H), where W is the global minimum pending-event
+// time. No null messages, no rollback — just an epoch barrier at every
+// window edge.
 //
 // Cross-shard sends never touch another shard's queue directly. The sending
 // worker appends to a per-(src, dst) mailbox it exclusively owns during the
 // window; at the barrier the control thread drains all mailboxes into the
-// destination queues in a deterministic order — sorted by (arrival time,
-// src shard, append sequence) — so destination-queue sequence numbers, and
-// with them the entire virtual trajectory, are independent of thread count
-// and wall-clock interleaving. Running with 2 workers or 8 produces the
-// same simulation, event for event.
+// destination queues in a fixed order — source shard by source shard, each
+// in send order. The destination queue orders by (time, insertion), so
+// events arriving at the same instant run in (src shard, send order), and
+// the entire virtual trajectory is independent of thread count and
+// wall-clock interleaving. Running with 2 workers or 8 produces the same
+// simulation, event for event — and so does running with one.
 //
 // Cluster-scope activities that must observe every shard at once (watermark
 // maintenance, fault-plan crashes and restarts) are *global tasks*: they
 // bound the window edge, so no shard runs past them, and they execute
 // single-threaded between windows while the workers are parked.
 //
-// With one shard (threads = 1) there are no workers, no mailboxes and no
-// barriers: run_until() drives the single Scheduler inline, bit-identical
-// to the pre-sharding simulator.
+// The worker count is only a speed setting: with one worker the calling
+// thread executes every shard's window in turn, through the same mailboxes
+// and barriers, so the trajectory is identical for 1 worker or 8.
 #pragma once
 
 #include <condition_variable>
@@ -41,15 +44,25 @@
 
 namespace str::sim {
 
+/// Delivery gate of a network message: the destination node and its crash
+/// epoch at send time. It rides next to the handler in a cross-shard
+/// mailbox rather than inside a gating closure around it — such a closure
+/// would hold a whole UniqueFunction, overflow the inline buffer and cost
+/// one allocation per cross-shard hop.
+struct DeliveryGate {
+  NodeId to = kInvalidNode;
+  std::uint64_t epoch = 0;
+};
+
 class ShardedScheduler {
  public:
-  /// `num_shards` queues (one per region; 1 = classic single-threaded DES),
-  /// executed by `num_workers` OS threads (clamped to num_shards; shard s is
-  /// owned by worker s % num_workers, so the mapping — and the simulation —
-  /// is identical for every worker count). `horizon` is the conservative
-  /// lookahead: the minimum cross-shard delivery latency. `on_worker_start`
-  /// runs once on each spawned worker thread (thread-local setup such as the
-  /// log clock).
+  /// `num_shards` queues (one per region), executed by `num_workers` OS
+  /// threads (clamped to num_shards; shard s is owned by worker
+  /// s % num_workers, and the simulation is identical for every worker
+  /// count). `horizon` is the conservative lookahead: the minimum
+  /// cross-shard delivery latency (kTsInfinity when there is no other
+  /// shard to deliver to). `on_worker_start` runs once on each spawned
+  /// worker thread (thread-local setup such as the log clock).
   ShardedScheduler(std::uint32_t num_shards, std::uint32_t num_workers,
                    Timestamp horizon,
                    std::function<void()> on_worker_start = nullptr);
@@ -61,7 +74,6 @@ class ShardedScheduler {
     return static_cast<std::uint32_t>(shards_.size());
   }
   std::uint32_t num_workers() const { return num_workers_; }
-  bool parallel() const { return num_shards() > 1; }
   Timestamp horizon() const { return horizon_; }
 
   Scheduler& shard(std::uint32_t s) { return *shards_[s]; }
@@ -69,8 +81,7 @@ class ShardedScheduler {
 
   /// The scheduler of the shard the calling thread is currently executing
   /// (thread-local). Outside any worker context — on the control thread
-  /// between windows, or before the first run — this is shard 0, which in
-  /// single-shard mode is the only queue there is.
+  /// between windows, or before the first run — this is shard 0.
   Scheduler& current() { return *shards_[current_shard()]; }
   const Scheduler& current() const { return *shards_[current_shard()]; }
 
@@ -94,6 +105,17 @@ class ShardedScheduler {
     std::uint32_t prev_;
   };
 
+  /// Installs one merged cross-shard post into destination shard `dst`.
+  /// Runs on the control thread at a barrier, with every worker parked, so
+  /// it may touch any shard's state. Without an installer the handler is
+  /// scheduled on dst's queue as is and the gate is ignored.
+  using Installer = UniqueFunction<void(std::uint32_t dst, Timestamp at,
+                                        DeliveryGate gate,
+                                        UniqueFunction<void()> fn)>;
+  void set_installer(Installer installer) {
+    installer_ = std::move(installer);
+  }
+
   /// Hand an event to another shard. Must be called from the shard context
   /// that produced it (a worker executing a window, or a global task under
   /// a ShardGuard). The event is buffered in the (current, dst) mailbox and
@@ -101,18 +123,21 @@ class ShardedScheduler {
   /// window edge, which the lookahead guarantees for any cross-region
   /// delivery.
   void post_cross(std::uint32_t dst_shard, Timestamp at,
-                  UniqueFunction<void()> fn);
+                  UniqueFunction<void()> fn, DeliveryGate gate = {});
 
   /// Schedule a cluster-scope task: runs single-threaded between windows,
-  /// with every shard quiesced at exactly `at`. In single-shard mode this
-  /// is an ordinary event on the one queue (bit-identical to the classic
-  /// scheduler). Tasks at equal times run in schedule order.
+  /// with every shard quiesced at exactly `at`. Tasks at equal times run in
+  /// schedule order.
   void schedule_global(Timestamp at, UniqueFunction<void()> fn);
 
   /// Run every shard up to and including virtual time `t`, then advance all
-  /// shard clocks to `t`. Single-shard mode executes inline; parallel mode
-  /// runs the epoch loop on the calling thread (which doubles as worker 0).
+  /// shard clocks to `t`. The epoch loop runs on the calling thread, which
+  /// doubles as worker 0.
   void run_until(Timestamp t);
+
+  /// Earliest pending work anywhere: shard queues, unmerged mailbox entries
+  /// and global tasks. kTsInfinity when idle.
+  Timestamp next_event_time() const;
 
   /// Global virtual clock: only meaningful between run_until calls, when
   /// all shards agree. Inside protocol code use current().now().
@@ -124,27 +149,21 @@ class ShardedScheduler {
   /// Total pending events across all shards and mailboxes.
   std::size_t pending() const;
 
-  /// Epoch barriers completed (0 in single-shard mode; observability).
+  /// Epoch barriers completed (observability).
   std::uint64_t epochs() const { return epochs_; }
   /// Events handed across shards through the mailboxes.
   std::uint64_t cross_posts() const { return cross_posts_total_; }
 
   /// Run `fn(worker_index)` once on each worker thread (and with index 0 on
   /// the calling thread). Used by benchmarks to collect per-thread tallies
-  /// such as allocation counts. No-op beyond index 0 in single-shard mode.
+  /// such as allocation counts.
   void for_each_worker(const std::function<void(std::uint32_t)>& fn);
 
  private:
   struct MailboxEntry {
     Timestamp at = 0;
-    std::uint64_t seq = 0;  ///< per-(src,dst) append order within the epoch
+    DeliveryGate gate;
     UniqueFunction<void()> fn;
-  };
-  /// mailboxes_[src * num_shards + dst]: owned exclusively by src's worker
-  /// during a window, drained by the control thread at the barrier.
-  struct Mailbox {
-    std::vector<MailboxEntry> entries;
-    std::uint64_t next_seq = 0;
   };
 
   struct GlobalTask {
@@ -154,9 +173,8 @@ class ShardedScheduler {
   };
 
   void worker_main(std::uint32_t worker_index);
-  void run_parallel_until(Timestamp t);
-  /// Drain every mailbox into its destination queue in deterministic
-  /// (arrival time, src shard, seq) order.
+  /// Drain every mailbox into its destination queue so that events arriving
+  /// at the same time run in (src shard, send order) order.
   void merge_mailboxes();
   Timestamp next_shard_event_time() const;
   /// Execute the shards owned by `worker_index` up to (excluding) `end`.
@@ -169,13 +187,17 @@ class ShardedScheduler {
   Timestamp horizon_ = 0;
   std::function<void()> on_worker_start_;
 
-  std::vector<Mailbox> mailboxes_;
+  /// mailboxes_[src * num_shards + dst], in send order: owned exclusively
+  /// by src's worker during a window, drained by the control thread at the
+  /// barrier (cleared, never swapped out, so capacity carries over).
+  std::vector<std::vector<MailboxEntry>> mailboxes_;
+  Installer installer_;
   std::vector<GlobalTask> global_tasks_;  ///< min-heap by (at, seq)
   std::uint64_t global_seq_ = 0;
   std::uint64_t epochs_ = 0;
   std::uint64_t cross_posts_total_ = 0;
 
-  // -- worker rendezvous (parallel mode only) -------------------------------
+  // -- worker rendezvous (num_workers > 1 only) ------------------------------
   // The control thread publishes a window edge under mu_ and bumps the
   // epoch generation; workers execute their shards and report back. The
   // mutex + condvars give the barrier its happens-before edges, so shard

@@ -3,11 +3,45 @@
 #include "tuning/cusum.hpp"
 
 #include <cmath>
+#include <coroutine>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
 
 namespace str::tuning {
+
+namespace {
+
+/// `co_await GlobalSleep{sharded, d}` resumes `d` from now as a global task,
+/// so the code after it runs with every shard stopped at one instant: the
+/// commit meter it reads and the speculation switch it flips are the same
+/// for every worker count.
+struct GlobalSleep {
+  /// The pending task owns the suspended frame: a task dropped unrun (the
+  /// cluster torn down while the tuner sleeps) destroys it.
+  struct Resume {
+    std::coroutine_handle<> h;
+    explicit Resume(std::coroutine_handle<> handle) : h(handle) {}
+    Resume(Resume&& other) noexcept : h(std::exchange(other.h, {})) {}
+    Resume& operator=(Resume&&) = delete;
+    ~Resume() {
+      if (h) h.destroy();
+    }
+    void operator()() { std::exchange(h, {}).resume(); }
+  };
+
+  sim::ShardedScheduler& sharded;
+  Timestamp delay;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    sharded.schedule_global(sharded.now() + delay, Resume(h));
+  }
+  void await_resume() const noexcept {}
+};
+
+}  // namespace
 
 SelfTuner::SelfTuner(protocol::Cluster& cluster, SelfTunerConfig config)
     : cluster_(cluster), config_(config) {}
@@ -28,24 +62,24 @@ double SelfTuner::measure_commits_per_sec(Timestamp window_start,
 }
 
 sim::Fiber SelfTuner::run() {
-  auto& sched = cluster_.scheduler();
-  co_await sim::sleep_for(sched, config_.initial_delay);
+  auto& lattice = cluster_.sharded();
+  co_await GlobalSleep{lattice, config_.initial_delay};
 
   for (;;) {
     // Trial phase A: speculation on.
     cluster_.set_speculation_enabled(true);
-    co_await sim::sleep_for(sched, config_.settle);
+    co_await GlobalSleep{lattice, config_.settle};
     Timestamp t0 = cluster_.now();
     std::uint64_t c0 = cluster_.metrics().commit_meter().total();
-    co_await sim::sleep_for(sched, config_.interval);
+    co_await GlobalSleep{lattice, config_.interval};
     const double on_rate = measure_commits_per_sec(t0, c0);
 
     // Trial phase B: speculation off.
     cluster_.set_speculation_enabled(false);
-    co_await sim::sleep_for(sched, config_.settle);
+    co_await GlobalSleep{lattice, config_.settle};
     t0 = cluster_.now();
     c0 = cluster_.metrics().commit_meter().total();
-    co_await sim::sleep_for(sched, config_.interval);
+    co_await GlobalSleep{lattice, config_.interval};
     const double off_rate = measure_commits_per_sec(t0, c0);
 
     speculation_chosen_ = on_rate >= off_rate;
@@ -69,7 +103,7 @@ sim::Fiber SelfTuner::run() {
     dcfg.threshold_frac = config_.retune_threshold;
     CusumDetector detector(dcfg);
     for (;;) {
-      co_await sim::sleep_for(sched, config_.monitor_interval);
+      co_await GlobalSleep{lattice, config_.monitor_interval};
       const double current = cluster_.metrics().commit_meter().rate(
           cluster_.now(), config_.monitor_interval);
       if (detector.add_sample(current)) break;  // re-trial

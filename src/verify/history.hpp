@@ -57,8 +57,9 @@ class HistorySink {
 
 /// Accumulates the full history in memory for offline checking. Recording
 /// is thread-safe (region-sharded runs report from worker threads); the
-/// append order then reflects wall-clock interleaving, so parallel runs
-/// must canonicalize() before comparing or checking histories.
+/// append order then depends on the worker count (and, with several
+/// workers, on wall-clock interleaving), so runs canonicalize() before
+/// comparing or checking histories.
 class HistoryRecorder final : public HistorySink {
  public:
   void on_begin(const BeginEvent& e) override {
@@ -100,12 +101,12 @@ class HistoryRecorder final : public HistorySink {
   void index();
 
   /// Re-sort every event stream into a canonical content order (event
-  /// fields only, no append positions). Two parallel runs of the same
-  /// simulation record the same event *sets* but in wall-clock-dependent
-  /// append order; after canonicalize() the histories are byte-comparable
-  /// and checker verdicts are reproducible. Single-threaded runs are
-  /// already deterministically ordered and never need this. Call before
-  /// index().
+  /// fields only, no append positions). Two runs of the same simulation
+  /// at different worker counts record the same event *sets* but in
+  /// different append orders (shard-major per window with one worker,
+  /// wall-clock-dependent with several); after canonicalize() the
+  /// histories are byte-comparable and checker verdicts are reproducible.
+  /// Call before index().
   void canonicalize();
 
  private:

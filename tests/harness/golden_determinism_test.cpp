@@ -43,6 +43,7 @@ class Fnv {
 struct RunOptions {
   bool watermark_pruning = true;
   bool wire_codec = false;
+  std::uint32_t threads = 1;
 };
 
 std::uint64_t run_and_hash(const RunOptions& opt) {
@@ -58,6 +59,7 @@ std::uint64_t run_and_hash(const RunOptions& opt) {
   cfg.protocol.gc_interval = msec(500);
   cfg.seed = 7;
   cfg.wire_codec = opt.wire_codec;
+  cfg.threads = opt.threads;
 
   protocol::Cluster cluster(cfg);
   verify::HistoryRecorder history;
@@ -70,6 +72,9 @@ std::uint64_t run_and_hash(const RunOptions& opt) {
   cluster.run_for(sec(4));
   pool.request_stop_all();
   cluster.run_for(sec(2));
+  // Shards append history in execution order; hash the content order,
+  // which is the same for every worker count.
+  history.canonicalize();
 
   Fnv fnv;
   for (const auto& e : history.begins()) {
@@ -116,14 +121,14 @@ std::uint64_t run_and_hash(const RunOptions& opt) {
         "store.prepare_conflicts"}) {
     fnv.mix(merged.counter(name).value());
   }
-  fnv.mix(cluster.scheduler().executed());
+  fnv.mix(cluster.sharded().executed());
   fnv.mix(cluster.now());
   return fnv.value();
 }
 
 // The committed golden value. Regenerate (docs/PERFORMANCE.md) only for an
 // intentional behaviour change, and say so in the commit message.
-constexpr std::uint64_t kGoldenHash = 0xd1f54884abf60fd6ULL;
+constexpr std::uint64_t kGoldenHash = 0x2fb1387c803fb4e4ULL;
 
 TEST(GoldenDeterminism, FixedSeedRunMatchesCommittedHash) {
   const std::uint64_t h = run_and_hash({});
@@ -140,6 +145,15 @@ TEST(GoldenDeterminism, WatermarkPruningIsBehaviourNeutral) {
   off.watermark_pruning = false;
   EXPECT_EQ(run_and_hash(off), kGoldenHash)
       << "disabling watermark pruning changed observable behaviour";
+}
+
+// The worker count is only a speed setting: every run executes the same
+// region-sharded lattice, so four workers reproduce the hash exactly.
+TEST(GoldenDeterminism, WorkerCountIsBehaviourNeutral) {
+  RunOptions four;
+  four.threads = 4;
+  EXPECT_EQ(run_and_hash(four), kGoldenHash)
+      << "running the lattice on four workers changed observable behaviour";
 }
 
 // Encoding every message to bytes and decoding it at delivery (--wire) must

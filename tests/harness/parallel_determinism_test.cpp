@@ -1,22 +1,17 @@
-// Differential determinism for the region-sharded parallel scheduler.
+// Differential determinism for the region-sharded scheduler.
 //
-// The sharded mode's contract (docs/SIMULATION.md, docs/PERFORMANCE.md) is
-// worker-count invariance: with threads >= 2 the trajectory is a pure
-// function of (seed, topology, fault plan) — the SAME for 2 workers as for
-// 4, on any machine — because every shard's event order, RNG stream, and
-// mailbox merge order are defined without reference to wall-clock
-// interleaving. These tests enforce that contract differentially: run the
-// identical configuration at 2 and at 4 worker threads, canonicalize the
-// (wall-clock-ordered) history, and demand a bit-identical FNV fingerprint
-// over every begin/read/commit/abort plus the curated behaviour counters.
+// Every run executes the same lattice (one shard per region), and its
+// contract (docs/SIMULATION.md, docs/PERFORMANCE.md) is worker-count
+// invariance: the trajectory is a pure function of (seed, topology, fault
+// plan) — the SAME for 1 worker as for 2, 4 or 8, on any machine — because
+// every shard's event order, RNG stream, and mailbox merge order are
+// defined without reference to wall-clock interleaving. These tests enforce
+// that contract differentially: run the identical configuration at 1, 2, 4
+// and 8 worker threads, canonicalize the (execution-ordered) history, and
+// demand a bit-identical FNV fingerprint over every begin/read/commit/abort
+// plus the curated behaviour counters.
 //
-// The threads=1 trajectory is a *different* (also deterministic) run — the
-// classic single queue does not re-time cross-region hops on the lookahead
-// lattice — so it is compared on invariants (zero SPSI violations,
-// same-process repeatability), never on the fingerprint. Its bit-equality
-// with the pre-sharding simulator is the golden-determinism suite's job.
-//
-// Three configurations, because parallel bugs hide in the machinery each
+// Five configurations, because parallel bugs hide in the machinery each
 // one uniquely exercises:
 //   clean    pure protocol traffic (mailbox merge order, per-shard RNG)
 //   chaos    drops + dups + a partition window + crash/restart (global
@@ -24,6 +19,8 @@
 //            epoch-gated delivery to a crashed node)
 //   durable  WAL + torn-write crash/replay (per-node WAL counters, media
 //            events on the owner's shard scheduler)
+//   quorum   the decision-replication fan-out and the in-doubt registry,
+//            clean and with a permanent coordinator kill under chaos
 
 #include <gtest/gtest.h>
 
@@ -122,9 +119,9 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
   pool.request_stop_all();
   cluster.run_for(drain);
 
-  // Parallel runs append history in wall-clock order; fold that arbitrary
-  // interleaving back to the content order before hashing or checking.
-  if (threads > 1) history.canonicalize();
+  // Shards append history in execution order, which depends on the worker
+  // count; fold it back to the content order before hashing or checking.
+  history.canonicalize();
 
   RunResult r;
   Fnv fnv;
@@ -185,18 +182,22 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
 }
 
 void expect_worker_count_invariant(Variant variant) {
-  const RunResult two = run_variant(2, variant);
-  const RunResult four = run_variant(4, variant);
-  EXPECT_EQ(two.fingerprint, four.fingerprint)
-      << "threads=2 and threads=4 diverged: the trajectory leaked "
-         "wall-clock interleaving";
-  EXPECT_EQ(two.commits, four.commits);
-  EXPECT_EQ(two.events, four.events);
-  EXPECT_EQ(two.violations, 0u);
-  EXPECT_EQ(four.violations, 0u);
-  EXPECT_GT(two.commits, 0u);  // the run actually did work
+  const RunResult one = run_variant(1, variant);
+  EXPECT_EQ(one.violations, 0u);
+  EXPECT_GT(one.commits, 0u);  // the run actually did work
+  for (std::uint32_t threads : {2u, 4u, 8u}) {
+    const RunResult r = run_variant(threads, variant);
+    EXPECT_EQ(r.fingerprint, one.fingerprint)
+        << "threads=1 and threads=" << threads
+        << " diverged: the trajectory leaked the worker count";
+    EXPECT_EQ(r.commits, one.commits) << "threads=" << threads;
+    EXPECT_EQ(r.events, one.events) << "threads=" << threads;
+    EXPECT_EQ(r.violations, 0u) << "threads=" << threads;
+  }
 }
 
+// The test names predate the 1- and 8-worker runs; each compares all four
+// worker counts.
 TEST(ParallelDeterminism, TwoAndFourWorkersAgreeClean) {
   expect_worker_count_invariant(Variant::kClean);
 }
@@ -215,18 +216,6 @@ TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorum) {
 
 TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorumChaos) {
   expect_worker_count_invariant(Variant::kQuorumChaos);
-}
-
-// threads=1 is the classic single queue: a distinct trajectory from the
-// sharded lattice (compared against the pre-sharding simulator by the
-// golden-determinism suite), held here to the same safety invariants and
-// to same-process repeatability.
-TEST(ParallelDeterminism, SingleThreadInvariants) {
-  const RunResult a = run_variant(1, Variant::kClean);
-  const RunResult b = run_variant(1, Variant::kClean);
-  EXPECT_EQ(a.fingerprint, b.fingerprint) << "hidden global state";
-  EXPECT_EQ(a.violations, 0u);
-  EXPECT_GT(a.commits, 0u);
 }
 
 }  // namespace

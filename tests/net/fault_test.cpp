@@ -11,21 +11,14 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "tests/net/sim_fixture.hpp"
 
 namespace str::net {
 namespace {
 
-Network make_network(sim::Scheduler& sched, double jitter = 0.0) {
-  Network net(sched, Topology::symmetric(2, msec(100)), Rng(1), jitter);
-  net.register_node(0, 0);
-  net.register_node(1, 1);
-  net.register_node(2, 0);
-  return net;
-}
-
 TEST(Fault, SendToUnregisteredNodeThrowsInvalidArgument) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   EXPECT_THROW(net.send(0, 7, []() {}), std::invalid_argument);
   EXPECT_THROW(net.send(7, 0, []() {}), std::invalid_argument);
   // Registered endpoints still work after the failed sends.
@@ -36,8 +29,8 @@ TEST(Fault, SendToUnregisteredNodeThrowsInvalidArgument) {
 }
 
 TEST(Fault, DropProbabilityLosesMessages) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.drop_prob = 0.5;
   net.set_fault_plan(plan, Rng(99));
@@ -55,8 +48,8 @@ TEST(Fault, DropProbabilityLosesMessages) {
 }
 
 TEST(Fault, DuplicationDeliversTwiceAndCounts) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.dup_prob = 1.0;
   net.set_fault_plan(plan, Rng(7));
@@ -73,8 +66,8 @@ TEST(Fault, DuplicatedDeliveriesEachSeeTheClosureCapturesIntact) {
   // documented contract): every invocation must find the captured payload
   // intact. Call sites therefore copy the payload out instead of moving it;
   // a moved-out capture would hand the second delivery an empty message.
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.dup_prob = 1.0;
   net.set_fault_plan(plan, Rng(7));
@@ -92,10 +85,8 @@ TEST(Fault, DuplicateCopiesDoNotCountAsInversions) {
   // distinct messages. A lone duplicated message has nothing to invert
   // against: whichever copy the jitter favors, the counter stays zero.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Scheduler sched;
-    Network net(sched, Topology::symmetric(2, msec(100)), Rng(seed), 0.5);
-    net.register_node(0, 0);
-    net.register_node(1, 1);
+    Sim sched(0.5, seed);
+    Network& net = sched.net;
     FaultPlan plan;
     plan.link.dup_prob = 1.0;
     net.set_fault_plan(plan, Rng(seed));
@@ -111,8 +102,8 @@ TEST(Fault, CorruptionPoisonsClosureDeliveriesAndCounts) {
   // delivery with a counted rejection, mirroring what the checksum does to
   // a flipped frame in wire mode. The message still occupies the link (it
   // is NOT a drop) and arrives — as garbage.
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.corrupt_prob = 1.0;
   net.set_fault_plan(plan, Rng(3));
@@ -131,8 +122,8 @@ TEST(Fault, CorruptionPoisonsClosureDeliveriesAndCounts) {
 TEST(Fault, CorruptionOfADuplicatedMessageRejectsBothCopies) {
   // One corruption draw per logical message: the flipped payload is what
   // gets duplicated, so each delivered copy is rejected and counted.
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.corrupt_prob = 1.0;
   plan.link.dup_prob = 1.0;
@@ -148,8 +139,8 @@ TEST(Fault, CorruptionOfADuplicatedMessageRejectsBothCopies) {
 TEST(Fault, SendFrameFlipsARealBitUnderCorruption) {
   // Frame transport: corruption flips one physical bit; the handler sees
   // the damaged bytes, rejects them, and the network counts the rejection.
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   const std::vector<std::uint8_t> original = {0x10, 0x20, 0x30, 0x40};
   int intact = 0, damaged = 0;
   net.set_frame_handler([&](NodeId, const std::uint8_t* data,
@@ -175,8 +166,8 @@ TEST(Fault, SendFrameFlipsARealBitUnderCorruption) {
 }
 
 TEST(Fault, PartitionWindowCutsBothDirectionsThenHeals) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.add_partition(0, 1, msec(10), msec(500));
   net.set_fault_plan(plan, Rng(1));
@@ -206,8 +197,8 @@ TEST(Fault, PartitionWindowCutsBothDirectionsThenHeals) {
 }
 
 TEST(Fault, OneWayPartitionCutsOnlyOneDirection) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.partitions.push_back({0, 1, 0, msec(500)});
   net.set_fault_plan(plan, Rng(1));
@@ -220,8 +211,8 @@ TEST(Fault, OneWayPartitionCutsOnlyOneDirection) {
 }
 
 TEST(Fault, CrashDropsInFlightAndInboundUntilRestart) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   int delivered = 0;
   // In flight when the crash lands (one-way latency is 50ms).
   net.send(0, 1, [&]() { ++delivered; });
@@ -245,8 +236,8 @@ TEST(Fault, CrashedSourceMessagesNeverReachTheWire) {
   // Fail-stop: a dead node sends nothing. The cluster relies on this — it
   // marks a node down *before* running its crash handler, so the
   // crash-time abort fan-out is swallowed like any other dead-node output.
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   net.set_node_down(0, true);
   int delivered = 0;
   net.send(0, 2, [&]() { ++delivered; });
@@ -260,8 +251,8 @@ TEST(Fault, CrashedSourceMessagesNeverReachTheWire) {
 }
 
 TEST(Fault, HealStopsStochasticFaultsAtTheGivenTime) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   FaultPlan plan;
   plan.link.drop_prob = 1.0;
   plan.link.heal_at = msec(10);
@@ -277,18 +268,18 @@ TEST(Fault, HealStopsStochasticFaultsAtTheGivenTime) {
 }
 
 TEST(Fault, JitterReorderingCountsInversions) {
-  sim::Scheduler sched;
   // 30% jitter on a 50ms one-way latency: back-to-back sends overtake each
   // other often.
-  Network net = make_network(sched, 0.30);
+  Sim sched(0.30);
+  Network& net = sched.net;
   for (int i = 0; i < 200; ++i) {
     net.send(0, 1, []() {});
   }
   sched.run();
   EXPECT_GT(net.stats().inversions, 0u);
   // Zero jitter cannot invert.
-  sim::Scheduler sched2;
-  Network net2 = make_network(sched2, 0.0);
+  Sim sched2(0.0);
+  Network& net2 = sched2.net;
   for (int i = 0; i < 200; ++i) {
     net2.send(0, 1, []() {});
   }
@@ -300,8 +291,8 @@ TEST(Fault, FaultFreePlanIsBitIdenticalToNoPlan) {
   // Attaching a plan with no stochastic faults must not perturb delivery
   // times: the fault RNG is only consumed when a probability is nonzero.
   auto run = [](bool with_plan) {
-    sim::Scheduler sched;
-    Network net = make_network(sched, 0.10);
+    Sim sched(0.10);
+    Network& net = sched.net;
     if (with_plan) {
       FaultPlan plan;
       plan.add_crash(2, sec(999));  // scheduled-only plan, no link faults
@@ -319,8 +310,8 @@ TEST(Fault, FaultFreePlanIsBitIdenticalToNoPlan) {
 
 TEST(Fault, SameSeedSameFaultDecisions) {
   auto run = [](std::uint64_t seed) {
-    sim::Scheduler sched;
-    Network net = make_network(sched);
+    Sim sched;
+    Network& net = sched.net;
     FaultPlan plan;
     plan.link.drop_prob = 0.3;
     plan.link.dup_prob = 0.2;

@@ -4,20 +4,14 @@
 
 #include <vector>
 
+#include "tests/net/sim_fixture.hpp"
+
 namespace str::net {
 namespace {
 
-Network make_network(sim::Scheduler& sched, double jitter = 0.0) {
-  Network net(sched, Topology::symmetric(2, msec(100)), Rng(1), jitter);
-  net.register_node(0, 0);
-  net.register_node(1, 1);
-  net.register_node(2, 0);
-  return net;
-}
-
 TEST(Network, DeliversAfterOneWayLatency) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   Timestamp delivered = 0;
   net.send(0, 1, [&]() { delivered = sched.now(); });
   sched.run();
@@ -25,8 +19,8 @@ TEST(Network, DeliversAfterOneWayLatency) {
 }
 
 TEST(Network, IntraRegionIsFast) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   Timestamp delivered = 0;
   net.send(0, 2, [&]() { delivered = sched.now(); });
   sched.run();
@@ -34,8 +28,8 @@ TEST(Network, IntraRegionIsFast) {
 }
 
 TEST(Network, JitterBoundedFraction) {
-  sim::Scheduler sched;
-  Network net = make_network(sched, 0.10);
+  Sim sched(0.10);
+  Network& net = sched.net;
   for (int i = 0; i < 100; ++i) {
     const Timestamp lat = net.sample_latency(0, 1);
     EXPECT_GE(lat, msec(50));
@@ -44,8 +38,8 @@ TEST(Network, JitterBoundedFraction) {
 }
 
 TEST(Network, CountsMessagesAndBytes) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   net.send(0, 1, []() {}, 100);
   net.send(0, 2, []() {}, 50);
   sched.run();
@@ -55,16 +49,16 @@ TEST(Network, CountsMessagesAndBytes) {
 }
 
 TEST(Network, RegionLookup) {
-  sim::Scheduler sched;
-  Network net = make_network(sched);
+  Sim sched;
+  Network& net = sched.net;
   EXPECT_EQ(net.region_of(0), 0u);
   EXPECT_EQ(net.region_of(1), 1u);
   EXPECT_EQ(net.num_nodes(), 3u);
 }
 
 TEST(Network, ManyMessagesAllDelivered) {
-  sim::Scheduler sched;
-  Network net = make_network(sched, 0.05);
+  Sim sched(0.05);
+  Network& net = sched.net;
   int delivered = 0;
   for (int i = 0; i < 500; ++i) {
     net.send(i % 3, (i + 1) % 3, [&]() { ++delivered; });

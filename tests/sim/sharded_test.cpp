@@ -86,20 +86,44 @@ std::vector<std::vector<std::pair<Timestamp, std::uint64_t>>> run_workload(
 }
 
 TEST(ShardedScheduler, SingleShardExecutesInlineWithoutWorkers) {
-  ShardedScheduler ss(1, 4, kHorizon);
-  EXPECT_FALSE(ss.parallel());
+  // One region: the same epoch loop runs on the calling thread alone, with
+  // an infinite horizon (no other shard can send into a window).
+  ShardedScheduler ss(1, 4, kTsInfinity);
   EXPECT_EQ(ss.num_workers(), 1u);
   std::vector<int> order;
   ss.shard(0).schedule_at(msec(5), [&] { order.push_back(2); });
   ss.shard(0).schedule_at(msec(1), [&] { order.push_back(1); });
-  // Single-shard mode: a global task is an ordinary event on the one queue,
-  // interleaved purely by time with everything else.
+  // A global task bounds the window, so it still interleaves purely by time.
   ss.schedule_global(msec(3), [&] { order.push_back(10); });
   ss.run_until(msec(20));
   EXPECT_EQ(order, (std::vector<int>{1, 10, 2}));
   EXPECT_EQ(ss.now(), msec(20));
-  EXPECT_EQ(ss.executed(), 3u);
-  EXPECT_EQ(ss.epochs(), 0u);
+  EXPECT_EQ(ss.executed(), 2u);  // shard events; the global task is apart
+  EXPECT_EQ(ss.pending(), 0u);
+}
+
+TEST(ShardedScheduler, InstallerGetsTheGateBesideTheHandler) {
+  // The network installs cross-shard deliveries itself (into the
+  // destination's handler pool); the gate travels next to the handler and
+  // the merge order is unchanged.
+  ShardedScheduler ss(2, 1, kHorizon);
+  std::vector<std::pair<NodeId, std::uint64_t>> gates;
+  std::vector<int> order;
+  ss.set_installer([&](std::uint32_t dst, Timestamp at,
+                       DeliveryGate gate, UniqueFunction<void()> fn) {
+    EXPECT_EQ(dst, 1u);
+    gates.emplace_back(gate.to, gate.epoch);
+    ss.shard(dst).schedule_at(at, std::move(fn));
+  });
+  ss.shard(0).schedule_at(msec(1), [&] {
+    ss.post_cross(1, msec(30), [&] { order.push_back(2); }, {7, 3});
+    ss.post_cross(1, msec(20), [&] { order.push_back(1); }, {8, 0});
+  });
+  ss.run_until(msec(50));
+  EXPECT_EQ(gates, (std::vector<std::pair<NodeId, std::uint64_t>>{{7, 3},
+                                                                  {8, 0}}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(ss.cross_posts(), 2u);
 }
 
 TEST(ShardedScheduler, IdenticalTrajectoryForEveryWorkerCount) {

@@ -18,12 +18,15 @@ struct TunerRun {
   bool decided = false;
   bool speculation = false;
   std::uint32_t trials = 0;
+  Timestamp decided_at = 0;
+  std::uint64_t commits = 0;
 };
 
 TunerRun run_tuner(const workload::SyntheticConfig& wcfg, std::uint64_t seed,
-                   double retune_threshold = 0.0) {
+                   double retune_threshold = 0.0, std::uint32_t threads = 1) {
   auto ccfg = str::test::small_config(5, 4, ProtocolConfig::str(), msec(80),
                                       seed);
+  ccfg.threads = threads;
   Cluster cluster(ccfg);
   workload::SyntheticWorkload wl(cluster, wcfg);
   wl.load(cluster);
@@ -42,9 +45,27 @@ TunerRun run_tuner(const workload::SyntheticConfig& wcfg, std::uint64_t seed,
   out.decided = tuner.decided();
   out.speculation = tuner.speculation_chosen();
   out.trials = tuner.trials_run();
+  out.decided_at = tuner.decided_at();
+  out.commits = cluster.metrics().commit_meter().total();
   pool.request_stop_all();
   cluster.run_for(sec(2));
   return out;
+}
+
+TEST(SelfTuner, SameTrialsAndDecisionAtOneAndFourWorkers) {
+  // The tuner sleeps in global tasks: every meter read and every
+  // speculation flip happens with all shards stopped at one instant, so the
+  // worker count cannot move its decision. Re-tuning is on so the CUSUM's
+  // trailing-window rate() reads are covered too.
+  const TunerRun one =
+      run_tuner(workload::SyntheticConfig::synth_a(), 4, 0.05, 1);
+  const TunerRun four =
+      run_tuner(workload::SyntheticConfig::synth_a(), 4, 0.05, 4);
+  ASSERT_TRUE(one.decided);
+  EXPECT_EQ(one.trials, four.trials);
+  EXPECT_EQ(one.speculation, four.speculation);
+  EXPECT_EQ(one.decided_at, four.decided_at);
+  EXPECT_EQ(one.commits, four.commits);
 }
 
 TEST(SelfTuner, DecidesAfterOneTrial) {

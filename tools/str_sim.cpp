@@ -77,15 +77,13 @@ void usage() {
       "  --duration S   measured seconds of virtual time           [20]\n"
       "  --warmup S     warmup seconds                             [4]\n"
       "  --seed N       deterministic seed                         [42]\n"
-      "  --threads N    worker threads for region-sharded parallel\n"
-      "                 simulation (docs/PERFORMANCE.md). 1 = the classic\n"
-      "                 single queue, bit-identical to earlier releases;\n"
-      "                 >1 shards the event queue by region. The parallel\n"
-      "                 trajectory depends only on (seed, topology) — the\n"
-      "                 same for 2 threads or 8                    [1]\n"
-      "  --tuner        enable the self-tuning controller (threads=1 only)\n"
+      "  --threads N    worker threads running the region-sharded event\n"
+      "                 queue (docs/PERFORMANCE.md). Only a speed setting:\n"
+      "                 output depends on (seed, topology, fault plan),\n"
+      "                 the same for 1 thread or 8                 [1]\n"
+      "  --tuner        enable the self-tuning controller (any --threads)\n"
       "  --reps N       repetitions (mean/std across seeds)        [1]\n"
-      "  --uniform MS   symmetric topology with the given WAN RTT\n"
+      "  --uniform MS   symmetric topology with the given WAN RTT (>= 1)\n"
       "  --wire         encode every message into a checksummed binary\n"
       "                 frame and decode it at delivery (wire codec mode,\n"
       "                 docs/WIRE.md); bit-identical to the default\n"
@@ -233,6 +231,13 @@ bool parse(int argc, char** argv, Options& opt) {
       if ((v = next()) == nullptr) return false;
       opt.uniform_topology = true;
       opt.wan_rtt_ms = std::atof(v);
+      // Half the RTT is the lookahead horizon of the sharded event queue;
+      // it must be at least one whole microsecond of virtual time, and a
+      // sub-millisecond WAN would undercut the 1 ms intra-region RTT.
+      if (!(opt.wan_rtt_ms >= 1.0)) {
+        std::fprintf(stderr, "--uniform wants an RTT of at least 1 ms\n");
+        return false;
+      }
     } else if (arg == "--fault-plan") {
       if ((v = next()) == nullptr) return false;
       opt.fault_plan_path = v;
@@ -476,13 +481,6 @@ int main(int argc, char** argv) {
   }
   cfg.cluster.seed = opt.seed;
   cfg.cluster.threads = opt.threads;
-  // The self-tuner samples the raw commit meter in arrival order, which is
-  // wall-clock-dependent across worker threads; its decisions would not be
-  // reproducible. Fail as a usage error, not an assertion mid-run.
-  if (opt.tuner && opt.threads > 1) {
-    std::fprintf(stderr, "--tuner requires --threads 1\n");
-    return 1;
-  }
   cfg.cluster.faults = opt.faults;
   cfg.cluster.wire_codec = opt.wire;
   cfg.cluster.transport = tkind;
