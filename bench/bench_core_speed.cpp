@@ -2,28 +2,33 @@
 //
 // Every result in the repo comes out of the discrete-event simulator, so
 // events/sec *is* experiment throughput. This harness drives a fixed-seed
-// 9-region synthetic run and reports, for the measurement window only:
+// 9-region synthetic run and reports, for the measurement window:
 //
 //   events/sec            scheduler events executed per wall-clock second
 //   txns/sec              committed transactions per wall-clock second
 //   allocs/event          heap allocations per event, via the interposing
 //                         operator-new counter below
+//
+// and, for the whole run:
+//
 //   peak versions/key     longest MV version chain observed on any key
+//   store keys            key entries summed over every partition replica
+//   peak RSS              process high-water resident set (getrusage)
 //
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
-// against (scripts/check_bench_regression.py). The event/commit counts and
-// peak chain length are fully deterministic for a given seed; wall-clock
-// rates and the alloc count depend on the machine/stdlib. See
-// docs/PERFORMANCE.md for the schema and how to regenerate the baseline.
+// against (scripts/check_bench_regression.py). The event/commit counts,
+// peak chain length and store key count are fully deterministic for a
+// given seed; wall-clock rates, the alloc count and peak RSS depend on the
+// machine/stdlib. See docs/PERFORMANCE.md for the schema and how to
+// regenerate the baseline.
 //
-// --threads N runs the region-sharded parallel scheduler on N worker
-// threads (BENCH_PARALLEL.json is the committed threads=4 baseline). The
-// deterministic counters of a parallel run differ from threads=1 by design
-// (the sharded mode re-times cross-region hops on the lookahead lattice)
-// but are identical for every worker count >= 2 and every machine. Per-
-// worker allocation tallies are reported so skew in allocator pressure
-// across shards is visible, not averaged away.
+// --threads N runs the region-sharded scheduler on N worker threads
+// (BENCH_PARALLEL.json is the committed threads=4 baseline). Every worker
+// count runs the same lattice, so the deterministic counters are identical
+// for every worker count and every machine. Per-worker allocation tallies
+// are reported so skew in allocator pressure across shards is visible, not
+// averaged away.
 //
 // Usage: bench_core_speed [--quick] [--threads N] [--out PATH]
 //                         [--duration SEC] [--seed N]
@@ -36,6 +41,8 @@
 #include <cstring>
 #include <new>
 #include <string>
+
+#include <sys/resource.h>
 #include <vector>
 
 #include "protocol/cluster.hpp"
@@ -116,14 +123,28 @@ struct Options {
   std::uint32_t threads = 1;
 };
 
-std::uint64_t peak_versions_per_key(protocol::Cluster& cluster) {
-  std::uint64_t peak = 0;
+struct StoreTotals {
+  std::uint64_t peak_chain = 0;  ///< max over replicas
+  std::uint64_t keys = 0;        ///< sum over replicas
+};
+
+StoreTotals store_totals(protocol::Cluster& cluster) {
+  StoreTotals t;
   for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
     for (const auto& [pid, actor] : cluster.node(n).replicas()) {
-      peak = std::max(peak, actor->store().stats().peak_chain);
+      const store::StoreStats s = actor->store().stats();
+      t.peak_chain = std::max(t.peak_chain, s.peak_chain);
+      t.keys += s.keys;
     }
   }
-  return peak;
+  return t;
+}
+
+/// Process high-water resident set in MB (Linux reports ru_maxrss in KB).
+double peak_rss_mb() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 }  // namespace
@@ -218,7 +239,8 @@ int main(int argc, char** argv) {
   pool.request_stop_all();
   cluster.run_for(sec(3));
 
-  const std::uint64_t peak_chain = peak_versions_per_key(cluster);
+  const StoreTotals totals = store_totals(cluster);
+  const double rss_mb = peak_rss_mb();
   const double wall_s =
       std::chrono::duration<double>(wall_end - wall_start).count();
   const double events_per_sec =
@@ -246,7 +268,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(allocs));
   std::printf("  allocs/event      %12.3f\n", allocs_per_event);
   std::printf("  peak versions/key %12llu\n",
-              static_cast<unsigned long long>(peak_chain));
+              static_cast<unsigned long long>(totals.peak_chain));
+  std::printf("  store keys        %12llu\n",
+              static_cast<unsigned long long>(totals.keys));
+  std::printf("  peak RSS (MB)     %12.1f\n", rss_mb);
   std::printf("  epoch barriers    %12llu\n",
               static_cast<unsigned long long>(epochs));
   std::printf("  cross-shard posts %12llu\n",
@@ -274,7 +299,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"core_speed\",\n"
-               "  \"schema_version\": 2,\n"
+               "  \"schema_version\": 3,\n"
                "  \"seed\": %llu,\n"
                "  \"quick\": %s,\n"
                "  \"wire\": %s,\n"
@@ -293,7 +318,9 @@ int main(int argc, char** argv) {
                "  \"allocs_per_thread\": %s,\n"
                "  \"epoch_barriers\": %llu,\n"
                "  \"cross_shard_posts\": %llu,\n"
-               "  \"peak_versions_per_key\": %llu\n"
+               "  \"peak_versions_per_key\": %llu,\n"
+               "  \"store_keys\": %llu,\n"
+               "  \"peak_rss_mb\": %.1f\n"
                "}\n",
                static_cast<unsigned long long>(opt.seed),
                opt.quick ? "true" : "false", opt.wire ? "true" : "false",
@@ -307,7 +334,8 @@ int main(int argc, char** argv) {
                allocs_per_thread.c_str(),
                static_cast<unsigned long long>(epochs),
                static_cast<unsigned long long>(cross_posts),
-               static_cast<unsigned long long>(peak_chain));
+               static_cast<unsigned long long>(totals.peak_chain),
+               static_cast<unsigned long long>(totals.keys), rss_mb);
   std::fclose(f);
   return 0;
 }

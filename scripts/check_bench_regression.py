@@ -3,7 +3,7 @@
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.20]
 
-Two metrics are gated (see docs/PERFORMANCE.md for the schema):
+Three metrics are gated (see docs/PERFORMANCE.md for the schema):
 
   events_per_sec    lower is a regression (wall-clock rate: noisy across
                     machines, which is why the default gate is a generous
@@ -11,10 +11,13 @@ Two metrics are gated (see docs/PERFORMANCE.md for the schema):
   allocs_per_event  higher is a regression (near machine-independent: the
                     allocation count is a property of the code path, so
                     this is the sharp edge of the gate).
+  peak_rss_mb       higher is a regression (process high-water RSS; the
+                    run-to-run spread is well under 1%, so the gate
+                    catches any structure that grows per key or per event).
 
 When the two runs share seed and virtual duration, the deterministic
-counters (events, commits, peak_versions_per_key, epoch_barriers,
-cross_shard_posts) must match exactly —
+counters (events, commits, peak_versions_per_key, store_keys,
+epoch_barriers, cross_shard_posts) must match exactly —
 any drift there is a behaviour change, not a performance change, and the
 golden-determinism test suite is the place to account for it.
 """
@@ -45,6 +48,13 @@ def main():
     thr = args.threshold
     failures = []
 
+    # Schema v3 added peak_rss_mb and store_keys; results of different
+    # schemas do not carry the same fields.
+    bs, fs = base.get("schema_version", 1), fresh.get("schema_version", 1)
+    if bs != fs:
+        sys.exit(f"schema mismatch: baseline is v{bs}, fresh is v{fs}; "
+                 f"regenerate the baseline (docs/PERFORMANCE.md)")
+
     # Schema v2 records the worker-thread count; a threads=1 baseline must
     # never be compared against a threads=4 run (or vice versa) — the wall
     # rates are different populations and the gate would be meaningless.
@@ -68,12 +78,13 @@ def main():
     print(f"bench-core regression gate (threshold {thr:.0%}):")
     rate("events_per_sec", lower_is_worse=True)
     rate("allocs_per_event", lower_is_worse=False)
+    rate("peak_rss_mb", lower_is_worse=False)
 
     same_run = (base["seed"] == fresh["seed"]
                 and base["virtual_duration_s"] == fresh["virtual_duration_s"])
     if same_run:
         for name in ("events", "commits", "peak_versions_per_key",
-                     "epoch_barriers", "cross_shard_posts"):
+                     "store_keys", "epoch_barriers", "cross_shard_posts"):
             b, f = base[name], fresh[name]
             mark = "ok" if b == f else "FAIL"
             print(f"  {name:<22} baseline {b:>12}  fresh {f:>12}  "

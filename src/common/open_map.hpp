@@ -5,12 +5,16 @@
 // allocation source. This table stores entries inline in a flat slot array:
 // steady-state inserts allocate nothing, and growth is a single amortized
 // rehash. Erase uses backward-shift deletion, so lookups never scan
-// tombstones.
+// tombstones. Slots are sized for small values (every slot pays for one,
+// occupied or not): the store keeps its key entries in a separate arena and
+// indexes them with an OpenMap<Key, uint32_t>.
 //
 // Determinism note: iteration order is a function of the key hashes and the
 // insertion/erase sequence only — identical across runs for identical input
-// sequences, which is all the simulation requires (no protocol-visible
-// consumer iterates these tables).
+// sequences, which is all the simulation requires. No consumer depends on
+// the order: the store sorts its index before walking it (checkpoint
+// dumps), and the partition actors only sweep their tombstone tables with
+// erase_if, whose result is order-independent.
 #pragma once
 
 #include <cstddef>

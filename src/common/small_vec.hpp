@@ -1,10 +1,12 @@
 // A vector with inline storage for its first N elements.
 //
-// Version chains are the hot case: nearly every key holds one committed
-// version plus at most one in-flight pre-commit, so a chain of capacity 2
-// that lives inside the key-table entry makes the common insert path
-// allocation-free. Past N elements the contents spill to the heap and the
-// container behaves like a plain vector.
+// Version chains are the hot case: nearly every key holds exactly one
+// committed version, so the store's key-table entries hold a chain with one
+// inline slot (SmallVec<Version, 1>) and pay no heap block for the common
+// key. Past N elements the contents spill to the heap and the container
+// behaves like a plain vector; the heap block is kept when the contents
+// shrink (resize/erase/clear), so a key spills at most once per growth step.
+// Size and capacity are 32-bit, which keeps the header at 16 bytes.
 //
 // Deliberately minimal: exactly the operations the store needs (sorted
 // insert, erase, resize-down, reverse scan). Iterators are raw pointers and
@@ -12,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -94,21 +97,21 @@ class SmallVec {
       data_[i] = std::move(data_[i + n]);
     }
     std::destroy(data_ + size_ - n, data_ + size_);
-    size_ -= n;
+    size_ -= static_cast<std::uint32_t>(n);
     return data_ + idx;
   }
 
   /// Shrink to `n` elements (n <= size()). Keeps capacity.
   void resize(std::size_t n) {
     std::destroy(data_ + n, data_ + size_);
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   void clear() { resize(0); }
 
  private:
   void grow() {
-    const std::size_t new_cap = cap_ * 2;
+    const std::uint32_t new_cap = cap_ * 2;
     T* heap = static_cast<T*>(::operator new(new_cap * sizeof(T)));
     std::uninitialized_move(data_, data_ + size_, heap);
     std::destroy(data_, data_ + size_);
@@ -153,8 +156,8 @@ class SmallVec {
   T* inline_data() { return reinterpret_cast<T*>(inline_storage_); }
 
   T* data_ = inline_data();
-  std::size_t size_ = 0;
-  std::size_t cap_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;
   alignas(T) unsigned char inline_storage_[N * sizeof(T)];
 };
 

@@ -7,7 +7,7 @@
 namespace str::store {
 
 void PartitionStore::load(Key key, Value value) {
-  KeyEntry& entry = map_[key];
+  KeyEntry& entry = table_[key];
   STR_ASSERT_MSG(entry.versions.empty(), "load on an already-populated key");
   entry.versions.push_back(Version{0, VersionState::Committed, kNoTx,
                                    std::make_shared<Value>(std::move(value))});
@@ -41,25 +41,24 @@ void PartitionStore::count_read(ReadKind kind) {
 }
 
 StoreReadResult PartitionStore::read(Key key, Timestamp rs) {
-  KeyEntry* found = map_.find(key);
-  if (found == nullptr) {
-    // Track the reader even for missing keys: a later insert of this key
-    // must still be serialized after us (write-after-read on a phantom).
-    KeyEntry& entry = map_[key];
-    entry.last_reader = std::max(entry.last_reader, rs);
-    count_read(ReadKind::NotFound);
-    return StoreReadResult{};
-  }
-  found->last_reader = std::max(found->last_reader, rs);
-  StoreReadResult out = peek(key, rs);
+  // Track the reader even for missing keys (the entry is created with an
+  // empty chain): a later insert of this key must still be serialized after
+  // us (write-after-read on a phantom).
+  KeyEntry& entry = table_[key];
+  entry.last_reader = std::max(entry.last_reader, rs);
+  StoreReadResult out = read_chain(entry, rs);
   count_read(out.kind);
   return out;
 }
 
 StoreReadResult PartitionStore::peek(Key key, Timestamp rs) const {
-  const KeyEntry* entry = map_.find(key);
-  if (entry == nullptr) return StoreReadResult{};
-  const auto& chain = entry->versions;
+  const KeyEntry* entry = table_.find(key);
+  return entry == nullptr ? StoreReadResult{} : read_chain(*entry, rs);
+}
+
+StoreReadResult PartitionStore::read_chain(const KeyEntry& entry,
+                                           Timestamp rs) {
+  const auto& chain = entry.versions;
   if (chain.empty()) return StoreReadResult{};
   // Latest-committed fast path: under watermark pruning the chain usually
   // holds exactly the newest committed version, and most snapshots sit
@@ -67,7 +66,7 @@ StoreReadResult PartitionStore::peek(Key key, Timestamp rs) const {
   // wait-rule walk (the per-key uncommitted counter vouches for it).
   if (const Version& newest = chain.back();
       newest.state == VersionState::Committed && newest.ts <= rs &&
-      entry->uncommitted_count == 0) {
+      entry.uncommitted_count == 0) {
     StoreReadResult out;
     out.writer = newest.writer;
     out.ts = newest.ts;
@@ -93,7 +92,7 @@ StoreReadResult PartitionStore::peek(Key key, Timestamp rs) const {
         // timestamps). Reading past it would be a stale read, so block on
         // the newest such version instead. The per-key uncommitted counter
         // short-circuits the scan on the common all-committed path.
-        if (entry->uncommitted_count == 0) {
+        if (entry.uncommitted_count == 0) {
           out.kind = ReadKind::Committed;
           out.value = rit->value;
           return out;
@@ -166,7 +165,7 @@ PrepareResult PartitionStore::prepare(
   // snapshot. Local-committed versions inside tx's speculative snapshot
   // (chain_allowed) are not concurrent.
   for (const auto& [key, value] : updates) {
-    const KeyEntry* entry = map_.find(key);
+    const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.writer == tx) continue;  // idempotent re-prepare
@@ -190,7 +189,7 @@ PrepareResult PartitionStore::prepare(
   // rule of Clock-SI/Spanner), clamped above existing versions.
   Timestamp proposed = precise_clocks ? 0 : physical_now;
   for (const auto& [key, value] : updates) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     if (precise_clocks) {
       proposed = std::max(proposed, entry.last_reader + 1);
     }
@@ -202,7 +201,7 @@ PrepareResult PartitionStore::prepare(
   // Insert pre-committed versions at the proposed timestamp.
   std::vector<Key>& mine = uncommitted_keys(tx);
   for (const auto& [key, value] : updates) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     insert_sorted(entry.versions,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
@@ -221,7 +220,7 @@ PartitionStore::ReplicateResult PartitionStore::replicate_insert(
   // lose (Alg. 2 line 31). Pre-committed versions from other replicated
   // transactions are master-approved chains and stay.
   for (const auto& [key, value] : updates) {
-    const KeyEntry* entry = map_.find(key);
+    const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.writer == tx) continue;
@@ -236,7 +235,7 @@ PartitionStore::ReplicateResult PartitionStore::replicate_insert(
   // versions, possibly cascading) before we insert and propose.
   Timestamp proposed = precise_clocks ? 0 : physical_now;
   for (const auto& [key, value] : updates) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     if (precise_clocks) proposed = std::max(proposed, entry.last_reader + 1);
   }
   if (ts_floor_ > 0) proposed = std::max(proposed, ts_floor_ + 1);
@@ -250,14 +249,14 @@ Timestamp PartitionStore::replicate_finish(
     const TxId& tx, const std::vector<std::pair<Key, SharedValue>>& updates,
     Timestamp proposed) {
   for (const auto& [key, value] : updates) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     if (!entry.versions.empty()) {
       proposed = std::max(proposed, entry.versions.back().ts + 1);
     }
   }
   std::vector<Key>& mine = uncommitted_keys(tx);
   for (const auto& [key, value] : updates) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     insert_sorted(entry.versions,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
@@ -271,7 +270,7 @@ void PartitionStore::local_commit(const TxId& tx, Timestamp lc) {
   const UncommittedEntry* e = find_uncommitted(tx);
   if (e == nullptr) return;
   for (Key key : e->keys) {
-    auto& chain = map_[key].versions;
+    auto& chain = table_[key].versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
       if (vit->writer == tx) {
         STR_ASSERT(vit->state == VersionState::PreCommitted);
@@ -288,7 +287,7 @@ void PartitionStore::final_commit(const TxId& tx, Timestamp fc) {
   const UncommittedEntry* e = find_uncommitted(tx);
   if (e == nullptr) return;
   for (Key key : e->keys) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     auto& chain = entry.versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
       if (vit->writer == tx) {
@@ -309,7 +308,7 @@ void PartitionStore::abort_tx(const TxId& tx) {
   const UncommittedEntry* e = find_uncommitted(tx);
   if (e == nullptr) return;
   for (Key key : e->keys) {
-    KeyEntry& entry = map_[key];
+    KeyEntry& entry = table_[key];
     auto& chain = entry.versions;
     auto keep = std::remove_if(chain.begin(), chain.end(), [&](const Version& v) {
       return v.writer == tx && v.state != VersionState::Committed;
@@ -331,7 +330,7 @@ Timestamp PartitionStore::uncommitted_ts(const TxId& tx) const {
   if (e == nullptr) return 0;
   Timestamp ts = 0;
   for (Key key : e->keys) {
-    const KeyEntry* entry = map_.find(key);
+    const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.writer == tx && v.state != VersionState::Committed) {
@@ -354,7 +353,7 @@ std::vector<TxId> PartitionStore::uncommitted_writers(
     const std::vector<Key>& keys) const {
   std::vector<TxId> writers;
   for (Key key : keys) {
-    const KeyEntry* entry = map_.find(key);
+    const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.state != VersionState::Committed &&
@@ -368,9 +367,9 @@ std::vector<TxId> PartitionStore::uncommitted_writers(
 
 void PartitionStore::gc(Timestamp horizon) {
   const std::uint64_t removed_before = gc_removed_;
-  for (auto& slot : map_) {
-    auto& chain = slot.value.versions;
-    if (chain.size() <= 1) continue;
+  table_.for_each([&](KeyEntry& entry) {
+    auto& chain = entry.versions;
+    if (chain.size() <= 1) return;
     // Find the newest committed version at or below the horizon; everything
     // committed strictly older than it is unreachable for any reader with
     // RS >= horizon.
@@ -381,7 +380,7 @@ void PartitionStore::gc(Timestamp horizon) {
         break;
       }
     }
-    if (keep_from == 0) continue;
+    if (keep_from == 0) return;
     // Only drop committed versions below keep_from (uncommitted ones are
     // still subject to in-flight certification). Compact in place: the
     // chain keeps its capacity, so post-GC inserts don't regrow the vector.
@@ -395,12 +394,12 @@ void PartitionStore::gc(Timestamp horizon) {
       ++out;
     }
     chain.resize(out);
-  }
+  });
   if (c_gc_removed_ != nullptr) c_gc_removed_->inc(gc_removed_ - removed_before);
 }
 
 Timestamp PartitionStore::last_reader(Key key) const {
-  const KeyEntry* entry = map_.find(key);
+  const KeyEntry* entry = table_.find(key);
   return entry == nullptr ? 0 : entry->last_reader;
 }
 
@@ -411,7 +410,7 @@ std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
   if (e == nullptr) return updates;
   updates.reserve(e->keys.size());
   for (Key key : e->keys) {
-    const KeyEntry* entry = map_.find(key);
+    const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.writer == tx && v.state != VersionState::Committed) {
@@ -424,22 +423,17 @@ std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
 }
 
 std::vector<std::pair<Key, Version>> PartitionStore::dump_versions() const {
+  // Checkpoints must be byte-deterministic, so walk the keys in key order
+  // (each chain is already ascending by ts).
   std::vector<std::pair<Key, Version>> out;
-  for (const auto& slot : map_) {
-    for (const Version& v : slot.value.versions) {
-      out.emplace_back(slot.key, v);
-    }
+  for (const auto& [key, pos] : table_.sorted_keys()) {
+    for (const Version& v : table_.at(pos).versions) out.emplace_back(key, v);
   }
-  // OpenMap iteration order is insertion-history-dependent; checkpoints must
-  // be byte-deterministic, so sort by key (chain position breaks ties —
-  // stable_sort keeps each chain's ascending-ts order).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 void PartitionStore::clear_all() {
-  map_.clear();
+  table_.clear();
   for (UncommittedEntry& e : uncommitted_) {
     e.keys.clear();
     key_pool_.push_back(std::move(e.keys));
@@ -448,7 +442,7 @@ void PartitionStore::clear_all() {
 }
 
 void PartitionStore::replay_insert(Key key, Version v) {
-  KeyEntry& entry = map_[key];
+  KeyEntry& entry = table_[key];
   if (v.state != VersionState::Committed) {
     uncommitted_keys(v.writer).push_back(key);
     ++entry.uncommitted_count;
@@ -458,15 +452,15 @@ void PartitionStore::replay_insert(Key key, Version v) {
 
 StoreStats PartitionStore::stats() const {
   StoreStats s;
-  s.keys = map_.size();
+  s.keys = table_.size();
   s.gc_removed = gc_removed_;
   s.peak_chain = peak_chain_;
-  for (const auto& slot : map_) {
-    s.versions += slot.value.versions.size();
-    for (const Version& v : slot.value.versions) {
+  table_.for_each([&](const KeyEntry& entry) {
+    s.versions += entry.versions.size();
+    for (const Version& v : entry.versions) {
       s.value_bytes += v.value ? v.value->size() : 0;
     }
-  }
+  });
   return s;
 }
 
@@ -475,19 +469,19 @@ std::uint64_t PartitionStore::storage_bytes(bool include_last_reader) const {
   constexpr std::uint64_t kVersionOverhead =
       sizeof(Timestamp) + sizeof(VersionState) + sizeof(TxId);
   std::uint64_t bytes = 0;
-  for (const auto& slot : map_) {
+  table_.for_each([&](const KeyEntry& entry) {
     bytes += sizeof(Key);
     if (include_last_reader) bytes += sizeof(Timestamp);
-    for (const Version& v : slot.value.versions) {
+    for (const Version& v : entry.versions) {
       bytes += kVersionOverhead + (v.value ? v.value->size() : 0);
     }
-  }
+  });
   return bytes;
 }
 
 Timestamp PartitionStore::newest_committed_at_or_below(
     Key key, Timestamp horizon) const {
-  const KeyEntry* entry = map_.find(key);
+  const KeyEntry* entry = table_.find(key);
   if (entry == nullptr) return 0;
   Timestamp best = 0;
   for (const Version& v : entry->versions) {
@@ -520,6 +514,33 @@ void PartitionStore::insert_sorted(VersionChain& chain, Version v) {
       [](Timestamp ts, const Version& existing) { return ts < existing.ts; });
   chain.insert(pos, std::move(v));
   peak_chain_ = std::max<std::uint64_t>(peak_chain_, chain.size());
+}
+
+PartitionStore::KeyEntry& PartitionStore::KeyTable::operator[](Key key) {
+  const auto [pos, inserted] = index_.try_emplace(key, size_);
+  if (inserted) {
+    STR_ASSERT_MSG(size_ != UINT32_MAX, "key table full");
+    if ((size_ & (kBlockSize - 1)) == 0) {
+      blocks_.push_back(std::make_unique<KeyEntry[]>(kBlockSize));
+    }
+    ++size_;
+  }
+  return at(*pos);
+}
+
+void PartitionStore::KeyTable::clear() {
+  index_.clear();
+  blocks_.clear();
+  size_ = 0;
+}
+
+std::vector<std::pair<Key, std::uint32_t>>
+PartitionStore::KeyTable::sorted_keys() const {
+  std::vector<std::pair<Key, std::uint32_t>> keys;
+  keys.reserve(size_);
+  for (const auto& slot : index_) keys.emplace_back(slot.key, slot.value);
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 }  // namespace str::store

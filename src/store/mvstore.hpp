@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/flat_set.hpp"
@@ -199,11 +200,14 @@ class PartitionStore {
   std::uint64_t storage_bytes(bool include_last_reader) const;
 
  private:
-  /// A chain of 2 (the committed version plus one in-flight pre-commit —
-  /// the overwhelmingly common case) lives inline in the key-table slot, so
-  /// the standard write lifecycle allocates nothing per key.
-  using VersionChain = SmallVec<Version, 2>;
+  /// Nearly every key holds exactly one committed version (watermark GC
+  /// trims the rest), so one version lives inline in the entry. The first
+  /// time a key holds two — an in-flight pre-commit on top of the committed
+  /// version — its chain spills to the heap once and keeps that capacity
+  /// across GC, so later write cycles on the key allocate nothing.
+  using VersionChain = SmallVec<Version, 1>;
 
+  /// Per-key state (80 B on LP64). The key itself lives only in the index.
   struct KeyEntry {
     VersionChain versions;  ///< sorted ascending by ts
     Timestamp last_reader = 0;
@@ -213,6 +217,52 @@ class PartitionStore {
     std::uint32_t uncommitted_count = 0;
   };
 
+  /// The key table: a dense, append-only arena of entries in fixed-size
+  /// blocks behind a small open-addressing index (key -> arena position,
+  /// 16 B per slot). Keys are never erased except by clear(), so the arena
+  /// has no load-factor slack, growth never copies an entry, and entry
+  /// references stay valid while the table grows.
+  class KeyTable {
+   public:
+    const KeyEntry* find(Key key) const {
+      const std::uint32_t* pos = index_.find(key);
+      return pos == nullptr ? nullptr : &at(*pos);
+    }
+    /// Find-or-create.
+    KeyEntry& operator[](Key key);
+
+    std::size_t size() const { return size_; }
+    void clear();
+
+    /// Visit every entry in arena (first-touch) order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::uint32_t i = 0; i < size_; ++i) fn(at(i));
+    }
+    template <typename Fn>
+    void for_each(Fn&& fn) {
+      for (std::uint32_t i = 0; i < size_; ++i) fn(at(i));
+    }
+
+    /// (key, arena position) pairs sorted by key.
+    std::vector<std::pair<Key, std::uint32_t>> sorted_keys() const;
+
+    KeyEntry& at(std::uint32_t pos) {
+      return blocks_[pos >> kBlockShift][pos & (kBlockSize - 1)];
+    }
+    const KeyEntry& at(std::uint32_t pos) const {
+      return blocks_[pos >> kBlockShift][pos & (kBlockSize - 1)];
+    }
+
+   private:
+    static constexpr std::uint32_t kBlockShift = 8;
+    static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
+
+    OpenMap<Key, std::uint32_t, std::hash<Key>> index_;
+    std::vector<std::unique_ptr<KeyEntry[]>> blocks_;
+    std::uint32_t size_ = 0;
+  };
+
   /// Insert keeping the chain sorted (versions mostly append).
   void insert_sorted(VersionChain& chain, Version v);
 
@@ -220,10 +270,10 @@ class PartitionStore {
   /// transitions re-timestamp one version; a rotate beats erase+insert).
   static void reposition(VersionChain& chain, VersionChain::iterator vit);
 
-  /// Flat open-addressing table: entries (chain included, up to the inline
-  /// capacity) live in the slot array, so first-touch inserts on the write
-  /// and read paths allocate nothing in steady state.
-  OpenMap<Key, KeyEntry, std::hash<Key>> map_;
+  /// Snapshot read of one entry's chain (shared by read and peek).
+  static StoreReadResult read_chain(const KeyEntry& entry, Timestamp rs);
+
+  KeyTable table_;
   /// writer -> keys with an uncommitted version, for fast state transitions.
   /// A flat vector (few writers hold locks on one partition replica at a
   /// time) whose per-writer key vectors recycle through `key_pool_`, so the

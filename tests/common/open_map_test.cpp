@@ -109,7 +109,9 @@ TEST(OpenMap, RandomizedAgainstUnorderedMap) {
         const std::string* v = m.find(k);
         auto it = ref.find(k);
         ASSERT_EQ(v != nullptr, it != ref.end()) << k;
-        if (v != nullptr) EXPECT_EQ(*v, it->second);
+        if (v != nullptr) {
+          EXPECT_EQ(*v, it->second);
+        }
       }
     }
     EXPECT_EQ(m.size(), ref.size());

@@ -357,5 +357,157 @@ TEST(MvStore, UncommittedCounterSurvivesGcAndCycles) {
   EXPECT_EQ(s.read(1, 10000).kind, ReadKind::Committed);
 }
 
+// -- Key table: arena + index -----------------------------------------------
+
+TEST(MvStore, EntriesSurviveTableGrowth) {
+  // Enough keys to fill many arena blocks and double the index many times;
+  // the first keys' chains and LastReader timestamps must read the same
+  // before and after all that growth.
+  constexpr Key kEarly = 64;
+  constexpr Key kTotal = 5000;
+  PartitionStore s;
+  std::vector<StoreReadResult> before;
+  for (Key k = 0; k < kEarly; ++k) {
+    s.load(k, "early" + std::to_string(k));
+    before.push_back(s.read(k, 100 + k));
+  }
+  for (Key k = kEarly; k < kTotal; ++k) s.load(k, "late" + std::to_string(k));
+  // One prepare over many fresh keys grows the table while it runs.
+  std::vector<std::pair<Key, SharedValue>> fresh;
+  for (Key k = kTotal; k < 2 * kTotal; ++k) {
+    fresh.emplace_back(k, std::make_shared<Value>("w" + std::to_string(k)));
+  }
+  auto pr = s.prepare(kTx1, 50, fresh, /*precise=*/true, 0);
+  ASSERT_TRUE(pr.ok);
+  EXPECT_EQ(s.stats().keys, 2 * kTotal);
+
+  for (Key k = 0; k < kEarly; ++k) {
+    EXPECT_EQ(s.last_reader(k), 100 + k);
+    const StoreReadResult r = s.peek(k, 1000);
+    EXPECT_EQ(r.kind, ReadKind::Committed);
+    EXPECT_EQ(r.value.get(), before[k].value.get()) << k;
+    EXPECT_EQ(r.value_str(), "early" + std::to_string(k));
+  }
+  EXPECT_EQ(s.peek(kTotal - 1, 1000).value_str(),
+            "late" + std::to_string(kTotal - 1));
+  // Every fresh key holds tx1's pre-commit, in prepare order.
+  const auto mine = s.uncommitted_updates(kTx1);
+  ASSERT_EQ(mine.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(mine[i].first, fresh[i].first);
+    EXPECT_EQ(mine[i].second.get(), fresh[i].second.get());
+  }
+  s.final_commit(kTx1, pr.proposed_ts);
+  EXPECT_EQ(s.peek(2 * kTotal - 1, pr.proposed_ts).value_str(),
+            "w" + std::to_string(2 * kTotal - 1));
+  EXPECT_EQ(s.stats().versions, 2 * kTotal);
+}
+
+TEST(MvStore, MissingKeyReadCreatesEntryThatLiftsProposal) {
+  PartitionStore s;
+  EXPECT_EQ(s.read(7, 500).kind, ReadKind::NotFound);
+  StoreStats st = s.stats();
+  EXPECT_EQ(st.keys, 1u);
+  EXPECT_EQ(st.versions, 0u);
+  // peek never creates entries.
+  EXPECT_EQ(s.peek(8, 500).kind, ReadKind::NotFound);
+  EXPECT_EQ(s.stats().keys, 1u);
+  // The phantom reader still serializes the first write of the key.
+  auto pr = s.prepare(kTx1, 600, upd(7, "x"), /*precise=*/true, 0);
+  ASSERT_TRUE(pr.ok);
+  EXPECT_EQ(pr.proposed_ts, 501u);
+  EXPECT_EQ(s.stats().keys, 1u);
+}
+
+TEST(MvStore, SpilledChainStaysCorrectAfterGcBackToOneVersion) {
+  PartitionStore s;
+  s.load(1, "v0");
+  // Second version: the chain spills past its inline slot.
+  ASSERT_TRUE(s.prepare(kTx1, 10, upd(1, "b"), true, 0).ok);
+  s.final_commit(kTx1, 100);
+  s.gc(150);
+  EXPECT_EQ(s.stats().versions, 1u);
+  EXPECT_EQ(s.read(1, 99).kind, ReadKind::NotFound);
+  EXPECT_EQ(s.read(1, 200).value_str(), "b");
+
+  // Regrow on the kept capacity: tx2 local-commits, tx3 chains on top of it
+  // and final-commits first, and GC trims back around the speculation.
+  ASSERT_TRUE(s.prepare(kTx2, 200, upd(1, "c"), true, 0).ok);
+  s.local_commit(kTx2, 250);
+  FlatSet<TxId> deps{kTx2};
+  ASSERT_TRUE(s.prepare(kTx3, 300, upd(1, "d"), true, 0, &deps).ok);
+  s.local_commit(kTx3, 270);
+  s.final_commit(kTx3, 280);
+  s.gc(300);
+  // "b" is gone; the local-committed kTx2 below the committed kTx3 stays.
+  EXPECT_EQ(s.stats().versions, 2u);
+  auto r = s.read(1, 500);
+  EXPECT_EQ(r.kind, ReadKind::Blocked);  // uncommitted_count is still 1
+  EXPECT_EQ(r.writer, kTx2);
+  s.final_commit(kTx2, 260);
+  r = s.read(1, 500);
+  EXPECT_EQ(r.kind, ReadKind::Committed);  // ... and now 0
+  EXPECT_EQ(r.value_str(), "d");
+  EXPECT_EQ(s.uncommitted_txn_count(), 0u);
+  s.gc(600);
+  EXPECT_EQ(s.stats().versions, 1u);
+  EXPECT_EQ(s.read(1, 700).value_str(), "d");
+}
+
+void expect_same_dump(const std::vector<std::pair<Key, Version>>& a,
+                      const std::vector<std::pair<Key, Version>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first) << i;
+    EXPECT_EQ(a[i].second.ts, b[i].second.ts) << i;
+    EXPECT_EQ(a[i].second.state, b[i].second.state) << i;
+    EXPECT_EQ(a[i].second.writer, b[i].second.writer) << i;
+    ASSERT_TRUE(a[i].second.value && b[i].second.value) << i;
+    EXPECT_EQ(*a[i].second.value, *b[i].second.value) << i;
+  }
+}
+
+TEST(MvStore, ReplayAfterClearRebuildsSortedDump) {
+  // Keys touched in a scrambled order, with multi-version chains and
+  // uncommitted versions on some of them.
+  PartitionStore s;
+  for (Key k = 0; k < 600; ++k) s.load((k * 7919) % 600, "v" + std::to_string(k));
+  for (std::uint64_t i = 1; i <= 40; ++i) {
+    const TxId tx{2, i};
+    const Key key = (i * 131) % 600;
+    ASSERT_TRUE(s.prepare(tx, 10 * i, upd(key, "u" + std::to_string(i)), true,
+                          0).ok);
+    if (i % 4 == 0) continue;  // stays pre-committed
+    if (i % 4 == 1) {
+      s.local_commit(tx, 10 * i + 1);
+    } else {
+      s.final_commit(tx, 10 * i + 2);
+    }
+  }
+  const auto dump = s.dump_versions();
+  for (std::size_t i = 1; i < dump.size(); ++i) {
+    ASSERT_TRUE(dump[i - 1].first < dump[i].first ||
+                (dump[i - 1].first == dump[i].first &&
+                 dump[i - 1].second.ts < dump[i].second.ts))
+        << i;
+  }
+  const auto txns = s.uncommitted_txns();
+  ASSERT_FALSE(txns.empty());
+
+  s.clear_all();
+  EXPECT_EQ(s.stats().keys, 0u);
+  EXPECT_EQ(s.uncommitted_txn_count(), 0u);
+  // Replay in reverse: insertion order must not leak into the dump.
+  for (auto it = dump.rbegin(); it != dump.rend(); ++it) {
+    s.replay_insert(it->first, it->second);
+  }
+  expect_same_dump(s.dump_versions(), dump);
+  EXPECT_EQ(s.uncommitted_txns(), txns);
+
+  PartitionStore fresh;
+  for (const auto& [key, v] : dump) fresh.replay_insert(key, v);
+  expect_same_dump(fresh.dump_versions(), dump);
+}
+
 }  // namespace
 }  // namespace str::store
