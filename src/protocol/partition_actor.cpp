@@ -735,12 +735,13 @@ void PartitionActor::maintain(Timestamp prune_horizon,
   // watermark rides along as metadata. Never on a down node — its store was
   // wiped at crash and the log is the only copy until replay.
   if (wal_ != nullptr && node_.up() && wal_->idle() &&
-      wal_->medium().durable().size() >=
+      wal_->medium().durable_size() >=
           node_.cluster().protocol().durability.checkpoint_min_bytes) {
     std::vector<storage::CheckpointVersion> snap;
-    for (const auto& [key, v] : store_.dump_versions()) {
+    snap.reserve(store_.version_count());
+    store_.for_each_version_sorted([&snap](Key key, const store::Version& v) {
       snap.push_back({key, v.ts, v.state, v.writer, v.value});
-    }
+    });
     wire::Buffer bytes;
     storage::encode_checkpoint(bytes, prune_horizon, snap);
     wal_->rewrite(std::move(bytes));

@@ -1,6 +1,7 @@
 #include "storage/medium.hpp"
 
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -9,26 +10,26 @@ namespace str::storage {
 
 namespace {
 
-/// Crash-time resolution of an in-flight sync chunk. Without a torn-write
-/// fault the whole chunk is lost (the classic all-or-nothing fsync model).
-/// With one, a uniformly-random nonempty prefix reaches the platter — and
-/// half the time one bit of that prefix is flipped, so replay must rely on
-/// the frame checksum, not just the length prefix, to find the valid end.
-/// The prefix may be the entire chunk: durable-but-unacknowledged is a real
-/// outcome the recovery path has to handle.
-void resolve_torn_tail(wire::Buffer& durable, const wire::Buffer& inflight,
-                       const TornWriteFault& torn) {
-  if (inflight.empty() || torn.prob <= 0.0 || torn.rng == nullptr) return;
-  if (!torn.rng->chance(torn.prob)) return;
+/// Crash-time resolution of an in-flight sync chunk: returns the bytes that
+/// reach the platter. Without a torn-write fault the whole chunk is lost
+/// (the classic all-or-nothing fsync model). With one, a uniformly-random
+/// nonempty prefix persists — and half the time one bit of that prefix is
+/// flipped, so replay must rely on the frame checksum, not just the length
+/// prefix, to find the valid end. The prefix may be the entire chunk:
+/// durable-but-unacknowledged is a real outcome the recovery path has to
+/// handle.
+wire::Buffer resolve_torn_tail(wire::Buffer inflight,
+                               const TornWriteFault& torn) {
+  if (inflight.empty() || torn.prob <= 0.0 || torn.rng == nullptr) return {};
+  if (!torn.rng->chance(torn.prob)) return {};
   const auto keep = static_cast<std::size_t>(
       torn.rng->uniform_range(1, inflight.size()));
-  const std::size_t base = durable.size();
-  durable.insert(durable.end(), inflight.begin(),
-                 inflight.begin() + static_cast<std::ptrdiff_t>(keep));
+  inflight.resize(keep);
   if (torn.rng->chance(0.5)) {
-    const auto pos = base + static_cast<std::size_t>(torn.rng->uniform(keep));
-    durable[pos] ^= static_cast<std::uint8_t>(1u << torn.rng->uniform(8));
+    const auto pos = static_cast<std::size_t>(torn.rng->uniform(keep));
+    inflight[pos] ^= static_cast<std::uint8_t>(1u << torn.rng->uniform(8));
   }
+  return inflight;
 }
 
 }  // namespace
@@ -58,20 +59,31 @@ void SimMedium::sync(UniqueFunction<void()> done) {
 }
 
 void SimMedium::complete_sync() {
-  durable_.insert(durable_.end(), inflight_.begin(), inflight_.end());
+  push_durable(std::move(inflight_));
   inflight_.clear();
   syncing_ = false;
-  on_durable_changed();
   UniqueFunction<void()> done = std::move(done_);
   done_ = {};
   if (done) done();
 }
 
+void SimMedium::push_durable(wire::Buffer chunk) {
+  durable_size_ += chunk.size();
+  chunks_.push_back(std::move(chunk));
+  on_durable_appended(chunks_.back());
+}
+
+void SimMedium::adopt_durable(wire::Buffer bytes) {
+  chunks_.clear();
+  durable_size_ = bytes.size();
+  chunks_.push_back(std::move(bytes));
+}
+
 void SimMedium::reset_durable(wire::Buffer bytes) {
   STR_ASSERT_MSG(!syncing_ && pending_.empty(),
                  "reset_durable on a busy medium");
-  durable_ = std::move(bytes);
-  on_durable_changed();
+  adopt_durable(std::move(bytes));
+  on_durable_reset();
 }
 
 void SimMedium::crash() {
@@ -80,10 +92,30 @@ void SimMedium::crash() {
   done_ = {};
   if (!syncing_) return;
   syncing_ = false;
-  resolve_torn_tail(durable_, inflight_, torn_);
+  push_durable(resolve_torn_tail(std::move(inflight_), torn_));
   inflight_.clear();
-  on_durable_changed();
 }
+
+namespace {
+
+/// Write `chunks` in order to `path`, opened with fopen `mode`. False on
+/// any I/O failure.
+bool write_chunks(const std::string& path, const char* mode,
+                  std::span<const wire::Buffer> chunks) {
+  std::FILE* f = std::fopen(path.c_str(), mode);
+  if (f == nullptr) return false;
+  bool ok = true;
+  for (const wire::Buffer& chunk : chunks) {
+    if (!chunk.empty() &&
+        std::fwrite(chunk.data(), 1, chunk.size(), f) != chunk.size()) {
+      ok = false;
+      break;
+    }
+  }
+  return std::fclose(f) == 0 && ok;
+}
+
+}  // namespace
 
 FileMedium::FileMedium(std::string path, sim::Scheduler* sched,
                        Timestamp fsync_latency, TornWriteFault torn)
@@ -100,19 +132,14 @@ FileMedium::FileMedium(std::string path, sim::Scheduler* sched,
   adopt_durable(std::move(bytes));
 }
 
-void FileMedium::on_durable_changed() {
-  if (!io_ok_) return;
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
-    io_ok_ = false;
-    return;
-  }
-  const wire::Buffer& bytes = durable();
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    io_ok_ = false;
-  }
-  std::fclose(f);
+void FileMedium::on_durable_appended(const wire::Buffer& chunk) {
+  // Opened even for an empty chunk: a crash that lost its in-flight sync
+  // still leaves the (possibly empty) log file behind.
+  if (io_ok_) io_ok_ = write_chunks(path_, "ab", {&chunk, 1});
+}
+
+void FileMedium::on_durable_reset() {
+  if (io_ok_) io_ok_ = write_chunks(path_, "wb", durable_chunks());
 }
 
 }  // namespace str::storage

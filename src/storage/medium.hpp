@@ -8,6 +8,14 @@
 // crash may persist any prefix of it, possibly with a flipped bit
 // (net::StorageFaults::torn_write_prob).
 //
+// The durable contents are an ordered list of chunks, one per completed
+// sync: a completing sync moves its in-flight buffer onto the list instead
+// of copying it into one growing buffer, so every durable byte is held
+// once. reset_durable() installs a single chunk, and a torn crash appends
+// the surviving prefix as the last chunk. The log layer appends whole
+// frames and each sync covers whole appends, so no frame spans two chunks
+// and only the last chunk can end mid-frame.
+//
 // Two backends:
 //  * SimMedium  — deterministic in-memory device inside the DES. Sync
 //    completion is scheduled after a modeled fsync latency, so group-commit
@@ -22,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -40,6 +49,9 @@ struct TornWriteFault {
   Rng* rng = nullptr;
 };
 
+/// Durable contents in order: their concatenation is the log.
+using DurableChunks = std::vector<wire::Buffer>;
+
 class Medium {
  public:
   virtual ~Medium() = default;
@@ -56,13 +68,18 @@ class Medium {
   /// flight belong to the next sync.
   virtual void sync(UniqueFunction<void()> done) = 0;
 
-  /// The durable contents (what a restart reads back). May end in a torn
-  /// tail after a crash — replay checksum-scans and truncates.
-  virtual const wire::Buffer& durable() const = 0;
+  /// The durable contents (what a restart reads back), one chunk per
+  /// completed sync. The last chunk may end in a torn tail after a crash —
+  /// replay checksum-scans and truncates.
+  virtual const DurableChunks& durable_chunks() const = 0;
 
-  /// Atomically replace the durable contents (checkpoint truncation,
-  /// decision-log compaction, torn-tail repair). Models write-new-file +
-  /// rename; requires no sync in flight and no buffered bytes.
+  /// Total bytes across durable_chunks().
+  virtual std::size_t durable_size() const = 0;
+
+  /// Atomically replace the durable contents with the single chunk `bytes`
+  /// (checkpoint truncation, decision-log compaction, torn-tail repair).
+  /// Models write-new-file + rename; requires no sync in flight and no
+  /// buffered bytes.
   virtual void reset_durable(wire::Buffer bytes) = 0;
 
   /// Fail-stop crash: buffered bytes vanish; an in-flight sync resolves to
@@ -85,7 +102,8 @@ class SimMedium : public Medium {
   void append(const std::uint8_t* data, std::size_t size) override;
   using Medium::append;
   void sync(UniqueFunction<void()> done) override;
-  const wire::Buffer& durable() const override { return durable_; }
+  const DurableChunks& durable_chunks() const override { return chunks_; }
+  std::size_t durable_size() const override { return durable_size_; }
   void reset_durable(wire::Buffer bytes) override;
   void crash() override;
   bool sync_in_flight() const override { return syncing_; }
@@ -94,21 +112,27 @@ class SimMedium : public Medium {
   }
 
  protected:
-  /// Hook for backends that mirror the durable bytes somewhere real; called
-  /// after every durable_ change (sync completion, crash resolution, reset).
-  virtual void on_durable_changed() {}
+  /// Hooks for backends that mirror the durable bytes somewhere real.
+  /// on_durable_appended runs when bytes join the tail: a completed sync's
+  /// chunk, or a crash's torn tail (empty when the crash lost the whole
+  /// in-flight chunk). on_durable_reset runs after reset_durable().
+  virtual void on_durable_appended(const wire::Buffer& /*chunk*/) {}
+  virtual void on_durable_reset() {}
 
-  /// Install durable contents without the mirror hook (backend construction:
-  /// adopting an existing file's bytes must not rewrite the file).
-  void adopt_durable(wire::Buffer bytes) { durable_ = std::move(bytes); }
+  /// Install durable contents without the mirror hooks (backend
+  /// construction: adopting an existing file's bytes must not rewrite it).
+  void adopt_durable(wire::Buffer bytes);
 
  private:
   void complete_sync();
+  /// Append `chunk` to the durable list and run the mirror hook.
+  void push_durable(wire::Buffer chunk);
 
   sim::Scheduler* sched_;
   Timestamp fsync_latency_;
   TornWriteFault torn_;
-  wire::Buffer durable_;
+  DurableChunks chunks_;
+  std::size_t durable_size_ = 0;
   wire::Buffer pending_;   ///< appended, not yet covered by a sync
   wire::Buffer inflight_;  ///< the chunk the in-flight sync covers
   UniqueFunction<void()> done_;
@@ -118,9 +142,9 @@ class SimMedium : public Medium {
 };
 
 /// SimMedium that mirrors the durable bytes to a real file. The file always
-/// holds exactly the durable contents (rewritten on change — WAL segments
-/// are checkpoint-bounded, so this stays cheap); an existing file is
-/// adopted as the initial durable state.
+/// holds exactly the concatenated durable chunks: each newly durable chunk
+/// (torn tails included) is appended, and only reset_durable() rewrites the
+/// whole file. An existing file is adopted as the initial durable state.
 class FileMedium : public SimMedium {
  public:
   FileMedium(std::string path, sim::Scheduler* sched, Timestamp fsync_latency,
@@ -131,7 +155,8 @@ class FileMedium : public SimMedium {
   const std::string& path() const { return path_; }
 
  protected:
-  void on_durable_changed() override;
+  void on_durable_appended(const wire::Buffer& chunk) override;
+  void on_durable_reset() override;
 
  private:
   std::string path_;

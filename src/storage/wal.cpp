@@ -1,5 +1,6 @@
 #include "storage/wal.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -13,6 +14,10 @@ namespace {
 void put_tx(wire::Writer& w, const TxId& tx) {
   w.varint(tx.node);
   w.varint(tx.seq);
+}
+
+std::size_t tx_size(const TxId& tx) {
+  return wire::varint_size(tx.node) + wire::varint_size(tx.seq);
 }
 
 TxId get_tx(wire::Reader& r) {
@@ -31,6 +36,10 @@ void put_value(wire::Writer& w, const SharedValue& v) {
   }
   w.u8(1);
   w.str(*v);
+}
+
+std::size_t value_size(const SharedValue& v) {
+  return v == nullptr ? 1 : 1 + wire::varint_size(v->size()) + v->size();
 }
 
 bool get_value(wire::Reader& r, SharedValue& out) {
@@ -54,6 +63,14 @@ void put_updates(wire::Writer& w, const WalUpdates& updates) {
   }
 }
 
+std::size_t updates_size(const WalUpdates& updates) {
+  std::size_t n = wire::varint_size(updates.size());
+  for (const auto& [key, value] : updates) {
+    n += wire::varint_size(key) + value_size(value);
+  }
+  return n;
+}
+
 bool get_updates(wire::Reader& r, WalUpdates& out) {
   const std::uint64_t count = r.varint();
   if (!r.ok() || count > r.remaining()) return false;  // forged count
@@ -67,13 +84,26 @@ bool get_updates(wire::Reader& r, WalUpdates& out) {
   return r.ok();
 }
 
-/// Wrap `body` (type tag already at body[0]) into a frame appended to `out`.
-void frame(wire::Buffer& out, const wire::Buffer& payload) {
+/// Writes one record frame straight into `out`: length prefix, type tag,
+/// the `body_bytes`-byte body that `put_body` writes, checksum. A fresh
+/// buffer gets exactly one frame of capacity. Appends to a filled one grow
+/// it geometrically: decision-log compaction encodes every surviving entry
+/// into one buffer, and an exact reserve per record would make that
+/// quadratic.
+template <typename PutBody>
+void put_frame(wire::Buffer& out, WalRecordType type, std::size_t body_bytes,
+               PutBody&& put_body) {
+  const std::size_t start = out.size();
+  if (start == 0) out.reserve(wire::kFrameOverhead + body_bytes);
   wire::Writer w(out);
-  w.u32le(static_cast<std::uint32_t>(payload.size() +
+  w.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body_bytes +
                                      wire::kFrameChecksumBytes));
-  out.insert(out.end(), payload.begin(), payload.end());
-  w.u32le(wire::checksum32(payload.data(), payload.size()));
+  w.u8(static_cast<std::uint8_t>(type));
+  put_body(w);
+  const std::size_t payload = start + wire::kFrameLenBytes;
+  STR_ASSERT_MSG(out.size() - payload == wire::kFrameTypeBytes + body_bytes,
+                 "WAL record body size mismatch");
+  w.u32le(wire::checksum32(out.data() + payload, out.size() - payload));
 }
 
 /// Decode one record body (after the type tag). Returns false on any
@@ -132,70 +162,86 @@ bool decode_body(WalRecordType type, const std::uint8_t* body,
 
 void encode_prepare(wire::Buffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kPrepare));
-  put_tx(w, tx);
-  w.varint(rs);
-  w.varint(proposed);
-  put_updates(w, updates);
-  frame(out, payload);
+  const std::size_t body = tx_size(tx) + wire::varint_size(rs) +
+                           wire::varint_size(proposed) + updates_size(updates);
+  put_frame(out, WalRecordType::kPrepare, body, [&](wire::Writer& w) {
+    put_tx(w, tx);
+    w.varint(rs);
+    w.varint(proposed);
+    put_updates(w, updates);
+  });
 }
 
 void encode_commit(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kCommit));
-  put_tx(w, tx);
-  w.varint(commit_ts);
-  put_updates(w, updates);
-  frame(out, payload);
+  const std::size_t body =
+      tx_size(tx) + wire::varint_size(commit_ts) + updates_size(updates);
+  put_frame(out, WalRecordType::kCommit, body, [&](wire::Writer& w) {
+    put_tx(w, tx);
+    w.varint(commit_ts);
+    put_updates(w, updates);
+  });
 }
 
 void encode_abort(wire::Buffer& out, const TxId& tx) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kAbort));
-  put_tx(w, tx);
-  frame(out, payload);
+  put_frame(out, WalRecordType::kAbort, tx_size(tx),
+            [&](wire::Writer& w) { put_tx(w, tx); });
 }
 
 void encode_decision(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kDecision));
-  put_tx(w, tx);
-  w.varint(commit_ts);
-  w.varint(at);
-  frame(out, payload);
+  const std::size_t body =
+      tx_size(tx) + wire::varint_size(commit_ts) + wire::varint_size(at);
+  put_frame(out, WalRecordType::kDecision, body, [&](wire::Writer& w) {
+    put_tx(w, tx);
+    w.varint(commit_ts);
+    w.varint(at);
+  });
 }
 
 void encode_checkpoint(wire::Buffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot) {
-  wire::Buffer payload;
-  wire::Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(WalRecordType::kCheckpoint));
-  w.varint(watermark);
-  w.varint(snapshot.size());
+  std::size_t body =
+      wire::varint_size(watermark) + wire::varint_size(snapshot.size());
   for (const CheckpointVersion& v : snapshot) {
-    w.varint(v.key);
-    w.varint(v.ts);
-    w.u8(static_cast<std::uint8_t>(v.state));
-    put_tx(w, v.writer);
-    put_value(w, v.value);
+    body += wire::varint_size(v.key) + wire::varint_size(v.ts) +
+            1 /* state */ + tx_size(v.writer) + value_size(v.value);
   }
-  frame(out, payload);
+  put_frame(out, WalRecordType::kCheckpoint, body, [&](wire::Writer& w) {
+    w.varint(watermark);
+    w.varint(snapshot.size());
+    for (const CheckpointVersion& v : snapshot) {
+      w.varint(v.key);
+      w.varint(v.ts);
+      w.u8(static_cast<std::uint8_t>(v.state));
+      put_tx(w, v.writer);
+      put_value(w, v.value);
+    }
+  });
 }
 
-WalScanResult scan_wal(const wire::Buffer& bytes,
-                       const std::function<void(const WalRecord&)>& visit) {
-  WalScanResult result;
+namespace {
+
+/// Where a scan of one chunk stopped.
+enum class ChunkEnd {
+  kWhole,     ///< every byte is part of a valid frame
+  kMidFrame,  ///< the chunk ends inside a frame (torn tail)
+  kBadFrame,  ///< impossible length, checksum mismatch or malformed body
+};
+
+/// Checksum-scan the frames of one chunk, adding what it validates to
+/// `result.records` and `result.valid_bytes`.
+ChunkEnd scan_chunk(const wire::Buffer& bytes,
+                    const std::function<void(const WalRecord&)>& visit,
+                    WalScanResult& result) {
   std::size_t off = 0;
+  ChunkEnd end = ChunkEnd::kWhole;
   while (off < bytes.size()) {
     const std::size_t left = bytes.size() - off;
-    if (left < wire::kFrameLenBytes) break;  // torn mid length-prefix
+    if (left < wire::kFrameLenBytes) {  // torn mid length-prefix
+      end = ChunkEnd::kMidFrame;
+      break;
+    }
     const std::uint32_t rest_len =
         static_cast<std::uint32_t>(bytes[off]) |
         (static_cast<std::uint32_t>(bytes[off + 1]) << 8) |
@@ -203,8 +249,14 @@ WalScanResult scan_wal(const wire::Buffer& bytes,
         (static_cast<std::uint32_t>(bytes[off + 3]) << 24);
     // Reject impossible lengths before trusting them: a torn or bit-flipped
     // prefix must not send the scan past the end of the buffer.
-    if (rest_len < wire::kFrameTypeBytes + wire::kFrameChecksumBytes) break;
-    if (left - wire::kFrameLenBytes < rest_len) break;  // torn mid frame
+    if (rest_len < wire::kFrameTypeBytes + wire::kFrameChecksumBytes) {
+      end = ChunkEnd::kBadFrame;
+      break;
+    }
+    if (left - wire::kFrameLenBytes < rest_len) {  // torn mid frame
+      end = ChunkEnd::kMidFrame;
+      break;
+    }
     const std::uint8_t* payload = bytes.data() + off + wire::kFrameLenBytes;
     const std::size_t payload_len = rest_len - wire::kFrameChecksumBytes;
     const std::uint8_t* cksum_at = payload + payload_len;
@@ -213,18 +265,44 @@ WalScanResult scan_wal(const wire::Buffer& bytes,
         (static_cast<std::uint32_t>(cksum_at[1]) << 8) |
         (static_cast<std::uint32_t>(cksum_at[2]) << 16) |
         (static_cast<std::uint32_t>(cksum_at[3]) << 24);
-    if (wire::checksum32(payload, payload_len) != stored) break;
     WalRecord rec;
-    if (!decode_body(static_cast<WalRecordType>(payload[0]), payload + 1,
+    if (wire::checksum32(payload, payload_len) != stored ||
+        !decode_body(static_cast<WalRecordType>(payload[0]), payload + 1,
                      payload_len - 1, rec)) {
-      break;  // checksum passed but the body is malformed: treat as torn
+      // A checksummed but malformed body is treated as torn too.
+      end = ChunkEnd::kBadFrame;
+      break;
     }
     if (visit) visit(rec);
     off += wire::kFrameLenBytes + rest_len;
     ++result.records;
   }
-  result.valid_bytes = off;
-  result.torn = off != bytes.size();
+  result.valid_bytes += off;
+  return end;
+}
+
+}  // namespace
+
+WalScanResult scan_wal(const wire::Buffer& bytes,
+                       const std::function<void(const WalRecord&)>& visit) {
+  WalScanResult result;
+  result.torn = scan_chunk(bytes, visit, result) != ChunkEnd::kWhole;
+  return result;
+}
+
+WalScanResult scan_wal(const DurableChunks& chunks,
+                       const std::function<void(const WalRecord&)>& visit) {
+  WalScanResult result;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkEnd end = scan_chunk(chunks[i], visit, result);
+    if (end == ChunkEnd::kWhole) continue;
+    // Whole frames per append and whole appends per sync: only a torn
+    // tail, always the last chunk, can cut a frame short.
+    STR_ASSERT_MSG(end != ChunkEnd::kMidFrame || i + 1 == chunks.size(),
+                   "a WAL frame spans two durable chunks");
+    result.torn = true;
+    break;
+  }
   return result;
 }
 
@@ -234,7 +312,7 @@ Wal::Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium,
       medium_(std::move(medium)),
       options_(options),
       counters_(counters) {
-  end_offset_ = medium_->durable().size();
+  end_offset_ = medium_->durable_size();
 }
 
 std::uint64_t Wal::append(const wire::Buffer& frame_bytes,
@@ -321,23 +399,28 @@ void Wal::crash() {
   force_next_ = false;
   ++gen_;  // retire the deadline timer
   deadline_armed_ = false;
-  end_offset_ = medium_->durable().size();
+  end_offset_ = medium_->durable_size();
 }
 
 std::uint64_t Wal::durable_prefix() const {
-  return scan_wal(medium_->durable(), nullptr).valid_bytes;
+  return scan_wal(medium_->durable_chunks(), nullptr).valid_bytes;
 }
 
 WalScanResult Wal::replay(const std::function<void(const WalRecord&)>& visit) {
   STR_ASSERT_MSG(idle(), "Wal::replay on a busy log");
-  const WalScanResult result = scan_wal(medium_->durable(), visit);
+  const WalScanResult result = scan_wal(medium_->durable_chunks(), visit);
   if (counters_.replayed != nullptr) counters_.replayed->inc(result.records);
   if (result.torn) {
     if (counters_.torn != nullptr) counters_.torn->inc();
-    const wire::Buffer& bytes = medium_->durable();
-    wire::Buffer prefix(bytes.begin(),
-                        bytes.begin() + static_cast<std::ptrdiff_t>(
-                                            result.valid_bytes));
+    // Concatenate the valid prefix into one chunk.
+    wire::Buffer prefix;
+    prefix.reserve(result.valid_bytes);
+    for (const wire::Buffer& chunk : medium_->durable_chunks()) {
+      const std::size_t take =
+          std::min(chunk.size(), result.valid_bytes - prefix.size());
+      prefix.insert(prefix.end(), chunk.begin(),
+                    chunk.begin() + static_cast<std::ptrdiff_t>(take));
+    }
     medium_->reset_durable(std::move(prefix));
   }
   end_offset_ = result.valid_bytes;

@@ -6,7 +6,8 @@
 //
 // so the log is self-delimiting on a byte stream and a torn or bit-flipped
 // tail is detected by the checksum scan, not trusted from the length
-// prefix. Five record types:
+// prefix. Each encoder sizes the body first and writes the frame in place,
+// so a record costs one allocation of exactly its size. Five record types:
 //
 //   kPrepare    — a remote-coordinated transaction's pre-commit on this
 //                 partition (tx, rs, proposed ts, full update list). Forced
@@ -27,7 +28,9 @@
 // one sync covers the whole batch, beginning when the batch reaches
 // `group_commit_batch` records or `group_commit_interval` after the first
 // unflushed append, whichever is first. Per-record durability callbacks run
-// at the covering sync's completion, in append order.
+// at the covering sync's completion, in append order. Appends are whole
+// frames and a sync covers whole appends, so no frame spans two of the
+// medium's durable chunks.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +108,12 @@ struct WalScanResult {
 /// tail: exactly the durable prefix of records is recovered, never a
 /// partial or bit-flipped one.
 WalScanResult scan_wal(const wire::Buffer& bytes,
+                       const std::function<void(const WalRecord&)>& visit);
+
+/// The same scan over a medium's durable chunks, in order: the result
+/// equals scanning their concatenation. Asserts that only the last chunk
+/// ends mid-frame.
+WalScanResult scan_wal(const DurableChunks& chunks,
                        const std::function<void(const WalRecord&)>& visit);
 
 /// Group-commit batching over a Medium. Not thread-safe; one per log.

@@ -422,13 +422,17 @@ std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
   return updates;
 }
 
+std::size_t PartitionStore::version_count() const {
+  std::size_t n = 0;
+  table_.for_each([&n](const KeyEntry& entry) { n += entry.versions.size(); });
+  return n;
+}
+
 std::vector<std::pair<Key, Version>> PartitionStore::dump_versions() const {
-  // Checkpoints must be byte-deterministic, so walk the keys in key order
-  // (each chain is already ascending by ts).
   std::vector<std::pair<Key, Version>> out;
-  for (const auto& [key, pos] : table_.sorted_keys()) {
-    for (const Version& v : table_.at(pos).versions) out.emplace_back(key, v);
-  }
+  out.reserve(version_count());
+  for_each_version_sorted(
+      [&out](Key key, const Version& v) { out.emplace_back(key, v); });
   return out;
 }
 

@@ -168,9 +168,22 @@ class PartitionStore {
   std::vector<std::pair<Key, SharedValue>> uncommitted_updates(
       const TxId& tx) const;
 
-  /// Every version in the store, sorted by (key, chain position): the
-  /// checkpoint snapshot. LastReader timestamps are intentionally absent —
+  /// Visit every version in the store as fn(key, version), sorted by
+  /// (key, chain position): the checkpoint snapshot, built in one walk.
+  /// Key order (each chain is already ascending by ts) keeps checkpoints
+  /// byte-deterministic. LastReader timestamps are intentionally absent —
   /// they are volatile, and set_ts_floor() makes losing them safe.
+  template <typename Fn>
+  void for_each_version_sorted(Fn&& fn) const {
+    for (const auto& [key, pos] : table_.sorted_keys()) {
+      for (const Version& v : table_.at(pos).versions) fn(key, v);
+    }
+  }
+
+  /// Number of versions for_each_version_sorted() visits.
+  std::size_t version_count() const;
+
+  /// for_each_version_sorted() collected into a vector.
   std::vector<std::pair<Key, Version>> dump_versions() const;
 
   /// Wipe everything (crash teardown in WAL mode; replay rebuilds).

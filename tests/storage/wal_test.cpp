@@ -1,12 +1,13 @@
-// WAL unit tests: record framing and the checksum scan (torn tails,
-// bit flips, malformed bodies), group-commit batching over SimMedium
-// (batch-size and deadline flush triggers, callback ordering, crash
-// semantics), torn-write crash resolution, checkpoint rewrite, and the
-// FileMedium mirror round-trip.
+// WAL unit tests: record framing (pinned byte layout) and the checksum
+// scan (torn tails, bit flips, malformed bodies), group-commit batching
+// over SimMedium (batch-size and deadline flush triggers, callback
+// ordering, crash semantics), torn-write crash resolution, checkpoint
+// rewrite, chunked durable storage, and the FileMedium mirror round-trip.
 #include "storage/wal.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -28,13 +29,40 @@ WalUpdates two_updates() {
   return {{7, val("a")}, {9, val("bb")}};
 }
 
-std::vector<WalRecord> scan_all(const wire::Buffer& bytes,
+template <typename Bytes>
+std::vector<WalRecord> scan_all(const Bytes& bytes,
                                 WalScanResult* out = nullptr) {
   std::vector<WalRecord> records;
   const WalScanResult r =
       scan_wal(bytes, [&](const WalRecord& rec) { records.push_back(rec); });
   if (out != nullptr) *out = r;
   return records;
+}
+
+wire::Buffer concat(const DurableChunks& chunks) {
+  wire::Buffer flat;
+  for (const wire::Buffer& chunk : chunks) {
+    flat.insert(flat.end(), chunk.begin(), chunk.end());
+  }
+  return flat;
+}
+
+/// The record fields two scans are compared on.
+struct RecordKey {
+  WalRecordType type;
+  TxId tx;
+  Timestamp ts;
+  std::size_t updates;
+  std::size_t snapshot;
+  bool operator==(const RecordKey&) const = default;
+};
+
+std::vector<RecordKey> keys_of(const std::vector<WalRecord>& records) {
+  std::vector<RecordKey> keys;
+  for (const WalRecord& r : records) {
+    keys.push_back({r.type, r.tx, r.ts, r.updates.size(), r.snapshot.size()});
+  }
+  return keys;
 }
 
 TEST(WalCodec, EveryRecordTypeRoundTrips) {
@@ -80,6 +108,73 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(*records[4].snapshot[0].value, "x");
   EXPECT_EQ(records[4].snapshot[1].state, VersionState::PreCommitted);
   EXPECT_EQ(records[4].snapshot[1].value, nullptr);
+}
+
+TEST(WalCodec, RecordLayoutIsPinned) {
+  // The on-disk format: a consistent change on both the encode and the
+  // decode side would still round-trip, so pin the bytes themselves.
+  // Every frame is [u32le rest_len][u8 type][body][u32le FNV-1a32], and a
+  // fresh buffer holds exactly its one frame.
+  std::vector<std::pair<wire::Buffer, wire::Buffer>> cases;
+  wire::Buffer b;
+  encode_prepare(b, TxId{2, 11}, /*rs=*/100, /*proposed=*/300,
+                 {{7, val("a")}, {9, nullptr}});
+  cases.emplace_back(std::move(b), wire::Buffer{
+      0x11, 0x00, 0x00, 0x00,  // rest_len = 1 + 12 + 4
+      0x01,                    // kPrepare
+      0x02, 0x0b,              // tx.node, tx.seq
+      0x64, 0xac, 0x02,        // rs = 100, proposed = 300
+      0x02,                    // two updates
+      0x07, 0x01, 0x01, 0x61,  // key 7, present, len 1, "a"
+      0x09, 0x00,              // key 9, no payload
+      0x1f, 0x5b, 0x14, 0x76,  // checksum
+  });
+  b = {};
+  encode_commit(b, TxId{2, 11}, /*commit_ts=*/130, {{7, val("a")}});
+  cases.emplace_back(std::move(b), wire::Buffer{
+      0x0e, 0x00, 0x00, 0x00,  // rest_len = 1 + 9 + 4
+      0x02,                    // kCommit
+      0x02, 0x0b,              // tx
+      0x82, 0x01,              // commit_ts = 130
+      0x01, 0x07, 0x01, 0x01, 0x61,  // one update: key 7, "a"
+      0x64, 0x72, 0x6e, 0xae,  // checksum
+  });
+  b = {};
+  encode_abort(b, TxId{3, 5});
+  cases.emplace_back(std::move(b), wire::Buffer{
+      0x07, 0x00, 0x00, 0x00,  // rest_len = 1 + 2 + 4
+      0x03,                    // kAbort
+      0x03, 0x05,              // tx
+      0x4a, 0x7a, 0x07, 0x91,  // checksum
+  });
+  b = {};
+  encode_decision(b, TxId{2, 11}, /*commit_ts=*/130, /*at=*/140);
+  cases.emplace_back(std::move(b), wire::Buffer{
+      0x0b, 0x00, 0x00, 0x00,  // rest_len = 1 + 6 + 4
+      0x04,                    // kDecision
+      0x02, 0x0b,              // tx
+      0x82, 0x01, 0x8c, 0x01,  // commit_ts = 130, at = 140
+      0x73, 0xb2, 0x9f, 0xfc,  // checksum
+  });
+  b = {};
+  std::vector<CheckpointVersion> snap;
+  snap.push_back({7, 50, VersionState::Committed, TxId{1, 1}, val("x")});
+  snap.push_back({8, 60, VersionState::PreCommitted, TxId{4, 2}, nullptr});
+  encode_checkpoint(b, /*watermark=*/45, snap);
+  cases.emplace_back(std::move(b), wire::Buffer{
+      0x15, 0x00, 0x00, 0x00,  // rest_len = 1 + 16 + 4
+      0x05,                    // kCheckpoint
+      0x2d, 0x02,              // watermark = 45, two versions
+      0x07, 0x32, 0x02, 0x01, 0x01, 0x01, 0x01, 0x78,  // key, ts, Committed,
+                                                       // writer, "x"
+      0x08, 0x3c, 0x00, 0x04, 0x02, 0x00,  // PreCommitted, no payload
+      0xa9, 0xc8, 0xb5, 0xfe,  // checksum
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [got, want] = cases[i];
+    EXPECT_EQ(got, want) << "record type " << i + 1;
+    EXPECT_EQ(got.capacity(), got.size()) << "record type " << i + 1;
+  }
 }
 
 TEST(WalCodec, ScanRecoversExactlyTheCompleteFramePrefix) {
@@ -304,21 +399,143 @@ TEST(Wal, AppendReturnsEndOffsetsComparableToDurablePrefix) {
   EXPECT_GE(f.wal->durable_prefix(), e2);  // batch of 2 flushed
 }
 
+// -- chunked durable storage -------------------------------------------------
+
+TEST(WalChunks, ChunkedLogScansAndTruncatesLikeItsConcatenation) {
+  // Several syncs, a checkpoint rewrite in the middle, more syncs, then a
+  // crash that tears the last one. Whatever the tear kept (a clean prefix
+  // or one with a flipped bit), the chunk list must scan to the same
+  // records and valid_bytes as its concatenation, and replay must truncate
+  // to that prefix.
+  int flipped = 0;
+  int clean = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    WalFixture f(/*batch=*/3, msec(2), /*fsync=*/msec(1),
+                 TornWriteFault{1.0, &rng});
+    auto commit = [&f](std::uint64_t seq) {
+      wire::Buffer frame;
+      encode_commit(frame, TxId{1, seq}, seq, two_updates());
+      f.wal->append(frame);
+    };
+    for (std::uint64_t i = 1; i <= 6; ++i) commit(i);  // two syncs
+    f.sched.run_until(f.sched.now() + msec(10));
+    ASSERT_TRUE(f.wal->idle());
+
+    wire::Buffer ckpt;
+    std::vector<CheckpointVersion> snap;
+    snap.push_back({7, 6, VersionState::Committed, TxId{1, 6}, val("a")});
+    encode_checkpoint(ckpt, /*watermark=*/5, snap);
+    f.wal->rewrite(std::move(ckpt));
+
+    for (std::uint64_t i = 7; i <= 12; ++i) {
+      commit(i);
+      f.append_abort(TxId{2, i});
+    }
+    f.sched.run_until(f.sched.now() + msec(10));
+    ASSERT_TRUE(f.wal->idle());
+    const std::size_t whole = f.wal->medium().durable_size();
+
+    // The last sync: in flight when the crash hits.
+    wire::Buffer last;
+    for (std::uint64_t i = 13; i <= 15; ++i) {
+      wire::Buffer frame;
+      encode_commit(frame, TxId{1, i}, i, two_updates());
+      last.insert(last.end(), frame.begin(), frame.end());
+      f.wal->append(frame);
+    }
+    ASSERT_TRUE(f.wal->medium().sync_in_flight());
+    f.wal->crash();
+
+    const DurableChunks& chunks = f.wal->medium().durable_chunks();
+    ASSERT_GE(chunks.size(), 4u) << "seed " << seed;
+    const wire::Buffer& tail = chunks.back();
+    ASSERT_EQ(f.wal->medium().durable_size(), whole + tail.size());
+    ASSERT_GE(tail.size(), 1u);
+    if (std::equal(tail.begin(), tail.end(), last.begin())) {
+      ++clean;
+    } else {
+      ++flipped;
+    }
+
+    const wire::Buffer flat = concat(chunks);
+    WalScanResult flat_r;
+    const auto flat_records = scan_all(flat, &flat_r);
+    WalScanResult chunk_r;
+    const auto chunk_records = scan_all(chunks, &chunk_r);
+    EXPECT_EQ(chunk_r.valid_bytes, flat_r.valid_bytes) << "seed " << seed;
+    EXPECT_EQ(chunk_r.records, flat_r.records) << "seed " << seed;
+    EXPECT_EQ(chunk_r.torn, flat_r.torn) << "seed " << seed;
+    EXPECT_EQ(keys_of(chunk_records), keys_of(flat_records)) << "seed " << seed;
+    EXPECT_GE(chunk_r.valid_bytes, whole);  // the tear stays in the tail
+    EXPECT_EQ(f.wal->durable_prefix(), flat_r.valid_bytes);
+
+    const WalScanResult replayed = f.wal->replay(nullptr);
+    EXPECT_EQ(replayed.valid_bytes, flat_r.valid_bytes);
+    EXPECT_EQ(concat(f.wal->medium().durable_chunks()),
+              wire::Buffer(flat.begin(),
+                           flat.begin() + static_cast<std::ptrdiff_t>(
+                                              flat_r.valid_bytes)))
+        << "seed " << seed;
+    EXPECT_EQ(f.wal->end_offset(), flat_r.valid_bytes);
+  }
+  EXPECT_GT(flipped, 0);
+  EXPECT_GT(clean, 0);
+}
+
+wire::Buffer read_file(const std::string& path) {
+  wire::Buffer bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  int c = 0;
+  while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<std::uint8_t>(c));
+  std::fclose(f);
+  return bytes;
+}
+
 TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
+  // The file equals the concatenated durable chunks after every kind of
+  // change: syncs (appended), a torn crash (tail appended), the replay's
+  // truncation and a rewrite (file replaced), then more syncs.
   const std::string path = testing::TempDir() + "wal_mirror_test.wal";
   std::remove(path.c_str());
   sim::Scheduler sched;
+  Rng rng(2);
+  auto decision = [](std::uint64_t seq) {
+    wire::Buffer frame;
+    encode_decision(frame, TxId{3, seq}, 70 + seq, 80 + seq);
+    return frame;
+  };
   {
     Wal wal(sched,
             std::make_unique<FileMedium>(path, &sched, msec(1),
-                                         TornWriteFault{}),
+                                         TornWriteFault{1.0, &rng}),
             Wal::Options{1, msec(2)}, Wal::Counters{});
-    wire::Buffer frame;
-    encode_decision(frame, TxId{3, 9}, 77, 80);
-    wal.append(frame);
-    sched.run_until(sched.now() + msec(10));
+    const Medium& medium = wal.medium();
+    for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+      wal.append(decision(seq));
+      sched.run_until(sched.now() + msec(10));
+    }
     ASSERT_TRUE(wal.idle());
-    EXPECT_TRUE(static_cast<FileMedium&>(wal.medium()).io_ok());
+    EXPECT_EQ(medium.durable_chunks().size(), 4u);
+    EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
+
+    wal.append(decision(5));  // its sync is in flight at the crash
+    wal.crash();
+    EXPECT_EQ(medium.durable_chunks().size(), 5u);
+    EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
+    EXPECT_TRUE(wal.replay(nullptr).torn);  // this seed tears the tail
+    EXPECT_EQ(medium.durable_chunks().size(), 1u);
+    EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
+
+    wire::Buffer compacted = decision(9);
+    wal.rewrite(compacted);
+    EXPECT_EQ(read_file(path), compacted);
+    wal.append(decision(10));
+    sched.run_until(sched.now() + msec(10));
+    EXPECT_EQ(medium.durable_chunks().size(), 2u);
+    EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
+    EXPECT_TRUE(static_cast<const FileMedium&>(medium).io_ok());
   }
   // A second medium over the same path adopts the file's contents.
   Wal wal2(sched,
@@ -327,10 +544,11 @@ TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
            Wal::Options{}, Wal::Counters{});
   std::vector<WalRecord> records;
   wal2.replay([&](const WalRecord& rec) { records.push_back(rec); });
-  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].type, WalRecordType::kDecision);
   EXPECT_EQ(records[0].tx, (TxId{3, 9}));
-  EXPECT_EQ(records[0].ts, 77u);
+  EXPECT_EQ(records[0].ts, 79u);
+  EXPECT_EQ(records[1].tx, (TxId{3, 10}));
   std::remove(path.c_str());
 }
 
