@@ -8,6 +8,11 @@
 // machine-dependent — this bench has no committed baseline and is not
 // gated, it exists so codec changes can be measured (docs/PERFORMANCE.md).
 //
+// Decode runs through a PayloadTable, as in a cluster. "decode" is the
+// first receiver of a write: its payloads are freed between iterations, so
+// every value is allocated and recorded. "shared" is every later receiver:
+// a kept decode holds the payloads live, so values resolve to them.
+//
 // Usage: bench_wire_codec [--quick] [--iters N]
 
 #include <chrono>
@@ -38,6 +43,7 @@ protocol::SharedUpdates make_updates(std::size_t count,
 struct Timed {
   double encode_ns = 0;
   double decode_ns = 0;
+  double shared_ns = 0;
   std::size_t frame_bytes = 0;
 };
 
@@ -55,18 +61,30 @@ Timed time_codec(const M& msg, std::uint64_t iters) {
     sink += b.size();
   }
   auto mid = Clock::now();
+  wire::PayloadTable payloads;
   for (std::uint64_t i = 0; i < iters; ++i) {
     wire::AnyMessage out;
     sink += static_cast<std::uint64_t>(
-        wire::decode_frame(frame.data(), frame.size(), out));
+        wire::decode_frame(frame.data(), frame.size(), out, payloads));
+  }
+  wire::AnyMessage kept;
+  (void)wire::decode_frame(frame.data(), frame.size(), kept, payloads);
+  auto shared_start = Clock::now();
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    wire::AnyMessage out;
+    sink += static_cast<std::uint64_t>(
+        wire::decode_frame(frame.data(), frame.size(), out, payloads));
   }
   auto end = Clock::now();
   if (sink == 0xdead) std::puts("");  // keep `sink` observable
 
-  t.encode_ns = std::chrono::duration<double, std::nano>(mid - start).count() /
-                static_cast<double>(iters);
-  t.decode_ns = std::chrono::duration<double, std::nano>(end - mid).count() /
-                static_cast<double>(iters);
+  const auto per_iter = [iters](auto from, auto to) {
+    return std::chrono::duration<double, std::nano>(to - from).count() /
+           static_cast<double>(iters);
+  };
+  t.encode_ns = per_iter(start, mid);
+  t.decode_ns = per_iter(mid, shared_start);
+  t.shared_ns = per_iter(shared_start, end);
   return t;
 }
 
@@ -77,8 +95,9 @@ void report(const char* name, const M& msg, std::uint64_t iters) {
   const double mbps =
       rt_ns > 0 ? static_cast<double>(t.frame_bytes) * 2 * 1e3 / rt_ns : 0;
   std::printf("  %-18s %5zu B   encode %8.1f ns   decode %8.1f ns   "
-              "%8.0f MB/s\n",
-              name, t.frame_bytes, t.encode_ns, t.decode_ns, mbps);
+              "shared %8.1f ns   %8.0f MB/s\n",
+              name, t.frame_bytes, t.encode_ns, t.decode_ns, t.shared_ns,
+              mbps);
 }
 
 }  // namespace

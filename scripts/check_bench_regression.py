@@ -15,6 +15,10 @@ Three metrics are gated (see docs/PERFORMANCE.md for the schema):
                     run-to-run spread is well under 1%, so the gate
                     catches any structure that grows per key or per event).
 
+Results are compared only like against like: the same schema version,
+thread count and transport mode (`wire`). BENCH_CORE.json gates threads=1,
+BENCH_PARALLEL.json threads=4, BENCH_WIRE.json `--wire` at threads=1.
+
 When the two runs share seed and virtual duration, the deterministic
 counters (events, commits, peak_versions_per_key, store_keys,
 epoch_barriers, cross_shard_posts) must match exactly —
@@ -64,6 +68,15 @@ def main():
                  f"fresh with threads={ft}; compare like against like "
                  f"(BENCH_CORE.json gates threads=1, BENCH_PARALLEL.json "
                  f"gates threads=4)")
+
+    # A --wire run encodes and decodes every message: its rates, allocations
+    # and RSS are a different population from a closure run's, exactly as a
+    # different thread count's are.
+    bw, fw = base.get("wire", False), fresh.get("wire", False)
+    if bw != fw:
+        sys.exit(f"wire-mode mismatch: baseline ran with wire={bw}, fresh "
+                 f"with wire={fw}; compare like against like "
+                 f"(BENCH_WIRE.json gates --wire runs)")
 
     def rate(name, lower_is_worse):
         b, f = base[name], fresh[name]

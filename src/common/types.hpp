@@ -57,7 +57,8 @@ using Value = std::string;
 /// Shared immutable payload handle. A write's value is heap-allocated once
 /// at the coordinator and then aliased by every message, version-chain entry
 /// and read result that carries it — in a real system these would all point
-/// at the same serialized buffer. Empty handle = "no payload".
+/// at the same serialized buffer. Decoded wire frames find it again by the
+/// write's identity (wire/payload_table.hpp). Empty handle = "no payload".
 using SharedValue = std::shared_ptr<const Value>;
 
 /// Lifecycle of a data item version (and of the transaction that wrote it).

@@ -1,7 +1,7 @@
 #include "protocol/cluster.hpp"
 
 #include <algorithm>
-
+#include <memory>
 #include <string>
 
 #include "common/assert.hpp"
@@ -28,6 +28,7 @@ Cluster::Cluster(Config config)
                                            &sharded_); }),
       master_rng_(config_.seed),
       storage_rng_(master_rng_.fork(0x57a6)),
+      payloads_(sharded_.num_workers() > 1),
       net_(sharded_, config_.topology, master_rng_.fork(0xfee7),
            config_.jitter_frac),
       pmap_(config_.num_nodes, config_.partitions_per_node,
@@ -233,10 +234,11 @@ void Cluster::load(Key key, Value value) {
   // (node = kInvalidNode), so WAL replay re-installs seeds without a
   // decision lookup and the duplicate-install guard keeps them apart.
   const TxId seed_tx{kInvalidNode, ++seed_seq_};
+  const SharedValue payload = std::make_shared<const Value>(std::move(value));
   for (NodeId n : pmap_.replicas(pid)) {
     PartitionActor* actor = node(n).replica(pid);
     STR_ASSERT(actor != nullptr);
-    actor->load(key, value, seed_tx);
+    actor->load(key, payload, seed_tx);
   }
 }
 
@@ -400,6 +402,7 @@ void Cluster::schedule_maintenance() {
   // cluster — a global task, with all shards parked at the tick time.
   sharded_.schedule_global(now() + config_.protocol.gc_interval, [this]() {
     advance_watermark();
+    if (wire_mode()) payloads_.sweep();
     for (auto& n : nodes_) {
       // maintain() prunes stores and may log; give it the node's context.
       sim::ShardedScheduler::ShardGuard guard(shard_of(n->id()));

@@ -32,6 +32,7 @@
 #include "storage/wal.hpp"
 #include "verify/history.hpp"
 #include "wire/messages.hpp"
+#include "wire/payload_table.hpp"
 
 namespace str::sim {
 class RealtimeDriver;
@@ -116,6 +117,10 @@ class Cluster {
   /// True when messages travel as encoded frames (Config::wire_codec).
   bool wire_mode() const { return config_.wire_codec; }
 
+  /// Write payloads by identity, so a decoded value aliases the payload
+  /// its write already has (wire mode only; wire/payload_table.hpp).
+  wire::PayloadTable& payloads() { return payloads_; }
+
   /// Per-message-type traffic accounting ("wire.msgs.<type>" and
   /// "wire.bytes.<type>" in the cluster registry). Called by wire::post on
   /// every send, in both transport modes. Types whose counters were never
@@ -165,6 +170,7 @@ class Cluster {
   verify::HistorySink* history() { return history_; }
 
   /// Load one key into every replica of its partition (committed, ts 0).
+  /// The replicas share one payload.
   void load(Key key, Value value);
 
   /// Advance virtual time by `duration`, executing all due events. The
@@ -317,6 +323,7 @@ class Cluster {
   /// by make_wal — per-node so parallel shards never contend on the sums.
   std::vector<storage::Wal::Counters> wal_counters_;
   std::mutex wire_mu_;  ///< guards wire counters when several workers run
+  wire::PayloadTable payloads_;  ///< swept by the maintenance tick
   obs::Registry cluster_obs_;  ///< before net_: the network caches handles
   obs::Tracer tracer_;
   net::Network net_;

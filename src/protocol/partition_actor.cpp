@@ -24,15 +24,16 @@ PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
                                  node.id(), node.obs());
 }
 
-void PartitionActor::load(Key key, Value value, const TxId& seed_tx) {
+void PartitionActor::load(Key key, const SharedValue& value,
+                          const TxId& seed_tx) {
   if (wal_ != nullptr) {
     storage::WalUpdates updates;
-    updates.emplace_back(key, std::make_shared<Value>(value));
+    updates.emplace_back(key, value);
     wire::Buffer frame;
     storage::encode_commit(frame, seed_tx, /*commit_ts=*/0, updates);
     wal_->append(frame);
   }
-  store_.load(key, std::move(value));
+  store_.load(key, value);
 }
 
 void PartitionActor::serve_local_read(

@@ -38,7 +38,8 @@ class PartitionActor {
   /// logged as a commit by the sentinel environment transaction `seed_tx`
   /// (node = kInvalidNode, unique seq) so that replay after a crash
   /// restores preloaded data — loads are durable like any other commit.
-  void load(Key key, Value value, const TxId& seed_tx);
+  /// The store and the seed record alias `value`.
+  void load(Key key, const SharedValue& value, const TxId& seed_tx);
 
   /// Serve a read for a transaction of this node. `deliver` runs
   /// immediately for committed hits and speculative hits (the coordinator

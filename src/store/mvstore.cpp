@@ -6,11 +6,11 @@
 
 namespace str::store {
 
-void PartitionStore::load(Key key, Value value) {
+void PartitionStore::load(Key key, SharedValue value) {
   KeyEntry& entry = table_[key];
   STR_ASSERT_MSG(entry.versions.empty(), "load on an already-populated key");
-  entry.versions.push_back(Version{0, VersionState::Committed, kNoTx,
-                                   std::make_shared<Value>(std::move(value))});
+  entry.versions.push_back(
+      Version{0, VersionState::Committed, kNoTx, std::move(value)});
   peak_chain_ = std::max<std::uint64_t>(peak_chain_, 1);
 }
 

@@ -71,7 +71,11 @@ struct StoreStats {
 class PartitionStore {
  public:
   /// Insert initial data as a committed version at timestamp 0.
-  void load(Key key, Value value);
+  void load(Key key, SharedValue value);
+  /// load() with a payload of its own.
+  void load(Key key, Value value) {
+    load(key, std::make_shared<const Value>(std::move(value)));
+  }
 
   /// Snapshot read at `rs`. Updates LastReader as a side effect (Alg. 2 l.6).
   StoreReadResult read(Key key, Timestamp rs);

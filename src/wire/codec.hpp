@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace str::wire {
@@ -161,17 +162,27 @@ class Reader {
 
   std::int64_t zigzag() { return zigzag_decode(varint()); }
 
-  /// varint length prefix + raw bytes; rejects lengths past the buffer end
-  /// BEFORE allocating, so a corrupted length can never trigger a huge
-  /// reservation or an out-of-bounds copy.
-  bool str(std::string& out) {
+  /// varint length prefix + raw bytes, as a view into the input (valid as
+  /// long as the input is); rejects lengths past the buffer end, so a
+  /// corrupted length can never reach outside it.
+  bool view(std::string_view& out) {
     const std::uint64_t len = varint();
     if (!ok_ || len > remaining()) {
       fail_u8();
       return false;
     }
-    out.assign(reinterpret_cast<const char*>(p_), static_cast<std::size_t>(len));
+    out = std::string_view(reinterpret_cast<const char*>(p_),
+                           static_cast<std::size_t>(len));
     p_ += len;
+    return true;
+  }
+
+  /// view() copied into `out`: the length is checked BEFORE allocating, so
+  /// a corrupted length can never trigger a huge reservation.
+  bool str(std::string& out) {
+    std::string_view v;
+    if (!view(v)) return false;
+    out.assign(v);
     return true;
   }
 

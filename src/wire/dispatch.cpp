@@ -39,6 +39,17 @@ void trace_delivery(Cluster& cl, NodeId to, const M& m) {
                     static_cast<std::uint64_t>(type_tag<M>()), m.partition});
 }
 
+/// Record a prepare's or replicate's write payloads in the cluster's table:
+/// the receivers' decode resolves their copies of (tx, key) back to these
+/// (wire/payload_table.hpp).
+void record_payloads(Cluster& cl, const TxId& tx,
+                     const protocol::SharedUpdates& updates) {
+  if (updates == nullptr) return;
+  for (const auto& [key, value] : *updates) {
+    if (value != nullptr) cl.payloads().record(tx, key, value);
+  }
+}
+
 }  // namespace
 
 void deliver(Cluster& cl, NodeId to, const protocol::ReadRequest& m) {
@@ -98,7 +109,7 @@ void deliver(Cluster& cl, NodeId to, const protocol::DecisionReplicateAck& m) {
 DecodeStatus dispatch_frame(Cluster& cl, NodeId to, const std::uint8_t* data,
                             std::size_t size) {
   AnyMessage msg;
-  const DecodeStatus st = decode_frame(data, size, msg);
+  const DecodeStatus st = decode_frame(data, size, msg, cl.payloads());
   if (st != DecodeStatus::kOk) return st;
   std::visit(
       [&](const auto& m) {
@@ -116,6 +127,9 @@ void post(Cluster& cl, NodeId from, NodeId to, M msg) {
   const std::size_t size = frame_size(msg);
   cl.count_wire_message(type_tag<M>(), size);
   if (cl.wire_mode()) {
+    if constexpr (requires { msg.updates; }) {
+      record_payloads(cl, msg.tx, msg.updates);
+    }
     cl.network().send_frame(from, to, encode_frame(msg));
     return;
   }

@@ -5,15 +5,18 @@
 //  * `post(cluster, from, to, msg)` — the one way the protocol layer sends
 //    a message. In wire mode (`Cluster::Config::wire_codec`) the message is
 //    encoded into a checksummed frame and shipped as bytes through
-//    `Network::send_frame`, then decoded and routed at the destination. In
+//    `Network::send_frame`, then decoded and routed at the destination;
+//    prepare and replicate sends first record their write payloads in the
+//    cluster's PayloadTable, which the receivers' decode resolves to. In
 //    the default closure mode it travels as a closure whose byte accounting
 //    uses the exact frame size — so both modes report identical traffic and
 //    stay on the same RNG draw sequence.
 //
 //  * `dispatch_frame(cluster, to, data, size)` — decode one received frame
-//    and route it to the owning handler on node `to` (the routing table is
-//    the `deliver` overload set below). Installed as the Network's
-//    FrameHandler by the Cluster when wire mode is on.
+//    through the cluster's PayloadTable and route it to the owning handler
+//    on node `to` (the routing table is the `deliver` overload set below).
+//    Installed as the Network's FrameHandler by the Cluster when wire mode
+//    is on.
 //
 // Correlation is carried in the messages themselves (ReadRequest::req_id,
 // TxId + partition for votes and decisions), not in captured continuations,

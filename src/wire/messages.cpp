@@ -1,6 +1,7 @@
 #include "wire/messages.hpp"
 
 #include <limits>
+#include <string_view>
 #include <utility>
 
 namespace str::wire {
@@ -48,17 +49,11 @@ void put_value(Writer& w, const SharedValue& v) {
   if (v) w.str(*v);
 }
 
-bool get_value(Reader& r, SharedValue& out) {
-  bool present = false;
+/// An optional value as a view into the frame: `present` is false for an
+/// absent one. Resolving the bytes to a payload is the caller's step.
+bool get_value_view(Reader& r, bool& present, std::string_view& bytes) {
   if (!get_bool(r, present)) return false;
-  if (!present) {
-    out.reset();
-    return true;
-  }
-  auto v = std::make_shared<Value>();
-  if (!r.str(*v)) return false;
-  out = std::move(v);
-  return true;
+  return !present || r.view(bytes);
 }
 
 std::size_t value_size(const SharedValue& v) {
@@ -76,7 +71,10 @@ void put_updates(Writer& w, const protocol::SharedUpdates& ups) {
   }
 }
 
-bool get_updates(Reader& r, protocol::SharedUpdates& out) {
+/// An update list written by `tx`: each value resolves through `payloads`
+/// by (tx, key).
+bool get_updates(Reader& r, const TxId& tx, PayloadTable& payloads,
+                 protocol::SharedUpdates& out) {
   const std::uint64_t n = r.varint();
   // Each update needs at least 2 bytes (key varint + presence byte), so a
   // count beyond remaining()/2 is malformed — checked before reserving so a
@@ -85,10 +83,12 @@ bool get_updates(Reader& r, protocol::SharedUpdates& out) {
   auto list = std::make_shared<UpdateList>();
   list->reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    Key key = r.varint();
-    SharedValue value;
-    if (!r.ok() || !get_value(r, value)) return false;
-    list->emplace_back(key, std::move(value));
+    const Key key = r.varint();
+    bool present = false;
+    std::string_view bytes;
+    if (!r.ok() || !get_value_view(r, present, bytes)) return false;
+    list->emplace_back(key,
+                       present ? payloads.resolve(tx, key, bytes) : nullptr);
   }
   out = std::move(list);
   return true;
@@ -128,12 +128,16 @@ std::size_t tspan_size(std::uint64_t tspan) {
 
 template <class M>
 DecodeStatus decode_as(const std::uint8_t* body, std::size_t len,
-                       AnyMessage& out) {
+                       PayloadTable& payloads, AnyMessage& out) {
   Reader r(body, len);
   M m;
-  if (!decode_body(r, m) || !r.ok() || r.remaining() != 0) {
-    return DecodeStatus::kBadBody;
+  bool parsed = false;
+  if constexpr (requires { decode_body(r, m, payloads); }) {
+    parsed = decode_body(r, m, payloads);
+  } else {
+    parsed = decode_body(r, m);
   }
+  if (!parsed || !r.ok() || r.remaining() != 0) return DecodeStatus::kBadBody;
   out = std::move(m);
   return DecodeStatus::kOk;
 }
@@ -208,16 +212,21 @@ void encode_body(Writer& w, const protocol::ReadReply& m) {
   put_tspan(w, m.tspan);
 }
 
-bool decode_body(Reader& r, protocol::ReadReply& m) {
+bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads) {
   if (!get_txid(r, m.reader)) return false;
   m.req_id = r.varint();
   m.key = r.varint();
   if (!r.ok() || !get_bool(r, m.found)) return false;
-  if (!get_value(r, m.value)) return false;
+  // The write identity (writer) follows the value, so the value is parsed
+  // as a view and resolved once the rest of the body has been read.
+  bool present = false;
+  std::string_view bytes;
+  if (!get_value_view(r, present, bytes)) return false;
   if (!get_txid(r, m.writer)) return false;
   m.version_ts = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
+  if (!r.ok() || !get_tspan(r, m.tspan)) return false;
+  if (present) m.value = payloads.resolve(m.writer, m.key, bytes);
+  return true;
 }
 
 std::size_t body_size(const protocol::ReadReply& m) {
@@ -236,13 +245,14 @@ void encode_body(Writer& w, const protocol::PrepareRequest& m) {
   put_tspan(w, m.tspan);
 }
 
-bool decode_body(Reader& r, protocol::PrepareRequest& m) {
+bool decode_body(Reader& r, protocol::PrepareRequest& m,
+                 PayloadTable& payloads) {
   if (!get_txid(r, m.tx)) return false;
   if (!get_u32(r, m.coordinator)) return false;
   if (!get_u32(r, m.partition)) return false;
   m.rs = r.varint();
   if (!r.ok()) return false;
-  if (!get_updates(r, m.updates)) return false;
+  if (!get_updates(r, m.tx, payloads, m.updates)) return false;
   return get_tspan(r, m.tspan);
 }
 
@@ -289,13 +299,14 @@ void encode_body(Writer& w, const protocol::ReplicateRequest& m) {
   put_tspan(w, m.tspan);
 }
 
-bool decode_body(Reader& r, protocol::ReplicateRequest& m) {
+bool decode_body(Reader& r, protocol::ReplicateRequest& m,
+                 PayloadTable& payloads) {
   if (!get_txid(r, m.tx)) return false;
   if (!get_u32(r, m.coordinator)) return false;
   if (!get_u32(r, m.partition)) return false;
   m.rs = r.varint();
   if (!r.ok()) return false;
-  if (!get_updates(r, m.updates)) return false;
+  if (!get_updates(r, m.tx, payloads, m.updates)) return false;
   return get_tspan(r, m.tspan);
 }
 
@@ -451,7 +462,7 @@ std::size_t body_size(const protocol::DecisionReplicateAck& m) {
 // -- frame decode -------------------------------------------------------------
 
 DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
-                          AnyMessage& out) {
+                          AnyMessage& out, PayloadTable& payloads) {
   out = std::monostate{};
   if (size < kMinFrameSize) return DecodeStatus::kTooShort;
   Reader hdr(data, size);
@@ -469,29 +480,39 @@ DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
   const std::size_t body_len = covered - kFrameTypeBytes;
   switch (static_cast<MessageType>(type)) {
     case MessageType::kReadRequest:
-      return decode_as<protocol::ReadRequest>(body, body_len, out);
+      return decode_as<protocol::ReadRequest>(body, body_len, payloads, out);
     case MessageType::kReadReply:
-      return decode_as<protocol::ReadReply>(body, body_len, out);
+      return decode_as<protocol::ReadReply>(body, body_len, payloads, out);
     case MessageType::kPrepareRequest:
-      return decode_as<protocol::PrepareRequest>(body, body_len, out);
+      return decode_as<protocol::PrepareRequest>(body, body_len, payloads, out);
     case MessageType::kPrepareReply:
-      return decode_as<protocol::PrepareReply>(body, body_len, out);
+      return decode_as<protocol::PrepareReply>(body, body_len, payloads, out);
     case MessageType::kReplicateRequest:
-      return decode_as<protocol::ReplicateRequest>(body, body_len, out);
+      return decode_as<protocol::ReplicateRequest>(body, body_len, payloads,
+                                                   out);
     case MessageType::kCommit:
-      return decode_as<protocol::CommitMessage>(body, body_len, out);
+      return decode_as<protocol::CommitMessage>(body, body_len, payloads, out);
     case MessageType::kAbort:
-      return decode_as<protocol::AbortMessage>(body, body_len, out);
+      return decode_as<protocol::AbortMessage>(body, body_len, payloads, out);
     case MessageType::kDecisionRequest:
-      return decode_as<protocol::DecisionRequest>(body, body_len, out);
+      return decode_as<protocol::DecisionRequest>(body, body_len, payloads,
+                                                  out);
     case MessageType::kDecisionReply:
-      return decode_as<protocol::DecisionReply>(body, body_len, out);
+      return decode_as<protocol::DecisionReply>(body, body_len, payloads, out);
     case MessageType::kDecisionReplicate:
-      return decode_as<protocol::DecisionReplicate>(body, body_len, out);
+      return decode_as<protocol::DecisionReplicate>(body, body_len, payloads,
+                                                    out);
     case MessageType::kDecisionReplicateAck:
-      return decode_as<protocol::DecisionReplicateAck>(body, body_len, out);
+      return decode_as<protocol::DecisionReplicateAck>(body, body_len, payloads,
+                                                       out);
   }
   return DecodeStatus::kBadType;
+}
+
+DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
+                          AnyMessage& out) {
+  PayloadTable payloads;
+  return decode_frame(data, size, out, payloads);
 }
 
 }  // namespace str::wire

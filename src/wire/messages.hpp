@@ -4,10 +4,12 @@
 // protocol/messages.hpp. `encode_frame` seals a message into a
 // checksummed, length-prefixed frame (wire/codec.hpp); `decode_frame`
 // verifies and opens one, rejecting — never crashing on — truncated,
-// corrupted, or trailing-garbage input. `frame_size` predicts the exact
-// encoded size without building the buffer, which is what the closure-mode
-// transport feeds the network's byte accounting so that both transport
-// modes report identical traffic.
+// corrupted, or trailing-garbage input, and resolves every decoded value
+// through a PayloadTable (wire/payload_table.hpp) so that one write keeps
+// one payload. `frame_size` predicts the exact encoded size without
+// building the buffer, which is what the closure-mode transport feeds the
+// network's byte accounting so that both transport modes report identical
+// traffic.
 //
 // Versioning rules (see docs/WIRE.md "Versioning"): tags are append-only
 // and never reused; fields are encoded in declaration order and new fields
@@ -19,6 +21,7 @@
 
 #include "protocol/messages.hpp"
 #include "wire/codec.hpp"
+#include "wire/payload_table.hpp"
 
 namespace str::wire {
 
@@ -109,8 +112,9 @@ constexpr MessageType type_tag<protocol::DecisionReplicateAck>() {
 
 // -- per-type body codec ------------------------------------------------------
 // encode_body appends the message fields; decode_body parses them and
-// returns false on malformed input (bounds, enum ranges). body_size returns
-// exactly what encode_body would append.
+// returns false on malformed input (bounds, enum ranges). The three types
+// that carry values take the PayloadTable their values resolve through.
+// body_size returns exactly what encode_body would append.
 
 void encode_body(Writer& w, const protocol::ReadRequest& m);
 void encode_body(Writer& w, const protocol::ReadReply& m);
@@ -125,10 +129,12 @@ void encode_body(Writer& w, const protocol::DecisionReplicate& m);
 void encode_body(Writer& w, const protocol::DecisionReplicateAck& m);
 
 bool decode_body(Reader& r, protocol::ReadRequest& m);
-bool decode_body(Reader& r, protocol::ReadReply& m);
-bool decode_body(Reader& r, protocol::PrepareRequest& m);
+bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads);
+bool decode_body(Reader& r, protocol::PrepareRequest& m,
+                 PayloadTable& payloads);
 bool decode_body(Reader& r, protocol::PrepareReply& m);
-bool decode_body(Reader& r, protocol::ReplicateRequest& m);
+bool decode_body(Reader& r, protocol::ReplicateRequest& m,
+                 PayloadTable& payloads);
 bool decode_body(Reader& r, protocol::CommitMessage& m);
 bool decode_body(Reader& r, protocol::AbortMessage& m);
 bool decode_body(Reader& r, protocol::DecisionRequest& m);
@@ -182,9 +188,15 @@ using AnyMessage =
                  protocol::DecisionReply, protocol::DecisionReplicate,
                  protocol::DecisionReplicateAck>;
 
-/// Verify and open one datagram-framed message. On any status but kOk,
-/// `out` holds std::monostate. Never reads out of bounds and never throws —
-/// this is the function the fuzz smoke hammers (tests/wire).
+/// Verify and open one datagram-framed message, resolving its values
+/// through `payloads`. On any status but kOk, `out` holds std::monostate.
+/// Never reads out of bounds and never throws — this is the function the
+/// fuzz smoke hammers (tests/wire).
+DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
+                          AnyMessage& out, PayloadTable& payloads);
+
+/// One-off decode outside any cluster: the same path through a private,
+/// empty table, so every value is freshly allocated.
 DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
                           AnyMessage& out);
 

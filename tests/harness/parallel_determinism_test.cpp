@@ -11,7 +11,7 @@
 // demand a bit-identical FNV fingerprint over every begin/read/commit/abort
 // plus the curated behaviour counters.
 //
-// Five configurations, because parallel bugs hide in the machinery each
+// Six configurations, because parallel bugs hide in the machinery each
 // one uniquely exercises:
 //   clean    pure protocol traffic (mailbox merge order, per-shard RNG)
 //   chaos    drops + dups + a partition window + crash/restart (global
@@ -21,6 +21,9 @@
 //            events on the owner's shard scheduler)
 //   quorum   the decision-replication fan-out and the in-doubt registry,
 //            clean and with a permanent coordinator kill under chaos
+//   wire     the tpcc-durable path: every message a frame, decoded through
+//            the cluster's shared payload table (locked once several
+//            workers run), with WAL, the decision quorum and chaos
 
 #include <gtest/gtest.h>
 
@@ -51,7 +54,14 @@ class Fnv {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-enum class Variant { kClean, kChaos, kDurable, kQuorum, kQuorumChaos };
+enum class Variant {
+  kClean,
+  kChaos,
+  kDurable,
+  kQuorum,
+  kQuorumChaos,
+  kWireChaos,
+};
 
 struct RunResult {
   std::uint64_t fingerprint = 0;
@@ -90,7 +100,8 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
     cfg.faults.storage.torn_write_prob = 0.5;
     cfg.faults.add_crash(/*node=*/2, msec(1500), /*restart_at=*/sec(3));
   }
-  if (variant == Variant::kQuorum || variant == Variant::kQuorumChaos) {
+  if (variant == Variant::kQuorum || variant == Variant::kQuorumChaos ||
+      variant == Variant::kWireChaos) {
     // Quorum commit point: the DecisionReplicate fan-out and its acks run
     // on the shard lattice like every other message; the in-doubt registry
     // and census add cross-shard work that must stay worker-count
@@ -105,6 +116,18 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
     cfg.faults.link.heal_at = sec(3);
     cfg.faults.storage.torn_write_prob = 0.5;
     cfg.faults.add_crash(/*node=*/4, sec(1));  // permanent
+  }
+  if (variant == Variant::kWireChaos) {
+    // Frames carry every message, so payloads are recorded and resolved
+    // from every shard at once; corrupted frames die at the checksum, and
+    // the crash, WAL replay and census run beside the decoding.
+    cfg.wire_codec = true;
+    cfg.faults.link.drop_prob = 0.01;
+    cfg.faults.link.dup_prob = 0.01;
+    cfg.faults.link.corrupt_prob = 0.01;
+    cfg.faults.link.heal_at = sec(3);
+    cfg.faults.storage.torn_write_prob = 0.5;
+    cfg.faults.add_crash(/*node=*/4, sec(1), /*restart_at=*/msec(2500));
   }
 
   protocol::Cluster cluster(cfg);
@@ -169,6 +192,11 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
         "store.prepare_conflicts"}) {
     fnv.mix(merged.counter(name).value());
   }
+  if (variant == Variant::kWireChaos) {
+    // The chaos hit frames, and decoding went through the payload table.
+    EXPECT_GT(merged.counter("net.corrupted").value(), 0u);
+    EXPECT_GT(cluster.payloads().size(), 0u);
+  }
   // Every shard's queue, not scheduler() — that is one shard's slice.
   fnv.mix(cluster.sharded().executed());
   fnv.mix(cluster.now());
@@ -216,6 +244,10 @@ TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorum) {
 
 TEST(ParallelDeterminism, TwoAndFourWorkersAgreeWithQuorumChaos) {
   expect_worker_count_invariant(Variant::kQuorumChaos);
+}
+
+TEST(ParallelDeterminism, WorkerCountsAgreeOnWireFramesWithQuorumChaos) {
+  expect_worker_count_invariant(Variant::kWireChaos);
 }
 
 }  // namespace

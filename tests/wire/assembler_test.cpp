@@ -201,7 +201,8 @@ TEST(FrameAssembler, RealEncodedFramesSurviveChunkedReassembly) {
     ASSERT_TRUE(a.feed(frame.data() + split, frame.size() - split, sink));
     ASSERT_EQ(got.size(), 1u) << "split " << split;
     AnyMessage out;
-    EXPECT_EQ(decode_frame(got[0].data(), got[0].size(), out),
+    PayloadTable payloads;
+    EXPECT_EQ(decode_frame(got[0].data(), got[0].size(), out, payloads),
               DecodeStatus::kOk)
         << "split " << split;
   }

@@ -73,6 +73,7 @@ Buffer forge_frame(std::uint8_t tag, const Buffer& body) {
 }
 
 TEST(FuzzSmoke, RandomBuffersNeverDecodeAndNeverCrash) {
+  PayloadTable payloads;
   Rng rng(0xf022);
   bool saw_too_short = false;
   bool saw_bad_length = false;
@@ -80,7 +81,8 @@ TEST(FuzzSmoke, RandomBuffersNeverDecodeAndNeverCrash) {
     Buffer buf(rng.uniform(128), 0);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
     AnyMessage out;
-    const DecodeStatus s = decode_frame(buf.data(), buf.size(), out);
+    const DecodeStatus s =
+        decode_frame(buf.data(), buf.size(), out, payloads);
     // A random length prefix matches the buffer size with probability
     // 2^-32: with these fixed seeds, never.
     EXPECT_NE(s, DecodeStatus::kOk);
@@ -93,10 +95,12 @@ TEST(FuzzSmoke, RandomBuffersNeverDecodeAndNeverCrash) {
 }
 
 TEST(FuzzSmoke, EveryTruncationOfEveryTypeIsRejected) {
+  PayloadTable payloads;
   for (const Buffer& frame : sample_frames()) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
       AnyMessage out;
-      EXPECT_NE(decode_frame(frame.data(), len, out), DecodeStatus::kOk)
+      EXPECT_NE(decode_frame(frame.data(), len, out, payloads),
+                DecodeStatus::kOk)
           << "len " << len;
       EXPECT_TRUE(std::holds_alternative<std::monostate>(out));
     }
@@ -104,12 +108,13 @@ TEST(FuzzSmoke, EveryTruncationOfEveryTypeIsRejected) {
 }
 
 TEST(FuzzSmoke, EverySingleBitFlipOfEveryTypeIsRejected) {
+  PayloadTable payloads;
   for (Buffer frame : sample_frames()) {
     const Buffer pristine = frame;
     for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
       frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       AnyMessage out;
-      EXPECT_NE(decode_frame(frame.data(), frame.size(), out),
+      EXPECT_NE(decode_frame(frame.data(), frame.size(), out, payloads),
                 DecodeStatus::kOk)
           << "bit " << bit;
       frame = pristine;
@@ -118,6 +123,7 @@ TEST(FuzzSmoke, EverySingleBitFlipOfEveryTypeIsRejected) {
 }
 
 TEST(FuzzSmoke, RandomMutationsOfValidFramesNeverCrash) {
+  PayloadTable payloads;
   Rng rng(0xf023);
   const std::vector<Buffer> frames = sample_frames();
   for (int i = 0; i < 20000; ++i) {
@@ -128,22 +134,80 @@ TEST(FuzzSmoke, RandomMutationsOfValidFramesNeverCrash) {
       frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
     AnyMessage out;
-    decode_frame(frame.data(), frame.size(), out);  // must not crash
+    decode_frame(frame.data(), frame.size(), out, payloads);  // must not crash
   }
 }
 
+/// Every value a decoded message carries, in order ("-" for an absent one).
+std::vector<std::string> values_of(const AnyMessage& msg) {
+  std::vector<std::string> out;
+  const auto add = [&out](const SharedValue& v) {
+    out.push_back(v ? "+" + *v : "-");
+  };
+  if (const auto* rr = std::get_if<protocol::ReadReply>(&msg)) add(rr->value);
+  const protocol::SharedUpdates* ups = nullptr;
+  if (const auto* p = std::get_if<protocol::PrepareRequest>(&msg)) {
+    ups = &p->updates;
+  }
+  if (const auto* p = std::get_if<protocol::ReplicateRequest>(&msg)) {
+    ups = &p->updates;
+  }
+  if (ups != nullptr && *ups != nullptr) {
+    for (const auto& [key, value] : **ups) add(value);
+  }
+  return out;
+}
+
+TEST(FuzzSmoke, ResealedMutationsDecodeTheirOwnBytesThroughASharedTable) {
+  // Mutations re-sealed with a valid checksum reach the body parsers and
+  // the payload table. A flip inside a value gives a write identity other
+  // bytes than the payload the table holds for it, and a flip in a txid or
+  // key moves the value to another identity. Whatever the table holds, each
+  // message must carry exactly its own frame's values: the ones a private
+  // table decodes.
+  Rng rng(0xf026);
+  PayloadTable payloads;
+  std::vector<AnyMessage> recent(16);  // keeps recent payloads live
+  const std::vector<Buffer> frames = sample_frames();
+  int decoded = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Buffer& pristine = frames[rng.uniform(frames.size())];
+    const std::uint8_t tag = pristine[kFrameLenBytes];
+    Buffer body(pristine.begin() + kFrameLenBytes + kFrameTypeBytes,
+                pristine.end() - kFrameChecksumBytes);
+    const std::uint64_t flips = rng.uniform(3);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.uniform(body.size() * 8);
+      body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    const Buffer frame = forge_frame(tag, body);
+    AnyMessage shared;
+    AnyMessage own;
+    const DecodeStatus s =
+        decode_frame(frame.data(), frame.size(), shared, payloads);
+    ASSERT_EQ(s, decode_frame(frame.data(), frame.size(), own)) << i;
+    if (s != DecodeStatus::kOk) continue;
+    ++decoded;
+    ASSERT_EQ(values_of(shared), values_of(own)) << i;
+    recent[static_cast<std::size_t>(i) % recent.size()] = std::move(shared);
+  }
+  EXPECT_GT(decoded, 5000);
+}
+
 TEST(FuzzSmoke, UnknownTypeTagsAreBadType) {
+  PayloadTable payloads;
   for (std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{12},
                            std::uint8_t{200}, std::uint8_t{255}}) {
     const Buffer frame = forge_frame(tag, {});
     AnyMessage out;
-    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out),
+    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
               DecodeStatus::kBadType)
         << unsigned(tag);
   }
 }
 
 TEST(FuzzSmoke, TrailingBodyGarbageIsBadBody) {
+  PayloadTable payloads;
   // A valid AbortMessage body with one stray byte appended (and the frame
   // re-sealed so the checksum passes): the parser must demand full
   // consumption, or a peer could smuggle bytes past the format.
@@ -156,11 +220,12 @@ TEST(FuzzSmoke, TrailingBodyGarbageIsBadBody) {
   const Buffer frame =
       forge_frame(static_cast<std::uint8_t>(MessageType::kAbort), body);
   AnyMessage out;
-  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out),
+  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
             DecodeStatus::kBadBody);
 }
 
 TEST(FuzzSmoke, ForgedUpdateCountCannotTriggerHugeAllocation) {
+  PayloadTable payloads;
   // PrepareRequest whose update count claims 2^60 entries with an empty
   // tail. The decoder must reject on the count bound before reserving.
   Buffer body;
@@ -174,11 +239,12 @@ TEST(FuzzSmoke, ForgedUpdateCountCannotTriggerHugeAllocation) {
   const Buffer frame = forge_frame(
       static_cast<std::uint8_t>(MessageType::kPrepareRequest), body);
   AnyMessage out;
-  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out),
+  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
             DecodeStatus::kBadBody);
 }
 
 TEST(FuzzSmoke, OutOfRangeEnumsAreBadBody) {
+  PayloadTable payloads;
   // DecisionReply.decision has three legal values; 3+ is malformed.
   Buffer body;
   Writer w(body);
@@ -190,7 +256,7 @@ TEST(FuzzSmoke, OutOfRangeEnumsAreBadBody) {
   const Buffer frame = forge_frame(
       static_cast<std::uint8_t>(MessageType::kDecisionReply), body);
   AnyMessage out;
-  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out),
+  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
             DecodeStatus::kBadBody);
 
   // Bool fields are strict too: PrepareReply.prepared must be 0 or 1.
@@ -204,7 +270,7 @@ TEST(FuzzSmoke, OutOfRangeEnumsAreBadBody) {
   w2.varint(0);  // proposed_ts
   const Buffer frame2 = forge_frame(
       static_cast<std::uint8_t>(MessageType::kPrepareReply), body2);
-  EXPECT_EQ(decode_frame(frame2.data(), frame2.size(), out),
+  EXPECT_EQ(decode_frame(frame2.data(), frame2.size(), out, payloads),
             DecodeStatus::kBadBody);
 
   // DecisionReplicateAck.kind has three legal values; 3+ is malformed.
@@ -218,11 +284,12 @@ TEST(FuzzSmoke, OutOfRangeEnumsAreBadBody) {
   w3.varint(0);  // commit_ts
   const Buffer frame3 = forge_frame(
       static_cast<std::uint8_t>(MessageType::kDecisionReplicateAck), body3);
-  EXPECT_EQ(decode_frame(frame3.data(), frame3.size(), out),
+  EXPECT_EQ(decode_frame(frame3.data(), frame3.size(), out, payloads),
             DecodeStatus::kBadBody);
 }
 
 TEST(FuzzSmoke, AssemblerRandomChunkingsEmitOnlyDecodableFrames) {
+  PayloadTable payloads;
   // The transport's receive path is FrameAssembler → decode_frame. Any
   // chunking of a valid stream (the kernel is free to split or coalesce
   // reads arbitrarily) must emit frames the decoder accepts, in order.
@@ -245,7 +312,7 @@ TEST(FuzzSmoke, AssemblerRandomChunkingsEmitOnlyDecodableFrames) {
           [&](const std::uint8_t* f, std::size_t sz) {
             EXPECT_EQ(Buffer(f, f + sz), frames[emitted % frames.size()]);
             AnyMessage out;
-            EXPECT_EQ(decode_frame(f, sz, out), DecodeStatus::kOk);
+            EXPECT_EQ(decode_frame(f, sz, out, payloads), DecodeStatus::kOk);
             ++emitted;
           }));
       pos += chunk;
@@ -256,6 +323,7 @@ TEST(FuzzSmoke, AssemblerRandomChunkingsEmitOnlyDecodableFrames) {
 }
 
 TEST(FuzzSmoke, AssemblerRandomGarbageStreamsNeverCrash) {
+  PayloadTable payloads;
   // Adversarial byte streams through the assembler: it may emit frames
   // (decode_frame then rejects them) or latch its error, but must never
   // read out of bounds or emit a frame whose bytes it was not fed.
@@ -267,9 +335,9 @@ TEST(FuzzSmoke, AssemblerRandomGarbageStreamsNeverCrash) {
       Buffer buf(1 + rng.uniform(256), 0);
       for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
       ok = a.feed(buf.data(), buf.size(),
-                  [](const std::uint8_t* f, std::size_t sz) {
+                  [&](const std::uint8_t* f, std::size_t sz) {
                     AnyMessage out;
-                    decode_frame(f, sz, out);  // must not crash
+                    decode_frame(f, sz, out, payloads);  // must not crash
                   });
     }
     EXPECT_EQ(ok, !a.error());
@@ -277,6 +345,7 @@ TEST(FuzzSmoke, AssemblerRandomGarbageStreamsNeverCrash) {
 }
 
 TEST(FuzzSmoke, NonCanonicalTxIdNodeIsRejected) {
+  PayloadTable payloads;
   // tx.node rides a u64 varint but the field is 32-bit: a value past
   // UINT32_MAX must be malformed, not silently truncated.
   Buffer body;
@@ -287,7 +356,7 @@ TEST(FuzzSmoke, NonCanonicalTxIdNodeIsRejected) {
   const Buffer frame =
       forge_frame(static_cast<std::uint8_t>(MessageType::kAbort), body);
   AnyMessage out;
-  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out),
+  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
             DecodeStatus::kBadBody);
 }
 

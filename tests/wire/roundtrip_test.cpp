@@ -182,12 +182,14 @@ void expect_equal(const protocol::DecisionReplicateAck& a,
 template <class M>
 void roundtrip_many(std::uint64_t seed, M (*make)(Rng&)) {
   Rng rng(seed);
+  PayloadTable payloads;
   for (int i = 0; i < kItersPerType; ++i) {
     const M in = make(rng);
     const Buffer frame = encode_frame(in);
     ASSERT_EQ(frame.size(), frame_size(in)) << "iter " << i;
     AnyMessage out;
-    ASSERT_EQ(decode_frame(frame.data(), frame.size(), out), DecodeStatus::kOk)
+    ASSERT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
+              DecodeStatus::kOk)
         << "iter " << i;
     ASSERT_TRUE(std::holds_alternative<M>(out)) << "iter " << i;
     expect_equal(std::get<M>(out), in);
@@ -347,7 +349,8 @@ TEST(RoundTrip, TraceContextLayoutIsPinned) {
   bad.push_back(static_cast<std::uint8_t>(bad_ck >> 16));
   bad.push_back(static_cast<std::uint8_t>(bad_ck >> 24));
   AnyMessage out;
-  EXPECT_EQ(decode_frame(bad.data(), bad.size(), out),
+  PayloadTable payloads;
+  EXPECT_EQ(decode_frame(bad.data(), bad.size(), out, payloads),
             DecodeStatus::kBadBody);
 }
 
