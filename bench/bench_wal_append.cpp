@@ -1,28 +1,35 @@
 // WAL append/replay microbenchmark: per-record cost of the durability path.
 //
-// Measures three things over an in-memory SimMedium (synchronous sync, so
+// Measures five things over an in-memory SimMedium (synchronous sync, so
 // the numbers isolate CPU cost — encode, frame, checksum, batch bookkeeping
 // — from the modeled fsync latency the DES charges):
 //
-//   append  — encode_commit + Wal::append, swept over group-commit batch
-//             sizes. Batch 1 syncs every record; larger batches amortize
-//             the flush bookkeeping exactly as a real group commit
-//             amortizes the fsync.
-//   replay  — checksum-scan + decode of the log just written (the restart
-//             path), reported as records/s and MB/s.
-//   scan    — durable_prefix() validation alone (crash-time fate checks).
-//   quorum  — encode_decision + the ReplicatedDecisionLog ack barrier in
-//             the zero-latency limit (members ack inside the send hook), so
-//             the number isolates the tracking/bookkeeping cost the quorum
-//             commit point adds per decision, swept over quorum sizes.
+//   append     — encode_commit + Wal::append, swept over group-commit
+//                batch sizes. Batch 1 syncs every record; larger batches
+//                amortize the flush bookkeeping exactly as a real group
+//                commit amortizes the fsync.
+//   quorum     — encode_decision + the ReplicatedDecisionLog ack barrier in
+//                the zero-latency limit (members ack inside the send hook),
+//                so the number isolates the tracking/bookkeeping cost the
+//                quorum commit point adds per decision, swept over quorum
+//                sizes.
+//   scan       — durable_prefix() validation alone (crash-time fate checks).
+//   replay     — checksum-scan + decode of the log just written (the
+//                restart path), reported as records/s and MB/s.
+//   checkpoint — encode_checkpoint + scan of one image the size of a
+//                tpcc-durable checkpoint (kCheckpointVersions versions of
+//                kCheckpointValueBytes-byte values), one image per 1000
+//                records; a checkpoint checksums its whole image.
 //
-// Numbers are wall-clock and machine-dependent: no committed baseline, not
-// gated (the deterministic-counter gate for the durability path lives in
-// bench_core_speed / BENCH_CORE.json). This bench exists so codec or
-// batching changes can be measured (docs/DURABILITY.md, docs/PERFORMANCE.md).
+// Numbers are wall-clock and machine-dependent. `--out FILE` writes them as
+// JSON (bench "wal_append"); BENCH_WAL.json is the committed full-size
+// baseline and CI gates each row's records/s against it, and its log bytes
+// exactly (scripts/check_bench_regression.py, docs/PERFORMANCE.md).
 //
 // Usage: bench_wal_append [--quick] [--records N] [--value-bytes B]
+//                         [--out FILE]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 #include "storage/decision_log.hpp"
@@ -41,6 +49,11 @@ using namespace str;  // NOLINT
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// A tpcc-durable checkpoint image: about this many versions of about this
+/// many value bytes (145-340 KB per image).
+constexpr std::uint64_t kCheckpointVersions = 1000;
+constexpr std::size_t kCheckpointValueBytes = 280;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -136,17 +149,83 @@ RunResult quorum_run(std::uint32_t quorum, std::uint64_t records) {
   return r;
 }
 
-void report(const char* name, std::uint64_t count, const RunResult& r) {
-  const double mrps = r.seconds > 0
-                          ? static_cast<double>(count) / r.seconds / 1e6
-                          : 0;
-  const double mbps = r.seconds > 0
-                          ? static_cast<double>(r.bytes) / r.seconds / 1e6
-                          : 0;
-  std::printf("  %-22s %9.2f M records/s   %8.0f MB/s   (%llu records, "
+RunResult checkpoint_run(std::uint64_t images) {
+  std::vector<storage::CheckpointVersion> snapshot;
+  snapshot.reserve(kCheckpointVersions);
+  for (std::uint64_t i = 0; i < kCheckpointVersions; ++i) {
+    snapshot.push_back(
+        {0x1000 + i * 7, i, VersionState::Committed, TxId{0, i},
+         std::make_shared<Value>(std::string(kCheckpointValueBytes, 'v'))});
+  }
+  RunResult r;
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < images; ++i) {
+    wire::Buffer image;
+    storage::encode_checkpoint(image, /*watermark=*/i, snapshot);
+    const storage::WalScanResult scan = storage::scan_wal(image, nullptr);
+    if (scan.records != 1 || scan.torn) {
+      std::fprintf(stderr, "FATAL: checkpoint image failed its scan\n");
+      std::exit(1);
+    }
+    r.bytes += image.size();
+  }
+  r.seconds = seconds_since(start);
+  return r;
+}
+
+struct Row {
+  std::string name;
+  std::uint64_t records = 0;
+  RunResult result;
+
+  double records_per_sec() const {
+    return result.seconds > 0 ? static_cast<double>(records) / result.seconds
+                              : 0;
+  }
+  double mb_per_sec() const {
+    return result.seconds > 0
+               ? static_cast<double>(result.bytes) / result.seconds / 1e6
+               : 0;
+  }
+};
+
+void report(std::vector<Row>& rows, std::string name, std::uint64_t count,
+            const RunResult& r) {
+  const Row& row = rows.emplace_back(Row{std::move(name), count, r});
+  std::printf("  %-24s %11.0f records/s   %8.0f MB/s   (%llu records, "
               "%.3fs)\n",
-              name, mrps, mbps, static_cast<unsigned long long>(count),
-              r.seconds);
+              row.name.c_str(), row.records_per_sec(), row.mb_per_sec(),
+              static_cast<unsigned long long>(count), r.seconds);
+}
+
+bool write_json(const char* path, std::uint64_t records,
+                std::size_t value_bytes, const std::vector<Row>& rows) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return false;
+  }
+  std::fprintf(f,
+               "{\n"
+               "  \"bench\": \"wal_append\",\n"
+               "  \"records\": %llu,\n"
+               "  \"value_bytes\": %zu,\n"
+               "  \"rows\": [\n",
+               static_cast<unsigned long long>(records), value_bytes);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"records\": %llu, "
+                 "\"records_per_sec\": %.1f, \"mb_per_sec\": %.1f, "
+                 "\"log_bytes\": %llu}%s\n",
+                 row.name.c_str(),
+                 static_cast<unsigned long long>(row.records),
+                 row.records_per_sec(), row.mb_per_sec(),
+                 static_cast<unsigned long long>(row.result.bytes),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  return std::fclose(f) == 0;
 }
 
 }  // namespace
@@ -154,6 +233,7 @@ void report(const char* name, std::uint64_t count, const RunResult& r) {
 int main(int argc, char** argv) {
   std::uint64_t records = 2'000'000;
   std::size_t value_bytes = 64;
+  const char* out = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       records = 100'000;
@@ -161,9 +241,12 @@ int main(int argc, char** argv) {
       records = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--value-bytes") == 0 && i + 1 < argc) {
       value_bytes = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--records N] [--value-bytes B]\n",
+                   "usage: %s [--quick] [--records N] [--value-bytes B] "
+                   "[--out FILE]\n",
                    argv[0]);
       return 1;
     }
@@ -171,19 +254,18 @@ int main(int argc, char** argv) {
 
   std::printf("=== WAL append/replay (%llu records, %zu-byte values) ===\n",
               static_cast<unsigned long long>(records), value_bytes);
+  std::vector<Row> rows;
 
   for (std::uint32_t batch : {1u, 8u, 64u}) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "append (batch %u)", batch);
-    report(name, records, append_run(batch, records, value_bytes));
+    report(rows, "append (batch " + std::to_string(batch) + ")", records,
+           append_run(batch, records, value_bytes));
   }
 
   // Quorum 1 is the pre-quorum decision append (barrier completes on local
   // durability); 2 and 3 add member-ack tracking over a group of three.
   for (std::uint32_t quorum : {1u, 2u, 3u}) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "decision (quorum %u)", quorum);
-    report(name, records, quorum_run(quorum, records));
+    report(rows, "decision (quorum " + std::to_string(quorum) + ")", records,
+           quorum_run(quorum, records));
   }
 
   // Build one log, then time the two read-side paths over it.
@@ -203,7 +285,7 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     const std::uint64_t prefix = wal.durable_prefix();
     RunResult r{prefix, seconds_since(start)};
-    report("scan (durable_prefix)", records, r);
+    report(rows, "scan (durable_prefix)", records, r);
   }
   {
     std::uint64_t visited = 0;
@@ -211,7 +293,7 @@ int main(int argc, char** argv) {
     const storage::WalScanResult scan =
         wal.replay([&visited](const storage::WalRecord&) { ++visited; });
     RunResult r{scan.valid_bytes, seconds_since(start)};
-    report("replay (decode)", visited, r);
+    report(rows, "replay (decode)", visited, r);
     if (visited != records || scan.torn) {
       std::fprintf(stderr, "FATAL: replay visited %llu of %llu (torn=%d)\n",
                    static_cast<unsigned long long>(visited),
@@ -219,5 +301,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+
+  const std::uint64_t images = std::max<std::uint64_t>(1, records / 1000);
+  report(rows, "checkpoint (encode+scan)", images, checkpoint_run(images));
+
+  if (out != nullptr && !write_json(out, records, value_bytes, rows)) return 1;
   return 0;
 }

@@ -13,8 +13,13 @@
 // every value is allocated and recorded. "shared" is every later receiver:
 // a kept decode holds the payloads live, so values resolve to them.
 //
+// A second table gives the frame checksum's throughput on its own, at a
+// small frame, a page and a checkpoint-sized image: checksum32 (the kernel
+// the process selected) beside crc32c_portable (the table kernel).
+//
 // Usage: bench_wire_codec [--quick] [--iters N]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -100,6 +105,26 @@ void report(const char* name, const M& msg, std::uint64_t iters) {
               mbps);
 }
 
+using ChecksumFn = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+
+/// MB/s of `fn` over one `size`-byte buffer, checksummed repeatedly until
+/// `total_bytes` have passed through it.
+double checksum_mbps(ChecksumFn fn, std::size_t size,
+                     std::uint64_t total_bytes) {
+  using Clock = std::chrono::steady_clock;
+  wire::Buffer buf(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::uint64_t reps = std::max<std::uint64_t>(1, total_bytes / size);
+  std::uint32_t sink = 0;
+  const auto start = Clock::now();
+  for (std::uint64_t i = 0; i < reps; ++i) sink ^= fn(buf.data(), size);
+  const double s = std::chrono::duration<double>(Clock::now() - start).count();
+  if (sink == 0xdeadbeef) std::puts("");  // keep `sink` observable
+  return s > 0 ? static_cast<double>(reps * size) / s / 1e6 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -150,5 +175,18 @@ int main(int argc, char** argv) {
   report("abort", abort_msg, iters);
   report("decision_request", dec_req, iters);
   report("decision_reply", dec_reply, iters);
+
+  // iters * 256 bytes per kernel and size: 512 MB at the default count.
+  const std::uint64_t checksum_bytes = iters * 256;
+  std::printf("=== frame checksum, CRC-32C (%llu MB per cell) ===\n",
+              static_cast<unsigned long long>(checksum_bytes / 1'000'000));
+  std::printf("  %-8s %15s %20s\n", "size", "checksum32", "crc32c_portable");
+  const std::pair<const char*, std::size_t> sizes[] = {
+      {"64 B", 64}, {"4 KiB", 4096}, {"256 KiB", 256 * 1024}};
+  for (const auto& [label, size] : sizes) {
+    std::printf("  %-8s %10.0f MB/s %15.0f MB/s\n", label,
+                checksum_mbps(wire::checksum32, size, checksum_bytes),
+                checksum_mbps(wire::crc32c_portable, size, checksum_bytes));
+  }
   return 0;
 }

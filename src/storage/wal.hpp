@@ -2,7 +2,7 @@
 //
 // Records are framed exactly like wire frames (wire/codec.hpp):
 //
-//   [u32le rest_len][u8 record type][body][u32le FNV-1a32(type + body)]
+//   [u32le rest_len][u8 record type][body][u32le CRC-32C(type + body)]
 //
 // so the log is self-delimiting on a byte stream and a torn or bit-flipped
 // tail is detected by the checksum scan, not trusted from the length

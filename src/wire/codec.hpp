@@ -16,8 +16,8 @@
 // Frame layout (all multi-byte fields little-endian):
 //
 //   +----------------+------+----------------+-------------------+
-//   | u32 rest_len   | type | body ...       | u32 FNV-1a(type + |
-//   | (type..cksum)  | (u8) | (per-type)     |      body)        |
+//   | u32 rest_len   | type | body ...       | u32 CRC-32C(type  |
+//   | (type..cksum)  | (u8) | (per-type)     |      + body)      |
 //   +----------------+------+----------------+-------------------+
 //
 // The length prefix makes the format self-delimiting on a byte stream; the
@@ -63,17 +63,16 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// FNV-1a over a byte range, folded to 32 bits. Cheap, deterministic, and
-/// sensitive to single-bit flips — exactly what a per-frame integrity check
-/// needs in a deterministic simulator (a real backend would use CRC32C).
-inline std::uint32_t checksum32(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
+/// CRC-32C (Castagnoli) of a byte range: the frame and WAL-record
+/// checksum. It detects every error burst of up to 32 bits, so any
+/// single-bit flip and any run of flips within 32 bits. Runs the SSE4.2
+/// `crc32` instruction where the CPU has it, else crc32c_portable; the
+/// kernel is picked once per process (wire/checksum.cpp).
+std::uint32_t checksum32(const std::uint8_t* data, std::size_t size);
+
+/// The table-driven (slicing-by-8) CRC-32C every host can run: the
+/// fallback kernel, and the reference the tests hold checksum32 to.
+std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size);
 
 /// Append-only encoder over a caller-owned Buffer.
 class Writer {

@@ -113,7 +113,7 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
 TEST(WalCodec, RecordLayoutIsPinned) {
   // The on-disk format: a consistent change on both the encode and the
   // decode side would still round-trip, so pin the bytes themselves.
-  // Every frame is [u32le rest_len][u8 type][body][u32le FNV-1a32], and a
+  // Every frame is [u32le rest_len][u8 type][body][u32le CRC-32C], and a
   // fresh buffer holds exactly its one frame.
   std::vector<std::pair<wire::Buffer, wire::Buffer>> cases;
   wire::Buffer b;
@@ -127,7 +127,7 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x02,                    // two updates
       0x07, 0x01, 0x01, 0x61,  // key 7, present, len 1, "a"
       0x09, 0x00,              // key 9, no payload
-      0x1f, 0x5b, 0x14, 0x76,  // checksum
+      0xa9, 0x1e, 0xb9, 0xf8,  // checksum
   });
   b = {};
   encode_commit(b, TxId{2, 11}, /*commit_ts=*/130, {{7, val("a")}});
@@ -137,7 +137,7 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x02, 0x0b,              // tx
       0x82, 0x01,              // commit_ts = 130
       0x01, 0x07, 0x01, 0x01, 0x61,  // one update: key 7, "a"
-      0x64, 0x72, 0x6e, 0xae,  // checksum
+      0x71, 0xd9, 0x74, 0xca,  // checksum
   });
   b = {};
   encode_abort(b, TxId{3, 5});
@@ -145,7 +145,7 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x07, 0x00, 0x00, 0x00,  // rest_len = 1 + 2 + 4
       0x03,                    // kAbort
       0x03, 0x05,              // tx
-      0x4a, 0x7a, 0x07, 0x91,  // checksum
+      0x8c, 0xdf, 0x5c, 0x8b,  // checksum
   });
   b = {};
   encode_decision(b, TxId{2, 11}, /*commit_ts=*/130, /*at=*/140);
@@ -154,7 +154,7 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x04,                    // kDecision
       0x02, 0x0b,              // tx
       0x82, 0x01, 0x8c, 0x01,  // commit_ts = 130, at = 140
-      0x73, 0xb2, 0x9f, 0xfc,  // checksum
+      0x44, 0x17, 0xb6, 0xda,  // checksum
   });
   b = {};
   std::vector<CheckpointVersion> snap;
@@ -168,7 +168,7 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x07, 0x32, 0x02, 0x01, 0x01, 0x01, 0x01, 0x78,  // key, ts, Committed,
                                                        // writer, "x"
       0x08, 0x3c, 0x00, 0x04, 0x02, 0x00,  // PreCommitted, no payload
-      0xa9, 0xc8, 0xb5, 0xfe,  // checksum
+      0x4e, 0x37, 0xc6, 0x12,  // checksum
   });
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& [got, want] = cases[i];

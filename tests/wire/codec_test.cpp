@@ -1,12 +1,19 @@
-// Wire-codec primitives: varint/zigzag mappings, checksum sensitivity, and
-// the bounds-latched Reader that must never read past untrusted input.
+// Wire-codec primitives: varint/zigzag mappings, the CRC-32C checksum
+// (known answers, kernel agreement, burst detection through decode_frame),
+// and the bounds-latched Reader that must never read past untrusted input.
 #include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "wire/messages.hpp"
 
 namespace str::wire {
 namespace {
@@ -113,6 +120,104 @@ TEST(Codec, ChecksumIsSensitiveToEverySingleBitFlip) {
   }
   EXPECT_EQ(checksum32(data, sizeof data), base);  // restored
   EXPECT_NE(checksum32(data, sizeof data - 1), base);  // length matters
+}
+
+TEST(Codec, ChecksumIsCrc32cOnKnownAnswers) {
+  // "123456789" is the catalogue check value; the rest are the CRC-32C
+  // vectors of RFC 3720 (iSCSI), section B.4.
+  std::vector<std::pair<std::vector<std::uint8_t>, std::uint32_t>> cases;
+  const std::string check = "123456789";
+  cases.emplace_back(std::vector<std::uint8_t>(check.begin(), check.end()),
+                     0xE3069283u);
+  cases.emplace_back(std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu);
+  cases.emplace_back(std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  std::vector<std::uint8_t> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  cases.emplace_back(ascending, 0x46DD794Eu);
+  cases.emplace_back(descending, 0x113FDB5Cu);
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(checksum32(bytes.data(), bytes.size()), want);
+    EXPECT_EQ(crc32c_portable(bytes.data(), bytes.size()), want);
+  }
+  EXPECT_EQ(checksum32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32c_portable(nullptr, 0), 0u);
+}
+
+TEST(Codec, ChecksumKernelsAgreeOnEveryLengthAndAlignment) {
+  // checksum32 runs the hardware kernel where the CPU has one; it must
+  // equal the portable kernel on every length (so every tail size after
+  // the 8-byte steps) and every start alignment.
+  Rng rng(0xc3c3);
+  std::vector<std::uint8_t> buf(300 * 1024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(checksum32(p, len), crc32c_portable(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(checksum32(buf.data(), buf.size()),
+            crc32c_portable(buf.data(), buf.size()));
+}
+
+TEST(Codec, FrameChecksumCatchesEveryBurstUpTo32Bits) {
+  // A CRC of degree 32 detects every error burst of length <= 32: any
+  // pattern whose first and last flipped bits lie at most 31 bits apart.
+  // Bits are numbered LSB-first within each byte, the order the reflected
+  // CRC consumes them, so consecutive numbers are adjacent in the code.
+  protocol::ReadReply reply;
+  reply.reader = TxId{3, 7};
+  reply.req_id = 1;
+  reply.key = 2;
+  reply.found = true;
+  reply.writer = TxId{5, 9};
+  reply.version_ts = 4;
+  constexpr std::size_t kBody = 256;
+  for (std::size_t n = 0; body_size(reply) < kBody; ++n) {
+    reply.value = std::make_shared<Value>(std::string(n, 'v'));
+  }
+  ASSERT_EQ(body_size(reply), kBody);
+  const Buffer frame = encode_frame(reply);
+  const std::size_t body_at = kFrameLenBytes + kFrameTypeBytes;
+  PayloadTable payloads;
+  AnyMessage out;
+  ASSERT_EQ(decode_frame(frame.data(), frame.size(), out, payloads),
+            DecodeStatus::kOk);
+
+  Rng rng(0xb0257);
+  Buffer corrupt = frame;
+  const auto flip = [&corrupt, body_at](std::size_t bit) {
+    corrupt[body_at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  };
+  std::size_t bursts = 0;
+  for (std::size_t len = 1; len <= 32; ++len) {
+    // Burst of exactly `len` bits: both ends flipped, interior bits either
+    // all clear (the first pattern) or random.
+    const int patterns = len > 2 ? 4 : 1;
+    for (std::size_t first = 0; first + len <= kBody * 8; ++first) {
+      for (int pattern = 0; pattern < patterns; ++pattern) {
+        const std::uint64_t interior =
+            pattern == 0 ? 0
+                         : rng.next() & ((std::uint64_t{1} << (len - 2)) - 1);
+        corrupt = frame;
+        flip(first);
+        if (len > 1) flip(first + len - 1);
+        for (std::size_t i = 0; i + 2 < len; ++i) {
+          if ((interior >> i) & 1u) flip(first + 1 + i);
+        }
+        ASSERT_EQ(decode_frame(corrupt.data(), corrupt.size(), out, payloads),
+                  DecodeStatus::kBadChecksum)
+            << "burst of " << len << " bits at bit " << first;
+        ++bursts;
+      }
+    }
+  }
+  EXPECT_GT(bursts, 100'000u);
 }
 
 TEST(Codec, ReaderLatchesFailureAndStopsAtTheEnd) {
