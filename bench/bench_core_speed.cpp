@@ -15,6 +15,11 @@
 //   store keys            key entries summed over every partition replica
 //   peak RSS              process high-water resident set (getrusage)
 //
+// The human-readable output ends with a "memory by structure" block: the
+// heap the key tables (entry arena, key index, spilled version chains) and
+// the latency histograms hold at the end of the run, and the heap in use
+// right after the Cluster constructor. It is not part of the JSON.
+//
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
 // against (scripts/check_bench_regression.py). The event/commit counts,
@@ -42,6 +47,7 @@
 #include <new>
 #include <string>
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <vector>
 
@@ -140,6 +146,50 @@ StoreTotals store_totals(protocol::Cluster& cluster) {
   return t;
 }
 
+/// Heap bytes held by each memory-heavy structure, summed cluster-wide.
+struct MemoryByStructure {
+  store::TableBytes tables;
+  std::uint64_t histogram_bytes = 0;
+  std::uint64_t histograms = 0;
+};
+
+MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
+  MemoryByStructure m;
+  auto add_timers = [&m](const obs::Registry& reg) {
+    for (const auto& [name, timer] : reg.timers()) {
+      m.histogram_bytes += timer.hist().bucket_bytes();
+      ++m.histograms;
+    }
+  };
+  add_timers(cluster.cluster_obs());
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    add_timers(cluster.node(n).obs());
+    for (const auto& [pid, actor] : cluster.node(n).replicas()) {
+      const store::TableBytes t = actor->store().table_bytes();
+      m.tables.arena += t.arena;
+      m.tables.index += t.index;
+      m.tables.spilled_chains += t.spilled_chains;
+    }
+  }
+  for (const Histogram* h : {&cluster.metrics().final_latency(),
+                             &cluster.metrics().speculative_latency()}) {
+    m.histogram_bytes += h->bucket_bytes();
+    ++m.histograms;
+  }
+  return m;
+}
+
+/// Heap bytes in use (glibc's count of allocated chunks, mmapped ones too).
+std::uint64_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+/// MB as in peak RSS: 2^20 bytes.
+double mb(std::uint64_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
 /// Process high-water resident set in MB (Linux reports ru_maxrss in KB).
 double peak_rss_mb() {
   struct rusage ru {};
@@ -192,7 +242,9 @@ int main(int argc, char** argv) {
   cfg.wire_codec = opt.wire;
   cfg.threads = opt.threads;
 
+  const std::uint64_t heap_before_ctor = heap_in_use();
   protocol::Cluster cluster(cfg);
+  const std::uint64_t ctor_heap = heap_in_use() - heap_before_ctor;
   workload::SyntheticWorkload wl(cluster,
                                  workload::SyntheticConfig::synth_a());
   wl.load(cluster);
@@ -240,6 +292,7 @@ int main(int argc, char** argv) {
   cluster.run_for(sec(3));
 
   const StoreTotals totals = store_totals(cluster);
+  const MemoryByStructure mem = memory_by_structure(cluster);
   const double rss_mb = peak_rss_mb();
   const double wall_s =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -283,6 +336,17 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(worker_alloc_bytes[w]));
     }
   }
+  std::printf("  memory by structure (MB, end of run)\n");
+  std::printf("    key arena       %12.2f (%llu keys, %.0f B/key)\n",
+              mb(mem.tables.arena), static_cast<unsigned long long>(totals.keys),
+              totals.keys > 0 ? static_cast<double>(mem.tables.arena) /
+                                    static_cast<double>(totals.keys)
+                              : 0.0);
+  std::printf("    key index       %12.2f\n", mb(mem.tables.index));
+  std::printf("    spilled chains  %12.2f\n", mb(mem.tables.spilled_chains));
+  std::printf("    histograms      %12.2f (%llu)\n", mb(mem.histogram_bytes),
+              static_cast<unsigned long long>(mem.histograms));
+  std::printf("    heap after ctor %12.2f\n", mb(ctor_heap));
 
   std::string allocs_per_thread = "[";
   for (std::uint32_t w = 0; w < workers; ++w) {

@@ -9,9 +9,6 @@ namespace str {
 
 Histogram::Histogram(int sub_bucket_bits) : sub_bits_(sub_bucket_bits) {
   STR_ASSERT(sub_bucket_bits >= 1 && sub_bucket_bits <= 16);
-  // 64 power-of-two ranges, each with 2^sub_bits_ sub-buckets, is enough for
-  // any uint64 value.
-  buckets_.assign(std::size_t{64} << sub_bits_, 0);
   min_ = std::numeric_limits<std::uint64_t>::max();
 }
 
@@ -38,11 +35,22 @@ std::uint64_t Histogram::bucket_midpoint(std::size_t index) const {
   return base + (std::uint64_t{1} << shift) / 2;
 }
 
+void Histogram::grow_to(std::size_t n) {
+  if (n <= buckets_.size()) return;
+  buckets_.reserve(n);
+  buckets_.resize(n, 0);
+}
+
 void Histogram::record(std::uint64_t value) { record_n(value, 1); }
 
 void Histogram::record_n(std::uint64_t value, std::uint64_t n) {
   if (n == 0) return;
-  buckets_[bucket_index(value)] += n;
+  const std::size_t index = bucket_index(value);
+  if (index >= buckets_.size()) {
+    // Through the end of the value's power-of-two range.
+    grow_to(((index >> sub_bits_) + 1) << sub_bits_);
+  }
+  buckets_[index] += n;
   count_ += n;
   sum_ += value * n;
   if (value < min_) min_ = value;
@@ -51,7 +59,10 @@ void Histogram::record_n(std::uint64_t value, std::uint64_t n) {
 
 void Histogram::merge(const Histogram& other) {
   STR_ASSERT(sub_bits_ == other.sub_bits_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  grow_to(other.buckets_.size());
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.count_ > 0) {
@@ -85,7 +96,7 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
 }
 
 void Histogram::reset() {
-  buckets_.assign(buckets_.size(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0;
   min_ = std::numeric_limits<std::uint64_t>::max();

@@ -3,6 +3,11 @@
 // Records values (virtual microseconds) with bounded relative error and
 // supports percentile queries and merging. Merging is what lets the harness
 // combine per-node histograms into cluster-wide latency distributions.
+//
+// Buckets are allocated only up to the highest power-of-two range recorded
+// or merged so far: an empty histogram holds none, and one that records
+// latencies below 2^24 us holds 18 ranges (18 KiB at the default precision)
+// of the 58 a uint64 can reach.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +39,21 @@ class Histogram {
   std::uint64_t p95() const { return value_at_quantile(0.95); }
   std::uint64_t p99() const { return value_at_quantile(0.99); }
 
+  /// Zero the histogram. The bucket array keeps its allocation, so
+  /// recording again after a warm-up reset allocates nothing.
   void reset();
+
+  /// Heap bytes held by the bucket array.
+  std::size_t bucket_bytes() const {
+    return buckets_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   std::size_t bucket_index(std::uint64_t value) const;
   std::uint64_t bucket_midpoint(std::size_t index) const;
+  /// Grow the bucket array to at least `n` buckets (exactly n when it must
+  /// reallocate).
+  void grow_to(std::size_t n);
 
   int sub_bits_;
   std::vector<std::uint64_t> buckets_;

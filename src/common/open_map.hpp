@@ -6,15 +6,14 @@
 // steady-state inserts allocate nothing, and growth is a single amortized
 // rehash. Erase uses backward-shift deletion, so lookups never scan
 // tombstones. Slots are sized for small values (every slot pays for one,
-// occupied or not): the store keeps its key entries in a separate arena and
-// indexes them with an OpenMap<Key, uint32_t>.
+// occupied or not). The store's key table, which never erases, uses its own
+// packed insert-only index instead (store::KeyIndex in store/mvstore.hpp).
 //
 // Determinism note: iteration order is a function of the key hashes and the
 // insertion/erase sequence only — identical across runs for identical input
 // sequences, which is all the simulation requires. No consumer depends on
-// the order: the store sorts its index before walking it (checkpoint
-// dumps), and the partition actors only sweep their tombstone tables with
-// erase_if, whose result is order-independent.
+// the order: the partition actors' tombstone tables and the wire payload
+// table are only swept with erase_if, whose result is order-independent.
 #pragma once
 
 #include <cstddef>

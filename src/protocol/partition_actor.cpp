@@ -741,7 +741,7 @@ void PartitionActor::maintain(Timestamp prune_horizon,
     std::vector<storage::CheckpointVersion> snap;
     snap.reserve(store_.version_count());
     store_.for_each_version_sorted([&snap](Key key, const store::Version& v) {
-      snap.push_back({key, v.ts, v.state, v.writer, v.value});
+      snap.push_back({key, v.ts, v.state, v.writer(), v.value});
     });
     wire::Buffer bytes;
     storage::encode_checkpoint(bytes, prune_horizon, snap);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "common/open_map.hpp"
 
 namespace str::store {
 
@@ -68,7 +69,7 @@ StoreReadResult PartitionStore::read_chain(const KeyEntry& entry,
       newest.state == VersionState::Committed && newest.ts <= rs &&
       entry.uncommitted_count == 0) {
     StoreReadResult out;
-    out.writer = newest.writer;
+    out.writer = newest.writer();
     out.ts = newest.ts;
     out.kind = ReadKind::Committed;
     out.value = newest.value;
@@ -79,7 +80,7 @@ StoreReadResult PartitionStore::read_chain(const KeyEntry& entry,
   for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
     if (rit->ts > rs) continue;
     StoreReadResult out;
-    out.writer = rit->writer;
+    out.writer = rit->writer();
     out.ts = rit->ts;
     switch (rit->state) {
       case VersionState::Committed: {
@@ -99,7 +100,7 @@ StoreReadResult PartitionStore::read_chain(const KeyEntry& entry,
         }
         for (auto below = std::next(rit); below != chain.rend(); ++below) {
           if (below->state != VersionState::Committed) {
-            out.writer = below->writer;
+            out.writer = below->writer();
             out.ts = below->ts;
             out.kind = ReadKind::Blocked;
             return out;
@@ -168,7 +169,7 @@ PrepareResult PartitionStore::prepare(
     const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
-      if (v.writer == tx) continue;  // idempotent re-prepare
+      if (v.writer() == tx) continue;  // idempotent re-prepare
       if (v.state == VersionState::Committed) {
         if (v.ts > rs) {
           if (c_prepare_conflicts_ != nullptr) c_prepare_conflicts_->inc();
@@ -178,10 +179,10 @@ PrepareResult PartitionStore::prepare(
       }
       const bool chained = v.state == VersionState::LocalCommitted &&
                            v.ts <= rs && chain_allowed != nullptr &&
-                           chain_allowed->contains(v.writer);
+                           chain_allowed->contains(v.writer());
       if (!chained) {
         if (c_prepare_conflicts_ != nullptr) c_prepare_conflicts_->inc();
-        return PrepareResult{false, 0, v.writer};
+        return PrepareResult{false, 0, v.writer()};
       }
     }
   }
@@ -223,11 +224,11 @@ PartitionStore::ReplicateResult PartitionStore::replicate_insert(
     const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
-      if (v.writer == tx) continue;
+      if (v.writer() == tx) continue;
       if (v.state == VersionState::LocalCommitted &&
-          std::find(out.evicted.begin(), out.evicted.end(), v.writer) ==
+          std::find(out.evicted.begin(), out.evicted.end(), v.writer()) ==
               out.evicted.end()) {
-        out.evicted.push_back(v.writer);
+        out.evicted.push_back(v.writer());
       }
     }
   }
@@ -272,7 +273,7 @@ void PartitionStore::local_commit(const TxId& tx, Timestamp lc) {
   for (Key key : e->keys) {
     auto& chain = table_[key].versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
-      if (vit->writer == tx) {
+      if (vit->writer() == tx) {
         STR_ASSERT(vit->state == VersionState::PreCommitted);
         vit->state = VersionState::LocalCommitted;
         vit->ts = lc;
@@ -290,7 +291,7 @@ void PartitionStore::final_commit(const TxId& tx, Timestamp fc) {
     KeyEntry& entry = table_[key];
     auto& chain = entry.versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
-      if (vit->writer == tx) {
+      if (vit->writer() == tx) {
         STR_ASSERT(vit->state != VersionState::Committed);
         vit->state = VersionState::Committed;
         vit->ts = fc;
@@ -311,7 +312,7 @@ void PartitionStore::abort_tx(const TxId& tx) {
     KeyEntry& entry = table_[key];
     auto& chain = entry.versions;
     auto keep = std::remove_if(chain.begin(), chain.end(), [&](const Version& v) {
-      return v.writer == tx && v.state != VersionState::Committed;
+      return v.writer() == tx && v.state != VersionState::Committed;
     });
     const auto removed = static_cast<std::uint32_t>(chain.end() - keep);
     chain.erase(keep, chain.end());
@@ -333,7 +334,7 @@ Timestamp PartitionStore::uncommitted_ts(const TxId& tx) const {
     const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
-      if (v.writer == tx && v.state != VersionState::Committed) {
+      if (v.writer() == tx && v.state != VersionState::Committed) {
         ts = std::max(ts, v.ts);
       }
     }
@@ -357,8 +358,9 @@ std::vector<TxId> PartitionStore::uncommitted_writers(
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
       if (v.state != VersionState::Committed &&
-          std::find(writers.begin(), writers.end(), v.writer) == writers.end()) {
-        writers.push_back(v.writer);
+          std::find(writers.begin(), writers.end(), v.writer()) ==
+              writers.end()) {
+        writers.push_back(v.writer());
       }
     }
   }
@@ -413,7 +415,7 @@ std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
     const KeyEntry* entry = table_.find(key);
     if (entry == nullptr) continue;
     for (const Version& v : entry->versions) {
-      if (v.writer == tx && v.state != VersionState::Committed) {
+      if (v.writer() == tx && v.state != VersionState::Committed) {
         updates.emplace_back(key, v.value);
         break;
       }
@@ -448,7 +450,7 @@ void PartitionStore::clear_all() {
 void PartitionStore::replay_insert(Key key, Version v) {
   KeyEntry& entry = table_[key];
   if (v.state != VersionState::Committed) {
-    uncommitted_keys(v.writer).push_back(key);
+    uncommitted_keys(v.writer()).push_back(key);
     ++entry.uncommitted_count;
   }
   insert_sorted(entry.versions, std::move(v));
@@ -481,6 +483,18 @@ std::uint64_t PartitionStore::storage_bytes(bool include_last_reader) const {
     }
   });
   return bytes;
+}
+
+TableBytes PartitionStore::table_bytes() const {
+  TableBytes b;
+  b.arena = table_.arena_bytes();
+  b.index = table_.index_bytes();
+  table_.for_each([&b](const KeyEntry& entry) {
+    if (entry.versions.capacity() > 1) {
+      b.spilled_chains += entry.versions.capacity() * sizeof(Version);
+    }
+  });
+  return b;
 }
 
 Timestamp PartitionStore::newest_committed_at_or_below(
@@ -521,15 +535,14 @@ void PartitionStore::insert_sorted(VersionChain& chain, Version v) {
 }
 
 PartitionStore::KeyEntry& PartitionStore::KeyTable::operator[](Key key) {
-  const auto [pos, inserted] = index_.try_emplace(key, size_);
+  const auto [pos, inserted] = index_.try_insert(key, size_);
   if (inserted) {
-    STR_ASSERT_MSG(size_ != UINT32_MAX, "key table full");
     if ((size_ & (kBlockSize - 1)) == 0) {
       blocks_.push_back(std::make_unique<KeyEntry[]>(kBlockSize));
     }
     ++size_;
   }
-  return at(*pos);
+  return at(pos);
 }
 
 void PartitionStore::KeyTable::clear() {
@@ -542,9 +555,63 @@ std::vector<std::pair<Key, std::uint32_t>>
 PartitionStore::KeyTable::sorted_keys() const {
   std::vector<std::pair<Key, std::uint32_t>> keys;
   keys.reserve(size_);
-  for (const auto& slot : index_) keys.emplace_back(slot.key, slot.value);
+  index_.for_each(
+      [&keys](Key key, std::uint32_t pos) { keys.emplace_back(key, pos); });
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+// -- KeyIndex ---------------------------------------------------------------
+
+std::size_t KeyIndex::home(Key key) const {
+  return static_cast<std::size_t>(mix_hash(key)) & (slots_.size() - 1);
+}
+
+std::uint32_t KeyIndex::find(Key key) const {
+  if (slots_.empty()) return kNotFound;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.pos1 == 0) return kNotFound;
+    if (s.key() == key) return s.pos1 - 1;
+  }
+}
+
+std::pair<std::uint32_t, bool> KeyIndex::try_insert(Key key,
+                                                    std::uint32_t pos) {
+  STR_ASSERT_MSG(pos < kNotFound, "key table full");
+  // Max load factor 7/8: linear probing stays short and growth is rare.
+  if ((size_ + 1) * 8 > slots_.size() * 7) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.pos1 == 0) {
+      s.key_lo = static_cast<std::uint32_t>(key);
+      s.key_hi = static_cast<std::uint32_t>(key >> 32);
+      s.pos1 = pos + 1;
+      ++size_;
+      return {pos, true};
+    }
+    if (s.key() == key) return {s.pos1 - 1, false};
+  }
+}
+
+void KeyIndex::grow() {
+  constexpr std::size_t kInitialSlots = 16;
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.pos1 == 0) continue;
+    std::size_t i = home(s.key());
+    while (slots_[i].pos1 != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+void KeyIndex::clear() {
+  slots_ = std::vector<Slot>();
+  size_ = 0;
 }
 
 }  // namespace str::store

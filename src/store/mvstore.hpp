@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/flat_set.hpp"
-#include "common/open_map.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "obs/registry.hpp"
@@ -55,6 +55,60 @@ struct PrepareResult {
   Timestamp proposed_ts = 0;  ///< valid when ok
   TxId conflicting_writer;    ///< when !ok and the conflict is an uncommitted
                               ///< version: its writer (else kNoTx)
+};
+
+/// Heap bytes held by a PartitionStore's key table, by structure (payloads
+/// are shared with messages and other replicas and are not counted here).
+struct TableBytes {
+  std::uint64_t arena = 0;           ///< key entries, 64 B each, in blocks
+  std::uint64_t index = 0;           ///< key -> position slots, 12 B each
+  std::uint64_t spilled_chains = 0;  ///< version chains moved to the heap
+};
+
+/// Key -> arena position index behind the store's key table: insert-only
+/// open addressing (linear probing, power-of-two capacity, max load 7/8)
+/// over packed 12-byte slots. A slot stores the key and position + 1, so a
+/// zero position marks an empty slot and every key, 0 included, is
+/// storable. Keys are never erased (only clear() empties the index), so
+/// there are no tombstones and no backward shifting.
+class KeyIndex {
+ public:
+  static constexpr std::uint32_t kNotFound = UINT32_MAX;
+
+  struct Slot {
+    std::uint32_t key_lo = 0;
+    std::uint32_t key_hi = 0;
+    std::uint32_t pos1 = 0;  ///< arena position + 1; 0 = empty slot
+
+    Key key() const { return (Key{key_hi} << 32) | key_lo; }
+  };
+
+  /// Arena position of `key`, or kNotFound.
+  std::uint32_t find(Key key) const;
+
+  /// Position of `key`, recording `pos` for it first if it is absent;
+  /// returns (position, inserted). `pos` must be below kNotFound.
+  std::pair<std::uint32_t, bool> try_insert(Key key, std::uint32_t pos);
+
+  std::size_t size() const { return size_; }
+  void clear();
+
+  /// Visit every (key, position) pair, in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.pos1 != 0) fn(s.key(), s.pos1 - 1);
+    }
+  }
+
+  std::uint64_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  std::size_t home(Key key) const;
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
 };
 
 struct StoreStats {
@@ -216,6 +270,9 @@ class PartitionStore {
   /// measurement).
   std::uint64_t storage_bytes(bool include_last_reader) const;
 
+  /// Heap bytes the key table holds, by structure (memory accounting).
+  TableBytes table_bytes() const;
+
  private:
   /// Nearly every key holds exactly one committed version (watermark GC
   /// trims the rest), so one version lives inline in the entry. The first
@@ -224,8 +281,10 @@ class PartitionStore {
   /// across GC, so later write cycles on the key allocate nothing.
   using VersionChain = SmallVec<Version, 1>;
 
-  /// Per-key state (80 B on LP64). The key itself lives only in the index.
-  struct KeyEntry {
+  /// Per-key state: one cache line (a 48 B chain with its version inline,
+  /// LastReader, the uncommitted count). The key itself lives only in the
+  /// index.
+  struct alignas(64) KeyEntry {
     VersionChain versions;  ///< sorted ascending by ts
     Timestamp last_reader = 0;
     /// Number of non-Committed versions in the chain. Lets reads skip the
@@ -233,17 +292,19 @@ class PartitionStore {
     /// all-committed path.
     std::uint32_t uncommitted_count = 0;
   };
+  static_assert(sizeof(KeyEntry) == 64 && alignof(KeyEntry) == 64,
+                "a key entry is pinned at one 64-byte cache line");
 
   /// The key table: a dense, append-only arena of entries in fixed-size
-  /// blocks behind a small open-addressing index (key -> arena position,
-  /// 16 B per slot). Keys are never erased except by clear(), so the arena
-  /// has no load-factor slack, growth never copies an entry, and entry
-  /// references stay valid while the table grows.
+  /// blocks behind a KeyIndex (key -> arena position, 12 B per slot). Keys
+  /// are never erased except by clear(), so the arena has no load-factor
+  /// slack, growth never copies an entry, and entry references stay valid
+  /// while the table grows.
   class KeyTable {
    public:
     const KeyEntry* find(Key key) const {
-      const std::uint32_t* pos = index_.find(key);
-      return pos == nullptr ? nullptr : &at(*pos);
+      const std::uint32_t pos = index_.find(key);
+      return pos == KeyIndex::kNotFound ? nullptr : &at(pos);
     }
     /// Find-or-create.
     KeyEntry& operator[](Key key);
@@ -264,6 +325,11 @@ class PartitionStore {
     /// (key, arena position) pairs sorted by key.
     std::vector<std::pair<Key, std::uint32_t>> sorted_keys() const;
 
+    std::uint64_t arena_bytes() const {
+      return blocks_.size() * kBlockSize * sizeof(KeyEntry);
+    }
+    std::uint64_t index_bytes() const { return index_.bytes(); }
+
     KeyEntry& at(std::uint32_t pos) {
       return blocks_[pos >> kBlockShift][pos & (kBlockSize - 1)];
     }
@@ -275,7 +341,7 @@ class PartitionStore {
     static constexpr std::uint32_t kBlockShift = 8;
     static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
 
-    OpenMap<Key, std::uint32_t, std::hash<Key>> index_;
+    KeyIndex index_;
     std::vector<std::unique_ptr<KeyEntry[]>> blocks_;
     std::uint32_t size_ = 0;
   };
@@ -292,8 +358,11 @@ class PartitionStore {
 
   KeyTable table_;
   /// writer -> keys with an uncommitted version, for fast state transitions.
-  /// A flat vector (few writers hold locks on one partition replica at a
-  /// time) whose per-writer key vectors recycle through `key_pool_`, so the
+  /// A flat vector searched linearly. It is not short: on the bench_e2e
+  /// workloads (synth-a, synth-b-sharded, tpcc-durable) it holds 29-34
+  /// writers on average when searched, since every in-flight writer keeps
+  /// its pre-commit lock on a replica until its final commit crosses the
+  /// WAN. The per-writer key vectors recycle through `key_pool_`, so the
   /// steady-state prepare/commit cycle allocates nothing here.
   struct UncommittedEntry {
     TxId tx;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace str {
@@ -111,6 +116,190 @@ TEST(Histogram, QuantilesMonotone) {
     EXPECT_GE(v, prev);
     prev = v;
   }
+}
+
+// Reference with the original eager layout: every power-of-two range a
+// uint64 can reach is allocated up front. Bucketing follows the
+// documented scheme (identity buckets below 2^7, then 128 linear
+// sub-buckets per power of two, reported at the bucket midpoint).
+class EagerHistogram {
+ public:
+  static constexpr int kSubBits = 7;
+
+  void record(std::uint64_t v) {
+    ++buckets_[index(v)];
+    ++count_;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+
+  void merge(const EagerHistogram& other) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+    count_ += other.count_;
+    if (other.count_ > 0) {
+      min_ = std::min(min_, other.min_);
+      max_ = std::max(max_, other.max_);
+    }
+  }
+
+  void reset() { *this = EagerHistogram(); }
+
+  std::uint64_t count() const { return count_; }
+
+  std::uint64_t quantile(double q) const {
+    if (count_ == 0) return 0;
+    const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      seen += buckets_[i];
+      if (seen > target || (seen == target && seen == count_)) {
+        return std::clamp(midpoint(i), min_, max_);
+      }
+    }
+    return max_;
+  }
+
+ private:
+  static std::size_t index(std::uint64_t v) {
+    if (v < (std::uint64_t{1} << kSubBits)) return static_cast<std::size_t>(v);
+    const int msb = 63 - std::countl_zero(v);
+    const int shift = msb - kSubBits;
+    return (static_cast<std::size_t>(shift + 1) << kSubBits) +
+           static_cast<std::size_t>((v >> shift) & ((1u << kSubBits) - 1));
+  }
+
+  static std::uint64_t midpoint(std::size_t i) {
+    if (i < (std::size_t{1} << kSubBits)) return i;
+    const int shift = static_cast<int>((i >> kSubBits) - 1);
+    const std::uint64_t sub = i & ((std::size_t{1} << kSubBits) - 1);
+    return (std::uint64_t{1} << (shift + kSubBits)) + (sub << shift) +
+           (std::uint64_t{1} << shift) / 2;
+  }
+
+  std::vector<std::uint64_t> buckets_ =
+      std::vector<std::uint64_t>(std::size_t{64} << kSubBits, 0);
+  std::uint64_t count_ = 0;
+  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_ = 0;
+};
+
+/// A value of random magnitude: every power-of-two range is equally likely.
+std::uint64_t random_value(Rng& rng) {
+  const int bits = static_cast<int>(rng.uniform(65));
+  if (bits == 0) return 0;
+  if (bits == 64) return rng.next();
+  return (std::uint64_t{1} << (bits - 1)) |
+         rng.uniform(std::uint64_t{1} << (bits - 1));
+}
+
+void expect_same(const Histogram& lazy, const EagerHistogram& eager) {
+  ASSERT_EQ(lazy.count(), eager.count());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    ASSERT_EQ(lazy.value_at_quantile(q), eager.quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(Histogram, EmptyHistogramHoldsNoBuckets) {
+  Histogram h;
+  EXPECT_EQ(h.bucket_bytes(), 0u);
+  Histogram other;
+  h.merge(other);
+  EXPECT_EQ(h.bucket_bytes(), 0u);
+  EXPECT_EQ(h.p99(), 0u);
+}
+
+TEST(Histogram, BucketsStopAtTheHighestRecordedRange) {
+  constexpr std::size_t kRange = 128 * sizeof(std::uint64_t);  // 2^7 buckets
+  Histogram h;
+  h.record(127);  // identity range only
+  EXPECT_EQ(h.bucket_bytes(), 1 * kRange);
+  h.record(1000);  // 2^9 <= v < 2^10: range 3
+  EXPECT_EQ(h.bucket_bytes(), 4 * kRange);
+  h.record((std::uint64_t{1} << 24) - 1);  // below 2^24: 18 ranges
+  EXPECT_EQ(h.bucket_bytes(), 18 * kRange);
+  h.record(5);  // lower values never grow it
+  EXPECT_EQ(h.bucket_bytes(), 18 * kRange);
+  h.record(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(h.bucket_bytes(), 58 * kRange);
+}
+
+TEST(Histogram, MatchesEagerReference) {
+  Rng rng(17);
+  Histogram lazy;
+  EagerHistogram eager;
+  for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{127},
+                          std::uint64_t{128}, std::uint64_t{1} << 63}) {
+    lazy.record(v);
+    eager.record(v);
+  }
+  expect_same(lazy, eager);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t v = random_value(rng);
+    lazy.record(v);
+    eager.record(v);
+  }
+  expect_same(lazy, eager);
+}
+
+TEST(Histogram, MergesOfDifferentSizesMatchEagerReference) {
+  Rng rng(23);
+  // small holds low ranges only, big reaches 2^63: merge each way.
+  auto fill = [&rng](Histogram& h, EagerHistogram& e, std::uint64_t bound,
+                     int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t v = rng.uniform(bound);
+      h.record(v);
+      e.record(v);
+    }
+  };
+  Histogram small;
+  Histogram big;
+  EagerHistogram small_ref;
+  EagerHistogram big_ref;
+  fill(small, small_ref, 300, 500);
+  fill(big, big_ref, std::uint64_t{1} << 40, 500);
+  big.record(std::uint64_t{1} << 63);
+  big_ref.record(std::uint64_t{1} << 63);
+
+  Histogram grown = small;  // smaller absorbs larger: must grow
+  EagerHistogram grown_ref = small_ref;
+  grown.merge(big);
+  grown_ref.merge(big_ref);
+  expect_same(grown, grown_ref);
+
+  Histogram absorbed = big;  // larger absorbs smaller: no growth
+  EagerHistogram absorbed_ref = big_ref;
+  absorbed.merge(small);
+  absorbed_ref.merge(small_ref);
+  expect_same(absorbed, absorbed_ref);
+  EXPECT_EQ(absorbed.bucket_bytes(), big.bucket_bytes());
+  expect_same(grown, absorbed_ref);
+}
+
+TEST(Histogram, ResetThenRecordMatchesEagerReference) {
+  Rng rng(29);
+  Histogram lazy;
+  EagerHistogram eager;
+  for (int i = 0; i < 5000; ++i) lazy.record(random_value(rng));
+  const std::size_t held = lazy.bucket_bytes();
+  lazy.reset();
+  EXPECT_EQ(lazy.count(), 0u);
+  EXPECT_EQ(lazy.p50(), 0u);
+  EXPECT_EQ(lazy.bucket_bytes(), held);  // the allocation is kept for reuse
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t v = rng.uniform(10'000);
+    lazy.record(v);
+    eager.record(v);
+  }
+  expect_same(lazy, eager);
+  eager.reset();
+  lazy.reset();
+  lazy.record(128);
+  eager.record(128);
+  expect_same(lazy, eager);
 }
 
 }  // namespace

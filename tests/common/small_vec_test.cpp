@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -102,6 +103,111 @@ TEST(SmallVec, MoveStealsHeapAndEmptiesSource) {
   EXPECT_TRUE(c.empty());
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0], "only");
+}
+
+// The store's shape: one inline slot whose storage the heap pointer reuses
+// once the vector spills. shared_ptr use-counts expose a missed destructor,
+// a double destroy or a copy that aliases instead of copying; the sanitizer
+// build catches reads of the reused storage.
+using Chain = SmallVec<std::shared_ptr<int>, 1>;
+
+TEST(SmallVec, SharedStorageHeaderIsEightBytes) {
+  static_assert(sizeof(Chain) == 8 + sizeof(std::shared_ptr<int>));
+  static_assert(sizeof(SmallVec<std::uint64_t, 1>) == 16);
+}
+
+TEST(SmallVec, CopyOfSpilledVectorOwnsItsElements) {
+  auto probe = std::make_shared<int>(7);
+  Chain a;
+  for (int i = 0; i < 3; ++i) a.push_back(probe);
+  ASSERT_GT(a.capacity(), 1u);
+  {
+    Chain b(a);
+    EXPECT_EQ(probe.use_count(), 7);
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.capacity(), a.capacity());
+    EXPECT_EQ(b[2], probe);
+    Chain c;
+    c.push_back(std::make_shared<int>(1));
+    c = b;  // inline target takes a spilled copy
+    EXPECT_EQ(probe.use_count(), 10);
+    EXPECT_EQ(*c[0], 7);
+  }
+  EXPECT_EQ(probe.use_count(), 4);
+}
+
+TEST(SmallVec, MoveOfInlineVectorRelocatesTheElement) {
+  auto probe = std::make_shared<int>(9);
+  Chain a;
+  a.push_back(probe);
+  EXPECT_EQ(a.capacity(), 1u);
+  Chain b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0], probe);
+  EXPECT_EQ(probe.use_count(), 2);
+  // Move-assign an inline vector over a spilled one: the heap block is
+  // freed and the target goes back to inline storage.
+  Chain spilled;
+  for (int i = 0; i < 4; ++i) spilled.push_back(probe);
+  EXPECT_EQ(probe.use_count(), 6);
+  spilled = std::move(b);
+  EXPECT_EQ(spilled.capacity(), 1u);
+  ASSERT_EQ(spilled.size(), 1u);
+  EXPECT_EQ(probe.use_count(), 2);
+  // And a spilled vector moved over an inline one hands over its block.
+  Chain heap;
+  for (int i = 0; i < 3; ++i) heap.push_back(probe);
+  spilled = std::move(heap);
+  EXPECT_EQ(spilled.size(), 3u);
+  EXPECT_GT(spilled.capacity(), 1u);
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(heap.capacity(), 1u);
+  EXPECT_EQ(probe.use_count(), 4);
+}
+
+TEST(SmallVec, ShrinkThenRegrowKeepsTheHeapBlock) {
+  auto probe = std::make_shared<int>(3);
+  Chain v;
+  v.push_back(probe);
+  v.push_back(probe);  // spills
+  const std::size_t cap = v.capacity();
+  ASSERT_GT(cap, 1u);
+  v.resize(1);
+  EXPECT_EQ(v.capacity(), cap);
+  v.clear();
+  EXPECT_EQ(probe.use_count(), 1);
+  v.insert(v.begin(), probe);
+  v.insert(v.begin(), std::make_shared<int>(2));
+  EXPECT_EQ(v.capacity(), cap);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(*v[0], 2);
+  EXPECT_EQ(v[1], probe);
+  v.erase(v.begin(), v.begin() + 1);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], probe);
+  for (int i = 0; i < 5; ++i) v.push_back(probe);  // regrows past cap
+  EXPECT_GT(v.capacity(), cap);
+  EXPECT_EQ(probe.use_count(), 7);
+}
+
+TEST(SmallVec, SelfAssignmentIsANoOp) {
+  auto probe = std::make_shared<int>(5);
+  Chain inline_one;
+  inline_one.push_back(probe);
+  Chain spilled;
+  for (int i = 0; i < 3; ++i) spilled.push_back(probe);
+  Chain& alias_inline = inline_one;
+  Chain& alias_spilled = spilled;
+  inline_one = alias_inline;
+  spilled = alias_spilled;
+  inline_one = std::move(alias_inline);
+  spilled = std::move(alias_spilled);
+  ASSERT_EQ(inline_one.size(), 1u);
+  ASSERT_EQ(spilled.size(), 3u);
+  EXPECT_EQ(inline_one[0], probe);
+  EXPECT_EQ(spilled[2], probe);
+  EXPECT_EQ(probe.use_count(), 5);
 }
 
 }  // namespace

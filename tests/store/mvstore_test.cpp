@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+
+#include "common/rng.hpp"
+
 namespace str::store {
 namespace {
 
@@ -461,7 +466,7 @@ void expect_same_dump(const std::vector<std::pair<Key, Version>>& a,
     EXPECT_EQ(a[i].first, b[i].first) << i;
     EXPECT_EQ(a[i].second.ts, b[i].second.ts) << i;
     EXPECT_EQ(a[i].second.state, b[i].second.state) << i;
-    EXPECT_EQ(a[i].second.writer, b[i].second.writer) << i;
+    EXPECT_EQ(a[i].second.writer(), b[i].second.writer()) << i;
     ASSERT_TRUE(a[i].second.value && b[i].second.value) << i;
     EXPECT_EQ(*a[i].second.value, *b[i].second.value) << i;
   }
@@ -507,6 +512,90 @@ TEST(MvStore, ReplayAfterClearRebuildsSortedDump) {
   PartitionStore fresh;
   for (const auto& [key, v] : dump) fresh.replay_insert(key, v);
   expect_same_dump(fresh.dump_versions(), dump);
+}
+
+// Layout pins (the key entry's 64-byte pin sits beside its private
+// definition in mvstore.hpp).
+static_assert(sizeof(Version) == 40, "Version is pinned at 40 bytes");
+static_assert(sizeof(KeyIndex::Slot) == 12, "index slots are pinned at 12 B");
+
+TEST(KeyIndex, MatchesUnorderedMapAcrossDoublings) {
+  KeyIndex index;
+  std::unordered_map<Key, std::uint32_t> ref;
+  Rng rng(41);
+  auto insert = [&](Key key) {
+    const auto want = static_cast<std::uint32_t>(ref.size());
+    const auto [pos, inserted] = index.try_insert(key, want);
+    const auto [it, ref_inserted] = ref.try_emplace(key, want);
+    ASSERT_EQ(inserted, ref_inserted) << key;
+    ASSERT_EQ(pos, it->second) << key;
+  };
+  insert(0);
+  insert(UINT64_MAX);
+  insert(0);  // present: keeps its first position
+  insert(UINT64_MAX);
+  // 20,000 inserts drawn from 12,000 keys (about 9,700 distinct, so many
+  // are hits) take the index from 16 to 16,384 slots: 10 doublings.
+  std::size_t slot_bytes = index.bytes();
+  int doublings = 0;
+  for (int i = 0; i < 20000; ++i) {
+    insert(rng.uniform(12000) * 0x9E3779B97F4A7C15ULL);
+    if (index.bytes() != slot_bytes) {
+      ++doublings;
+      slot_bytes = index.bytes();
+    }
+    if (i % 997 == 0) {
+      for (const auto& [key, pos] : ref) ASSERT_EQ(index.find(key), pos);
+    }
+  }
+  EXPECT_GE(doublings, 5);
+  ASSERT_EQ(index.size(), ref.size());
+  for (const auto& [key, pos] : ref) ASSERT_EQ(index.find(key), pos) << key;
+  for (int i = 0; i < 2000; ++i) {
+    const Key missing = rng.next();
+    if (ref.count(missing) == 0) {
+      ASSERT_EQ(index.find(missing), KeyIndex::kNotFound);
+    }
+  }
+  std::size_t visited = 0;
+  index.for_each([&](Key key, std::uint32_t pos) {
+    ++visited;
+    EXPECT_EQ(ref.at(key), pos);
+  });
+  EXPECT_EQ(visited, ref.size());
+  EXPECT_EQ(index.bytes() % sizeof(KeyIndex::Slot), 0u);
+
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.bytes(), 0u);
+  EXPECT_EQ(index.find(0), KeyIndex::kNotFound);
+  EXPECT_EQ(index.try_insert(UINT64_MAX, 0).first, 0u);
+}
+
+TEST(MvStore, TableBytesAccountForEachStructure) {
+  PartitionStore s;
+  EXPECT_EQ(s.table_bytes().arena, 0u);
+  EXPECT_EQ(s.table_bytes().index, 0u);
+  for (Key k = 0; k < 256; ++k) s.load(k, "v");
+  // One arena block of 256 one-cache-line entries; 256 keys at load <= 7/8
+  // need 512 index slots.
+  TableBytes b = s.table_bytes();
+  EXPECT_EQ(b.arena, 256u * 64u);
+  EXPECT_EQ(b.index, 512u * 12u);
+  EXPECT_EQ(b.spilled_chains, 0u);
+  s.load(256, "v");  // the 257th key opens a second block
+  EXPECT_EQ(s.table_bytes().arena, 2u * 256u * 64u);
+  // A pre-commit on a loaded key spills its chain: two 40-byte slots, kept
+  // after the commit and the GC that trims the chain back to one version.
+  ASSERT_TRUE(s.prepare(kTx1, 10, upd(3, "w"), true, 0).ok);
+  EXPECT_EQ(s.table_bytes().spilled_chains, 2u * 40u);
+  s.final_commit(kTx1, 20);
+  s.gc(30);
+  EXPECT_EQ(s.stats().versions, 257u);
+  EXPECT_EQ(s.table_bytes().spilled_chains, 2u * 40u);
+  s.clear_all();
+  b = s.table_bytes();
+  EXPECT_EQ(b.arena + b.index + b.spilled_chains, 0u);
 }
 
 }  // namespace
