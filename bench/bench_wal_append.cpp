@@ -16,10 +16,13 @@
 //   scan       — durable_prefix() validation alone (crash-time fate checks).
 //   replay     — checksum-scan + decode of the log just written (the
 //                restart path), reported as records/s and MB/s.
-//   checkpoint — encode_checkpoint + scan of one image the size of a
-//                tpcc-durable checkpoint (kCheckpointVersions versions of
-//                kCheckpointValueBytes-byte values), one image per 1000
-//                records; a checkpoint checksums its whole image.
+//   checkpoint — encode_checkpoint + rewrite + scan of one image the size
+//                of a tpcc-durable checkpoint (kCheckpointVersions versions
+//                of kCheckpointValueBytes-byte values), one image per 1000
+//                records; a checkpoint checksums its whole image. The image
+//                holds its values by reference, so the row also prints the
+//                heap the medium holds for one installed image
+//                (Medium::held_bytes) next to the image's log bytes.
 //
 // Numbers are wall-clock and machine-dependent. `--out FILE` writes them as
 // JSON (bench "wal_append"); BENCH_WAL.json is the committed full-size
@@ -87,10 +90,10 @@ RunResult append_run(std::uint32_t batch, std::uint64_t records,
 
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < records; ++i) {
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_commit(frame, TxId{0, i}, /*commit_ts=*/i,
                            make_updates(i, value_bytes));
-    wal.append(frame);
+    wal.append(std::move(frame));
   }
   wal.sync([] {});
   RunResult r;
@@ -149,7 +152,7 @@ RunResult quorum_run(std::uint32_t quorum, std::uint64_t records) {
   return r;
 }
 
-RunResult checkpoint_run(std::uint64_t images) {
+RunResult checkpoint_run(std::uint64_t images, std::size_t& held_bytes) {
   std::vector<storage::CheckpointVersion> snapshot;
   snapshot.reserve(kCheckpointVersions);
   for (std::uint64_t i = 0; i < kCheckpointVersions; ++i) {
@@ -157,19 +160,24 @@ RunResult checkpoint_run(std::uint64_t images) {
         {0x1000 + i * 7, i, VersionState::Committed, TxId{0, i},
          std::make_shared<Value>(std::string(kCheckpointValueBytes, 'v'))});
   }
+  storage::SimMedium medium(nullptr, /*fsync_latency=*/0,
+                            storage::TornWriteFault{});
   RunResult r;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < images; ++i) {
-    wire::Buffer image;
+    storage::LogBuffer image;
     storage::encode_checkpoint(image, /*watermark=*/i, snapshot);
-    const storage::WalScanResult scan = storage::scan_wal(image, nullptr);
+    r.bytes += image.size();
+    medium.reset_durable(std::move(image));
+    const storage::WalScanResult scan =
+        storage::scan_wal(medium.durable_chunks(), nullptr);
     if (scan.records != 1 || scan.torn) {
       std::fprintf(stderr, "FATAL: checkpoint image failed its scan\n");
       std::exit(1);
     }
-    r.bytes += image.size();
   }
   r.seconds = seconds_since(start);
+  held_bytes = medium.held_bytes();
   return r;
 }
 
@@ -177,6 +185,9 @@ struct Row {
   std::string name;
   std::uint64_t records = 0;
   RunResult result;
+  /// Heap the medium holds for what the row leaves durable (checkpoint row
+  /// only; 0 elsewhere).
+  std::size_t held_bytes = 0;
 
   double records_per_sec() const {
     return result.seconds > 0 ? static_cast<double>(records) / result.seconds
@@ -190,12 +201,17 @@ struct Row {
 };
 
 void report(std::vector<Row>& rows, std::string name, std::uint64_t count,
-            const RunResult& r) {
-  const Row& row = rows.emplace_back(Row{std::move(name), count, r});
+            const RunResult& r, std::size_t held_bytes = 0) {
+  const Row& row =
+      rows.emplace_back(Row{std::move(name), count, r, held_bytes});
   std::printf("  %-24s %11.0f records/s   %8.0f MB/s   (%llu records, "
               "%.3fs)\n",
               row.name.c_str(), row.records_per_sec(), row.mb_per_sec(),
               static_cast<unsigned long long>(count), r.seconds);
+  if (held_bytes > 0) {
+    std::printf("  %-24s %11llu log bytes per image, %zu held\n", "",
+                static_cast<unsigned long long>(r.bytes / count), held_bytes);
+  }
 }
 
 bool write_json(const char* path, std::uint64_t records,
@@ -217,12 +233,15 @@ bool write_json(const char* path, std::uint64_t records,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"records\": %llu, "
                  "\"records_per_sec\": %.1f, \"mb_per_sec\": %.1f, "
-                 "\"log_bytes\": %llu}%s\n",
+                 "\"log_bytes\": %llu",
                  row.name.c_str(),
                  static_cast<unsigned long long>(row.records),
                  row.records_per_sec(), row.mb_per_sec(),
-                 static_cast<unsigned long long>(row.result.bytes),
-                 i + 1 < rows.size() ? "," : "");
+                 static_cast<unsigned long long>(row.result.bytes));
+    if (row.held_bytes > 0) {
+      std::fprintf(f, ", \"held_bytes\": %zu", row.held_bytes);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   return std::fclose(f) == 0;
@@ -275,9 +294,9 @@ int main(int argc, char** argv) {
                        nullptr, /*fsync_latency=*/0, storage::TornWriteFault{}),
                    storage::Wal::Options{}, storage::Wal::Counters{});
   for (std::uint64_t i = 0; i < records; ++i) {
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_commit(frame, TxId{0, i}, i, make_updates(i, value_bytes));
-    wal.append(frame);
+    wal.append(std::move(frame));
   }
   wal.sync([] {});
 
@@ -303,7 +322,9 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t images = std::max<std::uint64_t>(1, records / 1000);
-  report(rows, "checkpoint (encode+scan)", images, checkpoint_run(images));
+  std::size_t held_bytes = 0;
+  const RunResult checkpoints = checkpoint_run(images, held_bytes);
+  report(rows, "checkpoint (encode+scan)", images, checkpoints, held_bytes);
 
   if (out != nullptr && !write_json(out, records, value_bytes, rows)) return 1;
   return 0;

@@ -105,7 +105,8 @@ void report(const char* name, const M& msg, std::uint64_t iters) {
               mbps);
 }
 
-using ChecksumFn = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+using ChecksumFn = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                     std::uint32_t);
 
 /// MB/s of `fn` over one `size`-byte buffer, checksummed repeatedly until
 /// `total_bytes` have passed through it.
@@ -119,7 +120,7 @@ double checksum_mbps(ChecksumFn fn, std::size_t size,
   const std::uint64_t reps = std::max<std::uint64_t>(1, total_bytes / size);
   std::uint32_t sink = 0;
   const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < reps; ++i) sink ^= fn(buf.data(), size);
+  for (std::uint64_t i = 0; i < reps; ++i) sink ^= fn(buf.data(), size, 0);
   const double s = std::chrono::duration<double>(Clock::now() - start).count();
   if (sink == 0xdeadbeef) std::puts("");  // keep `sink` observable
   return s > 0 ? static_cast<double>(reps * size) / s / 1e6 : 0;

@@ -950,7 +950,7 @@ void Coordinator::finalize_commit(txn::TxnRecord& rec) {
           rlog_->append(tx, ct, node_.cluster().now(), std::move(on_decided));
       return;
     }
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_decision(frame, tx, ct, node_.cluster().now());
     r->wal_decision_end =
         decision_wal_->append(std::move(frame), std::move(on_decided));
@@ -1179,7 +1179,7 @@ void Coordinator::on_decision_replicate(const DecisionReplicate& m) {
     wire::post(cluster, node_.id(), m.origin, std::move(ack));
     return;
   }
-  wire::Buffer frame;
+  storage::LogBuffer frame;
   storage::encode_decision(frame, m.tx, m.commit_ts, m.decided_at);
   decision_wal_->append(
       std::move(frame),
@@ -1404,7 +1404,7 @@ void Coordinator::maintain(Timestamp now) {
                                                           decided_.end());
       std::sort(keep_entries.begin(), keep_entries.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
-      wire::Buffer log;
+      storage::LogBuffer log;
       for (const auto& [tx, d] : keep_entries) {
         if (d.decision != TxDecision::Committed) continue;
         storage::encode_decision(log, tx, d.commit_ts, d.at);

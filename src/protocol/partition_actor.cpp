@@ -29,9 +29,9 @@ void PartitionActor::load(Key key, const SharedValue& value,
   if (wal_ != nullptr) {
     storage::WalUpdates updates;
     updates.emplace_back(key, value);
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_commit(frame, seed_tx, /*commit_ts=*/0, updates);
-    wal_->append(frame);
+    wal_->append(std::move(frame));
   }
   store_.load(key, value);
 }
@@ -213,10 +213,10 @@ void PartitionActor::handle_prepare(const PrepareRequest& req) {
                      fan_out);
     };
     if (fresh) {
-      wire::Buffer frame;
+      storage::LogBuffer frame;
       storage::encode_prepare(frame, req.tx, req.rs, reply.proposed_ts,
                               *req.updates);
-      wal_->append(frame, std::move(finish));
+      wal_->append(std::move(frame), std::move(finish));
     } else {
       wal_->sync(std::move(finish));
     }
@@ -310,9 +310,9 @@ void PartitionActor::handle_replicate(const ReplicateRequest& req) {
   if (wal_ != nullptr) {
     // Participant rule again: ack only once the pre-commit record is
     // durable, so a post-crash replay re-stages exactly what was acked.
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_prepare(frame, req.tx, req.rs, proposed, *req.updates);
-    wal_->append(frame,
+    wal_->append(std::move(frame),
                  [this, reply, coordinator = req.coordinator]() mutable {
                    wire::post(node_.cluster(), node_.id(), coordinator,
                               std::move(reply));
@@ -330,9 +330,9 @@ void PartitionActor::apply_commit(const TxId& tx, Timestamp ct,
     // coordinator's decision record is the commit point), but without it a
     // replay would re-stage the prepare as in-doubt and re-probe a decision
     // the coordinator may have long pruned.
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_commit(frame, tx, ct, store_.uncommitted_updates(tx));
-    wal_->append(frame);
+    wal_->append(std::move(frame));
   }
   store_.final_commit(tx, ct);
   tombstones_.try_emplace(tx, node_.physical_now());
@@ -346,9 +346,9 @@ void PartitionActor::apply_abort(const TxId& tx) {
   if (wal_ != nullptr && node_.up() && store_.has_uncommitted(tx)) {
     // Lazy abort record: releases the staged prepare at replay so the
     // restart does not re-enter orphan recovery for a decided transaction.
-    wire::Buffer frame;
+    storage::LogBuffer frame;
     storage::encode_abort(frame, tx);
-    wal_->append(frame);
+    wal_->append(std::move(frame));
   }
   store_.abort_tx(tx);
   tombstones_.try_emplace(tx, node_.physical_now());
@@ -359,9 +359,9 @@ void PartitionActor::apply_abort(const TxId& tx) {
 void PartitionActor::log_commit(const TxId& tx, Timestamp ct,
                                 UniqueFunction<void()> on_durable) {
   STR_ASSERT_MSG(wal_ != nullptr, "log_commit without a WAL");
-  wire::Buffer frame;
+  storage::LogBuffer frame;
   storage::encode_commit(frame, tx, ct, store_.uncommitted_updates(tx));
-  wal_->append(frame, std::move(on_durable));
+  wal_->append(std::move(frame), std::move(on_durable));
 }
 
 void PartitionActor::track_orphan(const TxId& tx, NodeId coordinator) {
@@ -743,7 +743,7 @@ void PartitionActor::maintain(Timestamp prune_horizon,
     store_.for_each_version_sorted([&snap](Key key, const store::Version& v) {
       snap.push_back({key, v.ts, v.state, v.writer(), v.value});
     });
-    wire::Buffer bytes;
+    storage::LogBuffer bytes;
     storage::encode_checkpoint(bytes, prune_horizon, snap);
     wal_->rewrite(std::move(bytes));
   }

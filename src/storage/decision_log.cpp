@@ -26,11 +26,12 @@ std::uint64_t ReplicatedDecisionLog::append(const TxId& tx,
   p.on_quorum = std::move(on_quorum);
   pending_[tx] = std::move(p);
 
-  wire::Buffer frame;
+  LogBuffer frame;
   encode_decision(frame, tx, commit_ts, decided_at);
   // Fan-out strictly AFTER local durability (see the header): a member copy
   // must imply the local copy survives a restart replay.
-  return wal_.append(frame, [this, tx]() { on_local_durable(tx); });
+  return wal_.append(std::move(frame),
+                     [this, tx]() { on_local_durable(tx); });
 }
 
 void ReplicatedDecisionLog::on_local_durable(const TxId& tx) {

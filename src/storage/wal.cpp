@@ -1,6 +1,7 @@
 #include "storage/wal.hpp"
 
-#include <algorithm>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -9,126 +10,222 @@ namespace str::storage {
 
 namespace {
 
-// -- body encoding helpers (wire conventions: varints, length-prefixed) -----
+// -- body encoding (wire conventions: varints, length-prefixed) ------------
 
-void put_tx(wire::Writer& w, const TxId& tx) {
-  w.varint(tx.node);
-  w.varint(tx.seq);
-}
+/// A record body's size as the encoders lay it out: `bytes` counts its
+/// logical bytes, payloads included; `payload` and `slices` the part held
+/// by reference. A fresh frame reserves exactly its non-payload bytes and
+/// its slice table.
+struct BodySize {
+  std::size_t bytes = 0;
+  std::size_t payload = 0;
+  std::size_t slices = 0;
 
-std::size_t tx_size(const TxId& tx) {
-  return wire::varint_size(tx.node) + wire::varint_size(tx.seq);
-}
-
-TxId get_tx(wire::Reader& r) {
-  TxId tx;
-  tx.node = static_cast<NodeId>(r.varint());
-  tx.seq = r.varint();
-  return tx;
-}
-
-/// A payload handle is nullable ("no payload") and that must survive the
-/// round trip, so a presence byte precedes the bytes.
-void put_value(wire::Writer& w, const SharedValue& v) {
-  if (v == nullptr) {
-    w.u8(0);
-    return;
+  void add(std::size_t n) { bytes += n; }
+  void add_tx(const TxId& tx) {
+    bytes += wire::varint_size(tx.node) + wire::varint_size(tx.seq);
   }
-  w.u8(1);
-  w.str(*v);
-}
+  /// A presence byte, then, for a payload, its length and its bytes.
+  void add_value(const SharedValue& v) {
+    if (v == nullptr) {
+      bytes += 1;
+      return;
+    }
+    bytes += 1 + wire::varint_size(v->size()) + v->size();
+    payload += v->size();
+    ++slices;
+  }
+  void add_updates(const WalUpdates& updates) {
+    add(wire::varint_size(updates.size()));
+    for (const auto& [key, value] : updates) {
+      add(wire::varint_size(key));
+      add_value(value);
+    }
+  }
+};
 
-std::size_t value_size(const SharedValue& v) {
-  return v == nullptr ? 1 : 1 + wire::varint_size(v->size()) + v->size();
-}
+/// Appends a record body to a LogBuffer: fields as bytes, each non-null
+/// payload as a slice.
+class BodyWriter {
+ public:
+  explicit BodyWriter(LogBuffer& out) : out_(out), w_(out.writer()) {}
 
-bool get_value(wire::Reader& r, SharedValue& out) {
-  const std::uint8_t has = r.u8();
-  if (has > 1) return false;
-  if (has == 0) {
-    out = nullptr;
+  void u8(std::uint8_t v) { w_.u8(v); }
+  void u32le(std::uint32_t v) { w_.u32le(v); }
+  void varint(std::uint64_t v) { w_.varint(v); }
+  void tx(const TxId& tx) {
+    w_.varint(tx.node);
+    w_.varint(tx.seq);
+  }
+  /// A payload handle is nullable ("no payload") and that must survive the
+  /// round trip, so a presence byte precedes the bytes.
+  void value(const SharedValue& v) {
+    if (v == nullptr) {
+      w_.u8(0);
+      return;
+    }
+    w_.u8(1);
+    w_.varint(v->size());
+    out_.put_payload(v);
+  }
+  void updates(const WalUpdates& updates) {
+    w_.varint(updates.size());
+    for (const auto& [key, v] : updates) {
+      w_.varint(key);
+      value(v);
+    }
+  }
+
+ private:
+  LogBuffer& out_;
+  wire::Writer w_;
+};
+
+/// Reads one record body in place, from the byte after the type tag to the
+/// checksum. Fields come from the runs of non-payload bytes between slices,
+/// each through a bounds-checked wire::Reader, so a field never straddles
+/// a payload. A value whose bytes are the next slice decodes to that
+/// payload; one whose bytes are inline (a flat chunk) is copied.
+class BodyReader {
+ public:
+  /// The body spans bytes()[pos, end) and slices [slice, end_slice).
+  BodyReader(const LogBuffer& buf, std::size_t pos, std::size_t slice,
+             std::size_t end, std::size_t end_slice)
+      : bytes_(buf.bytes().data()),
+        slices_(buf.slices().data()),
+        slice_(slice),
+        end_slice_(end_slice),
+        end_(end),
+        r_(run_from(pos)) {}
+
+  std::uint8_t u8() { return r_.u8(); }
+  std::uint64_t varint() { return r_.varint(); }
+  bool ok() const { return r_.ok(); }
+
+  TxId tx() {
+    TxId tx;
+    tx.node = static_cast<NodeId>(r_.varint());
+    tx.seq = r_.varint();
+    return tx;
+  }
+
+  bool value(SharedValue& out) {
+    const std::uint8_t has = r_.u8();
+    if (has > 1) return false;
+    if (has == 0) {
+      out = nullptr;
+      return r_.ok();
+    }
+    const std::uint64_t len = r_.varint();
+    if (!r_.ok()) return false;
+    if (r_.remaining() == 0 && slice_ < end_slice_) {
+      const PayloadSlice& s = slices_[slice_++];
+      if (s.value->size() != len) return false;
+      out = s.value;
+      r_ = run_from(s.at);
+      return true;
+    }
+    std::string_view inline_bytes;
+    if (!r_.raw(len, inline_bytes)) return false;
+    out = std::make_shared<const Value>(inline_bytes);
     return true;
   }
-  std::string s;
-  if (!r.str(s)) return false;
-  out = std::make_shared<const Value>(std::move(s));
-  return true;
-}
 
-void put_updates(wire::Writer& w, const WalUpdates& updates) {
-  w.varint(updates.size());
-  for (const auto& [key, value] : updates) {
-    w.varint(key);
-    put_value(w, value);
+  bool updates(WalUpdates& out) {
+    const std::uint64_t count = r_.varint();
+    if (!r_.ok() || count > remaining()) return false;  // forged count
+    out.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const Key key = r_.varint();
+      SharedValue v;
+      if (!value(v)) return false;
+      out.emplace_back(key, std::move(v));
+    }
+    return r_.ok();
   }
-}
 
-std::size_t updates_size(const WalUpdates& updates) {
-  std::size_t n = wire::varint_size(updates.size());
-  for (const auto& [key, value] : updates) {
-    n += wire::varint_size(key) + value_size(value);
+  /// Non-payload bytes left in the body: every update or version takes at
+  /// least one, which bounds a forged count.
+  std::size_t remaining() const {
+    return end_ - (run_end_ - r_.remaining());
   }
-  return n;
-}
 
-bool get_updates(wire::Reader& r, WalUpdates& out) {
-  const std::uint64_t count = r.varint();
-  if (!r.ok() || count > r.remaining()) return false;  // forged count
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Key key = r.varint();
-    SharedValue value;
-    if (!get_value(r, value)) return false;
-    out.emplace_back(key, std::move(value));
+  /// Every byte and every slice of the body was read.
+  bool done() const {
+    return r_.ok() && r_.remaining() == 0 && slice_ == end_slice_;
   }
-  return r.ok();
-}
 
-/// Writes one record frame straight into `out`: length prefix, type tag,
-/// the `body_bytes`-byte body that `put_body` writes, checksum. A fresh
-/// buffer gets exactly one frame of capacity. Appends to a filled one grow
-/// it geometrically: decision-log compaction encodes every surviving entry
-/// into one buffer, and an exact reserve per record would make that
-/// quadratic.
+ private:
+  /// A reader over the run of non-payload bytes from `pos` to the next
+  /// slice or the end of the body.
+  wire::Reader run_from(std::size_t pos) {
+    run_end_ = slice_ < end_slice_ ? slices_[slice_].at : end_;
+    return wire::Reader(bytes_ + pos, run_end_ - pos);
+  }
+
+  const std::uint8_t* bytes_;
+  const PayloadSlice* slices_;
+  std::size_t slice_;
+  std::size_t end_slice_;
+  std::size_t end_;
+  std::size_t run_end_ = 0;
+  wire::Reader r_;
+};
+
+/// Writes one record frame at the end of `out`: length prefix, type tag,
+/// the body that `put_body` writes, checksum over the logical type tag and
+/// body. A fresh buffer gets exactly one frame of capacity. Appends to a
+/// filled one grow it geometrically: decision-log compaction encodes every
+/// surviving entry into one buffer, and an exact reserve per record would
+/// make that quadratic.
 template <typename PutBody>
-void put_frame(wire::Buffer& out, WalRecordType type, std::size_t body_bytes,
+void put_frame(LogBuffer& out, WalRecordType type, const BodySize& body,
                PutBody&& put_body) {
-  const std::size_t start = out.size();
-  if (start == 0) out.reserve(wire::kFrameOverhead + body_bytes);
-  wire::Writer w(out);
-  w.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body_bytes +
+  const std::size_t start = out.bytes().size();
+  const std::size_t first_slice = out.slices().size();
+  const std::size_t logical_start = out.size();
+  if (start == 0) {
+    out.reserve(wire::kFrameOverhead + body.bytes - body.payload,
+                body.slices);
+  }
+  BodyWriter w(out);
+  w.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body.bytes +
                                      wire::kFrameChecksumBytes));
   w.u8(static_cast<std::uint8_t>(type));
   put_body(w);
-  const std::size_t payload = start + wire::kFrameLenBytes;
-  STR_ASSERT_MSG(out.size() - payload == wire::kFrameTypeBytes + body_bytes,
+  const std::size_t covered = wire::kFrameTypeBytes + body.bytes;
+  STR_ASSERT_MSG(out.size() - logical_start == wire::kFrameLenBytes + covered,
                  "WAL record body size mismatch");
-  w.u32le(wire::checksum32(out.data() + payload, out.size() - payload));
+  std::uint32_t crc = 0;
+  LogCursor(out, start + wire::kFrameLenBytes, first_slice)
+      .walk(covered, [&crc](const std::uint8_t* p, std::size_t n) {
+        crc = wire::checksum32(p, n, crc);
+      });
+  w.u32le(crc);
 }
 
-/// Decode one record body (after the type tag). Returns false on any
+/// Decode one record body (the type tag first). Returns false on any
 /// malformed field, range violation, or trailing bytes.
-bool decode_body(WalRecordType type, const std::uint8_t* body,
-                 std::size_t size, WalRecord& rec) {
-  wire::Reader r(body, size);
+bool decode_body(BodyReader& r, WalRecord& rec) {
+  const auto type = static_cast<WalRecordType>(r.u8());
   rec.type = type;
   switch (type) {
     case WalRecordType::kPrepare:
-      rec.tx = get_tx(r);
+      rec.tx = r.tx();
       rec.rs = r.varint();
       rec.ts = r.varint();
-      if (!get_updates(r, rec.updates)) return false;
+      if (!r.updates(rec.updates)) return false;
       break;
     case WalRecordType::kCommit:
-      rec.tx = get_tx(r);
+      rec.tx = r.tx();
       rec.ts = r.varint();
-      if (!get_updates(r, rec.updates)) return false;
+      if (!r.updates(rec.updates)) return false;
       break;
     case WalRecordType::kAbort:
-      rec.tx = get_tx(r);
+      rec.tx = r.tx();
       break;
     case WalRecordType::kDecision:
-      rec.tx = get_tx(r);
+      rec.tx = r.tx();
       rec.ts = r.varint();
       rec.at = r.varint();
       break;
@@ -146,8 +243,8 @@ bool decode_body(WalRecordType type, const std::uint8_t* body,
           return false;
         }
         v.state = static_cast<VersionState>(state);
-        v.writer = get_tx(r);
-        if (!get_value(r, v.value)) return false;
+        v.writer = r.tx();
+        if (!r.value(v.value)) return false;
         rec.snapshot.push_back(std::move(v));
       }
       break;
@@ -155,67 +252,76 @@ bool decode_body(WalRecordType type, const std::uint8_t* body,
     default:
       return false;
   }
-  return r.ok() && r.remaining() == 0;
+  return r.done();
 }
 
 }  // namespace
 
-void encode_prepare(wire::Buffer& out, const TxId& tx, Timestamp rs,
+void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates) {
-  const std::size_t body = tx_size(tx) + wire::varint_size(rs) +
-                           wire::varint_size(proposed) + updates_size(updates);
-  put_frame(out, WalRecordType::kPrepare, body, [&](wire::Writer& w) {
-    put_tx(w, tx);
+  BodySize body;
+  body.add_tx(tx);
+  body.add(wire::varint_size(rs) + wire::varint_size(proposed));
+  body.add_updates(updates);
+  put_frame(out, WalRecordType::kPrepare, body, [&](BodyWriter& w) {
+    w.tx(tx);
     w.varint(rs);
     w.varint(proposed);
-    put_updates(w, updates);
+    w.updates(updates);
   });
 }
 
-void encode_commit(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
+void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates) {
-  const std::size_t body =
-      tx_size(tx) + wire::varint_size(commit_ts) + updates_size(updates);
-  put_frame(out, WalRecordType::kCommit, body, [&](wire::Writer& w) {
-    put_tx(w, tx);
+  BodySize body;
+  body.add_tx(tx);
+  body.add(wire::varint_size(commit_ts));
+  body.add_updates(updates);
+  put_frame(out, WalRecordType::kCommit, body, [&](BodyWriter& w) {
+    w.tx(tx);
     w.varint(commit_ts);
-    put_updates(w, updates);
+    w.updates(updates);
   });
 }
 
-void encode_abort(wire::Buffer& out, const TxId& tx) {
-  put_frame(out, WalRecordType::kAbort, tx_size(tx),
-            [&](wire::Writer& w) { put_tx(w, tx); });
+void encode_abort(LogBuffer& out, const TxId& tx) {
+  BodySize body;
+  body.add_tx(tx);
+  put_frame(out, WalRecordType::kAbort, body,
+            [&](BodyWriter& w) { w.tx(tx); });
 }
 
-void encode_decision(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
+void encode_decision(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at) {
-  const std::size_t body =
-      tx_size(tx) + wire::varint_size(commit_ts) + wire::varint_size(at);
-  put_frame(out, WalRecordType::kDecision, body, [&](wire::Writer& w) {
-    put_tx(w, tx);
+  BodySize body;
+  body.add_tx(tx);
+  body.add(wire::varint_size(commit_ts) + wire::varint_size(at));
+  put_frame(out, WalRecordType::kDecision, body, [&](BodyWriter& w) {
+    w.tx(tx);
     w.varint(commit_ts);
     w.varint(at);
   });
 }
 
-void encode_checkpoint(wire::Buffer& out, Timestamp watermark,
+void encode_checkpoint(LogBuffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot) {
-  std::size_t body =
-      wire::varint_size(watermark) + wire::varint_size(snapshot.size());
+  BodySize body;
+  body.add(wire::varint_size(watermark) + wire::varint_size(snapshot.size()));
   for (const CheckpointVersion& v : snapshot) {
-    body += wire::varint_size(v.key) + wire::varint_size(v.ts) +
-            1 /* state */ + tx_size(v.writer) + value_size(v.value);
+    body.add(wire::varint_size(v.key) + wire::varint_size(v.ts) +
+             1 /* state */);
+    body.add_tx(v.writer);
+    body.add_value(v.value);
   }
-  put_frame(out, WalRecordType::kCheckpoint, body, [&](wire::Writer& w) {
+  put_frame(out, WalRecordType::kCheckpoint, body, [&](BodyWriter& w) {
     w.varint(watermark);
     w.varint(snapshot.size());
     for (const CheckpointVersion& v : snapshot) {
       w.varint(v.key);
       w.varint(v.ts);
       w.u8(static_cast<std::uint8_t>(v.state));
-      put_tx(w, v.writer);
-      put_value(w, v.value);
+      w.tx(v.writer);
+      w.value(v.value);
     }
   });
 }
@@ -229,24 +335,32 @@ enum class ChunkEnd {
   kBadFrame,  ///< impossible length, checksum mismatch or malformed body
 };
 
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 /// Checksum-scan the frames of one chunk, adding what it validates to
-/// `result.records` and `result.valid_bytes`.
-ChunkEnd scan_chunk(const wire::Buffer& bytes,
+/// `result.records` and `result.valid_bytes`. Offsets are logical: the
+/// cursor walks the non-payload bytes and the payloads in stream order.
+ChunkEnd scan_chunk(const LogBuffer& chunk,
                     const std::function<void(const WalRecord&)>& visit,
                     WalScanResult& result) {
+  LogCursor cur(chunk);
+  const std::size_t size = chunk.size();
   std::size_t off = 0;
   ChunkEnd end = ChunkEnd::kWhole;
-  while (off < bytes.size()) {
-    const std::size_t left = bytes.size() - off;
+  while (off < size) {
+    const std::size_t left = size - off;
     if (left < wire::kFrameLenBytes) {  // torn mid length-prefix
       end = ChunkEnd::kMidFrame;
       break;
     }
-    const std::uint32_t rest_len =
-        static_cast<std::uint32_t>(bytes[off]) |
-        (static_cast<std::uint32_t>(bytes[off + 1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[off + 2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[off + 3]) << 24);
+    std::uint8_t word[4];
+    cur.read(word, wire::kFrameLenBytes);
+    const std::uint32_t rest_len = load_le32(word);
     // Reject impossible lengths before trusting them: a torn or bit-flipped
     // prefix must not send the scan past the end of the buffer.
     if (rest_len < wire::kFrameTypeBytes + wire::kFrameChecksumBytes) {
@@ -257,18 +371,25 @@ ChunkEnd scan_chunk(const wire::Buffer& bytes,
       end = ChunkEnd::kMidFrame;
       break;
     }
-    const std::uint8_t* payload = bytes.data() + off + wire::kFrameLenBytes;
-    const std::size_t payload_len = rest_len - wire::kFrameChecksumBytes;
-    const std::uint8_t* cksum_at = payload + payload_len;
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(cksum_at[0]) |
-        (static_cast<std::uint32_t>(cksum_at[1]) << 8) |
-        (static_cast<std::uint32_t>(cksum_at[2]) << 16) |
-        (static_cast<std::uint32_t>(cksum_at[3]) << 24);
+    const LogCursor body = cur;
+    std::uint32_t crc = 0;
+    cur.walk(rest_len - wire::kFrameChecksumBytes,
+             [&crc](const std::uint8_t* p, std::size_t n) {
+               crc = wire::checksum32(p, n, crc);
+             });
+    const LogCursor body_end = cur;
+    cur.read(word, wire::kFrameChecksumBytes);
+    // A checksummed frame holds its payloads whole and ends in bytes of
+    // its own; anything else is not a frame this log wrote.
+    if (load_le32(word) != crc || body_end.in_payload() ||
+        cur.slice() != body_end.slice()) {
+      end = ChunkEnd::kBadFrame;
+      break;
+    }
+    BodyReader reader(chunk, body.pos(), body.slice(), body_end.pos(),
+                      body_end.slice());
     WalRecord rec;
-    if (wire::checksum32(payload, payload_len) != stored ||
-        !decode_body(static_cast<WalRecordType>(payload[0]), payload + 1,
-                     payload_len - 1, rec)) {
+    if (!decode_body(reader, rec)) {
       // A checksummed but malformed body is treated as torn too.
       end = ChunkEnd::kBadFrame;
       break;
@@ -283,7 +404,7 @@ ChunkEnd scan_chunk(const wire::Buffer& bytes,
 
 }  // namespace
 
-WalScanResult scan_wal(const wire::Buffer& bytes,
+WalScanResult scan_wal(const LogBuffer& bytes,
                        const std::function<void(const WalRecord&)>& visit) {
   WalScanResult result;
   result.torn = scan_chunk(bytes, visit, result) != ChunkEnd::kWhole;
@@ -315,12 +436,11 @@ Wal::Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium,
   end_offset_ = medium_->durable_size();
 }
 
-std::uint64_t Wal::append(const wire::Buffer& frame_bytes,
-                          UniqueFunction<void()> on_durable) {
-  STR_ASSERT_MSG(frame_bytes.size() >= wire::kMinFrameSize,
+std::uint64_t Wal::append(LogBuffer frame, UniqueFunction<void()> on_durable) {
+  STR_ASSERT_MSG(frame.size() >= wire::kMinFrameSize,
                  "Wal::append of a non-frame");
-  medium_->append(frame_bytes);
-  end_offset_ += frame_bytes.size();
+  end_offset_ += frame.size();
+  medium_->append(std::move(frame));
   ++pending_count_;
   if (on_durable) pending_cbs_.push_back(std::move(on_durable));
   if (counters_.records != nullptr) counters_.records->inc();
@@ -412,22 +532,13 @@ WalScanResult Wal::replay(const std::function<void(const WalRecord&)>& visit) {
   if (counters_.replayed != nullptr) counters_.replayed->inc(result.records);
   if (result.torn) {
     if (counters_.torn != nullptr) counters_.torn->inc();
-    // Concatenate the valid prefix into one chunk.
-    wire::Buffer prefix;
-    prefix.reserve(result.valid_bytes);
-    for (const wire::Buffer& chunk : medium_->durable_chunks()) {
-      const std::size_t take =
-          std::min(chunk.size(), result.valid_bytes - prefix.size());
-      prefix.insert(prefix.end(), chunk.begin(),
-                    chunk.begin() + static_cast<std::ptrdiff_t>(take));
-    }
-    medium_->reset_durable(std::move(prefix));
+    medium_->truncate_durable(result.valid_bytes);
   }
   end_offset_ = result.valid_bytes;
   return result;
 }
 
-void Wal::rewrite(wire::Buffer bytes) {
+void Wal::rewrite(LogBuffer bytes) {
   STR_ASSERT_MSG(idle(), "Wal::rewrite on a busy log");
   end_offset_ = bytes.size();
   medium_->reset_durable(std::move(bytes));

@@ -6,8 +6,13 @@
 //
 // so the log is self-delimiting on a byte stream and a torn or bit-flipped
 // tail is detected by the checksum scan, not trusted from the length
-// prefix. Each encoder sizes the body first and writes the frame in place,
-// so a record costs one allocation of exactly its size. Five record types:
+// prefix. Encoders write into a LogBuffer (storage/log_buffer.hpp): value
+// payloads are held by reference, as slices, and every other byte is
+// written in place into a buffer reserved to its exact size, so a record
+// costs that buffer and a slice table whatever its values weigh. The
+// checksum is computed over the logical bytes, payloads included, so the
+// bytes a frame stands for are exactly the flat encoding. Five record
+// types:
 //
 //   kPrepare    — a remote-coordinated transaction's pre-commit on this
 //                 partition (tx, rs, proposed ts, full update list). Forced
@@ -30,7 +35,9 @@
 // unflushed append, whichever is first. Per-record durability callbacks run
 // at the covering sync's completion, in append order. Appends are whole
 // frames and a sync covers whole appends, so no frame spans two of the
-// medium's durable chunks.
+// medium's durable chunks. The scan checks every frame's checksum over its
+// logical bytes and decodes a value held as a slice to that same payload,
+// so replaying a log copies no value the log holds by reference.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +51,6 @@
 #include "obs/registry.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/medium.hpp"
-#include "wire/codec.hpp"
 
 namespace str::storage {
 
@@ -86,14 +92,14 @@ struct WalRecord {
 
 // -- record encoders (append one framed record to `out`) --------------------
 
-void encode_prepare(wire::Buffer& out, const TxId& tx, Timestamp rs,
+void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates);
-void encode_commit(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
+void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates);
-void encode_abort(wire::Buffer& out, const TxId& tx);
-void encode_decision(wire::Buffer& out, const TxId& tx, Timestamp commit_ts,
+void encode_abort(LogBuffer& out, const TxId& tx);
+void encode_decision(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at);
-void encode_checkpoint(wire::Buffer& out, Timestamp watermark,
+void encode_checkpoint(LogBuffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot);
 
 struct WalScanResult {
@@ -106,8 +112,9 @@ struct WalScanResult {
 /// `visit` (when non-null) per record, stopping at the first incomplete,
 /// corrupt, or malformed frame. Everything after the stop point is a torn
 /// tail: exactly the durable prefix of records is recovered, never a
-/// partial or bit-flipped one.
-WalScanResult scan_wal(const wire::Buffer& bytes,
+/// partial or bit-flipped one. A value held as a slice decodes to that
+/// payload; an inline one is copied into a new payload.
+WalScanResult scan_wal(const LogBuffer& bytes,
                        const std::function<void(const WalRecord&)>& visit);
 
 /// The same scan over a medium's durable chunks, in order: the result
@@ -141,7 +148,7 @@ class Wal {
   /// Append one framed record. `on_durable` (optional) runs when the sync
   /// covering this record completes. Returns the record's end offset in the
   /// current log coordinates (compare against durable_prefix()).
-  std::uint64_t append(const wire::Buffer& frame,
+  std::uint64_t append(LogBuffer frame,
                        UniqueFunction<void()> on_durable = {});
 
   /// Force-flush everything appended so far; `cb` runs once the current
@@ -158,8 +165,9 @@ class Wal {
   std::uint64_t durable_prefix() const;
 
   /// Replay the validated durable prefix through `visit`, then truncate any
-  /// torn tail in place. Idempotent: a second replay visits the identical
-  /// record sequence.
+  /// torn tail in place: whole valid chunks stay as they are and only the
+  /// last is cut. Idempotent: a second replay visits the identical record
+  /// sequence.
   WalScanResult replay(const std::function<void(const WalRecord&)>& visit);
 
   /// No unflushed records and no sync in flight.
@@ -170,7 +178,7 @@ class Wal {
 
   /// Replace the entire durable contents (a fresh checkpoint record or a
   /// compacted decision log). Atomic, rename-style; requires idle().
-  void rewrite(wire::Buffer bytes);
+  void rewrite(LogBuffer bytes);
 
   Medium& medium() { return *medium_; }
   const Medium& medium() const { return *medium_; }

@@ -10,7 +10,10 @@
 // The kernel is chosen once per process at run time, so a build with
 // default compiler flags still takes the hardware path where the CPU has
 // it. Both kernels return identical values; the tests check that on every
-// length up to 1 KiB and against the RFC 3720 vectors.
+// length up to 1 KiB and against the RFC 3720 vectors. Both also continue
+// a checksum: given the CRC of a prefix they return the CRC of the prefix
+// followed by their bytes, so a record held in pieces is checksummed piece
+// by piece without joining them.
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -61,8 +64,9 @@ std::uint32_t load_le32(const std::uint8_t* p) {
 
 #ifdef STR_CRC32C_SSE42
 [[gnu::target("sse4.2")]] std::uint32_t crc32c_sse42(const std::uint8_t* data,
-                                                     std::size_t size) {
-  std::uint64_t crc = 0xFFFFFFFFu;
+                                                     std::size_t size,
+                                                     std::uint32_t prefix) {
+  std::uint64_t crc = prefix ^ 0xFFFFFFFFu;
   for (; size >= 8; data += 8, size -= 8) {
     std::uint64_t word = 0;
     std::memcpy(&word, data, sizeof word);
@@ -74,7 +78,8 @@ std::uint32_t load_le32(const std::uint8_t* p) {
 }
 #endif
 
-using Kernel = std::uint32_t (*)(const std::uint8_t*, std::size_t);
+using Kernel = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                 std::uint32_t);
 
 Kernel select_kernel() {
 #ifdef STR_CRC32C_SSE42
@@ -88,8 +93,9 @@ Kernel select_kernel() {
 
 }  // namespace
 
-std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xFFFFFFFFu;
+std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size,
+                              std::uint32_t prefix) {
+  std::uint32_t crc = prefix ^ 0xFFFFFFFFu;
   for (; size >= 8; data += 8, size -= 8) {
     const std::uint32_t lo = crc ^ load_le32(data);
     const std::uint32_t hi = load_le32(data + 4);
@@ -104,9 +110,10 @@ std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::uint32_t checksum32(const std::uint8_t* data, std::size_t size) {
+std::uint32_t checksum32(const std::uint8_t* data, std::size_t size,
+                         std::uint32_t prefix) {
   static const Kernel kernel = select_kernel();
-  return kernel(data, size);
+  return kernel(data, size, prefix);
 }
 
 }  // namespace str::wire

@@ -68,11 +68,18 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
 /// single-bit flip and any run of flips within 32 bits. Runs the SSE4.2
 /// `crc32` instruction where the CPU has it, else crc32c_portable; the
 /// kernel is picked once per process (wire/checksum.cpp).
-std::uint32_t checksum32(const std::uint8_t* data, std::size_t size);
+///
+/// `prefix` continues a checksum: it is the CRC-32C of the bytes that
+/// precede the range (0 for none), so
+/// checksum32(b, n, checksum32(a, m)) is the CRC-32C of a[0..m) b[0..n).
+std::uint32_t checksum32(const std::uint8_t* data, std::size_t size,
+                         std::uint32_t prefix = 0);
 
 /// The table-driven (slicing-by-8) CRC-32C every host can run: the
 /// fallback kernel, and the reference the tests hold checksum32 to.
-std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size);
+/// `prefix` as for checksum32.
+std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size,
+                              std::uint32_t prefix = 0);
 
 /// Append-only encoder over a caller-owned Buffer.
 class Writer {
@@ -166,7 +173,13 @@ class Reader {
   /// corrupted length can never reach outside it.
   bool view(std::string_view& out) {
     const std::uint64_t len = varint();
-    if (!ok_ || len > remaining()) {
+    return ok_ && raw(len, out);
+  }
+
+  /// The next `len` bytes as a view into the input, without a length
+  /// prefix; fails (and latches) when fewer remain.
+  bool raw(std::uint64_t len, std::string_view& out) {
+    if (len > remaining()) {
       fail_u8();
       return false;
     }

@@ -2,7 +2,8 @@
 // scan (torn tails, bit flips, malformed bodies), group-commit batching
 // over SimMedium (batch-size and deadline flush triggers, callback
 // ordering, crash semantics), torn-write crash resolution, checkpoint
-// rewrite, chunked durable storage, and the FileMedium mirror round-trip.
+// rewrite, chunked durable storage, payloads held by reference, and the
+// FileMedium mirror round-trip.
 #include "storage/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -39,13 +40,18 @@ std::vector<WalRecord> scan_all(const Bytes& bytes,
   return records;
 }
 
+/// The log's bytes: every chunk's logical bytes, concatenated.
 wire::Buffer concat(const DurableChunks& chunks) {
   wire::Buffer flat;
-  for (const wire::Buffer& chunk : chunks) {
-    flat.insert(flat.end(), chunk.begin(), chunk.end());
+  for (const LogBuffer& chunk : chunks) {
+    const wire::Buffer bytes = chunk.flatten();
+    flat.insert(flat.end(), bytes.begin(), bytes.end());
   }
   return flat;
 }
+
+/// The same logical bytes with every payload inline: a flat frame.
+LogBuffer flat(const LogBuffer& buf) { return LogBuffer(buf.flatten()); }
 
 /// The record fields two scans are compared on.
 struct RecordKey {
@@ -66,7 +72,7 @@ std::vector<RecordKey> keys_of(const std::vector<WalRecord>& records) {
 }
 
 TEST(WalCodec, EveryRecordTypeRoundTrips) {
-  wire::Buffer log;
+  LogBuffer log;
   encode_prepare(log, TxId{2, 11}, /*rs=*/100, /*proposed=*/120,
                  two_updates());
   encode_commit(log, TxId{2, 11}, /*commit_ts=*/130, two_updates());
@@ -112,11 +118,13 @@ TEST(WalCodec, EveryRecordTypeRoundTrips) {
 
 TEST(WalCodec, RecordLayoutIsPinned) {
   // The on-disk format: a consistent change on both the encode and the
-  // decode side would still round-trip, so pin the bytes themselves.
-  // Every frame is [u32le rest_len][u8 type][body][u32le CRC-32C], and a
-  // fresh buffer holds exactly its one frame.
-  std::vector<std::pair<wire::Buffer, wire::Buffer>> cases;
-  wire::Buffer b;
+  // decode side would still round-trip, so pin the bytes themselves: the
+  // logical bytes a frame stands for, payloads spliced in. Every frame is
+  // [u32le rest_len][u8 type][body][u32le CRC-32C], and a fresh buffer
+  // holds exactly its one frame: its non-payload bytes and one slice per
+  // payload, each at exact capacity.
+  std::vector<std::pair<LogBuffer, wire::Buffer>> cases;
+  LogBuffer b;
   encode_prepare(b, TxId{2, 11}, /*rs=*/100, /*proposed=*/300,
                  {{7, val("a")}, {9, nullptr}});
   cases.emplace_back(std::move(b), wire::Buffer{
@@ -170,23 +178,39 @@ TEST(WalCodec, RecordLayoutIsPinned) {
       0x08, 0x3c, 0x00, 0x04, 0x02, 0x00,  // PreCommitted, no payload
       0x4e, 0x37, 0xc6, 0x12,  // checksum
   });
+  const std::size_t payloads[] = {1, 1, 0, 0, 1};
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& [got, want] = cases[i];
-    EXPECT_EQ(got, want) << "record type " << i + 1;
-    EXPECT_EQ(got.capacity(), got.size()) << "record type " << i + 1;
+    EXPECT_EQ(got.flatten(), want) << "record type " << i + 1;
+    EXPECT_EQ(got.size(), want.size()) << "record type " << i + 1;
+    EXPECT_EQ(got.slices().size(), payloads[i]) << "record type " << i + 1;
+    EXPECT_EQ(got.bytes().size() + payloads[i], want.size())
+        << "record type " << i + 1;  // each payload here is one byte
+    EXPECT_EQ(got.bytes().capacity(), got.bytes().size())
+        << "record type " << i + 1;
+    EXPECT_EQ(got.slices().capacity(), got.slices().size())
+        << "record type " << i + 1;
+    // The flat form of the same bytes scans to the same record.
+    WalScanResult sliced_r;
+    WalScanResult flat_r;
+    EXPECT_EQ(scan_all(got, &sliced_r).size(), 1u);
+    EXPECT_EQ(scan_all(flat(got), &flat_r).size(), 1u);
+    EXPECT_EQ(sliced_r.valid_bytes, want.size());
+    EXPECT_EQ(flat_r.valid_bytes, want.size());
   }
 }
 
 TEST(WalCodec, ScanRecoversExactlyTheCompleteFramePrefix) {
-  wire::Buffer log;
-  encode_abort(log, TxId{1, 1});
-  encode_abort(log, TxId{1, 2});
-  const std::size_t two = log.size();
-  encode_commit(log, TxId{1, 3}, 10, two_updates());
+  LogBuffer sliced;
+  encode_abort(sliced, TxId{1, 1});
+  encode_abort(sliced, TxId{1, 2});
+  const std::size_t two = sliced.size();
+  encode_commit(sliced, TxId{1, 3}, 10, two_updates());
+  const wire::Buffer log = sliced.flatten();
 
   // Truncate anywhere inside the third frame: exactly two records survive.
   for (std::size_t cut = two + 1; cut < log.size(); ++cut) {
-    wire::Buffer torn(log.begin(), log.begin() + cut);
+    const LogBuffer torn(wire::Buffer(log.begin(), log.begin() + cut));
     WalScanResult r;
     const auto records = scan_all(torn, &r);
     ASSERT_EQ(records.size(), 2u) << "cut at " << cut;
@@ -196,16 +220,16 @@ TEST(WalCodec, ScanRecoversExactlyTheCompleteFramePrefix) {
 }
 
 TEST(WalCodec, ScanStopsAtABitFlip) {
-  wire::Buffer log;
+  LogBuffer log;
   encode_abort(log, TxId{1, 1});
   const std::size_t one = log.size();
   encode_commit(log, TxId{1, 2}, 10, two_updates());
   encode_abort(log, TxId{1, 3});
 
-  wire::Buffer flipped = log;
+  wire::Buffer flipped = log.flatten();
   flipped[one + 7] ^= 0x10;  // inside the second frame's body
   WalScanResult r;
-  const auto records = scan_all(flipped, &r);
+  const auto records = scan_all(LogBuffer(flipped), &r);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(r.valid_bytes, one);
   EXPECT_TRUE(r.torn);
@@ -225,7 +249,7 @@ TEST(WalCodec, ScanRejectsAChecksummedButMalformedBody) {
   fw.u32le(wire::checksum32(payload.data(), payload.size()));
 
   WalScanResult r;
-  const auto records = scan_all(log, &r);
+  const auto records = scan_all(LogBuffer(log), &r);
   EXPECT_TRUE(records.empty());
   EXPECT_EQ(r.valid_bytes, 0u);
   EXPECT_TRUE(r.torn);
@@ -249,9 +273,9 @@ struct WalFixture {
 
   std::uint64_t append_abort(const TxId& tx,
                              UniqueFunction<void()> cb = {}) {
-    wire::Buffer frame;
+    LogBuffer frame;
     encode_abort(frame, tx);
-    return wal->append(frame, std::move(cb));
+    return wal->append(std::move(frame), std::move(cb));
   }
 };
 
@@ -372,7 +396,7 @@ TEST(Wal, RewriteReplacesTheLogWithACheckpoint) {
   f.sched.run_until(msec(20));
   ASSERT_TRUE(f.wal->idle());
 
-  wire::Buffer ckpt;
+  LogBuffer ckpt;
   std::vector<CheckpointVersion> snap;
   snap.push_back({1, 10, VersionState::Committed, TxId{1, 1}, val("v")});
   encode_checkpoint(ckpt, /*watermark=*/9, snap);
@@ -401,86 +425,229 @@ TEST(Wal, AppendReturnsEndOffsetsComparableToDurablePrefix) {
 
 // -- chunked durable storage -------------------------------------------------
 
+/// What one run of the chunked-log scenario left behind.
+struct TornLog {
+  wire::Buffer durable;           ///< the log's bytes after the crash
+  std::size_t chunks = 0;         ///< durable chunks after the crash
+  bool tail_clean = false;        ///< the torn tail kept an unflipped prefix
+  WalScanResult scan;             ///< chunked scan after the crash
+  std::vector<RecordKey> records;
+  wire::Buffer replayed;          ///< the log's bytes after replay
+  std::uint64_t next_draw = 0;    ///< the fault stream's next draw after it
+};
+
+/// Several syncs, a checkpoint rewrite in the middle, more syncs, then a
+/// crash that tears the last one. `sliced` appends frames as the encoders
+/// write them, payloads by reference; otherwise every frame is appended
+/// flat. Whatever the tear kept (a clean prefix or one with a flipped bit),
+/// the chunk list must scan to the same records and valid_bytes as its
+/// concatenation, and replay must truncate to that prefix.
+TornLog tear_chunked_log(std::uint64_t seed, bool sliced) {
+  TornLog out;
+  Rng rng(seed);
+  WalFixture f(/*batch=*/3, msec(2), /*fsync=*/msec(1),
+               TornWriteFault{1.0, &rng});
+  auto append = [&](LogBuffer frame) {
+    f.wal->append(sliced ? std::move(frame) : flat(frame));
+  };
+  auto commit = [&](std::uint64_t seq) {
+    LogBuffer frame;
+    encode_commit(frame, TxId{1, seq}, seq, two_updates());
+    append(std::move(frame));
+  };
+  for (std::uint64_t i = 1; i <= 6; ++i) commit(i);  // two syncs
+  f.sched.run_until(f.sched.now() + msec(10));
+  EXPECT_TRUE(f.wal->idle());
+
+  LogBuffer ckpt;
+  std::vector<CheckpointVersion> snap;
+  snap.push_back({7, 6, VersionState::Committed, TxId{1, 6}, val("a")});
+  encode_checkpoint(ckpt, /*watermark=*/5, snap);
+  f.wal->rewrite(sliced ? std::move(ckpt) : flat(ckpt));
+
+  for (std::uint64_t i = 7; i <= 12; ++i) {
+    commit(i);
+    LogBuffer abort;
+    encode_abort(abort, TxId{2, i});
+    append(std::move(abort));
+  }
+  f.sched.run_until(f.sched.now() + msec(10));
+  EXPECT_TRUE(f.wal->idle());
+  const std::size_t whole = f.wal->medium().durable_size();
+
+  // The last sync: in flight when the crash hits.
+  wire::Buffer last;
+  for (std::uint64_t i = 13; i <= 15; ++i) {
+    LogBuffer frame;
+    encode_commit(frame, TxId{1, i}, i, two_updates());
+    const wire::Buffer bytes = frame.flatten();
+    last.insert(last.end(), bytes.begin(), bytes.end());
+    append(std::move(frame));
+  }
+  EXPECT_TRUE(f.wal->medium().sync_in_flight());
+  f.wal->crash();
+  out.next_draw = rng.next();
+
+  const DurableChunks& chunks = f.wal->medium().durable_chunks();
+  out.chunks = chunks.size();
+  const LogBuffer& tail = chunks.back();
+  EXPECT_EQ(f.wal->medium().durable_size(), whole + tail.size());
+  EXPECT_GE(tail.size(), 1u);
+  EXPECT_TRUE(tail.slices().empty());  // a torn tail is flat
+  const wire::Buffer tail_bytes = tail.flatten();
+  out.tail_clean = std::equal(tail_bytes.begin(), tail_bytes.end(),
+                              last.begin());
+
+  out.durable = concat(chunks);
+  WalScanResult flat_r;
+  const auto flat_records = scan_all(LogBuffer(out.durable), &flat_r);
+  out.records = keys_of(scan_all(chunks, &out.scan));
+  EXPECT_EQ(out.scan.valid_bytes, flat_r.valid_bytes);
+  EXPECT_EQ(out.scan.records, flat_r.records);
+  EXPECT_EQ(out.scan.torn, flat_r.torn);
+  EXPECT_EQ(out.records, keys_of(flat_records));
+  EXPECT_GE(out.scan.valid_bytes, whole);  // the tear stays in the tail
+  EXPECT_EQ(f.wal->durable_prefix(), flat_r.valid_bytes);
+
+  const WalScanResult replayed = f.wal->replay(nullptr);
+  EXPECT_EQ(replayed.valid_bytes, flat_r.valid_bytes);
+  out.replayed = concat(f.wal->medium().durable_chunks());
+  EXPECT_EQ(out.replayed,
+            wire::Buffer(out.durable.begin(),
+                         out.durable.begin() +
+                             static_cast<std::ptrdiff_t>(flat_r.valid_bytes)));
+  EXPECT_EQ(f.wal->end_offset(), flat_r.valid_bytes);
+  return out;
+}
+
 TEST(WalChunks, ChunkedLogScansAndTruncatesLikeItsConcatenation) {
-  // Several syncs, a checkpoint rewrite in the middle, more syncs, then a
-  // crash that tears the last one. Whatever the tear kept (a clean prefix
-  // or one with a flipped bit), the chunk list must scan to the same
-  // records and valid_bytes as its concatenation, and replay must truncate
-  // to that prefix.
+  // Each seed runs twice: with sliced frames and with the same frames flat.
+  // The sliced log keeps a chunk per sync (and the flat one coalesces its
+  // syncs), yet both must leave the same bytes, draw the same torn tail
+  // from the fault stream, and scan and replay alike.
   int flipped = 0;
   int clean = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed);
-    WalFixture f(/*batch=*/3, msec(2), /*fsync=*/msec(1),
-                 TornWriteFault{1.0, &rng});
-    auto commit = [&f](std::uint64_t seq) {
-      wire::Buffer frame;
-      encode_commit(frame, TxId{1, seq}, seq, two_updates());
-      f.wal->append(frame);
-    };
-    for (std::uint64_t i = 1; i <= 6; ++i) commit(i);  // two syncs
-    f.sched.run_until(f.sched.now() + msec(10));
-    ASSERT_TRUE(f.wal->idle());
-
-    wire::Buffer ckpt;
-    std::vector<CheckpointVersion> snap;
-    snap.push_back({7, 6, VersionState::Committed, TxId{1, 6}, val("a")});
-    encode_checkpoint(ckpt, /*watermark=*/5, snap);
-    f.wal->rewrite(std::move(ckpt));
-
-    for (std::uint64_t i = 7; i <= 12; ++i) {
-      commit(i);
-      f.append_abort(TxId{2, i});
-    }
-    f.sched.run_until(f.sched.now() + msec(10));
-    ASSERT_TRUE(f.wal->idle());
-    const std::size_t whole = f.wal->medium().durable_size();
-
-    // The last sync: in flight when the crash hits.
-    wire::Buffer last;
-    for (std::uint64_t i = 13; i <= 15; ++i) {
-      wire::Buffer frame;
-      encode_commit(frame, TxId{1, i}, i, two_updates());
-      last.insert(last.end(), frame.begin(), frame.end());
-      f.wal->append(frame);
-    }
-    ASSERT_TRUE(f.wal->medium().sync_in_flight());
-    f.wal->crash();
-
-    const DurableChunks& chunks = f.wal->medium().durable_chunks();
-    ASSERT_GE(chunks.size(), 4u) << "seed " << seed;
-    const wire::Buffer& tail = chunks.back();
-    ASSERT_EQ(f.wal->medium().durable_size(), whole + tail.size());
-    ASSERT_GE(tail.size(), 1u);
-    if (std::equal(tail.begin(), tail.end(), last.begin())) {
-      ++clean;
-    } else {
-      ++flipped;
-    }
-
-    const wire::Buffer flat = concat(chunks);
-    WalScanResult flat_r;
-    const auto flat_records = scan_all(flat, &flat_r);
-    WalScanResult chunk_r;
-    const auto chunk_records = scan_all(chunks, &chunk_r);
-    EXPECT_EQ(chunk_r.valid_bytes, flat_r.valid_bytes) << "seed " << seed;
-    EXPECT_EQ(chunk_r.records, flat_r.records) << "seed " << seed;
-    EXPECT_EQ(chunk_r.torn, flat_r.torn) << "seed " << seed;
-    EXPECT_EQ(keys_of(chunk_records), keys_of(flat_records)) << "seed " << seed;
-    EXPECT_GE(chunk_r.valid_bytes, whole);  // the tear stays in the tail
-    EXPECT_EQ(f.wal->durable_prefix(), flat_r.valid_bytes);
-
-    const WalScanResult replayed = f.wal->replay(nullptr);
-    EXPECT_EQ(replayed.valid_bytes, flat_r.valid_bytes);
-    EXPECT_EQ(concat(f.wal->medium().durable_chunks()),
-              wire::Buffer(flat.begin(),
-                           flat.begin() + static_cast<std::ptrdiff_t>(
-                                              flat_r.valid_bytes)))
-        << "seed " << seed;
-    EXPECT_EQ(f.wal->end_offset(), flat_r.valid_bytes);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const TornLog sliced = tear_chunked_log(seed, /*sliced=*/true);
+    const TornLog flat_log = tear_chunked_log(seed, /*sliced=*/false);
+    EXPECT_EQ(sliced.chunks, 4u);  // checkpoint, two syncs, torn tail
+    EXPECT_EQ(flat_log.chunks, 2u);
+    EXPECT_EQ(sliced.durable, flat_log.durable);
+    EXPECT_EQ(sliced.next_draw, flat_log.next_draw);
+    EXPECT_EQ(sliced.tail_clean, flat_log.tail_clean);
+    EXPECT_EQ(sliced.scan.valid_bytes, flat_log.scan.valid_bytes);
+    EXPECT_EQ(sliced.scan.records, flat_log.scan.records);
+    EXPECT_EQ(sliced.scan.torn, flat_log.scan.torn);
+    EXPECT_EQ(sliced.records, flat_log.records);
+    EXPECT_EQ(sliced.replayed, flat_log.replayed);
+    ++(sliced.tail_clean ? clean : flipped);
   }
   EXPECT_GT(flipped, 0);
   EXPECT_GT(clean, 0);
+}
+
+// -- payloads held by reference ---------------------------------------------
+
+TEST(WalPayloads, CheckpointImageHoldsItsPayloadsByReference) {
+  std::vector<SharedValue> values;
+  std::vector<CheckpointVersion> snap;
+  std::size_t payload = 0;
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    values.push_back(val(std::string(100 + i, static_cast<char>('a' + i % 26))));
+    payload += values.back()->size();
+    snap.push_back({i, 10 + i, VersionState::Committed, TxId{1, i},
+                    values.back()});
+  }
+  snap.push_back({99, 5, VersionState::PreCommitted, TxId{2, 1}, nullptr});
+
+  LogBuffer image;
+  encode_checkpoint(image, /*watermark=*/7, snap);
+  ASSERT_EQ(image.slices().size(), values.size());
+  EXPECT_EQ(image.bytes().size() + payload, image.size());
+  for (const SharedValue& v : values) EXPECT_EQ(v.use_count(), 3);
+
+  SimMedium medium(nullptr, /*fsync_latency=*/0, TornWriteFault{});
+  const std::size_t non_payload = image.bytes().size();
+  medium.reset_durable(std::move(image));
+  for (const SharedValue& v : values) EXPECT_EQ(v.use_count(), 3);
+  // The non-payload bytes, one slice per value and one chunk-list entry:
+  // the payloads themselves are the store's.
+  EXPECT_LE(medium.held_bytes(), non_payload +
+                                     values.size() * sizeof(PayloadSlice) +
+                                     sizeof(LogBuffer));
+  EXPECT_LT(medium.held_bytes(), medium.durable_size());
+
+  // Cutting the log releases the references with the frames.
+  medium.truncate_durable(0);
+  for (const SharedValue& v : values) EXPECT_EQ(v.use_count(), 2);
+}
+
+TEST(WalPayloads, ReplayDecodesASlicedValueToTheSamePayload) {
+  WalFixture f(/*batch=*/1, msec(2), msec(1));
+  const SharedValue committed = val("committed payload");
+  const SharedValue empty = val("");
+  LogBuffer frame;
+  encode_commit(frame, TxId{1, 1}, 10, {{7, committed}, {8, empty}});
+  f.wal->append(std::move(frame));
+  f.sched.run_until(msec(10));
+
+  std::vector<WalRecord> records;
+  f.wal->replay([&](const WalRecord& rec) { records.push_back(rec); });
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].updates.size(), 2u);
+  EXPECT_EQ(records[0].updates[0].second.get(), committed.get());
+  EXPECT_EQ(records[0].updates[1].second.get(), empty.get());
+
+  // A checkpoint's snapshot values alike.
+  std::vector<CheckpointVersion> snap;
+  snap.push_back({7, 10, VersionState::Committed, TxId{1, 1}, committed});
+  LogBuffer ckpt;
+  encode_checkpoint(ckpt, /*watermark=*/9, snap);
+  const LogBuffer ckpt_flat = flat(ckpt);
+  f.wal->rewrite(std::move(ckpt));
+  records.clear();
+  f.wal->replay([&](const WalRecord& rec) { records.push_back(rec); });
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].snapshot.size(), 1u);
+  EXPECT_EQ(records[0].snapshot[0].value.get(), committed.get());
+
+  // Flat bytes (a log file read back) decode to a copy of the payload.
+  const auto copied = scan_all(ckpt_flat);
+  ASSERT_EQ(copied.size(), 1u);
+  EXPECT_NE(copied[0].snapshot[0].value.get(), committed.get());
+  EXPECT_EQ(*copied[0].snapshot[0].value, *committed);
+}
+
+TEST(WalPayloads, TornTailNeverWritesThroughASharedPayload) {
+  // Payload bytes dominate these frames, so most bit flips land in one.
+  // The torn tail is flattened before its bit is flipped: the shared
+  // payloads keep their bytes whatever the crash did to the log.
+  int flips_in_payload = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    WalFixture f(/*batch=*/2, msec(2), /*fsync=*/msec(5),
+                 TornWriteFault{1.0, &rng});
+    const std::string text(1000, 'x');
+    const WalUpdates updates = {{1, val(text)}, {2, val(text)}};
+    wire::Buffer logged;
+    for (std::uint64_t i = 1; i <= 2; ++i) {
+      LogBuffer frame;
+      encode_commit(frame, TxId{1, i}, i, updates);
+      const wire::Buffer bytes = frame.flatten();
+      logged.insert(logged.end(), bytes.begin(), bytes.end());
+      f.wal->append(std::move(frame));
+    }
+    ASSERT_TRUE(f.wal->medium().sync_in_flight());
+    f.wal->crash();
+    for (const auto& [key, v] : updates) EXPECT_EQ(*v, text) << "seed " << seed;
+
+    const wire::Buffer tail = concat(f.wal->medium().durable_chunks());
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      if (tail[i] != logged[i] && logged[i] == 'x') ++flips_in_payload;
+    }
+  }
+  EXPECT_GT(flips_in_payload, 0);
 }
 
 wire::Buffer read_file(const std::string& path) {
@@ -495,14 +662,16 @@ wire::Buffer read_file(const std::string& path) {
 
 TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
   // The file equals the concatenated durable chunks after every kind of
-  // change: syncs (appended), a torn crash (tail appended), the replay's
-  // truncation and a rewrite (file replaced), then more syncs.
+  // change: syncs (appended; slice-free ones coalesce into one chunk), a
+  // torn crash (tail appended as its own chunk), the replay's truncation
+  // and a rewrite (file replaced), then more syncs, one of them holding
+  // payloads by reference (written from the shared payloads).
   const std::string path = testing::TempDir() + "wal_mirror_test.wal";
   std::remove(path.c_str());
   sim::Scheduler sched;
   Rng rng(2);
   auto decision = [](std::uint64_t seq) {
-    wire::Buffer frame;
+    LogBuffer frame;
     encode_decision(frame, TxId{3, seq}, 70 + seq, 80 + seq);
     return frame;
   };
@@ -517,21 +686,28 @@ TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
       sched.run_until(sched.now() + msec(10));
     }
     ASSERT_TRUE(wal.idle());
-    EXPECT_EQ(medium.durable_chunks().size(), 4u);
+    EXPECT_EQ(medium.durable_chunks().size(), 1u);
     EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
 
     wal.append(decision(5));  // its sync is in flight at the crash
     wal.crash();
-    EXPECT_EQ(medium.durable_chunks().size(), 5u);
+    EXPECT_EQ(medium.durable_chunks().size(), 2u);
     EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
     EXPECT_TRUE(wal.replay(nullptr).torn);  // this seed tears the tail
     EXPECT_EQ(medium.durable_chunks().size(), 1u);
     EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
 
-    wire::Buffer compacted = decision(9);
+    const LogBuffer compacted = decision(9);
     wal.rewrite(compacted);
-    EXPECT_EQ(read_file(path), compacted);
+    EXPECT_EQ(read_file(path), compacted.flatten());
     wal.append(decision(10));
+    sched.run_until(sched.now() + msec(10));
+    EXPECT_EQ(medium.durable_chunks().size(), 1u);
+    EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
+
+    LogBuffer commit;
+    encode_commit(commit, TxId{3, 11}, 90, two_updates());
+    wal.append(std::move(commit));
     sched.run_until(sched.now() + msec(10));
     EXPECT_EQ(medium.durable_chunks().size(), 2u);
     EXPECT_EQ(read_file(path), concat(medium.durable_chunks()));
@@ -544,11 +720,14 @@ TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
            Wal::Options{}, Wal::Counters{});
   std::vector<WalRecord> records;
   wal2.replay([&](const WalRecord& rec) { records.push_back(rec); });
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].type, WalRecordType::kDecision);
   EXPECT_EQ(records[0].tx, (TxId{3, 9}));
   EXPECT_EQ(records[0].ts, 79u);
   EXPECT_EQ(records[1].tx, (TxId{3, 10}));
+  EXPECT_EQ(records[2].type, WalRecordType::kCommit);
+  ASSERT_EQ(records[2].updates.size(), 2u);
+  EXPECT_EQ(*records[2].updates[1].second, "bb");
   std::remove(path.c_str());
 }
 

@@ -165,6 +165,33 @@ TEST(Codec, ChecksumKernelsAgreeOnEveryLengthAndAlignment) {
             crc32c_portable(buf.data(), buf.size()));
 }
 
+TEST(Codec, ChecksumContinuesAtEverySplitPoint) {
+  // A frame held in pieces is checksummed piece by piece: continuing the
+  // CRC of a prefix over the rest must give the CRC of the whole, at every
+  // split point, through both kernels.
+  Rng rng(0x5eed);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  using Kernel = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                   std::uint32_t);
+  for (const Kernel crc : {Kernel{checksum32}, Kernel{crc32c_portable}}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 1024; ++len) {
+        const std::uint8_t* p = buf.data() + offset;
+        const std::uint32_t whole = crc(p, len, 0);
+        std::uint32_t prefix = 0;  // CRC of p[0, split)
+        for (std::size_t split = 0; split <= len; ++split) {
+          ASSERT_EQ(crc(p + split, len - split, prefix), whole)
+              << "offset " << offset << " length " << len << " split "
+              << split;
+          if (split < len) prefix = crc(p + split, 1, prefix);
+        }
+        ASSERT_EQ(prefix, whole);
+      }
+    }
+  }
+}
+
 TEST(Codec, FrameChecksumCatchesEveryBurstUpTo32Bits) {
   // A CRC of degree 32 detects every error burst of length <= 32: any
   // pattern whose first and last flipped bits lie at most 31 bits apart.
