@@ -16,9 +16,10 @@
 //   peak RSS              process high-water resident set (getrusage)
 //
 // The human-readable output ends with a "memory by structure" block: the
-// heap the key tables (entry arena, key index, spilled version chains) and
-// the latency histograms hold at the end of the run, and the heap in use
-// right after the Cluster constructor. It is not part of the JSON.
+// heap the key tables (entry arena, key index, spilled version chains), the
+// actors' tombstone tables and the latency histograms hold at the end of
+// the run, and the heap in use right after the Cluster constructor. It is
+// not part of the JSON.
 //
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
@@ -149,6 +150,8 @@ StoreTotals store_totals(protocol::Cluster& cluster) {
 /// Heap bytes held by each memory-heavy structure, summed cluster-wide.
 struct MemoryByStructure {
   store::TableBytes tables;
+  std::uint64_t tombstone_bytes = 0;
+  std::uint64_t tombstones = 0;
   std::uint64_t histogram_bytes = 0;
   std::uint64_t histograms = 0;
 };
@@ -169,6 +172,8 @@ MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
       m.tables.arena += t.arena;
       m.tables.index += t.index;
       m.tables.spilled_chains += t.spilled_chains;
+      m.tombstone_bytes += actor->tombstone_bytes();
+      m.tombstones += actor->tombstone_count();
     }
   }
   for (const Histogram* h : {&cluster.metrics().final_latency(),
@@ -344,6 +349,8 @@ int main(int argc, char** argv) {
                               : 0.0);
   std::printf("    key index       %12.2f\n", mb(mem.tables.index));
   std::printf("    spilled chains  %12.2f\n", mb(mem.tables.spilled_chains));
+  std::printf("    tombstones      %12.2f (%llu)\n", mb(mem.tombstone_bytes),
+              static_cast<unsigned long long>(mem.tombstones));
   std::printf("    histograms      %12.2f (%llu)\n", mb(mem.histogram_bytes),
               static_cast<unsigned long long>(mem.histograms));
   std::printf("    heap after ctor %12.2f\n", mb(ctor_heap));

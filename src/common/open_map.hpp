@@ -1,19 +1,21 @@
 // Open-addressing hash map (linear probing, power-of-two capacity).
 //
-// std::unordered_map allocates one node per key, which makes first-touch
-// inserts on the store's hot path (one per key per replica) the dominant
-// allocation source. This table stores entries inline in a flat slot array:
-// steady-state inserts allocate nothing, and growth is a single amortized
-// rehash. Erase uses backward-shift deletion, so lookups never scan
-// tombstones. Slots are sized for small values (every slot pays for one,
-// occupied or not). The store's key table, which never erases, uses its own
-// packed insert-only index instead (store::KeyIndex in store/mvstore.hpp).
+// std::unordered_map allocates one node per key, which puts an allocation
+// on every insert of a hot table. This table stores entries inline in a
+// flat slot array: steady-state inserts allocate nothing, and growth is a
+// single amortized rehash. Erase uses backward-shift deletion, so lookups
+// never scan tombstones. Slots are sized for small values (every slot pays
+// for one, occupied or not). Tables whose entries are only inserted, or
+// expire together, use packed 12-byte slots of their own instead: the
+// store's key index (store::KeyIndex in store/mvstore.hpp) and the actors'
+// tombstones (protocol/tombstone_table.hpp).
 //
 // Determinism note: iteration order is a function of the key hashes and the
 // insertion/erase sequence only — identical across runs for identical input
 // sequences, which is all the simulation requires. No consumer depends on
-// the order: the partition actors' tombstone tables and the wire payload
-// table are only swept with erase_if, whose result is order-independent.
+// the order: the wire payload table is only swept with erase_if, whose
+// result is order-independent, and the store's writer table is iterated
+// only to list its writers, which the store sorts.
 #pragma once
 
 #include <cstddef>

@@ -34,6 +34,8 @@ Cluster::Cluster(Config config)
       pmap_(config_.num_nodes, config_.partitions_per_node,
             config_.replication_factor) {
   STR_ASSERT(config_.num_nodes >= 1);
+  STR_ASSERT_MSG(config_.num_nodes <= kMaxNodes,
+                 "node ids must fit a packed tombstone id");
   const bool real_tp = config_.transport != net::TransportKind::kDes;
   if (real_tp) {
     // str_sim rejects these up front with usage errors; the asserts catch

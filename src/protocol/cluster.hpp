@@ -27,6 +27,7 @@
 #include "protocol/config.hpp"
 #include "protocol/node.hpp"
 #include "protocol/partition_map.hpp"
+#include "protocol/tombstone_table.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sharded.hpp"
 #include "storage/wal.hpp"
@@ -42,6 +43,11 @@ namespace str::protocol {
 
 class Cluster {
  public:
+  /// Largest cluster: node ids must fit the 16 bits a tombstone packs them
+  /// into (protocol/tombstone_table.hpp).
+  static constexpr std::uint32_t kMaxNodes = 65535;
+  static_assert(kMaxNodes - 1 <= TombstoneTable::kMaxNode);
+
   struct Config {
     std::uint32_t num_nodes = 9;
     std::uint32_t partitions_per_node = 1;

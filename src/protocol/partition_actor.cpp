@@ -13,7 +13,11 @@
 namespace str::protocol {
 
 PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
-    : node_(node), pid_(pid), is_master_(master) {
+    : node_(node),
+      pid_(pid),
+      is_master_(master),
+      tombstones_(node.cluster().protocol().gc_horizon +
+                  node.cluster().protocol().gc_interval) {
   store_.set_registry(&node.obs());
   tracer_ = &node.cluster().tracer();
   t_read_block_ = &node.obs().timer("phase.read_block");
@@ -335,7 +339,7 @@ void PartitionActor::apply_commit(const TxId& tx, Timestamp ct,
     wal_->append(std::move(frame));
   }
   store_.final_commit(tx, ct);
-  tombstones_.try_emplace(tx, node_.physical_now());
+  tombstones_.insert(tx, node_.physical_now());
   awaiting_decision_.erase(tx);
   resolve_writer(tx);
 }
@@ -351,7 +355,7 @@ void PartitionActor::apply_abort(const TxId& tx) {
     wal_->append(std::move(frame));
   }
   store_.abort_tx(tx);
-  tombstones_.try_emplace(tx, node_.physical_now());
+  tombstones_.insert(tx, node_.physical_now());
   awaiting_decision_.erase(tx);
   resolve_writer(tx);
 }
@@ -727,9 +731,7 @@ void PartitionActor::resolve_writer(const TxId& writer) {
 void PartitionActor::maintain(Timestamp prune_horizon,
                               Timestamp tombstone_horizon) {
   store_.gc(prune_horizon);
-  tombstones_.erase_if([tombstone_horizon](const TxId&, Timestamp at) {
-    return at < tombstone_horizon;
-  });
+  tombstones_.expire(tombstone_horizon);
   // Checkpoint/truncate: once the log outgrows the threshold and is idle
   // (idle => every appended record is durable and no offsets are live),
   // replace it with one checkpoint record snapshotting the store. The

@@ -13,11 +13,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/open_map.hpp"
 #include "common/types.hpp"
 #include "common/unique_function.hpp"
 #include "obs/trace.hpp"
 #include "protocol/messages.hpp"
+#include "protocol/tombstone_table.hpp"
 #include "storage/wal.hpp"
 #include "store/mvstore.hpp"
 
@@ -133,6 +133,10 @@ class PartitionActor {
   /// Prepared remote transactions currently awaiting a coordinator decision.
   std::size_t awaiting_decisions() const { return awaiting_decision_.size(); }
 
+  /// Tombstones held, and the heap their table takes (memory accounting).
+  std::size_t tombstone_count() const { return tombstones_.size(); }
+  std::uint64_t tombstone_bytes() const { return tombstones_.bytes(); }
+
  private:
   struct ParkedRead {
     TxId reader;
@@ -188,10 +192,10 @@ class PartitionActor {
   /// fire in that same-instant gap, and the watermark must not pass a read
   /// that is about to hit the store.
   std::vector<Timestamp> inflight_reserve_rs_;
-  /// Flat table: one tombstone is written per transaction per replica on
-  /// every commit/abort, so node-per-entry maps would allocate on the
-  /// hottest path in the actor.
-  OpenMap<TxId, Timestamp, TxIdHash> tombstones_;
+  /// One tombstone per decided transaction, kept for the tombstone horizon
+  /// in packed 12 B slots: on abort-heavy runs this is most of the actor's
+  /// volatile memory (protocol/tombstone_table.hpp).
+  TombstoneTable tombstones_;
 
   /// Prepared-but-undecided remote transactions (the 2PC in-doubt window).
   struct Orphan {

@@ -123,37 +123,20 @@ StoreReadResult PartitionStore::read_chain(const KeyEntry& entry,
   return StoreReadResult{};
 }
 
-std::vector<Key>& PartitionStore::uncommitted_keys(const TxId& tx) {
-  for (UncommittedEntry& e : uncommitted_) {
-    if (e.tx == tx) return e.keys;
-  }
-  UncommittedEntry& e = uncommitted_.emplace_back();
-  e.tx = tx;
-  if (!key_pool_.empty()) {
-    e.keys = std::move(key_pool_.back());
+PartitionStore::UncommittedKeys& PartitionStore::uncommitted_keys(
+    const TxId& tx) {
+  auto [keys, inserted] = uncommitted_.try_emplace(tx);
+  if (inserted && !key_pool_.empty()) {
+    *keys = std::move(key_pool_.back());
     key_pool_.pop_back();
   }
-  return e.keys;
+  return *keys;
 }
 
-const PartitionStore::UncommittedEntry* PartitionStore::find_uncommitted(
-    const TxId& tx) const {
-  for (const UncommittedEntry& e : uncommitted_) {
-    if (e.tx == tx) return &e;
-  }
-  return nullptr;
-}
-
-void PartitionStore::erase_uncommitted(const TxId& tx) {
-  for (UncommittedEntry& e : uncommitted_) {
-    if (e.tx == tx) {
-      e.keys.clear();
-      key_pool_.push_back(std::move(e.keys));
-      e = std::move(uncommitted_.back());
-      uncommitted_.pop_back();
-      return;
-    }
-  }
+void PartitionStore::erase_uncommitted(const TxId& tx, UncommittedKeys& keys) {
+  keys.clear();
+  key_pool_.push_back(std::move(keys));
+  uncommitted_.erase(tx);
 }
 
 PrepareResult PartitionStore::prepare(
@@ -161,14 +144,19 @@ PrepareResult PartitionStore::prepare(
     const std::vector<std::pair<Key, SharedValue>>& updates,
     bool precise_clocks, Timestamp physical_now,
     const FlatSet<TxId>* chain_allowed) {
+  STR_ASSERT_MSG(!replicating_.valid(),
+                 "prepare between replicate_insert and replicate_finish");
   // Certification pass: no uncommitted version by a concurrent writer may
   // exist on any updated key, and no committed version newer than our
   // snapshot. Local-committed versions inside tx's speculative snapshot
-  // (chain_allowed) are not concurrent.
+  // (chain_allowed) are not concurrent. Each key's position is kept for
+  // the passes below.
+  resolved_.clear();
   for (const auto& [key, value] : updates) {
-    const KeyEntry* entry = table_.find(key);
-    if (entry == nullptr) continue;
-    for (const Version& v : entry->versions) {
+    const std::uint32_t pos = table_.find_position(key);
+    resolved_.push_back(pos);
+    if (pos == KeyIndex::kNotFound) continue;
+    for (const Version& v : table_.at(pos).versions) {
       if (v.writer() == tx) continue;  // idempotent re-prepare
       if (v.state == VersionState::Committed) {
         if (v.ts > rs) {
@@ -187,10 +175,15 @@ PrepareResult PartitionStore::prepare(
     }
   }
   // Timestamp proposal (Precise Clocks rule from §5.3, or the physical-clock
-  // rule of Clock-SI/Spanner), clamped above existing versions.
+  // rule of Clock-SI/Spanner), clamped above existing versions. Keys absent
+  // so far get their entries here, in update order: a refused prepare
+  // creates none.
   Timestamp proposed = precise_clocks ? 0 : physical_now;
-  for (const auto& [key, value] : updates) {
-    KeyEntry& entry = table_[key];
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (resolved_[i] == KeyIndex::kNotFound) {
+      resolved_[i] = table_.position(updates[i].first);
+    }
+    const KeyEntry& entry = table_.at(resolved_[i]);
     if (precise_clocks) {
       proposed = std::max(proposed, entry.last_reader + 1);
     }
@@ -200,13 +193,14 @@ PrepareResult PartitionStore::prepare(
   }
   if (ts_floor_ > 0) proposed = std::max(proposed, ts_floor_ + 1);
   // Insert pre-committed versions at the proposed timestamp.
-  std::vector<Key>& mine = uncommitted_keys(tx);
-  for (const auto& [key, value] : updates) {
-    KeyEntry& entry = table_[key];
+  UncommittedKeys& mine = uncommitted_keys(tx);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const auto& [key, value] = updates[i];
+    KeyEntry& entry = table_.at(resolved_[i]);
     insert_sorted(entry.versions,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
-    mine.push_back(key);
+    mine.push_back({key, resolved_[i]});
   }
   if (c_versions_inserted_ != nullptr) c_versions_inserted_->inc(updates.size());
   return PrepareResult{true, proposed, kNoTx};
@@ -215,15 +209,23 @@ PrepareResult PartitionStore::prepare(
 PartitionStore::ReplicateResult PartitionStore::replicate_insert(
     const TxId& tx, const std::vector<std::pair<Key, SharedValue>>& updates,
     bool precise_clocks, Timestamp physical_now) {
+  STR_ASSERT_MSG(!replicating_.valid(),
+                 "replicate_insert before the last replicate_finish");
+  replicating_ = tx;
   ReplicateResult out;
   // Evict conflicting local speculation: the master-certified pre-commit is
   // authoritative, so this node's own local-committed writers on these keys
   // lose (Alg. 2 line 31). Pre-committed versions from other replicated
-  // transactions are master-approved chains and stay.
+  // transactions are master-approved chains and stay. A replicate is never
+  // refused, so every key gets its entry here, in update order; its
+  // position is kept for replicate_finish().
+  Timestamp proposed = precise_clocks ? 0 : physical_now;
+  resolved_.clear();
   for (const auto& [key, value] : updates) {
-    const KeyEntry* entry = table_.find(key);
-    if (entry == nullptr) continue;
-    for (const Version& v : entry->versions) {
+    const std::uint32_t pos = table_.position(key);
+    resolved_.push_back(pos);
+    const KeyEntry& entry = table_.at(pos);
+    for (const Version& v : entry.versions) {
       if (v.writer() == tx) continue;
       if (v.state == VersionState::LocalCommitted &&
           std::find(out.evicted.begin(), out.evicted.end(), v.writer()) ==
@@ -231,14 +233,10 @@ PartitionStore::ReplicateResult PartitionStore::replicate_insert(
         out.evicted.push_back(v.writer());
       }
     }
-  }
-  // Note: the caller aborts the evicted writers (which removes their
-  // versions, possibly cascading) before we insert and propose.
-  Timestamp proposed = precise_clocks ? 0 : physical_now;
-  for (const auto& [key, value] : updates) {
-    KeyEntry& entry = table_[key];
     if (precise_clocks) proposed = std::max(proposed, entry.last_reader + 1);
   }
+  // Note: the caller aborts the evicted writers (which removes their
+  // versions, possibly cascading) before we insert.
   if (ts_floor_ > 0) proposed = std::max(proposed, ts_floor_ + 1);
   out.proposed_ts = proposed;
   return out;
@@ -249,29 +247,31 @@ PartitionStore::ReplicateResult PartitionStore::replicate_insert(
 Timestamp PartitionStore::replicate_finish(
     const TxId& tx, const std::vector<std::pair<Key, SharedValue>>& updates,
     Timestamp proposed) {
-  for (const auto& [key, value] : updates) {
-    KeyEntry& entry = table_[key];
-    if (!entry.versions.empty()) {
-      proposed = std::max(proposed, entry.versions.back().ts + 1);
-    }
+  STR_ASSERT_MSG(replicating_ == tx && resolved_.size() == updates.size(),
+                 "replicate_finish without its replicate_insert");
+  replicating_ = kNoTx;
+  for (std::uint32_t pos : resolved_) {
+    const VersionChain& chain = table_.at(pos).versions;
+    if (!chain.empty()) proposed = std::max(proposed, chain.back().ts + 1);
   }
-  std::vector<Key>& mine = uncommitted_keys(tx);
-  for (const auto& [key, value] : updates) {
-    KeyEntry& entry = table_[key];
+  UncommittedKeys& mine = uncommitted_keys(tx);
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const auto& [key, value] = updates[i];
+    KeyEntry& entry = table_.at(resolved_[i]);
     insert_sorted(entry.versions,
                   Version{proposed, VersionState::PreCommitted, tx, value});
     ++entry.uncommitted_count;
-    mine.push_back(key);
+    mine.push_back({key, resolved_[i]});
   }
   if (c_versions_inserted_ != nullptr) c_versions_inserted_->inc(updates.size());
   return proposed;
 }
 
 void PartitionStore::local_commit(const TxId& tx, Timestamp lc) {
-  const UncommittedEntry* e = find_uncommitted(tx);
-  if (e == nullptr) return;
-  for (Key key : e->keys) {
-    auto& chain = table_[key].versions;
+  const UncommittedKeys* keys = uncommitted_.find(tx);
+  if (keys == nullptr) return;
+  for (const UncommittedKey& k : *keys) {
+    auto& chain = table_.at(k.pos).versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
       if (vit->writer() == tx) {
         STR_ASSERT(vit->state == VersionState::PreCommitted);
@@ -285,10 +285,10 @@ void PartitionStore::local_commit(const TxId& tx, Timestamp lc) {
 }
 
 void PartitionStore::final_commit(const TxId& tx, Timestamp fc) {
-  const UncommittedEntry* e = find_uncommitted(tx);
-  if (e == nullptr) return;
-  for (Key key : e->keys) {
-    KeyEntry& entry = table_[key];
+  UncommittedKeys* keys = uncommitted_.find(tx);
+  if (keys == nullptr) return;
+  for (const UncommittedKey& k : *keys) {
+    KeyEntry& entry = table_.at(k.pos);
     auto& chain = entry.versions;
     for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
       if (vit->writer() == tx) {
@@ -302,14 +302,14 @@ void PartitionStore::final_commit(const TxId& tx, Timestamp fc) {
       }
     }
   }
-  erase_uncommitted(tx);
+  erase_uncommitted(tx, *keys);
 }
 
 void PartitionStore::abort_tx(const TxId& tx) {
-  const UncommittedEntry* e = find_uncommitted(tx);
-  if (e == nullptr) return;
-  for (Key key : e->keys) {
-    KeyEntry& entry = table_[key];
+  UncommittedKeys* keys = uncommitted_.find(tx);
+  if (keys == nullptr) return;
+  for (const UncommittedKey& k : *keys) {
+    KeyEntry& entry = table_.at(k.pos);
     auto& chain = entry.versions;
     auto keep = std::remove_if(chain.begin(), chain.end(), [&](const Version& v) {
       return v.writer() == tx && v.state != VersionState::Committed;
@@ -319,21 +319,19 @@ void PartitionStore::abort_tx(const TxId& tx) {
     STR_ASSERT(entry.uncommitted_count >= removed);
     entry.uncommitted_count -= removed;
   }
-  erase_uncommitted(tx);
+  erase_uncommitted(tx, *keys);
 }
 
 bool PartitionStore::has_uncommitted(const TxId& tx) const {
-  return find_uncommitted(tx) != nullptr;
+  return uncommitted_.contains(tx);
 }
 
 Timestamp PartitionStore::uncommitted_ts(const TxId& tx) const {
-  const UncommittedEntry* e = find_uncommitted(tx);
-  if (e == nullptr) return 0;
+  const UncommittedKeys* keys = uncommitted_.find(tx);
+  if (keys == nullptr) return 0;
   Timestamp ts = 0;
-  for (Key key : e->keys) {
-    const KeyEntry* entry = table_.find(key);
-    if (entry == nullptr) continue;
-    for (const Version& v : entry->versions) {
+  for (const UncommittedKey& k : *keys) {
+    for (const Version& v : table_.at(k.pos).versions) {
       if (v.writer() == tx && v.state != VersionState::Committed) {
         ts = std::max(ts, v.ts);
       }
@@ -345,7 +343,7 @@ Timestamp PartitionStore::uncommitted_ts(const TxId& tx) const {
 std::vector<TxId> PartitionStore::uncommitted_txns() const {
   std::vector<TxId> txns;
   txns.reserve(uncommitted_.size());
-  for (const UncommittedEntry& e : uncommitted_) txns.push_back(e.tx);
+  for (const auto& slot : uncommitted_) txns.push_back(slot.key);
   std::sort(txns.begin(), txns.end());
   return txns;
 }
@@ -408,15 +406,13 @@ Timestamp PartitionStore::last_reader(Key key) const {
 std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
     const TxId& tx) const {
   std::vector<std::pair<Key, SharedValue>> updates;
-  const UncommittedEntry* e = find_uncommitted(tx);
-  if (e == nullptr) return updates;
-  updates.reserve(e->keys.size());
-  for (Key key : e->keys) {
-    const KeyEntry* entry = table_.find(key);
-    if (entry == nullptr) continue;
-    for (const Version& v : entry->versions) {
+  const UncommittedKeys* keys = uncommitted_.find(tx);
+  if (keys == nullptr) return updates;
+  updates.reserve(keys->size());
+  for (const UncommittedKey& k : *keys) {
+    for (const Version& v : table_.at(k.pos).versions) {
       if (v.writer() == tx && v.state != VersionState::Committed) {
-        updates.emplace_back(key, v.value);
+        updates.emplace_back(k.key(), v.value);
         break;
       }
     }
@@ -440,17 +436,18 @@ std::vector<std::pair<Key, Version>> PartitionStore::dump_versions() const {
 
 void PartitionStore::clear_all() {
   table_.clear();
-  for (UncommittedEntry& e : uncommitted_) {
-    e.keys.clear();
-    key_pool_.push_back(std::move(e.keys));
+  for (auto& slot : uncommitted_) {
+    slot.value.clear();
+    key_pool_.push_back(std::move(slot.value));
   }
   uncommitted_.clear();
 }
 
 void PartitionStore::replay_insert(Key key, Version v) {
-  KeyEntry& entry = table_[key];
+  const std::uint32_t pos = table_.position(key);
+  KeyEntry& entry = table_.at(pos);
   if (v.state != VersionState::Committed) {
-    uncommitted_keys(v.writer()).push_back(key);
+    uncommitted_keys(v.writer()).push_back({key, pos});
     ++entry.uncommitted_count;
   }
   insert_sorted(entry.versions, std::move(v));
@@ -534,7 +531,7 @@ void PartitionStore::insert_sorted(VersionChain& chain, Version v) {
   peak_chain_ = std::max<std::uint64_t>(peak_chain_, chain.size());
 }
 
-PartitionStore::KeyEntry& PartitionStore::KeyTable::operator[](Key key) {
+std::uint32_t PartitionStore::KeyTable::position(Key key) {
   const auto [pos, inserted] = index_.try_insert(key, size_);
   if (inserted) {
     if ((size_ & (kBlockSize - 1)) == 0) {
@@ -542,7 +539,7 @@ PartitionStore::KeyEntry& PartitionStore::KeyTable::operator[](Key key) {
     }
     ++size_;
   }
-  return at(pos);
+  return pos;
 }
 
 void PartitionStore::KeyTable::clear() {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/flat_set.hpp"
+#include "common/open_map.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "obs/registry.hpp"
@@ -174,7 +175,9 @@ class PartitionStore {
 
   /// Second half of the replicate path, run after the caller aborted the
   /// evicted writers: inserts the pre-committed versions and returns the
-  /// final proposal (clamped above surviving versions).
+  /// final proposal (clamped above surviving versions). It reuses the key
+  /// positions replicate_insert() resolved, so no prepare or replicate may
+  /// run on this store between the two.
   Timestamp replicate_finish(
       const TxId& tx, const std::vector<std::pair<Key, SharedValue>>& updates,
       Timestamp proposed);
@@ -306,8 +309,12 @@ class PartitionStore {
       const std::uint32_t pos = index_.find(key);
       return pos == KeyIndex::kNotFound ? nullptr : &at(pos);
     }
+    /// Arena position of `key`, or KeyIndex::kNotFound.
+    std::uint32_t find_position(Key key) const { return index_.find(key); }
+    /// Arena position of `key`, creating its entry if it is absent.
+    std::uint32_t position(Key key);
     /// Find-or-create.
-    KeyEntry& operator[](Key key);
+    KeyEntry& operator[](Key key) { return at(position(key)); }
 
     std::size_t size() const { return size_; }
     void clear();
@@ -357,26 +364,43 @@ class PartitionStore {
   static StoreReadResult read_chain(const KeyEntry& entry, Timestamp rs);
 
   KeyTable table_;
-  /// writer -> keys with an uncommitted version, for fast state transitions.
-  /// A flat vector searched linearly. It is not short: on the bench_e2e
-  /// workloads (synth-a, synth-b-sharded, tpcc-durable) it holds 29-34
-  /// writers on average when searched, since every in-flight writer keeps
-  /// its pre-commit lock on a replica until its final commit crosses the
-  /// WAN. The per-writer key vectors recycle through `key_pool_`, so the
-  /// steady-state prepare/commit cycle allocates nothing here.
-  struct UncommittedEntry {
-    TxId tx;
-    std::vector<Key> keys;
+
+  /// One key a writer holds an uncommitted version on, with the key's arena
+  /// position: entries never move until clear_all(), so state transitions
+  /// reach the entry without the key index. Packed to 12 B like a KeyIndex
+  /// slot.
+  struct UncommittedKey {
+    UncommittedKey(Key key, std::uint32_t position)
+        : key_lo(static_cast<std::uint32_t>(key)),
+          key_hi(static_cast<std::uint32_t>(key >> 32)),
+          pos(position) {}
+
+    Key key() const { return (Key{key_hi} << 32) | key_lo; }
+
+    std::uint32_t key_lo;
+    std::uint32_t key_hi;
+    std::uint32_t pos;
   };
-  std::vector<UncommittedEntry> uncommitted_;
-  std::vector<std::vector<Key>> key_pool_;
+  using UncommittedKeys = std::vector<UncommittedKey>;
+  /// writer -> its uncommitted keys in prepare order, for O(1) state
+  /// transitions. Every in-flight writer keeps its pre-commit lock on a
+  /// replica until its final commit crosses the WAN, so tens of writers are
+  /// live at once on the bench_e2e workloads. The key vectors recycle
+  /// through `key_pool_`, so the steady-state prepare/commit cycle
+  /// allocates nothing here.
+  OpenMap<TxId, UncommittedKeys, TxIdHash> uncommitted_;
+  std::vector<UncommittedKeys> key_pool_;
+  /// Arena positions of the update list in flight, one per update: filled
+  /// by prepare() and by replicate_insert() (kept for replicate_finish(),
+  /// whose transaction `replicating_` names), so each call resolves a key
+  /// through the index once.
+  std::vector<std::uint32_t> resolved_;
+  TxId replicating_;
 
   /// Find-or-create the entry for `tx` (keys vector reused from the pool).
-  std::vector<Key>& uncommitted_keys(const TxId& tx);
-  const UncommittedEntry* find_uncommitted(const TxId& tx) const;
-  /// Drop `tx`'s entry (swap-erase; order is irrelevant, every ordered
-  /// consumer sorts), recycling its keys vector.
-  void erase_uncommitted(const TxId& tx);
+  UncommittedKeys& uncommitted_keys(const TxId& tx);
+  /// Drop `tx`'s entry, recycling its keys vector.
+  void erase_uncommitted(const TxId& tx, UncommittedKeys& keys);
   std::uint64_t gc_removed_ = 0;
   std::uint64_t peak_chain_ = 0;
   /// 0 = inactive (WAL-off runs never touch it; behaviour byte-identical).

@@ -3,6 +3,9 @@
 // Precise Clocks, and the failure/abort machinery.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "protocol/cluster.hpp"
 #include "tests/protocol/test_util.hpp"
 
@@ -295,15 +298,17 @@ TEST(StrProtocol, MetricsCountCommitsAndAborts) {
 }
 
 TEST(StrProtocol, NoLiveTransactionsLeftAfterQuiescence) {
+  // Declared before the cluster, so the probes outlive every fiber.
+  std::vector<std::unique_ptr<TxProbe>> probes;
   Cluster cluster(small_config(3, 2, ProtocolConfig::str(), msec(100)));
   cluster.load(key_at(0, 1), "v");
   cluster.run_for(msec(10));
 
   auto& coord = cluster.node(0).coordinator();
   for (int i = 0; i < 5; ++i) {
-    auto* probe = new TxProbe;  // leaked on purpose: outlives the fiber
+    probes.push_back(std::make_unique<TxProbe>());
     test::run_rmw(cluster, coord, {key_at(0, 1)}, "v" + std::to_string(i),
-                  *probe);
+                  *probes.back());
     cluster.run_for(msec(3));
   }
   cluster.run_for(sec(5));

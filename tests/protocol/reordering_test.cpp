@@ -42,6 +42,41 @@ TEST(Reordering, AbortBeforeReplicateLeavesNoLock) {
   EXPECT_FALSE(slave->store().has_uncommitted(ghost));
 }
 
+TEST(Reordering, TombstoneExpiresAtTheFirstTickWhoseHorizonPassesIt) {
+  // Ticks every 100 ms with a 250 ms horizon: the tick at 300 ms has
+  // horizon 50 ms, exactly the abort's stamp, and keeps the tombstone; the
+  // tick at 400 ms (horizon 150 ms) is the first to pass it.
+  auto cfg = small_config(2, 2, ProtocolConfig::str(), msec(50));
+  cfg.protocol.gc_interval = msec(100);
+  cfg.protocol.gc_horizon = msec(250);
+  Cluster cluster(cfg);
+  cluster.load(key_at(0, 1), "v");
+  cluster.run_for(msec(50));
+
+  PartitionActor* slave = cluster.node(1).replica(0);
+  ASSERT_NE(slave, nullptr);
+  const TxId ghost{0, 6666};
+  ASSERT_EQ(cluster.node(1).physical_now(), msec(50));
+  slave->apply_abort(ghost);  // tombstone stamped 50 ms
+
+  ReplicateRequest rep;
+  rep.tx = ghost;
+  rep.coordinator = 0;
+  rep.partition = 0;
+  rep.rs = cluster.node(1).physical_now();
+  rep.updates = std::make_shared<protocol::UpdateList>(
+      protocol::UpdateList{{key_at(0, 1), std::make_shared<Value>("late")}});
+  for (Timestamp tick : {msec(100), msec(200), msec(300)}) {
+    cluster.run_for(tick - cluster.now());  // the tick at `tick` has run
+    slave->handle_replicate(rep);
+    EXPECT_FALSE(slave->store().has_uncommitted(ghost))
+        << "installed after the tick at " << tick / 1000 << " ms";
+  }
+  cluster.run_for(msec(400) - cluster.now());
+  slave->handle_replicate(rep);
+  EXPECT_TRUE(slave->store().has_uncommitted(ghost));
+}
+
 TEST(Reordering, AbortBeforePrepareAtMasterRefusesPrepare) {
   Cluster cluster(small_config(2, 2, ProtocolConfig::str(), msec(50)));
   cluster.load(key_at(1, 1), "v");

@@ -9,6 +9,8 @@
 //
 // Run with --help for the full option list.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +35,7 @@ struct Options {
   std::string workload = "synth-a";
   std::string protocol = "str";
   std::uint32_t nodes = 9;
-  std::uint32_t rf = 6;
+  std::uint32_t rf = 0;  ///< 0 = the default, min(6, nodes)
   std::uint32_t clients = 90;
   std::uint64_t seed = 42;
   std::uint32_t threads = 1;
@@ -72,8 +74,8 @@ void usage() {
       "  --workload W   synth-a | synth-b | tpcc-a | tpcc-b | tpcc-c | rubis\n"
       "  --protocol P   str | clocksi | ext-spec | str-no-sr | physical-sr\n"
       "  --clients N    total clients (round-robin over nodes)     [90]\n"
-      "  --nodes N      cluster size                               [9]\n"
-      "  --rf N         replication factor                         [6]\n"
+      "  --nodes N      cluster size, at most 65535                [9]\n"
+      "  --rf N         replication factor, at most --nodes  [6 or --nodes]\n"
       "  --duration S   measured seconds of virtual time           [20]\n"
       "  --warmup S     warmup seconds                             [4]\n"
       "  --seed N       deterministic seed                         [42]\n"
@@ -161,6 +163,10 @@ bool split_fields(const std::string& s, std::vector<double>& out,
   return out.size() >= min_fields && out.size() <= max_fields;
 }
 
+/// Longest --warmup/--duration accepted: far past any run, and well inside
+/// the 64-bit microsecond clock.
+constexpr double kMaxSeconds = 1e9;
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -184,19 +190,46 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.protocol = v;
     } else if (arg == "--clients") {
       if ((v = next()) == nullptr) return false;
-      opt.clients = std::atoi(v);
+      const long long n = std::atoll(v);
+      if (n < 0 || n > UINT32_MAX) {
+        std::fprintf(stderr, "--clients wants a non-negative count\n");
+        return false;
+      }
+      opt.clients = static_cast<std::uint32_t>(n);
     } else if (arg == "--nodes") {
       if ((v = next()) == nullptr) return false;
-      opt.nodes = std::atoi(v);
+      const long long n = std::atoll(v);
+      if (n < 1 || n > protocol::Cluster::kMaxNodes) {
+        std::fprintf(stderr, "--nodes wants a count in [1,%u]\n",
+                     protocol::Cluster::kMaxNodes);
+        return false;
+      }
+      opt.nodes = static_cast<std::uint32_t>(n);
     } else if (arg == "--rf") {
       if ((v = next()) == nullptr) return false;
-      opt.rf = std::atoi(v);
-    } else if (arg == "--duration") {
+      const long long n = std::atoll(v);
+      // The upper bound (--nodes) is checked once every flag is parsed.
+      if (n < 1 || n > UINT32_MAX) {
+        std::fprintf(stderr, "--rf wants a positive count\n");
+        return false;
+      }
+      opt.rf = static_cast<std::uint32_t>(n);
+    } else if (arg == "--duration" || arg == "--warmup") {
       if ((v = next()) == nullptr) return false;
-      opt.duration_s = std::atof(v);
-    } else if (arg == "--warmup") {
-      if ((v = next()) == nullptr) return false;
-      opt.warmup_s = std::atof(v);
+      // Seconds of virtual time: NaN, infinities and negatives would wrap
+      // when converted to the microsecond clock.
+      const double s = std::atof(v);
+      if (!(s >= 0.0 && s <= kMaxSeconds)) {
+        std::fprintf(stderr,
+                     "%s wants a finite, non-negative number of seconds\n",
+                     arg.c_str());
+        return false;
+      }
+      if (arg == "--duration") {
+        opt.duration_s = s;
+      } else {
+        opt.warmup_s = s;
+      }
     } else if (arg == "--seed") {
       if ((v = next()) == nullptr) return false;
       opt.seed = std::atoll(v);
@@ -360,6 +393,12 @@ bool parse(int argc, char** argv, Options& opt) {
       return false;
     }
   }
+  if (opt.rf == 0) {
+    opt.rf = std::min<std::uint32_t>(6, opt.nodes);
+  } else if (opt.rf > opt.nodes) {
+    std::fprintf(stderr, "--rf %u exceeds --nodes %u\n", opt.rf, opt.nodes);
+    return false;
+  }
   return true;
 }
 
@@ -466,7 +505,7 @@ int main(int argc, char** argv) {
   bool ok = false;
   harness::ExperimentConfig cfg;
   cfg.cluster.num_nodes = opt.nodes;
-  cfg.cluster.replication_factor = std::min(opt.rf, opt.nodes);
+  cfg.cluster.replication_factor = opt.rf;
   cfg.cluster.topology =
       opt.uniform_topology
           ? net::Topology::symmetric(opt.nodes,
