@@ -1,7 +1,7 @@
 // Real-transport microbenchmark: echo round-trip latency and streaming
-// throughput for each socket backend (docs/TRANSPORT.md).
+// throughput of the loopback TCP transport (docs/TRANSPORT.md).
 //
-// Two shapes per backend:
+// Two shapes:
 //   - echo: one frame ping-pongs 0 -> 1 -> 0 with a single frame in flight;
 //     each round trip is one latency sample (p50/p99 of the full path:
 //     queue, writev, kernel, reassemble, dispatch — twice).
@@ -11,7 +11,8 @@
 // Numbers are wall-clock and machine-dependent — like bench_wire_codec this
 // has no committed baseline and is not gated; it exists so transport changes
 // can be measured. JSON goes to BENCH_TRANSPORT.json (schema in the spirit
-// of BENCH_CORE.json, docs/PERFORMANCE.md).
+// of BENCH_CORE.json, docs/PERFORMANCE.md) with one "tcp" entry under
+// "backends".
 //
 // Usage: bench_transport [--quick] [--iters N] [--frame-bytes N] [--out FILE]
 
@@ -25,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "net/transport/transport.hpp"
+#include "net/transport/tcp_transport.hpp"
 #include "wire/messages.hpp"
 
 using namespace str;  // NOLINT
@@ -73,21 +74,20 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-BackendResult run_backend(net::TransportKind kind, const Options& opt) {
+BackendResult run_tcp(const Options& opt) {
   BackendResult r;
-  r.backend = net::to_string(kind);
+  r.backend = net::to_string(net::TransportKind::kTcp);
   const wire::Buffer frame = make_frame(opt.frame_body);
 
   // -- echo round trips, one frame in flight --------------------------------
   {
-    auto tp = net::make_transport(kind);
-    net::Transport* raw = tp.get();
     std::mutex mu;
     std::condition_variable cv;
     std::uint64_t pongs = 0;
-    tp->start(2, [&](NodeId to, std::vector<std::uint8_t> f) {
+    net::TcpTransport tp;
+    tp.start(2, [&](NodeId to, std::vector<std::uint8_t> f) {
       if (to == 1) {
-        raw->send(1, 0, std::move(f));
+        tp.send(1, 0, std::move(f));
         return;
       }
       {
@@ -97,7 +97,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
       cv.notify_one();
     });
     auto round_trip = [&](std::uint64_t upto) {
-      tp->send(0, 1, frame);
+      tp.send(0, 1, frame);
       std::unique_lock<std::mutex> lk(mu);
       cv.wait(lk, [&] { return pongs >= upto; });
     };
@@ -111,7 +111,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
           std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
       sum += rtt_us[i];
     }
-    tp->stop();
+    tp.stop();
     std::sort(rtt_us.begin(), rtt_us.end());
     r.rtt_mean_us = sum / static_cast<double>(opt.echo_iters);
     r.rtt_p50_us = percentile(rtt_us, 0.50);
@@ -120,11 +120,11 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
 
   // -- streaming throughput -------------------------------------------------
   {
-    auto tp = net::make_transport(kind);
     std::mutex mu;
     std::condition_variable cv;
     std::uint64_t received = 0;
-    tp->start(2, [&](NodeId, std::vector<std::uint8_t>) {
+    net::TcpTransport tp;
+    tp.start(2, [&](NodeId, std::vector<std::uint8_t>) {
       {
         std::lock_guard<std::mutex> lk(mu);
         ++received;
@@ -133,7 +133,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
     });
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < opt.stream_frames; ++i) {
-      tp->send(0, 1, frame);
+      tp.send(0, 1, frame);
     }
     {
       std::unique_lock<std::mutex> lk(mu);
@@ -141,7 +141,7 @@ BackendResult run_backend(net::TransportKind kind, const Options& opt) {
     }
     const double wall_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
-    tp->stop();
+    tp.stop();
     r.stream_frames_per_sec =
         wall_s > 0 ? static_cast<double>(opt.stream_frames) / wall_s : 0;
     r.stream_mb_per_sec = r.stream_frames_per_sec *
@@ -180,16 +180,11 @@ int main(int argc, char** argv) {
               "===\n",
               static_cast<unsigned long long>(opt.echo_iters),
               static_cast<unsigned long long>(opt.stream_frames), frame_bytes);
-  std::vector<BackendResult> results;
-  for (const net::TransportKind kind :
-       {net::TransportKind::kSocketpair, net::TransportKind::kTcp}) {
-    const BackendResult r = run_backend(kind, opt);
-    std::printf("  %-10s rtt mean %7.1f us  p50 %7.1f us  p99 %7.1f us   "
-                "stream %9.0f frames/s  %7.1f MB/s\n",
-                r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
-                r.stream_frames_per_sec, r.stream_mb_per_sec);
-    results.push_back(r);
-  }
+  const BackendResult r = run_tcp(opt);
+  std::printf("  %-10s rtt mean %7.1f us  p50 %7.1f us  p99 %7.1f us   "
+              "stream %9.0f frames/s  %7.1f MB/s\n",
+              r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
+              r.stream_frames_per_sec, r.stream_mb_per_sec);
 
   std::FILE* f = std::fopen(opt.out, "w");
   if (f == nullptr) {
@@ -208,22 +203,18 @@ int main(int argc, char** argv) {
                opt.quick ? "true" : "false",
                static_cast<unsigned long long>(opt.echo_iters),
                static_cast<unsigned long long>(opt.stream_frames), frame_bytes);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BackendResult& r = results[i];
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"backend\": \"%s\",\n"
-                 "      \"echo_rtt_mean_us\": %.2f,\n"
-                 "      \"echo_rtt_p50_us\": %.2f,\n"
-                 "      \"echo_rtt_p99_us\": %.2f,\n"
-                 "      \"stream_frames_per_sec\": %.0f,\n"
-                 "      \"stream_mb_per_sec\": %.2f\n"
-                 "    }%s\n",
-                 r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
-                 r.stream_frames_per_sec, r.stream_mb_per_sec,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f,
+               "    {\n"
+               "      \"backend\": \"%s\",\n"
+               "      \"echo_rtt_mean_us\": %.2f,\n"
+               "      \"echo_rtt_p50_us\": %.2f,\n"
+               "      \"echo_rtt_p99_us\": %.2f,\n"
+               "      \"stream_frames_per_sec\": %.0f,\n"
+               "      \"stream_mb_per_sec\": %.2f\n"
+               "    }\n"
+               "  ]\n}\n",
+               r.backend, r.rtt_mean_us, r.rtt_p50_us, r.rtt_p99_us,
+               r.stream_frames_per_sec, r.stream_mb_per_sec);
   std::fclose(f);
   return 0;
 }

@@ -24,6 +24,11 @@ inline constexpr Timestamp usec(std::uint64_t v) { return v; }
 inline constexpr Timestamp msec(std::uint64_t v) { return v * 1000; }
 inline constexpr Timestamp sec(std::uint64_t v) { return v * 1'000'000; }
 
+/// Longest time, in seconds, a user-supplied setting may name (a run
+/// length, a fault-plan time): far past any run, and well inside the 64-bit
+/// microsecond clock.
+inline constexpr double kMaxSeconds = 1e9;
+
 using NodeId = std::uint32_t;
 using RegionId = std::uint32_t;
 using PartitionId = std::uint32_t;

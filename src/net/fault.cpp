@@ -1,7 +1,10 @@
 #include "net/fault.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace str::net {
@@ -9,17 +12,136 @@ namespace str::net {
 namespace {
 
 /// Seconds (fractional) of virtual time -> Timestamp microseconds.
-Timestamp from_seconds(double s) {
-  if (s < 0) s = 0;
-  return static_cast<Timestamp>(s * 1e6);
+Timestamp from_seconds(double s) { return static_cast<Timestamp>(s * 1e6); }
+
+/// A whole token read as a finite number.
+bool number(const std::string& tok, double& out) {
+  char* end = nullptr;
+  out = std::strtod(tok.c_str(), &end);
+  return !tok.empty() && *end == '\0' && std::isfinite(out);
 }
 
-bool fail(std::string& error, std::size_t line_no, const std::string& what) {
-  error = "fault plan line " + std::to_string(line_no) + ": " + what;
+bool probability(const std::string& tok, double& out) {
+  return number(tok, out) && out >= 0.0 && out <= 1.0;
+}
+
+bool seconds(const std::string& tok, double& out) {
+  return number(tok, out) && out >= 0.0 && out <= kMaxSeconds;
+}
+
+/// A node or region id: decimal digits only, within 32 bits.
+bool id(const std::string& tok, std::uint32_t& out) {
+  if (tok.empty() || tok.size() > 10 ||
+      tok.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  const unsigned long long v = std::stoull(tok);
+  out = static_cast<std::uint32_t>(v);
+  return v <= std::numeric_limits<std::uint32_t>::max();
+}
+
+bool fail(std::string& error, const std::string& what) {
+  error = what;
   return false;
 }
 
 }  // namespace
+
+bool FaultPlan::apply(const std::string& directive, std::string& error) {
+  std::istringstream in(directive);
+  std::string cmd;
+  if (!(in >> cmd)) return true;  // blank
+  // The fields as written, kept whole for error messages. A wrong field
+  // count is malformed like a bad field: 'crash 3 5.0 oops' must not
+  // silently become a permanent crash.
+  std::string given;
+  std::vector<std::string> args;
+  for (std::string tok; in >> tok;) {
+    given += given.empty() ? tok : " " + tok;
+    args.push_back(tok);
+  }
+  if (args.size() == 1 && given.find(':') != std::string::npos) {
+    // Colon spelling, the one str_sim's flags use: "crash 3:5.0:8.0".
+    args.clear();
+    std::size_t pos = 0;
+    for (std::size_t colon; (colon = given.find(':', pos)) != std::string::npos;
+         pos = colon + 1) {
+      args.push_back(given.substr(pos, colon - pos));
+    }
+    args.push_back(given.substr(pos));
+  }
+  const auto usage = [&](const std::string& shape) {
+    return fail(error, cmd + " needs " + shape + ", got '" + given + "'");
+  };
+
+  if (cmd == "drop" || cmd == "dup" || cmd == "corrupt" ||
+      cmd == "torn-write") {
+    double p = 0;
+    if (args.size() != 1 || !probability(args[0], p)) {
+      return usage("a probability in [0, 1]");
+    }
+    (cmd == "drop"      ? link.drop_prob
+     : cmd == "dup"     ? link.dup_prob
+     : cmd == "corrupt" ? link.corrupt_prob
+                        : storage.torn_write_prob) = p;
+  } else if (cmd == "heal") {
+    double at = 0;
+    if (args.size() != 1 || !seconds(args[0], at)) {
+      return usage("a time in [0, 1e9] seconds");
+    }
+    link.heal_at = from_seconds(at);
+  } else if (cmd == "partition" || cmd == "partition-oneway") {
+    RegionId a = 0, b = 0;
+    double start = 0, end = 0;
+    if (args.size() != 4 || !id(args[0], a) || !id(args[1], b) ||
+        !seconds(args[2], start) || !seconds(args[3], end)) {
+      return usage("<regionA> <regionB> <start_s> <end_s>");
+    }
+    if (end < start) return fail(error, cmd + " ends before it starts");
+    if (cmd == "partition") {
+      add_partition(a, b, from_seconds(start), from_seconds(end));
+    } else {
+      partitions.push_back({a, b, from_seconds(start), from_seconds(end)});
+    }
+  } else if (cmd == "crash") {
+    NodeId node = 0;
+    double at = 0, restart = 0;
+    if (args.size() < 2 || args.size() > 3 || !id(args[0], node) ||
+        !seconds(args[1], at) ||
+        (args.size() == 3 && !seconds(args[2], restart))) {
+      return usage("<node> <at_s> [<restart_s>]");
+    }
+    if (args.size() == 3 && restart <= at) {
+      return fail(error, "crash restart precedes the crash");
+    }
+    add_crash(node, from_seconds(at),
+              args.size() == 3 ? from_seconds(restart) : kTsInfinity);
+  } else {
+    return fail(error, "unknown directive '" + cmd + "'");
+  }
+  return true;
+}
+
+bool FaultPlan::fits(std::uint32_t num_nodes, std::uint32_t num_regions,
+                     std::string& error) const {
+  for (const CrashEvent& c : crashes) {
+    if (c.node >= num_nodes) {
+      return fail(error, "crash names node " + std::to_string(c.node) +
+                             " in a " + std::to_string(num_nodes) +
+                             "-node cluster");
+    }
+  }
+  for (const PartitionWindow& w : partitions) {
+    for (const RegionId r : {w.from, w.to}) {
+      if (r >= num_regions) {
+        return fail(error, "partition names region " + std::to_string(r) +
+                               " in a " + std::to_string(num_regions) +
+                               "-region topology");
+      }
+    }
+  }
+  return true;
+}
 
 bool FaultPlan::parse(const std::string& text, FaultPlan& out,
                       std::string& error) {
@@ -32,99 +154,9 @@ bool FaultPlan::parse(const std::string& text, FaultPlan& out,
     if (const auto hash = line.find('#'); hash != std::string::npos) {
       line.erase(hash);
     }
-    std::istringstream tok(line);
-    std::string cmd;
-    if (!(tok >> cmd)) continue;  // blank / comment-only line
-    if (cmd == "drop" || cmd == "dup" || cmd == "corrupt") {
-      double p = 0;
-      if (!(tok >> p) || p < 0.0 || p > 1.0) {
-        return fail(error, line_no, cmd + " needs a probability in [0, 1]");
-      }
-      (cmd == "drop"  ? out.link.drop_prob
-       : cmd == "dup" ? out.link.dup_prob
-                      : out.link.corrupt_prob) = p;
-    } else if (cmd == "torn-write") {
-      double p = 0;
-      if (!(tok >> p) || p < 0.0 || p > 1.0) {
-        return fail(error, line_no, "torn-write needs a probability in [0, 1]");
-      }
-      out.storage.torn_write_prob = p;
-    } else if (cmd == "heal") {
-      double at = 0;
-      if (!(tok >> at) || at < 0) {
-        return fail(error, line_no, "heal needs a nonnegative time in seconds");
-      }
-      out.link.heal_at = from_seconds(at);
-    } else if (cmd == "partition" || cmd == "partition-oneway") {
-      RegionId a = 0, b = 0;
-      double start = 0, end = 0;
-      if (!(tok >> a >> b >> start >> end) || end < start) {
-        return fail(error, line_no,
-                    cmd + " needs: <regionA> <regionB> <start_s> <end_s>");
-      }
-      if (cmd == "partition") {
-        out.add_partition(a, b, from_seconds(start), from_seconds(end));
-      } else {
-        out.partitions.push_back(
-            {a, b, from_seconds(start), from_seconds(end)});
-      }
-    } else if (cmd == "crash") {
-      NodeId node = 0;
-      double at = 0, restart = -1;
-      bool have_restart = false;
-      std::string first;
-      if (!(tok >> first)) {
-        return fail(error, line_no, "crash needs: <node> <at_s> [<restart_s>]");
-      }
-      if (first.find(':') != std::string::npos) {
-        // Colon spelling, matching --crash-node: "crash N:T" or "crash N:T:R".
-        std::istringstream fields(first);
-        std::string part;
-        std::vector<std::string> parts;
-        while (std::getline(fields, part, ':')) parts.push_back(part);
-        if (parts.size() < 2 || parts.size() > 3) {
-          return fail(error, line_no,
-                      "crash needs: <node>:<at_s>[:<restart_s>]");
-        }
-        std::istringstream pn(parts[0]), pa(parts[1]);
-        if (!(pn >> node) || !pn.eof() || !(pa >> at) || !pa.eof()) {
-          return fail(error, line_no,
-                      "crash needs: <node>:<at_s>[:<restart_s>]");
-        }
-        if (parts.size() == 3) {
-          std::istringstream pr(parts[2]);
-          if (!(pr >> restart) || !pr.eof()) {
-            return fail(error, line_no,
-                        "crash needs: <node>:<at_s>[:<restart_s>]");
-          }
-          have_restart = true;
-        }
-      } else {
-        std::istringstream pn(first);
-        if (!(pn >> node) || !pn.eof() || !(tok >> at)) {
-          return fail(error, line_no,
-                      "crash needs: <node> <at_s> [<restart_s>]");
-        }
-        if (tok >> restart) have_restart = true;
-      }
-      Timestamp restart_ts = kTsInfinity;
-      if (have_restart) {
-        if (restart <= at) {
-          return fail(error, line_no, "crash restart precedes the crash");
-        }
-        restart_ts = from_seconds(restart);
-      }
-      out.add_crash(node, from_seconds(at), restart_ts);
-    } else {
-      return fail(error, line_no, "unknown directive '" + cmd + "'");
-    }
-    // Anything left on the line is a typo, not a directive: 'crash 3 5.0
-    // oops' must not silently become a permanent crash. (clear() resets the
-    // failbit a missing optional field left behind.)
-    tok.clear();
-    std::string junk;
-    if (tok >> junk) {
-      return fail(error, line_no, "unexpected trailing token '" + junk + "'");
+    if (!out.apply(line, error)) {
+      error = "fault plan line " + std::to_string(line_no) + ": " + error;
+      return false;
     }
   }
   return true;

@@ -21,7 +21,10 @@
 //   crash 3 5.0 8.0           # node 3 crashes at t=5s, restarts at t=8s
 //   crash 4 6.0               # node 4 crashes at t=6s and never returns
 //   crash 3:5.0:8.0           # colon spelling, same as --crash-node N:T[:R]
+//   partition 0:1:2.0:12.0    # colon spelling, same as --partition A:B:S:E
 //   torn-write 0.5            # crash mid-fsync leaves a torn WAL tail
+//
+// Probabilities lie in [0, 1] and times in [0, kMaxSeconds] seconds.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +57,7 @@ struct LinkFaults {
     return drop_prob > 0.0 || dup_prob > 0.0 || corrupt_prob > 0.0;
   }
   bool active(Timestamp now) const { return any() && now < heal_at; }
+  bool operator==(const LinkFaults&) const = default;
 };
 
 /// A directed region-pair cut active during [start, end) of virtual time.
@@ -66,6 +70,7 @@ struct PartitionWindow {
   bool cuts(RegionId a, RegionId b, Timestamp at) const {
     return a == from && b == to && at >= start && at < end;
   }
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 /// Storage faults, applied by the WAL media at crash time (docs/FAULTS.md,
@@ -79,6 +84,7 @@ struct StorageFaults {
   double torn_write_prob = 0.0;
 
   bool any() const { return torn_write_prob > 0.0; }
+  bool operator==(const StorageFaults&) const = default;
 };
 
 /// A whole-node crash at `at`; `restart_at` == kTsInfinity means the node
@@ -90,6 +96,7 @@ struct CrashEvent {
   NodeId node = kInvalidNode;
   Timestamp at = 0;
   Timestamp restart_at = kTsInfinity;
+  bool operator==(const CrashEvent&) const = default;
 };
 
 struct FaultPlan {
@@ -102,6 +109,7 @@ struct FaultPlan {
     return !link.any() && !storage.any() && partitions.empty() &&
            crashes.empty();
   }
+  bool operator==(const FaultPlan&) const = default;
 
   /// Both directions of a region pair cut during [start, end).
   void add_partition(RegionId a, RegionId b, Timestamp start, Timestamp end) {
@@ -122,6 +130,13 @@ struct FaultPlan {
     return false;
   }
 
+  /// Apply one directive of the spec above (one line, comment stripped) to
+  /// this plan. Plan files and str_sim's fault flags both go through here,
+  /// so every spelling meets the same checks. A blank directive is a no-op.
+  /// Returns false and fills `error` on a malformed directive, leaving the
+  /// plan unchanged.
+  bool apply(const std::string& directive, std::string& error);
+
   /// Parse the line-oriented spec described above. Returns false and fills
   /// `error` (with a line number) on malformed input; `out` is then
   /// unspecified.
@@ -132,6 +147,12 @@ struct FaultPlan {
   /// `error`.
   static bool load(const std::string& path, FaultPlan& out,
                    std::string& error);
+
+  /// True when every node and region the plan names exists in a cluster of
+  /// `num_nodes` nodes over `num_regions` regions; otherwise false, with
+  /// `error` naming the first that does not.
+  bool fits(std::uint32_t num_nodes, std::uint32_t num_regions,
+            std::string& error) const;
 
   /// One-line human-readable summary ("drop=5% dup=2% partitions=1
   /// crashes=1"), for run banners.

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/assert.hpp"
-#include "net/transport/transport.hpp"
+#include "net/transport/tcp_transport.hpp"
 
 namespace str::net {
 

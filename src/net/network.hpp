@@ -36,7 +36,7 @@
 
 namespace str::net {
 
-class Transport;
+class TcpTransport;
 
 struct NetworkStats {
   std::uint64_t messages_sent = 0;
@@ -135,8 +135,8 @@ class Network {
   /// accounting and hands the frame to the transport; inbound frames come
   /// back through deliver_frame on the realtime driver thread. The DES path
   /// is untouched when no transport is attached.
-  void set_transport(Transport* transport) { transport_ = transport; }
-  Transport* transport() const { return transport_; }
+  void set_transport(TcpTransport* transport) { transport_ = transport; }
+  TcpTransport* transport() const { return transport_; }
 
   /// Inbound side of the real-transport path: route a reassembled frame to
   /// `to` through the installed FrameHandler (checksum rejection counts as
@@ -218,7 +218,7 @@ class Network {
   /// captures (see enqueue_delivery).
   std::vector<std::vector<UniqueFunction<void()>>> msg_pools_;
   std::vector<std::vector<std::uint32_t>> msg_frees_;
-  Transport* transport_ = nullptr;
+  TcpTransport* transport_ = nullptr;
   std::vector<Rng> rngs_;        ///< per-shard jitter streams
   std::vector<Rng> fault_rngs_;  ///< per-shard fault streams
   /// Guards stats_, the registry counters and t_latency_ (stats_lock).

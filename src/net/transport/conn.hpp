@@ -1,9 +1,9 @@
-// Shared per-connection plumbing for the transport loop threads
-// (docs/TRANSPORT.md): nonblocking-fd utilities, the wakeup pipe both
-// backends use to interrupt poll(2), and the Conn struct with its flush /
-// read helpers. Everything here is called from exactly one loop thread per
+// Per-connection plumbing for the TCP transport's loop threads
+// (docs/TRANSPORT.md): nonblocking-fd utilities, the wakeup pipe that
+// interrupts each loop's poll(2), and the Conn struct with its flush / read
+// helpers. Everything here is called from exactly one loop thread per
 // Conn — connections are loop-private; only the per-loop stats and pending
-// queues are shared, and those live in the backends.
+// queues are shared, and those live in TcpTransport.
 //
 // This header depends on wire/assembler.hpp, a deliberate, documented
 // relaxation of the "net/ knows nothing about wire/" rule: the assembler is
@@ -46,18 +46,16 @@ void signal_wakeup(int write_fd);
 void drain_wakeup(int read_fd);
 
 /// One stream connection as a loop thread sees it: the socket, the
-/// incremental reassembler for the receive side, and the outbound frame
-/// queue. `head_off` tracks how much of the queue's head frame the kernel
-/// has already taken — a partially written frame stays queued until done.
+/// incremental reassembler for the receive side (it rejects any length
+/// prefix over wire::kDefaultMaxFrameSize), and the outbound frame queue.
+/// `head_off` tracks how much of the queue's head frame the kernel has
+/// already taken — a partially written frame stays queued until done.
 struct Conn {
   int fd = -1;
   NodeId peer = kInvalidNode;
   wire::FrameAssembler assembler;
   std::deque<std::vector<std::uint8_t>> outq;
   std::size_t head_off = 0;
-
-  explicit Conn(std::size_t max_frame_size = wire::kDefaultMaxFrameSize)
-      : assembler(max_frame_size) {}
 
   bool want_write() const { return !outq.empty(); }
 };

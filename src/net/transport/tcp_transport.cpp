@@ -26,12 +26,19 @@ namespace str::net {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-}
 
-// Threading/ownership rules match the socketpair backend (and
-// docs/TRANSPORT.md): connection state is loop-thread-private; senders only
-// touch `pending`, the control flags and `stats`, under `mu`; the RxHandler
-// runs with no lock held.
+/// Reconnect backoff (wall-clock milliseconds): the first retry after a
+/// failed connect waits kBackoffInitMs, doubling per failure up to
+/// kBackoffMaxMs.
+constexpr std::uint32_t kBackoffInitMs = 1;
+constexpr std::uint32_t kBackoffMaxMs = 200;
+}  // namespace
+
+// Threading/ownership rules (docs/TRANSPORT.md): connection state is
+// loop-thread-private; senders only touch `pending`, the control flags and
+// `stats`, under `mu`; the loop folds its per-iteration tallies into
+// `stats` under the same mutex; the RxHandler runs with no lock held, so a
+// handler may call send() freely.
 struct TcpTransport::Loop {
   NodeId self = 0;
   int listen_fd = -1;
@@ -60,10 +67,9 @@ struct TcpTransport::Loop {
     Conn c;
     OutState st = OutState::kBackoff;
     Clock::time_point retry_at{};  // epoch: first attempt fires immediately
-    std::uint32_t backoff_ms = 1;
+    std::uint32_t backoff_ms = kBackoffInitMs;
     std::size_t hs_off = 0;
     bool ever_up = false;
-    explicit Out(std::size_t max_frame) : c(max_frame) {}
   };
   std::vector<Out> outs;  // indexed by peer; self slot never used
 
@@ -73,7 +79,6 @@ struct TcpTransport::Loop {
     Conn c;
     std::uint8_t hs[4] = {0, 0, 0, 0};
     std::size_t hs_got = 0;
-    explicit In(std::size_t max_frame) : c(max_frame) {}
   };
   std::vector<In> ins;
   std::thread thread;
@@ -82,8 +87,7 @@ struct TcpTransport::Loop {
   /// including a partially written head frame, rewound to offset 0 — is
   /// counted as resent (per tag byte) and kept for the replacement
   /// connection: at-least-once hand-off, deduped by the protocol layer.
-  static void out_broken(Out& o, TransportStats& d,
-                         std::uint32_t backoff_init_ms) {
+  static void out_broken(Out& o, TransportStats& d) {
     ++d.disconnects;
     close_fd(o.c.fd);
     o.c.assembler.reset();
@@ -95,18 +99,18 @@ struct TcpTransport::Loop {
       ++d.resent_by_tag[f.size() > 4 ? f[4] : 0];
     }
     o.st = OutState::kBackoff;
-    o.backoff_ms = backoff_init_ms;
+    o.backoff_ms = kBackoffInitMs;
     o.retry_at = Clock::now();  // an established peer just spoke; retry now
   }
 
   /// A connect attempt failed before anything was established: plain
   /// backoff, no disconnect or resend accounting (nothing was ever offered).
-  static void connect_fail(Out& o, std::uint32_t backoff_max_ms) {
+  static void connect_fail(Out& o) {
     close_fd(o.c.fd);
     o.hs_off = 0;
     o.st = OutState::kBackoff;
     o.retry_at = Clock::now() + std::chrono::milliseconds(o.backoff_ms);
-    o.backoff_ms = std::min(o.backoff_ms * 2, backoff_max_ms);
+    o.backoff_ms = std::min(o.backoff_ms * 2, kBackoffMaxMs);
   }
 
   static void in_broken(In& in, TransportStats& d) {
@@ -117,12 +121,7 @@ struct TcpTransport::Loop {
   }
 };
 
-TcpTransport::TcpTransport(TransportOptions options) : options_(options) {
-  if (options_.backoff_init_ms == 0) options_.backoff_init_ms = 1;
-  if (options_.backoff_max_ms < options_.backoff_init_ms) {
-    options_.backoff_max_ms = options_.backoff_init_ms;
-  }
-}
+TcpTransport::TcpTransport(TransportOptions options) : options_(options) {}
 
 TcpTransport::~TcpTransport() { stop(); }
 
@@ -181,12 +180,8 @@ void TcpTransport::start(std::uint32_t num_nodes, RxHandler rx) {
     loop->self = i;
     loop->listen_fd = listen_fds[i];
     loop->pending.resize(num_nodes);
-    loop->outs.reserve(num_nodes);
-    for (NodeId j = 0; j < num_nodes; ++j) {
-      loop->outs.emplace_back(options_.max_frame_size);
-      loop->outs.back().c.peer = j;
-      loop->outs.back().backoff_ms = options_.backoff_init_ms;
-    }
+    loop->outs.resize(num_nodes);
+    for (NodeId j = 0; j < num_nodes; ++j) loop->outs[j].c.peer = j;
     loops_.push_back(std::move(loop));
     if (!make_wakeup_pipe(loops_.back()->wake_r, loops_.back()->wake_w)) {
       fail("pipe");
@@ -248,7 +243,7 @@ void TcpTransport::loop_main(Loop& l) {
       if (w < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // POLLOUT later
-        Loop::connect_fail(o, options_.backoff_max_ms);
+        Loop::connect_fail(o);
         return;
       }
       o.hs_off += static_cast<std::size_t>(w);
@@ -257,12 +252,12 @@ void TcpTransport::loop_main(Loop& l) {
     ++d.connects;
     if (o.ever_up) ++d.reconnects;
     o.ever_up = true;
-    o.backoff_ms = options_.backoff_init_ms;
+    o.backoff_ms = kBackoffInitMs;
   };
   const auto attempt_connect = [&](Loop::Out& o) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
-      Loop::connect_fail(o, options_.backoff_max_ms);
+      Loop::connect_fail(o);
       return;
     }
     set_nonblocking(fd);
@@ -281,7 +276,7 @@ void TcpTransport::loop_main(Loop& l) {
     } else if (errno == EINPROGRESS) {
       o.st = Loop::OutState::kConnecting;
     } else {
-      Loop::connect_fail(o, options_.backoff_max_ms);
+      Loop::connect_fail(o);
     }
   };
 
@@ -308,9 +303,9 @@ void TcpTransport::loop_main(Loop& l) {
       for (Loop::Out& o : l.outs) {
         if (o.c.peer == l.self || o.c.fd < 0) continue;
         if (o.st == Loop::OutState::kUp) {
-          Loop::out_broken(o, d, options_.backoff_init_ms);
+          Loop::out_broken(o, d);
         } else {
-          Loop::connect_fail(o, options_.backoff_max_ms);
+          Loop::connect_fail(o);
         }
       }
       for (Loop::In& in : l.ins) Loop::in_broken(in, d);
@@ -331,7 +326,7 @@ void TcpTransport::loop_main(Loop& l) {
       if (o.st == Loop::OutState::kHandshake) try_handshake(o, d);
       if (o.st == Loop::OutState::kUp && !paused && o.c.want_write()) {
         if (flush_conn(o.c, d.frames_sent, d.bytes_sent) == IoResult::kError) {
-          Loop::out_broken(o, d, options_.backoff_init_ms);
+          Loop::out_broken(o, d);
         }
       }
     }
@@ -396,7 +391,7 @@ void TcpTransport::loop_main(Loop& l) {
           set_nonblocking(fd);
           const int one = 1;
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          l.ins.emplace_back(options_.max_frame_size);
+          l.ins.emplace_back();
           l.ins.back().c.fd = fd;
         }
       }
@@ -410,7 +405,7 @@ void TcpTransport::loop_main(Loop& l) {
             socklen_t len = sizeof err;
             if (::getsockopt(o.c.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
                 err != 0) {
-              Loop::connect_fail(o, options_.backoff_max_ms);
+              Loop::connect_fail(o);
             } else {
               o.st = Loop::OutState::kHandshake;
               o.hs_off = 0;
@@ -420,7 +415,7 @@ void TcpTransport::loop_main(Loop& l) {
                      (pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
             if (read_conn(o.c, rbuf.data(), rbuf.size(), deliver(d)) !=
                 IoResult::kOk) {
-              Loop::out_broken(o, d, options_.backoff_init_ms);
+              Loop::out_broken(o, d);
             }
           }
           // kHandshake POLLOUT: the pre-poll pass above resumes the write.

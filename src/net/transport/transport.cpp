@@ -1,18 +1,11 @@
 #include "net/transport/transport.hpp"
 
-#include <utility>
-
-#include "net/transport/socketpair_transport.hpp"
-#include "net/transport/tcp_transport.hpp"
-
 namespace str::net {
 
 const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kDes:
       return "des";
-    case TransportKind::kSocketpair:
-      return "socketpair";
     case TransportKind::kTcp:
       return "tcp";
   }
@@ -22,10 +15,6 @@ const char* to_string(TransportKind kind) {
 bool parse_transport(const std::string& name, TransportKind& out) {
   if (name == "des") {
     out = TransportKind::kDes;
-    return true;
-  }
-  if (name == "socketpair") {
-    out = TransportKind::kSocketpair;
     return true;
   }
   if (name == "tcp") {
@@ -50,19 +39,6 @@ void TransportStats::add(const TransportStats& o) {
   for (std::size_t i = 0; i < resent_by_tag.size(); ++i) {
     resent_by_tag[i] += o.resent_by_tag[i];
   }
-}
-
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          TransportOptions options) {
-  switch (kind) {
-    case TransportKind::kDes:
-      return nullptr;  // the DES Network delivers frames itself
-    case TransportKind::kSocketpair:
-      return std::make_unique<SocketpairTransport>(options);
-    case TransportKind::kTcp:
-      return std::make_unique<TcpTransport>(options);
-  }
-  return nullptr;
 }
 
 }  // namespace str::net

@@ -1,7 +1,7 @@
-// Real transports behind the wire layer (docs/TRANSPORT.md).
+// Real-transport settings and counters (docs/TRANSPORT.md).
 //
-// A Transport carries the checksummed wire frames of docs/WIRE.md over OS
-// sockets on per-node event-loop threads, replacing the DES's virtual-
+// A real transport carries the checksummed wire frames of docs/WIRE.md over
+// OS sockets on per-node event-loop threads, replacing the DES's virtual-
 // latency delivery while reusing everything above it unchanged: the frame
 // format, the decoder hardening, the typed dispatch path, and the per-type
 // traffic counters. The DES remains the protocol oracle — a real-transport
@@ -9,50 +9,32 @@
 // anchors virtual time to the wall clock), it does not replace the
 // deterministic trajectory the golden hash locks down.
 //
-// Delivery contract: frames between an ordered pair of nodes arrive intact
-// (checksummed, reassembled from arbitrary stream chunks) and in send order
-// while the underlying connection lives. Across a connection loss the
-// transport re-offers still-queued frames on the replacement connection
-// (at-least-once, counted per tag in `resent_by_tag`), but frames already
-// handed to the kernel may be gone for good — exactly the loss the protocol
-// layer's timeout/retry machinery (docs/FAULTS.md) recovers from, which is
-// why real-transport clusters force recovery on.
+// The one socket backend is loopback TCP (net/transport/tcp_transport.hpp);
+// this header holds the plain types the cluster config and the run reports
+// share with it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace str::net {
 
 enum class TransportKind : std::uint8_t {
-  kDes = 0,         ///< virtual-latency delivery on the DES (the default)
-  kSocketpair = 1,  ///< in-process AF_UNIX stream pairs, one per node pair
-  kTcp = 2,         ///< loopback TCP with reconnect (one conn per ordered pair)
+  kDes = 0,  ///< virtual-latency delivery on the DES (the default)
+  kTcp = 1,  ///< loopback TCP with reconnect (one conn per ordered pair)
 };
 
 const char* to_string(TransportKind kind);
 
-/// Parse "des" | "socketpair" | "tcp". False on anything else.
+/// Parse "des" | "tcp". False on anything else.
 bool parse_transport(const std::string& name, TransportKind& out);
 
 struct TransportOptions {
-  /// TCP: node i listens on 127.0.0.1:(base_port + i). 0 (the default)
-  /// binds ephemeral ports, coordinated through the in-process port table —
-  /// the right choice everywhere except when a run must use fixed ports.
+  /// Node i listens on 127.0.0.1:(base_port + i). 0 (the default) binds
+  /// ephemeral ports, coordinated through the in-process port table — the
+  /// right choice everywhere except when a run must use fixed ports.
   std::uint16_t base_port = 0;
-  /// Per-connection FrameAssembler ceiling: a length prefix claiming more
-  /// than this is rejected before any body byte is buffered.
-  std::size_t max_frame_size = 1u << 20;
-  /// TCP reconnect backoff (wall-clock milliseconds): first retry after
-  /// `backoff_init_ms`, doubling per failure up to `backoff_max_ms`.
-  std::uint32_t backoff_init_ms = 1;
-  std::uint32_t backoff_max_ms = 200;
 };
 
 /// Monotonic counters, one logical set per transport (internally summed
@@ -70,10 +52,10 @@ struct TransportStats {
   /// arrive; the protocol's request/transaction-id dedup absorbs it.
   std::uint64_t frames_resent = 0;
   std::uint64_t bytes_resent = 0;
-  /// Queued frames discarded at a permanent connection loss (socketpair has
-  /// no reconnect) or still unsent at stop().
+  /// Queued frames still unsent at stop(). A connection break never drops
+  /// a queued frame: it waits for the replacement connection.
   std::uint64_t frames_dropped = 0;
-  std::uint64_t connects = 0;     ///< connections established (TCP)
+  std::uint64_t connects = 0;     ///< connections established
   std::uint64_t reconnects = 0;   ///< subset of connects that replace a loss
   std::uint64_t disconnects = 0;  ///< established connections lost
   /// Receive-side partial frames discarded because the peer died mid-frame.
@@ -84,56 +66,5 @@ struct TransportStats {
 
   void add(const TransportStats& other);
 };
-
-class Transport {
- public:
-  /// Invoked with each fully reassembled frame addressed to node `to` — on
-  /// a transport loop thread, or on the sending thread for self-sends. Must
-  /// be thread-safe; calling send() from inside it is allowed (echo
-  /// servers, protocol replies).
-  using RxHandler =
-      std::function<void(NodeId to, std::vector<std::uint8_t> frame)>;
-
-  virtual ~Transport() = default;
-
-  /// Bring up `num_nodes` node loops and their connections. Throws
-  /// std::runtime_error when the OS refuses (a busy port, fd exhaustion) —
-  /// callers turn that into a usage error before any simulation time is
-  /// spent. Call exactly once.
-  virtual void start(std::uint32_t num_nodes, RxHandler rx) = 0;
-
-  /// Queue one encoded frame from `from` to `to`. Thread-safe; never
-  /// blocks on the network (frames park in per-peer queues until the
-  /// destination connection accepts them). from == to loops back through
-  /// the RxHandler without touching a socket.
-  virtual void send(NodeId from, NodeId to,
-                    std::vector<std::uint8_t> frame) = 0;
-
-  /// Stop all loops and close every socket; idempotent, called by the
-  /// destructor. After stop() no RxHandler invocation is in flight.
-  virtual void stop() = 0;
-
-  /// Snapshot of the summed per-loop counters. Thread-safe.
-  virtual TransportStats stats() const = 0;
-
-  virtual TransportKind kind() const = 0;
-
-  // -- test hooks -----------------------------------------------------------
-
-  /// Forcibly close every connection `node`'s loop owns, as if the peer had
-  /// reset them. Synchronous: returns after the loop has done the closing.
-  /// TCP re-establishes (with resend accounting); socketpair losses are
-  /// permanent. Must not be called from an RxHandler.
-  virtual void debug_drop_connections(NodeId node) = 0;
-
-  /// Pause (true) or resume (false) all outbound flushing from `node`'s
-  /// loop, so tests can pin frames in the outbound queues deterministically
-  /// before dropping a connection.
-  virtual void debug_pause_writes(NodeId node, bool paused) = 0;
-};
-
-/// Build a backend; kDes returns nullptr (the cluster keeps DES delivery).
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          TransportOptions options = {});
 
 }  // namespace str::net

@@ -165,7 +165,7 @@ Cluster::Cluster(Config config)
     }
     // Start last: loop threads may deliver into the driver's inbox the
     // moment they exist, and everything they touch is set up by now.
-    transport_ = net::make_transport(config_.transport, config_.transport_opts);
+    transport_ = std::make_unique<net::TcpTransport>(config_.transport_opts);
     net_.set_transport(transport_.get());
     transport_->start(config_.num_nodes,
                       [d = rt_driver_.get()](NodeId to,

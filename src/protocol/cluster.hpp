@@ -20,7 +20,7 @@
 #include "harness/metrics.hpp"
 #include "net/fault.hpp"
 #include "net/network.hpp"
-#include "net/transport/transport.hpp"
+#include "net/transport/tcp_transport.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "net/topology.hpp"
@@ -187,7 +187,7 @@ class Cluster {
 
   /// True when frames travel over a real transport (Config::transport).
   bool real_transport() const { return transport_ != nullptr; }
-  net::Transport* transport() { return transport_.get(); }
+  net::TcpTransport* transport() { return transport_.get(); }
 
   /// Virtual time as seen by the calling context: the current shard's clock
   /// inside protocol code, the (globally agreed) clock between run_for
@@ -349,7 +349,7 @@ class Cluster {
   std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_bytes_{};
 
   // -- real transport (Config::transport != kDes; all null/zero otherwise) --
-  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<net::TcpTransport> transport_;
   std::unique_ptr<sim::RealtimeDriver> rt_driver_;
   /// Stats snapshot at the last publish (or reset_obs): the registry
   /// counters advance by the delta, so the warmup cutover discards warmup

@@ -481,5 +481,110 @@ TEST(FaultPlanParse, TornWriteDirectiveParsesAndValidates) {
   EXPECT_TRUE(zero.empty());
 }
 
+// Every way a directive can be malformed, in both spellings: a bad or
+// missing field, a field too many, an out-of-range probability or time, a
+// window or restart out of order.
+const char* const kMalformedDirectives[] = {
+    "bogus 1 2",
+    "drop", "drop notanumber", "drop 1.5", "drop -0.1", "drop nan",
+    "drop 0.05 0.02", "drop 0.1:0.2", "dup 2", "corrupt 1.5",
+    "torn-write", "torn-write 1.5", "torn-write -0.1",
+    "torn-write 0.5 extra",
+    "heal -1", "heal nan", "heal inf", "heal 1e30", "heal 15 soon",
+    "heal 1:",
+    "partition 0 1 9 2", "partition 0:1:3:2", "partition 0 1 2",
+    "partition 0:1:2", "partition 0::1:2:3", "partition -1 1 2 3",
+    "partition 0 1 -2 3", "partition 0 1 2 inf", "partition 0 1 2.0 12.0 x",
+    "partition-oneway 0 1 9 2",
+    "crash", "crash 1", "crash 1 8 5", "crash 1:8:5", "crash 1:",
+    "crash :5.0", "crash 1:2:3:4", "crash one:5.0", "crash 1:soon",
+    "crash 3:5.0 junk", "crash 3:5.0 8.0", "crash 3 5.0 oops",
+    "crash 3 5.0 8.0 junk", "crash -1 5", "crash 1.5 5",
+    "crash 4294967296 5", "crash 1 -1", "crash 1 1e30", "crash 1 nan",
+};
+
+TEST(FaultPlanParse, ApplyRejectsEveryDirectiveTheGrammarRejects) {
+  // str_sim's fault flags build one directive each and go through apply();
+  // a plan file goes through parse(). Both must refuse the same inputs, and
+  // a refused directive leaves the plan it was applied to untouched.
+  FaultPlan base;
+  std::string error;
+  ASSERT_TRUE(FaultPlan::parse("drop 0.05\ncrash 2 1.0 3.0\n", base, error))
+      << error;
+  for (const char* directive : kMalformedDirectives) {
+    FaultPlan parsed;
+    EXPECT_FALSE(FaultPlan::parse(std::string(directive) + "\n", parsed,
+                                  error))
+        << directive;
+    FaultPlan applied = base;
+    error.clear();
+    EXPECT_FALSE(applied.apply(directive, error)) << directive;
+    EXPECT_FALSE(error.empty()) << directive;
+    EXPECT_EQ(applied, base) << directive;
+  }
+}
+
+TEST(FaultPlanParse, ValidDirectivesBuildTheSamePlanBothWays) {
+  const std::vector<std::string> directives = {
+      "drop 0.05", "dup 0.02", "corrupt 0.01", "torn-write 0.5", "drop 1",
+      "heal 15.0", "heal 0",
+      "partition 0 1 2.0 12.0", "partition 0:1:2.0:12.0",
+      "partition 2 3 4 4", "partition-oneway 2 3 1 4",
+      "crash 3 5.0 8.0", "crash 3:5.0:8.0", "crash 4 6.0", "crash 4:6.0",
+      "   crash 5   7.5  ",
+  };
+  std::string error;
+  std::string spec;
+  FaultPlan applied_all;
+  for (const std::string& d : directives) {
+    FaultPlan parsed;
+    ASSERT_TRUE(FaultPlan::parse(d + "\n", parsed, error))
+        << d << ": " << error;
+    FaultPlan applied;
+    ASSERT_TRUE(applied.apply(d, error)) << d << ": " << error;
+    EXPECT_EQ(applied, parsed) << d;
+    EXPECT_NE(applied, FaultPlan{}) << d;  // the directive took effect
+    ASSERT_TRUE(applied_all.apply(d, error)) << d << ": " << error;
+    spec += d + "\n";
+  }
+  // Applied one after another, the directives build the plan the whole
+  // file parses to.
+  FaultPlan parsed_all;
+  ASSERT_TRUE(FaultPlan::parse(spec, parsed_all, error)) << error;
+  EXPECT_EQ(applied_all, parsed_all);
+  EXPECT_EQ(applied_all.crashes.size(), 5u);
+  // A blank directive changes nothing.
+  ASSERT_TRUE(applied_all.apply("   ", error));
+  EXPECT_EQ(applied_all, parsed_all);
+  // The colon spelling of --partition builds the same pair of windows.
+  FaultPlan colon, spaced;
+  ASSERT_TRUE(colon.apply("partition 0:1:2.0:12.0", error)) << error;
+  ASSERT_TRUE(spaced.apply("partition 0 1 2.0 12.0", error)) << error;
+  EXPECT_EQ(colon, spaced);
+  EXPECT_EQ(colon.partitions.size(), 2u);
+}
+
+TEST(FaultPlanParse, FitsRejectsNodesAndRegionsTheClusterLacks) {
+  std::string error;
+  FaultPlan plan;
+  ASSERT_TRUE(plan.apply("crash 2 1.0", error));
+  ASSERT_TRUE(plan.apply("partition 0 2 1 2", error));
+  EXPECT_TRUE(plan.fits(3, 3, error)) << error;
+
+  EXPECT_FALSE(plan.fits(2, 3, error));  // node 2 of a 2-node cluster
+  EXPECT_NE(error.find("node 2"), std::string::npos) << error;
+  EXPECT_FALSE(plan.fits(3, 2, error));  // region 2 of 2 regions
+  EXPECT_NE(error.find("region 2"), std::string::npos) << error;
+
+  // A one-way window names each end once.
+  for (const char* oneway :
+       {"partition-oneway 30 0 1 2", "partition-oneway 0 30 1 2"}) {
+    FaultPlan cut;
+    ASSERT_TRUE(cut.apply(oneway, error)) << error;
+    EXPECT_FALSE(cut.fits(3, 3, error)) << oneway;
+  }
+  EXPECT_TRUE(FaultPlan{}.fits(1, 1, error));
+}
+
 }  // namespace
 }  // namespace str::net

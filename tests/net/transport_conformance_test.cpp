@@ -1,12 +1,10 @@
-// Transport conformance: every real backend (socketpair, TCP) must honor the
-// same delivery contract — intact, ordered, byte-exact frames per connection
-// lifetime, accurate counters, and the documented loss semantics across a
-// connection break (TCP re-offers queued frames; socketpair losses are
-// permanent). The suite runs the identical assertions against both backends
-// over real sockets, plus TCP-only lifecycle cases (busy port, ephemeral
-// port assignment) and a short wall-clock cluster run that must reach a
-// clean SPSI verdict.
-#include "net/transport/transport.hpp"
+// Transport conformance: the loopback TCP transport must honor its delivery
+// contract over real sockets — intact, ordered, byte-exact frames per
+// connection lifetime, accurate counters, and reconnect-with-resend across a
+// connection break — plus lifecycle cases (busy port, ephemeral port
+// assignment) and a short wall-clock cluster run that must reach a clean
+// SPSI verdict.
+#include "net/transport/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -23,8 +21,8 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "net/transport/tcp_transport.hpp"
 #include "tests/protocol/test_util.hpp"
+#include "wire/assembler.hpp"
 #include "wire/messages.hpp"
 #include "workload/synthetic.hpp"
 
@@ -140,58 +138,48 @@ bool eventually(const std::function<bool()>& pred,
 /// bytes crossed, but the sending loop folds its tallies just before it
 /// blocks again, a few microseconds later. Exact-equality assertions follow
 /// the wait so mismatches still fail loudly.
-bool stats_settle(const Transport& tp,
+bool stats_settle(const TcpTransport& tp,
                   const std::function<bool(const TransportStats&)>& pred) {
   return eventually([&] { return pred(tp.stats()); });
 }
 
-class TransportConformance : public ::testing::TestWithParam<TransportKind> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, TransportConformance,
-    ::testing::Values(TransportKind::kSocketpair, TransportKind::kTcp),
-    [](const ::testing::TestParamInfo<TransportKind>& param) {
-      return std::string(to_string(param.param));
-    });
-
-TEST_P(TransportConformance, EchoRoundTripAllFrameTypes) {
-  auto tp = make_transport(GetParam());
-  Transport* raw = tp.get();
-  RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+TEST(TransportConformance, EchoRoundTripAllFrameTypes) {
+  RxLog log;  // outlives tp, whose loop threads push into it
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     if (to == 1) {
       // Echo server: send() from inside the RxHandler is part of the
       // contract (protocol replies do exactly this).
-      raw->send(1, 0, std::move(frame));
+      tp.send(1, 0, std::move(frame));
       return;
     }
     log.push(to, std::move(frame));
   });
   const std::vector<wire::Buffer> frames = sample_frames();
-  for (const wire::Buffer& f : frames) tp->send(0, 1, f);
+  for (const wire::Buffer& f : frames) tp.send(0, 1, f);
   ASSERT_TRUE(log.wait_total(frames.size()));
   // Byte-exact and in send order after a full round trip per type.
   EXPECT_EQ(log.at(0), frames);
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.frames_sent >= 2 * frames.size() &&
            s.frames_received >= 2 * frames.size();
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 2 * frames.size());
   EXPECT_EQ(s.frames_received, 2 * frames.size());
   EXPECT_EQ(s.bytes_sent, s.bytes_received);
   EXPECT_EQ(s.frames_resent, 0u);
   EXPECT_EQ(s.frames_dropped, 0u);
-  tp->stop();
+  tp.stop();
 }
 
-TEST_P(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
+TEST(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
   // Frame sizes straddling every read-path regime: empty bodies that
   // coalesce many-per-read, and frames larger than the 64 KiB read chunk
   // that arrive split across several reads.
-  auto tp = make_transport(GetParam());
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   const std::size_t sizes[] = {0, 3, 64, 1024, 60000, 130000};
@@ -203,49 +191,49 @@ TEST_P(TransportConformance, BurstReassemblyIsOrderedAndByteExact) {
   std::uint64_t bytes = 0;
   for (const wire::Buffer& f : sent) {
     bytes += f.size();
-    tp->send(0, 1, f);
+    tp.send(0, 1, f);
   }
   ASSERT_TRUE(log.wait_total(sent.size(), 30s));
   EXPECT_EQ(log.at(1), sent);
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.bytes_sent >= bytes && s.bytes_received >= bytes;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_received, sent.size());
   EXPECT_EQ(s.bytes_received, bytes);
   EXPECT_EQ(s.bytes_sent, bytes);
-  tp->stop();
+  tp.stop();
 }
 
-TEST_P(TransportConformance, SelfSendLoopsBackWithoutASocket) {
-  auto tp = make_transport(GetParam());
+TEST(TransportConformance, SelfSendLoopsBackWithoutASocket) {
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   const wire::Buffer f = raw_frame(7, 21);
-  tp->send(0, 0, f);
+  tp.send(0, 0, f);
   ASSERT_TRUE(log.wait_total(1));
   EXPECT_EQ(log.at(0), std::vector<wire::Buffer>{f});
-  EXPECT_TRUE(stats_settle(*tp, [](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [](const TransportStats& s) {
     return s.frames_sent >= 1 && s.frames_received >= 1;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, 1u);
   EXPECT_EQ(s.frames_received, 1u);
-  tp->stop();
+  tp.stop();
 }
 
-TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
+TEST(TransportConformance, PerTypeCounterSumInvariant) {
   // Send a distinct count of each message type; the per-tag tallies at the
   // receiver must sum exactly to the transport's frame counters — the
   // socket-level ground truth behind the cluster's wire.msgs.* accounting.
-  auto tp = make_transport(GetParam());
   std::mutex mu;
   std::map<std::uint8_t, std::size_t> by_tag;
   std::size_t total_rx = 0;
   std::condition_variable cv;
-  tp->start(2, [&](NodeId, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId, std::vector<std::uint8_t> frame) {
     ASSERT_GT(frame.size(), wire::kFrameLenBytes);
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -258,7 +246,7 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
   std::size_t total = 0;
   for (std::size_t t = 0; t < frames.size(); ++t) {
     for (std::size_t k = 0; k <= t; ++k) {
-      tp->send(0, 1, frames[t]);
+      tp.send(0, 1, frames[t]);
       ++total;
     }
   }
@@ -270,96 +258,92 @@ TEST_P(TransportConformance, PerTypeCounterSumInvariant) {
           << "type index " << t;
     }
   }
-  EXPECT_TRUE(stats_settle(*tp, [&](const TransportStats& s) {
+  EXPECT_TRUE(stats_settle(tp, [&](const TransportStats& s) {
     return s.frames_sent >= total && s.frames_received >= total;
   }));
-  const TransportStats s = tp->stats();
+  const TransportStats s = tp.stats();
   EXPECT_EQ(s.frames_sent, total);
   EXPECT_EQ(s.frames_received, total);
   EXPECT_EQ(s.frames_resent, 0u);
-  tp->stop();
+  tp.stop();
 }
 
-TEST_P(TransportConformance, DropConnectionsFollowsBackendLossSemantics) {
-  auto tp = make_transport(GetParam());
+TEST(TransportConformance, DropConnectionsResendsQueuedFrames) {
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
   // Prove the 0→1 connection is established before staging the break.
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
 
   // Pin frames in node 0's outbound queue, then cut every connection it
-  // owns. debug_drop_connections is synchronous, so the loss accounting is
-  // fully visible when it returns.
-  tp->debug_pause_writes(0, true);
+  // owns. debug_drop_connections is synchronous, so the resend accounting
+  // is fully visible when it returns.
+  tp.debug_pause_writes(0, true);
   constexpr std::size_t kQueued = 5;
-  for (std::size_t i = 0; i < kQueued; ++i) tp->send(0, 1, raw_frame(2, 32));
-  tp->debug_drop_connections(0);
-  const TransportStats s = tp->stats();
+  for (std::size_t i = 0; i < kQueued; ++i) tp.send(0, 1, raw_frame(2, 32));
+  tp.debug_drop_connections(0);
+  const TransportStats s = tp.stats();
   EXPECT_GE(s.disconnects, 1u);
-
-  if (GetParam() == TransportKind::kTcp) {
-    // TCP re-offers everything still queued on a replacement connection.
-    EXPECT_EQ(s.frames_resent, kQueued);
-    EXPECT_EQ(s.resent_by_tag[2], kQueued);
-    EXPECT_EQ(s.frames_dropped, 0u);
-    tp->debug_pause_writes(0, false);
-    ASSERT_TRUE(log.wait_total(1 + kQueued));
-    EXPECT_EQ(log.at(1).size(), 1 + kQueued);
-    EXPECT_TRUE(eventually([&] { return tp->stats().reconnects >= 1; }));
-  } else {
-    // Socketpair has no reconnect: queued frames are dropped, and the pair
-    // stays dead — later sends are dropped too, never delivered.
-    EXPECT_GE(s.frames_dropped, kQueued);
-    EXPECT_EQ(s.frames_resent, 0u);
-    tp->debug_pause_writes(0, false);
-    tp->send(0, 1, raw_frame(3, 4));
-    EXPECT_TRUE(eventually(
-        [&] { return tp->stats().frames_dropped >= kQueued + 1; }));
-    EXPECT_EQ(log.at(1).size(), 1u);
-  }
-  tp->stop();
+  // Everything still queued is re-offered on a replacement connection.
+  EXPECT_EQ(s.frames_resent, kQueued);
+  EXPECT_EQ(s.resent_by_tag[2], kQueued);
+  EXPECT_EQ(s.frames_dropped, 0u);
+  tp.debug_pause_writes(0, false);
+  ASSERT_TRUE(log.wait_total(1 + kQueued));
+  EXPECT_EQ(log.at(1).size(), 1 + kQueued);
+  EXPECT_TRUE(eventually([&] { return tp.stats().reconnects >= 1; }));
+  tp.stop();
 }
 
-TEST_P(TransportConformance, StopDiscardsQueuedFramesAsDropped) {
-  auto tp = make_transport(GetParam());
+TEST(TransportConformance, StopDiscardsQueuedFramesAsDropped) {
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
-  tp->debug_pause_writes(0, true);
-  for (int i = 0; i < 3; ++i) tp->send(0, 1, raw_frame(2, 16));
-  tp->stop();
+  tp.debug_pause_writes(0, true);
+  for (int i = 0; i < 3; ++i) tp.send(0, 1, raw_frame(2, 16));
+  tp.stop();
   // Unsent frames must be accounted, not silently lost.
-  EXPECT_GE(tp->stats().frames_dropped, 3u);
+  EXPECT_GE(tp.stats().frames_dropped, 3u);
 }
 
-TEST_P(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
-  // A peer whose stream claims a frame above the configured ceiling gets its
-  // connection cut (the assembler's error latch), never a buffer of that
-  // size. TCP then rebuilds the connection and traffic resumes.
-  TransportOptions opts;
-  opts.max_frame_size = 1024;
-  auto tp = make_transport(GetParam(), opts);
+TEST(TransportConformance, OversizedFrameBreaksOnlyThatConnection) {
+  // A stream whose length prefix claims a frame above
+  // wire::kDefaultMaxFrameSize gets its connection cut (the assembler's
+  // error latch) as soon as the prefix arrives — no body byte is awaited,
+  // so a short frame carrying a forged prefix is enough. The sender then
+  // reconnects and traffic resumes.
   RxLog log;
-  tp->start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
+  TcpTransport tp;
+  tp.start(2, [&](NodeId to, std::vector<std::uint8_t> frame) {
     log.push(to, std::move(frame));
   });
-  tp->send(0, 1, raw_frame(1, 8));
+  tp.send(0, 1, raw_frame(1, 8));
   ASSERT_TRUE(log.wait_total(1));
-  tp->send(0, 1, raw_frame(2, 4000));  // 4009 bytes > 1024 ceiling
-  EXPECT_TRUE(eventually([&] { return tp->stats().disconnects >= 1; }));
-  if (GetParam() == TransportKind::kTcp) {
-    tp->send(0, 1, raw_frame(3, 8));
-    ASSERT_TRUE(log.wait_total(2));
-    ASSERT_EQ(log.at(1).size(), 2u);
-    EXPECT_EQ(log.at(1)[1][wire::kFrameLenBytes], 3);
+  wire::Buffer forged = raw_frame(2, 8);
+  const auto claimed = static_cast<std::uint32_t>(
+      wire::kDefaultMaxFrameSize - wire::kFrameLenBytes + 1);
+  for (std::size_t i = 0; i < wire::kFrameLenBytes; ++i) {
+    forged[i] = static_cast<std::uint8_t>((claimed >> (8 * i)) & 0xff);
   }
-  tp->stop();
+  tp.send(0, 1, forged);
+  // Both ends count the cut: the receiver rejects the prefix and closes,
+  // and the sender reads that close. Only after the sender has seen it is
+  // the next frame sure to ride the replacement connection.
+  EXPECT_TRUE(eventually([&] { return tp.stats().disconnects >= 2; }));
+  tp.send(0, 1, raw_frame(3, 8));
+  ASSERT_TRUE(log.wait_total(2));
+  ASSERT_EQ(log.at(1).size(), 2u);
+  EXPECT_EQ(log.at(1)[1][wire::kFrameLenBytes], 3);
+  EXPECT_TRUE(eventually([&] { return tp.stats().reconnects >= 1; }));
+  EXPECT_EQ(tp.stats().disconnects, 2u);
+  tp.stop();
 }
 
 TEST(TcpTransportLifecycle, StartThrowsOnBusyPort) {
@@ -387,7 +371,7 @@ TEST(TcpTransportLifecycle, StartThrowsOnBusyPort) {
 }
 
 TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
-  TcpTransport tp{TransportOptions{}};
+  TcpTransport tp;
   tp.start(3, [](NodeId, std::vector<std::uint8_t>) {});
   const std::uint16_t p0 = tp.port_of(0);
   const std::uint16_t p1 = tp.port_of(1);
@@ -401,15 +385,15 @@ TEST(TcpTransportLifecycle, EphemeralPortsAreBoundAndDistinct) {
   tp.stop();
 }
 
-TEST_P(TransportConformance, ClusterReachesCleanSpsiOverRealSockets) {
+TEST(TransportConformance, ClusterReachesCleanSpsiOverRealSockets) {
   // The full stack in wall-clock time: a small cluster running the synthetic
-  // workload over this backend must commit work, quiesce clean, and pass
+  // workload over loopback TCP must commit work, quiesce clean, and pass
   // the SPSI checker — with zero socket-level retransmits on a healthy
   // loopback.
   harness::ExperimentConfig cfg;
   cfg.cluster = test::small_config(3, 2, protocol::ProtocolConfig::str(),
                                    msec(50), /*seed=*/7);
-  cfg.cluster.transport = GetParam();
+  cfg.cluster.transport = TransportKind::kTcp;
   cfg.clients_per_node = 3;
   cfg.warmup = msec(300);
   cfg.duration = msec(600);

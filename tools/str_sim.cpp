@@ -16,8 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
-
-#include <vector>
+#include <utility>
 
 #include "harness/csv.hpp"
 #include "harness/replicated.hpp"
@@ -90,14 +89,14 @@ void usage() {
       "                 frame and decode it at delivery (wire codec mode,\n"
       "                 docs/WIRE.md); bit-identical to the default\n"
       "                 closure transport\n"
-      "  --transport T  des | socketpair | tcp (docs/TRANSPORT.md). des (the\n"
-      "                 default) is the deterministic simulator; socketpair\n"
-      "                 and tcp run the same cluster logic over real sockets\n"
-      "                 on per-node loop threads, pacing virtual time to the\n"
-      "                 wall clock (implies --wire; requires --threads 1 and\n"
-      "                 no fault directives)                        [des]\n"
+      "  --transport T  des | tcp (docs/TRANSPORT.md). des (the default) is\n"
+      "                 the deterministic simulator; tcp runs the same\n"
+      "                 cluster logic over loopback TCP on per-node loop\n"
+      "                 threads, pacing virtual time to the wall clock\n"
+      "                 (implies --wire; requires --threads 1 and no fault\n"
+      "                 directives)                                 [des]\n"
       "  --transport-port N  tcp only: node i listens on 127.0.0.1:(N+i)\n"
-      "                 instead of ephemeral ports\n"
+      "                 instead of ephemeral ports; N+nodes-1 <= 65535\n"
       "  --csv PATH     append per-run metrics to a CSV file\n"
       "  --trace-out PATH    write a Chrome trace-event JSON (Perfetto /\n"
       "                      chrome://tracing loadable; first rep only;\n"
@@ -109,7 +108,8 @@ void usage() {
       "                      final-latency p50/p95/p99\n"
       "  --trace-capacity N  trace ring size (events and spans each; older\n"
       "                      records drop when full)\n"
-      "chaos mode (docs/FAULTS.md; any fault flag enables recovery):\n"
+      "chaos mode (docs/FAULTS.md; any fault flag enables recovery; each\n"
+      "fault flag is one plan directive and meets the plan's checks):\n"
       "  --fault-plan PATH   load a fault-plan spec file\n"
       "  --drop-prob P       per-message drop probability, every link\n"
       "  --dup-prob P        per-message duplication probability\n"
@@ -144,28 +144,19 @@ void usage() {
       "                      quorum size when smaller\n");
 }
 
-/// Split "a:b:c" into its numeric fields; false on count or parse errors.
-bool split_fields(const std::string& s, std::vector<double>& out,
-                  std::size_t min_fields, std::size_t max_fields) {
-  out.clear();
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t colon = s.find(':', pos);
-    const std::string field =
-        s.substr(pos, colon == std::string::npos ? colon : colon - pos);
-    if (field.empty()) return false;
-    char* end = nullptr;
-    out.push_back(std::strtod(field.c_str(), &end));
-    if (end == nullptr || *end != '\0') return false;
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
+/// The fault-plan directive a fault flag spells (docs/FAULTS.md §2), or
+/// nullptr: "--crash-node 2:3" is the directive "crash 2:3".
+const char* fault_directive(const std::string& flag) {
+  static constexpr std::pair<const char*, const char*> kFlags[] = {
+      {"--drop-prob", "drop"},        {"--dup-prob", "dup"},
+      {"--corrupt-prob", "corrupt"},  {"--heal", "heal"},
+      {"--partition", "partition"},   {"--crash-node", "crash"},
+      {"--torn-write", "torn-write"}};
+  for (const auto& [name, directive] : kFlags) {
+    if (flag == name) return directive;
   }
-  return out.size() >= min_fields && out.size() <= max_fields;
+  return nullptr;
 }
-
-/// Longest --warmup/--duration accepted: far past any run, and well inside
-/// the 64-bit microsecond clock.
-constexpr double kMaxSeconds = 1e9;
 
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
@@ -214,7 +205,7 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
       opt.rf = static_cast<std::uint32_t>(n);
-    } else if (arg == "--duration" || arg == "--warmup") {
+    } else if (arg == "--duration" || arg == "--warmup" || arg == "--drain") {
       if ((v = next()) == nullptr) return false;
       // Seconds of virtual time: NaN, infinities and negatives would wrap
       // when converted to the microsecond clock.
@@ -225,11 +216,9 @@ bool parse(int argc, char** argv, Options& opt) {
                      arg.c_str());
         return false;
       }
-      if (arg == "--duration") {
-        opt.duration_s = s;
-      } else {
-        opt.warmup_s = s;
-      }
+      (arg == "--duration" ? opt.duration_s
+       : arg == "--warmup" ? opt.warmup_s
+                           : opt.drain_s) = s;
     } else if (arg == "--seed") {
       if ((v = next()) == nullptr) return false;
       opt.seed = std::atoll(v);
@@ -245,7 +234,12 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.tuner = true;
     } else if (arg == "--reps") {
       if ((v = next()) == nullptr) return false;
-      opt.reps = std::atoi(v);
+      const long long n = std::atoll(v);
+      if (n < 1 || n > UINT32_MAX) {
+        std::fprintf(stderr, "--reps wants a positive count\n");
+        return false;
+      }
+      opt.reps = static_cast<unsigned>(n);
     } else if (arg == "--csv") {
       if ((v = next()) == nullptr) return false;
       opt.csv = v;
@@ -267,8 +261,8 @@ bool parse(int argc, char** argv, Options& opt) {
       // Half the RTT is the lookahead horizon of the sharded event queue;
       // it must be at least one whole microsecond of virtual time, and a
       // sub-millisecond WAN would undercut the 1 ms intra-region RTT.
-      if (!(opt.wan_rtt_ms >= 1.0)) {
-        std::fprintf(stderr, "--uniform wants an RTT of at least 1 ms\n");
+      if (!(opt.wan_rtt_ms >= 1.0 && opt.wan_rtt_ms <= kMaxSeconds * 1e3)) {
+        std::fprintf(stderr, "--uniform wants a finite RTT of at least 1 ms\n");
         return false;
       }
     } else if (arg == "--fault-plan") {
@@ -279,15 +273,13 @@ bool parse(int argc, char** argv, Options& opt) {
         std::fprintf(stderr, "--fault-plan %s: %s\n", v, error.c_str());
         return false;
       }
-    } else if (arg == "--drop-prob") {
+    } else if (const char* directive = fault_directive(arg)) {
       if ((v = next()) == nullptr) return false;
-      opt.faults.link.drop_prob = std::atof(v);
-    } else if (arg == "--dup-prob") {
-      if ((v = next()) == nullptr) return false;
-      opt.faults.link.dup_prob = std::atof(v);
-    } else if (arg == "--corrupt-prob") {
-      if ((v = next()) == nullptr) return false;
-      opt.faults.link.corrupt_prob = std::atof(v);
+      std::string error;
+      if (!opt.faults.apply(std::string(directive) + " " + v, error)) {
+        std::fprintf(stderr, "%s %s: %s\n", arg.c_str(), v, error.c_str());
+        return false;
+      }
     } else if (arg == "--wire") {
       opt.wire = true;
     } else if (arg == "--transport") {
@@ -301,47 +293,8 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
       opt.transport_port = n;
-    } else if (arg == "--partition") {
-      if ((v = next()) == nullptr) return false;
-      std::vector<double> f;
-      if (!split_fields(v, f, 4, 4)) {
-        std::fprintf(stderr, "--partition wants A:B:START:END, got %s\n", v);
-        return false;
-      }
-      opt.faults.add_partition(static_cast<RegionId>(f[0]),
-                               static_cast<RegionId>(f[1]),
-                               static_cast<Timestamp>(f[2] * 1e6),
-                               static_cast<Timestamp>(f[3] * 1e6));
-    } else if (arg == "--crash-node") {
-      if ((v = next()) == nullptr) return false;
-      std::vector<double> f;
-      if (!split_fields(v, f, 2, 3)) {
-        std::fprintf(stderr, "--crash-node wants NODE:AT[:RESTART], got %s\n",
-                     v);
-        return false;
-      }
-      // Same ordering rule the fault-plan parser enforces: a restart that
-      // does not strictly follow its crash would trip an assertion deep in
-      // cluster construction instead of a usage error here.
-      if (f.size() == 3 && f[2] <= f[1]) {
-        std::fprintf(stderr,
-                     "--crash-node %s: RESTART must be after the crash time\n",
-                     v);
-        return false;
-      }
-      opt.faults.add_crash(static_cast<NodeId>(f[0]),
-                           static_cast<Timestamp>(f[1] * 1e6),
-                           f.size() == 3
-                               ? static_cast<Timestamp>(f[2] * 1e6)
-                               : kTsInfinity);
-    } else if (arg == "--heal") {
-      if ((v = next()) == nullptr) return false;
-      opt.faults.link.heal_at = static_cast<Timestamp>(std::atof(v) * 1e6);
     } else if (arg == "--verify") {
       opt.verify = true;
-    } else if (arg == "--drain") {
-      if ((v = next()) == nullptr) return false;
-      opt.drain_s = std::atof(v);
     } else if (arg == "--wal") {
       opt.wal = true;
     } else if (arg == "--wal-dir") {
@@ -351,8 +304,9 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--fsync-ms") {
       if ((v = next()) == nullptr) return false;
       opt.fsync_ms = std::atof(v);
-      if (opt.fsync_ms < 0) {
-        std::fprintf(stderr, "--fsync-ms wants a non-negative value\n");
+      if (!(opt.fsync_ms >= 0.0 && opt.fsync_ms <= kMaxSeconds * 1e3)) {
+        std::fprintf(stderr,
+                     "--fsync-ms wants a finite, non-negative latency\n");
         return false;
       }
     } else if (arg == "--wal-batch") {
@@ -380,14 +334,6 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
       opt.replica_group = static_cast<std::uint32_t>(n);
-    } else if (arg == "--torn-write") {
-      if ((v = next()) == nullptr) return false;
-      const double p = std::atof(v);
-      if (p < 0.0 || p > 1.0) {
-        std::fprintf(stderr, "--torn-write wants a probability in [0,1]\n");
-        return false;
-      }
-      opt.faults.storage.torn_write_prob = p;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -397,6 +343,13 @@ bool parse(int argc, char** argv, Options& opt) {
     opt.rf = std::min<std::uint32_t>(6, opt.nodes);
   } else if (opt.rf > opt.nodes) {
     std::fprintf(stderr, "--rf %u exceeds --nodes %u\n", opt.rf, opt.nodes);
+    return false;
+  }
+  // base_port + i is a 16-bit port: past 65535 it would wrap to an
+  // ephemeral port (0) or a low one.
+  if (opt.transport_port != 0 && opt.transport_port + opt.nodes - 1 > 65535) {
+    std::fprintf(stderr, "--transport-port %d leaves no port for node %u\n",
+                 opt.transport_port, opt.nodes - 1);
     return false;
   }
   return true;
@@ -475,7 +428,7 @@ int main(int argc, char** argv) {
   // as usage errors before any of that exists.
   net::TransportKind tkind = net::TransportKind::kDes;
   if (!net::parse_transport(opt.transport, tkind)) {
-    std::fprintf(stderr, "--transport wants des | socketpair | tcp, got %s\n",
+    std::fprintf(stderr, "--transport wants des | tcp, got %s\n",
                  opt.transport.c_str());
     return 1;
   }
@@ -513,6 +466,12 @@ int main(int argc, char** argv) {
                                          opt.wan_rtt_ms)))
           : (opt.nodes == 9 ? net::Topology::ec2_nine_regions()
                             : net::Topology::symmetric(opt.nodes, msec(100)));
+  std::string fault_error;
+  if (!opt.faults.fits(opt.nodes, cfg.cluster.topology.num_regions(),
+                       fault_error)) {
+    std::fprintf(stderr, "faults: %s\n", fault_error.c_str());
+    return 1;
+  }
   cfg.cluster.protocol = protocol_config(opt.protocol, ok);
   if (!ok) {
     std::fprintf(stderr, "unknown protocol: %s\n", opt.protocol.c_str());
