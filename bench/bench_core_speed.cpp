@@ -15,11 +15,16 @@
 //   store keys            key entries summed over every partition replica
 //   peak RSS              process high-water resident set (getrusage)
 //
-// The human-readable output ends with a "memory by structure" block: the
-// heap the key tables (entry arena, key index, spilled version chains), the
-// actors' tombstone tables and the latency histograms hold at the end of
-// the run, and the heap in use right after the Cluster constructor. It is
-// not part of the JSON.
+// The human-readable output ends with two blocks that are not part of the
+// JSON. "Memory by structure" is the heap the key tables (entry arena, key
+// index, spilled version chains), the actors' tombstone tables and the
+// latency histograms hold at the end of the run, and the heap in use right
+// after the Cluster constructor. "Lattice split" is where the measurement
+// window's wall time went on each worker of the region-sharded scheduler:
+// executing shard windows, installing cross-shard mailboxes when a window
+// starts, and waiting at the epoch barrier; plus the control thread's
+// serial work between windows (global tasks, serial installs, metric
+// folds).
 //
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
@@ -30,16 +35,16 @@
 // regenerate the baseline.
 //
 // --threads N runs the region-sharded scheduler on N worker threads
-// (BENCH_PARALLEL.json is the committed threads=4 baseline). Every worker
-// count runs the same lattice, so the deterministic counters are identical
-// for every worker count and every machine. Per-worker allocation tallies
-// are reported so skew in allocator pressure across shards is visible, not
-// averaged away.
+// (BENCH_PARALLEL.json is the committed threads=4 baseline); the scheduler
+// runs at most one per region, and "threads" in the JSON is the count that
+// actually ran. Every worker count runs the same lattice, so the
+// deterministic counters are identical for every worker count and every
+// machine. Per-worker allocation tallies are reported so skew in allocator
+// pressure across shards is visible, not averaged away.
 //
 // Usage: bench_core_speed [--quick] [--threads N] [--out PATH]
 //                         [--duration SEC] [--seed N]
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -58,19 +63,19 @@
 
 // ---------------------------------------------------------------------------
 // Interposing allocation counter: every global operator new in the process
-// bumps these. The atomics hold process-wide totals; the thread_locals let
-// --threads runs attribute allocations to the worker that made them (each
-// worker owns its shard's event loop, so per-thread == per-shard pressure).
+// bumps the calling thread's tally. The measurement window's totals are the
+// sum of the workers' tallies (worker 0 is the calling thread, and no other
+// thread runs in a DES window); a process-wide atomic would be one cache
+// line every worker writes on every allocation, and would cost the
+// multi-worker runs the very sharing the lattice avoids. The per-worker
+// split is reported too (each worker owns its shards' event loops, so
+// per-thread == per-shard pressure).
 namespace {
 
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
 thread_local std::uint64_t t_allocs = 0;
 thread_local std::uint64_t t_alloc_bytes = 0;
 
 void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   ++t_allocs;
   t_alloc_bytes += size;
   void* p = std::malloc(size == 0 ? 1 : size);
@@ -79,8 +84,6 @@ void* counted_alloc(std::size_t size) {
 }
 
 void* counted_alloc(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   ++t_allocs;
   t_alloc_bytes += size;
   void* p = nullptr;
@@ -222,12 +225,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       opt.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opt.threads =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt.threads < 1) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
+      std::uint64_t n = 0;
+      if (!parse_count(argv[++i], 1, kMaxThreads, n)) {
+        std::fprintf(stderr, "--threads wants a count in [1,%u]\n",
+                     kMaxThreads);
         return 1;
       }
+      opt.threads = static_cast<std::uint32_t>(n);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--wire] [--threads N] [--out PATH] "
@@ -262,10 +266,14 @@ int main(int argc, char** argv) {
 
   // Per-worker allocation tallies: snapshot each worker thread's counter at
   // the window edges (worker 0 is the calling thread). Sized before the
-  // snapshot so the vector's own allocation stays outside the window.
-  const std::uint32_t workers = opt.threads;
+  // snapshot so the vector's own allocation stays outside the window, and
+  // by the workers that run: the scheduler clamps the request to one per
+  // region.
+  const std::uint32_t workers = cluster.sharded().num_workers();
   std::vector<std::uint64_t> worker_allocs(workers, 0);
   std::vector<std::uint64_t> worker_alloc_bytes(workers, 0);
+  const sim::ShardedScheduler::LatticeSplit split_before =
+      cluster.sharded().lattice_split();
   cluster.sharded().for_each_worker([&](std::uint32_t w) {
     worker_allocs[w] = t_allocs;
     worker_alloc_bytes[w] = t_alloc_bytes;
@@ -274,8 +282,6 @@ int main(int argc, char** argv) {
   // executed() sums every shard's queue (scheduler() would see one shard's
   // slice).
   const std::uint64_t events_before = cluster.sharded().executed();
-  const std::uint64_t allocs_before = g_allocs.load();
-  const std::uint64_t bytes_before = g_alloc_bytes.load();
   const auto wall_start = std::chrono::steady_clock::now();
 
   cluster.run_for(opt.duration);
@@ -286,8 +292,15 @@ int main(int argc, char** argv) {
     worker_alloc_bytes[w] = t_alloc_bytes - worker_alloc_bytes[w];
   });
   const std::uint64_t events = cluster.sharded().executed() - events_before;
-  const std::uint64_t allocs = g_allocs.load() - allocs_before;
-  const std::uint64_t alloc_bytes = g_alloc_bytes.load() - bytes_before;
+  std::uint64_t allocs = 0;
+  std::uint64_t alloc_bytes = 0;
+  for (std::uint32_t w = 0; w < workers; ++w) {
+    allocs += worker_allocs[w];
+    alloc_bytes += worker_alloc_bytes[w];
+  }
+  // After the allocation tallies: the snapshot allocates.
+  const sim::ShardedScheduler::LatticeSplit split_after =
+      cluster.sharded().lattice_split();
   const std::uint64_t commits = cluster.metrics().commits();
   const std::uint64_t epochs = cluster.sharded().epochs();
   const std::uint64_t cross_posts = cluster.sharded().cross_posts();
@@ -313,7 +326,7 @@ int main(int argc, char** argv) {
               "%u thread%s%s) ===\n",
               static_cast<unsigned long long>(opt.seed), opt.clients,
               static_cast<unsigned long long>(opt.duration / sec(1)),
-              opt.threads, opt.threads == 1 ? "" : "s",
+              workers, workers == 1 ? "" : "s",
               opt.wire ? ", wire codec" : "");
   std::printf("  events            %12llu\n",
               static_cast<unsigned long long>(events));
@@ -334,7 +347,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(epochs));
   std::printf("  cross-shard posts %12llu\n",
               static_cast<unsigned long long>(cross_posts));
-  if (opt.threads > 1) {
+  if (workers > 1) {
     for (std::uint32_t w = 0; w < workers; ++w) {
       std::printf("  worker %u allocs   %12llu (%llu bytes)\n", w,
                   static_cast<unsigned long long>(worker_allocs[w]),
@@ -354,6 +367,18 @@ int main(int argc, char** argv) {
   std::printf("    histograms      %12.2f (%llu)\n", mb(mem.histogram_bytes),
               static_cast<unsigned long long>(mem.histograms));
   std::printf("    heap after ctor %12.2f\n", mb(ctor_heap));
+  std::printf("  lattice split (s, measurement window)\n");
+  auto secs = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e9; };
+  for (std::uint32_t w = 0; w < workers; ++w) {
+    const sim::ShardedScheduler::WorkerSplit& a = split_after.workers[w];
+    const sim::ShardedScheduler::WorkerSplit& b = split_before.workers[w];
+    std::printf("    worker %-2u  shards %8.3f  installs %7.3f  barrier %7.3f\n",
+                w, secs(a.shard_ns - b.shard_ns),
+                secs(a.install_ns - b.install_ns),
+                secs(a.wait_ns - b.wait_ns));
+  }
+  std::printf("    control   between windows %7.3f\n",
+              secs(split_after.global_ns - split_before.global_ns));
 
   std::string allocs_per_thread = "[";
   for (std::uint32_t w = 0; w < workers; ++w) {
@@ -395,7 +420,7 @@ int main(int argc, char** argv) {
                "}\n",
                static_cast<unsigned long long>(opt.seed),
                opt.quick ? "true" : "false", opt.wire ? "true" : "false",
-               opt.threads, opt.clients,
+               workers, opt.clients,
                static_cast<unsigned long long>(warmup / sec(1)),
                static_cast<unsigned long long>(opt.duration / sec(1)),
                static_cast<unsigned long long>(events), wall_s,

@@ -28,6 +28,8 @@ class Histogram {
   void merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
+  /// Exact sum of the recorded values.
+  std::uint64_t sum() const { return sum_; }
   std::uint64_t min() const;
   std::uint64_t max() const { return max_; }
   double mean() const;

@@ -1,6 +1,21 @@
 #include "common/types.hpp"
 
+#include <cerrno>
+#include <cstdlib>
+
 namespace str {
+
+bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t& out) {
+  // strtoull alone accepts leading space and a sign ("-1" wraps to 2^64-1).
+  if (text == nullptr || *text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0' || n < lo || n > hi) return false;
+  out = n;
+  return true;
+}
 
 const char* to_string(VersionState s) {
   switch (s) {

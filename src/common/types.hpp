@@ -29,6 +29,16 @@ inline constexpr Timestamp sec(std::uint64_t v) { return v * 1'000'000; }
 /// microsecond clock.
 inline constexpr double kMaxSeconds = 1e9;
 
+/// Most worker threads a user may ask the simulator for. The lattice runs
+/// at most one per region shard, so a larger count buys nothing.
+inline constexpr std::uint32_t kMaxThreads = 1024;
+
+/// Parse a plain decimal count in [lo, hi] for a command-line flag: digits
+/// only (no sign, space or trailing text) and no wrap-around. Returns false
+/// and leaves `out` alone on anything else.
+bool parse_count(const char* text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t& out);
+
 using NodeId = std::uint32_t;
 using RegionId = std::uint32_t;
 using PartitionId = std::uint32_t;

@@ -13,22 +13,21 @@ Network::Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
                  double jitter_frac)
     : sharded_(sharded),
       topology_(std::move(topology)),
-      jitter_frac_(jitter_frac),
-      msg_pools_(sharded.num_shards()),
-      msg_frees_(sharded.num_shards()),
-      fault_rngs_(sharded.num_shards(), Rng(0)) {
+      jitter_frac_(jitter_frac) {
   STR_ASSERT(jitter_frac_ >= 0.0);
   STR_ASSERT_MSG(sharded_.num_shards() == topology_.num_regions(),
                  "the network needs one shard per region");
   // One jitter stream per shard (fault streams fork in set_fault_plan).
+  slots_.reserve(sharded_.num_shards());
   for (std::uint32_t s = 0; s < sharded_.num_shards(); ++s) {
-    rngs_.push_back(rng.fork(s));
+    slots_.emplace_back(rng.fork(s));
   }
   sharded_.set_installer([this](std::uint32_t dst, Timestamp at,
                                 sim::DeliveryGate gate,
                                 UniqueFunction<void()> fn) {
     enqueue_delivery(dst, at, gate, std::move(fn));
   });
+  sharded_.add_fold_hook([this] { fold_lanes(); });
 }
 
 void Network::register_node(NodeId node, RegionId region) {
@@ -38,7 +37,8 @@ void Network::register_node(NodeId node, RegionId region) {
   node_up_.push_back(1);
   node_epoch_.push_back(0);
   // Registration precedes all traffic, so rebuilding the link table is free.
-  last_arrival_.assign(node_region_.size() * node_region_.size(), 0);
+  row_lines_ = (node_region_.size() + 7) / 8;
+  last_arrival_.assign(node_region_.size() * row_lines_, ArrivalLine{});
 }
 
 Timestamp Network::sample_latency(NodeId from, NodeId to) {
@@ -50,14 +50,14 @@ Timestamp Network::sample_latency(NodeId from, NodeId to) {
   // topology's base one-way time, which is what makes
   // Topology::min_cross_region_one_way() a safe lookahead horizon.
   const auto jitter = static_cast<Timestamp>(
-      static_cast<double>(base) * jitter_frac_ * cur_rng().uniform01());
+      static_cast<double>(base) * jitter_frac_ * cur_slot().rng.uniform01());
   return base + jitter;
 }
 
 void Network::set_fault_plan(const FaultPlan& plan, Rng fault_rng) {
   plan_ = plan;
   for (std::uint32_t s = 0; s < sharded_.num_shards(); ++s) {
-    fault_rngs_[s] = fault_rng.fork(s);
+    slots_[s].fault_rng = fault_rng.fork(s);
   }
 }
 
@@ -88,20 +88,39 @@ void Network::set_registry(obs::Registry* registry) {
   t_latency_ = &registry->timer("net.latency");
 }
 
-void Network::count_drop() {
-  const auto lk = stats_lock();
-  ++stats_.dropped;
-  if (c_dropped_ != nullptr) c_dropped_->inc();
+void Network::fold_lanes() {
+  for (ShardSlot& slot : slots_) {
+    const NetworkStats& l = slot.stats;
+    stats_.messages_sent += l.messages_sent;
+    stats_.bytes_sent += l.bytes_sent;
+    stats_.wan_messages += l.wan_messages;
+    stats_.dropped += l.dropped;
+    stats_.duplicated += l.duplicated;
+    stats_.corrupted += l.corrupted;
+    stats_.inversions += l.inversions;
+    if (c_messages_ != nullptr) {
+      c_messages_->inc(l.messages_sent);
+      c_bytes_->inc(l.bytes_sent);
+      c_wan_messages_->inc(l.wan_messages);
+      c_dropped_->inc(l.dropped);
+      c_duplicated_->inc(l.duplicated);
+      c_corrupted_->inc(l.corrupted);
+      c_inversions_->inc(l.inversions);
+    }
+    slot.stats = NetworkStats{};
+    if (t_latency_ != nullptr) t_latency_->merge(slot.latency);
+    slot.latency.reset();
+  }
 }
+
+void Network::count_drop() { ++cur_slot().stats.dropped; }
 
 void Network::note_arrival(NodeId from, NodeId to, Timestamp arrival) {
   // The directed link slot is only ever touched from `from`'s shard, so the
   // read-modify-write below is single-threaded for every worker count.
-  Timestamp& last = last_arrival_[from * node_region_.size() + to];
+  Timestamp& last = last_arrival(from, to);
   if (arrival < last) {
-    const auto lk = stats_lock();
-    ++stats_.inversions;
-    if (c_inversions_ != nullptr) c_inversions_->inc();
+    ++cur_slot().stats.inversions;
   } else {
     last = arrival;
   }
@@ -114,8 +133,9 @@ void Network::schedule_delivery(NodeId to, Timestamp latency,
   const std::uint32_t src = sim::ShardedScheduler::current_shard();
   const auto dst = static_cast<std::uint32_t>(region_of(to));
   if (dst != src) {
-    // The handler rides the mailbox entry itself and lands in dst's pool at
-    // the barrier (enqueue_delivery via the installer): a slot taken from
+    // The handler rides the mailbox entry itself and lands in dst's pool
+    // when dst's next window starts (enqueue_delivery via the installer, on
+    // dst's worker): a slot taken from
     // src's pool would be freed on dst's thread while src's pool grows — a
     // cross-thread race the mailbox hand-off exists to avoid.
     sharded_.post_cross(dst, at, std::move(fn), gate);
@@ -131,8 +151,8 @@ void Network::enqueue_delivery(std::uint32_t s, Timestamp at,
   // few words instead of a whole UniqueFunction — keeping it inside the
   // scheduler's small-buffer and off the heap. The slot is vacated before
   // the handler runs: the handler may send again and reuse it.
-  std::vector<UniqueFunction<void()>>& pool = msg_pools_[s];
-  std::vector<std::uint32_t>& free_list = msg_frees_[s];
+  std::vector<UniqueFunction<void()>>& pool = slots_[s].pool;
+  std::vector<std::uint32_t>& free_list = slots_[s].frees;
   std::uint32_t slot;
   if (!free_list.empty()) {
     slot = free_list.back();
@@ -143,8 +163,8 @@ void Network::enqueue_delivery(std::uint32_t s, Timestamp at,
     pool.push_back(std::move(fn));
   }
   sharded_.shard(s).schedule_at(at, [this, gate, slot, s] {
-    UniqueFunction<void()> handler = std::move(msg_pools_[s][slot]);
-    msg_frees_[s].push_back(slot);
+    UniqueFunction<void()> handler = std::move(slots_[s].pool[slot]);
+    slots_[s].frees.push_back(slot);
     if (node_up_[gate.to] == 0 || node_epoch_[gate.to] != gate.epoch) {
       // The destination crashed while this message was in flight.
       count_drop();
@@ -165,18 +185,10 @@ bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
   }
   const RegionId ra = region_of(from);
   const RegionId rb = region_of(to);
-  const bool wan = ra != rb;
-  {
-    const auto lk = stats_lock();
-    ++stats_.messages_sent;
-    stats_.bytes_sent += bytes;
-    if (wan) ++stats_.wan_messages;
-    if (c_messages_ != nullptr) {
-      c_messages_->inc();
-      c_bytes_->inc(bytes);
-      if (wan) c_wan_messages_->inc();
-    }
-  }
+  NetworkStats& lane = cur_slot().stats;
+  ++lane.messages_sent;
+  lane.bytes_sent += bytes;
+  if (ra != rb) ++lane.wan_messages;
 
   // Fault gauntlet, cheapest test first. A message from or to a crashed
   // node never makes it onto the wire; a cut link swallows it silently.
@@ -190,7 +202,7 @@ bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
     return false;
   }
   if (plan_.link.active(now) && plan_.link.drop_prob > 0.0 &&
-      cur_fault_rng().chance(plan_.link.drop_prob)) {
+      cur_slot().fault_rng.chance(plan_.link.drop_prob)) {
     count_drop();
     return false;
   }
@@ -200,41 +212,31 @@ bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
 bool Network::corrupt_draw(std::size_t bytes, std::uint64_t& bit_index) {
   if (!plan_.link.active(cur_sched().now()) ||
       plan_.link.corrupt_prob <= 0.0 ||
-      !cur_fault_rng().chance(plan_.link.corrupt_prob)) {
+      !cur_slot().fault_rng.chance(plan_.link.corrupt_prob)) {
     return false;
   }
   // The bit index is drawn even when the closure transport cannot flip a
   // physical bit: both modes must consume identical fault-stream draws.
-  bit_index = cur_fault_rng().uniform(static_cast<std::uint64_t>(bytes) * 8);
+  bit_index =
+      cur_slot().fault_rng.uniform(static_cast<std::uint64_t>(bytes) * 8);
   return true;
 }
 
-void Network::count_corrupted() {
-  const auto lk = stats_lock();
-  ++stats_.corrupted;
-  if (c_corrupted_ != nullptr) c_corrupted_->inc();
-}
+void Network::count_corrupted() { ++cur_slot().stats.corrupted; }
 
 void Network::finish_send(NodeId from, NodeId to, UniqueFunction<void()> fn) {
   const Timestamp latency = sample_latency(from, to);
-  if (t_latency_ != nullptr) {
-    const auto lk = stats_lock();
-    t_latency_->record(latency);
-  }
+  if (t_latency_ != nullptr) cur_slot().latency.record(latency);
   note_arrival(from, to, latency + cur_sched().now());
 
   if (plan_.link.active(cur_sched().now()) && plan_.link.dup_prob > 0.0 &&
-      cur_fault_rng().chance(plan_.link.dup_prob)) {
+      cur_slot().fault_rng.chance(plan_.link.dup_prob)) {
     // Deliver the same closure twice. Handlers must tolerate this — the
     // protocol layer dedups by request/transaction id; see docs/FAULTS.md.
     // Only the primary copy was fed to note_arrival above: net.inversions
     // measures jitter reordering between distinct messages, and a duplicate
     // racing its own primary is not that.
-    {
-      const auto lk = stats_lock();
-      ++stats_.duplicated;
-      if (c_duplicated_ != nullptr) c_duplicated_->inc();
-    }
+    ++cur_slot().stats.duplicated;
     auto shared = std::make_shared<UniqueFunction<void()>>(std::move(fn));
     const Timestamp dup_latency = sample_latency(from, to);
     schedule_delivery(to, latency, [shared]() { (*shared)(); });

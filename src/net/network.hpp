@@ -19,10 +19,15 @@
 // bumps). All stochastic fault decisions draw from a dedicated RNG stream,
 // so enabling faults never perturbs the jitter stream and a fault-free plan
 // leaves behaviour bit-identical to a plan-less network.
+//
+// Everything a send writes lives in the sending shard's own cache-line
+// aligned slot: its RNG streams, its handler pool and its traffic lane
+// (NetworkStats plus the net.latency samples). The lanes are folded into
+// stats() and the registry counters by the lattice's fold hook, on the
+// control thread between windows, so no send takes a lock.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,8 +61,8 @@ class Network {
   /// Runs on `sharded`, which must hold one shard per region of `topology`
   /// (shard id == region id). `jitter_frac` adds uniform jitter in
   /// [0, jitter_frac] of the base one-way latency to each message (default
-  /// 5%). Installs itself as `sharded`'s cross-shard installer, which is
-  /// why a Network never moves.
+  /// 5%). Installs itself as `sharded`'s cross-shard installer and adds a
+  /// fold hook for its traffic lanes, which is why a Network never moves.
   Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
           double jitter_frac = 0.05);
   Network(const Network&) = delete;
@@ -109,7 +114,14 @@ class Network {
   Timestamp sample_latency(NodeId from, NodeId to);
 
   const Topology& topology() const { return topology_; }
-  const NetworkStats& stats() const { return stats_; }
+
+  /// Traffic totals. Folds every shard's lane first, so it is callable
+  /// only while no window runs (between run_until calls, or in a global
+  /// task).
+  const NetworkStats& stats() {
+    fold_lanes();
+    return stats_;
+  }
 
   // -- fault injection ------------------------------------------------------
 
@@ -149,24 +161,17 @@ class Network {
   /// Same-region deliveries go straight onto the current shard's queue;
   /// cross-region ones (cross-shard, since shard id == region id, so the
   /// lookahead horizon bounds their latency from below) ride the mailbox
-  /// with the gate beside the handler and are installed at the barrier.
+  /// with the gate beside the handler and are installed by dst's worker
+  /// when its next window starts.
   void schedule_delivery(NodeId to, Timestamp latency,
                          UniqueFunction<void()> fn);
 
   /// Park `fn` in shard `s`'s handler pool and schedule its gated delivery
-  /// on that shard. Called from shard s's own context, or from the barrier
-  /// installer while every worker is parked.
+  /// on that shard. Called from shard s's own context: its sends, or the
+  /// installer when s's window starts.
   void enqueue_delivery(std::uint32_t s, Timestamp at,
                         sim::DeliveryGate gate,
                         UniqueFunction<void()> fn);
-
-  /// Stats and registry counters are commutative sums shared by every
-  /// shard: lock them only when more than one worker runs.
-  std::unique_lock<std::mutex> stats_lock() {
-    std::unique_lock<std::mutex> lk(stats_mu_, std::defer_lock);
-    if (sharded_.num_workers() > 1) lk.lock();
-    return lk;
-  }
 
   /// Shared send front end: traffic counting plus the pre-flight fault
   /// gauntlet (endpoint down, partition window, drop draw). Returns false
@@ -190,39 +195,59 @@ class Network {
 
   void count_drop();
 
+  /// Add every shard's traffic lane to stats_ and to the registry
+  /// counters, then zero the lanes. The lattice calls this through its fold
+  /// hook, with every worker parked.
+  void fold_lanes();
+
+  /// Everything one shard's sends and deliveries write, on cache lines no
+  /// other shard's slot shares. Per-shard RNG forks keep every draw
+  /// sequence a pure function of the shard's own trajectory, never of
+  /// cross-shard interleaving.
+  struct alignas(64) ShardSlot {
+    explicit ShardSlot(Rng jitter) : rng(jitter) {}
+    Rng rng;           ///< jitter stream
+    Rng fault_rng{0};  ///< fault stream (forked in set_fault_plan)
+    /// In-flight message handlers (slot recycling stays shard-local),
+    /// indexed by the slot the scheduled delivery closure captures (see
+    /// enqueue_delivery), and the vacated slots.
+    std::vector<UniqueFunction<void()>> pool;
+    std::vector<std::uint32_t> frees;
+    NetworkStats stats;  ///< lane: traffic since the last fold
+    obs::Timer latency;  ///< lane: net.latency samples since the last fold
+  };
+
   /// The calling context's shard: its queue (sends execute on the sending
-  /// node's shard), its jitter stream and its fault stream. Per-shard
-  /// forks keep every draw sequence a pure function of the shard's own
-  /// trajectory, never of cross-shard interleaving.
+  /// node's shard) and its slot.
   sim::Scheduler& cur_sched() { return sharded_.current(); }
-  Rng& cur_rng() { return rngs_[sim::ShardedScheduler::current_shard()]; }
-  Rng& cur_fault_rng() {
-    return fault_rngs_[sim::ShardedScheduler::current_shard()];
+  ShardSlot& cur_slot() {
+    return slots_[sim::ShardedScheduler::current_shard()];
   }
+
+  /// Latest scheduled arrival on directed link (from, to). Each sender's
+  /// row starts on its own cache line: the row is only touched from the
+  /// sender's shard, so the flat layout needs no locking (a hash map would
+  /// race on rehash even for disjoint keys) and no two shards write a line.
+  Timestamp& last_arrival(NodeId from, NodeId to) {
+    return last_arrival_[static_cast<std::size_t>(from) * row_lines_ + to / 8]
+        .at[to % 8];
+  }
+  struct alignas(64) ArrivalLine {
+    Timestamp at[8] = {};
+  };
 
   sim::ShardedScheduler& sharded_;
   Topology topology_;
   double jitter_frac_;
   std::vector<RegionId> node_region_;
-  NetworkStats stats_;
+  NetworkStats stats_;  ///< folded totals
   FaultPlan plan_;
   std::vector<char> node_up_;
   std::vector<std::uint64_t> node_epoch_;
-  /// Latest scheduled arrival per directed link, indexed from * n + to.
-  /// Directed link (from, to) is only touched from `from`'s shard, so the
-  /// flat layout needs no locking (a hash map would race on rehash even
-  /// for disjoint keys).
-  std::vector<Timestamp> last_arrival_;
-  /// In-flight message handlers, one pool per shard (slot recycling must
-  /// stay shard-local), indexed by the slot the scheduled delivery closure
-  /// captures (see enqueue_delivery).
-  std::vector<std::vector<UniqueFunction<void()>>> msg_pools_;
-  std::vector<std::vector<std::uint32_t>> msg_frees_;
+  std::vector<ArrivalLine> last_arrival_;
+  std::size_t row_lines_ = 0;  ///< cache lines per sender row
+  std::vector<ShardSlot> slots_;  ///< index = shard
   TcpTransport* transport_ = nullptr;
-  std::vector<Rng> rngs_;        ///< per-shard jitter streams
-  std::vector<Rng> fault_rngs_;  ///< per-shard fault streams
-  /// Guards stats_, the registry counters and t_latency_ (stats_lock).
-  std::mutex stats_mu_;
   FrameHandler frame_handler_;
   obs::Counter* c_messages_ = nullptr;
   obs::Counter* c_wan_messages_ = nullptr;

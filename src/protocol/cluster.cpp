@@ -32,7 +32,9 @@ Cluster::Cluster(Config config)
       net_(sharded_, config_.topology, master_rng_.fork(0xfee7),
            config_.jitter_frac),
       pmap_(config_.num_nodes, config_.partitions_per_node,
-            config_.replication_factor) {
+            config_.replication_factor),
+      metrics_(sharded_.num_shards()),
+      wire_lanes_(sharded_.num_shards()) {
   STR_ASSERT(config_.num_nodes >= 1);
   STR_ASSERT_MSG(config_.num_nodes <= kMaxNodes,
                  "node ids must fit a packed tombstone id");
@@ -56,6 +58,7 @@ Cluster::Cluster(Config config)
   flight_slack_ =
       config_.topology.max_one_way() + config_.max_clock_skew + 1;
   net_.set_registry(&cluster_obs_);
+  sharded_.add_fold_hook([this] { fold_lanes(); });
   // Per-message-type traffic counters (slot 0 is a never-hit placeholder so
   // the arrays index directly by MessageType).
   c_wire_msgs_[0] = &cluster_obs_.counter("wire.msgs.invalid");
@@ -222,7 +225,20 @@ obs::Registry Cluster::merged_obs() const {
   return merged;
 }
 
+void Cluster::fold_lanes() {
+  for (WireLane& lane : wire_lanes_) {
+    for (std::size_t t = 0; t < wire::kNumMessageTypes; ++t) {
+      if (c_wire_msgs_[t] == nullptr) continue;
+      c_wire_msgs_[t]->inc(lane.msgs[t]);
+      c_wire_bytes_[t]->inc(lane.bytes[t]);
+    }
+    lane = WireLane{};
+  }
+  metrics_.fold();
+}
+
 void Cluster::reset_obs() {
+  sharded_.fold();
   cluster_obs_.reset();
   for (auto& n : nodes_) n->obs().reset();
   // Re-baseline the delta snapshot: traffic before the cutover never

@@ -129,17 +129,17 @@ class Cluster {
 
   /// Per-message-type traffic accounting ("wire.msgs.<type>" and
   /// "wire.bytes.<type>" in the cluster registry). Called by wire::post on
-  /// every send, in both transport modes. Types whose counters were never
-  /// registered (the decision-replication frames in quorum-off runs, which
-  /// can never be sent) fall through without touching the registry.
+  /// every send, in both transport modes, into the sending shard's lane;
+  /// the lattice's fold hook adds the lanes to the registry between
+  /// windows. Types whose counters were never registered (the
+  /// decision-replication frames in quorum-off runs, which can never be
+  /// sent) fall through without touching a lane.
   void count_wire_message(wire::MessageType type, std::size_t bytes) {
     const auto i = static_cast<std::size_t>(type);
     if (c_wire_msgs_[i] == nullptr) return;
-    // Commutative sums: totals are identical for every worker count.
-    std::unique_lock<std::mutex> lk(wire_mu_, std::defer_lock);
-    if (sharded_.num_workers() > 1) lk.lock();
-    c_wire_msgs_[i]->inc();
-    c_wire_bytes_[i]->inc(bytes);
+    WireLane& lane = wire_lanes_[sim::ShardedScheduler::current_shard()];
+    ++lane.msgs[i];
+    lane.bytes[i] += bytes;
   }
 
   /// Transaction-lifecycle tracer (disabled by default; O(1) when off).
@@ -150,10 +150,14 @@ class Cluster {
 
   /// Cluster-wide metrics view: the cluster registry folded together with
   /// every node's registry (counters/gauges sum, timer histograms merge).
+  /// The network and wire counters it holds are folded from their
+  /// per-shard lanes when run_for returns (and before each global task).
   obs::Registry merged_obs() const;
 
   /// Zero all registries (counters/timers; gauges keep their instantaneous
-  /// values). The harness calls this at the warmup/measurement cutover.
+  /// values). The harness calls this at the warmup/measurement cutover,
+  /// between run_for calls; the lanes are folded first, so nothing recorded
+  /// before the cutover survives it.
   void reset_obs();
 
   /// True when speculative reads are both configured and currently enabled
@@ -328,7 +332,6 @@ class Cluster {
   /// Per-node WAL counters, lazily registered in the owning node's registry
   /// by make_wal — per-node so parallel shards never contend on the sums.
   std::vector<storage::Wal::Counters> wal_counters_;
-  std::mutex wire_mu_;  ///< guards wire counters when several workers run
   wire::PayloadTable payloads_;  ///< swept by the maintenance tick
   obs::Registry cluster_obs_;  ///< before net_: the network caches handles
   obs::Tracer tracer_;
@@ -347,6 +350,14 @@ class Cluster {
   /// hot path.
   std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_msgs_{};
   std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_bytes_{};
+  /// One shard's wire traffic since the last fold, on its own cache lines.
+  struct alignas(64) WireLane {
+    std::array<std::uint64_t, wire::kNumMessageTypes> msgs{};
+    std::array<std::uint64_t, wire::kNumMessageTypes> bytes{};
+  };
+  std::vector<WireLane> wire_lanes_;  ///< index = shard
+  /// Fold hook: wire lanes into c_wire_*, and the metrics lanes.
+  void fold_lanes();
 
   // -- real transport (Config::transport != kDes; all null/zero otherwise) --
   std::unique_ptr<net::TcpTransport> transport_;

@@ -20,7 +20,8 @@
 //
 // The table is shared by every shard of a cluster. Its mutex is taken only
 // when `locked` was set at construction — when more than one worker thread
-// runs, the same rule as `Network::stats_lock`.
+// runs. It is the one lattice-wide structure a wire-mode send still locks:
+// an entry recorded by one shard is resolved by another.
 #pragma once
 
 #include <cstddef>

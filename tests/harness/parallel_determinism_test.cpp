@@ -9,7 +9,10 @@
 // that contract differentially: run the identical configuration at 1, 2, 4
 // and 8 worker threads, canonicalize the (execution-ordered) history, and
 // demand a bit-identical FNV fingerprint over every begin/read/commit/abort
-// plus the curated behaviour counters.
+// plus the curated behaviour counters and every sink that workers fill in
+// per-shard lanes (the net.* counters and latency timer, every wire.msgs.*
+// and wire.bytes.* counter, and the harness Metrics): a lane lost or folded
+// twice changes the totals at some worker count.
 //
 // Six configurations, because parallel bugs hide in the machinery each
 // one uniquely exercises:
@@ -192,6 +195,33 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
         "store.prepare_conflicts"}) {
     fnv.mix(merged.counter(name).value());
   }
+  // Lane-folded sinks beyond the curated set: the rest of the network's
+  // counters and its latency timer, and every per-type wire counter.
+  for (const char* name : {"net.dropped", "net.duplicated", "net.corrupted",
+                           "net.inversions"}) {
+    fnv.mix(merged.counter(name).value());
+  }
+  const obs::Timer& net_latency = merged.timer("net.latency");
+  EXPECT_GT(net_latency.count(), 0u);
+  fnv.mix(net_latency.count());
+  fnv.mix(net_latency.hist().sum());
+  std::size_t wire_counters = 0;
+  for (const auto& [name, c] : merged.counters()) {
+    if (name.rfind("wire.msgs.", 0) == 0 || name.rfind("wire.bytes.", 0) == 0) {
+      fnv.mix(c.value());
+      ++wire_counters;
+    }
+  }
+  EXPECT_GT(wire_counters, 0u);
+  const Metrics& m = cluster.metrics();
+  fnv.mix(m.reads());
+  fnv.mix(m.speculative_reads());
+  fnv.mix(m.commits());
+  for (std::uint8_t reason = 0; reason < 16; ++reason) {
+    fnv.mix(m.aborts_of(static_cast<AbortReason>(reason)));
+  }
+  fnv.mix(m.final_latency().count());
+  fnv.mix(m.final_latency().sum());
   if (variant == Variant::kWireChaos) {
     // The chaos hit frames, and decoding went through the payload table.
     EXPECT_GT(merged.counter("net.corrupted").value(), 0u);

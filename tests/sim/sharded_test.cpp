@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -218,6 +219,126 @@ TEST(ShardedScheduler, ForEachWorkerVisitsEveryWorkerOnce) {
   };
   ss.for_each_worker(tally);
   for (int w = 0; w < 3; ++w) EXPECT_EQ(hits[w].load(), 1) << "worker " << w;
+}
+
+// Barrier stress: thousands of short windows, every one of them handing
+// posts across shards, with global tasks and for_each_worker generations
+// interleaved between them. Every shard ticks once per step, the highest
+// shard first in virtual time, and each tick posts to every other shard for
+// the step boundary two steps on: every destination sees bursts of
+// same-instant arrivals, all sent in one window, which must run in (src
+// shard, send order) — the reverse of their virtual send order. Global
+// tasks post too, one microsecond off the boundaries so their batches never
+// share an instant with a window's. The spin-to-park transitions of the
+// barrier get exercised at every worker count.
+struct StressRun {
+  /// Per destination: (arrival, src, per-src send sequence) in run order.
+  std::vector<std::vector<std::tuple<Timestamp, std::uint32_t, std::uint64_t>>>
+      arrivals;
+  std::vector<std::uint64_t> executed;  ///< per shard
+  std::uint64_t posts = 0;
+  std::uint64_t cross_posts = 0;
+  std::uint64_t epochs = 0;
+  int globals = 0;
+  int commands = 0;
+
+  bool operator==(const StressRun&) const = default;
+};
+
+StressRun run_stress(std::uint32_t workers) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr Timestamp kStep = usec(40);  // also the lookahead horizon
+  constexpr Timestamp kEnd = msec(200);
+  ShardedScheduler ss(kShards, workers, kStep);
+  StressRun out;
+  out.arrivals.resize(kShards);
+  // Written only from the posting shard's context.
+  std::vector<std::uint64_t> sent(kShards, 0);
+
+  // Posts from `src` at its current time to every other shard, arriving
+  // `offset` past the step boundary two steps on (at least one horizon
+  // away).
+  auto fan_out = [&ss, &out, &sent](std::uint32_t src, Timestamp offset) {
+    const Timestamp at = (ss.shard(src).now() / kStep + 2) * kStep + offset;
+    for (std::uint32_t k = 1; k < kShards; ++k) {
+      const std::uint32_t dst = (src + k) % kShards;
+      const std::uint64_t seq = sent[src]++;
+      ss.post_cross(dst, at, [&ss, &out, dst, src, seq] {
+        out.arrivals[dst].emplace_back(ss.shard(dst).now(), src, seq);
+      });
+    }
+  };
+  // Each shard ticks at its own offset inside every step (shard 3 at +3 us,
+  // shard 0 at +24 us), fanning out.
+  std::function<void(std::uint32_t)> tick = [&](std::uint32_t s) {
+    fan_out(s, 0);
+    if (ss.shard(s).now() + kStep < kEnd) {
+      ss.shard(s).schedule_after(kStep, [&tick, s] { tick(s); });
+    }
+  };
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    ss.shard(s).schedule_at(usec(3 + 7 * (kShards - 1 - s)),
+                            [&tick, s] { tick(s); });
+  }
+  // Global tasks every 3 ms, after the step's ticks, post from a shard
+  // context too.
+  std::function<void(Timestamp)> arm = [&](Timestamp at) {
+    ss.schedule_global(at, [&, at] {
+      ++out.globals;
+      const auto src = static_cast<std::uint32_t>(out.globals % kShards);
+      ShardedScheduler::ShardGuard guard(src);
+      fan_out(src, usec(1));
+      if (at + msec(3) < kEnd) arm(at + msec(3));
+    });
+  };
+  arm(msec(3) + usec(31));
+
+  // Advance in short calls with a for_each_worker generation between them.
+  std::function<void(std::uint32_t)> cmd = [&out](std::uint32_t w) {
+    if (w == 0) ++out.commands;
+  };
+  for (Timestamp t = msec(1); t <= kEnd + msec(1); t += msec(1)) {
+    ss.run_until(t);
+    ss.for_each_worker(cmd);
+  }
+  EXPECT_EQ(ss.pending(), 0u);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    out.executed.push_back(ss.shard(s).executed());
+    out.posts += sent[s];
+  }
+  out.cross_posts = ss.cross_posts();
+  out.epochs = ss.epochs();
+  return out;
+}
+
+TEST(ShardedScheduler, BarrierStressKeepsInstallOrderAndCounts) {
+  const StressRun base = run_stress(1);
+  ASSERT_GT(base.epochs, 3000u);  // thousands of short windows
+  EXPECT_EQ(base.cross_posts, base.posts);
+  EXPECT_GT(base.globals, 50);
+  EXPECT_EQ(base.commands, 201);
+  for (const auto& log : base.arrivals) {
+    ASSERT_FALSE(log.empty());
+    // Same-instant arrivals run in (src shard, send order).
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      const auto& [at0, src0, seq0] = log[i - 1];
+      const auto& [at1, src1, seq1] = log[i];
+      ASSERT_LE(at0, at1);
+      if (at0 == at1) {
+        ASSERT_TRUE(src0 < src1 || (src0 == src1 && seq0 < seq1))
+            << "at " << at1 << ": src " << src0 << "#" << seq0
+            << " before src " << src1 << "#" << seq1;
+      }
+    }
+  }
+  for (std::uint32_t workers : {2u, 3u, 4u}) {
+    const StressRun r = run_stress(workers);
+    EXPECT_EQ(r.cross_posts, base.cross_posts) << "workers=" << workers;
+    EXPECT_EQ(r.executed, base.executed) << "workers=" << workers;
+    EXPECT_EQ(r.epochs, base.epochs) << "workers=" << workers;
+    EXPECT_EQ(r.arrivals, base.arrivals) << "workers=" << workers;
+    EXPECT_TRUE(r == base) << "workers=" << workers;
+  }
 }
 
 TEST(ShardedScheduler, RepeatedRunUntilAdvancesWindowsAcrossCalls) {

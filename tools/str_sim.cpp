@@ -224,9 +224,10 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.seed = std::atoll(v);
     } else if (arg == "--threads") {
       if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--threads wants a positive count\n");
+      std::uint64_t n = 0;
+      if (!parse_count(v, 1, kMaxThreads, n)) {
+        std::fprintf(stderr, "--threads wants a count in [1,%u]\n",
+                     kMaxThreads);
         return false;
       }
       opt.threads = static_cast<std::uint32_t>(n);
