@@ -2,9 +2,18 @@
 // message closures. std::function requires copyability, which forces
 // shared_ptr workarounds for captured promises; std::move_only_function is
 // C++23. This is the minimal C++20 equivalent with small-buffer storage.
+//
+// Relocation is the cost that matters: a message closure moves from the
+// sender's frame into a mailbox or event slot and out again before it runs.
+// An inline callable that is trivially copyable (`[this]`, a coroutine
+// handle, a few ids) relocates with one fixed-size memcpy of the buffer and
+// needs no destructor call; every other callable relocates through its
+// vtable. The buffer is deliberately left uninitialised, so constructing or
+// moving a UniqueFunction never zero-fills it.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -19,10 +28,11 @@ class UniqueFunction;
 
 template <class R, class... Args>
 class UniqueFunction<R(Args...)> {
-  // Sized so the protocol's hot closures stay inline: network delivery
-  // wrappers and coordinator continuations capture up to ~90 bytes (this +
-  // ids + a shared_ptr payload + a small struct). Allocation profiles of the
-  // synthetic 9-region run showed 48 was the single largest spill source.
+  // Sized so the protocol's hot closures stay inline: coordinator
+  // continuations and network message closures capture up to ~90 bytes
+  // (this + ids + a shared_ptr payload + a small struct). Allocation
+  // profiles of the synthetic 9-region run showed 48 was the single largest
+  // spill source.
   static constexpr std::size_t kInlineSize = 96;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
@@ -30,7 +40,9 @@ class UniqueFunction<R(Args...)> {
     R (*invoke)(void* obj, Args&&... args);
     void (*move_to)(void* from, void* to);  // move-construct into `to`
     void (*destroy)(void* obj);
-    bool inline_stored;
+    /// Stored inline and trivially copyable: relocated by a memcpy of the
+    /// buffer, never through move_to, and never destroyed.
+    bool trivial;
   };
 
   template <class F, bool Inline>
@@ -50,7 +62,6 @@ class UniqueFunction<R(Args...)> {
             f->~F();
           } else {
             *static_cast<F**>(to) = *static_cast<F**>(from);
-            *static_cast<F**>(from) = nullptr;
           }
         },
         // destroy
@@ -61,7 +72,7 @@ class UniqueFunction<R(Args...)> {
             delete *static_cast<F**>(obj);
           }
         },
-        Inline,
+        Inline && std::is_trivially_copyable_v<F>,
     };
     return &vt;
   }
@@ -108,21 +119,36 @@ class UniqueFunction<R(Args...)> {
 
   void reset() {
     if (vt_ != nullptr) {
-      vt_->destroy(storage_);
+      if (!vt_->trivial) vt_->destroy(storage_);
       vt_ = nullptr;
     }
   }
 
  private:
+  // The memcpy copies the whole buffer, so it also copies the bytes past a
+  // small callable that were never written. Copying indeterminate bytes of
+  // a byte array is well defined; GCC flags it once a construction is
+  // inlined next to the move.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
   void move_from(UniqueFunction& other) {
     vt_ = other.vt_;
     if (vt_ != nullptr) {
-      vt_->move_to(other.storage_, storage_);
+      if (vt_->trivial) {
+        std::memcpy(storage_, other.storage_, kInlineSize);
+      } else {
+        vt_->move_to(other.storage_, storage_);
+      }
       other.vt_ = nullptr;
     }
   }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
-  alignas(kInlineAlign) std::byte storage_[kInlineSize]{};
+  alignas(kInlineAlign) std::byte storage_[kInlineSize];
   const VTable* vt_ = nullptr;
 };
 

@@ -22,11 +22,7 @@ Network::Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
   for (std::uint32_t s = 0; s < sharded_.num_shards(); ++s) {
     slots_.emplace_back(rng.fork(s));
   }
-  sharded_.set_installer([this](std::uint32_t dst, Timestamp at,
-                                sim::DeliveryGate gate,
-                                UniqueFunction<void()> fn) {
-    enqueue_delivery(dst, at, gate, std::move(fn));
-  });
+  sharded_.set_gate_predicate(&Network::admit, this);
   sharded_.add_fold_hook([this] { fold_lanes(); });
 }
 
@@ -127,51 +123,27 @@ void Network::note_arrival(NodeId from, NodeId to, Timestamp arrival) {
 }
 
 void Network::schedule_delivery(NodeId to, Timestamp latency,
-                                UniqueFunction<void()> fn) {
+                                UniqueFunction<void()>&& fn) {
   const sim::DeliveryGate gate{to, node_epoch_[to]};
   const Timestamp at = cur_sched().now() + latency;
-  const std::uint32_t src = sim::ShardedScheduler::current_shard();
   const auto dst = static_cast<std::uint32_t>(region_of(to));
-  if (dst != src) {
-    // The handler rides the mailbox entry itself and lands in dst's pool
-    // when dst's next window starts (enqueue_delivery via the installer, on
-    // dst's worker): a slot taken from
-    // src's pool would be freed on dst's thread while src's pool grows — a
-    // cross-thread race the mailbox hand-off exists to avoid.
+  if (dst != sim::ShardedScheduler::current_shard()) {
+    // The handler rides the mailbox entry and lands in dst's queue when
+    // dst's next window starts, installed by dst's own worker.
     sharded_.post_cross(dst, at, std::move(fn), gate);
     return;
   }
-  enqueue_delivery(src, at, gate, std::move(fn));
+  cur_sched().schedule_gated(at, gate, std::move(fn));
 }
 
-void Network::enqueue_delivery(std::uint32_t s, Timestamp at,
-                               sim::DeliveryGate gate,
-                               UniqueFunction<void()> fn) {
-  // Park the handler in a pooled slot so the scheduled closure captures a
-  // few words instead of a whole UniqueFunction — keeping it inside the
-  // scheduler's small-buffer and off the heap. The slot is vacated before
-  // the handler runs: the handler may send again and reuse it.
-  std::vector<UniqueFunction<void()>>& pool = slots_[s].pool;
-  std::vector<std::uint32_t>& free_list = slots_[s].frees;
-  std::uint32_t slot;
-  if (!free_list.empty()) {
-    slot = free_list.back();
-    free_list.pop_back();
-    pool[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(pool.size());
-    pool.push_back(std::move(fn));
+bool Network::admit(void* self, sim::DeliveryGate gate) {
+  auto* net = static_cast<Network*>(self);
+  if (net->node_up_[gate.to] != 0 && net->node_epoch_[gate.to] == gate.epoch) {
+    return true;
   }
-  sharded_.shard(s).schedule_at(at, [this, gate, slot, s] {
-    UniqueFunction<void()> handler = std::move(slots_[s].pool[slot]);
-    slots_[s].frees.push_back(slot);
-    if (node_up_[gate.to] == 0 || node_epoch_[gate.to] != gate.epoch) {
-      // The destination crashed while this message was in flight.
-      count_drop();
-      return;
-    }
-    handler();
-  });
+  // The destination crashed while this message was in flight.
+  net->count_drop();
+  return false;
 }
 
 bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
@@ -224,7 +196,8 @@ bool Network::corrupt_draw(std::size_t bytes, std::uint64_t& bit_index) {
 
 void Network::count_corrupted() { ++cur_slot().stats.corrupted; }
 
-void Network::finish_send(NodeId from, NodeId to, UniqueFunction<void()> fn) {
+void Network::finish_send(NodeId from, NodeId to,
+                          UniqueFunction<void()>&& fn) {
   const Timestamp latency = sample_latency(from, to);
   if (t_latency_ != nullptr) cur_slot().latency.record(latency);
   note_arrival(from, to, latency + cur_sched().now());

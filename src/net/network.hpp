@@ -20,11 +20,19 @@
 // so enabling faults never perturbs the jitter stream and a fault-free plan
 // leaves behaviour bit-identical to a plan-less network.
 //
-// Everything a send writes lives in the sending shard's own cache-line
-// aligned slot: its RNG streams, its handler pool and its traffic lane
-// (NetworkStats plus the net.latency samples). The lanes are folded into
-// stats() and the registry counters by the lattice's fold hook, on the
-// control thread between windows, so no send takes a lock.
+// A delivery is a gated event (sim::DeliveryGate): the message closure
+// built by the caller is handed down by rvalue reference, scheduled as is
+// with the destination's gate beside it — on the sender's shard within a
+// region, through the lattice's mailbox across regions — and the
+// scheduler asks Network::admit before running it. So the closure is
+// built once and moved at most three times (into the mailbox entry, into
+// the event slot, out of it), and nothing wraps it.
+//
+// Everything a send or a refused delivery writes lives in the current
+// shard's own cache-line aligned slot: its RNG streams and its traffic
+// lane (NetworkStats plus the net.latency samples). The lanes are folded
+// into stats() and the registry counters by the lattice's fold hook, on
+// the control thread between windows, so no send takes a lock.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +69,8 @@ class Network {
   /// Runs on `sharded`, which must hold one shard per region of `topology`
   /// (shard id == region id). `jitter_frac` adds uniform jitter in
   /// [0, jitter_frac] of the base one-way latency to each message (default
-  /// 5%). Installs itself as `sharded`'s cross-shard installer and adds a
-  /// fold hook for its traffic lanes, which is why a Network never moves.
+  /// 5%). Installs itself as `sharded`'s gate predicate and adds a fold
+  /// hook for its traffic lanes, which is why a Network never moves.
   Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
           double jitter_frac = 0.05);
   Network(const Network&) = delete;
@@ -164,14 +172,14 @@ class Network {
   /// with the gate beside the handler and are installed by dst's worker
   /// when its next window starts.
   void schedule_delivery(NodeId to, Timestamp latency,
-                         UniqueFunction<void()> fn);
+                         UniqueFunction<void()>&& fn);
 
-  /// Park `fn` in shard `s`'s handler pool and schedule its gated delivery
-  /// on that shard. Called from shard s's own context: its sends, or the
-  /// installer when s's window starts.
-  void enqueue_delivery(std::uint32_t s, Timestamp at,
-                        sim::DeliveryGate gate,
-                        UniqueFunction<void()> fn);
+  /// Gate predicate of every shard (sim::Scheduler::GatePredicate): admits
+  /// a delivery when its destination is up in the epoch it was sent in,
+  /// and counts a refused one as dropped on the current shard's lane. Runs
+  /// in the destination shard's context; node_up_/node_epoch_ change only
+  /// in global tasks, with every worker parked, so it takes no lock.
+  static bool admit(void* self, sim::DeliveryGate gate);
 
   /// Shared send front end: traffic counting plus the pre-flight fault
   /// gauntlet (endpoint down, partition window, drop draw). Returns false
@@ -185,7 +193,7 @@ class Network {
 
   /// Shared send back end: latency sample, arrival bookkeeping, duplication
   /// draw, delivery scheduling. `fn` must tolerate multiple invocations.
-  void finish_send(NodeId from, NodeId to, UniqueFunction<void()> fn);
+  void finish_send(NodeId from, NodeId to, UniqueFunction<void()>&& fn);
 
   void count_corrupted();
 
@@ -208,11 +216,6 @@ class Network {
     explicit ShardSlot(Rng jitter) : rng(jitter) {}
     Rng rng;           ///< jitter stream
     Rng fault_rng{0};  ///< fault stream (forked in set_fault_plan)
-    /// In-flight message handlers (slot recycling stays shard-local),
-    /// indexed by the slot the scheduled delivery closure captures (see
-    /// enqueue_delivery), and the vacated slots.
-    std::vector<UniqueFunction<void()>> pool;
-    std::vector<std::uint32_t> frees;
     NetworkStats stats;  ///< lane: traffic since the last fold
     obs::Timer latency;  ///< lane: net.latency samples since the last fold
   };

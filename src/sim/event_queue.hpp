@@ -12,7 +12,14 @@
 //   * The heap orders 24-byte trivially-copyable handles; the closures
 //     themselves live in a slot pool (free-list recycled) and never move
 //     during sift operations. Sifting is a hole-percolation over raw
-//     copies — no UniqueFunction vtable moves, no swaps.
+//     copies — no UniqueFunction vtable moves, no swaps. A closure moves
+//     twice in all: into its slot on push (taken by rvalue reference, so
+//     the caller's object is the only one built) and out of it on pop.
+//   * Each slot also holds the event's DeliveryGate (128 B a slot: the
+//     closure and the gate, two cache lines). A network delivery carries
+//     the destination node and its crash epoch at send time, and the
+//     Scheduler asks its gate predicate before running it, so a delivery
+//     needs no wrapper closure around the message handler.
 //   * Same-instant pushes (schedule_now cascades: RPC handling, promise
 //     deliveries — the bulk of all traffic) bypass the heap entirely and go
 //     to a FIFO side-buffer. All FIFO entries share one timestamp with
@@ -31,21 +38,36 @@
 
 namespace str::sim {
 
+/// Delivery gate of a network message: the destination node and its crash
+/// epoch at send time. An empty gate (to == kInvalidNode) marks an ordinary,
+/// ungated event. The gate rides beside the handler, in a cross-shard
+/// mailbox entry and then in the event slot, rather than in a closure
+/// wrapped around it: such a closure would hold a whole UniqueFunction and
+/// overflow the inline buffer.
+struct DeliveryGate {
+  NodeId to = kInvalidNode;
+  std::uint64_t epoch = 0;
+
+  bool empty() const { return to == kInvalidNode; }
+};
+
 class EventQueue {
  public:
   struct Event {
     Timestamp at = 0;
     std::uint64_t seq = 0;
     UniqueFunction<void()> fn;
+    DeliveryGate gate;
 
     bool before(const Event& other) const {
       return at != other.at ? at < other.at : seq < other.seq;
     }
   };
 
-  void push(Timestamp at, UniqueFunction<void()> fn) {
+  void push(Timestamp at, UniqueFunction<void()>&& fn,
+            DeliveryGate gate = {}) {
     const std::uint64_t seq = next_seq_++;
-    const std::uint32_t slot = alloc_slot(std::move(fn));
+    const std::uint32_t slot = alloc_slot(std::move(fn), gate);
     if (fifo_head_ < fifo_.size() ? at == fifo_at_ : at == current_instant_) {
       if (fifo_head_ >= fifo_.size()) fifo_at_ = at;
       fifo_.push_back(FifoEntry{seq, slot});
@@ -87,7 +109,8 @@ class EventQueue {
       pop_heap_root();
     }
     current_instant_ = h.at;
-    Event ev{h.at, h.seq, std::move(pool_[h.slot])};
+    Slot& slot = pool_[h.slot];
+    Event ev{h.at, h.seq, std::move(slot.fn), slot.gate};
     free_.push_back(h.slot);
     return ev;
   }
@@ -116,14 +139,20 @@ class EventQueue {
     std::uint32_t slot = 0;
   };
 
-  std::uint32_t alloc_slot(UniqueFunction<void()> fn) {
+  struct Slot {
+    UniqueFunction<void()> fn;
+    DeliveryGate gate;
+  };
+
+  std::uint32_t alloc_slot(UniqueFunction<void()>&& fn, DeliveryGate gate) {
     if (!free_.empty()) {
       const std::uint32_t slot = free_.back();
       free_.pop_back();
-      pool_[slot] = std::move(fn);
+      pool_[slot].fn = std::move(fn);
+      pool_[slot].gate = gate;
       return slot;
     }
-    pool_.push_back(std::move(fn));
+    pool_.emplace_back(std::move(fn), gate);
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
 
@@ -170,8 +199,8 @@ class EventQueue {
   }
 
   std::vector<Handle> heap_;
-  std::vector<UniqueFunction<void()>> pool_;  ///< closure slots, by Handle::slot
-  std::vector<std::uint32_t> free_;           ///< recycled pool slots
+  std::vector<Slot> pool_;           ///< event slots, by Handle::slot
+  std::vector<std::uint32_t> free_;  ///< recycled pool slots
 
   // Same-instant side buffer. All entries share fifo_at_; seq is strictly
   // increasing in push order, so fifo_[fifo_head_] is the buffer's minimum.

@@ -2,11 +2,12 @@
 
 namespace str::sim {
 
-void Scheduler::schedule_at(Timestamp at, UniqueFunction<void()> fn) {
+void Scheduler::enqueue(Timestamp at, UniqueFunction<void()>&& fn,
+                        DeliveryGate gate) {
   // Never schedule into the past: an event produced "now" for an earlier
   // timestamp would break the monotonic clock.
   if (at < now_) at = now_;
-  queue_.push(at, std::move(fn));
+  queue_.push(at, std::move(fn), gate);
 }
 
 bool Scheduler::step() {
@@ -14,6 +15,10 @@ bool Scheduler::step() {
   EventQueue::Event ev = queue_.pop();
   now_ = ev.at;
   ++executed_;
+  if (!ev.gate.empty()) {
+    STR_ASSERT_MSG(gate_pred_ != nullptr, "gated event without a predicate");
+    if (!gate_pred_(gate_ctx_, ev.gate)) return true;
+  }
   ev.fn();
   return true;
 }

@@ -4,6 +4,12 @@
 // times, coroutine resumptions — is expressed as events on this single
 // queue. Executing events in (time, sequence) order yields a linearizable,
 // reproducible interleaving of the distributed computation.
+//
+// A network delivery is a *gated* event: it carries a DeliveryGate, and
+// step() asks the installed gate predicate whether the destination still
+// takes it before running the handler. A refused event still counts as
+// executed, so executed() does not depend on which messages a crash
+// swallowed in flight.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +23,37 @@ namespace str::sim {
 
 class Scheduler {
  public:
+  /// Decides, when a gated event comes up, whether it still runs. Called
+  /// with the context given to set_gate_predicate, in this scheduler's
+  /// shard context; a refused event is dropped (and still counted in
+  /// executed()).
+  using GatePredicate = bool (*)(void* ctx, DeliveryGate gate);
+
   Timestamp now() const { return now_; }
 
-  void schedule_at(Timestamp at, UniqueFunction<void()> fn);
+  void schedule_at(Timestamp at, UniqueFunction<void()> fn) {
+    enqueue(at, std::move(fn), {});
+  }
   void schedule_after(Timestamp delay, UniqueFunction<void()> fn) {
-    schedule_at(now_ + delay, std::move(fn));
+    enqueue(now_ + delay, std::move(fn), {});
   }
   /// Run after all events already queued for the current instant.
-  void schedule_now(UniqueFunction<void()> fn) { schedule_at(now_, std::move(fn)); }
+  void schedule_now(UniqueFunction<void()> fn) {
+    enqueue(now_, std::move(fn), {});
+  }
+  /// Schedule a delivery that runs only if the gate predicate admits
+  /// `gate` at `at`. An empty gate schedules an ordinary event.
+  void schedule_gated(Timestamp at, DeliveryGate gate,
+                      UniqueFunction<void()>&& fn) {
+    enqueue(at, std::move(fn), gate);
+  }
+
+  /// Install the predicate every gated event is checked against; required
+  /// before the first gated event runs.
+  void set_gate_predicate(GatePredicate pred, void* ctx) {
+    gate_pred_ = pred;
+    gate_ctx_ = ctx;
+  }
 
   /// Execute the next event, if any. Returns false when the queue is empty.
   bool step();
@@ -68,9 +97,13 @@ class Scheduler {
   std::uint64_t executed() const { return executed_; }
 
  private:
+  void enqueue(Timestamp at, UniqueFunction<void()>&& fn, DeliveryGate gate);
+
   EventQueue queue_;
   Timestamp now_ = 0;
   std::uint64_t executed_ = 0;
+  GatePredicate gate_pred_ = nullptr;
+  void* gate_ctx_ = nullptr;
 };
 
 }  // namespace str::sim

@@ -70,7 +70,7 @@ void ShardedScheduler::fold() {
 }
 
 void ShardedScheduler::post_cross(std::uint32_t dst_shard, Timestamp at,
-                                  UniqueFunction<void()> fn,
+                                  UniqueFunction<void()>&& fn,
                                   DeliveryGate gate) {
   STR_ASSERT(dst_shard < num_shards());
   const std::uint32_t src = current_shard();
@@ -78,7 +78,7 @@ void ShardedScheduler::post_cross(std::uint32_t dst_shard, Timestamp at,
   MailboxBuffer& mb =
       mailboxes_[static_cast<std::size_t>(src) * num_shards() + dst_shard]
           .buf[post_side_];
-  mb.entries.push_back({at, gate, std::move(fn)});
+  mb.entries.emplace_back(at, gate, std::move(fn));
   mb.earliest = std::min(mb.earliest, at);
 }
 
@@ -125,11 +125,7 @@ void ShardedScheduler::install(std::uint32_t dst, std::uint32_t side) {
     for (MailboxEntry& e : mb.entries) {
       STR_ASSERT_MSG(e.at >= shard.sched.now(),
                      "cross-shard arrival violates the lookahead horizon");
-      if (installer_) {
-        installer_(dst, e.at, e.gate, std::move(e.fn));
-      } else {
-        shard.sched.schedule_at(e.at, std::move(e.fn));
-      }
+      shard.sched.schedule_gated(e.at, e.gate, std::move(e.fn));
     }
     shard.installed += mb.entries.size();
     mb.entries.clear();  // keeps the capacity for the next epoch

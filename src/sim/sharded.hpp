@@ -15,7 +15,11 @@
 // buffer, which only src's worker touches during that window, and when the
 // next window starts the worker that owns dst installs that buffer into
 // dst's queue — source shard by source shard, each in send order — while
-// the new window's posts fill the other buffer. The destination queue
+// the new window's posts fill the other buffer. A mailbox entry holds the
+// event's closure and its DeliveryGate, and the install schedules both
+// into dst's queue as one gated event: the closure built at the send is
+// moved into the entry and from there into dst's event slot, and nothing
+// wraps it. The destination queue
 // orders by (time, insertion), so events arriving at the same instant run
 // in (src shard, send order), and the entire virtual trajectory is
 // independent of thread count and wall-clock interleaving. Running with 2
@@ -51,16 +55,6 @@
 #include "sim/scheduler.hpp"
 
 namespace str::sim {
-
-/// Delivery gate of a network message: the destination node and its crash
-/// epoch at send time. It rides next to the handler in a cross-shard
-/// mailbox rather than inside a gating closure around it — such a closure
-/// would hold a whole UniqueFunction, overflow the inline buffer and cost
-/// one allocation per cross-shard hop.
-struct DeliveryGate {
-  NodeId to = kInvalidNode;
-  std::uint64_t epoch = 0;
-};
 
 class ShardedScheduler {
  public:
@@ -122,19 +116,12 @@ class ShardedScheduler {
     std::uint32_t prev_;
   };
 
-  /// Installs one cross-shard post into destination shard `dst`. Runs in
-  /// dst's shard context: on dst's worker when dst's next window starts,
-  /// or on the control thread at a serial install (before a global task or
-  /// before run_until returns) with every worker parked. Several workers
-  /// call it at once, each for its own destinations, so it may touch dst's
-  /// state only and must not mutate its own captures. Without an installer
-  /// the handler is scheduled on dst's queue as is and the gate is
-  /// ignored.
-  using Installer = UniqueFunction<void(std::uint32_t dst, Timestamp at,
-                                        DeliveryGate gate,
-                                        UniqueFunction<void()> fn)>;
-  void set_installer(Installer installer) {
-    installer_ = std::move(installer);
+  /// Install the gate predicate of every shard's scheduler (see
+  /// Scheduler::GatePredicate). It runs on the destination shard's worker,
+  /// several workers at once, so it may only read state that global tasks
+  /// write and write the current shard's own state.
+  void set_gate_predicate(Scheduler::GatePredicate pred, void* ctx) {
+    for (Shard& s : shards_) s.sched.set_gate_predicate(pred, ctx);
   }
 
   /// Register a fold hook: it moves per-shard metric lanes into their
@@ -151,11 +138,11 @@ class ShardedScheduler {
   /// Hand an event to another shard. Must be called from the shard context
   /// that produced it (a worker executing a window, or a global task under
   /// a ShardGuard). The event is buffered in the (current, dst) mailbox and
-  /// installed into dst's queue when dst's next window starts; `at` must be
-  /// at least the window edge, which the lookahead guarantees for any
-  /// cross-region delivery.
+  /// installed into dst's queue, with its gate, when dst's next window
+  /// starts; `at` must be at least the window edge, which the lookahead
+  /// guarantees for any cross-region delivery.
   void post_cross(std::uint32_t dst_shard, Timestamp at,
-                  UniqueFunction<void()> fn, DeliveryGate gate = {});
+                  UniqueFunction<void()>&& fn, DeliveryGate gate = {});
 
   /// Schedule a cluster-scope task: runs single-threaded between windows,
   /// with every shard quiesced at exactly `at`. Tasks at equal times run in
@@ -276,7 +263,6 @@ class ShardedScheduler {
   /// installed by dst's worker at the start of the window.
   std::vector<Mailbox> mailboxes_;
   std::uint32_t post_side_ = 0;
-  Installer installer_;
   std::vector<UniqueFunction<void()>> fold_hooks_;
   std::vector<GlobalTask> global_tasks_;  ///< min-heap by (at, seq)
   std::uint64_t global_seq_ = 0;

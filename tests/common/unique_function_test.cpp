@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 namespace str {
 namespace {
@@ -90,6 +95,72 @@ TEST(UniqueFunction, ForwardsArguments) {
     return s + "!";
   };
   EXPECT_EQ(f("hi"), "hi!");
+}
+
+// Relocation: an inline, trivially copyable callable moves by a memcpy of
+// the buffer and is never destroyed; anything else moves and dies through
+// its vtable. The first two tests relocate 100 times each way, by move
+// construction and by move assignment.
+
+TEST(UniqueFunction, TriviallyCopyableCallableSurvivesRelocations) {
+  // Fills the whole 96-byte buffer, so a short copy would lose state.
+  std::array<std::uint64_t, 12> words{};
+  std::iota(words.begin(), words.end(), std::uint64_t{1} << 40);
+  auto fn = [words] {
+    return std::accumulate(words.begin(), words.end(), std::uint64_t{0});
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  static_assert(sizeof(fn) == 96);
+  const std::uint64_t expected = fn();
+  UniqueFunction<std::uint64_t()> f = fn;
+  for (int i = 0; i < 100; ++i) {
+    UniqueFunction<std::uint64_t()> g = std::move(f);
+    EXPECT_FALSE(static_cast<bool>(f));  // NOLINT(bugprone-use-after-move)
+    f = std::move(g);
+  }
+  EXPECT_EQ(f(), expected);
+}
+
+TEST(UniqueFunction, SharedCaptureKeepsItsUseCountAcrossRelocations) {
+  auto token = std::make_shared<int>(7);
+  UniqueFunction<int()> f = [token] { return *token; };
+  EXPECT_EQ(token.use_count(), 2);
+  for (int i = 0; i < 100; ++i) {
+    UniqueFunction<int()> g = std::move(f);
+    EXPECT_EQ(token.use_count(), 2);
+    f = std::move(g);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(f(), 7);
+  f = UniqueFunction<int()>();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(UniqueFunction, MoveAssignDestroysALiveTargetOfEitherKind) {
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  UniqueFunction<int()> target = [first] { return *first; };
+  // A non-trivial target is destroyed when a trivial callable replaces it...
+  target = UniqueFunction<int()>([v = 5] { return v; });
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(target(), 5);
+  // ...and a trivial target makes room for a non-trivial one.
+  target = UniqueFunction<int()>([second] { return *second; });
+  EXPECT_EQ(second.use_count(), 2);
+  EXPECT_EQ(target(), 2);
+  // A heap-stored callable, replaced and replacing.
+  struct Big {
+    std::shared_ptr<int> p;
+    char pad[128] = {};
+  };
+  target = UniqueFunction<int()>([big = Big{first}] { return *big.p; });
+  EXPECT_EQ(second.use_count(), 1);
+  EXPECT_EQ(first.use_count(), 2);
+  EXPECT_EQ(target(), 1);
+  target = UniqueFunction<int()>([second] { return *second; });
+  EXPECT_EQ(first.use_count(), 1);
+  target.reset();
+  EXPECT_EQ(second.use_count(), 1);
 }
 
 }  // namespace

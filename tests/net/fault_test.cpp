@@ -232,6 +232,36 @@ TEST(Fault, CrashDropsInFlightAndInboundUntilRestart) {
   EXPECT_TRUE(net.node_up(1));
 }
 
+TEST(Fault, CrashDropsInFlightMessagesOnBothDeliveryPaths) {
+  // Node 2 shares region 0 with node 0, so 0 -> 2 is a gated event on the
+  // sender's own shard, while 0 -> 1 crosses to shard 1 through the
+  // mailbox. Each destination crashes while its message is in flight, once
+  // with every message duplicated: each copy dies at its gate, counts as
+  // dropped, and still runs as one event on the destination's shard.
+  for (const bool duplicate : {false, true}) {
+    Sim sched;
+    Network& net = sched.net;
+    if (duplicate) {
+      FaultPlan plan;
+      plan.link.dup_prob = 1.0;
+      net.set_fault_plan(plan, Rng(7));
+    }
+    int delivered = 0;
+    net.send(0, 2, [&]() { ++delivered; });  // arrives at 0.5 ms
+    net.send(0, 1, [&]() { ++delivered; });  // arrives at 50 ms
+    sched.schedule_at(usec(100), [&]() { net.set_node_down(2, true); });
+    sched.schedule_at(msec(10), [&]() { net.set_node_down(1, true); });
+    sched.run();
+    const std::uint64_t copies = duplicate ? 2 : 1;
+    EXPECT_EQ(delivered, 0) << "duplicate=" << duplicate;
+    EXPECT_EQ(net.stats().dropped, 2 * copies);
+    EXPECT_EQ(net.stats().duplicated, duplicate ? 2u : 0u);
+    EXPECT_EQ(sched.lattice.shard(0).executed(), copies);
+    EXPECT_EQ(sched.lattice.shard(1).executed(), copies);
+    EXPECT_EQ(sched.lattice.cross_posts(), copies);
+  }
+}
+
 TEST(Fault, CrashedSourceMessagesNeverReachTheWire) {
   // Fail-stop: a dead node sends nothing. The cluster relies on this — it
   // marks a node down *before* running its crash handler, so the

@@ -103,28 +103,39 @@ TEST(ShardedScheduler, SingleShardExecutesInlineWithoutWorkers) {
   EXPECT_EQ(ss.pending(), 0u);
 }
 
-TEST(ShardedScheduler, InstallerGetsTheGateBesideTheHandler) {
-  // The network installs cross-shard deliveries itself (into the
-  // destination's handler pool); the gate travels next to the handler and
-  // the merge order is unchanged.
+TEST(ShardedScheduler, GatesTravelInSendOrderAndARefusedEventStillCounts) {
+  // The network's delivery gates ride beside their handlers, through the
+  // mailbox into the destination's event slots. The destination's gate
+  // predicate sees each gate when its event comes up, in arrival order and
+  // same-instant arrivals in send order; an event it refuses is dropped but
+  // still counts as executed, and an ungated event never asks it.
   ShardedScheduler ss(2, 1, kHorizon);
-  std::vector<std::pair<NodeId, std::uint64_t>> gates;
+  // (shard that asked, gate.to, gate.epoch)
+  using Gate = std::tuple<std::uint32_t, NodeId, std::uint64_t>;
+  std::vector<Gate> seen;
+  ss.set_gate_predicate(
+      [](void* ctx, DeliveryGate gate) {
+        static_cast<std::vector<Gate>*>(ctx)->emplace_back(
+            ShardedScheduler::current_shard(), gate.to, gate.epoch);
+        return gate.epoch != 3;  // epoch 3: the destination crashed
+      },
+      &seen);
   std::vector<int> order;
-  ss.set_installer([&](std::uint32_t dst, Timestamp at,
-                       DeliveryGate gate, UniqueFunction<void()> fn) {
-    EXPECT_EQ(dst, 1u);
-    gates.emplace_back(gate.to, gate.epoch);
-    ss.shard(dst).schedule_at(at, std::move(fn));
-  });
   ss.shard(0).schedule_at(msec(1), [&] {
-    ss.post_cross(1, msec(30), [&] { order.push_back(2); }, {7, 3});
+    ss.post_cross(1, msec(30), [&] { order.push_back(4); }, {7, 3});
     ss.post_cross(1, msec(20), [&] { order.push_back(1); }, {8, 0});
+    ss.post_cross(1, msec(20), [&] { order.push_back(2); }, {9, 1});
+    ss.post_cross(1, msec(25), [&] { order.push_back(3); });
+    ss.shard(0).schedule_gated(msec(2), {5, 3}, [&] { order.push_back(0); });
   });
   ss.run_until(msec(50));
-  EXPECT_EQ(gates, (std::vector<std::pair<NodeId, std::uint64_t>>{{7, 3},
-                                                                  {8, 0}}));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(ss.cross_posts(), 2u);
+  EXPECT_EQ(seen,
+            (std::vector<Gate>{{0, 5, 3}, {1, 8, 0}, {1, 9, 1}, {1, 7, 3}}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ss.cross_posts(), 4u);
+  EXPECT_EQ(ss.shard(0).executed(), 2u);  // the sender and its refused event
+  EXPECT_EQ(ss.shard(1).executed(), 4u);  // the refused delivery counts too
+  EXPECT_EQ(ss.pending(), 0u);
 }
 
 TEST(ShardedScheduler, IdenticalTrajectoryForEveryWorkerCount) {

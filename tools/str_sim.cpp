@@ -172,6 +172,17 @@ bool parse(int argc, char** argv, Options& opt) {
       return argv[++i];
     };
     const char* v = nullptr;
+    // Value of an integer flag: a plain decimal count in [lo, hi]
+    // (str::parse_count: no sign, no trailing text, no wrap-around).
+    std::uint64_t n = 0;
+    auto count = [&](std::uint64_t lo, std::uint64_t hi) -> bool {
+      if ((v = next()) == nullptr) return false;
+      if (parse_count(v, lo, hi, n)) return true;
+      std::fprintf(stderr, "%s wants a count in [%llu,%llu]\n", arg.c_str(),
+                   static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi));
+      return false;
+    };
     if (arg == "--help" || arg == "-h") return false;
     if (arg == "--workload") {
       if ((v = next()) == nullptr) return false;
@@ -180,30 +191,14 @@ bool parse(int argc, char** argv, Options& opt) {
       if ((v = next()) == nullptr) return false;
       opt.protocol = v;
     } else if (arg == "--clients") {
-      if ((v = next()) == nullptr) return false;
-      const long long n = std::atoll(v);
-      if (n < 0 || n > UINT32_MAX) {
-        std::fprintf(stderr, "--clients wants a non-negative count\n");
-        return false;
-      }
+      if (!count(0, UINT32_MAX)) return false;
       opt.clients = static_cast<std::uint32_t>(n);
     } else if (arg == "--nodes") {
-      if ((v = next()) == nullptr) return false;
-      const long long n = std::atoll(v);
-      if (n < 1 || n > protocol::Cluster::kMaxNodes) {
-        std::fprintf(stderr, "--nodes wants a count in [1,%u]\n",
-                     protocol::Cluster::kMaxNodes);
-        return false;
-      }
+      if (!count(1, protocol::Cluster::kMaxNodes)) return false;
       opt.nodes = static_cast<std::uint32_t>(n);
     } else if (arg == "--rf") {
-      if ((v = next()) == nullptr) return false;
-      const long long n = std::atoll(v);
       // The upper bound (--nodes) is checked once every flag is parsed.
-      if (n < 1 || n > UINT32_MAX) {
-        std::fprintf(stderr, "--rf wants a positive count\n");
-        return false;
-      }
+      if (!count(1, UINT32_MAX)) return false;
       opt.rf = static_cast<std::uint32_t>(n);
     } else if (arg == "--duration" || arg == "--warmup" || arg == "--drain") {
       if ((v = next()) == nullptr) return false;
@@ -220,26 +215,15 @@ bool parse(int argc, char** argv, Options& opt) {
        : arg == "--warmup" ? opt.warmup_s
                            : opt.drain_s) = s;
     } else if (arg == "--seed") {
-      if ((v = next()) == nullptr) return false;
-      opt.seed = std::atoll(v);
+      if (!count(0, UINT64_MAX)) return false;
+      opt.seed = n;
     } else if (arg == "--threads") {
-      if ((v = next()) == nullptr) return false;
-      std::uint64_t n = 0;
-      if (!parse_count(v, 1, kMaxThreads, n)) {
-        std::fprintf(stderr, "--threads wants a count in [1,%u]\n",
-                     kMaxThreads);
-        return false;
-      }
+      if (!count(1, kMaxThreads)) return false;
       opt.threads = static_cast<std::uint32_t>(n);
     } else if (arg == "--tuner") {
       opt.tuner = true;
     } else if (arg == "--reps") {
-      if ((v = next()) == nullptr) return false;
-      const long long n = std::atoll(v);
-      if (n < 1 || n > UINT32_MAX) {
-        std::fprintf(stderr, "--reps wants a positive count\n");
-        return false;
-      }
+      if (!count(1, UINT32_MAX)) return false;
       opt.reps = static_cast<unsigned>(n);
     } else if (arg == "--csv") {
       if ((v = next()) == nullptr) return false;
@@ -253,8 +237,8 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg == "--summary-percentiles") {
       opt.summary_percentiles = true;
     } else if (arg == "--trace-capacity") {
-      if ((v = next()) == nullptr) return false;
-      opt.trace_capacity = static_cast<std::size_t>(std::atoll(v));
+      if (!count(0, SIZE_MAX)) return false;
+      opt.trace_capacity = static_cast<std::size_t>(n);
     } else if (arg == "--uniform") {
       if ((v = next()) == nullptr) return false;
       opt.uniform_topology = true;
@@ -287,13 +271,8 @@ bool parse(int argc, char** argv, Options& opt) {
       if ((v = next()) == nullptr) return false;
       opt.transport = v;
     } else if (arg == "--transport-port") {
-      if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1 || n > 65535) {
-        std::fprintf(stderr, "--transport-port wants a port in [1,65535]\n");
-        return false;
-      }
-      opt.transport_port = n;
+      if (!count(1, 65535)) return false;
+      opt.transport_port = static_cast<int>(n);
     } else if (arg == "--verify") {
       opt.verify = true;
     } else if (arg == "--wal") {
@@ -311,29 +290,14 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (arg == "--wal-batch") {
-      if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--wal-batch wants a positive count\n");
-        return false;
-      }
+      if (!count(1, INT32_MAX)) return false;
       opt.wal_batch = static_cast<std::uint32_t>(n);
     } else if (arg == "--decision-quorum") {
-      if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--decision-quorum wants a positive count\n");
-        return false;
-      }
+      if (!count(1, INT32_MAX)) return false;
       opt.decision_quorum = static_cast<std::uint32_t>(n);
       opt.wal = true;
     } else if (arg == "--replica-group") {
-      if ((v = next()) == nullptr) return false;
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--replica-group wants a positive count\n");
-        return false;
-      }
+      if (!count(1, INT32_MAX)) return false;
       opt.replica_group = static_cast<std::uint32_t>(n);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
