@@ -23,8 +23,7 @@
 // window's wall time went on each worker of the region-sharded scheduler:
 // executing shard windows, installing cross-shard mailboxes when a window
 // starts, and waiting at the epoch barrier; plus the control thread's
-// serial work between windows (global tasks, serial installs, metric
-// folds).
+// serial work between windows (global tasks and serial installs).
 //
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
@@ -161,15 +160,13 @@ struct MemoryByStructure {
 
 MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
   MemoryByStructure m;
-  auto add_timers = [&m](const obs::Registry& reg) {
-    for (const auto& [name, timer] : reg.timers()) {
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    // Every latency timer lives in a node registry: the cluster registry
+    // holds only the transport's counters.
+    for (const auto& [name, timer] : cluster.node(n).obs().timers()) {
       m.histogram_bytes += timer.hist().bucket_bytes();
       ++m.histograms;
     }
-  };
-  add_timers(cluster.cluster_obs());
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    add_timers(cluster.node(n).obs());
     for (const auto& [pid, actor] : cluster.node(n).replicas()) {
       const store::TableBytes t = actor->store().table_bytes();
       m.tables.arena += t.arena;
@@ -178,11 +175,6 @@ MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
       m.tombstone_bytes += actor->tombstone_bytes();
       m.tombstones += actor->tombstone_count();
     }
-  }
-  for (const Histogram* h : {&cluster.metrics().final_latency(),
-                             &cluster.metrics().speculative_latency()}) {
-    m.histogram_bytes += h->bucket_bytes();
-    ++m.histograms;
   }
   return m;
 }

@@ -38,7 +38,7 @@ int main() {
   std::uint64_t prev = 0;
   for (int s = 1; s <= 26; ++s) {
     cluster.run_for(sec(1));
-    const auto total = cluster.metrics().commit_meter().total();
+    const auto total = cluster.lifetime_commits();
     std::printf("t=%2ds  %4llu commits/s  speculation=%s%s\n", s,
                 static_cast<unsigned long long>(total - prev),
                 cluster.flags().speculation_enabled ? "on " : "off",

@@ -32,22 +32,4 @@ void RunningStats::reset() {
   max_ = 0.0;
 }
 
-double ThroughputMeter::rate(Timestamp now, Timestamp window) const {
-  if (window == 0) return 0.0;
-  const Timestamp start = now > window ? now - window : 0;
-  const auto n = std::count_if(events_.begin(), events_.end(),
-                               [start](Timestamp at) { return at >= start; });
-  const double span_sec =
-      static_cast<double>(now - start) / 1e6;
-  return span_sec <= 0.0 ? 0.0 : static_cast<double>(n) / span_sec;
-}
-
-void ThroughputMeter::trim(Timestamp now, Timestamp keep) {
-  const Timestamp cutoff = now > keep ? now - keep : 0;
-  const auto old = std::remove_if(events_.begin(), events_.end(),
-                                  [cutoff](Timestamp at) { return at < cutoff; });
-  total_ += static_cast<std::uint64_t>(events_.end() - old);
-  events_.erase(old, events_.end());
-}
-
 }  // namespace str

@@ -68,7 +68,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
 
   cluster.run_for(warmup);
-  cluster.metrics().set_measurement_start(cluster.now());
   // Observability covers the measurement window only: drop warmup counts
   // and start tracing (if requested) at the cutover.
   cluster.reset_obs();
@@ -93,7 +92,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (!cluster_config.faults.empty()) drain = std::max(drain, sec(10));
   cluster.run_for(drain);
 
-  const Metrics& m = cluster.metrics();
+  const Metrics m = cluster.metrics();
   ExperimentResult r;
   r.commits = m.commits();
   r.aborts = m.aborts();
@@ -103,16 +102,19 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   const double span_sec =
       static_cast<double>(measure_end - measure_start) / 1e6;
   r.throughput = span_sec <= 0 ? 0.0 : static_cast<double>(r.commits) / span_sec;
-  r.final_latency_mean = m.final_latency().mean();
-  r.final_latency_p50 = m.final_latency().p50();
-  r.final_latency_p95 = m.final_latency().p95();
-  r.final_latency_p99 = m.final_latency().p99();
-  r.speculative_latency_mean = m.speculative_latency().mean();
-  r.speculative_latency_p50 = m.speculative_latency().p50();
+  const Histogram final_latency = m.final_latency();
+  r.final_latency_mean = final_latency.mean();
+  r.final_latency_p50 = final_latency.p50();
+  r.final_latency_p95 = final_latency.p95();
+  r.final_latency_p99 = final_latency.p99();
+  const Histogram speculative_latency = m.speculative_latency();
+  r.speculative_latency_mean = speculative_latency.mean();
+  r.speculative_latency_p50 = speculative_latency.p50();
   r.speculative_reads = m.speculative_reads();
   r.total_reads = m.reads();
-  r.messages = cluster.network().stats().messages_sent;
-  r.wan_messages = cluster.network().stats().wan_messages;
+  const net::NetworkStats ns = cluster.network().stats();
+  r.messages = ns.messages_sent;
+  r.wan_messages = ns.wan_messages;
   r.speculation_enabled_at_end = cluster.flags().speculation_enabled;
   r.tuner_decided = tuner != nullptr && tuner->decided();
 
@@ -150,7 +152,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
 
   // Fault / recovery accounting.
-  const net::NetworkStats& ns = cluster.network().stats();
   r.net_dropped = ns.dropped;
   r.net_duplicated = ns.duplicated;
   r.net_corrupted = ns.corrupted;

@@ -78,6 +78,7 @@ struct ExperimentResult {
   std::uint64_t speculative_latency_p50 = 0;
   std::uint64_t speculative_reads = 0;
   std::uint64_t total_reads = 0;
+  /// Messages sent from the warmup cutover to the end of the drain.
   std::uint64_t messages = 0;
   std::uint64_t wan_messages = 0;
   /// Final state of the speculation flag (self-tuning outcome).
@@ -97,6 +98,9 @@ struct ExperimentResult {
   std::uint64_t trace_dropped = 0;
 
   // -- fault / recovery accounting (zero on fault-free runs) ---------------
+  // Like rpc_* and every merged counter, the net_* counts cover the
+  // measurement window and the drain: reset_obs() zeroes them at the
+  // warmup cutover.
   std::uint64_t net_dropped = 0;
   std::uint64_t net_duplicated = 0;
   std::uint64_t net_corrupted = 0;  ///< deliveries rejected by the frame

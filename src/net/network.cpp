@@ -23,7 +23,6 @@ Network::Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
     slots_.emplace_back(rng.fork(s));
   }
   sharded_.set_gate_predicate(&Network::admit, this);
-  sharded_.add_fold_hook([this] { fold_lanes(); });
 }
 
 void Network::register_node(NodeId node, RegionId region) {
@@ -67,44 +66,37 @@ void Network::set_node_down(NodeId node, bool down) {
   node_up_[node] = down ? 0 : 1;
 }
 
-void Network::set_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    c_messages_ = c_wan_messages_ = c_bytes_ = nullptr;
-    c_dropped_ = c_duplicated_ = c_corrupted_ = c_inversions_ = nullptr;
-    t_latency_ = nullptr;
-    return;
+NetworkStats Network::stats() const {
+  NetworkStats t;
+  for (const ShardSlot& slot : slots_) {
+    const NetworkStats& l = slot.stats;
+    t.messages_sent += l.messages_sent;
+    t.bytes_sent += l.bytes_sent;
+    t.wan_messages += l.wan_messages;
+    t.dropped += l.dropped;
+    t.duplicated += l.duplicated;
+    t.corrupted += l.corrupted;
+    t.inversions += l.inversions;
   }
-  c_messages_ = &registry->counter("net.messages");
-  c_wan_messages_ = &registry->counter("net.wan_messages");
-  c_bytes_ = &registry->counter("net.bytes");
-  c_dropped_ = &registry->counter("net.dropped");
-  c_duplicated_ = &registry->counter("net.duplicated");
-  c_corrupted_ = &registry->counter("net.corrupted");
-  c_inversions_ = &registry->counter("net.inversions");
-  t_latency_ = &registry->timer("net.latency");
+  return t;
 }
 
-void Network::fold_lanes() {
+void Network::merge_into(obs::Registry& reg) const {
+  const NetworkStats t = stats();
+  reg.counter("net.messages").inc(t.messages_sent);
+  reg.counter("net.wan_messages").inc(t.wan_messages);
+  reg.counter("net.bytes").inc(t.bytes_sent);
+  reg.counter("net.dropped").inc(t.dropped);
+  reg.counter("net.duplicated").inc(t.duplicated);
+  reg.counter("net.corrupted").inc(t.corrupted);
+  reg.counter("net.inversions").inc(t.inversions);
+  obs::Timer& latency = reg.timer("net.latency");
+  for (const ShardSlot& slot : slots_) latency.merge(slot.latency);
+}
+
+void Network::reset_stats() {
   for (ShardSlot& slot : slots_) {
-    const NetworkStats& l = slot.stats;
-    stats_.messages_sent += l.messages_sent;
-    stats_.bytes_sent += l.bytes_sent;
-    stats_.wan_messages += l.wan_messages;
-    stats_.dropped += l.dropped;
-    stats_.duplicated += l.duplicated;
-    stats_.corrupted += l.corrupted;
-    stats_.inversions += l.inversions;
-    if (c_messages_ != nullptr) {
-      c_messages_->inc(l.messages_sent);
-      c_bytes_->inc(l.bytes_sent);
-      c_wan_messages_->inc(l.wan_messages);
-      c_dropped_->inc(l.dropped);
-      c_duplicated_->inc(l.duplicated);
-      c_corrupted_->inc(l.corrupted);
-      c_inversions_->inc(l.inversions);
-    }
     slot.stats = NetworkStats{};
-    if (t_latency_ != nullptr) t_latency_->merge(slot.latency);
     slot.latency.reset();
   }
 }
@@ -157,10 +149,10 @@ bool Network::begin_send(NodeId from, NodeId to, std::size_t bytes) {
   }
   const RegionId ra = region_of(from);
   const RegionId rb = region_of(to);
-  NetworkStats& lane = cur_slot().stats;
-  ++lane.messages_sent;
-  lane.bytes_sent += bytes;
-  if (ra != rb) ++lane.wan_messages;
+  NetworkStats& counts = cur_slot().stats;
+  ++counts.messages_sent;
+  counts.bytes_sent += bytes;
+  if (ra != rb) ++counts.wan_messages;
 
   // Fault gauntlet, cheapest test first. A message from or to a crashed
   // node never makes it onto the wire; a cut link swallows it silently.
@@ -199,7 +191,7 @@ void Network::count_corrupted() { ++cur_slot().stats.corrupted; }
 void Network::finish_send(NodeId from, NodeId to,
                           UniqueFunction<void()>&& fn) {
   const Timestamp latency = sample_latency(from, to);
-  if (t_latency_ != nullptr) cur_slot().latency.record(latency);
+  cur_slot().latency.record(latency);
   note_arrival(from, to, latency + cur_sched().now());
 
   if (plan_.link.active(cur_sched().now()) && plan_.link.dup_prob > 0.0 &&

@@ -30,9 +30,9 @@
 //
 // Everything a send or a refused delivery writes lives in the current
 // shard's own cache-line aligned slot: its RNG streams and its traffic
-// lane (NetworkStats plus the net.latency samples). The lanes are folded
-// into stats() and the registry counters by the lattice's fold hook, on
-// the control thread between windows, so no send takes a lock.
+// counts (NetworkStats plus the net.latency samples), so no send takes a
+// lock. Readers sum the slots between windows: stats() for the totals,
+// merge_into() for the "net.*" instruments of the cluster's merged view.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +69,8 @@ class Network {
   /// Runs on `sharded`, which must hold one shard per region of `topology`
   /// (shard id == region id). `jitter_frac` adds uniform jitter in
   /// [0, jitter_frac] of the base one-way latency to each message (default
-  /// 5%). Installs itself as `sharded`'s gate predicate and adds a fold
-  /// hook for its traffic lanes, which is why a Network never moves.
+  /// 5%). Installs itself as `sharded`'s gate predicate, which is why a
+  /// Network never moves.
   Network(sim::ShardedScheduler& sharded, Topology topology, Rng rng,
           double jitter_frac = 0.05);
   Network(const Network&) = delete;
@@ -123,13 +123,18 @@ class Network {
 
   const Topology& topology() const { return topology_; }
 
-  /// Traffic totals. Folds every shard's lane first, so it is callable
-  /// only while no window runs (between run_until calls, or in a global
-  /// task).
-  const NetworkStats& stats() {
-    fold_lanes();
-    return stats_;
-  }
+  /// Traffic since construction or the last reset_stats(), summed over
+  /// the shards' slots: callable only while no window runs (between
+  /// run_until calls, or in a global task).
+  NetworkStats stats() const;
+
+  /// Add the traffic counts to `reg` as the "net.*" counters and merge the
+  /// per-message latency samples into its "net.latency" timer. Same
+  /// window and calling rules as stats().
+  void merge_into(obs::Registry& reg) const;
+
+  /// Zero every slot's counts and latency samples (the warmup cutover).
+  void reset_stats();
 
   // -- fault injection ------------------------------------------------------
 
@@ -145,10 +150,6 @@ class Network {
   /// dropped at delivery time.
   void set_node_down(NodeId node, bool down);
   bool node_up(NodeId node) const { return node_up_.at(node) != 0; }
-
-  /// Attach a metrics registry; message/byte counters and the per-message
-  /// latency timer are resolved once and updated on every send.
-  void set_registry(obs::Registry* registry);
 
   /// Attach a real transport (net/transport/). From then on send_frame
   /// bypasses the simulated latency/fault pipeline after the pre-flight
@@ -176,7 +177,7 @@ class Network {
 
   /// Gate predicate of every shard (sim::Scheduler::GatePredicate): admits
   /// a delivery when its destination is up in the epoch it was sent in,
-  /// and counts a refused one as dropped on the current shard's lane. Runs
+  /// and counts a refused one as dropped in the current shard's slot. Runs
   /// in the destination shard's context; node_up_/node_epoch_ change only
   /// in global tasks, with every worker parked, so it takes no lock.
   static bool admit(void* self, sim::DeliveryGate gate);
@@ -203,11 +204,6 @@ class Network {
 
   void count_drop();
 
-  /// Add every shard's traffic lane to stats_ and to the registry
-  /// counters, then zero the lanes. The lattice calls this through its fold
-  /// hook, with every worker parked.
-  void fold_lanes();
-
   /// Everything one shard's sends and deliveries write, on cache lines no
   /// other shard's slot shares. Per-shard RNG forks keep every draw
   /// sequence a pure function of the shard's own trajectory, never of
@@ -216,8 +212,8 @@ class Network {
     explicit ShardSlot(Rng jitter) : rng(jitter) {}
     Rng rng;           ///< jitter stream
     Rng fault_rng{0};  ///< fault stream (forked in set_fault_plan)
-    NetworkStats stats;  ///< lane: traffic since the last fold
-    obs::Timer latency;  ///< lane: net.latency samples since the last fold
+    NetworkStats stats;  ///< this shard's sends and refused deliveries
+    obs::Timer latency;  ///< one-way latency of this shard's sends
   };
 
   /// The calling context's shard: its queue (sends execute on the sending
@@ -243,7 +239,6 @@ class Network {
   Topology topology_;
   double jitter_frac_;
   std::vector<RegionId> node_region_;
-  NetworkStats stats_;  ///< folded totals
   FaultPlan plan_;
   std::vector<char> node_up_;
   std::vector<std::uint64_t> node_epoch_;
@@ -252,14 +247,6 @@ class Network {
   std::vector<ShardSlot> slots_;  ///< index = shard
   TcpTransport* transport_ = nullptr;
   FrameHandler frame_handler_;
-  obs::Counter* c_messages_ = nullptr;
-  obs::Counter* c_wan_messages_ = nullptr;
-  obs::Counter* c_bytes_ = nullptr;
-  obs::Counter* c_dropped_ = nullptr;
-  obs::Counter* c_duplicated_ = nullptr;
-  obs::Counter* c_corrupted_ = nullptr;
-  obs::Counter* c_inversions_ = nullptr;
-  obs::Timer* t_latency_ = nullptr;
 };
 
 }  // namespace str::net

@@ -1,11 +1,12 @@
 // Metrics registry: named counters, gauges, and histogram-backed timers.
 //
 // One registry is owned by each node (plus one cluster-level registry for
-// node-agnostic subsystems such as the network); the harness merges them
-// into a cluster-wide view at the end of a run. The DES is single-threaded,
-// so instruments are plain integers — an increment is one add, no locks, no
-// atomics — cheap enough to stay enabled in benchmark runs. Hot paths cache
-// the instrument reference once (registry lookup is a map walk) and then
+// the real transport's counters); Cluster::merged_obs() merges them into a
+// cluster-wide view. A node's registry is written only from its own shard,
+// so even a region-sharded run on several workers needs no lock or atomic:
+// an increment is one add, cheap enough to stay enabled in benchmark runs.
+// Every instrument is registered when its owner is constructed; hot paths
+// cache the instrument reference then (registry lookup is a map walk) and
 // touch only the instrument itself.
 //
 // Names are dot-separated ("phase.lock_hold", "net.wan_messages"); exporters

@@ -32,9 +32,7 @@ Cluster::Cluster(Config config)
       net_(sharded_, config_.topology, master_rng_.fork(0xfee7),
            config_.jitter_frac),
       pmap_(config_.num_nodes, config_.partitions_per_node,
-            config_.replication_factor),
-      metrics_(sharded_.num_shards()),
-      wire_lanes_(sharded_.num_shards()) {
+            config_.replication_factor) {
   STR_ASSERT(config_.num_nodes >= 1);
   STR_ASSERT_MSG(config_.num_nodes <= kMaxNodes,
                  "node ids must fit a packed tombstone id");
@@ -57,33 +55,28 @@ Cluster::Cluster(Config config)
   // arrival is still strictly inside the window).
   flight_slack_ =
       config_.topology.max_one_way() + config_.max_clock_skew + 1;
-  net_.set_registry(&cluster_obs_);
-  sharded_.add_fold_hook([this] { fold_lanes(); });
-  // Per-message-type traffic counters (slot 0 is a never-hit placeholder so
-  // the arrays index directly by MessageType).
-  c_wire_msgs_[0] = &cluster_obs_.counter("wire.msgs.invalid");
-  c_wire_bytes_[0] = &cluster_obs_.counter("wire.bytes.invalid");
+  // The real transport's counters, registered (and zero) in DES runs too,
+  // so every run exports the same instruments.
+  c_transport_.frames_sent = &cluster_obs_.counter("transport.frames_sent");
+  c_transport_.bytes_sent = &cluster_obs_.counter("transport.bytes_sent");
+  c_transport_.frames_received =
+      &cluster_obs_.counter("transport.frames_received");
+  c_transport_.bytes_received =
+      &cluster_obs_.counter("transport.bytes_received");
+  c_transport_.frames_resent =
+      &cluster_obs_.counter("transport.frames_resent");
+  c_transport_.frames_dropped =
+      &cluster_obs_.counter("transport.frames_dropped");
+  c_transport_.connects = &cluster_obs_.counter("transport.connects");
+  c_transport_.reconnects = &cluster_obs_.counter("transport.reconnects");
+  c_transport_.disconnects = &cluster_obs_.counter("transport.disconnects");
+  c_transport_.partials_discarded =
+      &cluster_obs_.counter("transport.partials_discarded");
   for (std::uint8_t t = wire::kMinMessageType; t <= wire::kMaxMessageType;
        ++t) {
-    const auto mt = static_cast<wire::MessageType>(t);
-    // The decision-replication frames exist only under the quorum commit
-    // point; leaving their counters unregistered keeps quorum-off metric
-    // output byte-identical to pre-quorum releases.
-    if ((mt == wire::MessageType::kDecisionReplicate ||
-         mt == wire::MessageType::kDecisionReplicateAck) &&
-        !decision_quorum_enabled()) {
-      continue;
-    }
-    const char* name = wire::to_string(mt);
-    c_wire_msgs_[t] =
-        &cluster_obs_.counter(std::string("wire.msgs.") + name);
-    c_wire_bytes_[t] =
-        &cluster_obs_.counter(std::string("wire.bytes.") + name);
-  }
-  if (decision_quorum_enabled()) {
-    c_indoubt_commits_ = &cluster_obs_.counter("txn.commits");
-    c_indoubt_aborts_ = &cluster_obs_.counter("txn.aborts");
-    c_lost_commits_ = &cluster_obs_.counter("recovery.lost_commits");
+    c_wire_resent_[t] = &cluster_obs_.counter(
+        std::string("wire.resent.") +
+        wire::to_string(static_cast<wire::MessageType>(t)));
   }
   if (config_.wire_codec) {
     net_.set_frame_handler(
@@ -96,7 +89,6 @@ Cluster::Cluster(Config config)
   // thread (the satellite of the observability layer; see common/log.hpp).
   // Worker threads install the same clock via on_worker_start above.
   Log::set_sim_clock(&Cluster::sharded_now_cb, &sharded_);
-  wal_counters_.resize(config_.num_nodes);
   node_spec_enabled_.assign(config_.num_nodes, 1);
   last_restart_at_.assign(config_.num_nodes, 0);
   Rng skew_rng = master_rng_.fork(0x5c3b);
@@ -142,30 +134,6 @@ Cluster::Cluster(Config config)
           sim::ShardedScheduler::ShardGuard guard(shard_of(to));
           net_.deliver_frame(to, frame.data(), frame.size());
         });
-    c_transport_.frames_sent = &cluster_obs_.counter("transport.frames_sent");
-    c_transport_.bytes_sent = &cluster_obs_.counter("transport.bytes_sent");
-    c_transport_.frames_received =
-        &cluster_obs_.counter("transport.frames_received");
-    c_transport_.bytes_received =
-        &cluster_obs_.counter("transport.bytes_received");
-    c_transport_.frames_resent =
-        &cluster_obs_.counter("transport.frames_resent");
-    c_transport_.frames_dropped =
-        &cluster_obs_.counter("transport.frames_dropped");
-    c_transport_.connects = &cluster_obs_.counter("transport.connects");
-    c_transport_.reconnects = &cluster_obs_.counter("transport.reconnects");
-    c_transport_.disconnects = &cluster_obs_.counter("transport.disconnects");
-    c_transport_.partials_discarded =
-        &cluster_obs_.counter("transport.partials_discarded");
-    // Per-type retransmit siblings of wire.msgs.*, for every type that can
-    // be sent in this configuration (same slot gating as above).
-    for (std::uint8_t t = wire::kMinMessageType; t <= wire::kMaxMessageType;
-         ++t) {
-      if (c_wire_msgs_[t] == nullptr) continue;
-      c_wire_resent_[t] = &cluster_obs_.counter(
-          std::string("wire.resent.") +
-          wire::to_string(static_cast<wire::MessageType>(t)));
-    }
     // Start last: loop threads may deliver into the driver's inbox the
     // moment they exist, and everything they touch is set up by now.
     transport_ = std::make_unique<net::TcpTransport>(config_.transport_opts);
@@ -212,7 +180,6 @@ void Cluster::publish_transport_counters() {
                                        published_.partial_frames_discarded);
   for (std::uint8_t t = wire::kMinMessageType; t <= wire::kMaxMessageType;
        ++t) {
-    if (c_wire_resent_[t] == nullptr) continue;
     c_wire_resent_[t]->inc(s.resent_by_tag[t] - published_.resent_by_tag[t]);
   }
   published_ = s;
@@ -222,28 +189,24 @@ obs::Registry Cluster::merged_obs() const {
   obs::Registry merged;
   merged.merge(cluster_obs_);
   for (const auto& n : nodes_) merged.merge(n->obs());
+  net_.merge_into(merged);
   return merged;
 }
 
-void Cluster::fold_lanes() {
-  for (WireLane& lane : wire_lanes_) {
-    for (std::size_t t = 0; t < wire::kNumMessageTypes; ++t) {
-      if (c_wire_msgs_[t] == nullptr) continue;
-      c_wire_msgs_[t]->inc(lane.msgs[t]);
-      c_wire_bytes_[t]->inc(lane.bytes[t]);
-    }
-    lane = WireLane{};
-  }
-  metrics_.fold();
-}
-
 void Cluster::reset_obs() {
-  sharded_.fold();
+  obs_cutover_ = now();
   cluster_obs_.reset();
   for (auto& n : nodes_) n->obs().reset();
+  net_.reset_stats();
   // Re-baseline the delta snapshot: traffic before the cutover never
   // reaches the zeroed counters.
   if (transport_ != nullptr) published_ = transport_->stats();
+}
+
+std::uint64_t Cluster::lifetime_commits() const {
+  std::uint64_t n = 0;
+  for (const auto& node : nodes_) n += node->coordinator().lifetime_commits();
+  return n;
 }
 
 void Cluster::load(Key key, Value value) {
@@ -283,20 +246,11 @@ void Cluster::restart_node(NodeId id) {
   n.restart();
 }
 
-std::unique_ptr<storage::Wal> Cluster::make_wal(const std::string& name,
-                                                NodeId owner,
-                                                obs::Registry& reg) {
+std::unique_ptr<storage::Wal> Cluster::make_wal(
+    const std::string& name, NodeId owner,
+    const storage::Wal::Counters& counters) {
   if (!wal_enabled()) return nullptr;
   const DurabilityConfig& d = config_.protocol.durability;
-  storage::Wal::Counters& wc = wal_counters_.at(owner);
-  if (wc.records == nullptr) {
-    wc.records = &reg.counter("wal.records");
-    wc.flushes = &reg.counter("wal.flushes");
-    wc.flushed_bytes = &reg.counter("wal.flushed_bytes");
-    wc.checkpoints = &reg.counter("wal.checkpoints");
-    wc.replayed = &reg.counter("wal.replayed_records");
-    wc.torn = &reg.counter("wal.torn_truncations");
-  }
   const storage::TornWriteFault torn{config_.faults.storage.torn_write_prob,
                                      &storage_rng_};
   // The log and its medium live on the owning node's shard: group-commit
@@ -314,7 +268,8 @@ std::unique_ptr<storage::Wal> Cluster::make_wal(const std::string& name,
   storage::Wal::Options opts;
   opts.group_commit_batch = d.group_commit_batch;
   opts.group_commit_interval = d.group_commit_interval;
-  return std::make_unique<storage::Wal>(sched, std::move(medium), opts, wc);
+  return std::make_unique<storage::Wal>(sched, std::move(medium), opts,
+                                        counters);
 }
 
 Cluster::QuiesceReport Cluster::quiesce_report() const {
@@ -354,7 +309,7 @@ void Cluster::register_in_doubt(const TxId& tx, InDoubtInfo info) {
   in_doubt_.emplace(tx, std::move(info));
 }
 
-bool Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
+bool Cluster::resolve_in_doubt(NodeId by, const TxId& tx, bool committed) {
   InDoubtInfo info;
   {
     std::lock_guard<std::mutex> lk(in_doubt_mu_);
@@ -363,10 +318,12 @@ bool Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
     info = std::move(it->second);
     in_doubt_.erase(it);
   }
-  // One history event and one metrics sample per transaction, timed at the
+  // One history event and one outcome count per transaction, timed at the
   // registration (crash) instant: whichever recovery path wins the race to
   // resolve, the recorded output is identical — including across worker
-  // counts, where the winning path can differ by interleaving.
+  // counts, where the winning path can differ by interleaving. The
+  // resolver's registry takes the count: the deciding node is dead.
+  Coordinator& counter = node(by).coordinator();
   if (committed) {
     if (history_ != nullptr) {
       verify::WriteSetEvent ev;
@@ -376,17 +333,15 @@ bool Cluster::resolve_in_doubt(const TxId& tx, bool committed) {
       ev.keys = std::move(info.keys);
       history_->on_final_commit(ev);
     }
-    metrics_.record_commit(info.reg_at, info.first_activation,
-                           info.externalized_at);
-    c_indoubt_commits_->inc();
+    counter.count_commit(info.reg_at, info.first_activation,
+                         info.externalized_at);
   } else {
     if (history_ != nullptr) {
       history_->on_abort(
           verify::AbortEvent{tx, AbortReason::NodeCrash, info.reg_at});
     }
-    metrics_.record_abort(info.reg_at, AbortReason::NodeCrash,
-                          info.externalized);
-    c_indoubt_aborts_->inc();
+    counter.count_abort(info.reg_at, AbortReason::NodeCrash,
+                        info.externalized);
   }
   return true;
 }
@@ -401,18 +356,9 @@ void Cluster::note_commit_acked(const TxId& tx) {
   acked_commits_.insert(tx);
 }
 
-void Cluster::note_recovery_abort(const TxId& tx) {
-  bool lost = false;
-  {
-    std::lock_guard<std::mutex> lk(in_doubt_mu_);
-    lost = acked_commits_.count(tx) != 0;
-  }
-  if (lost && c_lost_commits_ != nullptr) {
-    STR_ERROR("lost commit: recovery aborted client-acked txn n%u#%llu",
-              static_cast<unsigned>(tx.node),
-              static_cast<unsigned long long>(tx.seq));
-    c_lost_commits_->inc();
-  }
+bool Cluster::commit_acked(const TxId& tx) const {
+  std::lock_guard<std::mutex> lk(in_doubt_mu_);
+  return acked_commits_.count(tx) != 0;
 }
 
 void Cluster::schedule_maintenance() {

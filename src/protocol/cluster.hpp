@@ -117,7 +117,9 @@ class Cluster {
     return static_cast<std::uint32_t>(nodes_.size());
   }
 
-  harness::Metrics& metrics() { return metrics_; }
+  /// Commit, abort, read and latency totals: a view summing the node
+  /// registries.
+  harness::Metrics metrics() { return harness::Metrics(*this); }
   RuntimeFlags& flags() { return flags_; }
 
   /// True when messages travel as encoded frames (Config::wire_codec).
@@ -127,38 +129,28 @@ class Cluster {
   /// its write already has (wire mode only; wire/payload_table.hpp).
   wire::PayloadTable& payloads() { return payloads_; }
 
-  /// Per-message-type traffic accounting ("wire.msgs.<type>" and
-  /// "wire.bytes.<type>" in the cluster registry). Called by wire::post on
-  /// every send, in both transport modes, into the sending shard's lane;
-  /// the lattice's fold hook adds the lanes to the registry between
-  /// windows. Types whose counters were never registered (the
-  /// decision-replication frames in quorum-off runs, which can never be
-  /// sent) fall through without touching a lane.
-  void count_wire_message(wire::MessageType type, std::size_t bytes) {
-    const auto i = static_cast<std::size_t>(type);
-    if (c_wire_msgs_[i] == nullptr) return;
-    WireLane& lane = wire_lanes_[sim::ShardedScheduler::current_shard()];
-    ++lane.msgs[i];
-    lane.bytes[i] += bytes;
-  }
-
   /// Transaction-lifecycle tracer (disabled by default; O(1) when off).
   obs::Tracer& tracer() { return tracer_; }
 
-  /// Registry for node-agnostic subsystems (the network).
-  obs::Registry& cluster_obs() { return cluster_obs_; }
-
-  /// Cluster-wide metrics view: the cluster registry folded together with
-  /// every node's registry (counters/gauges sum, timer histograms merge).
-  /// The network and wire counters it holds are folded from their
-  /// per-shard lanes when run_for returns (and before each global task).
+  /// Cluster-wide metrics view: the cluster registry merged with every
+  /// node's registry (counters/gauges sum, timer histograms merge), plus
+  /// the network's "net.*" counters and "net.latency" timer. Call it only
+  /// between run_for calls.
   obs::Registry merged_obs() const;
 
-  /// Zero all registries (counters/timers; gauges keep their instantaneous
-  /// values). The harness calls this at the warmup/measurement cutover,
-  /// between run_for calls; the lanes are folded first, so nothing recorded
-  /// before the cutover survives it.
+  /// The warmup cutover: zero all registries (counters/timers; gauges keep
+  /// their instantaneous values) and the network's traffic counts, and
+  /// remember now() as obs_cutover(). The harness calls this between
+  /// run_for calls; harness::Metrics::set_measurement_start is the same
+  /// call.
   void reset_obs();
+
+  /// Time of the last reset_obs (0 before the first).
+  Timestamp obs_cutover() const { return obs_cutover_; }
+
+  /// Commits since construction across all coordinators, never reset (the
+  /// self-tuner's measurement source).
+  std::uint64_t lifetime_commits() const;
 
   /// True when speculative reads are both configured and currently enabled
   /// cluster-wide.
@@ -269,8 +261,9 @@ class Cluster {
   // at crash time: the fate depends on which copies survive and who asks.
   // The registry parks such transactions cluster-side; exactly one
   // resolution (coordinator replay, participant census, or a decision
-  // reply) emits the single history event and the metrics sample, pinned at
-  // registration time so every worker count reports identical output.
+  // reply) emits the single history event and counts the outcome in the
+  // resolving node's registry, pinned at registration time so every worker
+  // count reports identical output.
 
   struct InDoubtInfo {
     Timestamp commit_ts = 0;
@@ -283,32 +276,33 @@ class Cluster {
 
   void register_in_doubt(const TxId& tx, InDoubtInfo info);
 
-  /// Resolve tx's parked fate exactly once. Returns true when an entry
-  /// existed (first caller); later callers are no-ops.
-  bool resolve_in_doubt(const TxId& tx, bool committed);
+  /// Resolve tx's parked fate exactly once, on behalf of node `by` (whose
+  /// shard the caller runs on; its coordinator counts the outcome). Returns
+  /// true when an entry existed (first caller); later callers are no-ops.
+  bool resolve_in_doubt(NodeId by, const TxId& tx, bool committed);
 
   std::size_t in_doubt_count() const;
 
   /// A client was acked Commit for tx (the quorum barrier completed).
   void note_commit_acked(const TxId& tx);
 
-  /// Recovery is about to abort tx. If tx's client already saw Commit this
-  /// is a lost commit — the exact event the quorum commit point exists to
-  /// prevent; "recovery.lost_commits" counts them (always 0 when the quorum
-  /// holds).
-  void note_recovery_abort(const TxId& tx);
+  /// True when tx's client was acked Commit. Recovery asks before it
+  /// aborts tx: a yes is a lost commit, the exact event the quorum commit
+  /// point exists to prevent ("recovery.lost_commits", always 0 when the
+  /// quorum holds).
+  bool commit_acked(const TxId& tx) const;
 
   /// Build one log for a node's partition replica or decision stream.
   /// `name` ("n3_p7.wal", "n3_decisions.wal") doubles as the file name under
   /// DurabilityConfig::wal_dir when file mirroring is on. The log runs on
-  /// `owner`'s shard scheduler and registers its "wal.*" counters in `reg`
-  /// (the owning node's registry — per-node so shards never contend;
-  /// cluster totals merge identically). Registration is lazy so WAL-off
-  /// runs expose no new metrics. All logs share the cluster's storage RNG
-  /// stream, drawn from only inside crash handling (quiesced, determinist-
-  /// ically ordered). Returns nullptr when WAL is off.
-  std::unique_ptr<storage::Wal> make_wal(const std::string& name, NodeId owner,
-                                         obs::Registry& reg);
+  /// `owner`'s shard scheduler and counts into `counters` (the owning
+  /// node's "wal.*" counters — per-node so shards never contend). All logs
+  /// share the cluster's storage RNG stream, drawn from only inside crash
+  /// handling (quiesced, deterministically ordered). Returns nullptr when
+  /// WAL is off.
+  std::unique_ptr<storage::Wal> make_wal(
+      const std::string& name, NodeId owner,
+      const storage::Wal::Counters& counters);
 
   /// Cluster-wide stable-snapshot watermark: no read — live, parked, or
   /// still in flight — can observe a snapshot below this timestamp, so
@@ -329,35 +323,19 @@ class Cluster {
   /// Forking is pure and the stream is drawn from only when a crash catches
   /// an fsync in flight, so WAL-off runs stay bit-identical.
   Rng storage_rng_;
-  /// Per-node WAL counters, lazily registered in the owning node's registry
-  /// by make_wal — per-node so parallel shards never contend on the sums.
-  std::vector<storage::Wal::Counters> wal_counters_;
   wire::PayloadTable payloads_;  ///< swept by the maintenance tick
-  obs::Registry cluster_obs_;  ///< before net_: the network caches handles
+  /// The real transport's counters ("transport.*", "wire.resent.*"),
+  /// written only between run_for calls; merged_obs() reads them.
+  obs::Registry cluster_obs_;
+  Timestamp obs_cutover_ = 0;
   obs::Tracer tracer_;
   net::Network net_;
   PartitionMap pmap_;
   std::uint64_t seed_seq_ = 0;  ///< sentinel-writer seq for load() records
-  harness::Metrics metrics_;
   RuntimeFlags flags_;
   verify::HistorySink* history_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<char> node_spec_enabled_;
-  /// Per-message-type traffic counters, indexed by wire::MessageType
-  /// (slot 0 unused; decision-replication slots stay null in quorum-off
-  /// runs so the metric surface is byte-identical to older releases).
-  /// Resolved once at construction — count_wire_message sits on the send
-  /// hot path.
-  std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_msgs_{};
-  std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_bytes_{};
-  /// One shard's wire traffic since the last fold, on its own cache lines.
-  struct alignas(64) WireLane {
-    std::array<std::uint64_t, wire::kNumMessageTypes> msgs{};
-    std::array<std::uint64_t, wire::kNumMessageTypes> bytes{};
-  };
-  std::vector<WireLane> wire_lanes_;  ///< index = shard
-  /// Fold hook: wire lanes into c_wire_*, and the metrics lanes.
-  void fold_lanes();
 
   // -- real transport (Config::transport != kDes; all null/zero otherwise) --
   std::unique_ptr<net::TcpTransport> transport_;
@@ -381,7 +359,7 @@ class Cluster {
   TransportCounters c_transport_;
   /// Per-type transport-retransmit siblings of wire.msgs.* ("wire.resent.
   /// <type>"), so transport-level resends are distinguishable from
-  /// protocol-level retries in --verify output. Real-transport runs only.
+  /// protocol-level retries in --verify output. Zero in DES runs.
   std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_resent_{};
   /// Fold the transport's stats delta since the last publish into the
   /// cluster registry. Called after every run_for in real-transport mode.
@@ -394,12 +372,6 @@ class Cluster {
   mutable std::mutex in_doubt_mu_;
   std::unordered_map<TxId, InDoubtInfo, TxIdHash> in_doubt_;
   std::unordered_set<TxId, TxIdHash> acked_commits_;
-  /// Resolution counters, registered iff the quorum is on. txn.commits /
-  /// txn.aborts live cluster-side here (the deciding node is dead at
-  /// resolution time); merged_obs folds them into the node totals.
-  obs::Counter* c_indoubt_commits_ = nullptr;
-  obs::Counter* c_indoubt_aborts_ = nullptr;
-  obs::Counter* c_lost_commits_ = nullptr;
   /// Latest fault-plan restart per node (0 = none scheduled), for
   /// QuiesceReport::permanently_down.
   std::vector<Timestamp> last_restart_at_;

@@ -41,6 +41,46 @@ Coordinator::Coordinator(Node& node) : node_(node) {
   t_commit_snap_dist_ = &obs.timer("phase.commit_snapshot_distance");
   c_rpc_timeouts_ = &obs.counter("rpc.timeouts");
   c_rpc_retries_ = &obs.counter("rpc.retries");
+  for (std::size_t r = 1; r < c_aborts_by_reason_.size(); ++r) {
+    c_aborts_by_reason_[r] =
+        &obs.counter(abort_counter_name(static_cast<AbortReason>(r)));
+  }
+  c_externalized_ = &obs.counter("txn.externalized");
+  c_ext_misspeculations_ = &obs.counter("txn.ext_misspeculations");
+  c_reads_ = &obs.counter("txn.reads");
+  c_spec_reads_ = &obs.counter("txn.reads.speculative");
+  t_final_latency_ = &obs.timer("txn.final_latency");
+  t_spec_latency_ = &obs.timer("txn.speculative_latency");
+}
+
+std::string abort_counter_name(AbortReason r) {
+  std::string name = "txn.aborts.";
+  name.append(to_string(r));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+void Coordinator::count_commit(Timestamp at, Timestamp first_activation,
+                               Timestamp externalized_at) {
+  ++lifetime_commits_;
+  if (at < node_.cluster().obs_cutover()) return;
+  c_commits_->inc();
+  t_final_latency_->record(at - first_activation);
+  if (externalized_at != 0) {
+    c_externalized_->inc();
+    t_spec_latency_->record(externalized_at - first_activation);
+  }
+}
+
+void Coordinator::count_abort(Timestamp at, AbortReason reason,
+                              bool externalized) {
+  if (at < node_.cluster().obs_cutover()) return;
+  c_aborts_->inc();
+  c_aborts_by_reason_[static_cast<std::size_t>(reason)]->inc();
+  if (externalized) {
+    c_externalized_->inc();
+    c_ext_misspeculations_->inc();
+  }
 }
 
 bool Coordinator::spec_active() const {
@@ -263,7 +303,6 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
                                 sim::Promise<txn::ReadResult> promise,
                                 std::uint64_t read_span,
                                 Timestamp issued_at) {
-  Cluster& cluster = node_.cluster();
   txn::TxnRecord* rec = find(tx);
   if (rec == nullptr || rec->finished()) {
     txn::ReadResult dead;
@@ -285,7 +324,7 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
     // timestamp and its OLCSet is infinite (Alg. 1 lines 35-36), so only
     // FFC advances.
     rec->ffc = std::max(rec->ffc, r.ts);
-    cluster.metrics().record_read(/*speculative=*/false);
+    count_read(/*speculative=*/false);
   } else if (r.kind == store::ReadKind::Speculative) {
     result.speculative = true;
     txn::TxnRecord* wrec = find(r.writer);
@@ -311,9 +350,9 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
     rec->snapshot_lc_writers.insert(r.writer);
     rec->snapshot_lc_writers.insert(wrec->snapshot_lc_writers.begin(),
                                     wrec->snapshot_lc_writers.end());
-    cluster.metrics().record_read(/*speculative=*/true);
+    count_read(/*speculative=*/true);
   } else {
-    cluster.metrics().record_read(/*speculative=*/false);
+    count_read(/*speculative=*/false);
   }
 
   (void)from_cache;
@@ -480,8 +519,7 @@ void Coordinator::abort_tx(const TxId& tx, AbortReason reason,
   if (auto* h = cluster.history()) {
     h->on_abort(verify::AbortEvent{rec.id, reason, cluster.now()});
   }
-  cluster.metrics().record_abort(cluster.now(), reason, rec.externalized);
-  c_aborts_->inc();
+  count_abort(cluster.now(), reason, rec.externalized);
   record_phase_timers(rec, cluster.now());
   if (tracer_->enabled()) {
     obs::TraceEvent ev{cluster.now(), rec.id, node_.id(),
@@ -1023,9 +1061,7 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
     for (const auto& [key, value] : rec.writes) ev.keys.push_back(key);
     h->on_final_commit(ev);
   }
-  cluster.metrics().record_commit(cluster.now(), rec.first_activation,
-                                  rec.externalized_at);
-  c_commits_->inc();
+  count_commit(cluster.now(), rec.first_activation, rec.externalized_at);
   record_phase_timers(rec, cluster.now());
   t_commit_snap_dist_->record(ct - rec.rs);
   if (tracer_->enabled()) {
@@ -1301,9 +1337,7 @@ void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
       h->on_abort(verify::AbortEvent{rec.id, AbortReason::NodeCrash,
                                      cluster.now()});
     }
-    cluster.metrics().record_abort(cluster.now(), AbortReason::NodeCrash,
-                                   rec.externalized);
-    c_aborts_->inc();
+    count_abort(cluster.now(), AbortReason::NodeCrash, rec.externalized);
     record_phase_timers(rec, cluster.now());
     if (tracer_->enabled()) {
       tracer_->emit({cluster.now(), rec.id, node_.id(),
@@ -1336,9 +1370,7 @@ void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
     for (const auto& [key, value] : rec.writes) ev.keys.push_back(key);
     h->on_final_commit(ev);
   }
-  cluster.metrics().record_commit(cluster.now(), rec.first_activation,
-                                  rec.externalized_at);
-  c_commits_->inc();
+  count_commit(cluster.now(), rec.first_activation, rec.externalized_at);
   record_phase_timers(rec, cluster.now());
   t_commit_snap_dist_->record(ct - rec.rs);
   if (tracer_->enabled()) {
@@ -1383,7 +1415,9 @@ void Coordinator::replay_decisions() {
     }
     std::sort(own.begin(), own.end());
     Cluster& cluster = node_.cluster();
-    for (const TxId& tx : own) cluster.resolve_in_doubt(tx, true);
+    for (const TxId& tx : own) {
+      cluster.resolve_in_doubt(node_.id(), tx, true);
+    }
   }
 }
 

@@ -24,7 +24,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "common/types.hpp"
@@ -40,6 +42,10 @@
 namespace str::protocol {
 
 class Node;
+
+/// Registry name of the per-reason abort counter: "txn.aborts.<reason>",
+/// the reason spelled as to_string(r) with '_' for '-'.
+std::string abort_counter_name(AbortReason r);
 
 class Coordinator {
  public:
@@ -112,6 +118,23 @@ class Coordinator {
 
   /// Periodic upkeep: prune decision-log entries past their retention.
   void maintain(Timestamp now);
+
+  // -- outcome accounting (docs/OBSERVABILITY.md, "Transaction outcomes") ---
+
+  /// Count a final commit reached at `at` in this node's registry, with its
+  /// final latency from `first_activation` and, when it was externalized
+  /// (`externalized_at` != 0), its speculative latency. An outcome timed
+  /// before the last warmup cutover (an in-doubt resolution registered
+  /// during the warmup) counts only in lifetime_commits().
+  void count_commit(Timestamp at, Timestamp first_activation,
+                    Timestamp externalized_at);
+  /// Count a final abort reached at `at`; an externalized attempt that
+  /// aborts is an external misspeculation. Gated like count_commit.
+  void count_abort(Timestamp at, AbortReason reason, bool externalized);
+
+  /// Commits counted here since construction, never cut at the warmup: the
+  /// self-tuner's measurement source.
+  std::uint64_t lifetime_commits() const { return lifetime_commits_; }
 
   // -- durability (docs/DURABILITY.md; WAL mode only) ------------------------
 
@@ -189,6 +212,11 @@ class Coordinator {
 
   void record_read_event(const TxId& tx, Key key, const TxId& writer,
                          Timestamp version_ts, bool speculative);
+
+  void count_read(bool speculative) {
+    c_reads_->inc();
+    if (speculative) c_spec_reads_->inc();
+  }
 
   /// Re-check parked gate waiters after OLCSet/FFC changed.
   void reeval_gate(txn::TxnRecord& rec);
@@ -304,6 +332,17 @@ class Coordinator {
   obs::Timer* t_commit_snap_dist_ = nullptr;
   obs::Counter* c_rpc_timeouts_ = nullptr;
   obs::Counter* c_rpc_retries_ = nullptr;
+  // Outcome instruments (count_commit / count_abort / count_read).
+  std::array<obs::Counter*,
+             static_cast<std::size_t>(AbortReason::NodeCrash) + 1>
+      c_aborts_by_reason_{};  ///< index = AbortReason (None stays null)
+  obs::Counter* c_externalized_ = nullptr;
+  obs::Counter* c_ext_misspeculations_ = nullptr;
+  obs::Counter* c_reads_ = nullptr;
+  obs::Counter* c_spec_reads_ = nullptr;
+  obs::Timer* t_final_latency_ = nullptr;
+  obs::Timer* t_spec_latency_ = nullptr;
+  std::uint64_t lifetime_commits_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_read_id_ = 1;
   std::unordered_map<TxId, std::unique_ptr<txn::TxnRecord>, TxIdHash> txns_;

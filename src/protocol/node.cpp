@@ -11,15 +11,27 @@ namespace str::protocol {
 
 Node::Node(Cluster& cluster, NodeId id, RegionId region, Timestamp clock_skew)
     : cluster_(cluster), id_(id), region_(region), skew_(clock_skew),
+      wal_counters_(storage::Wal::register_counters(obs_)),
       coord_(*this) {
+  for (std::size_t t = 0; t < wire::kNumMessageTypes; ++t) {
+    const char* type =
+        t < wire::kMinMessageType
+            ? "invalid"
+            : wire::to_string(static_cast<wire::MessageType>(t));
+    c_wire_msgs_[t] = &obs_.counter(std::string("wire.msgs.") + type);
+    c_wire_bytes_[t] = &obs_.counter(std::string("wire.bytes.") + type);
+  }
   for (PartitionId p : cluster.pmap().partitions_at(id)) {
     replicas_.emplace(p, std::make_unique<PartitionActor>(
                              *this, p, cluster.pmap().is_master(id, p)));
     sorted_pids_.push_back(p);
   }
   std::sort(sorted_pids_.begin(), sorted_pids_.end());
-  decision_wal_ = cluster.make_wal(
-      "n" + std::to_string(id) + "_decisions.wal", id, obs_);
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict inside
+  // `"literal" + std::string` concatenation.
+  std::string name = "n";
+  name.append(std::to_string(id)).append("_decisions.wal");
+  decision_wal_ = cluster.make_wal(name, id, wal_counters_);
   coord_.set_decision_wal(decision_wal_.get());
   if (decision_wal_ != nullptr && cluster.decision_quorum_enabled()) {
     // Quorum commit point (docs/DURABILITY.md §8): wrap the decision log

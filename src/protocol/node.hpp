@@ -6,6 +6,7 @@
 // (virtual time plus a fixed skew).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "storage/decision_log.hpp"
 #include "storage/wal.hpp"
 #include "store/cache_partition.hpp"
+#include "wire/messages.hpp"
 
 namespace str::protocol {
 
@@ -54,6 +56,19 @@ class Node {
   /// cluster-wide by Cluster::merged_obs().
   obs::Registry& obs() { return obs_; }
   const obs::Registry& obs() const { return obs_; }
+
+  /// The "wal.*" counters every log of this node shares (registered with
+  /// the node, WAL on or off).
+  const storage::Wal::Counters& wal_counters() const { return wal_counters_; }
+
+  /// Count one message this node sends ("wire.msgs.<type>" and
+  /// "wire.bytes.<type>"). Called by wire::post on every send, in the
+  /// sender's shard.
+  void count_sent(wire::MessageType type, std::size_t bytes) {
+    const auto t = static_cast<std::size_t>(type);
+    c_wire_msgs_[t]->inc();
+    c_wire_bytes_[t]->inc(bytes);
+  }
 
   /// Periodic GC of committed versions and tombstones on all replicas.
   /// `watermark` is the cluster-wide stable-snapshot watermark; when
@@ -98,6 +113,11 @@ class Node {
   /// Declared before the partition actors and coordinator: both cache
   /// instrument references out of this registry during construction.
   obs::Registry obs_;
+  storage::Wal::Counters wal_counters_;
+  /// Per-message-type traffic counters, indexed by wire::MessageType (slot
+  /// 0 is "wire.*.invalid", which no send reaches).
+  std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_msgs_{};
+  std::array<obs::Counter*, wire::kNumMessageTypes> c_wire_bytes_{};
   std::unordered_map<PartitionId, std::unique_ptr<PartitionActor>> replicas_;
   store::CachePartition cache_;
   Coordinator coord_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -23,9 +24,15 @@ PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
   t_read_block_ = &node.obs().timer("phase.read_block");
   g_parked_ = &node.obs().gauge("store.parked_readers");
   c_orphan_aborts_ = &node.obs().counter("txn.orphan_aborts");
-  wal_ = node.cluster().make_wal("n" + std::to_string(node.id()) + "_p" +
-                                     std::to_string(pid) + ".wal",
-                                 node.id(), node.obs());
+  c_lost_commits_ = &node.obs().counter("recovery.lost_commits");
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict inside
+  // `"literal" + std::string` concatenation.
+  std::string name = "n";
+  name.append(std::to_string(node.id()))
+      .append("_p")
+      .append(std::to_string(pid))
+      .append(".wal");
+  wal_ = node.cluster().make_wal(name, node.id(), node.wal_counters());
 }
 
 void PartitionActor::load(Key key, const SharedValue& value,
@@ -471,7 +478,7 @@ void PartitionActor::census_check(const TxId& tx, Orphan& o) {
   Timestamp ct = 0;
   if (node_.coordinator().find_decision(tx, &d, &ct) &&
       d == TxDecision::Committed) {
-    cluster.resolve_in_doubt(tx, true);
+    cluster.resolve_in_doubt(node_.id(), tx, true);
     apply_commit(tx, ct);  // erases the orphan entry
     return;
   }
@@ -529,11 +536,16 @@ void PartitionActor::census_abort(const TxId& tx) {
   Cluster& cluster = node_.cluster();
   // Every surviving member answered "no copy" for enough complete rounds:
   // the decision never reached its quorum, so the apply never ran and no
-  // client was acked — presumed abort is safe. note_recovery_abort flags
-  // the (invariant-violating) case where an ack did happen.
+  // client was acked — presumed abort is safe. recovery.lost_commits
+  // flags the (invariant-violating) case where an ack did happen.
   c_orphan_aborts_->inc();
-  cluster.note_recovery_abort(tx);
-  cluster.resolve_in_doubt(tx, false);
+  if (cluster.commit_acked(tx)) {
+    STR_ERROR("lost commit: recovery aborted client-acked txn n%u#%llu",
+              static_cast<unsigned>(tx.node),
+              static_cast<unsigned long long>(tx.seq));
+    c_lost_commits_->inc();
+  }
+  cluster.resolve_in_doubt(node_.id(), tx, false);
   apply_abort(tx);
 }
 
@@ -551,7 +563,7 @@ void PartitionActor::on_census_reply(const DecisionReplicateAck& rep) {
          pid_});
   }
   if (rep.kind == DecisionAckKind::kCommitted) {
-    node_.cluster().resolve_in_doubt(rep.tx, true);
+    node_.cluster().resolve_in_doubt(node_.id(), rep.tx, true);
     apply_commit(rep.tx, rep.commit_ts);
     return;
   }

@@ -230,6 +230,9 @@ class PartitionActor {
   obs::Timer* t_read_block_ = nullptr;
   obs::Gauge* g_parked_ = nullptr;
   obs::Counter* c_orphan_aborts_ = nullptr;
+  /// Client-acked commits that the census later aborted (quorum mode; any
+  /// nonzero value is a durability contract violation).
+  obs::Counter* c_lost_commits_ = nullptr;
 };
 
 }  // namespace str::protocol

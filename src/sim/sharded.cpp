@@ -65,10 +65,6 @@ ShardedScheduler::~ShardedScheduler() {
   }
 }
 
-void ShardedScheduler::fold() {
-  for (UniqueFunction<void()>& hook : fold_hooks_) hook();
-}
-
 void ShardedScheduler::post_cross(std::uint32_t dst_shard, Timestamp at,
                                   UniqueFunction<void()>&& fn,
                                   DeliveryGate gate) {
@@ -237,8 +233,8 @@ void ShardedScheduler::run_until(Timestamp t) {
       // All shards have drained below g: install what the last window
       // posted, advance them to the task time and run every task due at g
       // single-threaded, in schedule order. Tasks see a fully quiesced
-      // cluster with folded metrics — and bound the next window, so no
-      // shard ever runs past a crash or a maintenance tick.
+      // cluster — and bound the next window, so no shard ever runs past a
+      // crash or a maintenance tick.
       const std::uint64_t t0 = wall_ns();
       install_all_serially();
       for (Shard& s : shards_) s.sched.advance_to(g);
@@ -247,9 +243,6 @@ void ShardedScheduler::run_until(Timestamp t) {
                       kTaskAfter);
         GlobalTask task = std::move(global_tasks_.back());
         global_tasks_.pop_back();
-        // Each task sees every sink the previous one fed (a crash's
-        // in-doubt commit, say, before the self-tuner reads the meter).
-        fold();
         task.fn();
       }
       global_ns_ += wall_ns() - t0;
@@ -277,7 +270,6 @@ void ShardedScheduler::run_until(Timestamp t) {
   }
   const std::uint64_t t0 = wall_ns();
   install_all_serially();
-  fold();
   global_ns_ += wall_ns() - t0;
   for (Shard& s : shards_) s.sched.advance_to(t);
 }

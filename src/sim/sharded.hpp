@@ -31,8 +31,9 @@
 // bound the window edge, so no shard runs past them, and they execute
 // single-threaded between windows while the workers are parked. Before each
 // global task, and before run_until returns, the control thread installs
-// the pending mailboxes itself and runs the fold hooks, so everything that
-// runs between windows sees complete queues and complete metric totals.
+// the pending mailboxes itself, so everything that runs between windows
+// sees complete queues. Metric sinks need no such step: each is written by
+// one shard and summed by its readers between windows.
 //
 // The worker count is only a speed setting: with one worker the calling
 // thread executes every shard's window in turn, through the same mailboxes
@@ -124,17 +125,6 @@ class ShardedScheduler {
     for (Shard& s : shards_) s.sched.set_gate_predicate(pred, ctx);
   }
 
-  /// Register a fold hook: it moves per-shard metric lanes into their
-  /// totals. Hooks run on the control thread with every worker parked —
-  /// before each global task and before run_until returns — and on demand
-  /// through fold().
-  void add_fold_hook(UniqueFunction<void()> hook) {
-    fold_hooks_.push_back(std::move(hook));
-  }
-
-  /// Run every fold hook now. Only legal while no window runs.
-  void fold();
-
   /// Hand an event to another shard. Must be called from the shard context
   /// that produced it (a worker executing a window, or a global task under
   /// a ShardGuard). The event is buffered in the (current, dst) mailbox and
@@ -189,8 +179,8 @@ class ShardedScheduler {
   };
   struct LatticeSplit {
     std::vector<WorkerSplit> workers;  ///< index = worker (0 = control)
-    std::uint64_t global_ns = 0;  ///< control thread: serial installs,
-                                  ///< folds and global tasks
+    std::uint64_t global_ns = 0;  ///< control thread: serial installs
+                                  ///< and global tasks
   };
   LatticeSplit lattice_split() const;
 
@@ -263,7 +253,6 @@ class ShardedScheduler {
   /// installed by dst's worker at the start of the window.
   std::vector<Mailbox> mailboxes_;
   std::uint32_t post_side_ = 0;
-  std::vector<UniqueFunction<void()>> fold_hooks_;
   std::vector<GlobalTask> global_tasks_;  ///< min-heap by (at, seq)
   std::uint64_t global_seq_ = 0;
   std::uint64_t epochs_ = 0;

@@ -427,6 +427,17 @@ WalScanResult scan_wal(const DurableChunks& chunks,
   return result;
 }
 
+Wal::Counters Wal::register_counters(obs::Registry& reg) {
+  Counters c;
+  c.records = &reg.counter("wal.records");
+  c.flushes = &reg.counter("wal.flushes");
+  c.flushed_bytes = &reg.counter("wal.flushed_bytes");
+  c.checkpoints = &reg.counter("wal.checkpoints");
+  c.replayed = &reg.counter("wal.replayed_records");
+  c.torn = &reg.counter("wal.torn_truncations");
+  return c;
+}
+
 Wal::Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium,
          Options options, Counters counters)
     : sched_(sched),

@@ -131,8 +131,9 @@ class Wal {
     Timestamp group_commit_interval = msec(2);
   };
 
-  /// All-nullable counter hooks: registered by the owner only when the WAL
-  /// is enabled, so WAL-off runs expose no new metrics (golden hash).
+  /// All-nullable counter hooks (standalone logs in tests and benches
+  /// leave them null). A cluster node registers them with itself through
+  /// register_counters, WAL on or off, and all its logs share them.
   struct Counters {
     obs::Counter* records = nullptr;        ///< wal.records
     obs::Counter* flushes = nullptr;        ///< wal.flushes
@@ -141,6 +142,9 @@ class Wal {
     obs::Counter* replayed = nullptr;       ///< wal.replayed_records
     obs::Counter* torn = nullptr;           ///< wal.torn_truncations
   };
+
+  /// Register the six "wal.*" counters in `reg`.
+  static Counters register_counters(obs::Registry& reg);
 
   Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium, Options options,
       Counters counters);

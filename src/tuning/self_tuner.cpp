@@ -15,8 +15,10 @@ namespace {
 
 /// `co_await GlobalSleep{sharded, d}` resumes `d` from now as a global task,
 /// so the code after it runs with every shard stopped at one instant: the
-/// commit meter it reads and the speculation switch it flips are the same
-/// for every worker count.
+/// commit total it reads and the speculation switch it flips are the same
+/// for every worker count. A global task at t runs before any event at t,
+/// so the difference of the totals read at two ticks counts the commits of
+/// [first tick, second tick).
 struct GlobalSleep {
   /// The pending task owns the suspended frame: a task dropped unrun (the
   /// cluster torn down while the tuner sleeps) destroys it.
@@ -55,8 +57,7 @@ void SelfTuner::start() {
 double SelfTuner::measure_commits_per_sec(Timestamp window_start,
                                           std::uint64_t commits_at_start) const {
   const Timestamp now = cluster_.now();
-  const auto commits =
-      cluster_.metrics().commit_meter().total() - commits_at_start;
+  const auto commits = cluster_.lifetime_commits() - commits_at_start;
   const double span = static_cast<double>(now - window_start) / 1e6;
   return span <= 0.0 ? 0.0 : static_cast<double>(commits) / span;
 }
@@ -70,7 +71,7 @@ sim::Fiber SelfTuner::run() {
     cluster_.set_speculation_enabled(true);
     co_await GlobalSleep{lattice, config_.settle};
     Timestamp t0 = cluster_.now();
-    std::uint64_t c0 = cluster_.metrics().commit_meter().total();
+    std::uint64_t c0 = cluster_.lifetime_commits();
     co_await GlobalSleep{lattice, config_.interval};
     const double on_rate = measure_commits_per_sec(t0, c0);
 
@@ -78,7 +79,7 @@ sim::Fiber SelfTuner::run() {
     cluster_.set_speculation_enabled(false);
     co_await GlobalSleep{lattice, config_.settle};
     t0 = cluster_.now();
-    c0 = cluster_.metrics().commit_meter().total();
+    c0 = cluster_.lifetime_commits();
     co_await GlobalSleep{lattice, config_.interval};
     const double off_rate = measure_commits_per_sec(t0, c0);
 
@@ -96,17 +97,19 @@ sim::Fiber SelfTuner::run() {
     if (config_.retune_threshold <= 0.0) co_return;
 
     // Change detection via CUSUM (the §5.5 extension): sample the commit
-    // rate every monitoring interval; a statistically meaningful shift
+    // rate of every monitoring interval; a statistically meaningful shift
     // re-triggers the on/off trial.
     CusumDetector::Config dcfg;
     dcfg.drift_frac = config_.retune_threshold / 2.0;
     dcfg.threshold_frac = config_.retune_threshold;
     CusumDetector detector(dcfg);
     for (;;) {
+      t0 = cluster_.now();
+      c0 = cluster_.lifetime_commits();
       co_await GlobalSleep{lattice, config_.monitor_interval};
-      const double current = cluster_.metrics().commit_meter().rate(
-          cluster_.now(), config_.monitor_interval);
-      if (detector.add_sample(current)) break;  // re-trial
+      if (detector.add_sample(measure_commits_per_sec(t0, c0))) {
+        break;  // re-trial
+      }
     }
   }
 }

@@ -2,7 +2,8 @@
 //
 // A centralized feedback loop: measure cluster throughput with speculative
 // reads enabled for one interval, disabled for the next, then lock in the
-// better configuration. The measurement source is the raw commit meter, so
+// better configuration. The measurement source is the cluster's lifetime
+// commit total (never cut at the warmup), read at the controller's ticks, so
 // the controller is entirely black-box with respect to the data store and
 // the workload — exactly the paper's design. Optionally, a CUSUM-style load
 // change detector re-triggers the trial when the input load shifts (the

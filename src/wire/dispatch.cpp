@@ -125,7 +125,7 @@ DecodeStatus dispatch_frame(Cluster& cl, NodeId to, const std::uint8_t* data,
 template <class M>
 void post(Cluster& cl, NodeId from, NodeId to, M msg) {
   const std::size_t size = frame_size(msg);
-  cl.count_wire_message(type_tag<M>(), size);
+  cl.node(from).count_sent(type_tag<M>(), size);
   if (cl.wire_mode()) {
     if constexpr (requires { msg.updates; }) {
       record_payloads(cl, msg.tx, msg.updates);

@@ -47,38 +47,5 @@ TEST(RunningStats, ResetClears) {
   EXPECT_DOUBLE_EQ(s.mean(), 7.0);
 }
 
-TEST(ThroughputMeter, RateOverWindow) {
-  ThroughputMeter m;
-  // 10 events in the last second of virtual time.
-  for (int i = 0; i < 10; ++i) m.record_event(sec(9) + i * msec(100));
-  EXPECT_NEAR(m.rate(sec(10), sec(1)), 10.0, 0.01);
-}
-
-TEST(ThroughputMeter, OldEventsOutsideWindow) {
-  ThroughputMeter m;
-  m.record_event(sec(1));
-  m.record_event(sec(9) + msec(500));
-  EXPECT_NEAR(m.rate(sec(10), sec(1)), 1.0, 0.01);
-}
-
-TEST(ThroughputMeter, EmptyRateIsZero) {
-  ThroughputMeter m;
-  EXPECT_DOUBLE_EQ(m.rate(sec(10), sec(1)), 0.0);
-}
-
-TEST(ThroughputMeter, TrimKeepsTotal) {
-  ThroughputMeter m;
-  for (int i = 0; i < 100; ++i) m.record_event(msec(i));
-  m.trim(sec(10), sec(1));
-  EXPECT_EQ(m.total(), 100u);
-}
-
-TEST(ThroughputMeter, WindowClampedAtZero) {
-  ThroughputMeter m;
-  m.record_event(msec(100));
-  // Window larger than elapsed time: span is [0, now].
-  EXPECT_NEAR(m.rate(msec(500), sec(10)), 2.0, 0.01);
-}
-
 }  // namespace
 }  // namespace str

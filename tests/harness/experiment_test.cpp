@@ -7,6 +7,7 @@
 #include "harness/metrics.hpp"
 #include "harness/parallel_sweep.hpp"
 #include "harness/report.hpp"
+#include "protocol/coordinator.hpp"
 #include "tests/protocol/test_util.hpp"
 #include "workload/synthetic.hpp"
 
@@ -16,42 +17,74 @@ namespace {
 using protocol::Cluster;
 using protocol::ProtocolConfig;
 
+// harness::Metrics sums the coordinators' outcome instruments across the
+// node registries. These cases count outcomes straight into two
+// coordinators and read them back through the view and the merged registry.
+struct TwoNodes {
+  Cluster cluster{test::small_config(2, 1, ProtocolConfig::str(), msec(50))};
+  protocol::Coordinator& c0 = cluster.node(0).coordinator();
+  protocol::Coordinator& c1 = cluster.node(1).coordinator();
+};
+
 TEST(Metrics, WarmupIsExcluded) {
-  Metrics m;
-  m.record_commit(sec(1), 0, 0);
-  m.record_abort(sec(2), AbortReason::LocalCertification, false);
-  m.set_measurement_start(sec(5));
-  EXPECT_EQ(m.commits(), 0u);
-  EXPECT_EQ(m.aborts(), 0u);
-  m.record_commit(sec(6), sec(5), 0);
-  EXPECT_EQ(m.commits(), 1u);
-  // The raw meter keeps the warmup events.
-  EXPECT_EQ(m.commit_meter().total(), 2u);
+  TwoNodes t;
+  t.c0.count_commit(sec(1), 0, 0);
+  t.c1.count_abort(sec(2), AbortReason::LocalCertification, false);
+  t.cluster.run_for(sec(5));
+  t.cluster.metrics().set_measurement_start(t.cluster.now());
+  EXPECT_EQ(t.cluster.obs_cutover(), sec(5));
+  EXPECT_EQ(t.cluster.metrics().commits(), 0u);
+  EXPECT_EQ(t.cluster.metrics().aborts(), 0u);
+  // An outcome timed before the cutover (an in-doubt resolution registered
+  // during the warmup) stays out of the window.
+  t.c1.count_commit(sec(4), sec(3), 0);
+  t.c1.count_abort(sec(4), AbortReason::NodeCrash, false);
+  EXPECT_EQ(t.cluster.metrics().commits(), 0u);
+  EXPECT_EQ(t.cluster.metrics().aborts(), 0u);
+  t.c0.count_commit(sec(6), sec(5), 0);
+  EXPECT_EQ(t.cluster.metrics().commits(), 1u);
+  EXPECT_EQ(t.cluster.merged_obs().counter("txn.commits").value(), 1u);
+  // The lifetime total keeps every commit, warmup included.
+  EXPECT_EQ(t.cluster.lifetime_commits(), 3u);
 }
 
 TEST(Metrics, AbortBreakdownByReason) {
-  Metrics m;
-  m.record_abort(sec(1), AbortReason::LocalCertification, false);
-  m.record_abort(sec(1), AbortReason::Misspeculation, false);
-  m.record_abort(sec(1), AbortReason::CascadingAbort, false);
-  m.record_commit(sec(1), 0, 0);
+  TwoNodes t;
+  t.c0.count_abort(sec(1), AbortReason::LocalCertification, false);
+  t.c1.count_abort(sec(1), AbortReason::Misspeculation, false);
+  t.c1.count_abort(sec(1), AbortReason::CascadingAbort, false);
+  t.c0.count_commit(sec(1), 0, 0);
+  const Metrics m = t.cluster.metrics();
   EXPECT_EQ(m.aborts_of(AbortReason::Misspeculation), 1u);
   EXPECT_DOUBLE_EQ(m.abort_rate(), 0.75);
   EXPECT_DOUBLE_EQ(m.misspeculation_rate(), 0.5);
+  const obs::Registry merged = t.cluster.merged_obs();
+  EXPECT_EQ(merged.find_counter("txn.aborts")->value(), 3u);
+  EXPECT_EQ(merged.find_counter("txn.aborts.local_certification")->value(),
+            1u);
+  EXPECT_EQ(merged.find_counter("txn.aborts.cascading_abort")->value(), 1u);
+  EXPECT_EQ(merged.find_counter("txn.aborts.user_abort")->value(), 0u);
 }
 
 TEST(Metrics, ExternalMisspeculationRate) {
-  Metrics m;
-  m.record_commit(sec(1), 0, usec(500));     // externalized then committed
-  m.record_abort(sec(1), AbortReason::GlobalCertification, true);
-  EXPECT_DOUBLE_EQ(m.external_misspeculation_rate(), 0.5);
+  TwoNodes t;
+  t.c0.count_commit(sec(1), 0, usec(500));  // externalized then committed
+  t.c1.count_abort(sec(1), AbortReason::GlobalCertification, true);
+  EXPECT_DOUBLE_EQ(t.cluster.metrics().external_misspeculation_rate(), 0.5);
+  const obs::Registry merged = t.cluster.merged_obs();
+  EXPECT_EQ(merged.find_counter("txn.externalized")->value(), 2u);
+  EXPECT_EQ(merged.find_counter("txn.ext_misspeculations")->value(), 1u);
+  EXPECT_EQ(merged.find_timer("txn.speculative_latency")->count(), 1u);
 }
 
 TEST(Metrics, LatencySpansRetries) {
-  Metrics m;
+  TwoNodes t;
   // First activation at t=1s, commit at t=4s: final latency 3s.
-  m.record_commit(sec(4), sec(1), 0);
-  EXPECT_NEAR(m.final_latency().mean(), double(sec(3)), double(msec(30)));
+  t.c1.count_commit(sec(4), sec(1), 0);
+  EXPECT_NEAR(t.cluster.metrics().final_latency().mean(), double(sec(3)),
+              double(msec(30)));
+  EXPECT_EQ(t.cluster.merged_obs().find_timer("txn.final_latency")->count(),
+            1u);
 }
 
 ExperimentConfig small_experiment(ProtocolConfig proto, std::uint64_t seed) {

@@ -9,10 +9,12 @@
 // that contract differentially: run the identical configuration at 1, 2, 4
 // and 8 worker threads, canonicalize the (execution-ordered) history, and
 // demand a bit-identical FNV fingerprint over every begin/read/commit/abort
-// plus the curated behaviour counters and every sink that workers fill in
-// per-shard lanes (the net.* counters and latency timer, every wire.msgs.*
-// and wire.bytes.* counter, and the harness Metrics): a lane lost or folded
-// twice changes the totals at some worker count.
+// plus the curated behaviour counters and every sink that several workers
+// fill at once (the net.* counters and latency timer, summed over per-shard
+// slots; every wire.msgs.* and wire.bytes.* counter and the harness
+// Metrics, summed over per-node registries): a count written to the wrong
+// slot or registry, or summed twice, changes the totals at some worker
+// count.
 //
 // Six configurations, because parallel bugs hide in the machinery each
 // one uniquely exercises:
@@ -195,8 +197,9 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
         "store.prepare_conflicts"}) {
     fnv.mix(merged.counter(name).value());
   }
-  // Lane-folded sinks beyond the curated set: the rest of the network's
-  // counters and its latency timer, and every per-type wire counter.
+  // Per-shard and per-node sinks beyond the curated set: the rest of the
+  // network's counters and its latency timer, and every per-type wire
+  // counter.
   for (const char* name : {"net.dropped", "net.duplicated", "net.corrupted",
                            "net.inversions"}) {
     fnv.mix(merged.counter(name).value());

@@ -307,7 +307,7 @@ TEST(StrProtocol, NoLiveTransactionsLeftAfterQuiescence) {
   auto& coord = cluster.node(0).coordinator();
   for (int i = 0; i < 5; ++i) {
     probes.push_back(std::make_unique<TxProbe>());
-    test::run_rmw(cluster, coord, {key_at(0, 1)}, "v" + std::to_string(i),
+    test::run_rmw(cluster, coord, {key_at(0, 1)}, test::numbered("v", i),
                   *probes.back());
     cluster.run_for(msec(3));
   }

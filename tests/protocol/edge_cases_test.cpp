@@ -304,7 +304,7 @@ TEST(EdgeCases, CommitTimestampsAreOrderedPerKey) {
   std::vector<std::unique_ptr<TxProbe>> probes;
   for (int i = 0; i < 20; ++i) {
     probes.push_back(std::make_unique<TxProbe>());
-    test::run_rmw(cluster, coord, {key_at(0, 1)}, "v" + std::to_string(i + 1),
+    test::run_rmw(cluster, coord, {key_at(0, 1)}, test::numbered("v", i + 1),
                   *probes.back());
     cluster.run_for(msec(7));
   }

@@ -235,7 +235,7 @@ TEST(Recovery, HeavyDropsAndDupsKeepReplicasConverged) {
       probes.push_back(std::make_unique<TxProbe>());
       test::run_write(cluster, cluster.node(n).coordinator(),
                       {key_at((n + 1) % 3, 1)},
-                      "r" + std::to_string(round) + "n" + std::to_string(n),
+                      test::numbered("r", round).append(test::numbered("n", n)),
                       *probes.back());
       cluster.run_for(msec(250));
     }

@@ -142,7 +142,7 @@ TEST(Reordering, HighJitterRunStaysCorrect) {
   std::vector<std::unique_ptr<test::TxProbe>> probes;
   for (int i = 0; i < 30; ++i) {
     probes.push_back(std::make_unique<test::TxProbe>());
-    test::run_rmw(cluster, coord, {key_at(0, 1)}, "v" + std::to_string(i),
+    test::run_rmw(cluster, coord, {key_at(0, 1)}, test::numbered("v", i),
                   *probes.back());
     cluster.run_for(msec(5));
   }

@@ -2,6 +2,8 @@
 // canned transaction bodies written as parameterized coroutines.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "protocol/cluster.hpp"
@@ -9,6 +11,13 @@
 #include "sim/coro.hpp"
 
 namespace str::test {
+
+/// `prefix` followed by the decimal `n` ("v", 3 gives "v3"). Appended
+/// piecewise: GCC 12 at -O3 reports a false -Wrestrict inside
+/// `"literal" + std::to_string(n)`.
+inline std::string numbered(const char* prefix, std::uint64_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
 
 /// Symmetric-WAN cluster: n nodes in n regions, `rtt` apart, rf replicas.
 inline protocol::Cluster::Config small_config(

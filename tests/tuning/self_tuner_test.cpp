@@ -46,17 +46,17 @@ TunerRun run_tuner(const workload::SyntheticConfig& wcfg, std::uint64_t seed,
   out.speculation = tuner.speculation_chosen();
   out.trials = tuner.trials_run();
   out.decided_at = tuner.decided_at();
-  out.commits = cluster.metrics().commit_meter().total();
+  out.commits = cluster.lifetime_commits();
   pool.request_stop_all();
   cluster.run_for(sec(2));
   return out;
 }
 
 TEST(SelfTuner, SameTrialsAndDecisionAtOneAndFourWorkers) {
-  // The tuner sleeps in global tasks: every meter read and every
+  // The tuner sleeps in global tasks: every commit-total read and every
   // speculation flip happens with all shards stopped at one instant, so the
   // worker count cannot move its decision. Re-tuning is on so the CUSUM's
-  // trailing-window rate() reads are covered too.
+  // per-interval rate reads are covered too.
   const TunerRun one =
       run_tuner(workload::SyntheticConfig::synth_a(), 4, 0.05, 1);
   const TunerRun four =

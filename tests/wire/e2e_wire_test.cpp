@@ -177,9 +177,9 @@ TEST(WireE2E, QuorumFramesAreCountedAndSumToNetworkTotals) {
 }
 
 TEST(WireE2E, QuorumCountersAbsentWhenQuorumOff) {
-  // Differential neutrality at the metrics layer: with the quorum off, the
-  // new per-type counters must not even exist — registries are compared
-  // byte-for-byte against pre-quorum goldens.
+  // With the quorum off no decision frame is ever sent: the per-type
+  // counters are registered with every node (every run exports the same
+  // instruments) and stay zero, and so does the lost-commit counter.
   Cluster::Config cfg =
       test::small_config(3, 2, ProtocolConfig::str(), msec(50), 5);
   cfg.wire_codec = true;
@@ -192,9 +192,14 @@ TEST(WireE2E, QuorumCountersAbsentWhenQuorumOff) {
   cluster.run_for(sec(2));
   ASSERT_TRUE(w.done);
   const obs::Registry merged = cluster.merged_obs();
-  EXPECT_EQ(merged.find_counter("wire.msgs.decision_replicate"), nullptr);
-  EXPECT_EQ(merged.find_counter("wire.msgs.decision_replicate_ack"), nullptr);
-  EXPECT_EQ(merged.find_counter("recovery.lost_commits"), nullptr);
+  for (const char* name :
+       {"wire.msgs.decision_replicate", "wire.msgs.decision_replicate_ack",
+        "wire.bytes.decision_replicate", "wire.bytes.decision_replicate_ack",
+        "recovery.lost_commits"}) {
+    const obs::Counter* c = merged.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), 0u) << name;
+  }
 }
 
 TEST(WireE2E, WriteResultsAreReadableThroughTheWire) {
