@@ -17,13 +17,14 @@
 //
 // The human-readable output ends with two blocks that are not part of the
 // JSON. "Memory by structure" is the heap the key tables (entry arena, key
-// index, spilled version chains), the actors' tombstone tables and the
-// latency histograms hold at the end of the run, and the heap in use right
-// after the Cluster constructor. "Lattice split" is where the measurement
-// window's wall time went on each worker of the region-sharded scheduler:
-// executing shard windows, installing cross-shard mailboxes when a window
-// starts, and waiting at the epoch barrier; plus the control thread's
-// serial work between windows (global tasks and serial installs).
+// index, spilled version chains), the actors' tombstone tables, the latency
+// histograms and the write payloads hold at the end of the run, and the
+// heap in use right after the Cluster constructor. "Lattice split" is where
+// the measurement window's wall time went on each worker of the
+// region-sharded scheduler: executing shard windows, installing cross-shard
+// mailboxes when a window starts, and waiting at the epoch barrier; plus
+// the control thread's serial work between windows (global tasks and serial
+// installs).
 //
 // The numbers are written to BENCH_CORE.json; the copy committed at the
 // repo root is the regression baseline that CI's bench-smoke job compares
@@ -44,6 +45,7 @@
 // Usage: bench_core_speed [--quick] [--threads N] [--out PATH]
 //                         [--duration SEC] [--seed N]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -54,6 +56,7 @@
 
 #include <malloc.h>
 #include <sys/resource.h>
+#include <unordered_set>
 #include <vector>
 
 #include "protocol/cluster.hpp"
@@ -74,34 +77,57 @@ namespace {
 thread_local std::uint64_t t_allocs = 0;
 thread_local std::uint64_t t_alloc_bytes = 0;
 
-void* counted_alloc(std::size_t size) {
+void* try_alloc(std::size_t size) noexcept {
   ++t_allocs;
   t_alloc_bytes += size;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* try_alloc(std::size_t size, std::align_val_t align) noexcept {
+  ++t_allocs;
+  t_alloc_bytes += size;
+  const auto a = static_cast<std::size_t>(align);
+  void* p = nullptr;
+  if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a,
+                     size == 0 ? a : size) != 0) {
+    return nullptr;
+  }
   return p;
 }
 
-void* counted_alloc(std::size_t size, std::size_t align) {
-  ++t_allocs;
-  t_alloc_bytes += size;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     size == 0 ? align : size) != 0) {
-    throw std::bad_alloc();
-  }
+template <class... Align>
+void* counted_alloc(std::size_t size, Align... align) {
+  void* p = try_alloc(size, align...);
+  if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
+// Every replaceable form, the nothrow ones too: under AddressSanitizer a
+// form left out is the sanitizer's, and its blocks would meet the free()
+// below (std::stable_sort's buffer is one).
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, static_cast<std::size_t>(align));
+  return counted_alloc(size, align);
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, static_cast<std::size_t>(align));
+  return counted_alloc(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return try_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return try_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return try_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return try_alloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -113,6 +139,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -156,7 +194,24 @@ struct MemoryByStructure {
   std::uint64_t tombstones = 0;
   std::uint64_t histogram_bytes = 0;
   std::uint64_t histograms = 0;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t payloads = 0;
 };
+
+/// glibc's chunk for a malloc request of `n` bytes: 8 B of header, 16 B
+/// granules, 32 B at least.
+std::uint64_t heap_chunk(std::uint64_t n) {
+  return std::max<std::uint64_t>(32, (n + 8 + 15) & ~std::uint64_t{15});
+}
+
+/// Heap of one payload from make_shared<const Value>: one block holding
+/// the reference counts (with libstdc++'s vtable pointer) and the string,
+/// plus the string's own buffer once it outgrows the inline one.
+std::uint64_t payload_heap(const Value& v) {
+  std::uint64_t bytes = heap_chunk(2 * sizeof(void*) + sizeof(Value));
+  if (v.capacity() > Value().capacity()) bytes += heap_chunk(v.capacity() + 1);
+  return bytes;
+}
 
 MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
   MemoryByStructure m;
@@ -176,6 +231,23 @@ MemoryByStructure memory_by_structure(protocol::Cluster& cluster) {
       m.tombstones += actor->tombstone_count();
     }
   }
+  // Write payloads: each distinct one once, however many replicas' versions
+  // and cache partitions share it.
+  std::unordered_set<const Value*> payloads;
+  const auto count_payloads = [&](const store::PartitionStore& s) {
+    s.for_each_version_sorted([&](Key, const store::Version& v) {
+      if (v.value && payloads.insert(v.value.get()).second) {
+        m.payload_bytes += payload_heap(*v.value);
+      }
+    });
+  };
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    for (const auto& [pid, actor] : cluster.node(n).replicas()) {
+      count_payloads(actor->store());
+    }
+    count_payloads(cluster.node(n).cache().store());
+  }
+  m.payloads = payloads.size();
   return m;
 }
 
@@ -358,6 +430,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mem.tombstones));
   std::printf("    histograms      %12.2f (%llu)\n", mb(mem.histogram_bytes),
               static_cast<unsigned long long>(mem.histograms));
+  std::printf("    write payloads  %12.2f (%llu)\n", mb(mem.payload_bytes),
+              static_cast<unsigned long long>(mem.payloads));
   std::printf("    heap after ctor %12.2f\n", mb(ctor_heap));
   std::printf("  lattice split (s, measurement window)\n");
   auto secs = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e9; };

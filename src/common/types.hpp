@@ -11,6 +11,8 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace str {
 
@@ -69,12 +71,24 @@ using Key = std::uint64_t;
 /// Values are opaque byte strings; workloads serialize records into them.
 using Value = std::string;
 
-/// Shared immutable payload handle. A write's value is heap-allocated once
-/// at the coordinator and then aliased by every message, version-chain entry
-/// and read result that carries it — in a real system these would all point
-/// at the same serialized buffer. Decoded wire frames find it again by the
-/// write's identity (wire/payload_table.hpp). Empty handle = "no payload".
+/// Shared immutable payload handle. A write's value is heap-allocated once,
+/// by the workload (TxnHandle::write), and then aliased by the write buffer
+/// and every message, version-chain entry and read result that carries it —
+/// in a real system these would all point at the same serialized buffer.
+/// Decoded wire frames find it again by the write's identity
+/// (wire/payload_table.hpp). Empty handle = "no payload".
 using SharedValue = std::shared_ptr<const Value>;
+
+/// A transaction's updates for one partition: (key, payload) pairs in write
+/// order. The payloads are the workload's own handles, never copied.
+using UpdateList = std::vector<std::pair<Key, SharedValue>>;
+
+/// Write-set payload carried by prepare/replicate messages. Built once per
+/// transaction and partition, then shared by every message of the fan-out
+/// (and by duplicated deliveries of the same message), so it is immutable
+/// by construction — in a real system this would be the serialized wire
+/// bytes, which are equally share-and-forget.
+using SharedUpdates = std::shared_ptr<const UpdateList>;
 
 /// Lifecycle of a data item version (and of the transaction that wrote it).
 ///

@@ -94,7 +94,7 @@ Cluster::Cluster(Config config)
   Rng skew_rng = master_rng_.fork(0x5c3b);
   nodes_.reserve(config_.num_nodes);
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
-    const RegionId region = id % config_.topology.num_regions();
+    const RegionId region = region_of(id);
     net_.register_node(id, region);
     const Timestamp skew =
         config_.max_clock_skew == 0

@@ -93,10 +93,13 @@ class Cluster {
   sim::Scheduler& scheduler() { return sharded_.current(); }
   sim::ShardedScheduler& sharded() { return sharded_; }
 
-  /// Shard hosting `id`: its region.
-  std::uint32_t shard_of(NodeId id) const {
+  /// Region of node `id` (nodes are dealt round-robin over the regions).
+  RegionId region_of(NodeId id) const {
     return id % config_.topology.num_regions();
   }
+
+  /// Shard hosting `id`: its region.
+  std::uint32_t shard_of(NodeId id) const { return region_of(id); }
 
   /// Run `fn` in node `id`'s shard context (events it schedules land on the
   /// node's queue). Callable only while the simulation is NOT running —

@@ -12,20 +12,79 @@ namespace str::protocol {
 
 namespace {
 
-txn::ReadResult own_write_result(const Value& value, const TxId& self,
+txn::ReadResult own_write_result(const SharedValue& value, const TxId& self,
                                  Timestamp rs) {
   txn::ReadResult r;
   r.found = true;
-  r.value = value;
+  if (value) r.value = *value;
   r.writer = self;
   r.version_ts = rs;
   return r;
 }
 
+/// The entry of `pid` in a grouped partition list; a first touch inserts it
+/// at the front (group_writes' order rule).
+template <class Parts>
+txn::TxnRecord::PartitionWrites& touch(Parts& parts, PartitionId pid) {
+  for (auto& part : parts) {
+    if (part.partition == pid) return part;
+  }
+  parts.insert(parts.begin(), txn::TxnRecord::PartitionWrites{pid, 0, {}});
+  return parts[0];
+}
+
+/// The update list of a partition the record's write set touches.
+const std::shared_ptr<UpdateList>& updates_of(const txn::TxnRecord& rec,
+                                              PartitionId pid) {
+  for (const auto& part : rec.local_parts) {
+    if (part.partition == pid) return part.updates;
+  }
+  for (const auto& part : rec.remote_parts) {
+    if (part.partition == pid) return part.updates;
+  }
+  ::str::detail::assert_fail("updates_of", __FILE__, __LINE__,
+                             "partition outside the write set");
+}
+
 }  // namespace
 
+void group_writes(txn::TxnRecord& rec, const PartitionMap& pmap,
+                  NodeId origin, bool with_updates) {
+  STR_ASSERT(!rec.grouped() && rec.cache_writes.empty());
+  std::size_t remote_writes = 0;
+  for (const auto& [key, value] : rec.writes) {
+    const PartitionId pid = PartitionMap::partition_of(key);
+    if (pmap.replicates(origin, pid)) {
+      ++touch(rec.local_parts, pid).count;
+    } else {
+      ++touch(rec.remote_parts, pid).count;
+      ++remote_writes;
+    }
+  }
+  if (!with_updates) return;
+  const auto reserve_lists = [](auto& parts) {
+    for (auto& part : parts) {
+      part.updates = std::make_shared<UpdateList>();
+      part.updates->reserve(part.count);
+    }
+  };
+  reserve_lists(rec.local_parts);
+  reserve_lists(rec.remote_parts);
+  rec.cache_writes.reserve(remote_writes);
+  for (const auto& [key, value] : rec.writes) {
+    const PartitionId pid = PartitionMap::partition_of(key);
+    if (pmap.replicates(origin, pid)) {
+      touch(rec.local_parts, pid).updates->emplace_back(key, value);
+    } else {
+      touch(rec.remote_parts, pid).updates->emplace_back(key, value);
+      rec.cache_writes.emplace_back(key, value);
+    }
+  }
+}
+
 Coordinator::Coordinator(Node& node) : node_(node) {
-  tracer_ = &node.cluster().tracer();
+  Cluster& cluster = node.cluster();
+  tracer_ = &cluster.tracer();
   obs::Registry& obs = node.obs();
   c_begins_ = &obs.counter("txn.begins");
   c_commits_ = &obs.counter("txn.commits");
@@ -51,6 +110,26 @@ Coordinator::Coordinator(Node& node) : node_(node) {
   c_spec_reads_ = &obs.counter("txn.reads.speculative");
   t_final_latency_ = &obs.timer("txn.final_latency");
   t_spec_latency_ = &obs.timer("txn.speculative_latency");
+
+  // Remote-read failover order, a pure function of the topology: each
+  // partition not replicated here, its replicas stable-sorted by one-way
+  // latency from this region (ties keep the partition map's order).
+  const PartitionMap& pmap = cluster.pmap();
+  const net::Topology& topo = cluster.network().topology();
+  read_order_at_.reserve(pmap.num_partitions() + 1);
+  read_order_at_.push_back(0);
+  for (PartitionId p = 0; p < pmap.num_partitions(); ++p) {
+    if (!pmap.replicates(node.id(), p)) {
+      const auto& replicas = pmap.replicas(p);
+      const auto row = read_order_.insert(read_order_.end(), replicas.begin(),
+                                          replicas.end());
+      std::stable_sort(row, read_order_.end(), [&](NodeId a, NodeId b) {
+        return topo.one_way(node.region(), cluster.region_of(a)) <
+               topo.one_way(node.region(), cluster.region_of(b));
+      });
+    }
+    read_order_at_.push_back(static_cast<std::uint32_t>(read_order_.size()));
+  }
 }
 
 std::string abort_counter_name(AbortReason r) {
@@ -200,24 +279,13 @@ sim::Future<txn::ReadResult> Coordinator::read(const TxId& tx, Key key) {
     }
   }
 
-  // Remote read: replicas ordered by latency (ties keep the partition map's
-  // order). The head is the first target; retries rotate through the rest
-  // (replica failover).
-  const auto& replicas = cluster.pmap().replicas(pid);
-  STR_ASSERT(!replicas.empty());
-  std::vector<NodeId> candidates(replicas.begin(), replicas.end());
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](NodeId a, NodeId b) {
-                     const auto& topo = cluster.network().topology();
-                     return topo.one_way(node_.region(),
-                                         cluster.node(a).region()) <
-                            topo.one_way(node_.region(),
-                                         cluster.node(b).region());
-                   });
+  // Remote read in the partition's failover order (read_order). The head
+  // is the first target; retries rotate through the rest.
+  const std::span<const NodeId> candidates = read_order(pid);
+  STR_ASSERT(!candidates.empty());
   const std::uint64_t req_id = next_read_id_++;
-  PendingRemoteRead pending{tx,      key, promise,
-                            rec->rs, 0,   std::move(candidates),
-                            read_span, issued_at};
+  PendingRemoteRead pending{tx,      key, promise,   rec->rs,
+                            0,       candidates, read_span, issued_at};
   auto [it2, inserted] = pending_remote_.emplace(req_id, std::move(pending));
   STR_ASSERT(inserted);
   send_read_request(req_id, it2->second);
@@ -454,6 +522,10 @@ void Coordinator::reeval_gate(txn::TxnRecord& rec) {
 }
 
 void Coordinator::write(const TxId& tx, Key key, Value value) {
+  write(tx, key, std::make_shared<const Value>(std::move(value)));
+}
+
+void Coordinator::write(const TxId& tx, Key key, SharedValue value) {
   txn::TxnRecord* rec = find(tx);
   if (rec == nullptr || rec->finished()) return;  // writes of dead txns no-op
   STR_ASSERT_MSG(rec->phase == txn::TxnPhase::Active,
@@ -485,11 +557,13 @@ void Coordinator::abort_tx(const TxId& tx, AbortReason reason,
   }
 
   // Remove this transaction's uncommitted versions from local replicas and
-  // the cache; parked readers re-route to older versions. Partition ids
-  // only — no value copies.
-  const TouchedPartitions groups = touched_partitions(rec);
-  for (const auto& [pid, updates] : groups.local) {
-    node_.replica(pid)->apply_abort(rec.id);
+  // the cache; parked readers re-route to older versions. A transaction
+  // that never asked to commit is grouped here, partition ids only.
+  if (!rec.grouped()) {
+    group_writes(rec, cluster.pmap(), node_.id(), /*with_updates=*/false);
+  }
+  for (const auto& part : rec.local_parts) {
+    node_.replica(part.partition)->apply_abort(rec.id);
   }
   node_.cache().abort_tx(rec.id);
 
@@ -501,18 +575,18 @@ void Coordinator::abort_tx(const TxId& tx, AbortReason reason,
 
   // Tell every remote replica that may hold (or later receive) our
   // pre-commits to drop them; tombstones make late arrivals harmless.
+  const auto abort_at = [&](NodeId n, const auto& parts) {
+    for (const auto& part : parts) {
+      if (!cluster.pmap().replicates(n, part.partition)) continue;
+      wire::post(cluster, node_.id(), n,
+                 AbortMessage{rec.id, part.partition, rec.trace_span});
+    }
+  };
   for (NodeId n : rec.remote_replica_nodes) {
-    for (const auto& [pid, updates] : groups.local) {
-      if (!cluster.pmap().replicates(n, pid)) continue;
-      wire::post(cluster, node_.id(), n,
-                 AbortMessage{rec.id, pid, rec.trace_span});
-    }
-    for (const auto& [pid, updates] : groups.remote) {
-      if (!cluster.pmap().replicates(n, pid)) continue;
-      wire::post(cluster, node_.id(), n,
-                 AbortMessage{rec.id, pid, rec.trace_span});
-    }
+    abort_at(n, rec.local_parts);
+    abort_at(n, rec.remote_parts);
   }
+  forget_payloads(rec);
 
   fail_outstanding_reads(rec);
 
@@ -588,58 +662,19 @@ sim::Future<txn::TxFinalResult> Coordinator::commit(const TxId& tx) {
     return promise.future();
   }
 
-  // One write-set grouping serves both certification phases; the shared
-  // per-partition lists then ride every message of the fan-out.
-  const WriteGroups groups = group_writes(*rec);
-  if (!local_certification(*rec, groups)) {
+  // One write-set grouping serves both certification phases, the abort and
+  // the apply; the shared per-partition lists ride every message of the
+  // fan-out.
+  group_writes(*rec, cluster.pmap(), node_.id(), /*with_updates=*/true);
+  if (!local_certification(*rec)) {
     return promise.future();  // aborted inside local_certification
   }
-  start_global_certification(*rec, groups);
+  start_global_certification(*rec);
   maybe_finalize(*rec);  // all-local write sets may be ready immediately
   return promise.future();
 }
 
-Coordinator::WriteGroups Coordinator::group_writes(
-    const txn::TxnRecord& rec) const {
-  WriteGroups g;
-  const Node& node = node_;
-  const PartitionMap& pmap = node.cluster().pmap();
-  for (const auto& [key, value] : rec.writes) {
-    const PartitionId pid = PartitionMap::partition_of(key);
-    // One heap payload per write; the update lists, the cache entry, every
-    // fan-out message and every replica's version chain all share it.
-    SharedValue shared = std::make_shared<Value>(value);
-    if (pmap.replicates(node.id(), pid)) {
-      auto& updates = g.local[pid];
-      if (!updates) updates = std::make_shared<UpdateList>();
-      updates->emplace_back(key, std::move(shared));
-    } else {
-      auto& updates = g.remote[pid];
-      if (!updates) updates = std::make_shared<UpdateList>();
-      updates->emplace_back(key, shared);
-      g.cache.emplace_back(key, std::move(shared));
-    }
-  }
-  return g;
-}
-
-Coordinator::TouchedPartitions Coordinator::touched_partitions(
-    const txn::TxnRecord& rec) const {
-  TouchedPartitions t;
-  const PartitionMap& pmap = node_.cluster().pmap();
-  for (const auto& [key, value] : rec.writes) {
-    const PartitionId pid = PartitionMap::partition_of(key);
-    if (pmap.replicates(node_.id(), pid)) {
-      t.local[pid] = true;
-    } else {
-      t.remote[pid] = true;
-    }
-  }
-  return t;
-}
-
-bool Coordinator::local_certification(txn::TxnRecord& rec,
-                                      const WriteGroups& groups) {
+bool Coordinator::local_certification(txn::TxnRecord& rec) {
   Cluster& cluster = node_.cluster();
   const FlatSet<TxId>* chain =
       rec.snapshot_lc_writers.empty() ? nullptr : &rec.snapshot_lc_writers;
@@ -655,21 +690,21 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
   // back by the abort path).
   Timestamp lc = rec.rs + 1;
   bool conflict = false;
-  for (const auto& [pid, updates] : groups.local) {
-    PartitionActor* actor = node_.replica(pid);
+  for (const auto& part : rec.local_parts) {
+    PartitionActor* actor = node_.replica(part.partition);
     STR_ASSERT(actor != nullptr);
     store::PrepareResult pr =
-        actor->prepare_local(rec.id, rec.rs, *updates, chain);
+        actor->prepare_local(rec.id, rec.rs, *part.updates, chain);
     if (!pr.ok) {
       conflict = true;
       break;
     }
     lc = std::max(lc, pr.proposed_ts);
   }
-  const bool use_cache = spec_active() && !groups.cache.empty();
+  const bool use_cache = spec_active() && !rec.cache_writes.empty();
   if (!conflict && use_cache) {
     store::PrepareResult pr = node_.cache().prepare(
-        rec.id, rec.rs, groups.cache, cluster.protocol().precise_clocks,
+        rec.id, rec.rs, rec.cache_writes, cluster.protocol().precise_clocks,
         node_.physical_now(), chain);
     if (!pr.ok) {
       conflict = true;
@@ -692,8 +727,8 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
   // until the final outcome (visible_at set in finalize_commit).
   rec.cert_at = cluster.now();
   if (spec_active()) rec.visible_at = rec.cert_at;
-  for (const auto& [pid, updates] : groups.local) {
-    node_.replica(pid)->apply_local_commit(rec.id, lc);
+  for (const auto& part : rec.local_parts) {
+    node_.replica(part.partition)->apply_local_commit(rec.id, lc);
   }
   if (use_cache) node_.cache().local_commit(rec.id, lc);
   if (tracer_->enabled()) {
@@ -708,7 +743,7 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
   // An unsafe transaction (updated non-local keys) pins its own read
   // snapshot into its OLCSet (Alg. 1 lines 23-24) so that anyone who reads
   // from it inherits the hazard.
-  rec.unsafe_txn = !groups.remote.empty();
+  rec.unsafe_txn = !rec.remote_parts.empty();
   if (rec.unsafe_txn && spec_active()) {
     rec.olc_set.emplace(rec.id, rec.rs);
   }
@@ -730,23 +765,14 @@ bool Coordinator::local_certification(txn::TxnRecord& rec,
   return true;
 }
 
-void Coordinator::start_global_certification(txn::TxnRecord& rec,
-                                             const WriteGroups& groups) {
+void Coordinator::start_global_certification(txn::TxnRecord& rec) {
   Cluster& cluster = node_.cluster();
   const PartitionMap& pmap = cluster.pmap();
   rec.prepares_sent_at = cluster.now();
 
-  // Gather all touched partitions (local-replicated and remote-mastered).
-  std::vector<std::pair<PartitionId, const std::shared_ptr<UpdateList>*>>
-      parts;
-  for (const auto& [pid, updates] : groups.local) {
-    parts.emplace_back(pid, &updates);
-  }
-  for (const auto& [pid, updates] : groups.remote) {
-    parts.emplace_back(pid, &updates);
-  }
-
-  for (const auto& [pid, updates] : parts) {
+  // Every touched partition: the locally replicated ones, then the others.
+  const auto certify = [&](const txn::TxnRecord::PartitionWrites& part) {
+    const PartitionId pid = part.partition;
     const auto& replicas = pmap.replicas(pid);
     for (NodeId n : replicas) {
       if (n != node_.id()) rec.remote_replica_nodes.insert(n);
@@ -767,7 +793,7 @@ void Coordinator::start_global_certification(txn::TxnRecord& rec,
         ++rec.awaiting_prepares;
         rec.prepare_expected.emplace(pid, slave);
         open_leg(slave);
-        send_replicate(rec, pid, slave, *updates);
+        send_replicate(rec, pid, slave, part.updates);
       }
     } else {
       // Remote master certifies; it replicates to its slaves, each of which
@@ -783,9 +809,11 @@ void Coordinator::start_global_certification(txn::TxnRecord& rec,
           open_leg(n);
         }
       }
-      send_prepare(rec, pid, *updates);
+      send_prepare(rec, pid, part.updates);
     }
-  }
+  };
+  for (const auto& part : rec.local_parts) certify(part);
+  for (const auto& part : rec.remote_parts) certify(part);
   // All-local write set with no remote replicas: the WAN phase is empty.
   if (rec.awaiting_prepares == 0) {
     rec.prepares_done_at = rec.prepares_sent_at;
@@ -834,7 +862,6 @@ void Coordinator::send_replicate(const txn::TxnRecord& rec, PartitionId pid,
 void Coordinator::resend_prepares(txn::TxnRecord& rec) {
   Cluster& cluster = node_.cluster();
   const PartitionMap& pmap = cluster.pmap();
-  WriteGroups groups = group_writes(rec);
   // Partitions with at least one missing ack. For partitions mastered here
   // the replicate goes straight to the silent slave; for remote-mastered
   // partitions the prepare is re-sent to the master, which re-answers
@@ -845,16 +872,14 @@ void Coordinator::resend_prepares(txn::TxnRecord& rec) {
     if (rec.prepare_acks.contains({pid, n})) continue;
     if (pmap.is_master(node_.id(), pid)) {
       c_rpc_retries_->inc();
-      send_replicate(rec, pid, n, groups.local.at(pid));
+      send_replicate(rec, pid, n, updates_of(rec, pid));
     } else {
       remote_missing.insert(pid);
     }
   }
   for (PartitionId pid : remote_missing) {
     c_rpc_retries_->inc();
-    const auto& updates = groups.local.contains(pid) ? groups.local.at(pid)
-                                                     : groups.remote.at(pid);
-    send_prepare(rec, pid, updates);
+    send_prepare(rec, pid, updates_of(rec, pid));
   }
 }
 
@@ -993,14 +1018,13 @@ void Coordinator::finalize_commit(txn::TxnRecord& rec) {
     r->wal_decision_end =
         decision_wal_->append(std::move(frame), std::move(on_decided));
   };
-  const TouchedPartitions groups = touched_partitions(rec);
-  if (groups.local.empty()) {
+  if (rec.local_parts.empty()) {
     on_writes_durable();
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(groups.local.size());
-  for (const auto& [pid, updates] : groups.local) {
-    node_.replica(pid)->log_commit(
+  auto remaining = std::make_shared<std::size_t>(rec.local_parts.size());
+  for (const auto& part : rec.local_parts) {
+    node_.replica(part.partition)->log_commit(
         tx, ct, [remaining, next = on_writes_durable]() mutable {
           if (--*remaining == 0) next();
         });
@@ -1022,14 +1046,12 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
   }
 
   // Apply locally: flip local-committed versions to committed, drop the
-  // cached remote-key copies (Alg. 1 line 44). Only partition ids are
-  // needed from here on — not the values, so skip the write-set copy.
-  const TouchedPartitions groups = touched_partitions(rec);
-  for (const auto& [pid, updates] : groups.local) {
+  // cached remote-key copies (Alg. 1 line 44).
+  for (const auto& part : rec.local_parts) {
     // In WAL mode the durability barrier already logged the commit record.
-    node_.replica(pid)->apply_commit(rec.id, ct,
-                                     /*already_logged=*/decision_wal_ !=
-                                         nullptr);
+    node_.replica(part.partition)
+        ->apply_commit(rec.id, ct,
+                       /*already_logged=*/decision_wal_ != nullptr);
   }
   node_.cache().final_commit(rec.id);
 
@@ -1037,20 +1059,18 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
   resolve_dependents_on_commit(rec);
 
   // Fan the decision out to every remote replica of an updated partition.
-  for (const auto& [pid, updates] : groups.local) {
-    for (NodeId n : cluster.pmap().replicas(pid)) {
-      if (n == node_.id()) continue;
-      wire::post(cluster, node_.id(), n,
-                 CommitMessage{rec.id, pid, ct, rec.trace_span});
+  const auto commit_at = [&](const auto& parts) {
+    for (const auto& part : parts) {
+      for (NodeId n : cluster.pmap().replicas(part.partition)) {
+        if (n == node_.id()) continue;
+        wire::post(cluster, node_.id(), n,
+                   CommitMessage{rec.id, part.partition, ct, rec.trace_span});
+      }
     }
-  }
-  for (const auto& [pid, updates] : groups.remote) {
-    for (NodeId n : cluster.pmap().replicas(pid)) {
-      if (n == node_.id()) continue;
-      wire::post(cluster, node_.id(), n,
-                 CommitMessage{rec.id, pid, ct, rec.trace_span});
-    }
-  }
+  };
+  commit_at(rec.local_parts);
+  commit_at(rec.remote_parts);
+  forget_payloads(rec);
 
   if (auto* h = cluster.history()) {
     verify::WriteSetEvent ev;
@@ -1445,6 +1465,13 @@ void Coordinator::maintain(Timestamp now) {
       }
       decision_wal_->rewrite(std::move(log));
     }
+  }
+}
+
+void Coordinator::forget_payloads(const txn::TxnRecord& rec) {
+  Cluster& cluster = node_.cluster();
+  if (cluster.wire_mode() && !rec.remote_replica_nodes.empty()) {
+    cluster.payloads().forget(rec.id, rec.writes);
   }
 }
 

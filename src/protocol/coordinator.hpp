@@ -26,13 +26,16 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "protocol/messages.hpp"
+#include "protocol/partition_map.hpp"
 #include "sim/coro.hpp"
 #include "storage/decision_log.hpp"
 #include "storage/wal.hpp"
@@ -46,6 +49,25 @@ class Node;
 /// Registry name of the per-reason abort counter: "txn.aborts.<reason>",
 /// the reason spelled as to_string(r) with '_' for '-'.
 std::string abort_counter_name(AbortReason r);
+
+/// Group `rec`'s write set by partition into `rec.local_parts` (partitions
+/// replicated at `origin`), `rec.remote_parts` (the others) and, with
+/// `with_updates`, `rec.cache_writes`. The lists must be empty.
+///
+/// Order rule: each list holds its partitions newest first touch first — a
+/// partition's first write puts it at the front. This order drives every
+/// fan-out (local certification, prepares and replicates, commit and abort
+/// messages), so it is part of the determinism contract
+/// (docs/PERFORMANCE.md). When every partition id is below 13 it equals the
+/// iteration order of a default libstdc++ std::unordered_map<PartitionId,
+/// ...> filled in write order (tests/protocol/fanout_order_test.cpp).
+///
+/// With `with_updates`, each partition's writes (payload handles, in write
+/// order) go into one list reserved to their exact number. Without, only
+/// partition ids and counts are set: an abort before the commit request
+/// needs no more.
+void group_writes(txn::TxnRecord& rec, const PartitionMap& pmap,
+                  NodeId origin, bool with_updates);
 
 class Coordinator {
  public:
@@ -61,7 +83,10 @@ class Coordinator {
   /// the speculation gate admits it (or immediately with aborted=true).
   sim::Future<txn::ReadResult> read(const TxId& tx, Key key);
 
-  /// Buffered write (visible to this transaction's own reads only).
+  /// Buffered write (visible to this transaction's own reads only). The
+  /// handle itself is stored and later shared by every replica of the
+  /// write; the Value overload wraps its argument once.
+  void write(const TxId& tx, Key key, SharedValue value);
   void write(const TxId& tx, Key key, Value value);
 
   /// Request commit; the future resolves at the final outcome.
@@ -221,34 +246,12 @@ class Coordinator {
   /// Re-check parked gate waiters after OLCSet/FFC changed.
   void reeval_gate(txn::TxnRecord& rec);
 
-  /// Partitions of the write set replicated at this node, with the updates
-  /// grouped; and the remote-key subset for the cache partition. The
-  /// per-partition lists are heap-shared so the whole prepare/replicate
-  /// fan-out (and any duplicated delivery) carries one copy of the values.
-  struct WriteGroups {
-    std::unordered_map<PartitionId, std::shared_ptr<UpdateList>> local;
-    std::unordered_map<PartitionId, std::shared_ptr<UpdateList>> remote;
-    UpdateList cache;  ///< keys not replicated here
-  };
-  WriteGroups group_writes(const txn::TxnRecord& rec) const;
+  /// Synchronous local certification over the record's grouped write set
+  /// (group_writes, at the commit request); returns false (and aborts) on
+  /// conflict. On success the transaction is LocalCommitted.
+  bool local_certification(txn::TxnRecord& rec);
 
-  /// Just the touched partition ids (same first-touch insertion order as
-  /// group_writes, hence the map: identical iteration order matters for
-  /// deterministic message ordering). For the commit/abort fan-outs, which
-  /// never look at the values.
-  struct TouchedPartitions {
-    std::unordered_map<PartitionId, bool> local;
-    std::unordered_map<PartitionId, bool> remote;
-  };
-  TouchedPartitions touched_partitions(const txn::TxnRecord& rec) const;
-
-  /// Synchronous local certification; returns false (and aborts) on
-  /// conflict. On success the transaction is LocalCommitted. `groups` is
-  /// computed once in commit() and shared with the global phase.
-  bool local_certification(txn::TxnRecord& rec, const WriteGroups& groups);
-
-  void start_global_certification(txn::TxnRecord& rec,
-                                  const WriteGroups& groups);
+  void start_global_certification(txn::TxnRecord& rec);
 
   /// Commit once prepares are in and dependencies resolved (SPSI-4).
   void maybe_finalize(txn::TxnRecord& rec);
@@ -271,6 +274,14 @@ class Coordinator {
 
   void deliver_outcome(txn::TxnRecord& rec);
 
+  /// Wire mode: drop the payload-table entries the attempt's prepares and
+  /// replicates recorded (wire/payload_table.hpp). At the final outcome
+  /// every expected receiver has decoded its frame, and the payload may
+  /// outlive the attempt (a workload shares one across the attempts of a
+  /// transaction), so the entries would otherwise stay for as long as any
+  /// version of the transaction does.
+  void forget_payloads(const txn::TxnRecord& rec);
+
   /// Fulfill every outstanding read with aborted=true.
   void fail_outstanding_reads(txn::TxnRecord& rec);
 
@@ -285,10 +296,18 @@ class Coordinator {
     // Retry state (RecoveryConfig; unused when recovery is disabled).
     Timestamp rs = 0;
     std::uint32_t attempts = 0;
-    std::vector<NodeId> candidates;  ///< replicas by latency (failover order)
-    std::uint64_t read_span = 0;     ///< open Read span (0 = untraced)
+    std::span<const NodeId> candidates;  ///< the partition's read_order row
+    std::uint64_t read_span = 0;         ///< open Read span (0 = untraced)
     Timestamp issued_at = 0;
   };
+
+  /// Failover order of a remote read of `pid`: its replicas by one-way
+  /// latency from this node's region, ties in partition-map order. Empty
+  /// for partitions replicated here, which are read locally.
+  std::span<const NodeId> read_order(PartitionId pid) const {
+    return {read_order_.data() + read_order_at_[pid],
+            read_order_.data() + read_order_at_[pid + 1]};
+  }
 
   /// Dispatch the read to its current candidate replica (retries rotate
   /// through `candidates`, skipping nodes known down).
@@ -352,6 +371,10 @@ class Coordinator {
   /// allocation-free in steady state. Records are reset() on release.
   std::vector<std::unique_ptr<txn::TxnRecord>> record_pool_;
   std::unordered_map<std::uint64_t, PendingRemoteRead> pending_remote_;
+  /// read_order() rows, one per partition, built at construction: row p is
+  /// read_order_[read_order_at_[p], read_order_at_[p + 1]).
+  std::vector<NodeId> read_order_;
+  std::vector<std::uint32_t> read_order_at_;
 
   /// Durable decision log (the WAL-with-data assumption, docs/FAULTS.md):
   /// survives crashes, answers DecisionRequests, pruned by retention.
@@ -379,8 +402,14 @@ class TxnHandle {
   TxnHandle(Coordinator* coord, TxId id) : coord_(coord), id_(id) {}
 
   sim::Future<txn::ReadResult> read(Key key) { return coord_->read(id_, key); }
-  void write(Key key, Value value) {
+  /// Buffer a write of `value`; the handle is shared, never copied, by every
+  /// replica of the write.
+  void write(Key key, SharedValue value) {
     coord_->write(id_, key, std::move(value));
+  }
+  /// Wraps `value` in a payload handle once.
+  void write(Key key, Value value) {
+    write(key, std::make_shared<const Value>(std::move(value)));
   }
   sim::Future<txn::TxFinalResult> commit() { return coord_->commit(id_); }
   void abort() { coord_->user_abort(id_); }

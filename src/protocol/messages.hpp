@@ -16,17 +16,9 @@
 
 namespace str::protocol {
 
-/// A transaction's updates for one partition: (key, new value) pairs in
-/// write order. Values are shared handles — the payload string is allocated
-/// once per write at the coordinator.
-using UpdateList = std::vector<std::pair<Key, SharedValue>>;
-
-/// Write-set payload carried by prepare/replicate messages. Built once per
-/// transaction and partition, then shared by every message of the fan-out
-/// (and by duplicated deliveries of the same message), so it is immutable
-/// by construction — in a real system this would be the serialized wire
-/// bytes, which are equally share-and-forget.
-using SharedUpdates = std::shared_ptr<const UpdateList>;
+// A partition's update list and its shared handle (common/types.hpp).
+using str::SharedUpdates;
+using str::UpdateList;
 
 struct ReadRequest {
   TxId reader;

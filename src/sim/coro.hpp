@@ -11,17 +11,22 @@
 //                 event ordering stays deterministic and stacks stay flat.
 //   Delay       — co_await scheduler.sleep(d) suspends for d virtual time.
 //
-// All of this is single-threaded: one Scheduler drives one simulation, so no
-// atomics or locks are needed (and none are used).
+// All of this is single-threaded: a promise state is only touched by the
+// code of the shard that created it and by global tasks, which run between
+// windows behind the lattice's barrier, so no atomics or locks are needed
+// (and none are used). Promise states and Fiber frames come from per-thread free
+// lists (sim/block_pool.hpp), so a read, a commit wait or a transaction
+// attempt allocates nothing once the lists are warm.
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "sim/block_pool.hpp"
 #include "sim/scheduler.hpp"
 
 namespace str::sim {
@@ -35,6 +40,14 @@ struct Fiber {
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
     void unhandled_exception() { std::terminate(); }
+
+    // The frame comes from the pool; the compiler passes its size to both.
+    static void* operator new(std::size_t size) {
+      return BlockPool::allocate(size);
+    }
+    static void operator delete(void* p, std::size_t size) noexcept {
+      BlockPool::deallocate(p, size);
+    }
   };
 };
 
@@ -48,7 +61,15 @@ struct SharedState {
   Scheduler* scheduler = nullptr;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
+  std::uint32_t refs = 1;  ///< StateRef holders
   bool waiter_scheduled = false;
+
+  static void* operator new(std::size_t size) {
+    return BlockPool::allocate(size);
+  }
+  static void operator delete(void* p, std::size_t size) noexcept {
+    BlockPool::deallocate(p, size);
+  }
 
   void deliver() {
     STR_ASSERT(value.has_value());
@@ -63,6 +84,38 @@ struct SharedState {
   }
 };
 
+/// Counted handle on a SharedState: a shared_ptr without the atomic counts
+/// (see the file comment) and without a separate control block.
+template <class T>
+class StateRef {
+ public:
+  StateRef() = default;
+  /// Adopts a fresh state's initial count.
+  explicit StateRef(SharedState<T>* s) : s_(s) {}
+  StateRef(const StateRef& other) : s_(other.s_) {
+    if (s_ != nullptr) ++s_->refs;
+  }
+  StateRef(StateRef&& other) noexcept : s_(std::exchange(other.s_, nullptr)) {}
+  StateRef& operator=(StateRef other) noexcept {
+    std::swap(s_, other.s_);
+    return *this;
+  }
+  ~StateRef() {
+    if (s_ != nullptr && --s_->refs == 0) destroy(s_);
+  }
+
+  SharedState<T>* operator->() const { return s_; }
+  SharedState<T>* get() const { return s_; }
+
+ private:
+  /// Out of line, so GCC's -Wuse-after-free does not take another handle's
+  /// later use of the same state for a use of the freed one: inlined, the
+  /// delete looks possible on a path where the count has not reached zero.
+  [[gnu::noinline]] static void destroy(SharedState<T>* s) { delete s; }
+
+  SharedState<T>* s_ = nullptr;
+};
+
 }  // namespace detail
 
 /// Awaitable side of the rendezvous. Movable; exactly one consumer may
@@ -72,11 +125,11 @@ class Future {
  public:
   Future() = default;
 
-  bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ && state_->value.has_value(); }
+  bool valid() const { return state_.get() != nullptr; }
+  bool ready() const { return valid() && state_->value.has_value(); }
 
   bool await_ready() const noexcept {
-    STR_ASSERT_MSG(state_ != nullptr, "awaiting invalid Future");
+    STR_ASSERT_MSG(valid(), "awaiting invalid Future");
     return state_->value.has_value();
   }
 
@@ -101,10 +154,9 @@ class Future {
   template <class U>
   friend class Promise;
 
-  explicit Future(std::shared_ptr<detail::SharedState<T>> s)
-      : state_(std::move(s)) {}
+  explicit Future(detail::StateRef<T> s) : state_(std::move(s)) {}
 
-  std::shared_ptr<detail::SharedState<T>> state_;
+  detail::StateRef<T> state_;
 };
 
 /// Producer side. Copyable so it can be captured into message closures that
@@ -113,7 +165,7 @@ template <class T>
 class Promise {
  public:
   explicit Promise(Scheduler& sched)
-      : state_(std::make_shared<detail::SharedState<T>>()) {
+      : state_(new detail::SharedState<T>()) {
     state_->scheduler = &sched;
   }
 
@@ -136,7 +188,7 @@ class Promise {
   }
 
  private:
-  std::shared_ptr<detail::SharedState<T>> state_;
+  detail::StateRef<T> state_;
 };
 
 /// Awaitable virtual-time sleep.

@@ -51,6 +51,9 @@ class CachePartition {
 
   StoreStats stats() const { return store_.stats(); }
 
+  /// The versions held here (inspection).
+  const PartitionStore& store() const { return store_; }
+
  private:
   PartitionStore store_;
 };

@@ -32,6 +32,9 @@ void TxnRecord::reset() {
   trace_span = 0;
   leg_spans.clear();
   writes.clear();
+  local_parts.clear();
+  remote_parts.clear();
+  cache_writes.clear();
   olc_set.clear();
   ffc = 0;
   unresolved_deps.clear();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/flat_set.hpp"
+#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "sim/coro.hpp"
 
@@ -97,11 +98,32 @@ struct TxnRecord {
   }
 
   // -- write buffer -------------------------------------------------------
-  /// (key, value) pairs in first-write order (deterministic iteration);
+  /// (key, payload) pairs in first-write order (deterministic iteration);
   /// keys unique, re-writes overwrite in place. Write sets are small, so
   /// lookups are a linear scan and the buffer is one flat allocation that
-  /// pooled records reuse.
-  std::vector<std::pair<Key, Value>> writes;
+  /// pooled records reuse. The payloads are the workload's handles.
+  UpdateList writes;
+
+  /// One partition's share of the write set.
+  struct PartitionWrites {
+    PartitionId partition = kInvalidPartition;
+    std::uint32_t count = 0;  ///< writes to the partition
+    /// The writes in first-write order, in one list reserved to `count`
+    /// and shared by every message of the fan-out; null when the set was
+    /// grouped for an abort only.
+    std::shared_ptr<UpdateList> updates;
+  };
+  /// The write set grouped by partition (protocol::group_writes), once per
+  /// transaction: `local_parts` are the partitions replicated at the
+  /// origin, `remote_parts` the others, each newest first touch first;
+  /// `cache_writes` are the remote partitions' writes in write order. The
+  /// certification fan-out, the abort and the apply all walk these lists.
+  SmallVec<PartitionWrites, 4> local_parts;
+  SmallVec<PartitionWrites, 2> remote_parts;
+  UpdateList cache_writes;
+
+  /// Grouped already (an empty write set never needs the lists).
+  bool grouped() const { return !local_parts.empty() || !remote_parts.empty(); }
 
   // -- SPSI speculation-safety state (Alg. 1) -----------------------------
   /// OLCSet: writer -> recorded OLC value. Only finite entries are stored;

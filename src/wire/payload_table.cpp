@@ -23,6 +23,11 @@ void PayloadTable::record(const TxId& writer, Key key,
   entry = value;
 }
 
+void PayloadTable::forget(const TxId& writer, const UpdateList& writes) {
+  auto lk = lock();
+  for (const auto& [key, value] : writes) entries_.erase(WriteId{writer, key});
+}
+
 void PayloadTable::sweep() {
   auto lk = lock();
   entries_.erase_if(

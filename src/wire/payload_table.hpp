@@ -1,6 +1,6 @@
 // Write-identity payload table: one heap payload per write on the wire path.
 //
-// A write's value is allocated once, at the coordinator. Closure mode hands
+// A write's value is allocated once, by the workload. Closure mode hands
 // that one `SharedValue` to every message, replica version and read result.
 // In wire mode each receiver rebuilds the value from frame bytes, so without
 // help every replica of a write (rf of them) would hold its own copy. This
@@ -15,7 +15,10 @@
 // A live payload is handed back only when its bytes equal the frame's, so
 // the table can never change what a receiver sees; otherwise a fresh
 // payload is allocated and recorded in its place. Entries hold weak
-// references, so the table never keeps a value alive; `sweep()` drops the
+// references, so the table never keeps a value alive. The table holds the
+// writes in flight: `forget()` drops a transaction's entries at its final
+// outcome (its coordinator), because its payload may live on in stored
+// versions and in the transaction's later attempts; `sweep()` drops the
 // entries whose payload has been freed (Cluster's maintenance tick).
 //
 // The table is shared by every shard of a cluster. Its mutex is taken only
@@ -46,6 +49,10 @@ class PayloadTable {
   /// Record a sender's (non-null) payload for write (writer, key). A live
   /// recorded payload with the same bytes stays: receivers may share it.
   void record(const TxId& writer, Key key, const SharedValue& value);
+
+  /// Drop the entries of `writer`'s writes (its coordinator, at the final
+  /// outcome). A frame of the attempt decoded later gets a copy of its own.
+  void forget(const TxId& writer, const UpdateList& writes);
 
   /// Drop every entry whose payload has been freed.
   void sweep();

@@ -14,9 +14,10 @@ namespace {
 using protocol::PartitionMap;
 
 /// One synthetic transaction: RMW over a fixed key list (or read-only).
+/// Every write of every attempt shares the program's one payload.
 class SyntheticTxn final : public TxnProgram {
  public:
-  SyntheticTxn(std::vector<Key> keys, Value payload, bool read_only)
+  SyntheticTxn(std::vector<Key> keys, SharedValue payload, bool read_only)
       : keys_(std::move(keys)), payload_(std::move(payload)),
         read_only_(read_only) {}
 
@@ -35,7 +36,7 @@ class SyntheticTxn final : public TxnProgram {
 
  private:
   std::vector<Key> keys_;
-  Value payload_;
+  SharedValue payload_;
   bool read_only_;
 };
 
@@ -124,8 +125,14 @@ std::shared_ptr<TxnProgram> SyntheticWorkload::next(NodeId node, Rng& rng) {
   }
   const bool read_only = config_.read_only_fraction > 0.0 &&
                          rng.chance(config_.read_only_fraction);
-  return std::make_shared<SyntheticTxn>(std::move(keys),
-                                        Value(config_.value_size, 'w'),
+  // One payload per program, shared by every write and retry of it. Not one
+  // per run: each transaction of a real workload writes values of its own,
+  // and a run-wide payload would take the stored values out of the memory
+  // a run measures.
+  SharedValue payload =
+      read_only ? nullptr
+                : std::make_shared<const Value>(config_.value_size, 'w');
+  return std::make_shared<SyntheticTxn>(std::move(keys), std::move(payload),
                                         read_only);
 }
 

@@ -1,10 +1,11 @@
 // Payload sharing on the wire path (wire/payload_table.hpp): frames that
 // carry one write decode to one payload, a payload the sender recorded is
 // reused, read replies resolve to the stored version's payload, bytes that
-// differ never share, and the sweep drops entries once payloads are freed.
-// The cluster test checks the end result: after a replicated write commits,
-// every replica's version aliases the coordinator's payload in wire mode, as
-// it always has in closure mode.
+// differ never share, the sweep drops entries once payloads are freed, and
+// forget drops a finished writer's entries. The cluster tests check the end
+// result: after a replicated write commits, every replica's version aliases
+// the coordinator's payload in wire mode, as it always has in closure mode,
+// and the table keeps no entry for it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -185,6 +186,24 @@ TEST(PayloadTable, SweepEmptiesTheTableOnceThePayloadsAreFreed) {
   EXPECT_EQ(payloads.size(), 0u);
 }
 
+TEST(PayloadTable, ForgetDropsOnlyThatWritersEntries) {
+  PayloadTable payloads;
+  const auto mine = decode<protocol::PrepareRequest>(
+      encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
+  const auto other = decode<protocol::ReadReply>(
+      encode_frame(read_reply(TxId{7, 7}, fresh("c"))), payloads);
+  ASSERT_EQ(payloads.size(), 3u);
+  payloads.forget(kWriter, *mine.updates);
+  EXPECT_EQ(payloads.size(), 1u);  // only the other writer's entry is left
+  // A late frame of the forgotten write decodes to a copy of its own,
+  // with the same bytes, even though the first payload is still alive.
+  const auto late = decode<protocol::PrepareRequest>(
+      encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
+  EXPECT_NE((*late.updates)[0].second, (*mine.updates)[0].second);
+  EXPECT_EQ(*(*late.updates)[0].second, "a");
+  EXPECT_NE(other.value, nullptr);
+}
+
 // -- cluster ------------------------------------------------------------------
 
 /// Commit one write to key_at(1, 4) from a coordinator on a slave replica
@@ -194,6 +213,7 @@ TEST(PayloadTable, SweepEmptiesTheTableOnceThePayloadsAreFreed) {
 struct CommittedPayloads {
   std::vector<const Value*> replicas;
   const Value* coordinator = nullptr;
+  std::size_t table_entries = 0;  ///< after a sweep, the payload still alive
 };
 
 CommittedPayloads commit_one_write(bool wire) {
@@ -228,6 +248,8 @@ CommittedPayloads commit_one_write(bool wire) {
     out.replicas.push_back(r.value.get());
     if (n == coord) out.coordinator = r.value.get();
   }
+  cluster.payloads().sweep();
+  out.table_entries = cluster.payloads().size();
   return out;
 }
 
@@ -240,6 +262,9 @@ TEST(PayloadTable, EveryReplicaHoldsTheCoordinatorsPayloadInBothModes) {
       EXPECT_EQ(p.replicas[i], p.coordinator)
           << (wire ? "wire" : "closure") << " mode, replica " << i;
     }
+    // The table holds writes in flight only: the committed write's entry is
+    // gone although its payload lives on in four versions.
+    EXPECT_EQ(p.table_entries, 0u) << (wire ? "wire" : "closure") << " mode";
   }
 }
 
