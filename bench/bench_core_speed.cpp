@@ -42,8 +42,15 @@
 // machine. Per-worker allocation tallies are reported so skew in allocator
 // pressure across shards is visible, not averaged away.
 //
-// Usage: bench_core_speed [--quick] [--threads N] [--out PATH]
-//                         [--duration SEC] [--seed N]
+// --repeat N runs the whole measurement N times, each on a fresh cluster
+// in the same process, checks that every deterministic field agrees across
+// the runs, and reports the run with the median wall time: on a shared
+// host one short window's rate spreads by a factor of two, and the median
+// of a few is a steadier baseline. Peak RSS is the process's, over all
+// runs.
+//
+// Usage: bench_core_speed [--quick] [--wire] [--threads N] [--repeat N]
+//                         [--out PATH] [--duration SEC] [--seed N]
 
 #include <algorithm>
 #include <chrono>
@@ -160,6 +167,9 @@ using namespace str;  // NOLINT
 
 namespace {
 
+constexpr Timestamp kWarmup = sec(1);
+constexpr std::uint32_t kMaxRepeat = 100;
+
 struct Options {
   bool quick = false;
   bool wire = false;
@@ -168,6 +178,7 @@ struct Options {
   Timestamp duration = sec(10);
   std::uint32_t clients = 180;
   std::uint32_t threads = 1;
+  std::uint32_t repeat = 1;
 };
 
 struct StoreTotals {
@@ -269,6 +280,104 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
+/// One measurement on a fresh cluster: warm-up, the window, then a drain.
+struct Run {
+  std::uint32_t workers = 0;
+  std::uint64_t ctor_heap = 0;
+  std::uint64_t events = 0;
+  double wall_s = 0.0;
+  std::uint64_t commits = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t alloc_bytes = 0;
+  std::vector<std::uint64_t> worker_allocs;
+  std::vector<std::uint64_t> worker_alloc_bytes;
+  std::uint64_t epochs = 0;
+  std::uint64_t cross_posts = 0;
+  sim::ShardedScheduler::LatticeSplit split_before;
+  sim::ShardedScheduler::LatticeSplit split_after;
+  StoreTotals totals;
+  MemoryByStructure mem;
+
+  /// The fields a seed fixes, equal in every run of one invocation.
+  bool same_trajectory(const Run& o) const {
+    return events == o.events && commits == o.commits &&
+           epochs == o.epochs && cross_posts == o.cross_posts &&
+           totals.peak_chain == o.totals.peak_chain &&
+           totals.keys == o.totals.keys;
+  }
+};
+
+Run run_once(const Options& opt) {
+  protocol::Cluster::Config cfg;
+  cfg.num_nodes = 9;
+  cfg.partitions_per_node = 1;
+  cfg.replication_factor = 6;
+  cfg.topology = net::Topology::ec2_nine_regions();
+  cfg.protocol = protocol::ProtocolConfig::str();
+  cfg.seed = opt.seed;
+  cfg.wire_codec = opt.wire;
+  cfg.threads = opt.threads;
+
+  Run run;
+  const std::uint64_t heap_before_ctor = heap_in_use();
+  protocol::Cluster cluster(cfg);
+  run.ctor_heap = heap_in_use() - heap_before_ctor;
+  workload::SyntheticWorkload wl(cluster,
+                                 workload::SyntheticConfig::synth_a());
+  wl.load(cluster);
+  auto pool = workload::ClientPool::with_total(cluster, wl, opt.clients);
+  pool.start_all();
+
+  cluster.run_for(kWarmup);
+  cluster.metrics().set_measurement_start(cluster.now());
+
+  // Per-worker allocation tallies: snapshot each worker thread's counter at
+  // the window edges (worker 0 is the calling thread). Sized before the
+  // snapshot so the vectors' own allocations stay outside the window, and
+  // by the workers that run: the scheduler clamps the request to one per
+  // region.
+  run.workers = cluster.sharded().num_workers();
+  run.worker_allocs.assign(run.workers, 0);
+  run.worker_alloc_bytes.assign(run.workers, 0);
+  run.split_before = cluster.sharded().lattice_split();
+  cluster.sharded().for_each_worker([&](std::uint32_t w) {
+    run.worker_allocs[w] = t_allocs;
+    run.worker_alloc_bytes[w] = t_alloc_bytes;
+  });
+
+  // executed() sums every shard's queue (scheduler() would see one shard's
+  // slice).
+  const std::uint64_t events_before = cluster.sharded().executed();
+  const auto wall_start = std::chrono::steady_clock::now();
+
+  cluster.run_for(opt.duration);
+
+  const auto wall_end = std::chrono::steady_clock::now();
+  cluster.sharded().for_each_worker([&](std::uint32_t w) {
+    run.worker_allocs[w] = t_allocs - run.worker_allocs[w];
+    run.worker_alloc_bytes[w] = t_alloc_bytes - run.worker_alloc_bytes[w];
+  });
+  run.events = cluster.sharded().executed() - events_before;
+  for (std::uint32_t w = 0; w < run.workers; ++w) {
+    run.allocs += run.worker_allocs[w];
+    run.alloc_bytes += run.worker_alloc_bytes[w];
+  }
+  run.wall_s = std::chrono::duration<double>(wall_end - wall_start).count();
+  // After the allocation tallies: the snapshot allocates.
+  run.split_after = cluster.sharded().lattice_split();
+  run.commits = cluster.metrics().commits();
+  run.epochs = cluster.sharded().epochs();
+  run.cross_posts = cluster.sharded().cross_posts();
+
+  // Drain (excluded from the window) so teardown is clean.
+  pool.request_stop_all();
+  cluster.run_for(sec(3));
+
+  run.totals = store_totals(cluster);
+  run.mem = memory_by_structure(cluster);
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,95 +405,58 @@ int main(int argc, char** argv) {
         return 1;
       }
       opt.threads = static_cast<std::uint32_t>(n);
+    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
+      std::uint64_t n = 0;
+      if (!parse_count(argv[++i], 1, kMaxRepeat, n)) {
+        std::fprintf(stderr, "--repeat wants a count in [1,%u]\n",
+                     kMaxRepeat);
+        return 1;
+      }
+      opt.repeat = static_cast<std::uint32_t>(n);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--wire] [--threads N] [--out PATH] "
-                   "[--duration SEC] [--seed N]\n",
+                   "usage: %s [--quick] [--wire] [--threads N] [--repeat N] "
+                   "[--out PATH] [--duration SEC] [--seed N]\n",
                    argv[0]);
       return 1;
     }
   }
 
-  protocol::Cluster::Config cfg;
-  cfg.num_nodes = 9;
-  cfg.partitions_per_node = 1;
-  cfg.replication_factor = 6;
-  cfg.topology = net::Topology::ec2_nine_regions();
-  cfg.protocol = protocol::ProtocolConfig::str();
-  cfg.seed = opt.seed;
-  cfg.wire_codec = opt.wire;
-  cfg.threads = opt.threads;
-
-  const std::uint64_t heap_before_ctor = heap_in_use();
-  protocol::Cluster cluster(cfg);
-  const std::uint64_t ctor_heap = heap_in_use() - heap_before_ctor;
-  workload::SyntheticWorkload wl(cluster,
-                                 workload::SyntheticConfig::synth_a());
-  wl.load(cluster);
-  auto pool = workload::ClientPool::with_total(cluster, wl, opt.clients);
-  pool.start_all();
-
-  const Timestamp warmup = sec(1);
-  cluster.run_for(warmup);
-  cluster.metrics().set_measurement_start(cluster.now());
-
-  // Per-worker allocation tallies: snapshot each worker thread's counter at
-  // the window edges (worker 0 is the calling thread). Sized before the
-  // snapshot so the vector's own allocation stays outside the window, and
-  // by the workers that run: the scheduler clamps the request to one per
-  // region.
-  const std::uint32_t workers = cluster.sharded().num_workers();
-  std::vector<std::uint64_t> worker_allocs(workers, 0);
-  std::vector<std::uint64_t> worker_alloc_bytes(workers, 0);
-  const sim::ShardedScheduler::LatticeSplit split_before =
-      cluster.sharded().lattice_split();
-  cluster.sharded().for_each_worker([&](std::uint32_t w) {
-    worker_allocs[w] = t_allocs;
-    worker_alloc_bytes[w] = t_alloc_bytes;
-  });
-
-  // executed() sums every shard's queue (scheduler() would see one shard's
-  // slice).
-  const std::uint64_t events_before = cluster.sharded().executed();
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  cluster.run_for(opt.duration);
-
-  const auto wall_end = std::chrono::steady_clock::now();
-  cluster.sharded().for_each_worker([&](std::uint32_t w) {
-    worker_allocs[w] = t_allocs - worker_allocs[w];
-    worker_alloc_bytes[w] = t_alloc_bytes - worker_alloc_bytes[w];
-  });
-  const std::uint64_t events = cluster.sharded().executed() - events_before;
-  std::uint64_t allocs = 0;
-  std::uint64_t alloc_bytes = 0;
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    allocs += worker_allocs[w];
-    alloc_bytes += worker_alloc_bytes[w];
+  std::vector<Run> runs;
+  runs.reserve(opt.repeat);
+  for (std::uint32_t r = 0; r < opt.repeat; ++r) runs.push_back(run_once(opt));
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    if (!runs[r].same_trajectory(runs[0])) {
+      std::fprintf(stderr,
+                   "run %zu diverged from run 0: events %llu vs %llu, "
+                   "commits %llu vs %llu\n",
+                   r, static_cast<unsigned long long>(runs[r].events),
+                   static_cast<unsigned long long>(runs[0].events),
+                   static_cast<unsigned long long>(runs[r].commits),
+                   static_cast<unsigned long long>(runs[0].commits));
+      return 1;
+    }
   }
-  // After the allocation tallies: the snapshot allocates.
-  const sim::ShardedScheduler::LatticeSplit split_after =
-      cluster.sharded().lattice_split();
-  const std::uint64_t commits = cluster.metrics().commits();
-  const std::uint64_t epochs = cluster.sharded().epochs();
-  const std::uint64_t cross_posts = cluster.sharded().cross_posts();
+  // The run with the median wall time (the lower middle of an even count).
+  std::vector<const Run*> by_wall;
+  for (const Run& r : runs) by_wall.push_back(&r);
+  std::sort(by_wall.begin(), by_wall.end(),
+            [](const Run* a, const Run* b) { return a->wall_s < b->wall_s; });
+  const Run& run = *by_wall[(by_wall.size() - 1) / 2];
+  const std::uint32_t workers = run.workers;
+  const StoreTotals& totals = run.totals;
+  const MemoryByStructure& mem = run.mem;
 
-  // Drain (excluded from the window) so teardown is clean.
-  pool.request_stop_all();
-  cluster.run_for(sec(3));
-
-  const StoreTotals totals = store_totals(cluster);
-  const MemoryByStructure mem = memory_by_structure(cluster);
   const double rss_mb = peak_rss_mb();
-  const double wall_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  const double wall_s = run.wall_s;
   const double events_per_sec =
-      wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
+      wall_s > 0.0 ? static_cast<double>(run.events) / wall_s : 0.0;
   const double txns_per_sec =
-      wall_s > 0.0 ? static_cast<double>(commits) / wall_s : 0.0;
+      wall_s > 0.0 ? static_cast<double>(run.commits) / wall_s : 0.0;
   const double allocs_per_event =
-      events > 0 ? static_cast<double>(allocs) / static_cast<double>(events)
-                 : 0.0;
+      run.events > 0
+          ? static_cast<double>(run.allocs) / static_cast<double>(run.events)
+          : 0.0;
 
   std::printf("=== DES core speed (seed %llu, %u clients, %llu s virtual, "
               "%u thread%s%s) ===\n",
@@ -392,15 +464,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.duration / sec(1)),
               workers, workers == 1 ? "" : "s",
               opt.wire ? ", wire codec" : "");
+  if (opt.repeat > 1) {
+    std::printf("  runs              %12u (median wall; %.3f to %.3f s)\n",
+                opt.repeat, by_wall.front()->wall_s, by_wall.back()->wall_s);
+  }
   std::printf("  events            %12llu\n",
-              static_cast<unsigned long long>(events));
+              static_cast<unsigned long long>(run.events));
   std::printf("  wall seconds      %12.3f\n", wall_s);
   std::printf("  events/sec        %12.0f\n", events_per_sec);
   std::printf("  commits           %12llu\n",
-              static_cast<unsigned long long>(commits));
+              static_cast<unsigned long long>(run.commits));
   std::printf("  txns/sec          %12.0f\n", txns_per_sec);
   std::printf("  allocs            %12llu\n",
-              static_cast<unsigned long long>(allocs));
+              static_cast<unsigned long long>(run.allocs));
   std::printf("  allocs/event      %12.3f\n", allocs_per_event);
   std::printf("  peak versions/key %12llu\n",
               static_cast<unsigned long long>(totals.peak_chain));
@@ -408,14 +484,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(totals.keys));
   std::printf("  peak RSS (MB)     %12.1f\n", rss_mb);
   std::printf("  epoch barriers    %12llu\n",
-              static_cast<unsigned long long>(epochs));
+              static_cast<unsigned long long>(run.epochs));
   std::printf("  cross-shard posts %12llu\n",
-              static_cast<unsigned long long>(cross_posts));
+              static_cast<unsigned long long>(run.cross_posts));
   if (workers > 1) {
     for (std::uint32_t w = 0; w < workers; ++w) {
       std::printf("  worker %u allocs   %12llu (%llu bytes)\n", w,
-                  static_cast<unsigned long long>(worker_allocs[w]),
-                  static_cast<unsigned long long>(worker_alloc_bytes[w]));
+                  static_cast<unsigned long long>(run.worker_allocs[w]),
+                  static_cast<unsigned long long>(run.worker_alloc_bytes[w]));
     }
   }
   std::printf("  memory by structure (MB, end of run)\n");
@@ -432,24 +508,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mem.histograms));
   std::printf("    write payloads  %12.2f (%llu)\n", mb(mem.payload_bytes),
               static_cast<unsigned long long>(mem.payloads));
-  std::printf("    heap after ctor %12.2f\n", mb(ctor_heap));
+  std::printf("    heap after ctor %12.2f\n", mb(run.ctor_heap));
   std::printf("  lattice split (s, measurement window)\n");
   auto secs = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e9; };
   for (std::uint32_t w = 0; w < workers; ++w) {
-    const sim::ShardedScheduler::WorkerSplit& a = split_after.workers[w];
-    const sim::ShardedScheduler::WorkerSplit& b = split_before.workers[w];
+    const sim::ShardedScheduler::WorkerSplit& a = run.split_after.workers[w];
+    const sim::ShardedScheduler::WorkerSplit& b = run.split_before.workers[w];
     std::printf("    worker %-2u  shards %8.3f  installs %7.3f  barrier %7.3f\n",
                 w, secs(a.shard_ns - b.shard_ns),
                 secs(a.install_ns - b.install_ns),
                 secs(a.wait_ns - b.wait_ns));
   }
   std::printf("    control   between windows %7.3f\n",
-              secs(split_after.global_ns - split_before.global_ns));
+              secs(run.split_after.global_ns - run.split_before.global_ns));
 
   std::string allocs_per_thread = "[";
   for (std::uint32_t w = 0; w < workers; ++w) {
     if (w != 0) allocs_per_thread += ", ";
-    allocs_per_thread += std::to_string(worker_allocs[w]);
+    allocs_per_thread += std::to_string(run.worker_allocs[w]);
   }
   allocs_per_thread += "]";
 
@@ -461,11 +537,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"core_speed\",\n"
-               "  \"schema_version\": 3,\n"
+               "  \"schema_version\": 4,\n"
                "  \"seed\": %llu,\n"
                "  \"quick\": %s,\n"
                "  \"wire\": %s,\n"
                "  \"threads\": %u,\n"
+               "  \"repeat\": %u,\n"
                "  \"clients\": %u,\n"
                "  \"virtual_warmup_s\": %llu,\n"
                "  \"virtual_duration_s\": %llu,\n"
@@ -486,16 +563,16 @@ int main(int argc, char** argv) {
                "}\n",
                static_cast<unsigned long long>(opt.seed),
                opt.quick ? "true" : "false", opt.wire ? "true" : "false",
-               workers, opt.clients,
-               static_cast<unsigned long long>(warmup / sec(1)),
+               workers, opt.repeat, opt.clients,
+               static_cast<unsigned long long>(kWarmup / sec(1)),
                static_cast<unsigned long long>(opt.duration / sec(1)),
-               static_cast<unsigned long long>(events), wall_s,
-               events_per_sec, static_cast<unsigned long long>(commits),
-               txns_per_sec, static_cast<unsigned long long>(allocs),
-               static_cast<unsigned long long>(alloc_bytes), allocs_per_event,
-               allocs_per_thread.c_str(),
-               static_cast<unsigned long long>(epochs),
-               static_cast<unsigned long long>(cross_posts),
+               static_cast<unsigned long long>(run.events), wall_s,
+               events_per_sec, static_cast<unsigned long long>(run.commits),
+               txns_per_sec, static_cast<unsigned long long>(run.allocs),
+               static_cast<unsigned long long>(run.alloc_bytes),
+               allocs_per_event, allocs_per_thread.c_str(),
+               static_cast<unsigned long long>(run.epochs),
+               static_cast<unsigned long long>(run.cross_posts),
                static_cast<unsigned long long>(totals.peak_chain),
                static_cast<unsigned long long>(totals.keys), rss_mb);
   std::fclose(f);

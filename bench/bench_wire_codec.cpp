@@ -13,9 +13,10 @@
 // every value is allocated and recorded. "shared" is every later receiver:
 // a kept decode holds the payloads live, so values resolve to them.
 //
-// A second table gives the frame checksum's throughput on its own, at a
-// small frame, a page and a checkpoint-sized image: checksum32 (the kernel
-// the process selected) beside crc32c_portable (the table kernel).
+// A second table gives the frame checksum's throughput on its own, from a
+// small frame through a replicate-sized one and a page to a
+// checkpoint-sized image: checksum32 (the kernel the process selected)
+// beside crc32c_portable (the table kernel).
 //
 // Usage: bench_wire_codec [--quick] [--iters N]
 
@@ -183,7 +184,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(checksum_bytes / 1'000'000));
   std::printf("  %-8s %15s %20s\n", "size", "checksum32", "crc32c_portable");
   const std::pair<const char*, std::size_t> sizes[] = {
-      {"64 B", 64}, {"4 KiB", 4096}, {"256 KiB", 256 * 1024}};
+      {"64 B", 64},       {"256 B", 256},     {"1 KiB", 1024},
+      {"4 KiB", 4096},    {"32 KiB", 32 * 1024}, {"256 KiB", 256 * 1024}};
   for (const auto& [label, size] : sizes) {
     std::printf("  %-8s %10.0f MB/s %15.0f MB/s\n", label,
                 checksum_mbps(wire::checksum32, size, checksum_bytes),

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <initializer_list>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -36,9 +37,20 @@ class FlatSet {
     return {data_.insert(it, v), true};
   }
 
+  /// Insert every element of [first, last). A sorted range (another
+  /// FlatSet, say) merges in from the back in one pass over both, after
+  /// one pass that counts what is new; an unsorted range is sorted into a
+  /// copy first. The contents and order are those of inserting one element
+  /// at a time.
   template <typename It>
   void insert(It first, It last) {
-    for (; first != last; ++first) insert(*first);
+    if (std::is_sorted(first, last)) {
+      merge_sorted(first, last);
+      return;
+    }
+    std::vector<T> sorted(first, last);
+    std::sort(sorted.begin(), sorted.end());
+    merge_sorted(sorted.cbegin(), sorted.cend());
   }
 
   template <typename... Args>
@@ -65,6 +77,40 @@ class FlatSet {
   const_iterator end() const { return data_.end(); }
 
  private:
+  /// insert(first, last) for a sorted bidirectional range, which may
+  /// repeat elements.
+  template <typename It>
+  void merge_sorted(It first, It last) {
+    // Count the range's new elements: not repeats, not in the set.
+    std::size_t added = 0;
+    auto at = data_.cbegin();
+    for (It b = first; b != last; ++b) {
+      if (b != first && !(*std::prev(b) < *b)) continue;
+      while (at != data_.cend() && *at < *b) ++at;
+      if (at == data_.cend() || *b < *at) ++added;
+    }
+    if (added == 0) return;
+    // Grow as one-at-a-time inserts would, by doubling, but at most once:
+    // a pooled record keeps the capacity for its next transaction.
+    std::size_t a = data_.size();
+    if (a + added > data_.capacity()) {
+      std::size_t cap = std::max<std::size_t>(data_.capacity(), 1);
+      while (cap < a + added) cap *= 2;
+      data_.reserve(cap);
+    }
+    // Merge from the back: data_[0, a) is the part of the set not yet
+    // moved, and the new elements not yet placed are the gap up to w.
+    data_.resize(a + added);
+    std::size_t w = data_.size();
+    for (It b = last; w > a;) {
+      --b;
+      if (b != first && !(*std::prev(b) < *b)) continue;
+      while (a > 0 && *b < data_[a - 1]) data_[--w] = std::move(data_[--a]);
+      if (a > 0 && !(data_[a - 1] < *b)) continue;  // already in the set
+      data_[--w] = *b;
+    }
+  }
+
   std::vector<T> data_;
 };
 

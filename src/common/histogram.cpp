@@ -1,6 +1,8 @@
 #include "common/histogram.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -35,10 +37,29 @@ std::uint64_t Histogram::bucket_midpoint(std::size_t index) const {
   return base + (std::uint64_t{1} << shift) / 2;
 }
 
-void Histogram::grow_to(std::size_t n) {
-  if (n <= buckets_.size()) return;
+void Histogram::hold_ranges(std::size_t lo, std::size_t hi) {
+  const std::size_t held = ranges_held();
+  if (held == 0) {
+    // After a reset, the kept allocation serves when it is large enough.
+    first_range_ = lo;
+    buckets_.assign((hi - lo + 1) << sub_bits_, 0);
+    return;
+  }
+  const std::size_t first = std::min(lo, first_range_);
+  const std::size_t last = std::max(hi, first_range_ + held - 1);
+  const std::size_t n = (last - first + 1) << sub_bits_;
+  const auto shift =
+      static_cast<std::ptrdiff_t>((first_range_ - first) << sub_bits_);
+  const auto old_size = static_cast<std::ptrdiff_t>(buckets_.size());
   buckets_.reserve(n);
   buckets_.resize(n, 0);
+  if (shift > 0) {
+    // New ranges below: the held counts move up past them.
+    std::copy_backward(buckets_.begin(), buckets_.begin() + old_size,
+                       buckets_.begin() + shift + old_size);
+    std::fill_n(buckets_.begin(), shift, 0);
+  }
+  first_range_ = first;
 }
 
 void Histogram::record(std::uint64_t value) { record_n(value, 1); }
@@ -46,11 +67,11 @@ void Histogram::record(std::uint64_t value) { record_n(value, 1); }
 void Histogram::record_n(std::uint64_t value, std::uint64_t n) {
   if (n == 0) return;
   const std::size_t index = bucket_index(value);
-  if (index >= buckets_.size()) {
-    // Through the end of the value's power-of-two range.
-    grow_to(((index >> sub_bits_) + 1) << sub_bits_);
+  const std::size_t range = index >> sub_bits_;
+  if (range < first_range_ || range >= first_range_ + ranges_held()) {
+    hold_ranges(range, range);
   }
-  buckets_[index] += n;
+  buckets_[index - (first_range_ << sub_bits_)] += n;
   count_ += n;
   sum_ += value * n;
   if (value < min_) min_ = value;
@@ -59,9 +80,14 @@ void Histogram::record_n(std::uint64_t value, std::uint64_t n) {
 
 void Histogram::merge(const Histogram& other) {
   STR_ASSERT(sub_bits_ == other.sub_bits_);
-  grow_to(other.buckets_.size());
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+  if (other.ranges_held() > 0) {
+    hold_ranges(other.first_range_,
+                other.first_range_ + other.ranges_held() - 1);
+    const std::size_t offset = (other.first_range_ - first_range_)
+                               << sub_bits_;
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+      buckets_[offset + i] += other.buckets_[i];
+    }
   }
   count_ += other.count_;
   sum_ += other.sum_;
@@ -85,10 +111,11 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
   if (q > 1.0) q = 1.0;
   const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
   std::uint64_t seen = 0;
+  const std::size_t base = first_range_ << sub_bits_;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen > target || (seen == target && seen == count_)) {
-      std::uint64_t mid = bucket_midpoint(i);
+      std::uint64_t mid = bucket_midpoint(base + i);
       return mid < min_ ? min_ : (mid > max_ ? max_ : mid);
     }
   }
@@ -97,6 +124,7 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
 
 void Histogram::reset() {
   buckets_.clear();
+  first_range_ = 0;
   count_ = 0;
   sum_ = 0;
   min_ = std::numeric_limits<std::uint64_t>::max();

@@ -4,10 +4,10 @@
 // supports percentile queries and merging. Merging is what lets the harness
 // combine per-node histograms into cluster-wide latency distributions.
 //
-// Buckets are allocated only up to the highest power-of-two range recorded
-// or merged so far: an empty histogram holds none, and one that records
-// latencies below 2^24 us holds 18 ranges (18 KiB at the default precision)
-// of the 58 a uint64 can reach.
+// Buckets are allocated only for the power-of-two ranges from the lowest to
+// the highest recorded or merged so far: an empty histogram holds none, and
+// one that records latencies between 2^10 and 2^24 us holds 15 ranges
+// (15 KiB at the default precision) of the 58 a uint64 can reach.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +51,17 @@ class Histogram {
   }
 
  private:
+  /// Index of `value`'s bucket among all a uint64 can reach; its range is
+  /// index >> sub_bits_.
   std::size_t bucket_index(std::uint64_t value) const;
   std::uint64_t bucket_midpoint(std::size_t index) const;
-  /// Grow the bucket array to at least `n` buckets (exactly n when it must
-  /// reallocate).
-  void grow_to(std::size_t n);
+  std::size_t ranges_held() const { return buckets_.size() >> sub_bits_; }
+  /// Hold at least ranges [lo, hi], keeping every count (an exact
+  /// allocation when the array must grow).
+  void hold_ranges(std::size_t lo, std::size_t hi);
 
   int sub_bits_;
+  std::size_t first_range_ = 0;  ///< range of buckets_[0]
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;

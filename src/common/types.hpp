@@ -75,7 +75,7 @@ using Value = std::string;
 /// by the workload (TxnHandle::write), and then aliased by the write buffer
 /// and every message, version-chain entry and read result that carries it —
 /// in a real system these would all point at the same serialized buffer.
-/// Decoded wire frames find it again by the write's identity
+/// Decoded wire frames find it again through the sender's update list
 /// (wire/payload_table.hpp). Empty handle = "no payload".
 using SharedValue = std::shared_ptr<const Value>;
 

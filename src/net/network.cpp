@@ -225,22 +225,22 @@ void Network::send(NodeId from, NodeId to, UniqueFunction<void()> fn,
   finish_send(from, to, std::move(fn));
 }
 
-void Network::send_frame(NodeId from, NodeId to,
-                         std::vector<std::uint8_t> frame) {
+void Network::send_frame(NodeId from, NodeId to, wire::Frame frame) {
   STR_ASSERT_MSG(frame_handler_, "send_frame without a frame handler");
+  if (!begin_send(from, to, frame.size())) return;
   if (transport_ != nullptr) {
     // Real transport: the pre-flight accounting still runs (and with the
     // empty fault plan real transports require, it makes no RNG draws), but
-    // latency, loss and delivery now belong to actual sockets. Inbound
-    // frames re-enter through deliver_frame.
-    if (!begin_send(from, to, frame.size())) return;
-    transport_->send(from, to, std::move(frame));
+    // latency, loss and delivery now belong to actual sockets, which take
+    // the bytes. Inbound frames re-enter through deliver_frame.
+    transport_->send(from, to,
+                     std::vector<std::uint8_t>(frame.data(),
+                                               frame.data() + frame.size()));
     return;
   }
-  if (!begin_send(from, to, frame.size())) return;
   std::uint64_t bit_index = 0;
   if (corrupt_draw(frame.size(), bit_index)) {
-    frame[bit_index / 8] ^= static_cast<std::uint8_t>(1u << (bit_index % 8));
+    frame = frame.with_bit_flipped(bit_index);
   }
   finish_send(from, to, [this, to, frame = std::move(frame)]() {
     if (!frame_handler_(to, frame.data(), frame.size())) count_corrupted();

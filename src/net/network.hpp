@@ -46,6 +46,7 @@
 #include "obs/registry.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sharded.hpp"
+#include "wire/frame.hpp"
 
 namespace str::net {
 
@@ -99,8 +100,8 @@ class Network {
   /// Receiver side of the encoded transport: invoked at delivery time with
   /// the destination node and the raw frame bytes. Returns true when the
   /// frame decoded and was routed; false rejects it (counted as corrupted).
-  /// Deliberately knows nothing about the wire layer's types, so net/ does
-  /// not depend on wire/ — the Cluster installs a handler that calls
+  /// net/ carries wire::Frame, the byte container, but knows nothing of
+  /// the message codec — the Cluster installs a handler that calls
   /// wire::dispatch_frame.
   using FrameHandler =
       UniqueFunction<bool(NodeId to, const std::uint8_t* data,
@@ -112,11 +113,13 @@ class Network {
   }
 
   /// Ship an encoded frame through the same latency/fault pipeline as
-  /// send(). Byte accounting uses the exact frame size; a bit-flip fault
-  /// mutates the frame itself, so the receiver's checksum does the
-  /// rejecting. The same RNG draws are made as for a closure send of equal
-  /// size, keeping both transport modes on one deterministic trajectory.
-  void send_frame(NodeId from, NodeId to, std::vector<std::uint8_t> frame);
+  /// send(). The delivery holds `frame`, a reference the legs of a fan-out
+  /// share; a bit-flip fault damages a copy of this leg's own, so the
+  /// receiver's checksum rejects this leg alone. Byte accounting uses the
+  /// exact frame size, and the same RNG draws are made as for a closure
+  /// send of equal size, keeping both transport modes on one deterministic
+  /// trajectory. A real transport gets a copy of the bytes.
+  void send_frame(NodeId from, NodeId to, wire::Frame frame);
 
   /// One-way latency sample between two nodes (includes jitter).
   Timestamp sample_latency(NodeId from, NodeId to);

@@ -128,8 +128,9 @@ class Cluster {
   /// True when messages travel as encoded frames (Config::wire_codec).
   bool wire_mode() const { return config_.wire_codec; }
 
-  /// Write payloads by identity, so a decoded value aliases the payload
-  /// its write already has (wire mode only; wire/payload_table.hpp).
+  /// Update lists by identity, so a decoded prepare or replicate is the
+  /// sender's list and its values alias the payloads its writes already
+  /// have (wire mode only; wire/payload_table.hpp).
   wire::PayloadTable& payloads() { return payloads_; }
 
   /// Transaction-lifecycle tracer (disabled by default; O(1) when off).

@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/small_vec.hpp"
 #include "protocol/cluster.hpp"
 #include "protocol/node.hpp"
 #include "wire/dispatch.hpp"
@@ -788,13 +789,15 @@ void Coordinator::start_global_certification(txn::TxnRecord& rec) {
     if (pmap.is_master(node_.id(), pid)) {
       // We are the master: replicate the (already locally certified)
       // pre-commit to the slaves; each slave replies with a proposal.
+      SmallVec<NodeId, 8> slaves;
       for (NodeId slave : replicas) {
         if (slave == node_.id()) continue;
         ++rec.awaiting_prepares;
         rec.prepare_expected.emplace(pid, slave);
         open_leg(slave);
-        send_replicate(rec, pid, slave, part.updates);
+        slaves.push_back(slave);
       }
+      send_replicates(rec, pid, {slaves.begin(), slaves.end()}, part.updates);
     } else {
       // Remote master certifies; it replicates to its slaves, each of which
       // (except this node, already covered by local certification) replies.
@@ -842,8 +845,9 @@ void Coordinator::send_prepare(const txn::TxnRecord& rec, PartitionId pid,
   wire::post(cluster, node_.id(), master, std::move(req));
 }
 
-void Coordinator::send_replicate(const txn::TxnRecord& rec, PartitionId pid,
-                                 NodeId slave, SharedUpdates updates) {
+void Coordinator::send_replicates(const txn::TxnRecord& rec, PartitionId pid,
+                                  std::span<const NodeId> slaves,
+                                  SharedUpdates updates) {
   Cluster& cluster = node_.cluster();
   ReplicateRequest rep;
   rep.tx = rec.id;
@@ -851,12 +855,18 @@ void Coordinator::send_replicate(const txn::TxnRecord& rec, PartitionId pid,
   rep.partition = pid;
   rep.rs = rec.rs;
   rep.updates = std::move(updates);
-  rep.tspan = rec.leg_span_of(pid, slave);
-  if (tracer_->enabled()) {
+  if (!tracer_->enabled()) {
+    wire::post_fanout(cluster, node_.id(), slaves, rep);
+    return;
+  }
+  // Traced, each leg carries its own certification-leg span, so the legs
+  // are encoded one by one.
+  for (NodeId slave : slaves) {
+    rep.tspan = rec.leg_span_of(pid, slave);
     tracer_->emit({cluster.now(), rec.id, node_.id(),
                    obs::TraceEventType::PrepareSent, slave, pid});
+    wire::post(cluster, node_.id(), slave, rep);
   }
-  wire::post(cluster, node_.id(), slave, std::move(rep));
 }
 
 void Coordinator::resend_prepares(txn::TxnRecord& rec) {
@@ -872,7 +882,7 @@ void Coordinator::resend_prepares(txn::TxnRecord& rec) {
     if (rec.prepare_acks.contains({pid, n})) continue;
     if (pmap.is_master(node_.id(), pid)) {
       c_rpc_retries_->inc();
-      send_replicate(rec, pid, n, updates_of(rec, pid));
+      send_replicates(rec, pid, {&n, 1}, updates_of(rec, pid));
     } else {
       remote_missing.insert(pid);
     }
@@ -1061,11 +1071,13 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
   // Fan the decision out to every remote replica of an updated partition.
   const auto commit_at = [&](const auto& parts) {
     for (const auto& part : parts) {
+      SmallVec<NodeId, 8> remote;
       for (NodeId n : cluster.pmap().replicas(part.partition)) {
-        if (n == node_.id()) continue;
-        wire::post(cluster, node_.id(), n,
-                   CommitMessage{rec.id, part.partition, ct, rec.trace_span});
+        if (n != node_.id()) remote.push_back(n);
       }
+      wire::post_fanout(
+          cluster, node_.id(), {remote.begin(), remote.end()},
+          CommitMessage{rec.id, part.partition, ct, rec.trace_span});
     }
   };
   commit_at(rec.local_parts);
@@ -1470,8 +1482,12 @@ void Coordinator::maintain(Timestamp now) {
 
 void Coordinator::forget_payloads(const txn::TxnRecord& rec) {
   Cluster& cluster = node_.cluster();
-  if (cluster.wire_mode() && !rec.remote_replica_nodes.empty()) {
-    cluster.payloads().forget(rec.id, rec.writes);
+  if (!cluster.wire_mode() || rec.remote_replica_nodes.empty()) return;
+  for (const auto& part : rec.local_parts) {
+    cluster.payloads().forget(rec.id, part.partition);
+  }
+  for (const auto& part : rec.remote_parts) {
+    cluster.payloads().forget(rec.id, part.partition);
   }
 }
 

@@ -275,11 +275,11 @@ class Coordinator {
   void deliver_outcome(txn::TxnRecord& rec);
 
   /// Wire mode: drop the payload-table entries the attempt's prepares and
-  /// replicates recorded (wire/payload_table.hpp). At the final outcome
-  /// every expected receiver has decoded its frame, and the payload may
-  /// outlive the attempt (a workload shares one across the attempts of a
-  /// transaction), so the entries would otherwise stay for as long as any
-  /// version of the transaction does.
+  /// replicates recorded, one per partition's update list
+  /// (wire/payload_table.hpp). At the final outcome every expected receiver
+  /// has decoded its frame, and the payloads may outlive the attempt (a
+  /// workload shares one across the attempts of a transaction), so the
+  /// entries would otherwise stay for as long as any list holder does.
   void forget_payloads(const txn::TxnRecord& rec);
 
   /// Fulfill every outstanding read with aborted=true.
@@ -314,13 +314,13 @@ class Coordinator {
   void send_read_request(std::uint64_t req_id, const PendingRemoteRead& p);
   void arm_read_timer(std::uint64_t req_id);
 
-  /// One prepare / replicate message of the global-certification fan-out
-  /// (no bookkeeping — start_global_certification and resend_prepares own
-  /// the expected/awaiting accounting).
+  /// The prepare, or the replicate fan-out to `slaves`, of one partition
+  /// of the global certification (no bookkeeping — start_global_certification
+  /// and resend_prepares own the expected/awaiting accounting).
   void send_prepare(const txn::TxnRecord& rec, PartitionId pid,
                     SharedUpdates updates);
-  void send_replicate(const txn::TxnRecord& rec, PartitionId pid, NodeId slave,
-                      SharedUpdates updates);
+  void send_replicates(const txn::TxnRecord& rec, PartitionId pid,
+                       std::span<const NodeId> slaves, SharedUpdates updates);
 
   /// Re-send the fan-out to every (partition, node) that has not acked.
   void resend_prepares(txn::TxnRecord& rec);

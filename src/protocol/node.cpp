@@ -36,8 +36,8 @@ Node::Node(Cluster& cluster, NodeId id, RegionId region, Timestamp clock_skew)
   if (decision_wal_ != nullptr && cluster.decision_quorum_enabled()) {
     // Quorum commit point (docs/DURABILITY.md §8): wrap the decision log
     // with ack tracking over this node's static replica group. The send
-    // hook posts DecisionReplicate frames through wire::post, so the
-    // fan-out gets checksums, traffic counters, and fault injection
+    // hook posts DecisionReplicate frames through wire::post_fanout, so
+    // the fan-out gets checksums, traffic counters, and fault injection
     // exactly like every other message.
     storage::ReplicatedDecisionLog::Options opts;
     opts.quorum = cluster.config().protocol.durability.decision_quorum;
@@ -49,14 +49,12 @@ Node::Node(Cluster& cluster, NodeId id, RegionId region, Timestamp clock_skew)
         std::move(opts),
         [this](const TxId& tx, Timestamp commit_ts, Timestamp decided_at,
                const std::vector<NodeId>& to) {
-          for (NodeId target : to) {
-            DecisionReplicate m;
-            m.tx = tx;
-            m.origin = id_;
-            m.commit_ts = commit_ts;
-            m.decided_at = decided_at;
-            wire::post(cluster_, id_, target, std::move(m));
-          }
+          DecisionReplicate m;
+          m.tx = tx;
+          m.origin = id_;
+          m.commit_ts = commit_ts;
+          m.decided_at = decided_at;
+          wire::post_fanout(cluster_, id_, to, m);
         });
     coord_.set_decision_log(rlog_.get());
   }

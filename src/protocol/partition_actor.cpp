@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/small_vec.hpp"
 #include "protocol/cluster.hpp"
 #include "protocol/node.hpp"
 #include "wire/dispatch.hpp"
@@ -245,17 +246,19 @@ void PartitionActor::finish_prepare(PrepareReply reply, NodeId coordinator,
     // Synchronous replication: fan the pre-commit out to every slave
     // except the coordinator's node (its replica, if any, was certified
     // during the coordinator's local 2PC).
+    SmallVec<NodeId, 8> slaves;
     for (NodeId slave : cluster.pmap().replicas(pid_)) {
-      if (slave == node_.id() || slave == coordinator) continue;
-      ReplicateRequest rep;
-      rep.tx = reply.tx;
-      rep.coordinator = coordinator;
-      rep.partition = pid_;
-      rep.rs = rs;
-      rep.updates = updates;  // shared payload: a pointer bump, no copy
-      rep.tspan = reply.tspan;  // slave Handle spans chain under the master's
-      wire::post(cluster, node_.id(), slave, std::move(rep));
+      if (slave != node_.id() && slave != coordinator) slaves.push_back(slave);
     }
+    ReplicateRequest rep;
+    rep.tx = reply.tx;
+    rep.coordinator = coordinator;
+    rep.partition = pid_;
+    rep.rs = rs;
+    rep.updates = std::move(updates);  // shared payload: no copy
+    rep.tspan = reply.tspan;  // slave Handle spans chain under the master's
+    wire::post_fanout(cluster, node_.id(), {slaves.begin(), slaves.end()},
+                      rep);
   }
   wire::post(cluster, node_.id(), coordinator, std::move(reply));
 }
@@ -342,7 +345,7 @@ void PartitionActor::apply_commit(const TxId& tx, Timestamp ct,
     // replay would re-stage the prepare as in-doubt and re-probe a decision
     // the coordinator may have long pruned.
     storage::LogBuffer frame;
-    storage::encode_commit(frame, tx, ct, store_.uncommitted_updates(tx));
+    encode_commit_record(frame, tx, ct);
     wal_->append(std::move(frame));
   }
   store_.final_commit(tx, ct);
@@ -371,8 +374,16 @@ void PartitionActor::log_commit(const TxId& tx, Timestamp ct,
                                 UniqueFunction<void()> on_durable) {
   STR_ASSERT_MSG(wal_ != nullptr, "log_commit without a WAL");
   storage::LogBuffer frame;
-  storage::encode_commit(frame, tx, ct, store_.uncommitted_updates(tx));
+  encode_commit_record(frame, tx, ct);
   wal_->append(std::move(frame), std::move(on_durable));
+}
+
+void PartitionActor::encode_commit_record(storage::LogBuffer& out,
+                                          const TxId& tx, Timestamp ct) const {
+  storage::encode_commit(out, tx, ct,
+                         [this, &tx](const storage::UpdateFn& fn) {
+                           store_.for_each_uncommitted_update(tx, fn);
+                         });
 }
 
 void PartitionActor::track_orphan(const TxId& tx, NodeId coordinator) {

@@ -138,6 +138,11 @@ class PartitionActor {
   std::uint64_t tombstone_bytes() const { return tombstones_.bytes(); }
 
  private:
+  /// Append tx's commit record to `out`, its pairs read from the store's
+  /// uncommitted versions of tx.
+  void encode_commit_record(storage::LogBuffer& out, const TxId& tx,
+                            Timestamp ct) const;
+
   struct ParkedRead {
     TxId reader;
     NodeId reader_node = kInvalidNode;

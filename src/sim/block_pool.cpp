@@ -18,6 +18,7 @@ struct BlockPoolRelease {
       l.heads[c] = nullptr;
     }
     l.parked = 0;
+    l.parked_bytes = 0;
     l.phase = BlockPool::kReleased;
   }
 };

@@ -1,14 +1,19 @@
-// Per-thread free lists for the coroutine layer's small heap blocks.
+// Per-thread free lists for small, short-lived heap blocks.
 //
 // Every read and every commit wait of a transaction needs a promise state,
-// and every attempt a coroutine frame (sim/coro.hpp). Those blocks are
-// small, short-lived and recycled at the rate transactions run, so they
-// come from here: one free list per 64 B size class up to kMaxPooledBytes,
-// kept per thread. A shard's code runs on one worker thread inside a
-// window, so the thread that frees a block is the thread that runs the code
-// holding it, and no list needs a lock. A block may change threads: freed
-// by a global task on the control thread (a crash tearing down a node's
-// transactions), it joins that thread's list.
+// every attempt a coroutine frame (sim/coro.hpp), and every wire-mode send
+// a frame (wire/frame.hpp). Those blocks are small, short-lived and
+// recycled at the rate transactions run, so they come from here: one free
+// list per 64 B size class up to kMaxPooledBytes, kept per thread. A
+// thread parks at most kMaxParkedBytes; a block freed beyond that goes back
+// to the global heap, so a burst of blocks (the frames in flight when a
+// warm-up starts) does not stay set aside for the rest of the run. A
+// shard's code runs on one worker thread inside a window, so the thread
+// that frees a block is the thread that runs the code holding it, and no
+// list needs a lock. A block may change threads: a frame last released on
+// its destination's worker, or a state freed by a global task on the
+// control thread (a crash tearing down a node's transactions), joins that
+// thread's list.
 //
 // Each thread's lists are released at thread exit, so a block its holder
 // leaks stays visible to LeakSanitizer; under AddressSanitizer a parked
@@ -40,6 +45,11 @@ class BlockPool {
   static constexpr std::size_t kGranule = 64;
   static constexpr std::size_t kMaxPooledBytes = 1024;
   static constexpr std::size_t kClasses = kMaxPooledBytes / kGranule;
+  /// Bytes a thread's lists may hold. Uncapped, tpcc-durable's timed
+  /// passes peaked 0.9 MB higher than with frames on the global heap; at
+  /// this cap they peak lower, and bench_core_speed --wire allocates no
+  /// more than uncapped.
+  static constexpr std::size_t kMaxParkedBytes = 256 * 1024;
 
   /// A block of at least `bytes`, aligned like ::operator new's.
   static void* allocate(std::size_t bytes);
@@ -59,6 +69,7 @@ class BlockPool {
   struct ThreadLists {
     void* heads[kClasses];
     std::size_t parked;
+    std::size_t parked_bytes;
     Phase phase;
   };
   static inline thread_local ThreadLists lists_{};
@@ -101,19 +112,22 @@ inline void* BlockPool::allocate(std::size_t bytes) {
   unpoison(p, class_bytes(c));
   l.heads[c] = *static_cast<void**>(p);
   --l.parked;
+  l.parked_bytes -= class_bytes(c);
   return p;
 }
 
 inline void BlockPool::deallocate(void* p, std::size_t bytes) noexcept {
   ThreadLists& l = lists_;
-  if (bytes > kMaxPooledBytes || l.phase != kLive) {
+  const std::size_t c = class_of(bytes);
+  if (bytes > kMaxPooledBytes || l.phase != kLive ||
+      l.parked_bytes + class_bytes(c) > kMaxParkedBytes) {
     ::operator delete(p);
     return;
   }
-  const std::size_t c = class_of(bytes);
   *static_cast<void**>(p) = l.heads[c];
   l.heads[c] = p;
   ++l.parked;
+  l.parked_bytes += class_bytes(c);
   poison(p, class_bytes(c));
 }
 

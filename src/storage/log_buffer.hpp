@@ -70,13 +70,20 @@ class LogBuffer {
     slices_.reserve(slices);
   }
 
-  /// Appends non-payload bytes at the end.
-  wire::Writer writer() { return wire::Writer(bytes_); }
+  /// Appends `n` non-payload bytes for an encoder to write in place and
+  /// returns where they start. An encoder extends by a record's exact
+  /// non-payload size, so no byte moves while the record is written.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
 
-  /// Splices `value` (non-null) in at the end, by reference.
-  void put_payload(SharedValue value) {
+  /// Splices `value` (non-null) in by reference, before non-payload byte
+  /// `at`, which lies at or after every earlier slice's.
+  void put_payload(std::size_t at, SharedValue value) {
     payload_bytes_ += value->size();
-    slices_.push_back({bytes_.size(), std::move(value)});
+    slices_.push_back({at, std::move(value)});
   }
 
   /// Appends `other`'s logical bytes: its non-payload bytes are copied, its

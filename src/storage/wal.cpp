@@ -20,6 +20,7 @@ struct BodySize {
   std::size_t bytes = 0;
   std::size_t payload = 0;
   std::size_t slices = 0;
+  std::size_t updates = 0;  ///< pairs counted by add_updates
 
   void add(std::size_t n) { bytes += n; }
   void add_tx(const TxId& tx) {
@@ -35,20 +36,36 @@ struct BodySize {
     payload += v->size();
     ++slices;
   }
-  void add_updates(const WalUpdates& updates) {
-    add(wire::varint_size(updates.size()));
-    for (const auto& [key, value] : updates) {
+  /// `for_each(fn)` calls fn(key, payload) for each pair in order: a
+  /// ForEachUpdate, or each_of's loop over a WalUpdates without the
+  /// indirect calls.
+  template <class ForEach>
+  void add_updates(const ForEach& for_each) {
+    for_each([this](Key key, const SharedValue& value) {
+      ++updates;
       add(wire::varint_size(key));
       add_value(value);
-    }
+    });
+    add(wire::varint_size(updates));
   }
 };
 
-/// Appends a record body to a LogBuffer: fields as bytes, each non-null
-/// payload as a slice.
+/// A WalUpdates vector as a visitor.
+auto each_of(const WalUpdates& updates) {
+  return [&updates](const auto& fn) {
+    for (const auto& [key, value] : updates) fn(key, value);
+  };
+}
+
+/// Writes a record in place, into the non-payload bytes its frame extended
+/// a LogBuffer by: fields as bytes, each non-null payload as a slice.
 class BodyWriter {
  public:
-  explicit BodyWriter(LogBuffer& out) : out_(out), w_(out.writer()) {}
+  /// The record's `fields` non-payload bytes start at `out.bytes()[start]`,
+  /// which is `at`; a write past them stops at the CursorWriter's assert.
+  BodyWriter(LogBuffer& out, std::size_t start, std::uint8_t* at,
+             std::size_t fields)
+      : out_(out), start_(start), at_(at), w_(at, at + fields) {}
 
   void u8(std::uint8_t v) { w_.u8(v); }
   void u32le(std::uint32_t v) { w_.u32le(v); }
@@ -66,19 +83,28 @@ class BodyWriter {
     }
     w_.u8(1);
     w_.varint(v->size());
-    out_.put_payload(v);
+    out_.put_payload(offset(), v);
   }
-  void updates(const WalUpdates& updates) {
-    w_.varint(updates.size());
-    for (const auto& [key, v] : updates) {
+  /// The `count` pairs `for_each` visits (as for BodySize::add_updates).
+  template <class ForEach>
+  void updates(std::size_t count, const ForEach& for_each) {
+    w_.varint(count);
+    for_each([this](Key key, const SharedValue& v) {
       w_.varint(key);
       value(v);
-    }
+    });
+  }
+
+  /// Offset in the buffer's bytes() of the next byte to write.
+  std::size_t offset() const {
+    return start_ + static_cast<std::size_t>(w_.position() - at_);
   }
 
  private:
   LogBuffer& out_;
-  wire::Writer w_;
+  std::size_t start_;
+  const std::uint8_t* at_;
+  wire::CursorWriter w_;
 };
 
 /// Reads one record body in place, from the byte after the type tag to the
@@ -184,17 +210,17 @@ void put_frame(LogBuffer& out, WalRecordType type, const BodySize& body,
   const std::size_t start = out.bytes().size();
   const std::size_t first_slice = out.slices().size();
   const std::size_t logical_start = out.size();
-  if (start == 0) {
-    out.reserve(wire::kFrameOverhead + body.bytes - body.payload,
-                body.slices);
-  }
-  BodyWriter w(out);
+  const std::size_t fields = wire::kFrameOverhead + body.bytes - body.payload;
+  if (start == 0) out.reserve(fields, body.slices);
+  BodyWriter w(out, start, out.extend(fields), fields);
   w.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body.bytes +
                                      wire::kFrameChecksumBytes));
   w.u8(static_cast<std::uint8_t>(type));
   put_body(w);
   const std::size_t covered = wire::kFrameTypeBytes + body.bytes;
-  STR_ASSERT_MSG(out.size() - logical_start == wire::kFrameLenBytes + covered,
+  STR_ASSERT_MSG(w.offset() == start + fields - wire::kFrameChecksumBytes &&
+                     out.size() - logical_start == wire::kFrameOverhead +
+                                                       body.bytes,
                  "WAL record body size mismatch");
   std::uint32_t crc = 0;
   LogCursor(out, start + wire::kFrameLenBytes, first_slice)
@@ -255,24 +281,9 @@ bool decode_body(BodyReader& r, WalRecord& rec) {
   return r.done();
 }
 
-}  // namespace
-
-void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
-                    Timestamp proposed, const WalUpdates& updates) {
-  BodySize body;
-  body.add_tx(tx);
-  body.add(wire::varint_size(rs) + wire::varint_size(proposed));
-  body.add_updates(updates);
-  put_frame(out, WalRecordType::kPrepare, body, [&](BodyWriter& w) {
-    w.tx(tx);
-    w.varint(rs);
-    w.varint(proposed);
-    w.updates(updates);
-  });
-}
-
-void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
-                   const WalUpdates& updates) {
+template <class ForEach>
+void put_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
+                const ForEach& updates) {
   BodySize body;
   body.add_tx(tx);
   body.add(wire::varint_size(commit_ts));
@@ -280,8 +291,35 @@ void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
   put_frame(out, WalRecordType::kCommit, body, [&](BodyWriter& w) {
     w.tx(tx);
     w.varint(commit_ts);
-    w.updates(updates);
+    w.updates(body.updates, updates);
   });
+}
+
+}  // namespace
+
+void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
+                    Timestamp proposed, const WalUpdates& updates) {
+  const auto for_each = each_of(updates);
+  BodySize body;
+  body.add_tx(tx);
+  body.add(wire::varint_size(rs) + wire::varint_size(proposed));
+  body.add_updates(for_each);
+  put_frame(out, WalRecordType::kPrepare, body, [&](BodyWriter& w) {
+    w.tx(tx);
+    w.varint(rs);
+    w.varint(proposed);
+    w.updates(body.updates, for_each);
+  });
+}
+
+void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
+                   const WalUpdates& updates) {
+  put_commit(out, tx, commit_ts, each_of(updates));
+}
+
+void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
+                   const ForEachUpdate& updates) {
+  put_commit(out, tx, commit_ts, updates);
 }
 
 void encode_abort(LogBuffer& out, const TxId& tx) {

@@ -65,6 +65,12 @@ enum class WalRecordType : std::uint8_t {
 /// (key, payload) update lists as the store and protocol use them.
 using WalUpdates = std::vector<std::pair<Key, SharedValue>>;
 
+/// A record's (key, payload) pairs visited where they live instead of
+/// gathered into a WalUpdates: called with `fn`, it calls fn(key, payload)
+/// for each pair in order, and it visits the same pairs on every call.
+using UpdateFn = std::function<void(Key, const SharedValue&)>;
+using ForEachUpdate = std::function<void(const UpdateFn&)>;
+
 /// One version chain entry in a checkpoint snapshot.
 struct CheckpointVersion {
   Key key = 0;
@@ -96,6 +102,10 @@ void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates);
 void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates);
+/// The same record, its pairs read through `updates` (a replica's commit:
+/// the store's uncommitted versions of `tx`).
+void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
+                   const ForEachUpdate& updates);
 void encode_abort(LogBuffer& out, const TxId& tx);
 void encode_decision(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at);

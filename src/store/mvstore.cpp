@@ -406,17 +406,9 @@ Timestamp PartitionStore::last_reader(Key key) const {
 std::vector<std::pair<Key, SharedValue>> PartitionStore::uncommitted_updates(
     const TxId& tx) const {
   std::vector<std::pair<Key, SharedValue>> updates;
-  const UncommittedKeys* keys = uncommitted_.find(tx);
-  if (keys == nullptr) return updates;
-  updates.reserve(keys->size());
-  for (const UncommittedKey& k : *keys) {
-    for (const Version& v : table_.at(k.pos).versions) {
-      if (v.writer() == tx && v.state != VersionState::Committed) {
-        updates.emplace_back(k.key(), v.value);
-        break;
-      }
-    }
-  }
+  for_each_uncommitted_update(tx, [&updates](Key key, const SharedValue& v) {
+    updates.emplace_back(key, v);
+  });
   return updates;
 }
 

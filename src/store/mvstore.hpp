@@ -229,6 +229,22 @@ class PartitionStore {
   std::vector<std::pair<Key, SharedValue>> uncommitted_updates(
       const TxId& tx) const;
 
+  /// The pairs uncommitted_updates(tx) returns, visited where they live as
+  /// fn(key, payload), without building the vector.
+  template <typename Fn>
+  void for_each_uncommitted_update(const TxId& tx, Fn&& fn) const {
+    const UncommittedKeys* keys = uncommitted_.find(tx);
+    if (keys == nullptr) return;
+    for (const UncommittedKey& k : *keys) {
+      for (const Version& v : table_.at(k.pos).versions) {
+        if (v.writer() == tx && v.state != VersionState::Committed) {
+          fn(k.key(), v.value);
+          break;
+        }
+      }
+    }
+  }
+
   /// Visit every version in the store as fn(key, version), sorted by
   /// (key, chain position): the checkpoint snapshot, built in one walk.
   /// Key order (each chain is already ascending by ts) keeps checkpoints

@@ -24,11 +24,14 @@
 // checksum rejects corrupted frames before any field is interpreted.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/assert.hpp"
 
 namespace str::wire {
 
@@ -43,14 +46,10 @@ inline constexpr std::size_t kFrameOverhead =
 /// Smallest well-formed frame: empty body.
 inline constexpr std::size_t kMinFrameSize = kFrameOverhead;
 
-/// Encoded size of an unsigned varint (1..10 bytes).
+/// Encoded size of an unsigned varint (1..10 bytes): one byte per 7
+/// significant bits.
 inline std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 /// Zigzag mapping: small-magnitude signed values become small unsigned ones.
@@ -81,42 +80,78 @@ std::uint32_t checksum32(const std::uint8_t* data, std::size_t size,
 std::uint32_t crc32c_portable(const std::uint8_t* data, std::size_t size,
                               std::uint32_t prefix = 0);
 
-/// Append-only encoder over a caller-owned Buffer.
-class Writer {
+/// Encoder into storage the caller has sized exactly (frame_size,
+/// body_size): the one implementation of the encoding. Every field is
+/// checked against the end of the storage before it is written, so a size
+/// that under-counts stops at an always-on assert instead of writing past
+/// the storage.
+class CursorWriter {
  public:
-  explicit Writer(Buffer& out) : out_(out) {}
+  CursorWriter(std::uint8_t* at, std::uint8_t* end) : p_(at), end_(end) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { *take(1) = v; }
 
   void u32le(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v >> 16));
-    out_.push_back(static_cast<std::uint8_t>(v >> 24));
+    std::uint8_t* p = take(4);
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
   }
 
   void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = take(varint_size(v));
+    for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    *p = static_cast<std::uint8_t>(v);
   }
-
-  void zigzag(std::int64_t v) { varint(zigzag_encode(v)); }
 
   /// varint length prefix + raw bytes.
   void bytes(const void* data, std::size_t size) {
     varint(size);
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    out_.insert(out_.end(), p, p + size);
+    if (size != 0) std::memcpy(take(size), data, size);
   }
 
   void str(const std::string& s) { bytes(s.data(), s.size()); }
 
-  Buffer& buffer() { return out_; }
+  std::uint8_t* position() const { return p_; }
+  /// Bytes of the storage not yet written.
+  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
 
  private:
+  std::uint8_t* take(std::size_t n) {
+    STR_ASSERT_MSG(n <= remaining(), "encoder overran its sized storage");
+    std::uint8_t* at = p_;
+    p_ += n;
+    return at;
+  }
+
+  std::uint8_t* p_;
+  std::uint8_t* end_;
+};
+
+/// Append-only encoder over a caller-owned Buffer: grows it by each
+/// field's size and writes the field with a CursorWriter.
+class Writer {
+ public:
+  explicit Writer(Buffer& out) : out_(out) {}
+
+  void u8(std::uint8_t v) { grow(1).u8(v); }
+  void u32le(std::uint32_t v) { grow(4).u32le(v); }
+  void varint(std::uint64_t v) { grow(varint_size(v)).varint(v); }
+  void zigzag(std::int64_t v) { varint(zigzag_encode(v)); }
+  /// varint length prefix + raw bytes.
+  void bytes(const void* data, std::size_t size) {
+    grow(varint_size(size) + size).bytes(data, size);
+  }
+  void str(const std::string& s) { bytes(s.data(), s.size()); }
+
+ private:
+  CursorWriter grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return CursorWriter(out_.data() + at, out_.data() + out_.size());
+  }
+
   Buffer& out_;
 };
 

@@ -39,14 +39,14 @@ void trace_delivery(Cluster& cl, NodeId to, const M& m) {
                     static_cast<std::uint64_t>(type_tag<M>()), m.partition});
 }
 
-/// Record a prepare's or replicate's write payloads in the cluster's table:
-/// the receivers' decode resolves their copies of (tx, key) back to these
-/// (wire/payload_table.hpp).
-void record_payloads(Cluster& cl, const TxId& tx,
-                     const protocol::SharedUpdates& updates) {
-  if (updates == nullptr) return;
-  for (const auto& [key, value] : *updates) {
-    if (value != nullptr) cl.payloads().record(tx, key, value);
+/// Record a prepare's or replicate's update list in the cluster's table:
+/// the receivers' decode hands it back (wire/payload_table.hpp).
+template <class M>
+void record_payloads(Cluster& cl, const M& msg) {
+  if constexpr (requires { msg.updates; }) {
+    if (msg.updates != nullptr) {
+      cl.payloads().record(msg.tx, msg.partition, msg.updates);
+    }
   }
 }
 
@@ -123,19 +123,38 @@ DecodeStatus dispatch_frame(Cluster& cl, NodeId to, const std::uint8_t* data,
 }
 
 template <class M>
+void post_fanout(Cluster& cl, NodeId from, std::span<const NodeId> to,
+                 const M& msg) {
+  if (!cl.wire_mode()) {
+    for (NodeId n : to) post(cl, from, n, msg);
+    return;
+  }
+  if (to.empty()) return;
+  // One encode and one checksum for every leg; each leg is then sent as
+  // post sends one, in order, with its own accounting, fault draws and
+  // delivery.
+  record_payloads(cl, msg);
+  Frame frame = seal_frame(msg);
+  const std::size_t size = frame.size();
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    cl.node(from).count_sent(type_tag<M>(), size);
+    // The last leg takes the sender's reference.
+    cl.network().send_frame(from, to[i],
+                            i + 1 < to.size() ? frame : std::move(frame));
+  }
+}
+
+template <class M>
 void post(Cluster& cl, NodeId from, NodeId to, M msg) {
-  const std::size_t size = frame_size(msg);
-  cl.node(from).count_sent(type_tag<M>(), size);
   if (cl.wire_mode()) {
-    if constexpr (requires { msg.updates; }) {
-      record_payloads(cl, msg.tx, msg.updates);
-    }
-    cl.network().send_frame(from, to, encode_frame(msg));
+    post_fanout(cl, from, std::span<const NodeId>(&to, 1), msg);
     return;
   }
   // Closure transport: same routing table, same exact byte accounting. The
   // message is captured by value and passed by const reference, so a
   // network-duplicated delivery replays it intact.
+  const std::size_t size = frame_size(msg);
+  cl.node(from).count_sent(type_tag<M>(), size);
   Cluster* c = &cl;
   cl.network().send(
       from, to, [c, to, msg = std::move(msg)]() { deliver(*c, to, msg); },
@@ -164,5 +183,14 @@ template void post<protocol::DecisionReplicate>(Cluster&, NodeId, NodeId,
                                                 protocol::DecisionReplicate);
 template void post<protocol::DecisionReplicateAck>(
     Cluster&, NodeId, NodeId, protocol::DecisionReplicateAck);
+
+template void post_fanout<protocol::ReplicateRequest>(
+    Cluster&, NodeId, std::span<const NodeId>,
+    const protocol::ReplicateRequest&);
+template void post_fanout<protocol::CommitMessage>(
+    Cluster&, NodeId, std::span<const NodeId>, const protocol::CommitMessage&);
+template void post_fanout<protocol::DecisionReplicate>(
+    Cluster&, NodeId, std::span<const NodeId>,
+    const protocol::DecisionReplicate&);
 
 }  // namespace str::wire

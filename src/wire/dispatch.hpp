@@ -3,14 +3,17 @@
 // Two entry points:
 //
 //  * `post(cluster, from, to, msg)` — the one way the protocol layer sends
-//    a message. In wire mode (`Cluster::Config::wire_codec`) the message is
-//    encoded into a checksummed frame and shipped as bytes through
-//    `Network::send_frame`, then decoded and routed at the destination;
-//    prepare and replicate sends first record their write payloads in the
-//    cluster's PayloadTable, which the receivers' decode resolves to. In
-//    the default closure mode it travels as a closure whose byte accounting
-//    uses the exact frame size — so both modes report identical traffic and
-//    stay on the same RNG draw sequence.
+//    a message, and `post_fanout(cluster, from, nodes, msg)`, the same
+//    message to several nodes in a row. In wire mode
+//    (`Cluster::Config::wire_codec`) the message is sealed into one
+//    checksummed wire::Frame and shipped as bytes through
+//    `Network::send_frame`, every leg of a fan-out sharing it, then
+//    decoded and routed at the destination; prepare and replicate sends
+//    first record their update list in the cluster's PayloadTable, which
+//    the receivers' decode hands back. In the default closure mode each
+//    leg travels as a closure whose byte accounting uses the exact frame
+//    size — so both modes report identical traffic and stay on the same
+//    RNG draw sequence.
 //
 //  * `dispatch_frame(cluster, to, data, size)` — decode one received frame
 //    through the cluster's PayloadTable and route it to the owning handler
@@ -24,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 #include "protocol/messages.hpp"
@@ -68,6 +72,16 @@ DecodeStatus dispatch_frame(protocol::Cluster& cl, NodeId to,
 template <class M>
 void post(protocol::Cluster& cl, NodeId from, NodeId to, M msg);
 
+/// Send `msg` from `from` to every node of `to`, in order: the legs of one
+/// fan-out. Each leg is what post() would send — its own traffic count,
+/// fault draws and delivery, in the same order — but in wire mode every leg
+/// carries one shared frame, encoded and checksummed once. Instantiated in
+/// dispatch.cpp for the messages the protocol fans out: replicates,
+/// commits and decision replicates.
+template <class M>
+void post_fanout(protocol::Cluster& cl, NodeId from,
+                 std::span<const NodeId> to, const M& msg);
+
 extern template void post<protocol::ReadRequest>(protocol::Cluster&, NodeId,
                                                  NodeId, protocol::ReadRequest);
 extern template void post<protocol::ReadReply>(protocol::Cluster&, NodeId,
@@ -96,5 +110,15 @@ extern template void post<protocol::DecisionReplicate>(
     protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicate);
 extern template void post<protocol::DecisionReplicateAck>(
     protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicateAck);
+
+extern template void post_fanout<protocol::ReplicateRequest>(
+    protocol::Cluster&, NodeId, std::span<const NodeId>,
+    const protocol::ReplicateRequest&);
+extern template void post_fanout<protocol::CommitMessage>(
+    protocol::Cluster&, NodeId, std::span<const NodeId>,
+    const protocol::CommitMessage&);
+extern template void post_fanout<protocol::DecisionReplicate>(
+    protocol::Cluster&, NodeId, std::span<const NodeId>,
+    const protocol::DecisionReplicate&);
 
 }  // namespace str::wire

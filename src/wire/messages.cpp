@@ -1,8 +1,11 @@
 #include "wire/messages.hpp"
 
 #include <limits>
+#include <memory>
 #include <string_view>
 #include <utility>
+
+#include "protocol/partition_map.hpp"
 
 namespace str::wire {
 
@@ -12,7 +15,7 @@ using protocol::UpdateList;
 
 // -- shared field helpers -----------------------------------------------------
 
-void put_txid(Writer& w, const TxId& id) {
+void put_txid(CursorWriter& w, const TxId& id) {
   w.varint(id.node);
   w.varint(id.seq);
 }
@@ -44,7 +47,7 @@ bool get_bool(Reader& r, bool& out) {
   return true;
 }
 
-void put_value(Writer& w, const SharedValue& v) {
+void put_value(CursorWriter& w, const SharedValue& v) {
   w.u8(v ? 1 : 0);
   if (v) w.str(*v);
 }
@@ -61,7 +64,7 @@ std::size_t value_size(const SharedValue& v) {
   return 1 + varint_size(v->size()) + v->size();
 }
 
-void put_updates(Writer& w, const protocol::SharedUpdates& ups) {
+void put_updates(CursorWriter& w, const protocol::SharedUpdates& ups) {
   const std::size_t n = ups ? ups->size() : 0;
   w.varint(n);
   if (!ups) return;
@@ -71,15 +74,54 @@ void put_updates(Writer& w, const protocol::SharedUpdates& ups) {
   }
 }
 
-/// An update list written by `tx`: each value resolves through `payloads`
-/// by (tx, key).
-bool get_updates(Reader& r, const TxId& tx, PayloadTable& payloads,
-                 protocol::SharedUpdates& out) {
+/// The payload of `key` in `list` (which may be null) when its bytes are
+/// `bytes`, else a fresh copy of them.
+SharedValue payload_for(const UpdateList* list, Key key,
+                        std::string_view bytes) {
+  if (list != nullptr) {
+    for (const auto& [k, value] : *list) {
+      if (k == key && value != nullptr && *value == bytes) return value;
+    }
+  }
+  return std::make_shared<const Value>(bytes);
+}
+
+/// Whether the `list.size()` updates at `r` carry exactly `list`'s keys
+/// and payload bytes, in order. Advances `r` (a copy the caller keeps or
+/// drops).
+bool updates_equal(Reader& r, const UpdateList& list) {
+  for (const auto& [key, value] : list) {
+    const Key k = r.varint();
+    bool present = false;
+    std::string_view bytes;
+    if (!r.ok() || k != key || !get_value_view(r, present, bytes) ||
+        present != (value != nullptr) || (present && *value != bytes)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The update list `tx` wrote to `pid`. When the frame's updates equal the
+/// list recorded for (tx, pid), that list itself; otherwise a fresh list
+/// whose values share the recorded list's where the bytes match, recorded
+/// in turn when no live list was.
+bool get_updates(Reader& r, const TxId& tx, PartitionId pid,
+                 PayloadTable& payloads, protocol::SharedUpdates& out) {
   const std::uint64_t n = r.varint();
   // Each update needs at least 2 bytes (key varint + presence byte), so a
   // count beyond remaining()/2 is malformed — checked before reserving so a
   // forged count can never trigger a huge allocation.
   if (!r.ok() || n > r.remaining() / 2 + 1) return false;
+  SharedUpdates recorded = payloads.find(tx, pid);
+  if (recorded != nullptr && recorded->size() == n) {
+    Reader probe = r;
+    if (updates_equal(probe, *recorded)) {
+      r = probe;
+      out = std::move(recorded);
+      return true;
+    }
+  }
   auto list = std::make_shared<UpdateList>();
   list->reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -87,10 +129,11 @@ bool get_updates(Reader& r, const TxId& tx, PayloadTable& payloads,
     bool present = false;
     std::string_view bytes;
     if (!r.ok() || !get_value_view(r, present, bytes)) return false;
-    list->emplace_back(key,
-                       present ? payloads.resolve(tx, key, bytes) : nullptr);
+    list->emplace_back(
+        key, present ? payload_for(recorded.get(), key, bytes) : nullptr);
   }
   out = std::move(list);
+  if (recorded == nullptr) payloads.record(tx, pid, out);
   return true;
 }
 
@@ -111,7 +154,7 @@ std::size_t updates_size(const protocol::SharedUpdates& ups) {
 /// layout with tspan == 0 is unchanged. The decoder reads it only when bytes
 /// remain after the base fields, which is unambiguous because every base
 /// field is self-delimiting (see docs/WIRE.md, "Trace context").
-void put_tspan(Writer& w, std::uint64_t tspan) {
+void put_tspan(CursorWriter& w, std::uint64_t tspan) {
   if (tspan != 0) w.varint(tspan);
 }
 
@@ -175,7 +218,7 @@ const char* to_string(DecodeStatus s) {
 
 // -- ReadRequest --------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::ReadRequest& m) {
+void encode_body(CursorWriter& w, const protocol::ReadRequest& m) {
   put_txid(w, m.reader);
   w.varint(m.reader_node);
   w.varint(m.req_id);
@@ -201,7 +244,7 @@ std::size_t body_size(const protocol::ReadRequest& m) {
 
 // -- ReadReply ----------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::ReadReply& m) {
+void encode_body(CursorWriter& w, const protocol::ReadReply& m) {
   put_txid(w, m.reader);
   w.varint(m.req_id);
   w.varint(m.key);
@@ -225,7 +268,11 @@ bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads) {
   if (!get_txid(r, m.writer)) return false;
   m.version_ts = r.varint();
   if (!r.ok() || !get_tspan(r, m.tspan)) return false;
-  if (present) m.value = payloads.resolve(m.writer, m.key, bytes);
+  if (present) {
+    const SharedUpdates writes = payloads.find(
+        m.writer, protocol::PartitionMap::partition_of(m.key));
+    m.value = payload_for(writes.get(), m.key, bytes);
+  }
   return true;
 }
 
@@ -236,7 +283,7 @@ std::size_t body_size(const protocol::ReadReply& m) {
 
 // -- PrepareRequest -----------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::PrepareRequest& m) {
+void encode_body(CursorWriter& w, const protocol::PrepareRequest& m) {
   put_txid(w, m.tx);
   w.varint(m.coordinator);
   w.varint(m.partition);
@@ -252,7 +299,7 @@ bool decode_body(Reader& r, protocol::PrepareRequest& m,
   if (!get_u32(r, m.partition)) return false;
   m.rs = r.varint();
   if (!r.ok()) return false;
-  if (!get_updates(r, m.tx, payloads, m.updates)) return false;
+  if (!get_updates(r, m.tx, m.partition, payloads, m.updates)) return false;
   return get_tspan(r, m.tspan);
 }
 
@@ -264,7 +311,7 @@ std::size_t body_size(const protocol::PrepareRequest& m) {
 
 // -- PrepareReply -------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::PrepareReply& m) {
+void encode_body(CursorWriter& w, const protocol::PrepareReply& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   w.varint(m.from);
@@ -290,7 +337,7 @@ std::size_t body_size(const protocol::PrepareReply& m) {
 
 // -- ReplicateRequest ---------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::ReplicateRequest& m) {
+void encode_body(CursorWriter& w, const protocol::ReplicateRequest& m) {
   put_txid(w, m.tx);
   w.varint(m.coordinator);
   w.varint(m.partition);
@@ -306,7 +353,7 @@ bool decode_body(Reader& r, protocol::ReplicateRequest& m,
   if (!get_u32(r, m.partition)) return false;
   m.rs = r.varint();
   if (!r.ok()) return false;
-  if (!get_updates(r, m.tx, payloads, m.updates)) return false;
+  if (!get_updates(r, m.tx, m.partition, payloads, m.updates)) return false;
   return get_tspan(r, m.tspan);
 }
 
@@ -318,7 +365,7 @@ std::size_t body_size(const protocol::ReplicateRequest& m) {
 
 // -- CommitMessage ------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::CommitMessage& m) {
+void encode_body(CursorWriter& w, const protocol::CommitMessage& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   w.varint(m.commit_ts);
@@ -340,7 +387,7 @@ std::size_t body_size(const protocol::CommitMessage& m) {
 
 // -- AbortMessage -------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::AbortMessage& m) {
+void encode_body(CursorWriter& w, const protocol::AbortMessage& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   put_tspan(w, m.tspan);
@@ -358,7 +405,7 @@ std::size_t body_size(const protocol::AbortMessage& m) {
 
 // -- DecisionRequest ----------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::DecisionRequest& m) {
+void encode_body(CursorWriter& w, const protocol::DecisionRequest& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   w.varint(m.from);
@@ -378,7 +425,7 @@ std::size_t body_size(const protocol::DecisionRequest& m) {
 
 // -- DecisionReply ------------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::DecisionReply& m) {
+void encode_body(CursorWriter& w, const protocol::DecisionReply& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   w.u8(static_cast<std::uint8_t>(m.decision));
@@ -406,7 +453,7 @@ std::size_t body_size(const protocol::DecisionReply& m) {
 
 // -- DecisionReplicate --------------------------------------------------------
 
-void encode_body(Writer& w, const protocol::DecisionReplicate& m) {
+void encode_body(CursorWriter& w, const protocol::DecisionReplicate& m) {
   put_txid(w, m.tx);
   w.varint(m.origin);
   w.varint(m.commit_ts);
@@ -430,7 +477,7 @@ std::size_t body_size(const protocol::DecisionReplicate& m) {
 
 // -- DecisionReplicateAck -----------------------------------------------------
 
-void encode_body(Writer& w, const protocol::DecisionReplicateAck& m) {
+void encode_body(CursorWriter& w, const protocol::DecisionReplicateAck& m) {
   put_txid(w, m.tx);
   w.varint(m.partition);
   w.varint(m.from);

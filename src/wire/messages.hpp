@@ -1,15 +1,16 @@
 // Typed wire codec for every protocol message (docs/WIRE.md).
 //
 // One stable type tag and one encode/decode pair per struct in
-// protocol/messages.hpp. `encode_frame` seals a message into a
-// checksummed, length-prefixed frame (wire/codec.hpp); `decode_frame`
+// protocol/messages.hpp. `seal_frame` (and `encode_frame`, its plain-buffer
+// twin) writes a message in place into a checksummed, length-prefixed frame
+// of its exact size (wire/codec.hpp, wire/frame.hpp); `decode_frame`
 // verifies and opens one, rejecting — never crashing on — truncated,
-// corrupted, or trailing-garbage input, and resolves every decoded value
-// through a PayloadTable (wire/payload_table.hpp) so that one write keeps
-// one payload. `frame_size` predicts the exact encoded size without
-// building the buffer, which is what the closure-mode transport feeds the
-// network's byte accounting so that both transport modes report identical
-// traffic.
+// corrupted, or trailing-garbage input, and resolves update lists and read
+// values through a PayloadTable (wire/payload_table.hpp) so that a receiver
+// holds the sender's list and one write keeps one payload. `frame_size`
+// predicts the exact encoded size without building the buffer, which is
+// what the closure-mode transport feeds the network's byte accounting so
+// that both transport modes report identical traffic.
 //
 // Versioning rules (see docs/WIRE.md "Versioning"): tags are append-only
 // and never reused; fields are encoded in declaration order and new fields
@@ -19,8 +20,10 @@
 #include <cstdint>
 #include <variant>
 
+#include "common/assert.hpp"
 #include "protocol/messages.hpp"
 #include "wire/codec.hpp"
+#include "wire/frame.hpp"
 #include "wire/payload_table.hpp"
 
 namespace str::wire {
@@ -111,22 +114,22 @@ constexpr MessageType type_tag<protocol::DecisionReplicateAck>() {
 }
 
 // -- per-type body codec ------------------------------------------------------
-// encode_body appends the message fields; decode_body parses them and
+// encode_body writes the message fields; decode_body parses them and
 // returns false on malformed input (bounds, enum ranges). The three types
 // that carry values take the PayloadTable their values resolve through.
-// body_size returns exactly what encode_body would append.
+// body_size returns exactly what encode_body would write.
 
-void encode_body(Writer& w, const protocol::ReadRequest& m);
-void encode_body(Writer& w, const protocol::ReadReply& m);
-void encode_body(Writer& w, const protocol::PrepareRequest& m);
-void encode_body(Writer& w, const protocol::PrepareReply& m);
-void encode_body(Writer& w, const protocol::ReplicateRequest& m);
-void encode_body(Writer& w, const protocol::CommitMessage& m);
-void encode_body(Writer& w, const protocol::AbortMessage& m);
-void encode_body(Writer& w, const protocol::DecisionRequest& m);
-void encode_body(Writer& w, const protocol::DecisionReply& m);
-void encode_body(Writer& w, const protocol::DecisionReplicate& m);
-void encode_body(Writer& w, const protocol::DecisionReplicateAck& m);
+void encode_body(CursorWriter& w, const protocol::ReadRequest& m);
+void encode_body(CursorWriter& w, const protocol::ReadReply& m);
+void encode_body(CursorWriter& w, const protocol::PrepareRequest& m);
+void encode_body(CursorWriter& w, const protocol::PrepareReply& m);
+void encode_body(CursorWriter& w, const protocol::ReplicateRequest& m);
+void encode_body(CursorWriter& w, const protocol::CommitMessage& m);
+void encode_body(CursorWriter& w, const protocol::AbortMessage& m);
+void encode_body(CursorWriter& w, const protocol::DecisionRequest& m);
+void encode_body(CursorWriter& w, const protocol::DecisionReply& m);
+void encode_body(CursorWriter& w, const protocol::DecisionReplicate& m);
+void encode_body(CursorWriter& w, const protocol::DecisionReplicateAck& m);
 
 bool decode_body(Reader& r, protocol::ReadRequest& m);
 bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads);
@@ -156,27 +159,44 @@ std::size_t body_size(const protocol::DecisionReplicateAck& m);
 
 // -- frames -------------------------------------------------------------------
 
-/// Seal `m` into a complete frame (length prefix, tag, body, checksum).
-template <class M>
-Buffer encode_frame(const M& m) {
-  Buffer out;
-  const std::size_t body = body_size(m);
-  out.reserve(kFrameOverhead + body);
-  Writer w(out);
-  w.u32le(static_cast<std::uint32_t>(kFrameTypeBytes + body +
-                                     kFrameChecksumBytes));
-  w.u8(static_cast<std::uint8_t>(type_tag<M>()));
-  encode_body(w, m);
-  w.u32le(checksum32(out.data() + kFrameLenBytes,
-                     out.size() - kFrameLenBytes));
-  return out;
-}
-
 /// Exact size encode_frame(m) would produce, without building it. This is
 /// the number both transport modes charge to the network byte counters.
 template <class M>
 std::size_t frame_size(const M& m) {
   return kFrameOverhead + body_size(m);
+}
+
+/// Write the complete frame of `m` — length prefix, tag, body, checksum —
+/// at `out`, which holds exactly `size` == frame_size(m) bytes.
+/// A body that leaves other than the checksum's bytes unwritten stops at an
+/// always-on assert, as one that would overrun `size` does.
+template <class M>
+void write_frame(std::uint8_t* out, std::size_t size, const M& m) {
+  CursorWriter w(out, out + size);
+  w.u32le(static_cast<std::uint32_t>(size - kFrameLenBytes));
+  w.u8(static_cast<std::uint8_t>(type_tag<M>()));
+  encode_body(w, m);
+  STR_ASSERT_MSG(w.remaining() == kFrameChecksumBytes,
+                 "frame body size mismatch");
+  w.u32le(checksum32(out + kFrameLenBytes,
+                     size - kFrameLenBytes - kFrameChecksumBytes));
+}
+
+/// Seal `m` into a complete frame (length prefix, tag, body, checksum).
+template <class M>
+Buffer encode_frame(const M& m) {
+  Buffer out(frame_size(m));
+  write_frame(out.data(), out.size(), m);
+  return out;
+}
+
+/// encode_frame as a shared, immutable Frame (wire/frame.hpp): what a send
+/// hands the network, and what every leg of a fan-out holds.
+template <class M>
+Frame seal_frame(const M& m) {
+  const std::size_t size = frame_size(m);
+  return Frame::build(size,
+                      [&](std::uint8_t* out) { write_frame(out, size, m); });
 }
 
 /// A decoded message of any type (monostate = nothing decoded).

@@ -2,43 +2,44 @@
 
 namespace str::wire {
 
-SharedValue PayloadTable::resolve(const TxId& writer, Key key,
-                                  std::string_view bytes) {
+SharedUpdates PayloadTable::find(const TxId& writer, PartitionId pid) const {
   auto lk = lock();
-  std::weak_ptr<const Value>& entry = entries_[WriteId{writer, key}];
-  if (SharedValue live = entry.lock(); live && *live == bytes) return live;
-  SharedValue fresh = std::make_shared<const Value>(bytes);
-  entry = fresh;
-  return fresh;
+  const std::weak_ptr<const UpdateList>* entry =
+      entries_.find(ListId{writer, pid});
+  if (entry == nullptr) return nullptr;
+  SharedUpdates list = entry->lock();
+  if (list != nullptr) ++found_;
+  return list;
 }
 
-void PayloadTable::record(const TxId& writer, Key key,
-                          const SharedValue& value) {
+void PayloadTable::record(const TxId& writer, PartitionId pid,
+                          const SharedUpdates& list) {
   auto lk = lock();
-  std::weak_ptr<const Value>& entry = entries_[WriteId{writer, key}];
-  if (SharedValue live = entry.lock();
-      live && (live == value || *live == *value)) {
-    return;
-  }
-  entry = value;
+  std::weak_ptr<const UpdateList>& entry = entries_[ListId{writer, pid}];
+  if (entry.expired()) entry = list;
 }
 
-void PayloadTable::forget(const TxId& writer, const UpdateList& writes) {
+void PayloadTable::forget(const TxId& writer, PartitionId pid) {
   auto lk = lock();
-  for (const auto& [key, value] : writes) entries_.erase(WriteId{writer, key});
+  entries_.erase(ListId{writer, pid});
 }
 
 void PayloadTable::sweep() {
   auto lk = lock();
   entries_.erase_if(
-      [](const WriteId&, const std::weak_ptr<const Value>& payload) {
-        return payload.expired();
+      [](const ListId&, const std::weak_ptr<const UpdateList>& list) {
+        return list.expired();
       });
 }
 
 std::size_t PayloadTable::size() const {
   auto lk = lock();
   return entries_.size();
+}
+
+std::uint64_t PayloadTable::found() const {
+  auto lk = lock();
+  return found_;
 }
 
 }  // namespace str::wire

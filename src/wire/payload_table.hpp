@@ -1,25 +1,31 @@
-// Write-identity payload table: one heap payload per write on the wire path.
+// Update-list table: decode a prepare or replicate to the sender's list.
 //
-// A write's value is allocated once, by the workload. Closure mode hands
-// that one `SharedValue` to every message, replica version and read result.
-// In wire mode each receiver rebuilds the value from frame bytes, so without
-// help every replica of a write (rf of them) would hold its own copy. This
-// table maps a write's identity — (writer TxId, Key) — to a weak reference
-// to its live payload:
+// A write's value is allocated once, by the workload, and grouping a write
+// set puts each partition's writes in one shared update list. Closure mode
+// hands that list to every prepare and replicate, so every replica's
+// version aliases the writer's payload. In wire mode each receiver rebuilds
+// the list from frame bytes, so without help every replica would hold its
+// own list and its own copy of every value. This table maps a list's
+// identity — (writer TxId, PartitionId) — to a weak reference to the live
+// list:
 //
-//   * `wire::post` records the sender's payloads for prepare and replicate
-//     messages before they are encoded;
-//   * `decode_frame` resolves every decoded value through the table: update
-//     lists by the message's tx, read replies by their `writer` field.
+//   * `wire::post` records the sender's list of a prepare or replicate
+//     before the first leg is encoded, once per fan-out;
+//   * decoding a prepare or replicate takes one lookup. When every decoded
+//     key and payload byte equals the recorded list, in order, the decode
+//     hands back the list itself, as closure mode does; otherwise it builds
+//     a fresh list whose values share the recorded list's where the bytes
+//     match, and records it only when no live list was recorded;
+//   * a read reply resolves its value by (writer, the key's partition): the
+//     writer's recorded payload when the bytes match, else a fresh one.
 //
-// A live payload is handed back only when its bytes equal the frame's, so
-// the table can never change what a receiver sees; otherwise a fresh
-// payload is allocated and recorded in its place. Entries hold weak
-// references, so the table never keeps a value alive. The table holds the
-// writes in flight: `forget()` drops a transaction's entries at its final
-// outcome (its coordinator), because its payload may live on in stored
-// versions and in the transaction's later attempts; `sweep()` drops the
-// entries whose payload has been freed (Cluster's maintenance tick).
+// A recorded list is handed back only when its bytes equal the frame's, so
+// the table can never change what a receiver sees. Entries hold weak
+// references, so the table never keeps a list alive. The table holds the
+// lists in flight: `forget()` drops a transaction's entry per list at its
+// final outcome (its coordinator), because its payloads may live on in
+// stored versions and in the transaction's later attempts; `sweep()` drops
+// the entries whose list has been freed (Cluster's maintenance tick).
 //
 // The table is shared by every shard of a cluster. Its mutex is taken only
 // when `locked` was set at construction — when more than one worker thread
@@ -28,9 +34,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string_view>
 
 #include "common/open_map.hpp"
 #include "common/types.hpp"
@@ -41,34 +47,36 @@ class PayloadTable {
  public:
   explicit PayloadTable(bool locked = false) : locked_(locked) {}
 
-  /// The payload of write (writer, key) holding exactly `bytes`: the
-  /// recorded one while it is live and its bytes match, else a fresh
-  /// allocation, recorded in its place.
-  SharedValue resolve(const TxId& writer, Key key, std::string_view bytes);
+  /// The live list recorded for `writer`'s writes to `pid`, or null.
+  SharedUpdates find(const TxId& writer, PartitionId pid) const;
 
-  /// Record a sender's (non-null) payload for write (writer, key). A live
-  /// recorded payload with the same bytes stays: receivers may share it.
-  void record(const TxId& writer, Key key, const SharedValue& value);
+  /// Record a (non-null) update list of `writer`'s writes to `pid`. A live
+  /// recorded list stays: receivers may share it.
+  void record(const TxId& writer, PartitionId pid, const SharedUpdates& list);
 
-  /// Drop the entries of `writer`'s writes (its coordinator, at the final
-  /// outcome). A frame of the attempt decoded later gets a copy of its own.
-  void forget(const TxId& writer, const UpdateList& writes);
+  /// Drop the entry of `writer`'s list for `pid` (its coordinator, at the
+  /// final outcome). A frame of the attempt decoded later gets a list of
+  /// its own.
+  void forget(const TxId& writer, PartitionId pid);
 
-  /// Drop every entry whose payload has been freed.
+  /// Drop every entry whose list has been freed.
   void sweep();
 
   /// Entries, live or expired (tests).
   std::size_t size() const;
 
+  /// find() calls that returned a live list, since construction (tests).
+  std::uint64_t found() const;
+
  private:
-  struct WriteId {
+  struct ListId {
     TxId writer;
-    Key key = 0;
-    friend bool operator==(const WriteId&, const WriteId&) = default;
+    PartitionId pid = 0;
+    friend bool operator==(const ListId&, const ListId&) = default;
   };
-  struct WriteIdHash {
-    std::size_t operator()(const WriteId& id) const noexcept {
-      return TxIdHash{}(id.writer) ^ static_cast<std::size_t>(mix_hash(id.key));
+  struct ListIdHash {
+    std::size_t operator()(const ListId& id) const noexcept {
+      return TxIdHash{}(id.writer) ^ static_cast<std::size_t>(mix_hash(id.pid));
     }
   };
 
@@ -79,8 +87,9 @@ class PayloadTable {
   }
 
   const bool locked_;
-  mutable std::mutex mu_;  ///< guards entries_ when locked_
-  OpenMap<WriteId, std::weak_ptr<const Value>, WriteIdHash> entries_;
+  mutable std::mutex mu_;  ///< guards entries_ and found_ when locked_
+  OpenMap<ListId, std::weak_ptr<const UpdateList>, ListIdHash> entries_;
+  mutable std::uint64_t found_ = 0;
 };
 
 }  // namespace str::wire

@@ -270,13 +270,77 @@ TEST(Histogram, MergesOfDifferentSizesMatchEagerReference) {
   grown_ref.merge(big_ref);
   expect_same(grown, grown_ref);
 
-  Histogram absorbed = big;  // larger absorbs smaller: no growth
+  Histogram absorbed = big;  // larger absorbs smaller: grows below
   EagerHistogram absorbed_ref = big_ref;
   absorbed.merge(small);
   absorbed_ref.merge(small_ref);
   expect_same(absorbed, absorbed_ref);
-  EXPECT_EQ(absorbed.bucket_bytes(), big.bucket_bytes());
+  // Either way the result holds the ranges of both, and no more.
+  EXPECT_EQ(absorbed.bucket_bytes(), grown.bucket_bytes());
   expect_same(grown, absorbed_ref);
+}
+
+TEST(Histogram, MergesOfDisjointRangesHoldOnlyTheirSpan) {
+  constexpr std::size_t kRange = 128 * sizeof(std::uint64_t);  // 2^7 buckets
+  Histogram low;
+  Histogram high;
+  EagerHistogram low_ref;
+  EagerHistogram high_ref;
+  for (std::uint64_t v : {1000u, 1500u, 2000u}) {  // ranges 3 and 4
+    low.record(v);
+    low_ref.record(v);
+  }
+  for (std::uint64_t v : {1u << 20, 3u << 20}) {  // ranges 14 and 15
+    high.record(v);
+    high_ref.record(v);
+  }
+  EXPECT_EQ(low.bucket_bytes(), 2 * kRange);
+  EXPECT_EQ(high.bucket_bytes(), 2 * kRange);
+  Histogram up = low;
+  up.merge(high);  // grows above what it holds
+  Histogram down = high;
+  down.merge(low);  // grows below what it holds
+  EagerHistogram ref = low_ref;
+  ref.merge(high_ref);
+  expect_same(up, ref);
+  expect_same(down, ref);
+  EXPECT_EQ(up.bucket_bytes(), 13 * kRange);  // ranges 3 to 15
+  EXPECT_EQ(down.bucket_bytes(), 13 * kRange);
+  EXPECT_EQ(up.min(), 1000u);
+  EXPECT_EQ(down.max(), 3u << 20);
+}
+
+TEST(Histogram, RecordingBelowTheLowestRangeHeldKeepsEveryCount) {
+  constexpr std::size_t kRange = 128 * sizeof(std::uint64_t);
+  Rng rng(31);
+  Histogram lazy;
+  EagerHistogram eager;
+  const auto record = [&](std::uint64_t v) {
+    lazy.record(v);
+    eager.record(v);
+  };
+  record(std::uint64_t{1} << 30);  // range 24 alone
+  EXPECT_EQ(lazy.bucket_bytes(), 1 * kRange);
+  record((std::uint64_t{1} << 20) + 5);  // range 14: ten ranges below
+  EXPECT_EQ(lazy.bucket_bytes(), 11 * kRange);
+  expect_same(lazy, eager);
+  // Descending magnitudes, each below the lowest range held so far.
+  for (int bits = 40; bits >= 0; --bits) {
+    for (int i = 0; i < 50; ++i) {
+      record(bits == 0 ? 0 : (std::uint64_t{1} << (bits - 1)) +
+                                 rng.uniform(std::uint64_t{1} << (bits - 1)));
+    }
+  }
+  expect_same(lazy, eager);
+  EXPECT_EQ(lazy.bucket_bytes(), 34 * kRange);  // ranges 0 to 33
+  // After a reset the allocation is reused from the new lowest range.
+  const std::size_t held = lazy.bucket_bytes();
+  lazy.reset();
+  eager.reset();
+  record(5000);
+  record(7);
+  expect_same(lazy, eager);
+  EXPECT_EQ(lazy.bucket_bytes(), held);
 }
 
 TEST(Histogram, ResetThenRecordMatchesEagerReference) {

@@ -226,9 +226,10 @@ RunResult run_variant(std::uint32_t threads, Variant variant) {
   fnv.mix(m.final_latency().count());
   fnv.mix(m.final_latency().sum());
   if (variant == Variant::kWireChaos) {
-    // The chaos hit frames, and decoding went through the payload table.
+    // The chaos hit frames, and decoding went through the payload table:
+    // receivers were handed the senders' update lists.
     EXPECT_GT(merged.counter("net.corrupted").value(), 0u);
-    EXPECT_GT(cluster.payloads().size(), 0u);
+    EXPECT_GT(cluster.payloads().found(), 0u);
   }
   // Every shard's queue, not scheduler() — that is one shard's slice.
   fnv.mix(cluster.sharded().executed());

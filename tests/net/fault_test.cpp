@@ -151,7 +151,8 @@ TEST(Fault, SendFrameFlipsARealBitUnderCorruption) {
     return same;
   });
 
-  net.send_frame(0, 1, std::vector<std::uint8_t>(original));
+  net.send_frame(0, 1,
+                 wire::Frame::copy_of(original.data(), original.size()));
   sched.run();
   EXPECT_EQ(intact, 1);
   EXPECT_EQ(net.stats().corrupted, 0u);
@@ -159,10 +160,57 @@ TEST(Fault, SendFrameFlipsARealBitUnderCorruption) {
   FaultPlan plan;
   plan.link.corrupt_prob = 1.0;
   net.set_fault_plan(plan, Rng(3));
-  net.send_frame(0, 1, std::vector<std::uint8_t>(original));
+  net.send_frame(0, 1,
+                 wire::Frame::copy_of(original.data(), original.size()));
   sched.run();
   EXPECT_EQ(damaged, 1);  // exactly one bit differs -> handler refused it
   EXPECT_EQ(net.stats().corrupted, 1u);
+}
+
+TEST(Fault, FanOutLegsShareOneFrameAndCorruptionHitsOnlyItsLeg) {
+  // The legs of a fan-out hold one frame: every intact leg delivers the
+  // sender's bytes in place. A corruption draw flips a bit in a copy of its
+  // own leg's bytes, so only that leg is rejected and counted.
+  Sim sched;
+  Network& net = sched.net;
+  for (NodeId n = 3; n < 10; ++n) net.register_node(n, n % 2);
+  const std::vector<std::uint8_t> original = {0x01, 0x23, 0x45, 0x67, 0x89};
+  const wire::Frame frame =
+      wire::Frame::copy_of(original.data(), original.size());
+  std::vector<const std::uint8_t*> delivered;
+  std::size_t damaged = 0;
+  net.set_frame_handler([&](NodeId, const std::uint8_t* data,
+                            std::size_t size) {
+    delivered.push_back(data);
+    const bool same = size == original.size() &&
+                      std::equal(data, data + size, original.begin());
+    if (!same) ++damaged;
+    return same;
+  });
+
+  for (NodeId n = 1; n < 10; ++n) net.send_frame(0, n, frame);
+  EXPECT_EQ(frame.use_count(), 10u);  // nine legs in flight, and ours
+  sched.run();
+  EXPECT_EQ(frame.use_count(), 1u);
+  ASSERT_EQ(delivered.size(), 9u);
+  for (const std::uint8_t* p : delivered) EXPECT_EQ(p, frame.data());
+  EXPECT_EQ(net.stats().corrupted, 0u);
+
+  FaultPlan plan;
+  plan.link.corrupt_prob = 0.5;
+  net.set_fault_plan(plan, Rng(11));
+  delivered.clear();
+  for (NodeId n = 1; n < 10; ++n) net.send_frame(0, n, frame);
+  sched.run();
+  ASSERT_EQ(delivered.size(), 9u);
+  const auto intact = static_cast<std::size_t>(
+      std::count(delivered.begin(), delivered.end(), frame.data()));
+  EXPECT_GT(intact, 0u);
+  EXPECT_GT(damaged, 0u);
+  EXPECT_EQ(intact + damaged, 9u);  // every damaged leg had its own copy
+  EXPECT_EQ(net.stats().corrupted, damaged);
+  EXPECT_TRUE(std::equal(frame.data(), frame.data() + frame.size(),
+                         original.begin()));
 }
 
 TEST(Fault, PartitionWindowCutsBothDirectionsThenHeals) {

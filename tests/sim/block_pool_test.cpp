@@ -1,5 +1,5 @@
-// Per-thread free lists for promise states and coroutine frames
-// (sim/block_pool.hpp). Run under ThreadSanitizer in CI: the lists are
+// Per-thread free lists for promise states, coroutine frames and wire
+// frames (sim/block_pool.hpp). Run under ThreadSanitizer in CI: the lists are
 // lock-free because each thread only ever touches its own, and a block
 // that changes threads does so through the caller's synchronization.
 
@@ -58,6 +58,26 @@ TEST(BlockPool, ABlockFreedOnAnotherThreadJoinsThatThreadsList) {
   t.join();
   EXPECT_EQ(parked_there, 1u);
   EXPECT_EQ(BlockPool::parked(), parked_here);
+}
+
+TEST(BlockPool, AThreadParksAtMostTheCap) {
+  // On a thread of its own, whose lists start empty and go with it: free
+  // twice the cap's worth of blocks, and only the cap's worth is parked.
+  std::thread([] {
+    constexpr std::size_t kBytes = BlockPool::kGranule;
+    constexpr std::size_t kCapBlocks = BlockPool::kMaxParkedBytes / kBytes;
+    std::vector<void*> blocks;
+    for (std::size_t i = 0; i < 2 * kCapBlocks; ++i) {
+      blocks.push_back(BlockPool::allocate(kBytes));
+    }
+    for (void* p : blocks) BlockPool::deallocate(p, kBytes);
+    EXPECT_EQ(BlockPool::parked(), kCapBlocks);
+    // A parked block serves the next request, and its place is free again.
+    void* p = BlockPool::allocate(kBytes);
+    EXPECT_EQ(BlockPool::parked(), kCapBlocks - 1);
+    BlockPool::deallocate(p, kBytes);
+    EXPECT_EQ(BlockPool::parked(), kCapBlocks);
+  }).join();
 }
 
 TEST(BlockPool, ThreadsRecycleConcurrentlyAndHandBlocksOver) {

@@ -53,6 +53,34 @@ TEST(Codec, VarintRoundTripAtBoundaries) {
   }
 }
 
+TEST(Codec, CursorWriterFillsStorageSizedByTheSizeFunctions) {
+  // Frames and WAL records are written into storage sized by varint_size
+  // (frame_size, body_size): the fields must end exactly where those sizes
+  // say, leaving nothing unwritten.
+  const std::uint64_t values[] = {0, 0x7f, 0x80, 0x3fff, 0x4000,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  const std::string text(300, 'x');
+  std::size_t size = 1 + 4 + varint_size(text.size()) + text.size();
+  for (std::uint64_t v : values) size += varint_size(v);
+  Buffer buf(size);
+  CursorWriter w(buf.data(), buf.data() + buf.size());
+  w.u8(0xab);
+  w.u32le(0x12345678u);
+  for (std::uint64_t v : values) w.varint(v);
+  w.str(text);
+  EXPECT_EQ(w.remaining(), 0u);
+  EXPECT_EQ(w.position(), buf.data() + buf.size());
+  Reader r(buf.data(), buf.size());
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32le(), 0x12345678u);
+  for (std::uint64_t v : values) EXPECT_EQ(r.varint(), v);
+  std::string out;
+  ASSERT_TRUE(r.str(out));
+  EXPECT_EQ(out, text);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(Codec, VarintRejectsOverlongAndOverflow) {
   // 11 bytes of continuation: no u64 varint is that long.
   {
@@ -147,18 +175,31 @@ TEST(Codec, ChecksumIsCrc32cOnKnownAnswers) {
   EXPECT_EQ(crc32c_portable(nullptr, 0), 0u);
 }
 
+/// The hardware kernel (wire/checksum.cpp) runs groups of three 64-byte
+/// blocks, then the tail in one lane. Sixteen groups and a tail of every
+/// length take every one of those paths, several times over.
+constexpr std::size_t kLaneBlock = 64;
+constexpr std::size_t kSweepLength = 16 * 3 * kLaneBlock + 3 * kLaneBlock - 1;
+
 TEST(Codec, ChecksumKernelsAgreeOnEveryLengthAndAlignment) {
   // checksum32 runs the hardware kernel where the CPU has one; it must
-  // equal the portable kernel on every length (so every tail size after
-  // the 8-byte steps) and every start alignment.
+  // equal the portable kernel on every length (so every split into groups
+  // of three lanes and every tail size after the 8-byte steps) and every
+  // start alignment. The reference CRC of each length continues the
+  // previous one by a byte.
   Rng rng(0xc3c3);
   std::vector<std::uint8_t> buf(300 * 1024);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
   for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
-      const std::uint8_t* p = buf.data() + offset;
-      ASSERT_EQ(checksum32(p, len), crc32c_portable(p, len))
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t want = 0;  // crc32c_portable(p, len)
+    for (std::size_t len = 0; len <= kSweepLength; ++len) {
+      if (len <= 1024) {
+        ASSERT_EQ(crc32c_portable(p, len), want) << len;
+      }
+      ASSERT_EQ(checksum32(p, len), want)
           << "offset " << offset << " length " << len;
+      want = crc32c_portable(p + len, 1, want);
     }
   }
   EXPECT_EQ(checksum32(buf.data(), buf.size()),
@@ -168,9 +209,11 @@ TEST(Codec, ChecksumKernelsAgreeOnEveryLengthAndAlignment) {
 TEST(Codec, ChecksumContinuesAtEverySplitPoint) {
   // A frame held in pieces is checksummed piece by piece: continuing the
   // CRC of a prefix over the rest must give the CRC of the whole, at every
-  // split point, through both kernels.
+  // split point, through both kernels. Past 1 KiB, a buffer of sixteen
+  // groups of three lanes plus a tail splits at and next to every multiple
+  // of the lane block, so at every block and group boundary.
   Rng rng(0x5eed);
-  std::vector<std::uint8_t> buf(1024 + 8);
+  std::vector<std::uint8_t> buf(kSweepLength + 8);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
   using Kernel = std::uint32_t (*)(const std::uint8_t*, std::size_t,
                                    std::uint32_t);
@@ -187,6 +230,16 @@ TEST(Codec, ChecksumContinuesAtEverySplitPoint) {
           if (split < len) prefix = crc(p + split, 1, prefix);
         }
         ASSERT_EQ(prefix, whole);
+      }
+      const std::uint8_t* p = buf.data() + offset;
+      const std::uint32_t whole = crc(p, kSweepLength, 0);
+      for (std::size_t at = 0; at <= kSweepLength; at += kLaneBlock) {
+        for (const std::size_t split : {at - 1, at, at + 1}) {
+          if (split > kSweepLength) continue;  // wrapped below zero, or past
+          ASSERT_EQ(crc(p + split, kSweepLength - split, crc(p, split, 0)),
+                    whole)
+              << "offset " << offset << " split " << split;
+        }
       }
     }
   }

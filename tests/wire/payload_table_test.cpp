@@ -1,11 +1,12 @@
-// Payload sharing on the wire path (wire/payload_table.hpp): frames that
-// carry one write decode to one payload, a payload the sender recorded is
-// reused, read replies resolve to the stored version's payload, bytes that
-// differ never share, the sweep drops entries once payloads are freed, and
-// forget drops a finished writer's entries. The cluster tests check the end
-// result: after a replicated write commits, every replica's version aliases
-// the coordinator's payload in wire mode, as it always has in closure mode,
-// and the table keeps no entry for it.
+// Update-list sharing on the wire path (wire/payload_table.hpp): frames
+// that carry one list decode to one list, a list the sender recorded is
+// handed back whole, read replies resolve to the writer's payload, bytes
+// that differ never share, the sweep drops entries once lists are freed,
+// and forget drops a finished writer's entry. The cluster tests check the
+// end result: every prepare and replicate of a replicated write decodes to
+// the coordinator's list, every replica's committed version aliases the
+// coordinator's payload in wire mode, as it always has in closure mode,
+// and the table keeps no entry for the write.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "protocol/cluster.hpp"
+#include "protocol/partition_map.hpp"
 #include "tests/protocol/test_util.hpp"
 #include "wire/dispatch.hpp"
 #include "wire/messages.hpp"
@@ -25,8 +27,9 @@ using protocol::Cluster;
 using protocol::ProtocolConfig;
 
 const TxId kWriter{2, 0x77};
-constexpr Key kKey = 0x1000;
-constexpr Key kOtherKey = 0x2000;
+constexpr PartitionId kPartition = 1;
+const Key kKey = protocol::PartitionMap::make_key(kPartition, 0x1000);
+const Key kOtherKey = protocol::PartitionMap::make_key(kPartition, 0x2000);
 
 /// A fresh allocation each call, as every sender or receiver would make.
 SharedValue fresh(const std::string& bytes) {
@@ -40,12 +43,13 @@ protocol::SharedUpdates updates_of(SharedValue a, SharedValue b) {
   return list;
 }
 
-protocol::PrepareRequest prepare(const protocol::SharedUpdates& updates) {
-  return protocol::PrepareRequest{kWriter, 2, 1, 100, updates};
+protocol::PrepareRequest prepare(const protocol::SharedUpdates& updates,
+                                 const TxId& writer = kWriter) {
+  return protocol::PrepareRequest{writer, 2, kPartition, 100, updates};
 }
 
 protocol::ReplicateRequest replicate(const protocol::SharedUpdates& updates) {
-  return protocol::ReplicateRequest{kWriter, 2, 1, 100, updates};
+  return protocol::ReplicateRequest{kWriter, 2, kPartition, 100, updates};
 }
 
 protocol::ReadReply read_reply(const TxId& writer, SharedValue value) {
@@ -85,6 +89,8 @@ TEST(PayloadTable, TwoFramesCarryingOneWriteDecodeToOnePayload) {
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ((*prep.updates)[i].second, (*repl.updates)[i].second) << i;
   }
+  // The first decode recorded its list, and the second is handed it whole.
+  EXPECT_EQ(prep.updates, repl.updates);
   EXPECT_EQ(*(*prep.updates)[0].second, "alpha");
   EXPECT_EQ(*(*prep.updates)[1].second, "beta");
   // A duplicated delivery of the same frame resolves to it too.
@@ -92,7 +98,7 @@ TEST(PayloadTable, TwoFramesCarryingOneWriteDecodeToOnePayload) {
       encode_frame(prepare(updates_of(fresh("alpha"), fresh("beta")))),
       payloads);
   EXPECT_EQ((*dup.updates)[0].second, (*prep.updates)[0].second);
-  EXPECT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads.size(), 1u);  // one entry per list
 }
 
 TEST(PayloadTable, SameWriteWithOtherBytesDecodesToTwoPayloads) {
@@ -103,7 +109,9 @@ TEST(PayloadTable, SameWriteWithOtherBytesDecodesToTwoPayloads) {
   const auto second = decode<protocol::PrepareRequest>(
       encode_frame(prepare(updates_of(fresh("ALPHA"), fresh("beta")))),
       payloads);
-  // Same (tx, key), different bytes: two payloads, each with its own bytes.
+  // Same (tx, partition), different bytes: two lists, and two payloads of
+  // the changed write, each with its own bytes.
+  EXPECT_NE(first.updates, second.updates);
   EXPECT_NE((*first.updates)[0].second, (*second.updates)[0].second);
   EXPECT_EQ(*(*first.updates)[0].second, "alpha");
   EXPECT_EQ(*(*second.updates)[0].second, "ALPHA");
@@ -123,21 +131,81 @@ TEST(PayloadTable, PayloadRecordedByPostIsReused) {
   Cluster cluster(cfg);
   const SharedValue sent = fresh("coordinator-bytes");
   const auto updates = updates_of(sent, nullptr);
-  // The coordinator's prepare: post records its payloads before encoding.
+  // The coordinator's prepare: post records its list before encoding.
   post(cluster, 2, 1, prepare(updates));
-  EXPECT_EQ(cluster.payloads().size(), 1u);  // absent values record nothing
+  EXPECT_EQ(cluster.payloads().size(), 1u);  // one entry for the list
   // Any receiver of that write — here a replicate from the master, which
   // serialized a copy — resolves to the sender's allocation.
   const auto copy = updates_of(fresh("coordinator-bytes"), nullptr);
   const auto got = decode<protocol::ReplicateRequest>(
       encode_frame(replicate(copy)), cluster.payloads());
+  EXPECT_EQ(got.updates, updates);  // the list itself, absent value and all
   EXPECT_EQ((*got.updates)[0].second, sent);
   EXPECT_EQ((*got.updates)[1].second, nullptr);
 }
 
+/// Every prepare and replicate frame `cluster` delivers, decoded to note
+/// its update list and then dispatched as the cluster's own handler does.
+struct ListSpy {
+  explicit ListSpy(Cluster& cluster) {
+    cluster.network().set_frame_handler(
+        [this, &cluster](NodeId to, const std::uint8_t* data,
+                         std::size_t size) {
+          AnyMessage m;
+          if (decode_frame(data, size, m, cluster.payloads()) ==
+              DecodeStatus::kOk) {
+            std::visit(
+                [this](const auto& msg) {
+                  if constexpr (requires { msg.updates; }) {
+                    lists.push_back(msg.updates);
+                  }
+                },
+                m);
+          }
+          return dispatch_frame(cluster, to, data, size) == DecodeStatus::kOk;
+        });
+  }
+  std::vector<protocol::SharedUpdates> lists;
+};
+
+TEST(PayloadTable, FanOutLegsDecodeToTheSendersList) {
+  Cluster::Config cfg =
+      test::small_config(3, 2, ProtocolConfig::str(), msec(50), 3);
+  cfg.wire_codec = true;
+  Cluster cluster(cfg);
+  std::vector<const protocol::UpdateList*> lists;
+  cluster.network().set_frame_handler(
+      [&](NodeId, const std::uint8_t* data, std::size_t size) {
+        const auto m = decode<protocol::ReplicateRequest>(
+            Buffer(data, data + size), cluster.payloads());
+        lists.push_back(m.updates.get());
+        return true;
+      });
+  const auto sent = updates_of(fresh("a"), fresh("b"));
+  const NodeId legs[] = {0, 1};
+  post_fanout(cluster, 2, legs, replicate(sent));
+  cluster.run_for(sec(1));
+  // Both legs hold the coordinator's list object, as closure mode does.
+  ASSERT_EQ(lists.size(), 2u);
+  EXPECT_EQ(lists[0], sent.get());
+  EXPECT_EQ(lists[1], sent.get());
+  // A frame with other bytes for the same (writer, partition) decodes to
+  // its own bytes; the unchanged write still shares the sender's payload.
+  const auto other = decode<protocol::ReplicateRequest>(
+      encode_frame(replicate(updates_of(fresh("A"), fresh("b")))),
+      cluster.payloads());
+  EXPECT_NE(other.updates, sent);
+  EXPECT_EQ(*(*other.updates)[0].second, "A");
+  EXPECT_EQ(*(*sent)[0].second, "a");
+  EXPECT_EQ((*other.updates)[1].second, (*sent)[1].second);
+  // The sender's list stays recorded: the next leg still gets it.
+  EXPECT_EQ(cluster.payloads().find(kWriter, kPartition), sent);
+}
+
 TEST(PayloadTable, ReadReplyResolvesToTheStoredVersionsPayload) {
   PayloadTable payloads;
-  // A replica stores the payload its replicate decoded to...
+  // A replica stores the payload its replicate decoded to (the list is
+  // recorded under the key's partition)...
   const auto repl = decode<protocol::ReplicateRequest>(
       encode_frame(replicate(updates_of(fresh("stored"), fresh("x")))),
       payloads);
@@ -162,24 +230,27 @@ TEST(PayloadTable, ReadReplyResolvesToTheStoredVersionsPayload) {
 
 TEST(PayloadTable, SweepEmptiesTheTableOnceThePayloadsAreFreed) {
   PayloadTable payloads;
-  SharedValue kept;
+  protocol::SharedUpdates kept;
   {
     const auto prep = decode<protocol::PrepareRequest>(
         encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
+    const auto other = decode<protocol::PrepareRequest>(
+        encode_frame(prepare(updates_of(fresh("c"), nullptr), TxId{7, 7})),
+        payloads);
     const auto rr = decode<protocol::ReadReply>(
-        encode_frame(read_reply(TxId{7, 7}, fresh("c"))), payloads);
-    EXPECT_EQ(payloads.size(), 3u);
-    payloads.sweep();  // every payload is still held
-    EXPECT_EQ(payloads.size(), 3u);
-    kept = (*prep.updates)[1].second;
+        encode_frame(read_reply(TxId{9, 9}, fresh("d"))), payloads);
+    EXPECT_EQ(payloads.size(), 2u);  // two lists; the reply records nothing
+    payloads.sweep();  // every list is still held
+    EXPECT_EQ(payloads.size(), 2u);
+    kept = prep.updates;
   }
-  payloads.sweep();  // only "b" is still held
+  payloads.sweep();  // only the first list is still held
   EXPECT_EQ(payloads.size(), 1u);
   {
     // The surviving entry still resolves.
     const auto again = decode<protocol::PrepareRequest>(
         encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
-    EXPECT_EQ((*again.updates)[1].second, kept);
+    EXPECT_EQ((*again.updates)[1].second, (*kept)[1].second);
   }
   kept.reset();
   payloads.sweep();
@@ -190,18 +261,19 @@ TEST(PayloadTable, ForgetDropsOnlyThatWritersEntries) {
   PayloadTable payloads;
   const auto mine = decode<protocol::PrepareRequest>(
       encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
-  const auto other = decode<protocol::ReadReply>(
-      encode_frame(read_reply(TxId{7, 7}, fresh("c"))), payloads);
-  ASSERT_EQ(payloads.size(), 3u);
-  payloads.forget(kWriter, *mine.updates);
+  const auto other = decode<protocol::PrepareRequest>(
+      encode_frame(prepare(updates_of(fresh("c"), nullptr), TxId{7, 7})),
+      payloads);
+  ASSERT_EQ(payloads.size(), 2u);
+  payloads.forget(kWriter, kPartition);
   EXPECT_EQ(payloads.size(), 1u);  // only the other writer's entry is left
   // A late frame of the forgotten write decodes to a copy of its own,
-  // with the same bytes, even though the first payload is still alive.
+  // with the same bytes, even though the first list is still alive.
   const auto late = decode<protocol::PrepareRequest>(
       encode_frame(prepare(updates_of(fresh("a"), fresh("b")))), payloads);
   EXPECT_NE((*late.updates)[0].second, (*mine.updates)[0].second);
   EXPECT_EQ(*(*late.updates)[0].second, "a");
-  EXPECT_NE(other.value, nullptr);
+  EXPECT_NE(other.updates, nullptr);
 }
 
 // -- cluster ------------------------------------------------------------------
@@ -221,6 +293,8 @@ CommittedPayloads commit_one_write(bool wire) {
       test::small_config(5, 4, ProtocolConfig::str(), msec(50), 21);
   cfg.wire_codec = wire;
   Cluster cluster(cfg);
+  std::unique_ptr<ListSpy> spy;
+  if (wire) spy = std::make_unique<ListSpy>(cluster);
   const Key key = test::key_at(1, 4);
   const PartitionId pid = protocol::PartitionMap::partition_of(key);
   cluster.load(key, "seed");
@@ -247,6 +321,16 @@ CommittedPayloads commit_one_write(bool wire) {
     EXPECT_EQ(r.value_str(), std::string(64, 'w')) << "node " << n;
     out.replicas.push_back(r.value.get());
     if (n == coord) out.coordinator = r.value.get();
+  }
+  if (wire) {
+    // The prepare to the master and the master's replicates to the two
+    // other slaves all decoded to one list: the coordinator's.
+    EXPECT_EQ(spy->lists.size(), 3u);
+    for (const protocol::SharedUpdates& list : spy->lists) {
+      EXPECT_EQ(list, spy->lists.front());
+      EXPECT_TRUE(list != nullptr &&
+                  list->front().second.get() == out.coordinator);
+    }
   }
   cluster.payloads().sweep();
   out.table_entries = cluster.payloads().size();
