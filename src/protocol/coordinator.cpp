@@ -262,8 +262,7 @@ sim::Future<txn::ReadResult> Coordinator::read(const TxId& tx, Key key) {
         tx, key, rec->rs,
         [this, tx, key, promise, read_span,
          issued_at](const store::StoreReadResult& r) mutable {
-          on_read_value(tx, key, r, /*from_cache=*/false, std::move(promise),
-                        read_span, issued_at);
+          on_read_value(tx, key, r, std::move(promise), read_span, issued_at);
         });
     return promise.future();
   }
@@ -274,8 +273,8 @@ sim::Future<txn::ReadResult> Coordinator::read(const TxId& tx, Key key) {
     store::StoreReadResult cached = node_.cache().read(key, rec->rs);
     if (cached.kind == store::ReadKind::Speculative) {
       sim::Future<txn::ReadResult> future = promise.future();
-      on_read_value(tx, key, cached, /*from_cache=*/true, std::move(promise),
-                    read_span, issued_at);
+      on_read_value(tx, key, cached, std::move(promise), read_span,
+                    issued_at);
       return future;
     }
   }
@@ -361,14 +360,12 @@ void Coordinator::on_read_reply(ReadReply reply) {
   r.value = std::move(reply.value);
   r.writer = reply.writer;
   r.ts = reply.version_ts;
-  on_read_value(pending.tx, pending.key, r, /*from_cache=*/false,
-                std::move(pending.promise), pending.read_span,
-                pending.issued_at);
+  on_read_value(pending.tx, pending.key, r, std::move(pending.promise),
+                pending.read_span, pending.issued_at);
 }
 
 void Coordinator::on_read_value(const TxId& tx, Key key,
                                 const store::StoreReadResult& r,
-                                bool from_cache,
                                 sim::Promise<txn::ReadResult> promise,
                                 std::uint64_t read_span,
                                 Timestamp issued_at) {
@@ -423,8 +420,6 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
   } else {
     count_read(/*speculative=*/false);
   }
-
-  (void)from_cache;
 
   gate_or_deliver(*rec, key, std::move(result), std::move(promise), read_span,
                   issued_at);

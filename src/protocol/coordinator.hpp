@@ -224,7 +224,7 @@ class Coordinator {
   /// `read_span`/`issued_at` identify the open Read span begun in read()
   /// (0 when tracing was off at issue time).
   void on_read_value(const TxId& tx, Key key,
-                     const store::StoreReadResult& r, bool from_cache,
+                     const store::StoreReadResult& r,
                      sim::Promise<txn::ReadResult> promise,
                      std::uint64_t read_span, Timestamp issued_at);
 

@@ -1,99 +1,68 @@
 #include "storage/wal.hpp"
 
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "wire/fields.hpp"
 
 namespace str::storage {
 
 namespace {
 
-// -- body encoding (wire conventions: varints, length-prefixed) ------------
+// -- record field lists -------------------------------------------------------
+// Each record type's body fields in log order: the one place a record
+// layout is defined. Sizing, writing and reading all run these through the
+// field codecs frames use (wire/fields.hpp); the encoders pass their
+// arguments, the decoder a WalRecord's members.
 
-/// A record body's size as the encoders lay it out: `bytes` counts its
-/// logical bytes, payloads included; `payload` and `slices` the part held
-/// by reference. A fresh frame reserves exactly its non-payload bytes and
-/// its slice table.
-struct BodySize {
-  std::size_t bytes = 0;
-  std::size_t payload = 0;
-  std::size_t slices = 0;
-  std::size_t updates = 0;  ///< pairs counted by add_updates
-
-  void add(std::size_t n) { bytes += n; }
-  void add_tx(const TxId& tx) {
-    bytes += wire::varint_size(tx.node) + wire::varint_size(tx.seq);
-  }
-  /// A presence byte, then, for a payload, its length and its bytes.
-  void add_value(const SharedValue& v) {
-    if (v == nullptr) {
-      bytes += 1;
-      return;
-    }
-    bytes += 1 + wire::varint_size(v->size()) + v->size();
-    payload += v->size();
-    ++slices;
-  }
-  /// `for_each(fn)` calls fn(key, payload) for each pair in order: a
-  /// ForEachUpdate, or each_of's loop over a WalUpdates without the
-  /// indirect calls.
-  template <class ForEach>
-  void add_updates(const ForEach& for_each) {
-    for_each([this](Key key, const SharedValue& value) {
-      ++updates;
-      add(wire::varint_size(key));
-      add_value(value);
-    });
-    add(wire::varint_size(updates));
-  }
-};
-
-/// A WalUpdates vector as a visitor.
-auto each_of(const WalUpdates& updates) {
-  return [&updates](const auto& fn) {
-    for (const auto& [key, value] : updates) fn(key, value);
-  };
+void prepare_fields(auto& v, auto& tx, auto& rs, auto& proposed,
+                    auto& updates) {
+  v.tx(tx);
+  v.num(rs);
+  v.num(proposed);
+  v.updates(updates);
 }
 
-/// Writes a record in place, into the non-payload bytes its frame extended
-/// a LogBuffer by: fields as bytes, each non-null payload as a slice.
-class BodyWriter {
+void commit_fields(auto& v, auto& tx, auto& commit_ts, auto& updates) {
+  v.tx(tx);
+  v.num(commit_ts);
+  v.updates(updates);
+}
+
+void abort_fields(auto& v, auto& tx) { v.tx(tx); }
+
+void decision_fields(auto& v, auto& tx, auto& commit_ts, auto& at) {
+  v.tx(tx);
+  v.num(commit_ts);
+  v.num(at);
+}
+
+void checkpoint_fields(auto& v, auto& watermark, auto& snapshot) {
+  v.num(watermark);
+  v.list(snapshot, [](auto& w, auto& version) {
+    w.num(version.key);
+    w.num(version.ts);
+    w.enumerated(version.state, VersionState::Committed);
+    w.tx(version.writer);
+    w.value(version.value);
+  });
+}
+
+/// A record's sink: its non-payload bytes written in place, into the bytes
+/// its frame extended a LogBuffer by, and each payload held as a slice.
+class LogSink {
  public:
   /// The record's `fields` non-payload bytes start at `out.bytes()[start]`,
   /// which is `at`; a write past them stops at the CursorWriter's assert.
-  BodyWriter(LogBuffer& out, std::size_t start, std::uint8_t* at,
-             std::size_t fields)
+  LogSink(LogBuffer& out, std::size_t start, std::uint8_t* at,
+          std::size_t fields)
       : out_(out), start_(start), at_(at), w_(at, at + fields) {}
 
   void u8(std::uint8_t v) { w_.u8(v); }
   void u32le(std::uint32_t v) { w_.u32le(v); }
   void varint(std::uint64_t v) { w_.varint(v); }
-  void tx(const TxId& tx) {
-    w_.varint(tx.node);
-    w_.varint(tx.seq);
-  }
-  /// A payload handle is nullable ("no payload") and that must survive the
-  /// round trip, so a presence byte precedes the bytes.
-  void value(const SharedValue& v) {
-    if (v == nullptr) {
-      w_.u8(0);
-      return;
-    }
-    w_.u8(1);
-    w_.varint(v->size());
-    out_.put_payload(offset(), v);
-  }
-  /// The `count` pairs `for_each` visits (as for BodySize::add_updates).
-  template <class ForEach>
-  void updates(std::size_t count, const ForEach& for_each) {
-    w_.varint(count);
-    for_each([this](Key key, const SharedValue& v) {
-      w_.varint(key);
-      value(v);
-    });
-  }
+  void payload(const SharedValue& v) { out_.put_payload(offset(), v); }
 
   /// Offset in the buffer's bytes() of the next byte to write.
   std::size_t offset() const {
@@ -107,16 +76,16 @@ class BodyWriter {
   wire::CursorWriter w_;
 };
 
-/// Reads one record body in place, from the byte after the type tag to the
-/// checksum. Fields come from the runs of non-payload bytes between slices,
-/// each through a bounds-checked wire::Reader, so a field never straddles
-/// a payload. A value whose bytes are the next slice decodes to that
-/// payload; one whose bytes are inline (a flat chunk) is copied.
-class BodyReader {
+/// A record body as a decoder's source, from the byte after the type tag
+/// to the checksum. Fields come from the runs of non-payload bytes between
+/// slices, each through a bounds-checked wire::Reader, so a field never
+/// straddles a payload. A value whose bytes are the next slice is that
+/// payload; one whose bytes are inline (a flat chunk) is a view of them.
+class LogSource {
  public:
   /// The body spans bytes()[pos, end) and slices [slice, end_slice).
-  BodyReader(const LogBuffer& buf, std::size_t pos, std::size_t slice,
-             std::size_t end, std::size_t end_slice)
+  LogSource(const LogBuffer& buf, std::size_t pos, std::size_t slice,
+            std::size_t end, std::size_t end_slice)
       : bytes_(buf.bytes().data()),
         slices_(buf.slices().data()),
         slice_(slice),
@@ -127,51 +96,23 @@ class BodyReader {
   std::uint8_t u8() { return r_.u8(); }
   std::uint64_t varint() { return r_.varint(); }
   bool ok() const { return r_.ok(); }
+  void fail() { r_.fail(); }
 
-  TxId tx() {
-    TxId tx;
-    tx.node = static_cast<NodeId>(r_.varint());
-    tx.seq = r_.varint();
-    return tx;
-  }
-
-  bool value(SharedValue& out) {
-    const std::uint8_t has = r_.u8();
-    if (has > 1) return false;
-    if (has == 0) {
-      out = nullptr;
-      return r_.ok();
-    }
-    const std::uint64_t len = r_.varint();
-    if (!r_.ok()) return false;
+  bool payload(std::uint64_t len, wire::PayloadView& out) {
     if (r_.remaining() == 0 && slice_ < end_slice_) {
       const PayloadSlice& s = slices_[slice_++];
-      if (s.value->size() != len) return false;
-      out = s.value;
+      if (s.value->size() != len) {
+        fail();
+        return false;
+      }
+      out.held = &s.value;
       r_ = run_from(s.at);
       return true;
     }
-    std::string_view inline_bytes;
-    if (!r_.raw(len, inline_bytes)) return false;
-    out = std::make_shared<const Value>(inline_bytes);
-    return true;
+    return r_.raw(len, out.bytes);
   }
 
-  bool updates(WalUpdates& out) {
-    const std::uint64_t count = r_.varint();
-    if (!r_.ok() || count > remaining()) return false;  // forged count
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const Key key = r_.varint();
-      SharedValue v;
-      if (!value(v)) return false;
-      out.emplace_back(key, std::move(v));
-    }
-    return r_.ok();
-  }
-
-  /// Non-payload bytes left in the body: every update or version takes at
-  /// least one, which bounds a forged count.
+  /// Non-payload bytes left in the body: what bounds a forged count.
   std::size_t remaining() const {
     return end_ - (run_end_ - r_.remaining());
   }
@@ -199,26 +140,31 @@ class BodyReader {
 };
 
 /// Writes one record frame at the end of `out`: length prefix, type tag,
-/// the body that `put_body` writes, checksum over the logical type tag and
-/// body. A fresh buffer gets exactly one frame of capacity. Appends to a
-/// filled one grow it geometrically: decision-log compaction encodes every
-/// surviving entry into one buffer, and an exact reserve per record would
-/// make that quadratic.
-template <typename PutBody>
-void put_frame(LogBuffer& out, WalRecordType type, const BodySize& body,
-               PutBody&& put_body) {
+/// the body `fields(v)` lists, checksum over the logical type tag and body.
+/// The list runs twice: once to size the frame, once to write it. A fresh
+/// buffer gets exactly one frame of capacity. Appends to a filled one grow
+/// it geometrically: decision-log compaction encodes every surviving entry
+/// into one buffer, and an exact reserve per record would make that
+/// quadratic.
+template <class Fields>
+void put_record(LogBuffer& out, WalRecordType type, const Fields& fields) {
+  wire::SizeSink body;
+  wire::Encoder<wire::SizeSink> sizer(body);
+  fields(sizer);
   const std::size_t start = out.bytes().size();
   const std::size_t first_slice = out.slices().size();
   const std::size_t logical_start = out.size();
-  const std::size_t fields = wire::kFrameOverhead + body.bytes - body.payload;
-  if (start == 0) out.reserve(fields, body.slices);
-  BodyWriter w(out, start, out.extend(fields), fields);
-  w.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body.bytes +
-                                     wire::kFrameChecksumBytes));
-  w.u8(static_cast<std::uint8_t>(type));
-  put_body(w);
+  const std::size_t bytes = wire::kFrameOverhead + body.bytes -
+                            body.payload_bytes;
+  if (start == 0) out.reserve(bytes, body.payloads);
+  LogSink sink(out, start, out.extend(bytes), bytes);
+  sink.u32le(static_cast<std::uint32_t>(wire::kFrameTypeBytes + body.bytes +
+                                        wire::kFrameChecksumBytes));
+  sink.u8(static_cast<std::uint8_t>(type));
+  wire::Encoder<LogSink> writer(sink, sizer.counted());
+  fields(writer);
   const std::size_t covered = wire::kFrameTypeBytes + body.bytes;
-  STR_ASSERT_MSG(w.offset() == start + fields - wire::kFrameChecksumBytes &&
+  STR_ASSERT_MSG(sink.offset() == start + bytes - wire::kFrameChecksumBytes &&
                      out.size() - logical_start == wire::kFrameOverhead +
                                                        body.bytes,
                  "WAL record body size mismatch");
@@ -227,141 +173,72 @@ void put_frame(LogBuffer& out, WalRecordType type, const BodySize& body,
       .walk(covered, [&crc](const std::uint8_t* p, std::size_t n) {
         crc = wire::checksum32(p, n, crc);
       });
-  w.u32le(crc);
+  sink.u32le(crc);
 }
 
 /// Decode one record body (the type tag first). Returns false on any
 /// malformed field, range violation, or trailing bytes.
-bool decode_body(BodyReader& r, WalRecord& rec) {
-  const auto type = static_cast<WalRecordType>(r.u8());
-  rec.type = type;
-  switch (type) {
+bool decode_record(LogSource& src, WalRecord& rec) {
+  wire::Decoder<LogSource> v(src);
+  rec.type = static_cast<WalRecordType>(src.u8());
+  switch (rec.type) {
     case WalRecordType::kPrepare:
-      rec.tx = r.tx();
-      rec.rs = r.varint();
-      rec.ts = r.varint();
-      if (!r.updates(rec.updates)) return false;
+      prepare_fields(v, rec.tx, rec.rs, rec.ts, rec.updates);
       break;
     case WalRecordType::kCommit:
-      rec.tx = r.tx();
-      rec.ts = r.varint();
-      if (!r.updates(rec.updates)) return false;
+      commit_fields(v, rec.tx, rec.ts, rec.updates);
       break;
     case WalRecordType::kAbort:
-      rec.tx = r.tx();
+      abort_fields(v, rec.tx);
       break;
     case WalRecordType::kDecision:
-      rec.tx = r.tx();
-      rec.ts = r.varint();
-      rec.at = r.varint();
+      decision_fields(v, rec.tx, rec.ts, rec.at);
       break;
-    case WalRecordType::kCheckpoint: {
-      rec.ts = r.varint();
-      const std::uint64_t count = r.varint();
-      if (!r.ok() || count > r.remaining()) return false;
-      rec.snapshot.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        CheckpointVersion v;
-        v.key = r.varint();
-        v.ts = r.varint();
-        const std::uint8_t state = r.u8();
-        if (state > static_cast<std::uint8_t>(VersionState::Committed)) {
-          return false;
-        }
-        v.state = static_cast<VersionState>(state);
-        v.writer = r.tx();
-        if (!r.value(v.value)) return false;
-        rec.snapshot.push_back(std::move(v));
-      }
+    case WalRecordType::kCheckpoint:
+      checkpoint_fields(v, rec.ts, rec.snapshot);
       break;
-    }
     default:
       return false;
   }
-  return r.done();
-}
-
-template <class ForEach>
-void put_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
-                const ForEach& updates) {
-  BodySize body;
-  body.add_tx(tx);
-  body.add(wire::varint_size(commit_ts));
-  body.add_updates(updates);
-  put_frame(out, WalRecordType::kCommit, body, [&](BodyWriter& w) {
-    w.tx(tx);
-    w.varint(commit_ts);
-    w.updates(body.updates, updates);
-  });
+  return src.done();
 }
 
 }  // namespace
 
 void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates) {
-  const auto for_each = each_of(updates);
-  BodySize body;
-  body.add_tx(tx);
-  body.add(wire::varint_size(rs) + wire::varint_size(proposed));
-  body.add_updates(for_each);
-  put_frame(out, WalRecordType::kPrepare, body, [&](BodyWriter& w) {
-    w.tx(tx);
-    w.varint(rs);
-    w.varint(proposed);
-    w.updates(body.updates, for_each);
+  put_record(out, WalRecordType::kPrepare, [&](auto& v) {
+    prepare_fields(v, tx, rs, proposed, updates);
   });
 }
 
 void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates) {
-  put_commit(out, tx, commit_ts, each_of(updates));
+  put_record(out, WalRecordType::kCommit,
+             [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
 }
 
 void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const ForEachUpdate& updates) {
-  put_commit(out, tx, commit_ts, updates);
+  put_record(out, WalRecordType::kCommit,
+             [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
 }
 
 void encode_abort(LogBuffer& out, const TxId& tx) {
-  BodySize body;
-  body.add_tx(tx);
-  put_frame(out, WalRecordType::kAbort, body,
-            [&](BodyWriter& w) { w.tx(tx); });
+  put_record(out, WalRecordType::kAbort,
+             [&](auto& v) { abort_fields(v, tx); });
 }
 
 void encode_decision(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at) {
-  BodySize body;
-  body.add_tx(tx);
-  body.add(wire::varint_size(commit_ts) + wire::varint_size(at));
-  put_frame(out, WalRecordType::kDecision, body, [&](BodyWriter& w) {
-    w.tx(tx);
-    w.varint(commit_ts);
-    w.varint(at);
-  });
+  put_record(out, WalRecordType::kDecision,
+             [&](auto& v) { decision_fields(v, tx, commit_ts, at); });
 }
 
 void encode_checkpoint(LogBuffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot) {
-  BodySize body;
-  body.add(wire::varint_size(watermark) + wire::varint_size(snapshot.size()));
-  for (const CheckpointVersion& v : snapshot) {
-    body.add(wire::varint_size(v.key) + wire::varint_size(v.ts) +
-             1 /* state */);
-    body.add_tx(v.writer);
-    body.add_value(v.value);
-  }
-  put_frame(out, WalRecordType::kCheckpoint, body, [&](BodyWriter& w) {
-    w.varint(watermark);
-    w.varint(snapshot.size());
-    for (const CheckpointVersion& v : snapshot) {
-      w.varint(v.key);
-      w.varint(v.ts);
-      w.u8(static_cast<std::uint8_t>(v.state));
-      w.tx(v.writer);
-      w.value(v.value);
-    }
-  });
+  put_record(out, WalRecordType::kCheckpoint,
+             [&](auto& v) { checkpoint_fields(v, watermark, snapshot); });
 }
 
 namespace {
@@ -424,10 +301,10 @@ ChunkEnd scan_chunk(const LogBuffer& chunk,
       end = ChunkEnd::kBadFrame;
       break;
     }
-    BodyReader reader(chunk, body.pos(), body.slice(), body_end.pos(),
-                      body_end.slice());
+    LogSource src(chunk, body.pos(), body.slice(), body_end.pos(),
+                  body_end.slice());
     WalRecord rec;
-    if (!decode_body(reader, rec)) {
+    if (!decode_record(src, rec)) {
       // A checksummed but malformed body is treated as torn too.
       end = ChunkEnd::kBadFrame;
       break;

@@ -271,16 +271,13 @@ void PartitionStore::local_commit(const TxId& tx, Timestamp lc) {
   const UncommittedKeys* keys = uncommitted_.find(tx);
   if (keys == nullptr) return;
   for (const UncommittedKey& k : *keys) {
-    auto& chain = table_.at(k.pos).versions;
-    for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
-      if (vit->writer() == tx) {
-        STR_ASSERT(vit->state == VersionState::PreCommitted);
-        vit->state = VersionState::LocalCommitted;
-        vit->ts = lc;
-        reposition(chain, vit);
-        break;
-      }
-    }
+    VersionChain& chain = table_.at(k.pos).versions;
+    Version* v = writer_version(chain, tx);
+    if (v == nullptr) continue;
+    STR_ASSERT(v->state == VersionState::PreCommitted);
+    v->state = VersionState::LocalCommitted;
+    v->ts = lc;
+    reposition(chain, v);
   }
 }
 
@@ -289,18 +286,14 @@ void PartitionStore::final_commit(const TxId& tx, Timestamp fc) {
   if (keys == nullptr) return;
   for (const UncommittedKey& k : *keys) {
     KeyEntry& entry = table_.at(k.pos);
-    auto& chain = entry.versions;
-    for (auto vit = chain.begin(); vit != chain.end(); ++vit) {
-      if (vit->writer() == tx) {
-        STR_ASSERT(vit->state != VersionState::Committed);
-        vit->state = VersionState::Committed;
-        vit->ts = fc;
-        reposition(chain, vit);
-        STR_ASSERT(entry.uncommitted_count > 0);
-        --entry.uncommitted_count;
-        break;
-      }
-    }
+    Version* v = writer_version(entry.versions, tx);
+    if (v == nullptr) continue;
+    STR_ASSERT(v->state != VersionState::Committed);
+    v->state = VersionState::Committed;
+    v->ts = fc;
+    reposition(entry.versions, v);
+    STR_ASSERT(entry.uncommitted_count > 0);
+    --entry.uncommitted_count;
   }
   erase_uncommitted(tx, *keys);
 }
@@ -331,10 +324,9 @@ Timestamp PartitionStore::uncommitted_ts(const TxId& tx) const {
   if (keys == nullptr) return 0;
   Timestamp ts = 0;
   for (const UncommittedKey& k : *keys) {
-    for (const Version& v : table_.at(k.pos).versions) {
-      if (v.writer() == tx && v.state != VersionState::Committed) {
-        ts = std::max(ts, v.ts);
-      }
+    const Version* v = writer_version(table_.at(k.pos).versions, tx);
+    if (v != nullptr && v->state != VersionState::Committed) {
+      ts = std::max(ts, v->ts);
     }
   }
   return ts;

@@ -236,11 +236,9 @@ class PartitionStore {
     const UncommittedKeys* keys = uncommitted_.find(tx);
     if (keys == nullptr) return;
     for (const UncommittedKey& k : *keys) {
-      for (const Version& v : table_.at(k.pos).versions) {
-        if (v.writer() == tx && v.state != VersionState::Committed) {
-          fn(k.key(), v.value);
-          break;
-        }
+      const Version* v = writer_version(table_.at(k.pos).versions, tx);
+      if (v != nullptr && v->state != VersionState::Committed) {
+        fn(k.key(), v->value);
       }
     }
   }
@@ -368,6 +366,17 @@ class PartitionStore {
     std::vector<std::unique_ptr<KeyEntry[]>> blocks_;
     std::uint32_t size_ = 0;
   };
+
+  /// The version `tx` wrote on `chain`, or null. A writer holds at most
+  /// one version per key, inserted above every version then on the chain,
+  /// so it sits at or near the newest end: the scan starts there.
+  template <class Chain>
+  static auto* writer_version(Chain& chain, const TxId& tx) {
+    for (auto* v = chain.end(); v != chain.begin();) {
+      if ((--v)->writer() == tx) return v;
+    }
+    return static_cast<decltype(chain.begin())>(nullptr);
+  }
 
   /// Insert keeping the chain sorted (versions mostly append).
   void insert_sorted(VersionChain& chain, Version v);

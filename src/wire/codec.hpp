@@ -4,7 +4,8 @@
 // This is the bottom layer of the wire subsystem (docs/WIRE.md). It knows
 // nothing about protocol messages — only how to put integers and byte
 // strings into a buffer and get them back out without ever reading past the
-// end of untrusted input. The typed message codec (wire/messages.hpp) and
+// end of untrusted input. The field codecs that frames and WAL records
+// share (wire/fields.hpp), the typed message codec (wire/messages.hpp) and
 // the dispatch table (wire/dispatch.hpp) build on it.
 //
 // Encoding conventions:
@@ -105,10 +106,15 @@ class CursorWriter {
     *p = static_cast<std::uint8_t>(v);
   }
 
+  /// `size` raw bytes, without a length prefix.
+  void raw(const void* data, std::size_t size) {
+    if (size != 0) std::memcpy(take(size), data, size);
+  }
+
   /// varint length prefix + raw bytes.
   void bytes(const void* data, std::size_t size) {
     varint(size);
-    if (size != 0) std::memcpy(take(size), data, size);
+    raw(data, size);
   }
 
   void str(const std::string& s) { bytes(s.data(), s.size()); }
@@ -166,6 +172,13 @@ class Reader {
 
   bool ok() const { return ok_; }
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+
+  /// Latch failure: what a field check calls on a well-formed but
+  /// out-of-range value.
+  void fail() {
+    ok_ = false;
+    p_ = end_;
+  }
 
   std::uint8_t u8() {
     if (remaining() < 1) return fail_u8();
@@ -235,8 +248,7 @@ class Reader {
 
  private:
   std::uint8_t fail_u8() {
-    ok_ = false;
-    p_ = end_;
+    fail();
     return 0;
   }
 

@@ -82,43 +82,4 @@ template <class M>
 void post_fanout(protocol::Cluster& cl, NodeId from,
                  std::span<const NodeId> to, const M& msg);
 
-extern template void post<protocol::ReadRequest>(protocol::Cluster&, NodeId,
-                                                 NodeId, protocol::ReadRequest);
-extern template void post<protocol::ReadReply>(protocol::Cluster&, NodeId,
-                                               NodeId, protocol::ReadReply);
-extern template void post<protocol::PrepareRequest>(protocol::Cluster&, NodeId,
-                                                    NodeId,
-                                                    protocol::PrepareRequest);
-extern template void post<protocol::PrepareReply>(protocol::Cluster&, NodeId,
-                                                  NodeId,
-                                                  protocol::PrepareReply);
-extern template void post<protocol::ReplicateRequest>(
-    protocol::Cluster&, NodeId, NodeId, protocol::ReplicateRequest);
-extern template void post<protocol::CommitMessage>(protocol::Cluster&, NodeId,
-                                                   NodeId,
-                                                   protocol::CommitMessage);
-extern template void post<protocol::AbortMessage>(protocol::Cluster&, NodeId,
-                                                  NodeId,
-                                                  protocol::AbortMessage);
-extern template void post<protocol::DecisionRequest>(protocol::Cluster&, NodeId,
-                                                     NodeId,
-                                                     protocol::DecisionRequest);
-extern template void post<protocol::DecisionReply>(protocol::Cluster&, NodeId,
-                                                   NodeId,
-                                                   protocol::DecisionReply);
-extern template void post<protocol::DecisionReplicate>(
-    protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicate);
-extern template void post<protocol::DecisionReplicateAck>(
-    protocol::Cluster&, NodeId, NodeId, protocol::DecisionReplicateAck);
-
-extern template void post_fanout<protocol::ReplicateRequest>(
-    protocol::Cluster&, NodeId, std::span<const NodeId>,
-    const protocol::ReplicateRequest&);
-extern template void post_fanout<protocol::CommitMessage>(
-    protocol::Cluster&, NodeId, std::span<const NodeId>,
-    const protocol::CommitMessage&);
-extern template void post_fanout<protocol::DecisionReplicate>(
-    protocol::Cluster&, NodeId, std::span<const NodeId>,
-    const protocol::DecisionReplicate&);
-
 }  // namespace str::wire

@@ -1,9 +1,9 @@
 #include "wire/messages.hpp"
 
-#include <limits>
-#include <memory>
+#include <array>
 #include <string_view>
 #include <utility>
+#include <variant>
 
 #include "protocol/partition_map.hpp"
 
@@ -11,179 +11,132 @@ namespace str::wire {
 
 namespace {
 
-using protocol::UpdateList;
-
-// -- shared field helpers -----------------------------------------------------
-
-void put_txid(CursorWriter& w, const TxId& id) {
-  w.varint(id.node);
-  w.varint(id.seq);
-}
-
-bool get_txid(Reader& r, TxId& id) {
-  const std::uint64_t node = r.varint();
-  id.seq = r.varint();
-  if (!r.ok() || node > std::numeric_limits<NodeId>::max()) return false;
-  id.node = static_cast<NodeId>(node);
-  return true;
-}
-
-std::size_t txid_size(const TxId& id) {
-  return varint_size(id.node) + varint_size(id.seq);
-}
-
-bool get_u32(Reader& r, std::uint32_t& out) {
-  const std::uint64_t v = r.varint();
-  if (!r.ok() || v > std::numeric_limits<std::uint32_t>::max()) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-/// A strict bool on the wire: exactly 0 or 1, anything else is malformed.
-bool get_bool(Reader& r, bool& out) {
-  const std::uint8_t v = r.u8();
-  if (!r.ok() || v > 1) return false;
-  out = (v != 0);
-  return true;
-}
-
-void put_value(CursorWriter& w, const SharedValue& v) {
-  w.u8(v ? 1 : 0);
-  if (v) w.str(*v);
-}
-
-/// An optional value as a view into the frame: `present` is false for an
-/// absent one. Resolving the bytes to a payload is the caller's step.
-bool get_value_view(Reader& r, bool& present, std::string_view& bytes) {
-  if (!get_bool(r, present)) return false;
-  return !present || r.view(bytes);
-}
-
-std::size_t value_size(const SharedValue& v) {
-  if (!v) return 1;
-  return 1 + varint_size(v->size()) + v->size();
-}
-
-void put_updates(CursorWriter& w, const protocol::SharedUpdates& ups) {
-  const std::size_t n = ups ? ups->size() : 0;
-  w.varint(n);
-  if (!ups) return;
-  for (const auto& [key, value] : *ups) {
-    w.varint(key);
-    put_value(w, value);
+/// A frame body as a decoder's source: a value's bytes are a view of it.
+class FrameSource : public Reader {
+ public:
+  using Reader::Reader;
+  bool payload(std::uint64_t len, PayloadView& out) {
+    return raw(len, out.bytes);
   }
-}
+};
 
-/// The payload of `key` in `list` (which may be null) when its bytes are
-/// `bytes`, else a fresh copy of them.
-SharedValue payload_for(const UpdateList* list, Key key,
-                        std::string_view bytes) {
-  if (list != nullptr) {
-    for (const auto& [k, value] : *list) {
-      if (k == key && value != nullptr && *value == bytes) return value;
-    }
-  }
-  return std::make_shared<const Value>(bytes);
-}
+/// Decodes a frame body, resolving its values through a PayloadTable so
+/// that a receiver holds the sender's update list and one write keeps one
+/// payload (wire/payload_table.hpp).
+class FrameDecoder : public Decoder<FrameSource> {
+ public:
+  FrameDecoder(FrameSource& src, PayloadTable& payloads)
+      : Decoder(src), payloads_(payloads) {}
 
-/// Whether the `list.size()` updates at `r` carry exactly `list`'s keys
-/// and payload bytes, in order. Advances `r` (a copy the caller keeps or
-/// drops).
-bool updates_equal(Reader& r, const UpdateList& list) {
-  for (const auto& [key, value] : list) {
-    const Key k = r.varint();
+  /// The value `writer` wrote to `key`. In ReadReply `writer` follows the
+  /// value, so its bytes are kept as a view and resolved by finish().
+  void value(SharedValue& out, const TxId& writer, const Key& key) {
     bool present = false;
-    std::string_view bytes;
-    if (!r.ok() || k != key || !get_value_view(r, present, bytes) ||
-        present != (value != nullptr) || (present && *value != bytes)) {
-      return false;
+    PayloadView bytes;
+    if (!payload(present, bytes) || !present) return;
+    deferred_ = {&out, &writer, &key, bytes.bytes};
+  }
+
+  /// The update list `tx` wrote to `pid`. When the frame's updates equal
+  /// the list recorded for (tx, pid), that list itself; otherwise a fresh
+  /// list whose values share the recorded list's where the bytes match,
+  /// recorded in turn when no live list was.
+  void updates(SharedUpdates& out, const TxId& tx, PartitionId pid) {
+    const std::uint64_t n = count(kMinPairBytes);
+    if (!ok()) return;
+    SharedUpdates recorded = payloads_.find(tx, pid);
+    if (recorded != nullptr && recorded->size() == n) {
+      FrameSource probe = source();
+      if (same_pairs(probe, *recorded)) {
+        source() = probe;
+        out = std::move(recorded);
+        return;
+      }
     }
+    auto list = std::make_shared<UpdateList>();
+    pairs(n, recorded.get(), *list);
+    if (!ok()) return;
+    out = std::move(list);
+    if (recorded == nullptr) payloads_.record(tx, pid, out);
   }
-  return true;
-}
 
-/// The update list `tx` wrote to `pid`. When the frame's updates equal the
-/// list recorded for (tx, pid), that list itself; otherwise a fresh list
-/// whose values share the recorded list's where the bytes match, recorded
-/// in turn when no live list was.
-bool get_updates(Reader& r, const TxId& tx, PartitionId pid,
-                 PayloadTable& payloads, protocol::SharedUpdates& out) {
-  const std::uint64_t n = r.varint();
-  // Each update needs at least 2 bytes (key varint + presence byte), so a
-  // count beyond remaining()/2 is malformed — checked before reserving so a
-  // forged count can never trigger a huge allocation.
-  if (!r.ok() || n > r.remaining() / 2 + 1) return false;
-  SharedUpdates recorded = payloads.find(tx, pid);
-  if (recorded != nullptr && recorded->size() == n) {
-    Reader probe = r;
-    if (updates_equal(probe, *recorded)) {
-      r = probe;
-      out = std::move(recorded);
-      return true;
+  /// A trailing varint is read only when bytes remain, which is
+  /// unambiguous because every earlier field is self-delimiting; an
+  /// explicit zero is non-canonical.
+  void trailing(std::uint64_t& out) {
+    out = 0;
+    if (source().remaining() == 0) return;
+    num(out);
+    if (out == 0) source().fail();
+  }
+
+  /// Whether the body parsed whole, every byte consumed; then resolves a
+  /// value left for it by (writer, the key's partition).
+  bool finish() {
+    if (!ok() || source().remaining() != 0) return false;
+    if (deferred_.out != nullptr) {
+      const SharedUpdates writes = payloads_.find(
+          *deferred_.writer,
+          protocol::PartitionMap::partition_of(*deferred_.key));
+      *deferred_.out = payload_for(writes.get(), *deferred_.key,
+                                   deferred_.bytes);
     }
+    return true;
   }
-  auto list = std::make_shared<UpdateList>();
-  list->reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Key key = r.varint();
-    bool present = false;
+
+ private:
+  /// Whether the `list.size()` pairs at `src` carry exactly `list`'s keys
+  /// and payload bytes, in order. Advances `src`.
+  static bool same_pairs(FrameSource& src, const UpdateList& list) {
+    Decoder<FrameSource> d(src);
+    for (const auto& [key, value] : list) {
+      Key k = 0;
+      bool present = false;
+      PayloadView bytes;
+      d.num(k);
+      if (!d.payload(present, bytes) || k != key ||
+          present != (value != nullptr) || (present && *value != bytes.bytes)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  struct Deferred {
+    SharedValue* out = nullptr;
+    const TxId* writer = nullptr;
+    const Key* key = nullptr;
     std::string_view bytes;
-    if (!r.ok() || !get_value_view(r, present, bytes)) return false;
-    list->emplace_back(
-        key, present ? payload_for(recorded.get(), key, bytes) : nullptr);
-  }
-  out = std::move(list);
-  if (recorded == nullptr) payloads.record(tx, pid, out);
-  return true;
-}
+  };
 
-std::size_t updates_size(const protocol::SharedUpdates& ups) {
-  const std::size_t n = ups ? ups->size() : 0;
-  std::size_t s = varint_size(n);
-  if (!ups) return s;
-  for (const auto& [key, value] : *ups) {
-    s += varint_size(key) + value_size(value);
-  }
-  return s;
-}
-
-
-/// Optional trailing trace context. Encoded as a single varint appended
-/// after the base fields, and only when nonzero — so untraced runs produce
-/// frames byte-identical to codecs that predate the field, and every pinned
-/// layout with tspan == 0 is unchanged. The decoder reads it only when bytes
-/// remain after the base fields, which is unambiguous because every base
-/// field is self-delimiting (see docs/WIRE.md, "Trace context").
-void put_tspan(CursorWriter& w, std::uint64_t tspan) {
-  if (tspan != 0) w.varint(tspan);
-}
-
-bool get_tspan(Reader& r, std::uint64_t& tspan) {
-  tspan = 0;
-  if (r.remaining() == 0) return true;
-  tspan = r.varint();
-  return r.ok() && tspan != 0;
-}
-
-std::size_t tspan_size(std::uint64_t tspan) {
-  return tspan == 0 ? 0 : varint_size(tspan);
-}
+  PayloadTable& payloads_;
+  Deferred deferred_;
+};
 
 template <class M>
-DecodeStatus decode_as(const std::uint8_t* body, std::size_t len,
+DecodeStatus decode_as(const std::uint8_t* bytes, std::size_t len,
                        PayloadTable& payloads, AnyMessage& out) {
-  Reader r(body, len);
+  FrameSource src(bytes, len);
+  FrameDecoder decoder(src, payloads);
   M m;
-  bool parsed = false;
-  if constexpr (requires { decode_body(r, m, payloads); }) {
-    parsed = decode_body(r, m, payloads);
-  } else {
-    parsed = decode_body(r, m);
-  }
-  if (!parsed || !r.ok() || r.remaining() != 0) return DecodeStatus::kBadBody;
+  body(decoder, m);
+  if (!decoder.finish()) return DecodeStatus::kBadBody;
   out = std::move(m);
   return DecodeStatus::kOk;
 }
+
+using DecodeFn = DecodeStatus (*)(const std::uint8_t*, std::size_t,
+                                  PayloadTable&, AnyMessage&);
+
+/// decode_as of every message, indexed by tag - kMinMessageType.
+template <std::size_t... I>
+constexpr auto decoders(std::index_sequence<I...>) {
+  return std::array<DecodeFn, sizeof...(I)>{&decode_as<
+      std::variant_alternative_t<I + kMinMessageType, AnyMessage>>...};
+}
+
+constexpr auto kDecoders = decoders(
+    std::make_index_sequence<kMaxMessageType - kMinMessageType + 1>());
 
 }  // namespace
 
@@ -216,298 +169,6 @@ const char* to_string(DecodeStatus s) {
   return "unknown";
 }
 
-// -- ReadRequest --------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::ReadRequest& m) {
-  put_txid(w, m.reader);
-  w.varint(m.reader_node);
-  w.varint(m.req_id);
-  w.varint(m.key);
-  w.varint(m.rs);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::ReadRequest& m) {
-  if (!get_txid(r, m.reader)) return false;
-  if (!get_u32(r, m.reader_node)) return false;
-  m.req_id = r.varint();
-  m.key = r.varint();
-  m.rs = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::ReadRequest& m) {
-  return txid_size(m.reader) + varint_size(m.reader_node) +
-         varint_size(m.req_id) + varint_size(m.key) + varint_size(m.rs) + tspan_size(m.tspan);
-}
-
-// -- ReadReply ----------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::ReadReply& m) {
-  put_txid(w, m.reader);
-  w.varint(m.req_id);
-  w.varint(m.key);
-  w.u8(m.found ? 1 : 0);
-  put_value(w, m.value);
-  put_txid(w, m.writer);
-  w.varint(m.version_ts);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads) {
-  if (!get_txid(r, m.reader)) return false;
-  m.req_id = r.varint();
-  m.key = r.varint();
-  if (!r.ok() || !get_bool(r, m.found)) return false;
-  // The write identity (writer) follows the value, so the value is parsed
-  // as a view and resolved once the rest of the body has been read.
-  bool present = false;
-  std::string_view bytes;
-  if (!get_value_view(r, present, bytes)) return false;
-  if (!get_txid(r, m.writer)) return false;
-  m.version_ts = r.varint();
-  if (!r.ok() || !get_tspan(r, m.tspan)) return false;
-  if (present) {
-    const SharedUpdates writes = payloads.find(
-        m.writer, protocol::PartitionMap::partition_of(m.key));
-    m.value = payload_for(writes.get(), m.key, bytes);
-  }
-  return true;
-}
-
-std::size_t body_size(const protocol::ReadReply& m) {
-  return txid_size(m.reader) + varint_size(m.req_id) + varint_size(m.key) + 1 +
-         value_size(m.value) + txid_size(m.writer) + varint_size(m.version_ts) + tspan_size(m.tspan);
-}
-
-// -- PrepareRequest -----------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::PrepareRequest& m) {
-  put_txid(w, m.tx);
-  w.varint(m.coordinator);
-  w.varint(m.partition);
-  w.varint(m.rs);
-  put_updates(w, m.updates);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::PrepareRequest& m,
-                 PayloadTable& payloads) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.coordinator)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  m.rs = r.varint();
-  if (!r.ok()) return false;
-  if (!get_updates(r, m.tx, m.partition, payloads, m.updates)) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::PrepareRequest& m) {
-  return txid_size(m.tx) + varint_size(m.coordinator) +
-         varint_size(m.partition) + varint_size(m.rs) +
-         updates_size(m.updates) + tspan_size(m.tspan);
-}
-
-// -- PrepareReply -------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::PrepareReply& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  w.varint(m.from);
-  w.u8(m.prepared ? 1 : 0);
-  w.varint(m.proposed_ts);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::PrepareReply& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  if (!get_u32(r, m.from)) return false;
-  if (!get_bool(r, m.prepared)) return false;
-  m.proposed_ts = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::PrepareReply& m) {
-  return txid_size(m.tx) + varint_size(m.partition) + varint_size(m.from) + 1 +
-         varint_size(m.proposed_ts) + tspan_size(m.tspan);
-}
-
-// -- ReplicateRequest ---------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::ReplicateRequest& m) {
-  put_txid(w, m.tx);
-  w.varint(m.coordinator);
-  w.varint(m.partition);
-  w.varint(m.rs);
-  put_updates(w, m.updates);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::ReplicateRequest& m,
-                 PayloadTable& payloads) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.coordinator)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  m.rs = r.varint();
-  if (!r.ok()) return false;
-  if (!get_updates(r, m.tx, m.partition, payloads, m.updates)) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::ReplicateRequest& m) {
-  return txid_size(m.tx) + varint_size(m.coordinator) +
-         varint_size(m.partition) + varint_size(m.rs) +
-         updates_size(m.updates) + tspan_size(m.tspan);
-}
-
-// -- CommitMessage ------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::CommitMessage& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  w.varint(m.commit_ts);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::CommitMessage& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  m.commit_ts = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::CommitMessage& m) {
-  return txid_size(m.tx) + varint_size(m.partition) +
-         varint_size(m.commit_ts) + tspan_size(m.tspan);
-}
-
-// -- AbortMessage -------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::AbortMessage& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::AbortMessage& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::AbortMessage& m) {
-  return txid_size(m.tx) + varint_size(m.partition) + tspan_size(m.tspan);
-}
-
-// -- DecisionRequest ----------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::DecisionRequest& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  w.varint(m.from);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::DecisionRequest& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  if (!get_u32(r, m.from)) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::DecisionRequest& m) {
-  return txid_size(m.tx) + varint_size(m.partition) + varint_size(m.from) + tspan_size(m.tspan);
-}
-
-// -- DecisionReply ------------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::DecisionReply& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  w.u8(static_cast<std::uint8_t>(m.decision));
-  w.varint(m.commit_ts);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::DecisionReply& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  const std::uint8_t d = r.u8();
-  if (!r.ok() || d > static_cast<std::uint8_t>(protocol::TxDecision::Aborted)) {
-    return false;
-  }
-  m.decision = static_cast<protocol::TxDecision>(d);
-  m.commit_ts = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::DecisionReply& m) {
-  return txid_size(m.tx) + varint_size(m.partition) + 1 +
-         varint_size(m.commit_ts) + tspan_size(m.tspan);
-}
-
-// -- DecisionReplicate --------------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::DecisionReplicate& m) {
-  put_txid(w, m.tx);
-  w.varint(m.origin);
-  w.varint(m.commit_ts);
-  w.varint(m.decided_at);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::DecisionReplicate& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.origin)) return false;
-  m.commit_ts = r.varint();
-  m.decided_at = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::DecisionReplicate& m) {
-  return txid_size(m.tx) + varint_size(m.origin) + varint_size(m.commit_ts) +
-         varint_size(m.decided_at) + tspan_size(m.tspan);
-}
-
-// -- DecisionReplicateAck -----------------------------------------------------
-
-void encode_body(CursorWriter& w, const protocol::DecisionReplicateAck& m) {
-  put_txid(w, m.tx);
-  w.varint(m.partition);
-  w.varint(m.from);
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.varint(m.commit_ts);
-  put_tspan(w, m.tspan);
-}
-
-bool decode_body(Reader& r, protocol::DecisionReplicateAck& m) {
-  if (!get_txid(r, m.tx)) return false;
-  if (!get_u32(r, m.partition)) return false;
-  if (!get_u32(r, m.from)) return false;
-  const std::uint8_t k = r.u8();
-  if (!r.ok() ||
-      k > static_cast<std::uint8_t>(protocol::DecisionAckKind::kNoRecord)) {
-    return false;
-  }
-  m.kind = static_cast<protocol::DecisionAckKind>(k);
-  m.commit_ts = r.varint();
-  if (!r.ok()) return false;
-  return get_tspan(r, m.tspan);
-}
-
-std::size_t body_size(const protocol::DecisionReplicateAck& m) {
-  return txid_size(m.tx) + varint_size(m.partition) + varint_size(m.from) + 1 +
-         varint_size(m.commit_ts) + tspan_size(m.tspan);
-}
-
-// -- frame decode -------------------------------------------------------------
-
 DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
                           AnyMessage& out, PayloadTable& payloads) {
   out = std::monostate{};
@@ -523,37 +184,12 @@ DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,
     return DecodeStatus::kBadChecksum;
   }
   const std::uint8_t type = data[kFrameLenBytes];
-  const std::uint8_t* body = data + kFrameLenBytes + kFrameTypeBytes;
-  const std::size_t body_len = covered - kFrameTypeBytes;
-  switch (static_cast<MessageType>(type)) {
-    case MessageType::kReadRequest:
-      return decode_as<protocol::ReadRequest>(body, body_len, payloads, out);
-    case MessageType::kReadReply:
-      return decode_as<protocol::ReadReply>(body, body_len, payloads, out);
-    case MessageType::kPrepareRequest:
-      return decode_as<protocol::PrepareRequest>(body, body_len, payloads, out);
-    case MessageType::kPrepareReply:
-      return decode_as<protocol::PrepareReply>(body, body_len, payloads, out);
-    case MessageType::kReplicateRequest:
-      return decode_as<protocol::ReplicateRequest>(body, body_len, payloads,
-                                                   out);
-    case MessageType::kCommit:
-      return decode_as<protocol::CommitMessage>(body, body_len, payloads, out);
-    case MessageType::kAbort:
-      return decode_as<protocol::AbortMessage>(body, body_len, payloads, out);
-    case MessageType::kDecisionRequest:
-      return decode_as<protocol::DecisionRequest>(body, body_len, payloads,
-                                                  out);
-    case MessageType::kDecisionReply:
-      return decode_as<protocol::DecisionReply>(body, body_len, payloads, out);
-    case MessageType::kDecisionReplicate:
-      return decode_as<protocol::DecisionReplicate>(body, body_len, payloads,
-                                                    out);
-    case MessageType::kDecisionReplicateAck:
-      return decode_as<protocol::DecisionReplicateAck>(body, body_len, payloads,
-                                                       out);
+  if (type < kMinMessageType || type > kMaxMessageType) {
+    return DecodeStatus::kBadType;
   }
-  return DecodeStatus::kBadType;
+  return kDecoders[type - kMinMessageType](
+      data + kFrameLenBytes + kFrameTypeBytes, covered - kFrameTypeBytes,
+      payloads, out);
 }
 
 DecodeStatus decode_frame(const std::uint8_t* data, std::size_t size,

@@ -1,9 +1,11 @@
 // Typed wire codec for every protocol message (docs/WIRE.md).
 //
-// One stable type tag and one encode/decode pair per struct in
-// protocol/messages.hpp. `seal_frame` (and `encode_frame`, its plain-buffer
-// twin) writes a message in place into a checksummed, length-prefixed frame
-// of its exact size (wire/codec.hpp, wire/frame.hpp); `decode_frame`
+// One stable type tag (its place in AnyMessage) and one field list per
+// struct in protocol/messages.hpp; sizing, encoding and decoding all run
+// that list (wire/fields.hpp). `seal_frame` (and `encode_frame`, its
+// plain-buffer twin) writes a message in place into a checksummed,
+// length-prefixed frame of its exact size (wire/codec.hpp,
+// wire/frame.hpp); `decode_frame`
 // verifies and opens one, rejecting — never crashing on — truncated,
 // corrupted, or trailing-garbage input, and resolves update lists and read
 // values through a PayloadTable (wire/payload_table.hpp) so that a receiver
@@ -13,16 +15,19 @@
 // that both transport modes report identical traffic.
 //
 // Versioning rules (see docs/WIRE.md "Versioning"): tags are append-only
-// and never reused; fields are encoded in declaration order and new fields
-// are appended, never inserted.
+// and never reused; a field list is the layout, and new fields are appended
+// to it, never inserted.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 
 #include "common/assert.hpp"
 #include "protocol/messages.hpp"
 #include "wire/codec.hpp"
+#include "wire/fields.hpp"
 #include "wire/frame.hpp"
 #include "wire/payload_table.hpp"
 
@@ -64,98 +69,154 @@ enum class DecodeStatus : std::uint8_t {
 
 const char* to_string(DecodeStatus s);
 
-/// Compile-time tag lookup: type_tag<protocol::ReadRequest>() etc.
+/// A decoded message of any type (monostate = nothing decoded). The order
+/// of the alternatives is the tag table: alternative i has tag i.
+using AnyMessage =
+    std::variant<std::monostate, protocol::ReadRequest, protocol::ReadReply,
+                 protocol::PrepareRequest, protocol::PrepareReply,
+                 protocol::ReplicateRequest, protocol::CommitMessage,
+                 protocol::AbortMessage, protocol::DecisionRequest,
+                 protocol::DecisionReply, protocol::DecisionReplicate,
+                 protocol::DecisionReplicateAck>;
+
+/// Compile-time tag lookup: type_tag<protocol::ReadRequest>() etc., the
+/// message's alternative index in AnyMessage.
+template <class M, std::size_t I = 1>
+constexpr MessageType type_tag() {
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, AnyMessage>, M>) {
+    return static_cast<MessageType>(I);
+  } else {
+    return type_tag<M, I + 1>();
+  }
+}
+
+// The tags are the wire format: reordering AnyMessage must not renumber one.
+static_assert(
+    type_tag<protocol::ReadRequest>() == MessageType::kReadRequest &&
+    type_tag<protocol::ReadReply>() == MessageType::kReadReply &&
+    type_tag<protocol::PrepareRequest>() == MessageType::kPrepareRequest &&
+    type_tag<protocol::PrepareReply>() == MessageType::kPrepareReply &&
+    type_tag<protocol::ReplicateRequest>() == MessageType::kReplicateRequest &&
+    type_tag<protocol::CommitMessage>() == MessageType::kCommit &&
+    type_tag<protocol::AbortMessage>() == MessageType::kAbort &&
+    type_tag<protocol::DecisionRequest>() == MessageType::kDecisionRequest &&
+    type_tag<protocol::DecisionReply>() == MessageType::kDecisionReply &&
+    type_tag<protocol::DecisionReplicate>() ==
+        MessageType::kDecisionReplicate &&
+    type_tag<protocol::DecisionReplicateAck>() ==
+        MessageType::kDecisionReplicateAck &&
+    std::variant_size_v<AnyMessage> == kNumMessageTypes);
+
+// -- field lists --------------------------------------------------------------
+// Each message's body fields in wire order: the one place a layout is
+// defined. Sizing, encoding and decoding all run these (wire/fields.hpp).
+// The trace context is not listed: body() appends it to every message.
+
+void fields(auto& v, Is<protocol::ReadRequest> auto& m) {
+  v.tx(m.reader);
+  v.num(m.reader_node);
+  v.num(m.req_id);
+  v.num(m.key);
+  v.num(m.rs);
+}
+
+void fields(auto& v, Is<protocol::ReadReply> auto& m) {
+  v.tx(m.reader);
+  v.num(m.req_id);
+  v.num(m.key);
+  v.flag(m.found);
+  // The write's identity: a decoder resolves the value once `writer`,
+  // which follows it, has been read.
+  v.value(m.value, m.writer, m.key);
+  v.tx(m.writer);
+  v.num(m.version_ts);
+}
+
+/// A replicate carries its prepare's fields.
+void fields(auto& v,
+            Is<protocol::PrepareRequest, protocol::ReplicateRequest> auto& m) {
+  v.tx(m.tx);
+  v.num(m.coordinator);
+  v.num(m.partition);
+  v.num(m.rs);
+  v.updates(m.updates, m.tx, m.partition);
+}
+
+void fields(auto& v, Is<protocol::PrepareReply> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+  v.num(m.from);
+  v.flag(m.prepared);
+  v.num(m.proposed_ts);
+}
+
+void fields(auto& v, Is<protocol::CommitMessage> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+  v.num(m.commit_ts);
+}
+
+void fields(auto& v, Is<protocol::AbortMessage> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+}
+
+void fields(auto& v, Is<protocol::DecisionRequest> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+  v.num(m.from);
+}
+
+void fields(auto& v, Is<protocol::DecisionReply> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+  v.enumerated(m.decision, protocol::TxDecision::Aborted);
+  v.num(m.commit_ts);
+}
+
+void fields(auto& v, Is<protocol::DecisionReplicate> auto& m) {
+  v.tx(m.tx);
+  v.num(m.origin);
+  v.num(m.commit_ts);
+  v.num(m.decided_at);
+}
+
+void fields(auto& v, Is<protocol::DecisionReplicateAck> auto& m) {
+  v.tx(m.tx);
+  v.num(m.partition);
+  v.num(m.from);
+  v.enumerated(m.kind, protocol::DecisionAckKind::kNoRecord);
+  v.num(m.commit_ts);
+}
+
+/// A frame body: the message's fields, then its optional trace context,
+/// always last and present only when nonzero, so an untraced frame is
+/// byte-identical to one that predates the field (docs/WIRE.md, "Trace
+/// context").
+template <class V, class M>
+void body(V& v, M& m) {
+  fields(v, m);
+  v.trailing(m.tspan);
+}
+
+/// Exactly what encode_body(w, m) writes. Kept out of line: inlined into
+/// encode_frame, its bounded result let GCC 12 expand the buffer's
+/// zero-fill as `rep stos`, which made a small frame's encode 10-14 ns
+/// slower than the memset call it makes otherwise (bench_wire_codec).
 template <class M>
-constexpr MessageType type_tag();
-
-template <>
-constexpr MessageType type_tag<protocol::ReadRequest>() {
-  return MessageType::kReadRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::ReadReply>() {
-  return MessageType::kReadReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::PrepareRequest>() {
-  return MessageType::kPrepareRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::PrepareReply>() {
-  return MessageType::kPrepareReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::ReplicateRequest>() {
-  return MessageType::kReplicateRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::CommitMessage>() {
-  return MessageType::kCommit;
-}
-template <>
-constexpr MessageType type_tag<protocol::AbortMessage>() {
-  return MessageType::kAbort;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionRequest>() {
-  return MessageType::kDecisionRequest;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReply>() {
-  return MessageType::kDecisionReply;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReplicate>() {
-  return MessageType::kDecisionReplicate;
-}
-template <>
-constexpr MessageType type_tag<protocol::DecisionReplicateAck>() {
-  return MessageType::kDecisionReplicateAck;
+[[gnu::noinline]] std::size_t body_size(const M& m) {
+  SizeSink size;
+  Encoder<SizeSink> sizer(size);
+  body(sizer, m);
+  return size.bytes;
 }
 
-// -- per-type body codec ------------------------------------------------------
-// encode_body writes the message fields; decode_body parses them and
-// returns false on malformed input (bounds, enum ranges). The three types
-// that carry values take the PayloadTable their values resolve through.
-// body_size returns exactly what encode_body would write.
-
-void encode_body(CursorWriter& w, const protocol::ReadRequest& m);
-void encode_body(CursorWriter& w, const protocol::ReadReply& m);
-void encode_body(CursorWriter& w, const protocol::PrepareRequest& m);
-void encode_body(CursorWriter& w, const protocol::PrepareReply& m);
-void encode_body(CursorWriter& w, const protocol::ReplicateRequest& m);
-void encode_body(CursorWriter& w, const protocol::CommitMessage& m);
-void encode_body(CursorWriter& w, const protocol::AbortMessage& m);
-void encode_body(CursorWriter& w, const protocol::DecisionRequest& m);
-void encode_body(CursorWriter& w, const protocol::DecisionReply& m);
-void encode_body(CursorWriter& w, const protocol::DecisionReplicate& m);
-void encode_body(CursorWriter& w, const protocol::DecisionReplicateAck& m);
-
-bool decode_body(Reader& r, protocol::ReadRequest& m);
-bool decode_body(Reader& r, protocol::ReadReply& m, PayloadTable& payloads);
-bool decode_body(Reader& r, protocol::PrepareRequest& m,
-                 PayloadTable& payloads);
-bool decode_body(Reader& r, protocol::PrepareReply& m);
-bool decode_body(Reader& r, protocol::ReplicateRequest& m,
-                 PayloadTable& payloads);
-bool decode_body(Reader& r, protocol::CommitMessage& m);
-bool decode_body(Reader& r, protocol::AbortMessage& m);
-bool decode_body(Reader& r, protocol::DecisionRequest& m);
-bool decode_body(Reader& r, protocol::DecisionReply& m);
-bool decode_body(Reader& r, protocol::DecisionReplicate& m);
-bool decode_body(Reader& r, protocol::DecisionReplicateAck& m);
-
-std::size_t body_size(const protocol::ReadRequest& m);
-std::size_t body_size(const protocol::ReadReply& m);
-std::size_t body_size(const protocol::PrepareRequest& m);
-std::size_t body_size(const protocol::PrepareReply& m);
-std::size_t body_size(const protocol::ReplicateRequest& m);
-std::size_t body_size(const protocol::CommitMessage& m);
-std::size_t body_size(const protocol::AbortMessage& m);
-std::size_t body_size(const protocol::DecisionRequest& m);
-std::size_t body_size(const protocol::DecisionReply& m);
-std::size_t body_size(const protocol::DecisionReplicate& m);
-std::size_t body_size(const protocol::DecisionReplicateAck& m);
+/// Write `m`'s body at `w`.
+template <class M>
+void encode_body(FrameSink& w, const M& m) {
+  Encoder<FrameSink> encoder(w);
+  body(encoder, m);
+}
 
 // -- frames -------------------------------------------------------------------
 
@@ -172,7 +233,7 @@ std::size_t frame_size(const M& m) {
 /// always-on assert, as one that would overrun `size` does.
 template <class M>
 void write_frame(std::uint8_t* out, std::size_t size, const M& m) {
-  CursorWriter w(out, out + size);
+  FrameSink w(out, out + size);
   w.u32le(static_cast<std::uint32_t>(size - kFrameLenBytes));
   w.u8(static_cast<std::uint8_t>(type_tag<M>()));
   encode_body(w, m);
@@ -198,15 +259,6 @@ Frame seal_frame(const M& m) {
   return Frame::build(size,
                       [&](std::uint8_t* out) { write_frame(out, size, m); });
 }
-
-/// A decoded message of any type (monostate = nothing decoded).
-using AnyMessage =
-    std::variant<std::monostate, protocol::ReadRequest, protocol::ReadReply,
-                 protocol::PrepareRequest, protocol::PrepareReply,
-                 protocol::ReplicateRequest, protocol::CommitMessage,
-                 protocol::AbortMessage, protocol::DecisionRequest,
-                 protocol::DecisionReply, protocol::DecisionReplicate,
-                 protocol::DecisionReplicateAck>;
 
 /// Verify and open one datagram-framed message, resolving its values
 /// through `payloads`. On any status but kOk, `out` holds std::monostate.

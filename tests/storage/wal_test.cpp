@@ -1,5 +1,6 @@
 // WAL unit tests: record framing (pinned byte layout) and the checksum
-// scan (torn tails, bit flips, malformed bodies), group-commit batching
+// scan (torn tails, bit flips, malformed bodies, out-of-range fields,
+// forged counts, resealed random mutations), group-commit batching
 // over SimMedium (batch-size and deadline flush triggers, callback
 // ordering, crash semantics), torn-write crash resolution, checkpoint
 // rewrite, chunked durable storage, payloads held by reference, and the
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -235,6 +237,17 @@ TEST(WalCodec, ScanStopsAtABitFlip) {
   EXPECT_TRUE(r.torn);
 }
 
+/// A flat frame around `tagged` (a type tag and a body) with a valid
+/// length prefix and checksum, so the bytes reach the body decoder.
+LogBuffer sealed(const wire::Buffer& tagged) {
+  wire::Buffer log;
+  wire::Writer w(log);
+  w.u32le(static_cast<std::uint32_t>(tagged.size() + 4));
+  log.insert(log.end(), tagged.begin(), tagged.end());
+  w.u32le(wire::checksum32(tagged.data(), tagged.size()));
+  return LogBuffer(std::move(log));
+}
+
 TEST(WalCodec, ScanRejectsAChecksummedButMalformedBody) {
   // A frame whose checksum is valid but whose body is garbage for its type
   // must stop the scan (defense against logic bugs, not just bit rot).
@@ -242,17 +255,166 @@ TEST(WalCodec, ScanRejectsAChecksummedButMalformedBody) {
   wire::Writer w(payload);
   w.u8(static_cast<std::uint8_t>(WalRecordType::kCommit));
   w.u8(0xff);  // not a decodable commit body
-  wire::Buffer log;
-  wire::Writer fw(log);
-  fw.u32le(static_cast<std::uint32_t>(payload.size() + 4));
-  fw.bytes(payload.data(), payload.size());
-  fw.u32le(wire::checksum32(payload.data(), payload.size()));
 
   WalScanResult r;
-  const auto records = scan_all(LogBuffer(log), &r);
+  const auto records = scan_all(sealed(payload), &r);
   EXPECT_TRUE(records.empty());
   EXPECT_EQ(r.valid_bytes, 0u);
   EXPECT_TRUE(r.torn);
+}
+
+TEST(WalCodec, NonCanonicalTxIdNodeIsRejected) {
+  // tx.node rides a u64 varint but NodeId is 32-bit: a checksummed record
+  // whose node is past UINT32_MAX is malformed, not another transaction.
+  // Log bytes come from outside the program too: --wal-dir adopts the
+  // files it finds.
+  const auto abort_of = [](std::uint64_t node) {
+    wire::Buffer body;
+    wire::Writer w(body);
+    w.u8(static_cast<std::uint8_t>(WalRecordType::kAbort));
+    w.varint(node);  // tx.node
+    w.varint(5);     // tx.seq
+    return sealed(body);
+  };
+  WalScanResult r;
+  const auto widest = scan_all(abort_of(0xffffffffu), &r);
+  ASSERT_EQ(widest.size(), 1u);
+  EXPECT_EQ(widest[0].tx, (TxId{0xffffffffu, 5}));
+
+  EXPECT_TRUE(scan_all(abort_of(std::uint64_t{1} << 32), &r).empty());
+  EXPECT_EQ(r.valid_bytes, 0u);
+  EXPECT_TRUE(r.torn);
+  EXPECT_TRUE(scan_all(abort_of(std::uint64_t{1} << 40), &r).empty());
+  EXPECT_TRUE(r.torn);
+}
+
+TEST(WalCodec, ForgedCountsAreRejectedBeforeReserving) {
+  // A count the record's bytes cannot hold is rejected before anything is
+  // reserved for it: at 2^60 a reservation would throw.
+  for (const auto type : {WalRecordType::kPrepare, WalRecordType::kCommit,
+                          WalRecordType::kCheckpoint}) {
+    wire::Buffer body;
+    wire::Writer w(body);
+    w.u8(static_cast<std::uint8_t>(type));
+    if (type != WalRecordType::kCheckpoint) {
+      w.varint(1);  // tx.node
+      w.varint(2);  // tx.seq
+    }
+    w.varint(3);  // rs, commit ts or watermark
+    if (type == WalRecordType::kPrepare) w.varint(4);  // proposed ts
+    w.varint(std::uint64_t{1} << 60);                  // the forged count
+    w.varint(7);                                       // one key
+    w.u8(0);                                           // without a value
+    WalScanResult r;
+    EXPECT_TRUE(scan_all(sealed(body), &r).empty())
+        << "type " << static_cast<int>(type);
+    EXPECT_TRUE(r.torn);
+  }
+}
+
+/// Every record type, holding its payloads by reference.
+std::vector<LogBuffer> sample_records() {
+  std::vector<LogBuffer> out(5);
+  encode_prepare(out[0], TxId{2, 11}, 100, 300,
+                 {{7, val("payload")}, {9, nullptr}, {11, val("")}});
+  encode_commit(out[1], TxId{2, 11}, 130, two_updates());
+  encode_abort(out[2], TxId{3, 5});
+  encode_decision(out[3], TxId{2, 11}, 130, 140);
+  std::vector<CheckpointVersion> snap;
+  snap.push_back({7, 50, VersionState::Committed, TxId{1, 1}, val("x")});
+  snap.push_back({8, 60, VersionState::PreCommitted, TxId{4, 2}, nullptr});
+  snap.push_back({9, 70, VersionState::LocalCommitted, TxId{5, 3},
+                  val("checkpointed")});
+  encode_checkpoint(out[4], 45, snap);
+  return out;
+}
+
+/// `record` (one frame) with `flips` random bits of its non-payload type
+/// and body bytes flipped, its slices kept where they were and its
+/// checksum resealed over the logical bytes, so the mutation reaches the
+/// body decoder.
+LogBuffer resealed_mutation(const LogBuffer& record, Rng& rng,
+                            std::uint64_t flips) {
+  wire::Buffer bytes = record.bytes();
+  const std::size_t body = wire::kFrameLenBytes;
+  const std::size_t body_end = bytes.size() - wire::kFrameChecksumBytes;
+  for (std::uint64_t f = 0; f < flips; ++f) {
+    const std::uint64_t bit = rng.uniform((body_end - body) * 8);
+    bytes[body + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  LogBuffer out;
+  std::uint8_t* at = out.extend(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), at);
+  for (const PayloadSlice& s : record.slices()) out.put_payload(s.at, s.value);
+  std::uint32_t crc = 0;
+  LogCursor(out, body, 0).walk(
+      out.size() - body - wire::kFrameChecksumBytes,
+      [&crc](const std::uint8_t* p, std::size_t n) {
+        crc = wire::checksum32(p, n, crc);
+      });
+  for (int i = 0; i < 4; ++i) {
+    at[body_end + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  return out;
+}
+
+/// The values a record carries, in order ("-" for an absent one).
+std::vector<std::string> values_of(const WalRecord& rec) {
+  std::vector<std::string> out;
+  const auto add = [&out](const SharedValue& v) {
+    out.push_back(v ? "+" + *v : "-");
+  };
+  for (const auto& [key, value] : rec.updates) add(value);
+  for (const CheckpointVersion& v : rec.snapshot) add(v.value);
+  return out;
+}
+
+TEST(WalFuzz, ResealedMutationsDecodeTheirOwnBytesOrStopTheScan) {
+  // Mutations re-sealed with a valid checksum reach the record decoder, in
+  // both of a log's forms: payloads held as slices, and the same logical
+  // bytes flat (a --wal-dir file read back). Each scan must either decode
+  // the one record whole or stop at it, reserve no more list entries than
+  // the record's bytes can hold, and never touch memory it does not own
+  // (CI runs this under ASan/UBSan). A record the sliced form accepts is
+  // its own bytes: the flat form decodes it to the same fields.
+  Rng rng(0xa11);
+  const std::vector<LogBuffer> records = sample_records();
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const LogBuffer& pristine = records[rng.uniform(records.size())];
+    const LogBuffer sliced = resealed_mutation(pristine, rng, rng.uniform(4));
+    const std::size_t size = sliced.size();
+    std::vector<WalRecord> forms[2];
+    WalScanResult scans[2];
+    forms[0] = scan_all(sliced, &scans[0]);
+    forms[1] = scan_all(flat(sliced), &scans[1]);
+    for (int form = 0; form < 2; ++form) {
+      const WalScanResult& r = scans[form];
+      ASSERT_LE(forms[form].size(), 1u) << i;
+      ASSERT_EQ(r.records, forms[form].size()) << i;
+      ASSERT_EQ(r.torn, forms[form].empty()) << i;
+      ASSERT_EQ(r.valid_bytes, forms[form].empty() ? 0 : size) << i;
+      for (const WalRecord& rec : forms[form]) {
+        EXPECT_LE(rec.updates.capacity(), size / 2) << i;
+        EXPECT_LE(rec.snapshot.capacity(), size) << i;
+      }
+    }
+    if (forms[0].empty()) {
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    ASSERT_EQ(forms[1].size(), 1u) << i;
+    const WalRecord& a = forms[0][0];
+    const WalRecord& b = forms[1][0];
+    EXPECT_EQ(keys_of(forms[0]), keys_of(forms[1])) << i;
+    EXPECT_EQ(a.rs, b.rs) << i;
+    EXPECT_EQ(a.at, b.at) << i;
+    EXPECT_EQ(values_of(a), values_of(b)) << i;
+  }
+  EXPECT_GT(decoded, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 // -- group commit over SimMedium --------------------------------------------

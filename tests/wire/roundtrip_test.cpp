@@ -184,7 +184,7 @@ void expect_equal(const protocol::DecisionReplicateAck& a,
 template <class M>
 std::size_t written_body_size(const M& m) {
   Buffer slack(body_size(m) + 64);
-  CursorWriter w(slack.data(), slack.data() + slack.size());
+  FrameSink w(slack.data(), slack.data() + slack.size());
   encode_body(w, m);
   return static_cast<std::size_t>(w.position() - slack.data());
 }
