@@ -147,7 +147,7 @@ class LogSource {
 /// into one buffer, and an exact reserve per record would make that
 /// quadratic.
 template <class Fields>
-void put_record(LogBuffer& out, WalRecordType type, const Fields& fields) {
+void put_frame(LogBuffer& out, WalRecordType type, const Fields& fields) {
   wire::SizeSink body;
   wire::Encoder<wire::SizeSink> sizer(body);
   fields(sizer);
@@ -207,38 +207,37 @@ bool decode_record(LogSource& src, WalRecord& rec) {
 
 void encode_prepare(LogBuffer& out, const TxId& tx, Timestamp rs,
                     Timestamp proposed, const WalUpdates& updates) {
-  put_record(out, WalRecordType::kPrepare, [&](auto& v) {
+  put_frame(out, WalRecordType::kPrepare, [&](auto& v) {
     prepare_fields(v, tx, rs, proposed, updates);
   });
 }
 
 void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const WalUpdates& updates) {
-  put_record(out, WalRecordType::kCommit,
-             [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
+  put_frame(out, WalRecordType::kCommit,
+            [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
 }
 
 void encode_commit(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                    const ForEachUpdate& updates) {
-  put_record(out, WalRecordType::kCommit,
-             [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
+  put_frame(out, WalRecordType::kCommit,
+            [&](auto& v) { commit_fields(v, tx, commit_ts, updates); });
 }
 
 void encode_abort(LogBuffer& out, const TxId& tx) {
-  put_record(out, WalRecordType::kAbort,
-             [&](auto& v) { abort_fields(v, tx); });
+  put_frame(out, WalRecordType::kAbort, [&](auto& v) { abort_fields(v, tx); });
 }
 
 void encode_decision(LogBuffer& out, const TxId& tx, Timestamp commit_ts,
                      Timestamp at) {
-  put_record(out, WalRecordType::kDecision,
-             [&](auto& v) { decision_fields(v, tx, commit_ts, at); });
+  put_frame(out, WalRecordType::kDecision,
+            [&](auto& v) { decision_fields(v, tx, commit_ts, at); });
 }
 
 void encode_checkpoint(LogBuffer& out, Timestamp watermark,
                        const std::vector<CheckpointVersion>& snapshot) {
-  put_record(out, WalRecordType::kCheckpoint,
-             [&](auto& v) { checkpoint_fields(v, watermark, snapshot); });
+  put_frame(out, WalRecordType::kCheckpoint,
+            [&](auto& v) { checkpoint_fields(v, watermark, snapshot); });
 }
 
 namespace {
