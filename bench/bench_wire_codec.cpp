@@ -36,6 +36,9 @@ using namespace str;  // NOLINT
 
 namespace {
 
+/// Most encode/decode loop iterations --iters takes.
+constexpr std::uint64_t kMaxIters = 1'000'000'000;
+
 protocol::SharedUpdates make_updates(std::size_t count,
                                      std::size_t value_size) {
   auto list = std::make_shared<protocol::UpdateList>();
@@ -135,7 +138,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       iters = 200'000;
     } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count(argv[++i], 1, kMaxIters, iters)) {
+        std::fprintf(stderr, "--iters wants a count in [1,%llu]\n",
+                     static_cast<unsigned long long>(kMaxIters));
+        return 1;
+      }
     } else {
       std::fprintf(stderr, "usage: %s [--quick] [--iters N]\n", argv[0]);
       return 1;

@@ -64,8 +64,9 @@ struct DurabilityConfig {
   /// ...or this long after the first unflushed record, whichever is first.
   Timestamp group_commit_interval = msec(2);
 
-  /// Checkpoint a partition WAL (snapshot + truncate) once it exceeds this
-  /// many durable bytes and the log is idle.
+  /// Checkpoint a partition WAL (snapshot + truncate) once this many bytes
+  /// were appended to it since its last checkpoint and the log is idle. The
+  /// checkpoint image itself does not count.
   std::uint64_t checkpoint_min_bytes = 64 * 1024;
 
   /// Compact the per-node decision log once it exceeds this many durable

@@ -1054,9 +1054,7 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
   // cached remote-key copies (Alg. 1 line 44).
   for (const auto& part : rec.local_parts) {
     // In WAL mode the durability barrier already logged the commit record.
-    node_.replica(part.partition)
-        ->apply_commit(rec.id, ct,
-                       /*already_logged=*/decision_wal_ != nullptr);
+    node_.replica(part.partition)->apply_commit(rec.id, ct);
   }
   node_.cache().final_commit(rec.id);
 

@@ -336,16 +336,19 @@ void PartitionActor::handle_replicate(const ReplicateRequest& req) {
   wire::post(cluster, node_.id(), req.coordinator, std::move(reply));
 }
 
-void PartitionActor::apply_commit(const TxId& tx, Timestamp ct,
-                                  bool already_logged) {
-  if (wal_ != nullptr && node_.up() && !already_logged &&
+void PartitionActor::apply_commit(const TxId& tx, Timestamp ct) {
+  // The coordinator's own replicas logged their commit records in its
+  // durability barrier (log_commit).
+  if (wal_ != nullptr && node_.up() && tx.node != node_.id() &&
       store_.has_uncommitted(tx)) {
     // Lazy commit record: nothing is acknowledged on its durability (the
     // coordinator's decision record is the commit point), but without it a
     // replay would re-stage the prepare as in-doubt and re-probe a decision
-    // the coordinator may have long pruned.
+    // the coordinator may have long pruned. It is the outcome only: the
+    // writes are in this log already, in the kPrepare forced before the ack
+    // or in a checkpoint that re-staged the pre-commit since.
     storage::LogBuffer frame;
-    encode_commit_record(frame, tx, ct);
+    storage::encode_commit(frame, tx, ct, storage::WalUpdates{});
     wal_->append(std::move(frame));
   }
   store_.final_commit(tx, ct);
@@ -374,16 +377,11 @@ void PartitionActor::log_commit(const TxId& tx, Timestamp ct,
                                 UniqueFunction<void()> on_durable) {
   STR_ASSERT_MSG(wal_ != nullptr, "log_commit without a WAL");
   storage::LogBuffer frame;
-  encode_commit_record(frame, tx, ct);
-  wal_->append(std::move(frame), std::move(on_durable));
-}
-
-void PartitionActor::encode_commit_record(storage::LogBuffer& out,
-                                          const TxId& tx, Timestamp ct) const {
-  storage::encode_commit(out, tx, ct,
+  storage::encode_commit(frame, tx, ct,
                          [this, &tx](const storage::UpdateFn& fn) {
                            store_.for_each_uncommitted_update(tx, fn);
                          });
+  wal_->append(std::move(frame), std::move(on_durable));
 }
 
 void PartitionActor::track_orphan(const TxId& tx, NodeId coordinator) {
@@ -621,13 +619,17 @@ void PartitionActor::replay_wal() {
   };
   std::vector<Staged> staged;
   std::vector<TxId> installed;  // committed installs (duplicate-record guard)
-  auto drop_staged = [&staged](const TxId& tx) {
+  // Unstage tx's prepare, if one is staged, and return its writes.
+  auto take_staged = [&staged](const TxId& tx) {
+    storage::WalUpdates updates;
     for (auto it = staged.begin(); it != staged.end(); ++it) {
       if (it->tx == tx) {
+        updates = std::move(it->updates);
         staged.erase(it);
-        return;
+        break;
       }
     }
+    return updates;
   };
 
   const storage::WalScanResult scan =
@@ -653,17 +655,26 @@ void PartitionActor::replay_wal() {
             }
             break;
           case storage::WalRecordType::kPrepare:
-            drop_staged(rec.tx);
+            take_staged(rec.tx);
             staged.push_back({rec.tx, rec.ts, rec.updates});
             break;
-          case storage::WalRecordType::kCommit:
-            drop_staged(rec.tx);
-            if (rec.tx.node == node_.id() && !coord.decided_committed(rec.tx)) {
-              // Locally-coordinated commit whose decision record did not
-              // survive: the client ack never happened (the decision sync is
-              // the commit point), so presumed abort wins.
-              if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
-              break;
+          case storage::WalRecordType::kCommit: {
+            // A participant's record is the outcome only (apply_commit);
+            // its writes come from the prepare staged before it.
+            const storage::WalUpdates prepared = take_staged(rec.tx);
+            if (rec.tx.node == node_.id()) {
+              // Local prepares are never logged: the coordinator's barrier
+              // record lists its writes.
+              STR_ASSERT_MSG(!rec.updates.empty(),
+                             "outcome-only commit record of a locally "
+                             "coordinated transaction");
+              if (!coord.decided_committed(rec.tx)) {
+                // Its decision record did not survive: the client ack never
+                // happened (the decision sync is the commit point), so
+                // presumed abort wins.
+                if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
+                break;
+              }
             }
             if (std::find(installed.begin(), installed.end(), rec.tx) !=
                 installed.end()) {
@@ -673,16 +684,21 @@ void PartitionActor::replay_wal() {
             if (store_.has_uncommitted(rec.tx)) {
               // The checkpoint re-staged this pre-commit; finalize it.
               store_.final_commit(rec.tx, rec.ts);
-            } else {
-              for (const auto& [key, value] : rec.updates) {
-                store_.replay_insert(
-                    key, store::Version{rec.ts, VersionState::Committed,
-                                        rec.tx, value});
-              }
+              break;
+            }
+            const storage::WalUpdates& writes =
+                rec.updates.empty() ? prepared : rec.updates;
+            STR_ASSERT_MSG(!writes.empty(),
+                           "outcome-only commit record without its prepare");
+            for (const auto& [key, value] : writes) {
+              store_.replay_insert(
+                  key, store::Version{rec.ts, VersionState::Committed, rec.tx,
+                                      value});
             }
             break;
+          }
           case storage::WalRecordType::kAbort:
-            drop_staged(rec.tx);
+            take_staged(rec.tx);
             if (store_.has_uncommitted(rec.tx)) store_.abort_tx(rec.tx);
             break;
           case storage::WalRecordType::kDecision:
@@ -755,13 +771,15 @@ void PartitionActor::maintain(Timestamp prune_horizon,
                               Timestamp tombstone_horizon) {
   store_.gc(prune_horizon);
   tombstones_.expire(tombstone_horizon);
-  // Checkpoint/truncate: once the log outgrows the threshold and is idle
-  // (idle => every appended record is durable and no offsets are live),
-  // replace it with one checkpoint record snapshotting the store. The
+  // Checkpoint/truncate: once the threshold's worth of records was
+  // appended since the last checkpoint and the log is idle (idle => every
+  // appended record is durable and no offsets are live), replace it with
+  // one checkpoint record snapshotting the store. The image itself does not
+  // count, so a log nothing was appended to is not snapshot again. The
   // watermark rides along as metadata. Never on a down node — its store was
   // wiped at crash and the log is the only copy until replay.
   if (wal_ != nullptr && node_.up() && wal_->idle() &&
-      wal_->medium().durable_size() >=
+      wal_->appended_since_checkpoint() >=
           node_.cluster().protocol().durability.checkpoint_min_bytes) {
     std::vector<storage::CheckpointVersion> snap;
     snap.reserve(store_.version_count());

@@ -72,17 +72,19 @@ class PartitionActor {
   void handle_replicate(const ReplicateRequest& req);
 
   /// Final commit/abort application (from the coordinator's fan-out or the
-  /// local synchronous path). In WAL mode a commit/abort record is appended
-  /// lazily (no ack depends on it) unless `already_logged` says the
-  /// coordinator's durability barrier wrote the commit record itself.
-  void apply_commit(const TxId& tx, Timestamp ct, bool already_logged = false);
+  /// local synchronous path). In WAL mode a participant appends its record
+  /// lazily (no ack depends on it): an abort, or a commit that carries the
+  /// outcome only, its writes being in the logged prepare. The
+  /// coordinator's durability barrier already logged its own replicas'
+  /// commit records (log_commit).
+  void apply_commit(const TxId& tx, Timestamp ct);
   void apply_abort(const TxId& tx);
 
   // -- durability (docs/DURABILITY.md; all no-ops when the WAL is off) ------
 
   /// The coordinator's commit durability barrier: append tx's commit record
-  /// (commit ts + full update list) and run `on_durable` once it is on
-  /// stable storage. WAL mode only.
+  /// (commit ts + full update list: local prepares are never logged) and
+  /// run `on_durable` once it is on stable storage. WAL mode only.
   void log_commit(const TxId& tx, Timestamp ct,
                   UniqueFunction<void()> on_durable);
 
@@ -138,11 +140,6 @@ class PartitionActor {
   std::uint64_t tombstone_bytes() const { return tombstones_.bytes(); }
 
  private:
-  /// Append tx's commit record to `out`, its pairs read from the store's
-  /// uncommitted versions of tx.
-  void encode_commit_record(storage::LogBuffer& out, const TxId& tx,
-                            Timestamp ct) const;
-
   struct ParkedRead {
     TxId reader;
     NodeId reader_node = kInvalidNode;

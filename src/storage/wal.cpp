@@ -256,6 +256,19 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// Size of the frame `chunk` starts with if it is a checkpoint, else 0. Reads
+/// only the length prefix and the type tag: callers pass a frame they wrote
+/// or one the scan validated.
+std::uint64_t leading_checkpoint_bytes(const LogBuffer& chunk) {
+  const wire::Buffer& bytes = chunk.bytes();
+  if (bytes.size() < wire::kFrameLenBytes + wire::kFrameTypeBytes ||
+      bytes[wire::kFrameLenBytes] !=
+          static_cast<std::uint8_t>(WalRecordType::kCheckpoint)) {
+    return 0;
+  }
+  return wire::kFrameLenBytes + load_le32(bytes.data());
+}
+
 /// Checksum-scan the frames of one chunk, adding what it validates to
 /// `result.records` and `result.valid_bytes`. Offsets are logical: the
 /// cursor walks the non-payload bytes and the payloads in stream order.
@@ -460,12 +473,19 @@ WalScanResult Wal::replay(const std::function<void(const WalRecord&)>& visit) {
     medium_->truncate_durable(result.valid_bytes);
   }
   end_offset_ = result.valid_bytes;
+  // No frame spans two chunks, so a validated first record is whole in the
+  // first chunk.
+  checkpoint_bytes_ =
+      result.records == 0
+          ? 0
+          : leading_checkpoint_bytes(medium_->durable_chunks().front());
   return result;
 }
 
 void Wal::rewrite(LogBuffer bytes) {
   STR_ASSERT_MSG(idle(), "Wal::rewrite on a busy log");
   end_offset_ = bytes.size();
+  checkpoint_bytes_ = leading_checkpoint_bytes(bytes);
   medium_->reset_durable(std::move(bytes));
   if (counters_.checkpoints != nullptr) counters_.checkpoints->inc();
 }

@@ -19,15 +19,19 @@
 //                 to disk before the prepare/replicate ack (2PC participant
 //                 rule); group commit batches the forces.
 //   kCommit     — a final commit applied on this partition (tx, commit ts,
-//                 full update list — a commit record alone rebuilds the
-//                 committed writes, so replay never needs the prepare).
+//                 update list). The coordinator's commit barrier lists the
+//                 writes: local prepares are never logged. A participant's
+//                 lazy record is the outcome only, its list empty: its
+//                 writes are in the kPrepare before it, or in the
+//                 checkpoint that re-staged that pre-commit.
 //   kAbort      — tx aborted here (lazy; presumed abort covers its loss).
 //   kDecision   — node-level decision-log entry (tx, commit ts, decided
 //                 at). Only commits are logged: no decision record means
 //                 presumed abort.
 //   kCheckpoint — a full snapshot of the partition's version chains (plus
 //                 the stable watermark it was taken at). Replaces the log
-//                 prefix: replay starts from the latest checkpoint.
+//                 prefix: replay starts from the latest checkpoint, and the
+//                 Wal keeps its size to count what was appended since.
 //
 // The Wal adds group-commit batching over a Medium: appends accumulate and
 // one sync covers the whole batch, beginning when the batch reaches
@@ -82,7 +86,7 @@ struct CheckpointVersion {
 
 /// Decoded record, handed to the replay visitor. Field meaning by type:
 ///   kPrepare    — tx, rs, ts (proposed), updates
-///   kCommit     — tx, ts (commit ts), updates
+///   kCommit     — tx, ts (commit ts), updates (empty: outcome only)
 ///   kAbort      — tx
 ///   kDecision   — tx, ts (commit ts), at (decided at)
 ///   kCheckpoint — ts (stable watermark), snapshot
@@ -181,7 +185,7 @@ class Wal {
   /// Replay the validated durable prefix through `visit`, then truncate any
   /// torn tail in place: whole valid chunks stay as they are and only the
   /// last is cut. Idempotent: a second replay visits the identical record
-  /// sequence.
+  /// sequence. Re-reads the leading checkpoint's size from the log.
   WalScanResult replay(const std::function<void(const WalRecord&)>& visit);
 
   /// No unflushed records and no sync in flight.
@@ -189,6 +193,14 @@ class Wal {
 
   /// Logical end offset: durable bytes + everything buffered.
   std::uint64_t end_offset() const { return end_offset_; }
+
+  /// Bytes appended since the log's leading checkpoint record: the whole
+  /// log when it starts with another record. Kept across crash, replay
+  /// and truncation; a log the medium adopted counts whole until replay()
+  /// reads its first record.
+  std::uint64_t appended_since_checkpoint() const {
+    return end_offset_ - checkpoint_bytes_;
+  }
 
   /// Replace the entire durable contents (a fresh checkpoint record or a
   /// compacted decision log). Atomic, rename-style; requires idle().
@@ -210,6 +222,8 @@ class Wal {
   std::vector<UniqueFunction<void()>> inflight_cbs_;
   std::uint32_t pending_count_ = 0;
   std::uint64_t end_offset_ = 0;
+  /// Size of the checkpoint frame the durable log starts with, or 0.
+  std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t inflight_bytes_ = 0;
   bool force_next_ = false;  ///< sync() arrived while a flush was in flight
   /// Invalidates the armed deadline timer (bumped by begin_flush and crash).

@@ -1,10 +1,11 @@
-// WAL unit tests: record framing (pinned byte layout) and the checksum
-// scan (torn tails, bit flips, malformed bodies, out-of-range fields,
-// forged counts, resealed random mutations), group-commit batching
-// over SimMedium (batch-size and deadline flush triggers, callback
-// ordering, crash semantics), torn-write crash resolution, checkpoint
-// rewrite, chunked durable storage, payloads held by reference, and the
-// FileMedium mirror round-trip.
+// WAL unit tests: record framing (pinned byte layout, the outcome-only
+// commit) and the checksum scan (torn tails, bit flips, malformed bodies,
+// out-of-range fields, forged counts, resealed random mutations),
+// group-commit batching over SimMedium (batch-size and deadline flush
+// triggers, callback ordering, crash semantics), torn-write crash
+// resolution, checkpoint rewrite and the bytes appended since it, chunked
+// durable storage, payloads held by reference, and the FileMedium mirror
+// round-trip.
 #include "storage/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -200,6 +201,30 @@ TEST(WalCodec, RecordLayoutIsPinned) {
     EXPECT_EQ(sliced_r.valid_bytes, want.size());
     EXPECT_EQ(flat_r.valid_bytes, want.size());
   }
+}
+
+TEST(WalCodec, OutcomeOnlyCommitIsTheCommitLayoutWithNoUpdates) {
+  // A participant's lazy commit record: tx and commit ts, then an empty
+  // update list, so it decodes as a kCommit whose writes are elsewhere.
+  LogBuffer b;
+  encode_commit(b, TxId{2, 11}, /*commit_ts=*/130, WalUpdates{});
+  const wire::Buffer want{
+      0x0a, 0x00, 0x00, 0x00,  // rest_len = 1 + 5 + 4
+      0x02,                    // kCommit
+      0x02, 0x0b,              // tx
+      0x82, 0x01,              // commit_ts = 130
+      0x00,                    // no updates
+      0xf7, 0x54, 0x08, 0xbf,  // checksum
+  };
+  EXPECT_EQ(b.flatten(), want);
+  EXPECT_TRUE(b.slices().empty());
+
+  const auto records = scan_all(b);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, WalRecordType::kCommit);
+  EXPECT_EQ(records[0].tx, (TxId{2, 11}));
+  EXPECT_EQ(records[0].ts, 130u);
+  EXPECT_TRUE(records[0].updates.empty());
 }
 
 TEST(WalCodec, ScanRecoversExactlyTheCompleteFramePrefix) {
@@ -573,6 +598,60 @@ TEST(Wal, RewriteReplacesTheLogWithACheckpoint) {
   // Appends continue after the rewrite in the new coordinates.
   const std::uint64_t end = f.append_abort(TxId{2, 1});
   EXPECT_GT(end, ckpt.size());
+}
+
+TEST(Wal, AppendedSinceCheckpointLeavesOutTheImage) {
+  // What maintenance compares with checkpoint_min_bytes: the bytes after
+  // the log's leading checkpoint, through a crash that tears a sync, the
+  // replay that truncates it, and a replay of the log adopted whole.
+  Rng rng(3);
+  WalFixture f(/*batch=*/2, msec(2), msec(5), TornWriteFault{1.0, &rng});
+  f.append_abort(TxId{1, 1});
+  f.append_abort(TxId{1, 2});
+  f.sched.run_until(msec(10));
+  ASSERT_TRUE(f.wal->idle());
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), f.wal->end_offset());
+
+  LogBuffer ckpt;
+  std::vector<CheckpointVersion> snap;
+  snap.push_back({1, 10, VersionState::Committed, TxId{1, 1}, val("v")});
+  encode_checkpoint(ckpt, /*watermark=*/9, snap);
+  const std::uint64_t image = ckpt.size();
+  f.wal->rewrite(std::move(ckpt));
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), 0u);
+
+  f.append_abort(TxId{2, 1});
+  const std::uint64_t synced = f.append_abort(TxId{2, 2});
+  f.sched.run_until(msec(20));
+  ASSERT_TRUE(f.wal->idle());
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), synced - image);
+
+  f.append_abort(TxId{2, 3});
+  f.append_abort(TxId{2, 4});  // its sync is in flight at the crash
+  f.wal->crash();
+  const WalScanResult r = f.wal->replay(nullptr);
+  EXPECT_GE(r.valid_bytes, synced);
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), r.valid_bytes - image);
+
+  // Adopted whole, as a log file is read back, the log counts every byte
+  // until replay re-reads its leading checkpoint.
+  auto medium = std::make_unique<SimMedium>(&f.sched, msec(1),
+                                            TornWriteFault{});
+  medium->reset_durable(LogBuffer(concat(f.wal->medium().durable_chunks())));
+  Wal adopted(f.sched, std::move(medium), f.options, Wal::Counters{});
+  EXPECT_EQ(adopted.appended_since_checkpoint(), r.valid_bytes);
+  adopted.replay(nullptr);
+  EXPECT_EQ(adopted.appended_since_checkpoint(), r.valid_bytes - image);
+
+  // A rewrite that installs no checkpoint (decision-log compaction)
+  // leaves nothing out.
+  LogBuffer compacted;
+  encode_decision(compacted, TxId{3, 1}, 70, 80);
+  const std::uint64_t kept = compacted.size();
+  f.wal->rewrite(std::move(compacted));
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), kept);
+  f.wal->replay(nullptr);
+  EXPECT_EQ(f.wal->appended_since_checkpoint(), kept);
 }
 
 TEST(Wal, AppendReturnsEndOffsetsComparableToDurablePrefix) {
