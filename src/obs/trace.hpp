@@ -8,7 +8,8 @@
 // dropped.
 //
 // Cost model: the tracer is disabled by default. Call sites guard argument
-// evaluation with `if (tracer.enabled())`, so the disabled path is a single
+// evaluation with `if (tracer.enabled())` (record_span, whose arguments are
+// plain fields, checks it itself), so the disabled path is a single
 // predictable branch on a bool — benchmarks pay nothing measurable.
 #pragma once
 
@@ -135,6 +136,19 @@ class Tracer {
   /// Record a completed span. Spans land in their own ring (same capacity
   /// as the event ring) ordered by emission = completion time.
   void emit_span(SpanRecord span);
+
+  /// Record a span whose id nothing needs before it completes (a message
+  /// handled, a probe sent, a stall or wait ended): allocate its id, record
+  /// it and return the id for children to name as parent. Returns 0 and
+  /// records nothing when tracing is off.
+  std::uint64_t record_span(std::uint64_t parent, const TxId& tx, NodeId node,
+                            SpanKind kind, Timestamp start, Timestamp end,
+                            std::uint64_t a, std::uint64_t b) {
+    if (!enabled_) return 0;
+    const std::uint64_t id = next_span_id();
+    emit_span({id, parent, tx, node, kind, start, end, a, b});
+    return id;
+  }
 
   std::uint64_t spans_emitted() const { return spans_emitted_; }
   std::uint64_t spans_dropped() const {

@@ -265,9 +265,8 @@ std::unique_ptr<storage::Wal> Cluster::make_wal(
                                                    &sched, d.fsync_latency,
                                                    torn);
   }
-  storage::Wal::Options opts;
+  storage::Wal::Options opts;  // the group-commit interval is its default
   opts.group_commit_batch = d.group_commit_batch;
-  opts.group_commit_interval = d.group_commit_interval;
   return std::make_unique<storage::Wal>(sched, std::move(medium), opts,
                                         counters);
 }
@@ -323,25 +322,13 @@ bool Cluster::resolve_in_doubt(NodeId by, const TxId& tx, bool committed) {
   // resolve, the recorded output is identical — including across worker
   // counts, where the winning path can differ by interleaving. The
   // resolver's registry takes the count: the deciding node is dead.
-  Coordinator& counter = node(by).coordinator();
+  Coordinator& reporter = node(by).coordinator();
   if (committed) {
-    if (history_ != nullptr) {
-      verify::WriteSetEvent ev;
-      ev.tx = tx;
-      ev.ts = info.commit_ts;
-      ev.at = info.reg_at;
-      ev.keys = std::move(info.keys);
-      history_->on_final_commit(ev);
-    }
-    counter.count_commit(info.reg_at, info.first_activation,
-                         info.externalized_at);
+    reporter.report_commit(tx, info.commit_ts, info.writes, info.reg_at,
+                           info.first_activation, info.externalized_at);
   } else {
-    if (history_ != nullptr) {
-      history_->on_abort(
-          verify::AbortEvent{tx, AbortReason::NodeCrash, info.reg_at});
-    }
-    counter.count_abort(info.reg_at, AbortReason::NodeCrash,
-                        info.externalized);
+    reporter.report_abort(tx, AbortReason::NodeCrash, info.reg_at,
+                          info.externalized);
   }
   return true;
 }

@@ -265,9 +265,9 @@ class Cluster {
   // at crash time: the fate depends on which copies survive and who asks.
   // The registry parks such transactions cluster-side; exactly one
   // resolution (coordinator replay, participant census, or a decision
-  // reply) emits the single history event and counts the outcome in the
-  // resolving node's registry, pinned at registration time so every worker
-  // count reports identical output.
+  // reply) reports the outcome through the resolving node's coordinator
+  // (Coordinator::report_commit/report_abort), pinned at registration time
+  // so every worker count reports identical output.
 
   struct InDoubtInfo {
     Timestamp commit_ts = 0;
@@ -275,14 +275,15 @@ class Cluster {
     Timestamp first_activation = 0;
     Timestamp externalized_at = 0;
     bool externalized = false;
-    std::vector<Key> keys;
+    UpdateList writes;
   };
 
   void register_in_doubt(const TxId& tx, InDoubtInfo info);
 
   /// Resolve tx's parked fate exactly once, on behalf of node `by` (whose
-  /// shard the caller runs on; its coordinator counts the outcome). Returns
-  /// true when an entry existed (first caller); later callers are no-ops.
+  /// shard the caller runs on; its coordinator reports the outcome).
+  /// Returns true when an entry existed (first caller); later callers are
+  /// no-ops.
   bool resolve_in_doubt(NodeId by, const TxId& tx, bool committed);
 
   std::size_t in_doubt_count() const;

@@ -13,37 +13,13 @@
 
 namespace str::protocol {
 
-/// Timeout/retry/recovery knobs. Defaults are sized for the built-in WAN
-/// topologies (max one-way ~150ms): a request timeout of 500ms exceeds any
-/// healthy RTT, so retries fire only under injected loss.
+/// Timeout/retry/recovery machinery. Its schedule is fixed: the retry
+/// constants sit in coordinator.hpp, the orphan-probe ones in
+/// partition_actor.cpp and the decision-log retention in coordinator.cpp.
 struct RecoveryConfig {
   /// Master switch. Off (the default) preserves the seed's fail-free
   /// behaviour exactly: no timers are armed and no RNG stream is consumed.
   bool enabled = false;
-
-  /// Initial per-attempt timeout for ReadRequest / PrepareRequest RPCs;
-  /// doubles per retry up to `timeout_cap` (bounded exponential backoff).
-  Timestamp request_timeout = msec(500);
-  Timestamp timeout_cap = sec(2);
-
-  /// Retry budgets. Exhaustion aborts the transaction with
-  /// AbortReason::Timeout.
-  std::uint32_t max_read_retries = 4;
-  std::uint32_t max_prepare_retries = 4;
-
-  /// A participant holding a prepared-but-undecided transaction probes the
-  /// coordinator after `orphan_timeout`, backing off up to
-  /// `orphan_interval_cap`. If the coordinator node is down for
-  /// `orphan_down_probes` consecutive probes, the participant unilaterally
-  /// aborts the orphan (perfect failure detector assumption; docs/FAULTS.md).
-  Timestamp orphan_timeout = sec(1);
-  Timestamp orphan_interval_cap = sec(2);
-  std::uint32_t orphan_down_probes = 3;
-
-  /// How long a coordinator's durable decision log answers DecisionRequests
-  /// after the transaction finished. Must exceed the longest plausible
-  /// partition window + orphan probe interval.
-  Timestamp decision_log_retention = sec(30);
 };
 
 /// Write-ahead-log knobs (docs/DURABILITY.md). Off by default: the seed's
@@ -59,19 +35,15 @@ struct DurabilityConfig {
   /// fsync across N acks.
   Timestamp fsync_latency = msec(2);
 
-  /// Group commit: flush when a batch reaches this many records...
+  /// Group commit: flush when a batch reaches this many records, or
+  /// Wal::Options::group_commit_interval (2 ms) after the first unflushed
+  /// record, whichever is first.
   std::uint32_t group_commit_batch = 8;
-  /// ...or this long after the first unflushed record, whichever is first.
-  Timestamp group_commit_interval = msec(2);
 
   /// Checkpoint a partition WAL (snapshot + truncate) once this many bytes
   /// were appended to it since its last checkpoint and the log is idle. The
   /// checkpoint image itself does not count.
   std::uint64_t checkpoint_min_bytes = 64 * 1024;
-
-  /// Compact the per-node decision log once it exceeds this many durable
-  /// bytes (entries older than the retention horizon are dropped).
-  std::uint64_t decision_log_max_bytes = 256 * 1024;
 
   /// Empty: deterministic in-memory media (SimMedium). Non-empty: a
   /// directory where each log is mirrored to a real file (FileMedium),

@@ -13,6 +13,15 @@ namespace str::protocol {
 
 namespace {
 
+/// How long a finished transaction's decision answers DecisionRequests.
+/// Must exceed the longest plausible partition window plus the orphan
+/// probe interval.
+constexpr Timestamp kDecisionRetention = sec(30);
+
+/// Compact the decision log once it holds this many bytes (entries past
+/// kDecisionRetention are dropped).
+constexpr std::uint64_t kDecisionLogMaxBytes = 256 * 1024;
+
 txn::ReadResult own_write_result(const SharedValue& value, const TxId& self,
                                  Timestamp rs) {
   txn::ReadResult r;
@@ -138,6 +147,30 @@ std::string abort_counter_name(AbortReason r) {
   name.append(to_string(r));
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
+}
+
+void Coordinator::report_commit(const TxId& tx, Timestamp ct,
+                                const UpdateList& writes, Timestamp at,
+                                Timestamp first_activation,
+                                Timestamp externalized_at) {
+  if (auto* h = node_.cluster().history()) {
+    verify::WriteSetEvent ev;
+    ev.tx = tx;
+    ev.ts = ct;
+    ev.at = at;
+    ev.keys.reserve(writes.size());
+    for (const auto& [key, value] : writes) ev.keys.push_back(key);
+    h->on_final_commit(ev);
+  }
+  count_commit(at, first_activation, externalized_at);
+}
+
+void Coordinator::report_abort(const TxId& tx, AbortReason reason,
+                               Timestamp at, bool externalized) {
+  if (auto* h = node_.cluster().history()) {
+    h->on_abort(verify::AbortEvent{tx, reason, at});
+  }
+  count_abort(at, reason, externalized);
 }
 
 void Coordinator::count_commit(Timestamp at, Timestamp first_activation,
@@ -319,11 +352,9 @@ void Coordinator::send_read_request(std::uint64_t req_id,
 }
 
 Timestamp Coordinator::backoff(std::uint32_t attempt) const {
-  const RecoveryConfig& rc = node_.cluster().protocol().recovery;
-  const Timestamp base = rc.request_timeout;
-  Timestamp t = base;
-  for (std::uint32_t i = 0; i < attempt && t < rc.timeout_cap; ++i) t *= 2;
-  return std::min(t, rc.timeout_cap);
+  Timestamp t = kRequestTimeout;
+  for (std::uint32_t i = 0; i < attempt && t < kTimeoutCap; ++i) t *= 2;
+  return std::min(t, kTimeoutCap);
 }
 
 void Coordinator::arm_read_timer(std::uint64_t req_id) {
@@ -336,8 +367,7 @@ void Coordinator::arm_read_timer(std::uint64_t req_id) {
     ScopedLogNode log_node(node_.id());
     c_rpc_timeouts_->inc();
     PendingRemoteRead& p = it->second;
-    const RecoveryConfig& rc = node_.cluster().protocol().recovery;
-    if (p.attempts >= rc.max_read_retries) {
+    if (p.attempts >= kMaxReadRetries) {
       // Retry budget exhausted: the transaction cannot make progress.
       abort_tx(p.tx, AbortReason::Timeout);  // erases the pending entry
       return;
@@ -421,8 +451,18 @@ void Coordinator::on_read_value(const TxId& tx, Key key,
     count_read(/*speculative=*/false);
   }
 
-  gate_or_deliver(*rec, key, std::move(result), std::move(promise), read_span,
-                  issued_at);
+  txn::TxnRecord::GateWaiter w{std::move(promise), std::move(result), key,
+                               node_.cluster().now(), read_span, issued_at};
+  if (rec->gate_open()) {
+    deliver_read(*rec, w, /*parked=*/false);
+    return;
+  }
+  // Alg. 1 line 15: hold the value until min(OLCSet) >= FFC.
+  if (tracer_->enabled()) {
+    tracer_->emit({w.parked_at, rec->id, node_.id(),
+                   obs::TraceEventType::GateParked, key, 0});
+  }
+  rec->gate_waiters.push_back(std::move(w));
 }
 
 void Coordinator::record_read_event(const TxId& tx, Key key,
@@ -442,79 +482,43 @@ void Coordinator::record_read_event(const TxId& tx, Key key,
   h->on_read(ev);
 }
 
-void Coordinator::gate_or_deliver(txn::TxnRecord& rec, Key key,
-                                  txn::ReadResult result,
-                                  sim::Promise<txn::ReadResult> promise,
-                                  std::uint64_t read_span,
-                                  Timestamp issued_at) {
+void Coordinator::deliver_read(txn::TxnRecord& rec,
+                               txn::TxnRecord::GateWaiter& w, bool parked) {
+  // Save the event fields, then hand the result itself to the promise — the
+  // payload string is never duplicated for bookkeeping.
+  const TxId writer = w.result.writer;
+  const Timestamp version_ts = w.result.version_ts;
+  const bool speculative = w.result.speculative;
+  if (!w.promise.try_set_value(std::move(w.result))) return;
+  record_read_event(rec.id, w.key, writer, version_ts, speculative);
   const Timestamp now = node_.cluster().now();
-  if (rec.gate_open()) {
-    // Save the event fields, then hand the result itself to the promise —
-    // the payload string is never duplicated for bookkeeping.
-    const TxId writer = result.writer;
-    const Timestamp version_ts = result.version_ts;
-    const bool speculative = result.speculative;
-    if (promise.try_set_value(std::move(result))) {
-      record_read_event(rec.id, key, writer, version_ts, speculative);
-      if (rec.first_read_ready_at == 0) rec.first_read_ready_at = now;
-      if (tracer_->enabled()) {
-        obs::TraceEvent ev{now, rec.id, node_.id(),
-                           obs::TraceEventType::ReadReady, key,
-                           speculative ? 1u : 0u};
-        if (speculative) ev.other = writer;  // speculation-lineage edge
-        tracer_->emit(ev);
-        if (read_span != 0) {
-          tracer_->emit_span({read_span, rec.trace_span, rec.id, node_.id(),
-                              obs::SpanKind::Read, issued_at, now, key,
-                              speculative ? 1u : 0u});
-        }
-      }
-    }
-    return;
+  if (parked) rec.gate_stall_total += now - w.parked_at;
+  if (rec.first_read_ready_at == 0) rec.first_read_ready_at = now;
+  if (!tracer_->enabled()) return;
+  if (parked) {
+    tracer_->emit({now, rec.id, node_.id(), obs::TraceEventType::GateReleased,
+                   w.key, now - w.parked_at});
   }
-  // Alg. 1 line 15: hold the value until min(OLCSet) >= FFC.
-  if (tracer_->enabled()) {
-    tracer_->emit(
-        {now, rec.id, node_.id(), obs::TraceEventType::GateParked, key, 0});
+  obs::TraceEvent ev{now, rec.id, node_.id(), obs::TraceEventType::ReadReady,
+                     w.key, speculative ? 1u : 0u};
+  if (speculative) ev.other = writer;  // speculation-lineage edge
+  tracer_->emit(ev);
+  if (w.read_span == 0) return;
+  if (parked) {
+    // The stall is a child of the read it delayed.
+    tracer_->record_span(w.read_span, rec.id, node_.id(),
+                         obs::SpanKind::GateStall, w.parked_at, now, w.key, 0);
   }
-  rec.gate_waiters.push_back(txn::TxnRecord::GateWaiter{
-      std::move(promise), std::move(result), key, now, read_span, issued_at});
+  tracer_->emit_span({w.read_span, rec.trace_span, rec.id, node_.id(),
+                      obs::SpanKind::Read, w.read_issued_at, now, w.key,
+                      speculative ? 1u : 0u});
 }
 
 void Coordinator::reeval_gate(txn::TxnRecord& rec) {
   if (rec.gate_waiters.empty() || !rec.gate_open()) return;
-  const Timestamp now = node_.cluster().now();
   auto waiters = std::move(rec.gate_waiters);
   rec.gate_waiters.clear();
-  for (auto& w : waiters) {
-    const TxId writer = w.result.writer;
-    const Timestamp version_ts = w.result.version_ts;
-    const bool speculative = w.result.speculative;
-    if (w.promise.try_set_value(std::move(w.result))) {
-      record_read_event(rec.id, w.key, writer, version_ts, speculative);
-      const Timestamp stalled = now - w.parked_at;
-      rec.gate_stall_total += stalled;
-      if (rec.first_read_ready_at == 0) rec.first_read_ready_at = now;
-      if (tracer_->enabled()) {
-        tracer_->emit({now, rec.id, node_.id(),
-                       obs::TraceEventType::GateReleased, w.key, stalled});
-        obs::TraceEvent ev{now, rec.id, node_.id(),
-                           obs::TraceEventType::ReadReady, w.key,
-                           speculative ? 1u : 0u};
-        if (speculative) ev.other = writer;
-        tracer_->emit(ev);
-        if (w.read_span != 0) {
-          // The stall is a child of the read it delayed.
-          tracer_->emit_span({tracer_->next_span_id(), w.read_span, rec.id,
-                              node_.id(), obs::SpanKind::GateStall,
-                              w.parked_at, now, w.key, 0});
-          tracer_->emit_span({w.read_span, rec.trace_span, rec.id, node_.id(),
-                              obs::SpanKind::Read, w.read_issued_at, now,
-                              w.key, speculative ? 1u : 0u});
-        }
-      }
-    }
-  }
+  for (auto& w : waiters) deliver_read(rec, w, /*parked=*/true);
 }
 
 void Coordinator::write(const TxId& tx, Key key, Value value) {
@@ -585,26 +589,7 @@ void Coordinator::abort_tx(const TxId& tx, AbortReason reason,
   forget_payloads(rec);
 
   fail_outstanding_reads(rec);
-
-  if (auto* h = cluster.history()) {
-    h->on_abort(verify::AbortEvent{rec.id, reason, cluster.now()});
-  }
-  count_abort(cluster.now(), reason, rec.externalized);
-  record_phase_timers(rec, cluster.now());
-  if (tracer_->enabled()) {
-    obs::TraceEvent ev{cluster.now(), rec.id, node_.id(),
-                       obs::TraceEventType::TxAbort,
-                       static_cast<std::uint64_t>(reason), 0};
-    ev.other = cascade_of;  // root-cause edge of the cascade-abort tree
-    tracer_->emit(ev);
-    if (rec.trace_span != 0) {
-      tracer_->emit_span({rec.trace_span, 0, rec.id, node_.id(),
-                          obs::SpanKind::Txn, rec.attempt_start, cluster.now(),
-                          0, static_cast<std::uint64_t>(reason)});
-    }
-  }
-  deliver_outcome(rec);
-  erase(rec.id);
+  finish(rec, cascade_of);
 }
 
 sim::Future<txn::TxFinalResult> Coordinator::outcome_future(const TxId& tx) {
@@ -730,10 +715,9 @@ bool Coordinator::local_certification(txn::TxnRecord& rec) {
   if (tracer_->enabled()) {
     tracer_->emit({cluster.now(), rec.id, node_.id(),
                    obs::TraceEventType::LocalCertEnd, lc, 0});
-    tracer_->emit_span({tracer_->next_span_id(), rec.trace_span, rec.id,
-                        node_.id(), obs::SpanKind::LocalCert,
-                        rec.commit_requested_at, cluster.now(),
-                        rec.writes.size(), 0});
+    tracer_->record_span(rec.trace_span, rec.id, node_.id(),
+                         obs::SpanKind::LocalCert, rec.commit_requested_at,
+                         cluster.now(), rec.writes.size(), 0);
   }
 
   // An unsafe transaction (updated non-local keys) pins its own read
@@ -899,8 +883,7 @@ void Coordinator::arm_prepare_timer(const TxId& tx) {
         if (r->awaiting_prepares == 0 || r->prepare_round != round) return;
         ScopedLogNode log_node(node_.id());
         c_rpc_timeouts_->inc();
-        const RecoveryConfig& rc = node_.cluster().protocol().recovery;
-        if (r->prepare_attempts >= rc.max_prepare_retries) {
+        if (r->prepare_attempts >= kMaxPrepareRetries) {
           abort_tx(tx, AbortReason::Timeout);
           return;
         }
@@ -1077,36 +1060,46 @@ void Coordinator::finalize_commit_apply(txn::TxnRecord& rec) {
   commit_at(rec.remote_parts);
   forget_payloads(rec);
 
-  if (auto* h = cluster.history()) {
-    verify::WriteSetEvent ev;
-    ev.tx = rec.id;
-    ev.ts = ct;
-    ev.at = cluster.now();
-    ev.keys.reserve(rec.writes.size());
-    for (const auto& [key, value] : rec.writes) ev.keys.push_back(key);
-    h->on_final_commit(ev);
-  }
-  count_commit(cluster.now(), rec.first_activation, rec.externalized_at);
-  record_phase_timers(rec, cluster.now());
-  t_commit_snap_dist_->record(ct - rec.rs);
-  if (tracer_->enabled()) {
-    tracer_->emit({cluster.now(), rec.id, node_.id(),
-                   obs::TraceEventType::TxCommit, ct, ct - rec.rs});
-    if (rec.dep_wait_start != 0) {
-      tracer_->emit_span({tracer_->next_span_id(), rec.trace_span, rec.id,
-                          node_.id(), obs::SpanKind::DepWait,
-                          rec.dep_wait_start, cluster.now(), 0, 0});
-    }
-    if (rec.trace_span != 0) {
-      tracer_->emit_span({rec.trace_span, 0, rec.id, node_.id(),
-                          obs::SpanKind::Txn, rec.attempt_start, cluster.now(),
-                          1, ct});
-    }
+  if (rec.dep_wait_start != 0) {
+    tracer_->record_span(rec.trace_span, rec.id, node_.id(),
+                         obs::SpanKind::DepWait, rec.dep_wait_start,
+                         cluster.now(), 0, 0);
   }
   // Quorum mode: the client is about to see Commit. Note it so a recovery
   // path that later aborts this transaction is flagged as a lost commit.
   if (rlog_ != nullptr && !rec.writes.empty()) {
     cluster.note_commit_acked(rec.id);
+  }
+  finish(rec);
+}
+
+void Coordinator::finish(txn::TxnRecord& rec, const TxId& cascade_of,
+                         bool in_doubt) {
+  const Timestamp now = node_.cluster().now();
+  const bool committed = rec.phase == txn::TxnPhase::Committed;
+  if (committed) {
+    report_commit(rec.id, rec.fc, rec.writes, now, rec.first_activation,
+                  rec.externalized_at);
+    t_commit_snap_dist_->record(rec.fc - rec.rs);
+  } else if (!in_doubt) {
+    report_abort(rec.id, rec.abort_reason, now, rec.externalized);
+  }
+  record_phase_timers(rec, now);
+  if (tracer_->enabled()) {
+    // The commit timestamp of a commit, the reason of an abort.
+    const std::uint64_t outcome =
+        committed ? rec.fc : static_cast<std::uint64_t>(rec.abort_reason);
+    const auto type = committed ? obs::TraceEventType::TxCommit
+                                : obs::TraceEventType::TxAbort;
+    obs::TraceEvent ev{now, rec.id, node_.id(), type, outcome,
+                       committed ? rec.fc - rec.rs : 0};
+    ev.other = cascade_of;  // root-cause edge of the cascade-abort tree
+    tracer_->emit(ev);
+    if (rec.trace_span != 0) {
+      tracer_->emit_span({rec.trace_span, 0, rec.id, node_.id(),
+                          obs::SpanKind::Txn, rec.attempt_start, now,
+                          committed ? 1u : 0u, outcome});
+    }
   }
   deliver_outcome(rec);
   erase(rec.id);
@@ -1203,15 +1196,11 @@ void Coordinator::on_decision_request(DecisionRequest req) {
     // presumed abort.
     rep.decision = TxDecision::Aborted;
   }
-  if (tracer_->enabled()) {
-    const std::uint64_t hspan = tracer_->next_span_id();
-    tracer_->emit_span(
-        {hspan, req.tspan, req.tx, node_.id(), obs::SpanKind::Handle,
-         cluster.now(), cluster.now(),
-         static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest),
-         req.partition});
-    rep.tspan = hspan;
-  }
+  rep.tspan = tracer_->record_span(
+      req.tspan, req.tx, node_.id(), obs::SpanKind::Handle, cluster.now(),
+      cluster.now(),
+      static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest),
+      req.partition);
   wire::post(cluster, node_.id(), req.from, std::move(rep));
 }
 
@@ -1273,20 +1262,17 @@ void Coordinator::on_crash() {
   live.reserve(txns_.size());
   for (const auto& [id, rec] : txns_) live.push_back(id);
   std::sort(live.begin(), live.end());
-  if (decision_wal_ == nullptr) {
-    for (const TxId& id : live) abort_tx(id, AbortReason::NodeCrash);
-    pending_remote_.clear();
-    return;
-  }
+  // Quorum mode: drop the ack barriers and invalidate retransmit timers
+  // before the sweep; the decisions themselves outlive the tracking.
+  if (rlog_ != nullptr) rlog_->on_crash();
   // WAL mode. The node crashed the media first, so durable_prefix() is the
   // final word: a transaction in its commit-durability window committed iff
   // its decision record made that prefix. Offsets of live records are valid
   // against it — compaction only rewrites an idle log, and a pending
-  // decision sync keeps the log non-idle.
-  // Quorum mode: drop the ack barriers and invalidate retransmit timers
-  // before the sweep; the decisions themselves outlive the tracking.
-  if (rlog_ != nullptr) rlog_->on_crash();
-  const std::uint64_t valid = decision_wal_->durable_prefix();
+  // decision sync keeps the log non-idle. Without a WAL no record is ever
+  // left in that window: the apply runs inline.
+  const std::uint64_t valid =
+      decision_wal_ == nullptr ? 0 : decision_wal_->durable_prefix();
   for (const TxId& id : live) {
     txn::TxnRecord* rec = find(id);
     if (rec == nullptr) continue;  // cascaded away by an earlier abort
@@ -1301,114 +1287,51 @@ void Coordinator::on_crash() {
     }
   }
   pending_remote_.clear();
-  // decided_ is no longer magically durable: forget everything and let
-  // replay_decisions() rebuild exactly the synced prefix on restart.
-  decided_.clear();
+  // With a WAL, decided_ is no longer magically durable: forget everything
+  // and let replay_decisions() rebuild exactly the synced prefix on restart.
+  if (decision_wal_ != nullptr) decided_.clear();
 }
 
 void Coordinator::crash_teardown_committed(txn::TxnRecord& rec,
                                            bool durable) {
-  Cluster& cluster = node_.cluster();
-  if (durable && rlog_ != nullptr) {
-    // Quorum mode, decision locally durable, apply never ran: the quorum
-    // barrier was still open, so whether the commit point was reached
-    // depends on state this dead node cannot see (member copies, in-flight
-    // acks). Neither the single-copy rule ("durable => committed") nor
-    // presumed abort is sound here — a census over the surviving members
-    // may conclude either way. Park the fate in the cluster's in-doubt
-    // registry; exactly one recovery path (own replay, a participant
-    // census, or a decision reply) resolves it and emits the one history
-    // event. The client sees a crash abort now — standard 2PC: an
-    // unacknowledged outcome may still resolve Commit later.
-    Cluster::InDoubtInfo info;
-    info.commit_ts = rec.fc;
-    info.reg_at = cluster.now();
-    info.first_activation = rec.first_activation;
-    info.externalized_at = rec.externalized_at;
-    info.externalized = rec.externalized;
-    info.keys.reserve(rec.writes.size());
-    for (const auto& [key, value] : rec.writes) info.keys.push_back(key);
-    cluster.register_in_doubt(rec.id, std::move(info));
+  const bool in_doubt = durable && rlog_ != nullptr;
+  if (durable && !in_doubt) {
+    // Decision durable: the transaction IS committed — replay will install
+    // its writes and this node will answer probes Committed. Tear down as a
+    // commit, minus the store application and fan-out (the store is about
+    // to be wiped and the network already dropped this endpoint).
+    node_.cache().final_commit(rec.id);
+  } else {
+    if (in_doubt) {
+      // Quorum mode, decision locally durable, apply never ran: the quorum
+      // barrier was still open, so whether the commit point was reached
+      // depends on state this dead node cannot see (member copies,
+      // in-flight acks). Neither the single-copy rule ("durable =>
+      // committed") nor presumed abort is sound here — a census over the
+      // surviving members may conclude either way. Park the fate in the
+      // cluster's in-doubt registry; exactly one recovery path (own replay,
+      // a participant census, or a decision reply) resolves and reports it.
+      Cluster::InDoubtInfo info;
+      info.commit_ts = rec.fc;
+      info.reg_at = node_.cluster().now();
+      info.first_activation = rec.first_activation;
+      info.externalized_at = rec.externalized_at;
+      info.externalized = rec.externalized;
+      info.writes = rec.writes;
+      node_.cluster().register_in_doubt(rec.id, std::move(info));
+    }
+    // The client sees a crash abort (standard 2PC: an unacknowledged
+    // outcome in doubt may still resolve Commit later). A decision that
+    // never reached stable storage sent no ack and no participant can hold
+    // a commit record for it: presumed abort, exactly what replay and
+    // orphan probes will conclude. Dependents die in the same on_crash
+    // sweep; no cascade call needed.
     rec.phase = txn::TxnPhase::Aborted;
     rec.abort_reason = AbortReason::NodeCrash;
     node_.cache().abort_tx(rec.id);
-    fail_outstanding_reads(rec);
-    record_phase_timers(rec, cluster.now());
-    if (tracer_->enabled()) {
-      tracer_->emit({cluster.now(), rec.id, node_.id(),
-                     obs::TraceEventType::TxAbort,
-                     static_cast<std::uint64_t>(AbortReason::NodeCrash), 0});
-      if (rec.trace_span != 0) {
-        tracer_->emit_span(
-            {rec.trace_span, 0, rec.id, node_.id(), obs::SpanKind::Txn,
-             rec.attempt_start, cluster.now(), 0,
-             static_cast<std::uint64_t>(AbortReason::NodeCrash)});
-      }
-    }
-    deliver_outcome(rec);
-    erase(rec.id);
-    return;
   }
-  if (!durable) {
-    // The decision never reached stable storage, so no ack left this node
-    // and no participant can hold a commit record for it: presumed abort,
-    // exactly what replay and orphan probes will conclude.
-    rec.phase = txn::TxnPhase::Aborted;
-    rec.abort_reason = AbortReason::NodeCrash;
-    node_.cache().abort_tx(rec.id);
-    // Dependents die in the same on_crash sweep; no cascade call needed.
-    fail_outstanding_reads(rec);
-    if (auto* h = cluster.history()) {
-      h->on_abort(verify::AbortEvent{rec.id, AbortReason::NodeCrash,
-                                     cluster.now()});
-    }
-    count_abort(cluster.now(), AbortReason::NodeCrash, rec.externalized);
-    record_phase_timers(rec, cluster.now());
-    if (tracer_->enabled()) {
-      tracer_->emit({cluster.now(), rec.id, node_.id(),
-                     obs::TraceEventType::TxAbort,
-                     static_cast<std::uint64_t>(AbortReason::NodeCrash), 0});
-      if (rec.trace_span != 0) {
-        tracer_->emit_span(
-            {rec.trace_span, 0, rec.id, node_.id(), obs::SpanKind::Txn,
-             rec.attempt_start, cluster.now(), 0,
-             static_cast<std::uint64_t>(AbortReason::NodeCrash)});
-      }
-    }
-    deliver_outcome(rec);
-    erase(rec.id);
-    return;
-  }
-  // Decision durable: the transaction IS committed — replay will install
-  // its writes and this node will answer probes Committed. Tear down as a
-  // commit, minus the store application and fan-out (the store is about to
-  // be wiped and the network already dropped this endpoint).
-  const Timestamp ct = rec.fc;
-  node_.cache().final_commit(rec.id);
   fail_outstanding_reads(rec);
-  if (auto* h = cluster.history()) {
-    verify::WriteSetEvent ev;
-    ev.tx = rec.id;
-    ev.ts = ct;
-    ev.at = cluster.now();
-    ev.keys.reserve(rec.writes.size());
-    for (const auto& [key, value] : rec.writes) ev.keys.push_back(key);
-    h->on_final_commit(ev);
-  }
-  count_commit(cluster.now(), rec.first_activation, rec.externalized_at);
-  record_phase_timers(rec, cluster.now());
-  t_commit_snap_dist_->record(ct - rec.rs);
-  if (tracer_->enabled()) {
-    tracer_->emit({cluster.now(), rec.id, node_.id(),
-                   obs::TraceEventType::TxCommit, ct, ct - rec.rs});
-    if (rec.trace_span != 0) {
-      tracer_->emit_span({rec.trace_span, 0, rec.id, node_.id(),
-                          obs::SpanKind::Txn, rec.attempt_start,
-                          cluster.now(), 1, ct});
-    }
-  }
-  deliver_outcome(rec);
-  erase(rec.id);
+  finish(rec, kNoTx, in_doubt);
 }
 
 void Coordinator::replay_decisions() {
@@ -1448,17 +1371,15 @@ void Coordinator::replay_decisions() {
 
 void Coordinator::maintain(Timestamp now) {
   if (decided_.empty() && decision_wal_ == nullptr) return;
-  const Timestamp keep = node_.cluster().protocol().recovery.decision_log_retention;
-  const Timestamp cutoff = now > keep ? now - keep : 0;
+  const Timestamp cutoff =
+      now > kDecisionRetention ? now - kDecisionRetention : 0;
   std::erase_if(decided_,
                 [cutoff](const auto& kv) { return kv.second.at < cutoff; });
   // Size-triggered decision-log compaction: rewrite the surviving entries.
   // Only when idle — a pending decision sync holds a live offset into the
   // log that a rewrite would invalidate.
   if (decision_wal_ != nullptr && node_.up() && decision_wal_->idle()) {
-    const std::uint64_t max_bytes =
-        node_.cluster().protocol().durability.decision_log_max_bytes;
-    if (decision_wal_->end_offset() > max_bytes) {
+    if (decision_wal_->end_offset() > kDecisionLogMaxBytes) {
       std::vector<std::pair<TxId, Decision>> keep_entries(decided_.begin(),
                                                           decided_.end());
       std::sort(keep_entries.begin(), keep_entries.end(),

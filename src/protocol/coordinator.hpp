@@ -46,6 +46,17 @@ namespace str::protocol {
 
 class Node;
 
+/// Remote RPC retry schedule (RecoveryConfig::enabled): a read or prepare
+/// round times out after kRequestTimeout, doubling per retry up to
+/// kTimeoutCap; a read past kMaxReadRetries retries, or a prepare past
+/// kMaxPrepareRetries resend rounds, aborts with AbortReason::Timeout. The
+/// first timeout exceeds any healthy RTT of the built-in WAN topologies
+/// (max one-way ~150 ms), so retries fire only under injected loss.
+inline constexpr Timestamp kRequestTimeout = msec(500);
+inline constexpr Timestamp kTimeoutCap = sec(2);
+inline constexpr std::uint32_t kMaxReadRetries = 4;
+inline constexpr std::uint32_t kMaxPrepareRetries = 4;
+
 /// Registry name of the per-reason abort counter: "txn.aborts.<reason>",
 /// the reason spelled as to_string(r) with '_' for '-'.
 std::string abort_counter_name(AbortReason r);
@@ -145,17 +156,26 @@ class Coordinator {
   void maintain(Timestamp now);
 
   // -- outcome accounting (docs/OBSERVABILITY.md, "Transaction outcomes") ---
+  //
+  // Every final outcome leaves the protocol through this pair: finish() for
+  // the transactions this coordinator ends, Cluster::resolve_in_doubt for a
+  // crashed coordinator's in-doubt ones (on the resolving node).
 
-  /// Count a final commit reached at `at` in this node's registry, with its
-  /// final latency from `first_activation` and, when it was externalized
-  /// (`externalized_at` != 0), its speculative latency. An outcome timed
-  /// before the last warmup cutover (an in-doubt resolution registered
-  /// during the warmup) counts only in lifetime_commits().
-  void count_commit(Timestamp at, Timestamp first_activation,
-                    Timestamp externalized_at);
-  /// Count a final abort reached at `at`; an externalized attempt that
-  /// aborts is an external misspeculation. Gated like count_commit.
-  void count_abort(Timestamp at, AbortReason reason, bool externalized);
+  /// Report `tx`'s final commit at timestamp `ct`, reached at `at`: the
+  /// history's final-commit event over the keys of `writes`, and the count
+  /// in this node's registry with the final latency from `first_activation`
+  /// and, when it was externalized (`externalized_at` != 0), its
+  /// speculative latency. An outcome timed before the last warmup cutover
+  /// (an in-doubt resolution registered during the warmup) counts only in
+  /// lifetime_commits().
+  void report_commit(const TxId& tx, Timestamp ct, const UpdateList& writes,
+                     Timestamp at, Timestamp first_activation,
+                     Timestamp externalized_at);
+  /// Report `tx`'s final abort reached at `at`: the history's abort event
+  /// and the count; an externalized attempt that aborts is an external
+  /// misspeculation. Gated like report_commit.
+  void report_abort(const TxId& tx, AbortReason reason, Timestamp at,
+                    bool externalized);
 
   /// Commits counted here since construction, never cut at the warmup: the
   /// self-tuner's measurement source.
@@ -219,21 +239,28 @@ class Coordinator {
   }
 
  private:
+  /// The registry half of report_commit / report_abort.
+  void count_commit(Timestamp at, Timestamp first_activation,
+                    Timestamp externalized_at);
+  void count_abort(Timestamp at, AbortReason reason, bool externalized);
+
   /// A read value (from a local replica, the cache, or a remote reply) is
-  /// ready: apply OLCSet/FFC updates, dependency edges, then pass the gate.
-  /// `read_span`/`issued_at` identify the open Read span begun in read()
-  /// (0 when tracing was off at issue time).
+  /// ready: apply OLCSet/FFC updates, dependency edges, then deliver it if
+  /// the gate is open, otherwise park it. `read_span`/`issued_at` identify
+  /// the open Read span begun in read() (0 when tracing was off at issue
+  /// time).
   void on_read_value(const TxId& tx, Key key,
                      const store::StoreReadResult& r,
                      sim::Promise<txn::ReadResult> promise,
                      std::uint64_t read_span, Timestamp issued_at);
 
-  /// Deliver `result` if the gate is open, otherwise park it. History read
-  /// events are recorded at delivery (a value held at the gate and never
-  /// released is not an observation).
-  void gate_or_deliver(txn::TxnRecord& rec, Key key, txn::ReadResult result,
-                       sim::Promise<txn::ReadResult> promise,
-                       std::uint64_t read_span, Timestamp issued_at);
+  /// Hand a read value to the transaction: the history read event (a value
+  /// held at the gate and never released is not an observation), the
+  /// first-read time, the ReadReady event and the Read span. A `parked`
+  /// value also adds its stall to the record and traces its release (a
+  /// GateReleased event, a GateStall span under the read).
+  void deliver_read(txn::TxnRecord& rec, txn::TxnRecord::GateWaiter& w,
+                    bool parked);
 
   void record_read_event(const TxId& tx, Key key, const TxId& writer,
                          Timestamp version_ts, bool speculative);
@@ -259,15 +286,23 @@ class Coordinator {
   void finalize_commit(txn::TxnRecord& rec);
 
   /// Everything in finalize_commit after the decision is (or needs no)
-  /// durable record: store application, fan-out, dependents, history,
-  /// metrics, client delivery. In WAL mode this is the decision sync's
-  /// completion callback; without a WAL it runs inline.
+  /// durable record: store application, fan-out, dependents, then finish().
+  /// In WAL mode this is the decision sync's completion callback; without a
+  /// WAL it runs inline.
   void finalize_commit_apply(txn::TxnRecord& rec);
 
   /// Crash-time teardown of a transaction caught in its commit-durability
   /// window (phase == Committed, apply not yet run). `durable` says whether
   /// its decision record made the log's validated prefix.
   void crash_teardown_committed(txn::TxnRecord& rec, bool durable);
+
+  /// End a transaction once its own protocol actions are done: report the
+  /// outcome rec.phase holds (Committed, or Aborted for rec.abort_reason)
+  /// unless it is parked `in_doubt`, fold the phase timers, emit the
+  /// TxCommit/TxAbort event (`cascade_of` is an abort's cascade parent) and
+  /// the Txn span, deliver the outcome and recycle the record.
+  void finish(txn::TxnRecord& rec, const TxId& cascade_of = kNoTx,
+              bool in_doubt = false);
 
   /// Alg. 1 lines 37-43: resolve or abort dependents at final commit.
   void resolve_dependents_on_commit(txn::TxnRecord& rec);
@@ -326,7 +361,7 @@ class Coordinator {
   void resend_prepares(txn::TxnRecord& rec);
   void arm_prepare_timer(const TxId& tx);
 
-  /// Bounded exponential backoff: request_timeout << attempt, capped.
+  /// Bounded exponential backoff: kRequestTimeout << attempt, capped.
   Timestamp backoff(std::uint32_t attempt) const;
 
   /// Fold the record's phase timestamps into the "phase.*" timers at the
@@ -351,7 +386,7 @@ class Coordinator {
   obs::Timer* t_commit_snap_dist_ = nullptr;
   obs::Counter* c_rpc_timeouts_ = nullptr;
   obs::Counter* c_rpc_retries_ = nullptr;
-  // Outcome instruments (count_commit / count_abort / count_read).
+  // Outcome instruments (report_commit / report_abort / count_read).
   std::array<obs::Counter*,
              static_cast<std::size_t>(AbortReason::NodeCrash) + 1>
       c_aborts_by_reason_{};  ///< index = AbortReason (None stays null)

@@ -14,6 +14,21 @@
 
 namespace str::protocol {
 
+namespace {
+
+/// Orphan recovery: a participant holding a prepared-but-undecided
+/// transaction probes its coordinator kOrphanTimeout after the prepare,
+/// doubling the wait per probe up to kOrphanIntervalCap. A coordinator seen
+/// down on kOrphanDownProbes consecutive probes (without a decision quorum)
+/// or a census that finds no decision copy for that many complete rounds
+/// (with one) lets the participant abort the orphan unilaterally (perfect
+/// failure detector assumption; docs/FAULTS.md).
+constexpr Timestamp kOrphanTimeout = sec(1);
+constexpr Timestamp kOrphanIntervalCap = sec(2);
+constexpr std::uint32_t kOrphanDownProbes = 3;
+
+}  // namespace
+
 PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
     : node_(node),
       pid_(pid),
@@ -138,15 +153,11 @@ void PartitionActor::deliver_read(ParkedRead&& rd,
   reply.value = r.value;
   reply.writer = r.writer;
   reply.version_ts = r.ts;
-  if (tracer_->enabled()) {
-    const Timestamp now = node_.cluster().now();
-    const std::uint64_t hspan = tracer_->next_span_id();
-    tracer_->emit_span(
-        {hspan, rd.tspan, rd.reader, node_.id(), obs::SpanKind::Handle,
-         rd.recv_at != 0 ? rd.recv_at : now, now,
-         static_cast<std::uint64_t>(wire::MessageType::kReadRequest), rd.key});
-    reply.tspan = hspan;
-  }
+  const Timestamp now = node_.cluster().now();
+  reply.tspan = tracer_->record_span(
+      rd.tspan, rd.reader, node_.id(), obs::SpanKind::Handle,
+      rd.recv_at != 0 ? rd.recv_at : now, now,
+      static_cast<std::uint64_t>(wire::MessageType::kReadRequest), rd.key);
   wire::post(node_.cluster(), node_.id(), rd.reader_node, std::move(reply));
 }
 
@@ -174,20 +185,14 @@ void PartitionActor::handle_prepare(const PrepareRequest& req) {
   STR_ASSERT_MSG(req.updates && !req.updates->empty(),
                  "prepare with an empty write set");
   Cluster& cluster = node_.cluster();
-  std::uint64_t hspan = 0;
-  if (tracer_->enabled()) {
-    hspan = tracer_->next_span_id();
-    tracer_->emit_span(
-        {hspan, req.tspan, req.tx, node_.id(), obs::SpanKind::Handle,
-         cluster.now(), cluster.now(),
-         static_cast<std::uint64_t>(wire::MessageType::kPrepareRequest),
-         pid_});
-  }
   PrepareReply reply;
   reply.tx = req.tx;
   reply.partition = pid_;
   reply.from = node_.id();
-  reply.tspan = hspan;
+  reply.tspan = tracer_->record_span(
+      req.tspan, req.tx, node_.id(), obs::SpanKind::Handle, cluster.now(),
+      cluster.now(),
+      static_cast<std::uint64_t>(wire::MessageType::kPrepareRequest), pid_);
 
   bool fan_out = false;
   bool fresh = false;
@@ -272,22 +277,15 @@ void PartitionActor::handle_replicate(const ReplicateRequest& req) {
   Cluster& cluster = node_.cluster();
   if (tombstoned(req.tx)) return;  // late replicate of an aborted tx
 
-  std::uint64_t hspan = 0;
-  if (tracer_->enabled()) {
-    hspan = tracer_->next_span_id();
-    tracer_->emit_span(
-        {hspan, req.tspan, req.tx, node_.id(), obs::SpanKind::Handle,
-         cluster.now(), cluster.now(),
-         static_cast<std::uint64_t>(wire::MessageType::kReplicateRequest),
-         pid_});
-  }
-
   PrepareReply reply;
   reply.tx = req.tx;
   reply.partition = pid_;
   reply.from = node_.id();
   reply.prepared = true;
-  reply.tspan = hspan;
+  reply.tspan = tracer_->record_span(
+      req.tspan, req.tx, node_.id(), obs::SpanKind::Handle, cluster.now(),
+      cluster.now(),
+      static_cast<std::uint64_t>(wire::MessageType::kReplicateRequest), pid_);
 
   if (store_.has_uncommitted(req.tx)) {
     // Duplicate delivery or master re-send: the pre-commit is already in
@@ -385,14 +383,13 @@ void PartitionActor::log_commit(const TxId& tx, Timestamp ct,
 }
 
 void PartitionActor::track_orphan(const TxId& tx, NodeId coordinator) {
-  const RecoveryConfig& rc = node_.cluster().protocol().recovery;
-  if (!rc.enabled) return;
+  if (!node_.cluster().protocol().recovery.enabled) return;
   if (coordinator == node_.id()) return;  // local 2PC, decided synchronously
   auto [it, inserted] = awaiting_decision_.try_emplace(tx);
   if (!inserted) return;
   it->second.coordinator = coordinator;
   node_.cluster().scheduler().schedule_after(
-      rc.orphan_timeout, [this, tx]() { orphan_check(tx); });
+      kOrphanTimeout, [this, tx]() { orphan_check(tx); });
 }
 
 void PartitionActor::orphan_check(const TxId& tx) {
@@ -400,7 +397,6 @@ void PartitionActor::orphan_check(const TxId& tx) {
   if (it == awaiting_decision_.end()) return;  // decided meanwhile
   ScopedLogNode log_node(node_.id());
   Cluster& cluster = node_.cluster();
-  const RecoveryConfig& rc = cluster.protocol().recovery;
   Orphan& o = it->second;
   const NodeId coordinator = o.coordinator;
   if (!cluster.node(coordinator).up()) {
@@ -412,7 +408,7 @@ void PartitionActor::orphan_check(const TxId& tx) {
       // holds.
       census_check(tx, o);
       if (awaiting_decision_.find(tx) == awaiting_decision_.end()) return;
-    } else if (++o.down_probes >= rc.orphan_down_probes) {
+    } else if (++o.down_probes >= kOrphanDownProbes) {
       // Perfect failure detector (docs/FAULTS.md): only after seeing the
       // coordinator down on several consecutive probes do we presume abort
       // unilaterally and release the pre-commit lock.
@@ -427,28 +423,14 @@ void PartitionActor::orphan_check(const TxId& tx) {
     o.census_pending.clear();
     o.census_norecord_rounds = 0;
     ++o.probes;
-    DecisionRequest req;
-    req.tx = tx;
-    req.partition = pid_;
-    req.from = node_.id();
-    if (tracer_->enabled()) {
-      const std::uint64_t pspan = tracer_->next_span_id();
-      tracer_->emit_span(
-          {pspan, 0, tx, node_.id(), obs::SpanKind::Probe, cluster.now(),
-           cluster.now(),
-           static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest),
-           pid_});
-      req.tspan = pspan;
-    }
-    wire::post(cluster, node_.id(), coordinator, std::move(req));
+    send_probe(tx, coordinator);
   }
-  // Bounded backoff between probes, capped at orphan_interval_cap.
-  Timestamp wait = rc.orphan_timeout;
-  for (std::uint32_t i = 0; i < o.probes && wait < rc.orphan_interval_cap;
-       ++i) {
+  // Bounded backoff between probes, capped at kOrphanIntervalCap.
+  Timestamp wait = kOrphanTimeout;
+  for (std::uint32_t i = 0; i < o.probes && wait < kOrphanIntervalCap; ++i) {
     wait *= 2;
   }
-  if (wait > rc.orphan_interval_cap) wait = rc.orphan_interval_cap;
+  if (wait > kOrphanIntervalCap) wait = kOrphanIntervalCap;
   cluster.scheduler().schedule_after(wait, [this, tx]() { orphan_check(tx); });
 }
 
@@ -456,13 +438,10 @@ void PartitionActor::on_decision_reply(DecisionReply rep) {
   ScopedLogNode log_node(node_.id());
   auto it = awaiting_decision_.find(rep.tx);
   if (it == awaiting_decision_.end()) return;  // resolved meanwhile
-  if (tracer_->enabled()) {
-    const Timestamp now = node_.cluster().now();
-    tracer_->emit_span(
-        {tracer_->next_span_id(), rep.tspan, rep.tx, node_.id(),
-         obs::SpanKind::Handle, now, now,
-         static_cast<std::uint64_t>(wire::MessageType::kDecisionReply), pid_});
-  }
+  const Timestamp now = node_.cluster().now();
+  tracer_->record_span(
+      rep.tspan, rep.tx, node_.id(), obs::SpanKind::Handle, now, now,
+      static_cast<std::uint64_t>(wire::MessageType::kDecisionReply), pid_);
   switch (rep.decision) {
     case TxDecision::Committed:
       apply_commit(rep.tx, rep.commit_ts);
@@ -480,7 +459,6 @@ void PartitionActor::on_decision_reply(DecisionReply rep) {
 
 void PartitionActor::census_check(const TxId& tx, Orphan& o) {
   Cluster& cluster = node_.cluster();
-  const RecoveryConfig& rc = cluster.protocol().recovery;
   // This node may itself be a group member (or hold a replayed copy):
   // consult the local replica copy before spending a network round.
   TxDecision d = TxDecision::Unknown;
@@ -514,7 +492,7 @@ void PartitionActor::census_check(const TxId& tx, Orphan& o) {
   if (members.empty()) {
     // Nothing beyond the copies already consulted can exist: vacuous
     // rounds count like down-probes.
-    if (++o.census_norecord_rounds >= rc.orphan_down_probes) {
+    if (++o.census_norecord_rounds >= kOrphanDownProbes) {
       census_abort(tx);  // erases the orphan entry
     }
     return;
@@ -523,22 +501,19 @@ void PartitionActor::census_check(const TxId& tx, Orphan& o) {
   if (new_round) o.census_pending = members;
   // (Re-)probe whoever has not answered this round; a lost probe or reply
   // is recovered by the next tick re-sending to the stragglers.
-  for (NodeId m : o.census_pending) {
-    DecisionRequest req;
-    req.tx = tx;
-    req.partition = pid_;
-    req.from = node_.id();
-    if (tracer_->enabled()) {
-      const std::uint64_t pspan = tracer_->next_span_id();
-      tracer_->emit_span(
-          {pspan, 0, tx, node_.id(), obs::SpanKind::Probe, cluster.now(),
-           cluster.now(),
-           static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest),
-           pid_});
-      req.tspan = pspan;
-    }
-    wire::post(cluster, node_.id(), m, std::move(req));
-  }
+  for (NodeId m : o.census_pending) send_probe(tx, m);
+}
+
+void PartitionActor::send_probe(const TxId& tx, NodeId to) {
+  Cluster& cluster = node_.cluster();
+  DecisionRequest req;
+  req.tx = tx;
+  req.partition = pid_;
+  req.from = node_.id();
+  req.tspan = tracer_->record_span(
+      0, tx, node_.id(), obs::SpanKind::Probe, cluster.now(), cluster.now(),
+      static_cast<std::uint64_t>(wire::MessageType::kDecisionRequest), pid_);
+  wire::post(cluster, node_.id(), to, std::move(req));
 }
 
 void PartitionActor::census_abort(const TxId& tx) {
@@ -563,14 +538,11 @@ void PartitionActor::on_census_reply(const DecisionReplicateAck& rep) {
   auto it = awaiting_decision_.find(rep.tx);
   if (it == awaiting_decision_.end()) return;  // resolved meanwhile
   Orphan& o = it->second;
-  if (tracer_->enabled()) {
-    const Timestamp now = node_.cluster().now();
-    tracer_->emit_span(
-        {tracer_->next_span_id(), rep.tspan, rep.tx, node_.id(),
-         obs::SpanKind::Handle, now, now,
-         static_cast<std::uint64_t>(wire::MessageType::kDecisionReplicateAck),
-         pid_});
-  }
+  const Timestamp now = node_.cluster().now();
+  tracer_->record_span(
+      rep.tspan, rep.tx, node_.id(), obs::SpanKind::Handle, now, now,
+      static_cast<std::uint64_t>(wire::MessageType::kDecisionReplicateAck),
+      pid_);
   if (rep.kind == DecisionAckKind::kCommitted) {
     node_.cluster().resolve_in_doubt(node_.id(), rep.tx, true);
     apply_commit(rep.tx, rep.commit_ts);
@@ -585,8 +557,7 @@ void PartitionActor::on_census_reply(const DecisionReplicateAck& rep) {
   o.census_pending.erase(m);
   if (!o.census_pending.empty()) return;
   // Round complete, all NoRecord.
-  if (++o.census_norecord_rounds >=
-      node_.cluster().protocol().recovery.orphan_down_probes) {
+  if (++o.census_norecord_rounds >= kOrphanDownProbes) {
     census_abort(rep.tx);
   }
 }

@@ -177,10 +177,12 @@ class PartitionActor {
   bool tombstoned(const TxId& tx) const { return tombstones_.contains(tx); }
 
   /// Begin orphan surveillance of a prepared remote transaction: probe the
-  /// coordinator after orphan_timeout (bounded backoff), unilaterally abort
+  /// coordinator after kOrphanTimeout (bounded backoff), unilaterally abort
   /// if the coordinator stays down. No-op unless recovery is enabled.
   void track_orphan(const TxId& tx, NodeId coordinator);
   void orphan_check(const TxId& tx);
+  /// Ask node `to` for tx's decision, under a Probe span of its own.
+  void send_probe(const TxId& tx, NodeId to);
 
   Node& node_;
   PartitionId pid_;
@@ -218,7 +220,7 @@ class PartitionActor {
 
   /// One census tick of orphan_check while the coordinator is down in
   /// quorum mode: consult the local replica copy, then probe the surviving
-  /// group members; presume abort only after `orphan_down_probes` complete
+  /// group members; presume abort only after kOrphanDownProbes complete
   /// all-NoRecord rounds.
   void census_check(const TxId& tx, Orphan& o);
 

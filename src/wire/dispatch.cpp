@@ -32,11 +32,9 @@ PartitionActor* replica_of(Cluster& cl, NodeId to, PartitionId pid) {
 /// involve no network hop).
 template <class M>
 void trace_delivery(Cluster& cl, NodeId to, const M& m) {
-  obs::Tracer& tracer = cl.tracer();
-  if (!tracer.enabled()) return;
-  tracer.emit_span({tracer.next_span_id(), m.tspan, m.tx, to,
-                    obs::SpanKind::Handle, cl.now(), cl.now(),
-                    static_cast<std::uint64_t>(type_tag<M>()), m.partition});
+  cl.tracer().record_span(m.tspan, m.tx, to, obs::SpanKind::Handle, cl.now(),
+                          cl.now(), static_cast<std::uint64_t>(type_tag<M>()),
+                          m.partition);
 }
 
 /// Record a prepare's or replicate's update list in the cluster's table:

@@ -18,7 +18,7 @@ using protocol::Cluster;
 using protocol::ProtocolConfig;
 
 // harness::Metrics sums the coordinators' outcome instruments across the
-// node registries. These cases count outcomes straight into two
+// node registries. These cases report outcomes straight into two
 // coordinators and read them back through the view and the merged registry.
 struct TwoNodes {
   Cluster cluster{test::small_config(2, 1, ProtocolConfig::str(), msec(50))};
@@ -26,10 +26,22 @@ struct TwoNodes {
   protocol::Coordinator& c1 = cluster.node(1).coordinator();
 };
 
+// No history is attached, so a report's transaction id and write set go
+// unread.
+void count_commit(protocol::Coordinator& c, Timestamp at,
+                  Timestamp first_activation, Timestamp externalized_at) {
+  c.report_commit(TxId{}, 0, {}, at, first_activation, externalized_at);
+}
+
+void count_abort(protocol::Coordinator& c, Timestamp at, AbortReason reason,
+                 bool externalized) {
+  c.report_abort(TxId{}, reason, at, externalized);
+}
+
 TEST(Metrics, WarmupIsExcluded) {
   TwoNodes t;
-  t.c0.count_commit(sec(1), 0, 0);
-  t.c1.count_abort(sec(2), AbortReason::LocalCertification, false);
+  count_commit(t.c0, sec(1), 0, 0);
+  count_abort(t.c1, sec(2), AbortReason::LocalCertification, false);
   t.cluster.run_for(sec(5));
   t.cluster.metrics().set_measurement_start(t.cluster.now());
   EXPECT_EQ(t.cluster.obs_cutover(), sec(5));
@@ -37,11 +49,11 @@ TEST(Metrics, WarmupIsExcluded) {
   EXPECT_EQ(t.cluster.metrics().aborts(), 0u);
   // An outcome timed before the cutover (an in-doubt resolution registered
   // during the warmup) stays out of the window.
-  t.c1.count_commit(sec(4), sec(3), 0);
-  t.c1.count_abort(sec(4), AbortReason::NodeCrash, false);
+  count_commit(t.c1, sec(4), sec(3), 0);
+  count_abort(t.c1, sec(4), AbortReason::NodeCrash, false);
   EXPECT_EQ(t.cluster.metrics().commits(), 0u);
   EXPECT_EQ(t.cluster.metrics().aborts(), 0u);
-  t.c0.count_commit(sec(6), sec(5), 0);
+  count_commit(t.c0, sec(6), sec(5), 0);
   EXPECT_EQ(t.cluster.metrics().commits(), 1u);
   EXPECT_EQ(t.cluster.merged_obs().counter("txn.commits").value(), 1u);
   // The lifetime total keeps every commit, warmup included.
@@ -50,10 +62,10 @@ TEST(Metrics, WarmupIsExcluded) {
 
 TEST(Metrics, AbortBreakdownByReason) {
   TwoNodes t;
-  t.c0.count_abort(sec(1), AbortReason::LocalCertification, false);
-  t.c1.count_abort(sec(1), AbortReason::Misspeculation, false);
-  t.c1.count_abort(sec(1), AbortReason::CascadingAbort, false);
-  t.c0.count_commit(sec(1), 0, 0);
+  count_abort(t.c0, sec(1), AbortReason::LocalCertification, false);
+  count_abort(t.c1, sec(1), AbortReason::Misspeculation, false);
+  count_abort(t.c1, sec(1), AbortReason::CascadingAbort, false);
+  count_commit(t.c0, sec(1), 0, 0);
   const Metrics m = t.cluster.metrics();
   EXPECT_EQ(m.aborts_of(AbortReason::Misspeculation), 1u);
   EXPECT_DOUBLE_EQ(m.abort_rate(), 0.75);
@@ -68,8 +80,8 @@ TEST(Metrics, AbortBreakdownByReason) {
 
 TEST(Metrics, ExternalMisspeculationRate) {
   TwoNodes t;
-  t.c0.count_commit(sec(1), 0, usec(500));  // externalized then committed
-  t.c1.count_abort(sec(1), AbortReason::GlobalCertification, true);
+  count_commit(t.c0, sec(1), 0, usec(500));  // externalized then committed
+  count_abort(t.c1, sec(1), AbortReason::GlobalCertification, true);
   EXPECT_DOUBLE_EQ(t.cluster.metrics().external_misspeculation_rate(), 0.5);
   const obs::Registry merged = t.cluster.merged_obs();
   EXPECT_EQ(merged.find_counter("txn.externalized")->value(), 2u);
@@ -80,7 +92,7 @@ TEST(Metrics, ExternalMisspeculationRate) {
 TEST(Metrics, LatencySpansRetries) {
   TwoNodes t;
   // First activation at t=1s, commit at t=4s: final latency 3s.
-  t.c1.count_commit(sec(4), sec(1), 0);
+  count_commit(t.c1, sec(4), sec(1), 0);
   EXPECT_NEAR(t.cluster.metrics().final_latency().mean(), double(sec(3)),
               double(msec(30)));
   EXPECT_EQ(t.cluster.merged_obs().find_timer("txn.final_latency")->count(),

@@ -69,6 +69,23 @@ TEST(Tracer, ShrinkingCapacityKeepsNewest) {
   EXPECT_EQ(snap2[1].at, 7u);
 }
 
+TEST(Tracer, RecordSpanAllocatesItsIdAndRecordsOnlyWhenEnabled) {
+  Tracer t(8);
+  const TxId tx{1, 7};
+  EXPECT_EQ(t.record_span(0, tx, 1, SpanKind::Probe, 5, 5, 10, 2), 0u);
+  EXPECT_EQ(t.spans_emitted(), 0u);
+
+  t.set_enabled(true);
+  const std::uint64_t parent = t.next_span_id();
+  const std::uint64_t id =
+      t.record_span(parent, tx, 1, SpanKind::Handle, 5, 9, 10, 2);
+  EXPECT_EQ(id, parent + 1);
+  const auto spans = t.span_snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0],
+            (SpanRecord{id, parent, tx, 1, SpanKind::Handle, 5, 9, 10, 2}));
+}
+
 TEST(Tracer, ClearResetsEverything) {
   Tracer t(4);
   t.set_enabled(true);

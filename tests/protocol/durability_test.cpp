@@ -1,24 +1,29 @@
 // End-to-end durability (docs/DURABILITY.md): with the WAL enabled a crash
 // wipes node state for real, restart replays the logs, and the ack rule
 // holds on both sides — every acknowledged commit survives a crash/restart,
-// and nothing a client could have seen acknowledged is lost when the
-// decision record missed the durable prefix. Plus a participant's
-// outcome-only commit record (replayed from its prepare or a checkpoint,
-// torn off the log), checkpoint truncation and its trigger, double-crash
-// idempotence, WAL-off neutrality, and the chaos acceptance plan run with
-// durability + torn-write faults on.
+// nothing a client could have seen acknowledged is lost when the decision
+// record missed the durable prefix, and a decision that made it commits at
+// the crash. Plus a participant's outcome-only commit record (replayed from
+// its prepare or a checkpoint, crafted and after a real crash, torn off the
+// log), checkpoint truncation and its trigger, double-crash idempotence,
+// WAL-off neutrality, and the chaos acceptance plan run with durability +
+// torn-write faults on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
 #include "protocol/cluster.hpp"
 #include "tests/protocol/test_util.hpp"
+#include "verify/spsi_checker.hpp"
+#include "workload/client.hpp"
 #include "workload/synthetic.hpp"
 
 namespace str::protocol {
@@ -105,6 +110,49 @@ TEST(Durability, UndurableDecisionIsPresumedAbortedEverywhere) {
   ASSERT_TRUE(r0.done && r1.done);
   EXPECT_EQ(r0.reads[0].value, "old");
   EXPECT_EQ(r1.reads[0].value, "old");
+}
+
+TEST(Durability, DurableDecisionCommitsAtTheCrashWithoutItsApply) {
+  // A crash inside the commit-durability window after the decision record
+  // made the durable prefix (the torn tail kept all of it), without a
+  // decision quorum: the transaction is committed. The teardown reports the
+  // commit at the crash instant, the restart's replay installs its writes,
+  // and the history stays SPSI-clean. The run is
+  //   str_sim --workload synth-a --nodes 3 --rf 3 --uniform 100
+  //     --clients 300 --warmup 0.5 --duration 1.5 --seed 172 --wal
+  //     --torn-write 1.0 --crash-node 0:1.5:1.9 --verify
+  Cluster::Config cfg;
+  cfg.num_nodes = 3;
+  cfg.replication_factor = 3;
+  cfg.topology = net::Topology::symmetric(3, msec(100));
+  cfg.seed = 172;
+  cfg.protocol.recovery.enabled = true;
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.faults.storage.torn_write_prob = 1.0;
+  const Timestamp crash_at = msec(1500);
+  cfg.faults.add_crash(/*node=*/0, crash_at, /*restart_at=*/msec(1900));
+  Cluster cluster(cfg);
+  verify::HistoryRecorder history;
+  cluster.set_history(&history);
+  workload::SyntheticWorkload wl(cluster, workload::SyntheticConfig::synth_a());
+  wl.load(cluster);
+  workload::ClientPool clients =
+      workload::ClientPool::with_total(cluster, wl, 300);
+  clients.start_all();
+  cluster.run_for(sec(2));
+  clients.request_stop_all();
+  cluster.run_for(sec(10));
+
+  bool committed_at_crash = false;
+  for (const verify::WriteSetEvent& ev : history.final_commits()) {
+    committed_at_crash |= ev.tx.node == 0 && ev.at == crash_at;
+  }
+  EXPECT_TRUE(committed_at_crash);
+  history.canonicalize();
+  verify::SpsiChecker checker(history);
+  const std::vector<std::string> violations = checker.check_all();
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 
 TEST(Durability, DoubleCrashDoubleRestartReplaysIdempotently) {
@@ -330,6 +378,62 @@ TEST(Durability, OutcomeOnlyCommitFinalizesAPreCommitACheckpointReStaged) {
   EXPECT_EQ(v.value_str(), "new");
   EXPECT_FALSE(cluster.node(1).replica(0)->store().has_uncommitted(remote));
   EXPECT_EQ(cluster.node(1).replica(0)->awaiting_decisions(), 0u);
+}
+
+TEST(Durability, CrashReplaysOutcomeOnlyCommitsOntoCheckpointedPreCommits) {
+  // The same replay branch reached by a real crash: checkpoints at every
+  // 100 ms tick catch remote transactions pre-committed on node 1, whose
+  // outcome-only commits follow in the logs the crash leaves.
+  Cluster::Config cfg =
+      small_config(3, 3, ProtocolConfig::str(), msec(100), /*seed=*/1);
+  cfg.jitter_frac = 0.05;
+  cfg.protocol.recovery.enabled = true;
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.protocol.durability.checkpoint_min_bytes = 1;
+  cfg.protocol.gc_interval = msec(100);
+  Cluster cluster(cfg);
+  workload::SyntheticWorkload wl(cluster, workload::SyntheticConfig::synth_a());
+  wl.load(cluster);
+  workload::ClientPool clients =
+      workload::ClientPool::with_total(cluster, wl, 60);
+  clients.start_all();
+  cluster.run_for(msec(1550));
+  cluster.crash_node(1);
+
+  // Outcome-only commits whose pre-commit the log's checkpoint re-staged.
+  std::vector<std::pair<PartitionId, TxId>> finalized;
+  for (const auto& [pid, actor] : cluster.node(1).replicas()) {
+    std::vector<TxId> restaged;
+    storage::scan_wal(
+        actor->wal()->medium().durable_chunks(),
+        [&](const storage::WalRecord& rec) {
+          if (rec.type == storage::WalRecordType::kCheckpoint) {
+            restaged.clear();
+            for (const storage::CheckpointVersion& v : rec.snapshot) {
+              if (v.state == VersionState::PreCommitted) {
+                restaged.push_back(v.writer);
+              }
+            }
+          } else if (rec.type == storage::WalRecordType::kCommit &&
+                     rec.updates.empty() &&
+                     std::find(restaged.begin(), restaged.end(), rec.tx) !=
+                         restaged.end()) {
+            finalized.emplace_back(pid, rec.tx);
+          }
+        });
+  }
+  EXPECT_GT(finalized.size(), 0u);
+
+  // Replay is synchronous: each of them is committed on node 1 right after
+  // the restart, before orphan recovery could finalize it instead.
+  cluster.restart_node(1);
+  for (const auto& [pid, tx] : finalized) {
+    EXPECT_FALSE(cluster.node(1).replica(pid)->store().has_uncommitted(tx))
+        << "n" << tx.node << "#" << tx.seq << " in partition " << pid;
+  }
+  clients.request_stop_all();
+  cluster.run_for(sec(10));
+  EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 
 TEST(Durability, CheckpointWaitsForBytesAppendedSinceTheLastOne) {

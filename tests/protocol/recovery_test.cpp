@@ -55,7 +55,7 @@ TEST(Recovery, ReadRetriesThroughPartitionThenSucceeds) {
 }
 
 TEST(Recovery, ReadRetryBudgetExhaustionAbortsWithTimeout) {
-  // The partition never heals: after max_read_retries the transaction must
+  // The partition never heals: after kMaxReadRetries the transaction must
   // abort (reason Timeout) instead of waiting forever, and nothing leaks.
   Cluster::Config cfg = small_config(2, 1, ProtocolConfig::str());
   cfg.protocol.recovery.enabled = true;
@@ -72,8 +72,7 @@ TEST(Recovery, ReadRetryBudgetExhaustionAbortsWithTimeout) {
   ASSERT_TRUE(probe.done);
   EXPECT_EQ(probe.result.outcome, TxOutcome::Aborted);
   EXPECT_EQ(probe.result.abort_reason, AbortReason::Timeout);
-  EXPECT_EQ(counter_value(cluster, "rpc.retries"),
-            cfg.protocol.recovery.max_read_retries);
+  EXPECT_EQ(counter_value(cluster, "rpc.retries"), kMaxReadRetries);
   EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 
