@@ -292,9 +292,8 @@ Cluster::QuiesceReport Cluster::quiesce_report() const {
 }
 
 std::vector<NodeId> Cluster::decision_group(NodeId c) const {
-  std::uint32_t size = config_.protocol.durability.group_size();
-  if (size == 0) size = 1;
-  if (size > config_.num_nodes) size = config_.num_nodes;
+  const std::uint32_t size =
+      std::min(config_.protocol.durability.group_size(), config_.num_nodes);
   std::vector<NodeId> group;
   group.reserve(size);
   for (std::uint32_t i = 0; i < size; ++i) {

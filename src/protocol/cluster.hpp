@@ -253,9 +253,9 @@ class Cluster {
   }
 
   /// Replica group of coordinator `c`: {c, (c+1)%N, ...} up to the effective
-  /// group size (capped at the cluster size). Static — membership never
-  /// changes, which is what lets recovery census the group without a view
-  /// protocol.
+  /// group size (capped at the cluster size); {c} while the quorum is off.
+  /// Static — membership never changes, which is what lets recovery census
+  /// the group without a view protocol.
   std::vector<NodeId> decision_group(NodeId c) const;
 
   // -- in-doubt registry (quorum mode; docs/DURABILITY.md §8) ---------------

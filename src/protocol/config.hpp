@@ -57,22 +57,17 @@ struct DurabilityConfig {
   /// fan-out ordered strictly after local durability. Requires wal_enabled.
   std::uint32_t decision_quorum = 0;
 
-  /// Size of each coordinator's decision replica group, counting the
-  /// coordinator (nodes (c+1)%N .. wrap). 0 sizes the group to 2*quorum-1
-  /// — the quorum is then a strict majority, so the barrier survives up to
-  /// quorum-1 member losses without stalling. Never sized below the quorum.
-  std::uint32_t replica_group = 0;
-
   /// True when the quorum commit point is active.
   bool quorum_enabled() const { return wal_enabled && decision_quorum >= 1; }
 
-  /// Effective group size, counting the coordinator itself. The floor is
-  /// 2*quorum-1 when unconfigured: with group == quorum, one dead member
-  /// wedges every commit barrier routed through it.
+  /// Size of each coordinator's decision replica group, counting the
+  /// coordinator (nodes c, c+1, ... mod N; Cluster::decision_group caps it
+  /// at N): 2*quorum-1, a strict majority, so the barrier survives
+  /// quorum-1 member losses without stalling (with group == quorum, one
+  /// dead member wedges every barrier routed through it). 1, the
+  /// coordinator alone, while the quorum is off.
   std::uint32_t group_size() const {
-    const std::uint32_t majority = 2 * decision_quorum - 1;
-    const std::uint32_t floor = replica_group == 0 ? majority : decision_quorum;
-    return replica_group > floor ? replica_group : floor;
+    return quorum_enabled() ? 2 * decision_quorum - 1 : 1;
   }
 };
 

@@ -119,12 +119,11 @@ class Coordinator {
   void on_read_reply(ReadReply reply);
   void on_prepare_reply(PrepareReply reply);
 
-  /// A participant holding a prepared-but-undecided transaction of this
-  /// coordinator asks for its fate. Answered from the live record, from the
-  /// durable decision log, or — with neither — as presumed abort. In quorum
-  /// mode a request for ANOTHER coordinator's transaction is a census probe
-  /// against this node's replica copy; it is answered with a
-  /// DecisionReplicateAck (kCommitted/kNoRecord) and never presumes abort.
+  /// A participant holding a prepared-but-undecided transaction asks this
+  /// node — its coordinator, or a member of the dead coordinator's replica
+  /// group — for its fate. One DecisionReply by one rule: the decision held
+  /// here, else presumed Aborted for an own transaction that is neither
+  /// decided nor live, else Unknown.
   void on_decision_request(DecisionRequest req);
 
   /// Replica-group member entry point: durably append a copy of the
@@ -133,7 +132,7 @@ class Coordinator {
   /// census counts a frozen copy set.
   void on_decision_replicate(const DecisionReplicate& m);
 
-  /// Origin entry point: a member acked a durable copy (kind == kAck).
+  /// Origin entry point: a member acked a durable copy.
   void on_decision_replicate_ack(const DecisionReplicateAck& m);
 
   /// Abort a transaction of this node (also called by partition actors when

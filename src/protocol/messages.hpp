@@ -81,19 +81,21 @@ struct AbortMessage {
   std::uint64_t tspan = 0;  ///< trace-context: sender span id (0 = untraced)
 };
 
-/// What the coordinator (or its durable decision log) knows about a
-/// transaction's fate. `Unknown` means "no record": under presumed-abort,
-/// a participant receiving Unknown for a prepared transaction may only act
-/// on it once the coordinator is known to have lost its volatile state.
+/// What a node knows about a transaction's fate. `Unknown` means "no record
+/// here": from the coordinator, the transaction is still deciding; from a
+/// member of a dead coordinator's replica group, the member holds no copy.
+/// Under presumed abort, a participant acts on Unknown only once every copy
+/// that could exist has answered it for enough rounds (docs/FAULTS.md).
 enum class TxDecision : std::uint8_t {
   Unknown,
   Committed,
   Aborted,
 };
 
-/// Participant -> coordinator: "transaction `tx` has been prepared here for
-/// a while and no decision arrived — what happened to it?" Sent by the
-/// orphan-recovery timer (docs/FAULTS.md).
+/// Participant -> coordinator, or -> a member of a dead coordinator's
+/// replica group: "transaction `tx` has been prepared here for a while and
+/// no decision arrived — what happened to it?" Sent by the orphan-recovery
+/// timer (docs/FAULTS.md).
 struct DecisionRequest {
   TxId tx;
   PartitionId partition = kInvalidPartition;
@@ -101,11 +103,14 @@ struct DecisionRequest {
   std::uint64_t tspan = 0;  ///< trace-context: sender span id (0 = untraced)
 };
 
+/// Every node's one answer to a DecisionRequest, built by one rule
+/// (Coordinator::on_decision_request).
 struct DecisionReply {
   TxId tx;
   PartitionId partition = kInvalidPartition;
   TxDecision decision = TxDecision::Unknown;
   Timestamp commit_ts = 0;
+  NodeId from = kInvalidNode;  ///< the answering node
   std::uint64_t tspan = 0;  ///< trace-context: sender span id (0 = untraced)
 };
 
@@ -121,23 +126,10 @@ struct DecisionReplicate {
   std::uint64_t tspan = 0;  ///< trace-context: sender span id (0 = untraced)
 };
 
-/// What a DecisionReplicateAck asserts. `kAck` answers a DecisionReplicate
-/// (the member's copy is durable); `kCommitted`/`kNoRecord` answer a
-/// participant's census DecisionRequest against the member's replica copy
-/// of a dead coordinator's log — a member never presumes abort, it only
-/// reports whether its copy holds the decision.
-enum class DecisionAckKind : std::uint8_t {
-  kAck,
-  kCommitted,
-  kNoRecord,
-};
-
+/// Member -> coordinator: its copy of the DecisionReplicate is durable.
 struct DecisionReplicateAck {
   TxId tx;
-  PartitionId partition = kInvalidPartition;  ///< census replies only
   NodeId from = kInvalidNode;
-  DecisionAckKind kind = DecisionAckKind::kAck;
-  Timestamp commit_ts = 0;  ///< meaningful for kAck/kCommitted
   std::uint64_t tspan = 0;  ///< trace-context: sender span id (0 = untraced)
 };
 

@@ -100,13 +100,9 @@ class PartitionActor {
   /// media in deterministic order before tearing down protocol state.
   storage::Wal* wal() { return wal_.get(); }
 
-  /// Answer to an orphan probe (DecisionRequest) sent to the coordinator.
-  void on_decision_reply(DecisionReply rep);
-
-  /// Answer to a census probe (DecisionRequest) sent to a replica-group
-  /// member of a dead coordinator (quorum mode; kind is kCommitted or
-  /// kNoRecord — kAck routes to the coordinator, not here).
-  void on_census_reply(const DecisionReplicateAck& rep);
+  /// Answer to an orphan probe (DecisionRequest), from the coordinator or
+  /// from a census member of the dead coordinator's replica group.
+  void on_decision_reply(const DecisionReply& rep);
 
   /// Fail-stop crash: volatile state (parked readers, tombstones, orphan
   /// probes) is lost; the store keeps committed data and prepared versions
@@ -177,8 +173,8 @@ class PartitionActor {
   bool tombstoned(const TxId& tx) const { return tombstones_.contains(tx); }
 
   /// Begin orphan surveillance of a prepared remote transaction: probe the
-  /// coordinator after kOrphanTimeout (bounded backoff), unilaterally abort
-  /// if the coordinator stays down. No-op unless recovery is enabled.
+  /// coordinator after kOrphanTimeout (bounded backoff), census its replica
+  /// group while it is down. No-op unless recovery is enabled.
   void track_orphan(const TxId& tx, NodeId coordinator);
   void orphan_check(const TxId& tx);
   /// Ask node `to` for tx's decision, under a Probe span of its own.
@@ -204,29 +200,33 @@ class PartitionActor {
   /// Prepared-but-undecided remote transactions (the 2PC in-doubt window).
   struct Orphan {
     NodeId coordinator = kInvalidNode;
-    std::uint32_t probes = 0;       ///< DecisionRequests sent
-    std::uint32_t down_probes = 0;  ///< consecutive probes finding the
-                                    ///< coordinator down
-    /// Census over a dead coordinator's replica group (quorum mode).
-    /// Members yet to answer the round in flight; empty = no round open.
+    std::uint32_t probes = 0;  ///< DecisionRequests sent to the coordinator
+    /// Census over a dead coordinator's replica group: members yet to
+    /// answer the round in flight; empty = no round open.
     std::vector<NodeId> census_pending;
-    /// Complete rounds in which every member answered kNoRecord. Once the
-    /// origin is dead its copy set is frozen (members drop replicates from
-    /// a down origin), so NoRecord answers can never turn into copies —
-    /// the counter only needs to survive lost messages, not flapping.
+    /// Complete rounds since the coordinator was last seen up in which no
+    /// member held a copy. Once the origin is dead its copy set is frozen
+    /// (members drop replicates from a down origin), so Unknown answers
+    /// can never turn into copies — the counter only needs to survive lost
+    /// messages, not flapping.
     std::uint32_t census_norecord_rounds = 0;
   };
   std::unordered_map<TxId, Orphan, TxIdHash> awaiting_decision_;
 
-  /// One census tick of orphan_check while the coordinator is down in
-  /// quorum mode: consult the local replica copy, then probe the surviving
-  /// group members; presume abort only after kOrphanDownProbes complete
-  /// all-NoRecord rounds.
-  void census_check(const TxId& tx, Orphan& o);
+  /// One census tick of orphan_check while the coordinator is down:
+  /// consult the local replica copy, then probe the surviving group
+  /// members. Returns true when it resolved the orphan (`o` is gone).
+  bool census_check(const TxId& tx, Orphan& o);
 
-  /// The census concluded no quorum copy exists: the decision never
-  /// reached its quorum, so no client was acked — presumed abort.
-  void census_abort(const TxId& tx);
+  /// Count a complete round without a copy; the kOrphanDownProbes-th
+  /// presumes abort. Returns true when it resolved the orphan.
+  bool end_census_round(const TxId& tx, Orphan& o);
+
+  /// Apply a recovered fate to orphan `tx` — the one routine every
+  /// recovery path ends in: resolve a fate its crashed coordinator left in
+  /// doubt, count an abort (and a lost commit, if the client was acked),
+  /// and apply the outcome, which ends the orphan entry.
+  void resolve_orphan(const TxId& tx, TxDecision d, Timestamp ct);
 
   /// Convoy-effect instruments: how long reads sit parked behind
   /// pre-commit locks, and how many are parked right now.
@@ -234,7 +234,7 @@ class PartitionActor {
   obs::Timer* t_read_block_ = nullptr;
   obs::Gauge* g_parked_ = nullptr;
   obs::Counter* c_orphan_aborts_ = nullptr;
-  /// Client-acked commits that the census later aborted (quorum mode; any
+  /// Client-acked commits that recovery later aborted (quorum mode; any
   /// nonzero value is a durability contract violation).
   obs::Counter* c_lost_commits_ = nullptr;
 };

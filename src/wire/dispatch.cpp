@@ -94,14 +94,7 @@ void deliver(Cluster& cl, NodeId to, const protocol::DecisionReplicate& m) {
 }
 
 void deliver(Cluster& cl, NodeId to, const protocol::DecisionReplicateAck& m) {
-  // kAck answers the coordinator's replicate fan-out; kCommitted/kNoRecord
-  // answer a participant replica's census probe (the ack carries the
-  // probing partition so it routes back to the waiting actor).
-  if (m.kind == protocol::DecisionAckKind::kAck) {
-    cl.node(to).coordinator().on_decision_replicate_ack(m);
-    return;
-  }
-  replica_of(cl, to, m.partition)->on_census_reply(m);
+  cl.node(to).coordinator().on_decision_replicate_ack(m);
 }
 
 DecodeStatus dispatch_frame(Cluster& cl, NodeId to, const std::uint8_t* data,

@@ -172,6 +172,7 @@ void fields(auto& v, Is<protocol::DecisionReply> auto& m) {
   v.num(m.partition);
   v.enumerated(m.decision, protocol::TxDecision::Aborted);
   v.num(m.commit_ts);
+  v.num(m.from);
 }
 
 void fields(auto& v, Is<protocol::DecisionReplicate> auto& m) {
@@ -183,10 +184,7 @@ void fields(auto& v, Is<protocol::DecisionReplicate> auto& m) {
 
 void fields(auto& v, Is<protocol::DecisionReplicateAck> auto& m) {
   v.tx(m.tx);
-  v.num(m.partition);
   v.num(m.from);
-  v.enumerated(m.kind, protocol::DecisionAckKind::kNoRecord);
-  v.num(m.commit_ts);
 }
 
 /// A frame body: the message's fields, then its optional trace context,

@@ -68,12 +68,6 @@ std::vector<wire::Buffer> sample_frames() {
   drep.origin = 3;
   drep.commit_ts = 400;
   drep.decided_at = 410;
-  protocol::DecisionReplicateAck dack;
-  dack.tx = tx;
-  dack.partition = 2;
-  dack.from = 5;
-  dack.kind = protocol::DecisionAckKind::kCommitted;
-  dack.commit_ts = 400;
   return {
       wire::encode_frame(protocol::ReadRequest{tx, 3, 42, 0xabcdef, 100}),
       wire::encode_frame(rr),
@@ -84,9 +78,9 @@ std::vector<wire::Buffer> sample_frames() {
       wire::encode_frame(protocol::AbortMessage{tx, 2}),
       wire::encode_frame(protocol::DecisionRequest{tx, 2, 6}),
       wire::encode_frame(protocol::DecisionReply{
-          tx, 2, protocol::TxDecision::Committed, 300}),
+          tx, 2, protocol::TxDecision::Committed, 300, 5}),
       wire::encode_frame(drep),
-      wire::encode_frame(dack),
+      wire::encode_frame(protocol::DecisionReplicateAck{tx, 5}),
   };
 }
 

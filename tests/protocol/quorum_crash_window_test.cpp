@@ -67,7 +67,7 @@ SweepRun sweep_once(Cluster::Config cfg) {
   test::run_write(cluster, cluster.node(0).coordinator(),
                   {key_at(0, 1), key_at(1, 1)}, "new", out.w);
   // Census resolution paces on the orphan timer (1s initial, 2s cap) and
-  // needs up to orphan_down_probes complete rounds; 20s settles everything.
+  // needs up to kOrphanDownProbes complete rounds; 20s settles everything.
   cluster.run_for(sec(20));
   out.lost_commits = counter_value(cluster, "recovery.lost_commits");
   out.quiesce = cluster.quiesce_report();
@@ -160,6 +160,65 @@ TEST(QuorumCrashWindow, QuorumOneCrashRestartSweepReplaysEveryOffset) {
     const SweepRun run = sweep_once(std::move(cfg));
     check_sweep_invariants(run, 1, off);
   }
+}
+
+TEST(QuorumCrashWindow, ReplicaGroupIsAMajorityOrTheCoordinatorAlone) {
+  DurabilityConfig d;
+  EXPECT_EQ(d.group_size(), 1u);  // quorum 0: 2*0-1 must not wrap
+  d.decision_quorum = 2;
+  EXPECT_EQ(d.group_size(), 1u);  // no WAL: the quorum is off
+  d.wal_enabled = true;
+  EXPECT_EQ(d.group_size(), 3u);
+  d.decision_quorum = 1;
+  EXPECT_EQ(d.group_size(), 1u);
+  d.decision_quorum = 3;
+  EXPECT_EQ(d.group_size(), 5u);
+
+  // The census asks the coordinator alone while the quorum is off; a group
+  // wider than the cluster is capped at it.
+  Cluster::Config cfg = small_config(3, 2, ProtocolConfig::str());
+  EXPECT_EQ(Cluster(cfg).decision_group(2), std::vector<NodeId>{2});
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.protocol.durability.decision_quorum = 3;
+  EXPECT_EQ(Cluster(cfg).decision_group(2), (std::vector<NodeId>{2, 0, 1}));
+}
+
+TEST(QuorumCrashWindow, AMemberWithoutACopyNeverAbortsWhileAnotherIsDown) {
+  // Five nodes, quorum 2: coordinator 0's group is {0, 1, 2}. Node 0 writes
+  // a key of node 3's partition (replicas 3 and 4) and dies for good in the
+  // middle of 2PC, together with member 1, which restarts at 10 s. Member 2
+  // holds no copy, but member 1 might: no census round can conclude and
+  // nothing is even asked while it is down. Once it is back, its replayed
+  // log holds no copy either, and three rounds later the orphans abort.
+  Cluster::Config cfg =
+      small_config(5, 2, ProtocolConfig::str(), msec(100), /*seed=*/1);
+  cfg.protocol.recovery.enabled = true;
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.protocol.durability.decision_quorum = 2;
+  cfg.faults.add_crash(/*node=*/0, /*at=*/msec(100));
+  cfg.faults.add_crash(/*node=*/1, /*at=*/msec(100), /*restart_at=*/sec(10));
+  Cluster cluster(cfg);
+  cluster.load(key_at(3, 1), "old");
+  cluster.run_for(msec(10));
+  TxProbe w;
+  test::run_write(cluster, cluster.node(0).coordinator(), {key_at(3, 1)},
+                  "new", w);
+  cluster.run_for(sec(10) - msec(10) - msec(1));
+  EXPECT_EQ(cluster.quiesce_report().orphans, 2u);
+  EXPECT_EQ(counter_value(cluster, "txn.orphan_aborts"), 0u);
+  EXPECT_EQ(counter_value(cluster, "wire.msgs.decision_request"), 0u);
+
+  // Node 3's rounds close at 10.16, 11.16 and 12.16 s (node 4's 54 ms
+  // later); each asks members 1 and 2.
+  cluster.run_for(msec(2160));
+  EXPECT_EQ(cluster.quiesce_report().orphans, 2u);
+  cluster.run_for(msec(1));
+  EXPECT_EQ(cluster.quiesce_report().orphans, 1u);
+  cluster.run_for(sec(5));
+  EXPECT_EQ(counter_value(cluster, "wire.msgs.decision_request"), 2u * 3 * 2);
+  EXPECT_EQ(counter_value(cluster, "txn.orphan_aborts"), 2u);
+  EXPECT_EQ(counter_value(cluster, "recovery.lost_commits"), 0u);
+  EXPECT_TRUE(cluster.quiesce_report().clean());
 }
 
 // ---------------------------------------------------------------------------

@@ -157,6 +157,7 @@ void expect_equal(const protocol::DecisionReply& a,
   EXPECT_EQ(a.partition, b.partition);
   EXPECT_EQ(a.decision, b.decision);
   EXPECT_EQ(a.commit_ts, b.commit_ts);
+  EXPECT_EQ(a.from, b.from);
   EXPECT_EQ(a.tspan, b.tspan);
 }
 
@@ -172,10 +173,7 @@ void expect_equal(const protocol::DecisionReplicate& a,
 void expect_equal(const protocol::DecisionReplicateAck& a,
                   const protocol::DecisionReplicateAck& b) {
   EXPECT_TRUE(same(a.tx, b.tx));
-  EXPECT_EQ(a.partition, b.partition);
   EXPECT_EQ(a.from, b.from);
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.commit_ts, b.commit_ts);
   EXPECT_EQ(a.tspan, b.tspan);
 }
 
@@ -279,7 +277,7 @@ TEST(RoundTrip, DecisionReply) {
     return protocol::DecisionReply{
         rand_txid(rng), rand_u32(rng),
         static_cast<protocol::TxDecision>(rng.uniform(3)), rand_u64(rng),
-        rand_u64(rng)};
+        rand_u32(rng), rand_u64(rng)};
   });
 }
 
@@ -297,14 +295,8 @@ TEST(RoundTrip, DecisionReplicate) {
 
 TEST(RoundTrip, DecisionReplicateAck) {
   roundtrip_many<protocol::DecisionReplicateAck>(0x5717ab, +[](Rng& rng) {
-    protocol::DecisionReplicateAck m;
-    m.tx = rand_txid(rng);
-    m.partition = rand_u32(rng);
-    m.from = rand_u32(rng);
-    m.kind = static_cast<protocol::DecisionAckKind>(rng.uniform(3));
-    m.commit_ts = rand_u64(rng);
-    m.tspan = rand_u64(rng);
-    return m;
+    return protocol::DecisionReplicateAck{rand_txid(rng), rand_u32(rng),
+                                          rand_u64(rng)};
   });
 }
 
@@ -389,21 +381,35 @@ TEST(RoundTrip, DecisionReplicateLayoutIsPinned) {
 }
 
 TEST(RoundTrip, DecisionReplicateAckLayoutIsPinned) {
-  // Layout: txid, partition, from varints, a one-byte kind (the same strict
-  // enum rule as DecisionReply.decision), commit_ts varint, tspan trailer.
-  protocol::DecisionReplicateAck m;
-  m.tx = TxId{1, 2};
-  m.partition = 3;
-  m.from = 4;
-  m.kind = protocol::DecisionAckKind::kCommitted;
-  m.commit_ts = 5;
+  // Layout: txid and from varints, tspan trailer. The ack answers only a
+  // DecisionReplicate; a census answer is a DecisionReply.
+  const protocol::DecisionReplicateAck m{TxId{1, 2}, 4};
+  const Buffer frame = encode_frame(m);
+  Buffer expected = {
+      0x08, 0x00, 0x00, 0x00,  // rest_len = 1 + 3 (body) + 4 (cksum)
+      0x0b,                    // tag: kDecisionReplicateAck
+      0x01, 0x02, 0x04,        // tx.node, tx.seq, from
+  };
+  const std::uint32_t ck = checksum32(expected.data() + 4, 4);
+  expected.push_back(static_cast<std::uint8_t>(ck));
+  expected.push_back(static_cast<std::uint8_t>(ck >> 8));
+  expected.push_back(static_cast<std::uint8_t>(ck >> 16));
+  expected.push_back(static_cast<std::uint8_t>(ck >> 24));
+  EXPECT_EQ(frame, expected);
+}
+
+TEST(RoundTrip, DecisionReplyLayoutIsPinned) {
+  // Layout: txid and partition varints, a one-byte decision, commit_ts,
+  // then from — appended last, after the fields that predate it.
+  const protocol::DecisionReply m{TxId{1, 2}, 3,
+                                  protocol::TxDecision::Committed, 5, 4};
   const Buffer frame = encode_frame(m);
   Buffer expected = {
       0x0b, 0x00, 0x00, 0x00,  // rest_len = 1 + 6 (body) + 4 (cksum)
-      0x0b,                    // tag: kDecisionReplicateAck
-      0x01, 0x02, 0x03, 0x04,  // tx.node, tx.seq, partition, from
-      0x01,                    // kind: kCommitted
-      0x05,                    // commit_ts
+      0x09,                    // tag: kDecisionReply
+      0x01, 0x02, 0x03,        // tx.node, tx.seq, partition
+      0x01,                    // decision: Committed
+      0x05, 0x04,              // commit_ts, from
   };
   const std::uint32_t ck = checksum32(expected.data() + 4, 7);
   expected.push_back(static_cast<std::uint8_t>(ck));
@@ -458,7 +464,7 @@ TEST(RoundTrip, ExactSizesVsRetiredSizeHints) {
       {"decision_reply",
        frame_size(protocol::DecisionReply{tx, 2,
                                           protocol::TxDecision::Committed,
-                                          usec(7'300'000)}),
+                                          usec(7'300'000), 6}),
        33},
   };
   for (const Row& row : rows) {
@@ -476,7 +482,7 @@ TEST(RoundTrip, ExactSizesVsRetiredSizeHints) {
   EXPECT_EQ(rows[4].exact, 17u);  // commit
   EXPECT_EQ(rows[5].exact, 13u);  // abort
   EXPECT_EQ(rows[6].exact, 14u);  // decision_request
-  EXPECT_EQ(rows[7].exact, 18u);  // decision_reply
+  EXPECT_EQ(rows[7].exact, 19u);  // decision_reply
 
   // The quorum frames postdate the retired estimates (no old hint to beat);
   // pin their exact sizes for the docs/WIRE.md audit table.
@@ -486,13 +492,8 @@ TEST(RoundTrip, ExactSizesVsRetiredSizeHints) {
   drep.commit_ts = usec(7'300'000);
   drep.decided_at = usec(7'300'100);
   EXPECT_EQ(frame_size(drep), 21u);  // decision_replicate
-  protocol::DecisionReplicateAck dack;
-  dack.tx = tx;
-  dack.partition = 2;
-  dack.from = 6;
-  dack.kind = protocol::DecisionAckKind::kCommitted;
-  dack.commit_ts = usec(7'300'000);
-  EXPECT_EQ(frame_size(dack), 19u);  // decision_replicate_ack
+  EXPECT_EQ(frame_size(protocol::DecisionReplicateAck{tx, 6}),
+            13u);  // decision_replicate_ack
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ struct Options {
   double fsync_ms = 2;
   std::uint32_t wal_batch = 8;
   std::uint32_t decision_quorum = 0;
-  std::uint32_t replica_group = 0;
 };
 
 void usage() {
@@ -136,12 +135,11 @@ void usage() {
       "  --torn-write P      probability a crash mid-fsync leaves a torn\n"
       "                      record at the log tail (replay truncates it)\n"
       "  --decision-quorum N replicate every commit decision across the\n"
-      "                      coordinator's replica group and delay the commit\n"
-      "                      point until N copies (incl. the local one) are\n"
-      "                      durable; the decision then survives permanent\n"
-      "                      coordinator loss (implies --wal)        [off]\n"
-      "  --replica-group N   decision replica-group size; defaults to the\n"
-      "                      quorum size when smaller\n");
+      "                      coordinator's replica group of min(2N-1, nodes)\n"
+      "                      nodes and delay the commit point until N copies\n"
+      "                      (incl. the local one) are durable; the decision\n"
+      "                      then survives permanent coordinator loss\n"
+      "                      (implies --wal)                          [off]\n");
 }
 
 /// The fault-plan directive a fault flag spells (docs/FAULTS.md §2), or
@@ -296,9 +294,6 @@ bool parse(int argc, char** argv, Options& opt) {
       if (!count(1, INT32_MAX)) return false;
       opt.decision_quorum = static_cast<std::uint32_t>(n);
       opt.wal = true;
-    } else if (arg == "--replica-group") {
-      if (!count(1, INT32_MAX)) return false;
-      opt.replica_group = static_cast<std::uint32_t>(n);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -456,16 +451,11 @@ int main(int argc, char** argv) {
     d.fsync_latency = static_cast<Timestamp>(opt.fsync_ms * 1e3);
     d.group_commit_batch = opt.wal_batch;
     d.decision_quorum = opt.decision_quorum;
-    d.replica_group = opt.replica_group;
     if (d.decision_quorum > opt.nodes) {
       std::fprintf(stderr, "--decision-quorum %u exceeds the cluster size\n",
                    d.decision_quorum);
       return 1;
     }
-  }
-  if (opt.replica_group != 0 && opt.decision_quorum == 0) {
-    std::fprintf(stderr, "--replica-group requires --decision-quorum\n");
-    return 1;
   }
   cfg.total_clients = opt.clients;
   cfg.warmup = static_cast<Timestamp>(opt.warmup_s * 1e6);
