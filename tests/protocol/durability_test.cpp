@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "net/fault.hpp"
 #include "obs/json.hpp"
 #include "protocol/cluster.hpp"
 #include "tests/protocol/test_util.hpp"
@@ -380,6 +382,46 @@ TEST(Durability, OutcomeOnlyCommitFinalizesAPreCommitACheckpointReStaged) {
   EXPECT_EQ(cluster.node(1).replica(0)->awaiting_decisions(), 0u);
 }
 
+TEST(Durability, CheckpointedOwnVersionCommitsWhenItsDecisionSurvived) {
+  // A coordinator's checkpoint taken between its commit barrier and its
+  // apply holds its own transaction's version as LocalCommitted, and the
+  // barrier record that listed the write is gone with the truncated log.
+  // The decision log says the transaction committed: replay installs the
+  // version as Committed at the decision's commit ts. An own version
+  // without a decision is still presumed aborted.
+  Cluster cluster(wal_config(2, 2));
+  cluster.load(key_at(0, 1), "old");
+  cluster.run_for(msec(10));
+  cluster.crash_node(0);
+
+  const TxId seed{kInvalidNode, 1};
+  const TxId decided{0, 77};
+  const TxId undecided{0, 78};
+  std::vector<storage::CheckpointVersion> image;
+  image.push_back({key_at(0, 1), 0, VersionState::Committed, seed,
+                   std::make_shared<const Value>("old")});
+  image.push_back({key_at(0, 1), msec(5), VersionState::LocalCommitted,
+                   decided, std::make_shared<const Value>("new")});
+  image.push_back({key_at(0, 2), msec(5), VersionState::LocalCommitted,
+                   undecided, std::make_shared<const Value>("gone")});
+  storage::LogBuffer log;
+  storage::encode_checkpoint(log, /*watermark=*/0, image);
+  cluster.node(0).replica(0)->wal()->rewrite(std::move(log));
+  storage::LogBuffer decisions;
+  storage::encode_decision(decisions, decided, msec(6), msec(6));
+  cluster.node(0).decision_wal()->rewrite(std::move(decisions));
+
+  cluster.restart_node(0);
+  const store::StoreReadResult v = newest(cluster, 0, 0, key_at(0, 1));
+  EXPECT_EQ(v.kind, store::ReadKind::Committed);
+  EXPECT_EQ(v.writer, decided);
+  EXPECT_EQ(v.ts, msec(6));
+  EXPECT_EQ(v.value_str(), "new");
+  EXPECT_EQ(newest(cluster, 0, 0, key_at(0, 2)).kind,
+            store::ReadKind::NotFound);
+  EXPECT_EQ(cluster.node(0).replica(0)->store().uncommitted_txn_count(), 0u);
+}
+
 TEST(Durability, CrashReplaysOutcomeOnlyCommitsOntoCheckpointedPreCommits) {
   // The same replay branch reached by a real crash: checkpoints at every
   // 100 ms tick catch remote transactions pre-committed on node 1, whose
@@ -554,6 +596,98 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Where the up replicas of a partition disagree after a run: for each key,
+/// the newest committed version (commit ts, writer, value) of every up
+/// replica, one line per key whose replicas do not all hold the same.
+std::vector<std::string> replica_divergences(Cluster& cluster) {
+  struct Newest {
+    Timestamp ts = 0;
+    TxId writer;
+    Value value;
+    bool operator==(const Newest&) const = default;
+  };
+  std::vector<std::string> out;
+  for (PartitionId p = 0; p < cluster.pmap().num_partitions(); ++p) {
+    std::map<Key, std::map<NodeId, Newest>> keys;
+    std::vector<NodeId> up;
+    for (NodeId n : cluster.pmap().replicas(p)) {
+      if (!cluster.node_up(n)) continue;
+      up.push_back(n);
+      cluster.node(n).replica(p)->store().for_each_version_sorted(
+          [&](Key key, const store::Version& v) {
+            if (v.state != VersionState::Committed) return;
+            auto [it, fresh] = keys[key].try_emplace(n);
+            if (fresh || v.ts > it->second.ts) {
+              it->second = {v.ts, v.writer(), v.value ? *v.value : Value()};
+            }
+          });
+    }
+    for (const auto& [key, held] : keys) {
+      const Newest& first = held.begin()->second;
+      const bool agree =
+          held.size() == up.size() &&
+          std::all_of(held.begin(), held.end(),
+                      [&](const auto& h) { return h.second == first; });
+      if (agree) continue;
+      std::ostringstream line;
+      line << "p" << p << " key " << key << ":";
+      for (NodeId n : up) {
+        auto it = held.find(n);
+        line << " n" << n << "=";
+        if (it == held.end()) {
+          line << "none";
+        } else {
+          line << it->second.writer.node << "." << it->second.writer.seq
+               << "@" << it->second.ts;
+        }
+      }
+      out.push_back(line.str());
+    }
+  }
+  return out;
+}
+
+TEST(Durability, QuorumChaosRestartLeavesReplicasInAgreement) {
+  // CI's chaos plan under --wal --decision-quorum 2, as str_sim runs it at
+  // seed 6 (9 EC2 regions, rf 6, 50 synth-a clients, 1 s warmup, 8 s
+  // window, 10 s fault drain). Node 3 crashes at 5 s and restarts at 8 s.
+  // Its transaction 3.11 committed at 0.9987 s while a checkpoint of its
+  // replicas of p0, p2 and p3 caught the versions between the commit
+  // barrier and the apply; replay must install them from the decision log
+  // instead of serving the preload (p0) or nothing (p2, p3).
+  Cluster::Config cfg;
+  cfg.seed = 6;
+  cfg.protocol.recovery.enabled = true;
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.protocol.durability.decision_quorum = 2;
+  std::string error;
+  ASSERT_TRUE(net::FaultPlan::parse("drop 0.05\n"
+                                    "dup 0.02\n"
+                                    "partition 0 1 4.0 8.0\n"
+                                    "crash 3 5.0 8.0\n",
+                                    cfg.faults, error))
+      << error;
+  cfg.faults.link.heal_at = sec(9);  // the window's end, as run_experiment
+  Cluster cluster(cfg);
+  workload::SyntheticWorkload wl(cluster, workload::SyntheticConfig::synth_a());
+  wl.load(cluster);
+  workload::ClientPool clients =
+      workload::ClientPool::with_total(cluster, wl, 50);
+  clients.start_all();
+  cluster.run_for(sec(1));
+  cluster.reset_obs();
+  cluster.run_for(sec(8));
+  clients.request_stop_all();
+  cluster.run_for(sec(10));
+
+  ASSERT_TRUE(cluster.quiesce_report().clean());
+  EXPECT_GT(counter_value(cluster, "wal.replayed_records"), 0u);
+  EXPECT_EQ(counter_value(cluster, "recovery.lost_commits"), 0u);
+  const std::vector<std::string> diverged = replica_divergences(cluster);
+  EXPECT_TRUE(diverged.empty())
+      << diverged.size() << " keys diverge, first: " << diverged.front();
 }
 
 TEST(Durability, ChaosWithWalIsSafeLiveAndDeterministic) {
