@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   protocol::AbortMessage abort_msg{tx, 2};
   protocol::DecisionRequest dec_req{tx, 2, 6};
   protocol::DecisionReply dec_reply{tx, 2, protocol::TxDecision::Committed,
-                                    usec(7'300'000)};
+                                    usec(7'300'000), 6};
 
   std::printf("=== wire codec encode/decode (%llu iters/type) ===\n",
               static_cast<unsigned long long>(iters));
