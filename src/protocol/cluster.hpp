@@ -312,7 +312,7 @@ class Cluster {
   /// Cluster-wide stable-snapshot watermark: no read — live, parked, or
   /// still in flight — can observe a snapshot below this timestamp, so
   /// committed versions dominated by a newer committed version at or below
-  /// it are unreachable and safe to prune (ProtocolConfig::watermark_pruning).
+  /// it are unreachable. It is the one horizon maintenance prunes at.
   /// Monotonic; recomputed on every maintenance tick. Exposed for tests.
   Timestamp stable_watermark() const { return watermark_; }
 

@@ -85,22 +85,13 @@ struct ProtocolConfig {
   /// external misspeculations; no compensation logic runs (as in the paper).
   bool externalize_local_commit = false;
 
-  /// Period between committed-version GC sweeps on each partition replica.
+  /// Period between maintenance ticks. Each tick advances the cluster-wide
+  /// stable-snapshot watermark (Cluster::stable_watermark), prunes every
+  /// replica's committed versions that no snapshot at or above it can read,
+  /// and expires tombstones. Speculative (PreCommitted/LocalCommitted)
+  /// versions are never pruned. A period longer than the run prunes
+  /// nothing, which changes no reader's result.
   Timestamp gc_interval = sec(2);
-  /// Committed versions older than now-horizon are collectable. Must exceed
-  /// the largest possible read-snapshot staleness (max one-way latency plus
-  /// clock skew); the default is safe for every built-in topology. Tombstones
-  /// (abort markers) always expire on this horizon, pruning or not.
-  Timestamp gc_horizon = sec(4);
-
-  /// Prune committed versions up to the cluster-wide stable-snapshot
-  /// watermark (min over virtual now and every live transaction's read
-  /// snapshot) instead of only the fixed time horizon. Strictly more
-  /// aggressive and — because no current or future snapshot can fall below
-  /// the watermark — observably behaviour-neutral; the golden-determinism
-  /// test asserts the toggle does not move the execution hash. Speculative
-  /// (PreCommitted/LocalCommitted) versions are never pruned.
-  bool watermark_pruning = true;
 
   /// Timeout / retry / orphan-recovery machinery (off by default).
   RecoveryConfig recovery;

@@ -70,19 +70,8 @@ PartitionActor* Node::replica(PartitionId p) {
 }
 
 void Node::maintain(Timestamp watermark) {
-  const Timestamp horizon_len = cluster_.protocol().gc_horizon;
-  const Timestamp now = physical_now();
-  const Timestamp horizon = now > horizon_len ? now - horizon_len : 0;
-  // The watermark can only extend the time horizon forward, never retract
-  // it: with pruning disabled (or a lagging watermark) behaviour degrades
-  // to pure age-based GC, which is the reference the golden-determinism
-  // suite pins both modes against.
-  const Timestamp prune =
-      cluster_.protocol().watermark_pruning && watermark > horizon
-          ? watermark
-          : horizon;
-  for (auto& [pid, actor] : replicas_) actor->maintain(prune, horizon);
-  coord_.maintain(now);
+  for (auto& [pid, actor] : replicas_) actor->maintain(watermark);
+  coord_.maintain(physical_now());
 }
 
 void Node::crash() {

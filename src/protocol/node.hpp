@@ -70,11 +70,9 @@ class Node {
     c_wire_bytes_[t]->inc(bytes);
   }
 
-  /// Periodic GC of committed versions and tombstones on all replicas.
-  /// `watermark` is the cluster-wide stable-snapshot watermark; when
-  /// watermark pruning is enabled and the watermark is ahead of the time
-  /// horizon, committed versions are pruned up to it. Tombstones always
-  /// expire on the time horizon alone.
+  /// Periodic GC on all replicas: committed versions are pruned up to
+  /// `watermark`, the cluster-wide stable-snapshot watermark, and
+  /// tombstones expire on their own age (PartitionActor::maintain).
   void maintain(Timestamp watermark);
 
   // -- crash / restart (fault injection) -----------------------------------

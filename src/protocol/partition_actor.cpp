@@ -28,14 +28,18 @@ constexpr Timestamp kOrphanTimeout = sec(1);
 constexpr Timestamp kOrphanIntervalCap = sec(2);
 constexpr std::uint32_t kOrphanDownProbes = 3;
 
+/// A tombstone lives this long past its stamp (the replica's physical
+/// clock): it must outlast every late prepare, replicate or duplicate of
+/// its transaction, which the stable watermark says nothing about.
+constexpr Timestamp kTombstoneHorizon = sec(4);
+
 }  // namespace
 
 PartitionActor::PartitionActor(Node& node, PartitionId pid, bool master)
     : node_(node),
       pid_(pid),
       is_master_(master),
-      tombstones_(node.cluster().protocol().gc_horizon +
-                  node.cluster().protocol().gc_interval) {
+      tombstones_(kTombstoneHorizon + node.cluster().protocol().gc_interval) {
   store_.set_registry(&node.obs());
   tracer_ = &node.cluster().tracer();
   t_read_block_ = &node.obs().timer("phase.read_block");
@@ -719,10 +723,10 @@ void PartitionActor::resolve_writer(const TxId& writer) {
   }
 }
 
-void PartitionActor::maintain(Timestamp prune_horizon,
-                              Timestamp tombstone_horizon) {
-  store_.gc(prune_horizon);
-  tombstones_.expire(tombstone_horizon);
+void PartitionActor::maintain(Timestamp watermark) {
+  store_.gc(watermark);
+  const Timestamp now = node_.physical_now();
+  tombstones_.expire(now > kTombstoneHorizon ? now - kTombstoneHorizon : 0);
   // Checkpoint/truncate: once the threshold's worth of records was
   // appended since the last checkpoint and the log is idle (idle => every
   // appended record is durable and no offsets are live), replace it with
@@ -739,7 +743,7 @@ void PartitionActor::maintain(Timestamp prune_horizon,
       snap.push_back({key, v.ts, v.state, v.writer(), v.value});
     });
     storage::LogBuffer bytes;
-    storage::encode_checkpoint(bytes, prune_horizon, snap);
+    storage::encode_checkpoint(bytes, watermark, snap);
     wal_->rewrite(std::move(bytes));
   }
 }

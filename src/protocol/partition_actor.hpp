@@ -113,12 +113,10 @@ class PartitionActor {
   /// durable store re-enter orphan recovery.
   void on_restart();
 
-  /// Periodic maintenance: GC committed versions up to `prune_horizon`
-  /// (time horizon, possibly extended by the cluster watermark) and expire
-  /// tombstones past `tombstone_horizon` (always the pure time horizon —
-  /// a tombstone guards against arbitrarily late redeliveries, which the
-  /// watermark says nothing about).
-  void maintain(Timestamp prune_horizon, Timestamp tombstone_horizon);
+  /// Periodic maintenance: GC committed versions up to `watermark`, the
+  /// cluster-wide stable-snapshot watermark, expire tombstones older than
+  /// kTombstoneHorizon, and checkpoint an idle log with the watermark.
+  void maintain(Timestamp watermark);
 
   std::size_t parked_readers() const;
 

@@ -478,19 +478,6 @@ TableBytes PartitionStore::table_bytes() const {
   return b;
 }
 
-Timestamp PartitionStore::newest_committed_at_or_below(
-    Key key, Timestamp horizon) const {
-  const KeyEntry* entry = table_.find(key);
-  if (entry == nullptr) return 0;
-  Timestamp best = 0;
-  for (const Version& v : entry->versions) {
-    if (v.state == VersionState::Committed && v.ts <= horizon) {
-      best = std::max(best, v.ts);
-    }
-  }
-  return best;
-}
-
 void PartitionStore::reposition(VersionChain& chain,
                                 VersionChain::iterator vit) {
   // Slide *vit to its sorted slot in place (one rotate instead of the

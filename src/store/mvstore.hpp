@@ -208,10 +208,6 @@ class PartitionStore {
   /// Number of transactions holding pre-commit locks here (leak probe).
   std::size_t uncommitted_txn_count() const { return uncommitted_.size(); }
 
-  /// Largest committed timestamp <= `horizon` on `key`'s chain, or 0. Lets
-  /// maintenance probe how far a key could be pruned (tests/debugging).
-  Timestamp newest_committed_at_or_below(Key key, Timestamp horizon) const;
-
   /// Uncommitted writers holding versions on any of `keys` (conflict probe).
   std::vector<TxId> uncommitted_writers(const std::vector<Key>& keys) const;
 

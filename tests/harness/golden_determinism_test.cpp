@@ -7,8 +7,9 @@
 // traffic moves the hash; performance work on the simulator hot path must
 // keep it byte-identical. The curated counters deliberately exclude GC
 // accounting ("store.gc_removed") so that version pruning — which must be
-// behaviour-neutral for every reader — can be toggled without moving the
-// hash; a second run with pruning disabled asserts exactly that.
+// behaviour-neutral for every reader — can be compared against a reference
+// that prunes nothing: a second run whose maintenance never ticks must give
+// the same hash.
 //
 // Regenerating the golden value after an *intentional* behaviour change:
 // see docs/PERFORMANCE.md ("Golden hash").
@@ -41,7 +42,9 @@ class Fnv {
 };
 
 struct RunOptions {
-  bool watermark_pruning = true;
+  /// Maintenance period. The default ticks inside the 6 s run; one longer
+  /// than the run never prunes.
+  Timestamp gc_interval = msec(500);
   bool wire_codec = false;
   std::uint32_t threads = 1;
 };
@@ -53,10 +56,9 @@ std::uint64_t run_and_hash(const RunOptions& opt) {
   cfg.replication_factor = 6;
   cfg.topology = net::Topology::ec2_nine_regions();
   cfg.protocol = protocol::ProtocolConfig::str();
-  cfg.protocol.watermark_pruning = opt.watermark_pruning;
-  // GC must actually run inside the window for the pruning-neutrality half
-  // of this test to bite.
-  cfg.protocol.gc_interval = msec(500);
+  // Pruning must actually run inside the window for the comparison with
+  // the no-pruning reference to bite.
+  cfg.protocol.gc_interval = opt.gc_interval;
   cfg.seed = 7;
   cfg.wire_codec = opt.wire_codec;
   cfg.threads = opt.threads;
@@ -140,11 +142,14 @@ TEST(GoldenDeterminism, FixedSeedRunMatchesCommittedHash) {
       << " — if intentional, update kGoldenHash (docs/PERFORMANCE.md)";
 }
 
-TEST(GoldenDeterminism, WatermarkPruningIsBehaviourNeutral) {
-  RunOptions off;
-  off.watermark_pruning = false;
-  EXPECT_EQ(run_and_hash(off), kGoldenHash)
-      << "disabling watermark pruning changed observable behaviour";
+// Pruning at the stable watermark removes only versions no snapshot can
+// read: a run whose maintenance never ticks, so nothing is pruned, gives the
+// same hash.
+TEST(GoldenDeterminism, NoPruningReferenceMatchesHash) {
+  RunOptions never;
+  never.gc_interval = sec(60);
+  EXPECT_EQ(run_and_hash(never), kGoldenHash)
+      << "pruning at the watermark changed observable behaviour";
 }
 
 // The worker count is only a speed setting: every run executes the same
