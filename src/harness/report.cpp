@@ -62,7 +62,7 @@ void print_phase_table(const std::string& label,
   static const char* kOrder[] = {
       "time_to_first_read", "read_block",  "gate_stall",
       "local_cert",         "wan_prepare", "dep_wait",
-      "lock_hold",          "lock_hold_total",
+      "decision_durable",   "lock_hold",   "lock_hold_total",
       "commit_snapshot_distance",
   };
   auto rank = [](const std::string& name) {

@@ -15,6 +15,31 @@ std::uint64_t Cluster::sharded_now_cb(const void* sharded) {
   return static_cast<const sim::ShardedScheduler*>(sharded)->current().now();
 }
 
+namespace {
+
+/// Every node's decision group (Cluster::decision_group).
+std::vector<std::vector<NodeId>> nearest_groups(const Cluster& cluster) {
+  const std::uint32_t n = cluster.config().num_nodes;
+  const std::uint32_t size =
+      std::min(cluster.protocol().durability.group_size(), n);
+  std::vector<std::vector<NodeId>> groups(n);
+  std::vector<NodeId> others;
+  for (NodeId c = 0; c < n; ++c) {
+    groups[c].push_back(c);
+    if (size == 1) continue;
+    others.clear();
+    for (std::uint32_t i = 1; i < n; ++i) {
+      others.push_back(static_cast<NodeId>((c + i) % n));
+    }
+    cluster.sort_nearest_first(cluster.region_of(c), others);
+    groups[c].insert(groups[c].end(), others.begin(),
+                     others.begin() + (size - 1));
+  }
+  return groups;
+}
+
+}  // namespace
+
 Cluster::Cluster(Config config)
     : config_(std::move(config)),
       // One shard per region, with the topology's minimum cross-region
@@ -91,6 +116,7 @@ Cluster::Cluster(Config config)
   Log::set_sim_clock(&Cluster::sharded_now_cb, &sharded_);
   node_spec_enabled_.assign(config_.num_nodes, 1);
   last_restart_at_.assign(config_.num_nodes, 0);
+  decision_groups_ = nearest_groups(*this);
   Rng skew_rng = master_rng_.fork(0x5c3b);
   nodes_.reserve(config_.num_nodes);
   for (NodeId id = 0; id < config_.num_nodes; ++id) {
@@ -291,15 +317,12 @@ Cluster::QuiesceReport Cluster::quiesce_report() const {
   return r;
 }
 
-std::vector<NodeId> Cluster::decision_group(NodeId c) const {
-  const std::uint32_t size =
-      std::min(config_.protocol.durability.group_size(), config_.num_nodes);
-  std::vector<NodeId> group;
-  group.reserve(size);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    group.push_back(static_cast<NodeId>((c + i) % config_.num_nodes));
-  }
-  return group;
+void Cluster::sort_nearest_first(RegionId from,
+                                 std::span<NodeId> nodes) const {
+  const net::Topology& topo = config_.topology;
+  std::stable_sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
+    return topo.one_way(from, region_of(a)) < topo.one_way(from, region_of(b));
+  });
 }
 
 void Cluster::register_in_doubt(const TxId& tx, InDoubtInfo info) {

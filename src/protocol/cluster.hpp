@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -252,11 +253,20 @@ class Cluster {
     return config_.protocol.durability.quorum_enabled();
   }
 
-  /// Replica group of coordinator `c`: {c, (c+1)%N, ...} up to the effective
-  /// group size (capped at the cluster size); {c} while the quorum is off.
-  /// Static — membership never changes, which is what lets recovery census
-  /// the group without a view protocol.
-  std::vector<NodeId> decision_group(NodeId c) const;
+  /// Replica group of coordinator `c`: c, then the group_size()-1 other
+  /// nodes nearest its region (sort_nearest_first over c+1, c+2, ... mod N,
+  /// so ties keep that order), capped at the cluster size; {c} while the
+  /// quorum is off. Computed from the configuration before the nodes are
+  /// built and never changed, which is what lets recovery census the group
+  /// without a view protocol.
+  const std::vector<NodeId>& decision_group(NodeId c) const {
+    return decision_groups_.at(c);
+  }
+
+  /// Stable-sort `nodes` by one-way latency from region `from`, nearest
+  /// first; ties keep their order. The one distance order behind the
+  /// coordinators' remote-read failover rows and the decision groups.
+  void sort_nearest_first(RegionId from, std::span<NodeId> nodes) const;
 
   // -- in-doubt registry (quorum mode; docs/DURABILITY.md §8) ---------------
   //
@@ -339,6 +349,8 @@ class Cluster {
   std::uint64_t seed_seq_ = 0;  ///< sentinel-writer seq for load() records
   RuntimeFlags flags_;
   verify::HistorySink* history_ = nullptr;
+  /// decision_group() of every node, filled before the nodes are built.
+  std::vector<std::vector<NodeId>> decision_groups_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<char> node_spec_enabled_;
 

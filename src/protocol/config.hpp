@@ -61,8 +61,8 @@ struct DurabilityConfig {
   bool quorum_enabled() const { return wal_enabled && decision_quorum >= 1; }
 
   /// Size of each coordinator's decision replica group, counting the
-  /// coordinator (nodes c, c+1, ... mod N; Cluster::decision_group caps it
-  /// at N): 2*quorum-1, a strict majority, so the barrier survives
+  /// coordinator (c and the nodes nearest its region; Cluster::decision_group
+  /// caps it at N): 2*quorum-1, a strict majority, so the barrier survives
   /// quorum-1 member losses without stalling (with group == quorum, one
   /// dead member wedges every barrier routed through it). 1, the
   /// coordinator alone, while the quorum is off.

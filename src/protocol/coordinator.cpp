@@ -105,6 +105,7 @@ Coordinator::Coordinator(Node& node) : node_(node) {
   t_local_cert_ = &obs.timer("phase.local_cert");
   t_wan_prepare_ = &obs.timer("phase.wan_prepare");
   t_dep_wait_ = &obs.timer("phase.dep_wait");
+  t_decision_durable_ = &obs.timer("phase.decision_durable");
   t_lock_hold_ = &obs.timer("phase.lock_hold");
   t_lock_hold_total_ = &obs.timer("phase.lock_hold_total");
   t_commit_snap_dist_ = &obs.timer("phase.commit_snapshot_distance");
@@ -122,10 +123,9 @@ Coordinator::Coordinator(Node& node) : node_(node) {
   t_spec_latency_ = &obs.timer("txn.speculative_latency");
 
   // Remote-read failover order, a pure function of the topology: each
-  // partition not replicated here, its replicas stable-sorted by one-way
-  // latency from this region (ties keep the partition map's order).
+  // partition not replicated here, its replicas nearest first from this
+  // region (ties keep the partition map's order).
   const PartitionMap& pmap = cluster.pmap();
-  const net::Topology& topo = cluster.network().topology();
   read_order_at_.reserve(pmap.num_partitions() + 1);
   read_order_at_.push_back(0);
   for (PartitionId p = 0; p < pmap.num_partitions(); ++p) {
@@ -133,10 +133,7 @@ Coordinator::Coordinator(Node& node) : node_(node) {
       const auto& replicas = pmap.replicas(p);
       const auto row = read_order_.insert(read_order_.end(), replicas.begin(),
                                           replicas.end());
-      std::stable_sort(row, read_order_.end(), [&](NodeId a, NodeId b) {
-        return topo.one_way(node.region(), cluster.region_of(a)) <
-               topo.one_way(node.region(), cluster.region_of(b));
-      });
+      cluster.sort_nearest_first(node.region(), {row, read_order_.end()});
     }
     read_order_at_.push_back(static_cast<std::uint32_t>(read_order_.size()));
   }
@@ -983,9 +980,12 @@ void Coordinator::finalize_commit(txn::TxnRecord& rec) {
   auto on_writes_durable = [this, tx, ct]() {
     txn::TxnRecord* r = find(tx);
     if (r == nullptr || r->phase != txn::TxnPhase::Committed) return;
-    auto on_decided = [this, tx, ct]() {
+    auto on_decided = [this, tx, ct, appended_at = node_.cluster().now()]() {
       txn::TxnRecord* r2 = find(tx);
       if (r2 == nullptr || r2->phase != txn::TxnPhase::Committed) return;
+      // The commit point: the local sync, plus quorum-1 member acks with
+      // the quorum on.
+      t_decision_durable_->record(node_.cluster().now() - appended_at);
       r2->wal_decision_end = 0;  // decision consumed; offset not live
       // Now — and only now — the decision may answer probes.
       decided_[tx] =

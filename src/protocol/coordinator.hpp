@@ -380,6 +380,7 @@ class Coordinator {
   obs::Timer* t_local_cert_ = nullptr;
   obs::Timer* t_wan_prepare_ = nullptr;
   obs::Timer* t_dep_wait_ = nullptr;
+  obs::Timer* t_decision_durable_ = nullptr;
   obs::Timer* t_lock_hold_ = nullptr;
   obs::Timer* t_lock_hold_total_ = nullptr;
   obs::Timer* t_commit_snap_dist_ = nullptr;

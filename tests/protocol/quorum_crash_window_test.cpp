@@ -175,12 +175,70 @@ TEST(QuorumCrashWindow, ReplicaGroupIsAMajorityOrTheCoordinatorAlone) {
   EXPECT_EQ(d.group_size(), 5u);
 
   // The census asks the coordinator alone while the quorum is off; a group
-  // wider than the cluster is capped at it.
+  // wider than the cluster is capped at it. On a symmetric cluster every
+  // other node ties, so the group keeps the order c+1, c+2, ...
   Cluster::Config cfg = small_config(3, 2, ProtocolConfig::str());
   EXPECT_EQ(Cluster(cfg).decision_group(2), std::vector<NodeId>{2});
   cfg.protocol.durability.wal_enabled = true;
   cfg.protocol.durability.decision_quorum = 3;
   EXPECT_EQ(Cluster(cfg).decision_group(2), (std::vector<NodeId>{2, 0, 1}));
+
+  // On the EC2 matrix each group is the coordinator and the nodes nearest
+  // its region: Oregon waits on California (22 ms) and Virginia (72 ms),
+  // not on Ireland and Frankfurt.
+  Cluster::Config ec2 = small_config(9, 6, ProtocolConfig::str());
+  ec2.topology = net::Topology::ec2_nine_regions();
+  ec2.protocol.durability.wal_enabled = true;
+  ec2.protocol.durability.decision_quorum = 2;
+  const std::vector<std::vector<NodeId>> groups = {
+      {0, 1, 2}, {1, 2, 0}, {2, 1, 0}, {3, 4, 0}, {4, 3, 0},
+      {5, 7, 6}, {6, 5, 7}, {7, 5, 2}, {8, 0, 1}};
+  {
+    Cluster cluster(ec2);
+    for (NodeId c = 0; c < 9; ++c) {
+      EXPECT_EQ(cluster.decision_group(c), groups[c]) << "coordinator " << c;
+      // The fan-out reads the table the census reads.
+      std::vector<NodeId> members(groups[c].begin() + 1, groups[c].end());
+      ASSERT_NE(cluster.node(c).decision_log(), nullptr);
+      EXPECT_EQ(cluster.node(c).decision_log()->members(), members)
+          << "coordinator " << c;
+    }
+  }
+  ec2.protocol.durability.decision_quorum = 3;
+  EXPECT_EQ(Cluster(ec2).decision_group(2),
+            (std::vector<NodeId>{2, 1, 0, 7, 3}));
+}
+
+// The commit point waits on the nearest members. On the EC2 matrix with
+// exact latencies, a write of Oregon's own partition commits 199 ms after
+// it begins: its member ack comes from California, 22 ms away. A group
+// picked by node id, {2, 3, 4}, would wait on Ireland, 131 ms away: 308 ms.
+TEST(QuorumCrashWindow, TheNearestMemberAcksTheCommitPoint) {
+  Cluster::Config cfg = small_config(9, 6, ProtocolConfig::str());
+  cfg.topology = net::Topology::ec2_nine_regions();
+  cfg.protocol.durability.wal_enabled = true;
+  cfg.protocol.durability.decision_quorum = 2;
+  Cluster cluster(cfg);
+  cluster.load(key_at(2, 1), "old");
+  cluster.run_for(msec(100));
+  const Timestamp begin = cluster.now();
+  TxProbe w;
+  // On node 2's shard, so the transaction runs at Oregon's clock.
+  cluster.run_on_node(2, [&] {
+    test::run_write(cluster, cluster.node(2).coordinator(), {key_at(2, 1)},
+                    "new", w);
+  });
+  cluster.run_for(sec(2));
+  ASSERT_TRUE(w.done);
+  EXPECT_EQ(w.result.outcome, TxOutcome::Committed);
+  EXPECT_EQ(w.finished_at - begin, msec(199));
+  // Decision append → commit point: the local sync (4 ms), the 22 ms round
+  // trip and the member's own sync (4 ms); 139 ms with Ireland's 131.
+  const obs::Timer* t =
+      cluster.node(2).obs().find_timer("phase.decision_durable");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->count(), 1u);
+  EXPECT_EQ(t->hist().max(), msec(30));
 }
 
 TEST(QuorumCrashWindow, AMemberWithoutACopyNeverAbortsWhileAnotherIsDown) {

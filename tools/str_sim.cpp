@@ -136,7 +136,8 @@ void usage() {
       "                      record at the log tail (replay truncates it)\n"
       "  --decision-quorum N replicate every commit decision across the\n"
       "                      coordinator's replica group of min(2N-1, nodes)\n"
-      "                      nodes and delay the commit point until N copies\n"
+      "                      nodes (itself and the nodes nearest its region)\n"
+      "                      and delay the commit point until N copies\n"
       "                      (incl. the local one) are durable; the decision\n"
       "                      then survives permanent coordinator loss\n"
       "                      (implies --wal)                          [off]\n");
