@@ -1,13 +1,13 @@
 // WAL append/replay microbenchmark: per-record cost of the durability path.
 //
 // Measures five things over an in-memory SimMedium (synchronous sync, so
-// the numbers isolate CPU cost — encode, frame, checksum, batch bookkeeping
+// the numbers isolate CPU cost — encode, frame, checksum, flush bookkeeping
 // — from the modeled fsync latency the DES charges):
 //
-//   append     — encode_commit + Wal::append, swept over group-commit
-//                batch sizes. Batch 1 syncs every record; larger batches
-//                amortize the flush bookkeeping exactly as a real group
-//                commit amortizes the fsync.
+//   append     — encode_commit + Wal::append. A sync that completes inline
+//                is never in flight when the next record arrives, so every
+//                append begins and completes a sync of its own: the row
+//                charges each record a whole flush's bookkeeping.
 //   quorum     — encode_decision + the ReplicatedDecisionLog ack barrier in
 //                the zero-latency limit (members ack inside the send hook),
 //                so the number isolates the tracking/bookkeeping cost the
@@ -81,19 +81,16 @@ struct RunResult {
   double seconds = 0;
 };
 
-RunResult append_run(std::uint32_t batch, std::uint64_t records,
-                     std::size_t value_bytes) {
-  sim::Scheduler sched;
-  storage::Wal::Options opts;
-  opts.group_commit_batch = batch;
-  // Null scheduler in the medium => sync completes inline; the Wal still
-  // uses `sched` only to arm deadline timers we never need to fire (every
-  // batch fills before its deadline, and stale timers are generation-
-  // checked, so leaving them unprocessed is fine for a bench).
-  storage::Wal wal(sched,
-                   std::make_unique<storage::SimMedium>(
-                       nullptr, /*fsync_latency=*/0, storage::TornWriteFault{}),
-                   opts, storage::Wal::Counters{});
+/// A log whose medium has no scheduler: each sync completes inline.
+storage::Wal inline_wal() {
+  return storage::Wal(std::make_unique<storage::SimMedium>(
+                          nullptr, /*fsync_latency=*/0,
+                          storage::TornWriteFault{}),
+                      storage::Wal::Counters{});
+}
+
+RunResult append_run(std::uint64_t records, std::size_t value_bytes) {
+  storage::Wal wal = inline_wal();
 
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < records; ++i) {
@@ -115,12 +112,7 @@ RunResult append_run(std::uint32_t batch, std::uint64_t records,
 
 RunResult quorum_run(std::uint32_t quorum, std::uint64_t records) {
   sim::Scheduler sched;
-  storage::Wal::Options opts;
-  opts.group_commit_batch = 8;
-  storage::Wal wal(sched,
-                   std::make_unique<storage::SimMedium>(
-                       nullptr, /*fsync_latency=*/0, storage::TornWriteFault{}),
-                   opts, storage::Wal::Counters{});
+  storage::Wal wal = inline_wal();
   storage::ReplicatedDecisionLog::Options dopts;
   dopts.quorum = quorum;
   dopts.members = {1, 2};  // group of 3, counting the origin
@@ -213,10 +205,7 @@ struct Row {
 /// One run of every row.
 std::vector<Row> measure(std::uint64_t records, std::size_t value_bytes) {
   std::vector<Row> rows;
-  for (std::uint32_t batch : {1u, 8u, 64u}) {
-    rows.push_back({"append (batch " + std::to_string(batch) + ")", records,
-                    append_run(batch, records, value_bytes)});
-  }
+  rows.push_back({"append", records, append_run(records, value_bytes)});
 
   // Quorum 1 is the pre-quorum decision append (barrier completes on local
   // durability); 2 and 3 add member-ack tracking over a group of three.
@@ -226,11 +215,7 @@ std::vector<Row> measure(std::uint64_t records, std::size_t value_bytes) {
   }
 
   // Build one log, then time the two read-side paths over it.
-  sim::Scheduler sched;
-  storage::Wal wal(sched,
-                   std::make_unique<storage::SimMedium>(
-                       nullptr, /*fsync_latency=*/0, storage::TornWriteFault{}),
-                   storage::Wal::Options{}, storage::Wal::Counters{});
+  storage::Wal wal = inline_wal();
   for (std::uint64_t i = 0; i < records; ++i) {
     storage::LogBuffer frame;
     storage::encode_commit(frame, TxId{0, i}, i, make_updates(i, value_bytes));

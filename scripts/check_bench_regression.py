@@ -29,9 +29,9 @@ epoch_barriers, cross_shard_posts) must match exactly —
 any drift there is a behaviour change, not a performance change, and the
 golden-determinism test suite is the place to account for it.
 
-bench_wal_append ("wal_append") — every row of the baseline (append
-batches, decision quorums, scan, replay, checkpoint) must be present in the
-fresh run; its records_per_sec is gated at the same threshold, lower being
+bench_wal_append ("wal_append") — every row of the baseline (append,
+decision quorums, scan, replay, checkpoint) must be present in the fresh
+run; its records_per_sec is gated at the same threshold, lower being
 a regression. Each row's log_bytes is a deterministic size and must match
 exactly. BENCH_WAL.json is the full-size baseline; runs with a different
 record count or value size are refused.

@@ -109,8 +109,10 @@ struct ExperimentResult {
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t rpc_retries = 0;
   std::uint64_t orphan_aborts = 0;
-  /// Client-acked commits that recovery later aborted (quorum mode; any
-  /// nonzero value is a durability contract violation).
+  /// Replica aborts of client-acked transactions ("recovery.lost_commits":
+  /// one per participant replica that recovery aborted such a transaction
+  /// at, not one per transaction; any nonzero value is a durability
+  /// contract violation).
   std::uint64_t lost_commits = 0;
   /// Transport-level retransmits (sum of "wire.resent.*") and connection
   /// re-establishments — zero except in real-transport runs, where they

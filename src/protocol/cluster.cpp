@@ -279,8 +279,8 @@ std::unique_ptr<storage::Wal> Cluster::make_wal(
   const DurabilityConfig& d = config_.protocol.durability;
   const storage::TornWriteFault torn{config_.faults.storage.torn_write_prob,
                                      &storage_rng_};
-  // The log and its medium live on the owning node's shard: group-commit
-  // timers and fsync completions are intra-node events.
+  // The medium lives on the owning node's shard: its fsync completions are
+  // intra-node events.
   sim::Scheduler& sched = sharded_.shard(shard_of(owner));
   std::unique_ptr<storage::Medium> medium;
   if (d.wal_dir.empty()) {
@@ -291,10 +291,7 @@ std::unique_ptr<storage::Wal> Cluster::make_wal(
                                                    &sched, d.fsync_latency,
                                                    torn);
   }
-  storage::Wal::Options opts;  // the group-commit interval is its default
-  opts.group_commit_batch = d.group_commit_batch;
-  return std::make_unique<storage::Wal>(sched, std::move(medium), opts,
-                                        counters);
+  return std::make_unique<storage::Wal>(std::move(medium), counters);
 }
 
 Cluster::QuiesceReport Cluster::quiesce_report() const {

@@ -31,13 +31,13 @@ struct DurabilityConfig {
   bool wal_enabled = false;
 
   /// Modeled fsync latency charged per Medium::sync (virtual time). This is
-  /// what makes group commit measurable: N records per flush amortize one
-  /// fsync across N acks.
+  /// what makes group commit measurable: the records appended while one
+  /// sync is in flight share the next one.
   Timestamp fsync_latency = msec(2);
 
-  /// Group commit: flush when a batch reaches this many records, or
-  /// Wal::Options::group_commit_interval (2 ms) after the first unflushed
-  /// record, whichever is first.
+  /// No effect: a log begins a sync as soon as it has records and none is
+  /// in flight (storage::Wal), whatever this holds. Kept for callers that
+  /// still assign it.
   std::uint32_t group_commit_batch = 8;
 
   /// Checkpoint a partition WAL (snapshot + truncate) once this many bytes

@@ -228,7 +228,7 @@ void PartitionActor::handle_prepare(const PrepareRequest& req) {
     // 2PC participant rule: the positive ack (and the replicate fan-out it
     // authorizes) leaves this node only after the prepare record is on
     // stable storage. A duplicate re-ack rides a sync instead — its record
-    // is already in the log, possibly still in an open group-commit batch.
+    // is already in the log, possibly not yet durable.
     auto finish = [this, reply, coordinator = req.coordinator, rs = req.rs,
                    updates = req.updates, fan_out]() mutable {
       finish_prepare(std::move(reply), coordinator, rs, std::move(updates),
@@ -295,7 +295,7 @@ void PartitionActor::handle_replicate(const ReplicateRequest& req) {
   if (store_.has_uncommitted(req.tx)) {
     // Duplicate delivery or master re-send: the pre-commit is already in
     // place, so just re-ack with the recorded proposal (after a durability
-    // sync in WAL mode — the record may sit in an open batch).
+    // sync in WAL mode — the record may not be durable yet).
     reply.proposed_ts = store_.uncommitted_ts(req.tx);
     if (wal_ != nullptr) {
       wal_->sync([this, reply, coordinator = req.coordinator]() mutable {
@@ -509,8 +509,9 @@ void PartitionActor::resolve_orphan(const TxId& tx, TxDecision d,
   Cluster& cluster = node_.cluster();
   const bool committed = d == TxDecision::Committed;
   if (!committed) {
-    // recovery.lost_commits flags the (invariant-violating) abort of a
-    // transaction whose client was acked Commit.
+    // recovery.lost_commits counts each replica that aborts (an
+    // invariant violation) a transaction whose client was acked Commit:
+    // one such transaction counts once per participant replica.
     c_orphan_aborts_->inc();
     if (cluster.commit_acked(tx)) {
       STR_ERROR("lost commit: recovery aborted client-acked txn n%u#%llu",

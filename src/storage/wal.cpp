@@ -365,12 +365,8 @@ Wal::Counters Wal::register_counters(obs::Registry& reg) {
   return c;
 }
 
-Wal::Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium,
-         Options options, Counters counters)
-    : sched_(sched),
-      medium_(std::move(medium)),
-      options_(options),
-      counters_(counters) {
+Wal::Wal(std::unique_ptr<Medium> medium, Counters counters)
+    : medium_(std::move(medium)), counters_(counters) {
   end_offset_ = medium_->durable_size();
 }
 
@@ -382,13 +378,8 @@ std::uint64_t Wal::append(LogBuffer frame, UniqueFunction<void()> on_durable) {
   ++pending_count_;
   if (on_durable) pending_cbs_.push_back(std::move(on_durable));
   if (counters_.records != nullptr) counters_.records->inc();
-  if (!medium_->sync_in_flight()) {
-    if (pending_count_ >= options_.group_commit_batch) {
-      begin_flush();
-    } else {
-      arm_deadline();
-    }
-  }
+  if (!medium_->sync_in_flight()) begin_flush();
+  check_rule();
   return end_offset_;
 }
 
@@ -397,24 +388,16 @@ void Wal::sync(UniqueFunction<void()> cb) {
     if (cb) cb();
     return;
   }
-  if (pending_count_ == 0) {
-    // Nothing new to flush — ride the in-flight sync.
-    if (cb) inflight_cbs_.push_back(std::move(cb));
-    return;
-  }
-  if (cb) pending_cbs_.push_back(std::move(cb));
-  if (medium_->sync_in_flight()) {
-    force_next_ = true;  // flush the batch as soon as the current sync lands
-  } else {
-    begin_flush();
+  // Ride the sync that covers the tail: the next one when records wait
+  // behind the one in flight.
+  if (cb) {
+    (pending_count_ > 0 ? pending_cbs_ : inflight_cbs_).push_back(
+        std::move(cb));
   }
 }
 
 void Wal::begin_flush() {
   STR_ASSERT_MSG(!medium_->sync_in_flight(), "flush over an in-flight sync");
-  ++gen_;  // retire any armed deadline timer
-  deadline_armed_ = false;
-  force_next_ = false;
   pending_count_ = 0;
   inflight_cbs_ = std::move(pending_cbs_);
   pending_cbs_.clear();
@@ -428,25 +411,14 @@ void Wal::begin_flush() {
     std::vector<UniqueFunction<void()>> cbs = std::move(inflight_cbs_);
     inflight_cbs_.clear();
     for (auto& cb : cbs) cb();
-    if (!medium_->sync_in_flight() && pending_count_ > 0) {
-      if (force_next_ || pending_count_ >= options_.group_commit_batch) {
-        begin_flush();
-      } else {
-        arm_deadline();
-      }
-    }
+    if (!medium_->sync_in_flight() && pending_count_ > 0) begin_flush();
+    check_rule();
   });
 }
 
-void Wal::arm_deadline() {
-  if (deadline_armed_) return;  // the earliest deadline stands
-  deadline_armed_ = true;
-  sched_.schedule_after(options_.group_commit_interval,
-                        [this, gen = gen_]() {
-                          if (gen != gen_) return;  // flushed or crashed
-                          deadline_armed_ = false;
-                          if (pending_count_ > 0) begin_flush();
-                        });
+void Wal::check_rule() const {
+  STR_ASSERT_MSG(pending_count_ == 0 || medium_->sync_in_flight(),
+                 "WAL records pending with no sync in flight");
 }
 
 void Wal::crash() {
@@ -454,9 +426,6 @@ void Wal::crash() {
   pending_cbs_.clear();
   inflight_cbs_.clear();
   pending_count_ = 0;
-  force_next_ = false;
-  ++gen_;  // retire the deadline timer
-  deadline_armed_ = false;
   end_offset_ = medium_->durable_size();
 }
 

@@ -33,11 +33,14 @@
 //                 prefix: replay starts from the latest checkpoint, and the
 //                 Wal keeps its size to count what was appended since.
 //
-// The Wal adds group-commit batching over a Medium: appends accumulate and
-// one sync covers the whole batch, beginning when the batch reaches
-// `group_commit_batch` records or `group_commit_interval` after the first
-// unflushed append, whichever is first. Per-record durability callbacks run
-// at the covering sync's completion, in append order. Appends are whole
+// The Wal adds group commit over a Medium without a timer: an append to a
+// log with no sync in flight begins one at once, and records appended while
+// a sync is in flight form the next batch, whose sync begins the moment the
+// current one completes. Pending records therefore always imply a sync in
+// flight (between completions: a completion runs its callbacks before it
+// begins the next sync, so records the callbacks append join that batch).
+// Per-record durability callbacks run at the completion of the first sync
+// begun at or after their append, in append order. Appends are whole
 // frames and a sync covers whole appends, so no frame spans two of the
 // medium's durable chunks. The scan checks every frame's checksum over its
 // logical bytes and decodes a value held as a slice to that same payload,
@@ -53,7 +56,6 @@
 #include "common/types.hpp"
 #include "common/unique_function.hpp"
 #include "obs/registry.hpp"
-#include "sim/scheduler.hpp"
 #include "storage/medium.hpp"
 
 namespace str::storage {
@@ -137,14 +139,10 @@ WalScanResult scan_wal(const LogBuffer& bytes,
 WalScanResult scan_wal(const DurableChunks& chunks,
                        const std::function<void(const WalRecord&)>& visit);
 
-/// Group-commit batching over a Medium. Not thread-safe; one per log.
+/// Group commit over a Medium: a sync begins whenever the log has records
+/// to flush and no sync in flight. Not thread-safe; one per log.
 class Wal {
  public:
-  struct Options {
-    std::uint32_t group_commit_batch = 8;
-    Timestamp group_commit_interval = msec(2);
-  };
-
   /// All-nullable counter hooks (standalone logs in tests and benches
   /// leave them null). A cluster node registers them with itself through
   /// register_counters, WAL on or off, and all its logs share them.
@@ -160,17 +158,17 @@ class Wal {
   /// Register the six "wal.*" counters in `reg`.
   static Counters register_counters(obs::Registry& reg);
 
-  Wal(sim::Scheduler& sched, std::unique_ptr<Medium> medium, Options options,
-      Counters counters);
+  Wal(std::unique_ptr<Medium> medium, Counters counters);
 
-  /// Append one framed record. `on_durable` (optional) runs when the sync
-  /// covering this record completes. Returns the record's end offset in the
-  /// current log coordinates (compare against durable_prefix()).
+  /// Append one framed record; on a log with no sync in flight its sync
+  /// begins at once. `on_durable` (optional) runs when the sync covering
+  /// this record completes. Returns the record's end offset in the current
+  /// log coordinates (compare against durable_prefix()).
   std::uint64_t append(LogBuffer frame,
                        UniqueFunction<void()> on_durable = {});
 
-  /// Force-flush everything appended so far; `cb` runs once the current
-  /// tail is durable (immediately when the log is already clean).
+  /// `cb` runs once everything appended so far is durable: now when the
+  /// log is idle, else at the completion of the sync that covers the tail.
   void sync(UniqueFunction<void()> cb);
 
   /// Fail-stop crash: the medium resolves its in-flight chunk (torn-write
@@ -211,24 +209,21 @@ class Wal {
 
  private:
   void begin_flush();
-  void arm_deadline();
+  /// The rule's invariant, which holds whenever no completion is running
+  /// its callbacks: pending records imply a sync in flight.
+  void check_rule() const;
 
-  sim::Scheduler& sched_;
   std::unique_ptr<Medium> medium_;
-  Options options_;
   Counters counters_;
-  /// Callbacks of records in the unflushed batch / the in-flight sync.
+  /// Callbacks of records in the next batch / the in-flight sync.
   std::vector<UniqueFunction<void()>> pending_cbs_;
   std::vector<UniqueFunction<void()>> inflight_cbs_;
+  /// Records appended since the in-flight sync began: the next batch.
   std::uint32_t pending_count_ = 0;
   std::uint64_t end_offset_ = 0;
   /// Size of the checkpoint frame the durable log starts with, or 0.
   std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t inflight_bytes_ = 0;
-  bool force_next_ = false;  ///< sync() arrived while a flush was in flight
-  /// Invalidates the armed deadline timer (bumped by begin_flush and crash).
-  std::uint64_t gen_ = 0;
-  bool deadline_armed_ = false;
 };
 
 }  // namespace str::storage

@@ -220,8 +220,9 @@ TEST(Recovery, OrphanResolvedFromDecisionLogAfterRestart) {
 
 /// Node 0 writes a key of node 1's partition (replicas 1 and 2) and dies for
 /// good at 100 ms, in the middle of 2PC: its prepare reached node 1 at 60 ms
-/// and node 1's replicate reaches node 2 at 110 ms (4 ms later with the
-/// WAL's prepare sync), but no reply makes it back and no decision exists.
+/// and node 1's replicate reaches node 2 at 110 ms (2 ms later with the
+/// WAL: the one fsync of its prepare), but no reply makes it back and no
+/// decision exists.
 /// Both participants are left holding an orphan. `quorum` 0 runs without a
 /// WAL and without a decision quorum.
 Cluster::Config mid_commit_kill_config(std::uint32_t quorum) {
@@ -276,8 +277,8 @@ TEST(Recovery, OneCensusAbortsAMidCommitOrphanInEveryMode) {
   };
   const Mode modes[] = {
       {0, {msec(3060), msec(3110)}, 0},
-      {1, {msec(3060), msec(3114)}, 0},
-      {2, {msec(3160), msec(3214)}, 2 * 3},
+      {1, {msec(3060), msec(3112)}, 0},
+      {2, {msec(3160), msec(3212)}, 2 * 3},
   };
   for (const Mode& m : modes) {
     const std::string at = "quorum=" + std::to_string(m.quorum);
@@ -299,9 +300,9 @@ TEST(Recovery, OneCensusAbortsAMidCommitOrphanInEveryMode) {
 TEST(Recovery, DuplicatedOrLateCensusAnswersCountOncePerRound) {
   // Every message delivered twice: each member answers each probe twice,
   // and each answer arrives twice, yet every round counts once — the
-  // orphans still abort on the third round. Node 2 tracks its orphan 2 ms
-  // earlier here: the duplicated prepare's re-ack syncs node 1's WAL batch
-  // before the group-commit interval would have.
+  // orphans still abort on the third round, at the same instants as
+  // without duplicates: the duplicated prepare's re-ack rides the sync of
+  // node 1's prepare that is already in flight.
   {
     Cluster::Config cfg = mid_commit_kill_config(2);
     cfg.faults.link.dup_prob = 1.0;
@@ -329,7 +330,7 @@ TEST(Recovery, DuplicatedOrLateCensusAnswersCountOncePerRound) {
   participant->on_decision_reply(late);
   EXPECT_EQ(participant->awaiting_decisions(), 1u);
   EXPECT_EQ(k.resolutions(sec(10)),
-            (std::vector<Timestamp>{msec(3160), msec(3214)}));
+            (std::vector<Timestamp>{msec(3160), msec(3212)}));
   EXPECT_EQ(counter_value(k.cluster, "txn.orphan_aborts"), 2u);
 }
 

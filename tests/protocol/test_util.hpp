@@ -1,11 +1,14 @@
 // Shared helpers for protocol-level tests: small cluster factories and
-// canned transaction bodies written as parameterized coroutines.
+// canned transactions, each a parameterized coroutine begun on its
+// coordinator's shard.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "protocol/cluster.hpp"
 #include "protocol/coordinator.hpp"
 #include "sim/coro.hpp"
@@ -58,10 +61,11 @@ inline sim::Fiber watch_outcome(protocol::Cluster& cluster,
   probe.finished_at = cluster.now();
 }
 
-/// Read-modify-write over `keys`: read each, then write `val`.
-inline sim::Fiber run_rmw(protocol::Cluster& cluster,
-                          protocol::Coordinator& coord, std::vector<Key> keys,
-                          Value val, TxProbe& probe) {
+namespace detail {
+
+inline sim::Fiber rmw_body(protocol::Cluster& cluster,
+                           protocol::Coordinator& coord, std::vector<Key> keys,
+                           Value val, TxProbe& probe) {
   probe.tx = coord.begin();
   watch_outcome(cluster, coord, probe.tx, probe);
   for (Key k : keys) {
@@ -73,10 +77,9 @@ inline sim::Fiber run_rmw(protocol::Cluster& cluster,
   coord.commit(probe.tx);
 }
 
-/// Read-only transaction over `keys`.
-inline sim::Fiber run_reads(protocol::Cluster& cluster,
-                            protocol::Coordinator& coord, std::vector<Key> keys,
-                            TxProbe& probe) {
+inline sim::Fiber reads_body(protocol::Cluster& cluster,
+                             protocol::Coordinator& coord,
+                             std::vector<Key> keys, TxProbe& probe) {
   probe.tx = coord.begin();
   watch_outcome(cluster, coord, probe.tx, probe);
   for (Key k : keys) {
@@ -87,15 +90,48 @@ inline sim::Fiber run_reads(protocol::Cluster& cluster,
   coord.commit(probe.tx);
 }
 
+/// Run `start` on the shard of the node whose coordinator `coord` is, as
+/// workload::Client does: called between run_for calls, the transaction
+/// then begins at that node's clock, not at shard 0's.
+inline void on_coordinator(protocol::Cluster& cluster,
+                           const protocol::Coordinator& coord,
+                           const std::function<void()>& start) {
+  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+    if (&cluster.node(n).coordinator() == &coord) {
+      cluster.run_on_node(n, start);
+      return;
+    }
+  }
+  STR_ASSERT_MSG(false, "a coordinator of no node of this cluster");
+}
+
+}  // namespace detail
+
+/// Read-modify-write over `keys`: read each, then write `val`.
+inline void run_rmw(protocol::Cluster& cluster, protocol::Coordinator& coord,
+                    std::vector<Key> keys, Value val, TxProbe& probe) {
+  detail::on_coordinator(cluster, coord, [&] {
+    detail::rmw_body(cluster, coord, std::move(keys), std::move(val), probe);
+  });
+}
+
+/// Read-only transaction over `keys`.
+inline void run_reads(protocol::Cluster& cluster, protocol::Coordinator& coord,
+                      std::vector<Key> keys, TxProbe& probe) {
+  detail::on_coordinator(cluster, coord, [&] {
+    detail::reads_body(cluster, coord, std::move(keys), probe);
+  });
+}
+
 /// Blind write (no reads).
-inline sim::Fiber run_write(protocol::Cluster& cluster,
-                            protocol::Coordinator& coord,
-                            std::vector<Key> keys, Value val, TxProbe& probe) {
-  probe.tx = coord.begin();
-  watch_outcome(cluster, coord, probe.tx, probe);
-  for (Key k : keys) coord.write(probe.tx, k, val);
-  coord.commit(probe.tx);
-  co_return;
+inline void run_write(protocol::Cluster& cluster, protocol::Coordinator& coord,
+                      std::vector<Key> keys, Value val, TxProbe& probe) {
+  detail::on_coordinator(cluster, coord, [&] {
+    probe.tx = coord.begin();
+    watch_outcome(cluster, coord, probe.tx, probe);
+    for (Key k : keys) coord.write(probe.tx, k, val);
+    coord.commit(probe.tx);
+  });
 }
 
 }  // namespace str::test

@@ -27,7 +27,6 @@ struct SendRecord {
 
 struct Fixture {
   sim::Scheduler sched;
-  Wal::Options wal_options;
   std::unique_ptr<Wal> wal;
   std::unique_ptr<ReplicatedDecisionLog> log;
   std::vector<SendRecord> sends;
@@ -35,13 +34,10 @@ struct Fixture {
 
   explicit Fixture(std::uint32_t quorum, std::vector<NodeId> members,
                    Timestamp retransmit = msec(10)) {
-    wal_options.group_commit_batch = 1;  // flush on every append
-    wal_options.group_commit_interval = msec(2);
     wal = std::make_unique<Wal>(
-        sched,
         std::make_unique<SimMedium>(&sched, /*fsync=*/msec(1),
                                     TornWriteFault{}),
-        wal_options, Wal::Counters{});
+        Wal::Counters{});
     ReplicatedDecisionLog::Options o;
     o.quorum = quorum;
     o.members = std::move(members);

@@ -1,23 +1,26 @@
 // WAL unit tests: record framing (pinned byte layout, the outcome-only
 // commit) and the checksum scan (torn tails, bit flips, malformed bodies,
-// out-of-range fields, forged counts, resealed random mutations),
-// group-commit batching over SimMedium (batch-size and deadline flush
-// triggers, callback ordering, crash semantics), torn-write crash
-// resolution, checkpoint rewrite and the bytes appended since it, chunked
-// durable storage, payloads held by reference, and the FileMedium mirror
-// round-trip.
+// out-of-range fields, forged counts, resealed random mutations), group
+// commit over SimMedium (a sync begins as soon as an idle log gets a record,
+// records appended mid-sync form the next batch, callback ordering, crash
+// semantics, and a seeded property test of the rule against a model of
+// it), torn-write crash resolution, checkpoint rewrite and the bytes
+// appended since it, chunked durable storage, payloads held by reference,
+// and the FileMedium mirror round-trip.
 #include "storage/wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/registry.hpp"
 #include "sim/scheduler.hpp"
 #include "storage/medium.hpp"
 #include "wire/codec.hpp"
@@ -446,16 +449,12 @@ TEST(WalFuzz, ResealedMutationsDecodeTheirOwnBytesOrStopTheScan) {
 
 struct WalFixture {
   sim::Scheduler sched;
-  Wal::Options options;
   std::unique_ptr<Wal> wal;
 
-  explicit WalFixture(std::uint32_t batch = 3, Timestamp interval = msec(2),
-                      Timestamp fsync = msec(1), TornWriteFault torn = {}) {
-    options.group_commit_batch = batch;
-    options.group_commit_interval = interval;
+  explicit WalFixture(Timestamp fsync = msec(1), TornWriteFault torn = {},
+                      Wal::Counters counters = {}) {
     wal = std::make_unique<Wal>(
-        sched, std::make_unique<SimMedium>(&sched, fsync, torn), options,
-        Wal::Counters{});
+        std::make_unique<SimMedium>(&sched, fsync, torn), counters);
   }
 
   std::uint64_t append_abort(const TxId& tx,
@@ -466,31 +465,45 @@ struct WalFixture {
   }
 };
 
-TEST(Wal, BatchSizeTriggersFlushAndRunsCallbacksInOrder) {
-  WalFixture f(/*batch=*/3, /*interval=*/msec(50), /*fsync=*/msec(1));
-  std::vector<int> order;
-  f.append_abort(TxId{1, 1}, [&]() { order.push_back(1); });
-  f.append_abort(TxId{1, 2}, [&]() { order.push_back(2); });
-  f.sched.run_until(msec(0));  // same instant: nothing flushed yet
-  EXPECT_TRUE(order.empty());
-  EXPECT_FALSE(f.wal->idle());
-
-  f.append_abort(TxId{1, 3}, [&]() { order.push_back(3); });  // batch full
-  f.sched.run_until(msec(1));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(f.wal->idle());
-  EXPECT_EQ(f.wal->durable_prefix(), f.wal->end_offset());
-}
-
-TEST(Wal, DeadlineTriggersFlushForAPartialBatch) {
-  WalFixture f(/*batch=*/8, /*interval=*/msec(2), /*fsync=*/msec(1));
+TEST(Wal, AppendToAnIdleLogBeginsItsSyncAtOnce) {
+  WalFixture f(/*fsync=*/msec(1));
   bool durable = false;
   f.append_abort(TxId{1, 1}, [&]() { durable = true; });
-  f.sched.run_until(msec(1));
-  EXPECT_FALSE(durable);  // deadline at 2ms has not fired
-  f.sched.run_until(msec(3));  // deadline + fsync latency
+  EXPECT_TRUE(f.wal->medium().sync_in_flight());  // no timer to wait for
+  f.sched.run_until(msec(1) - 1);
+  EXPECT_FALSE(durable);
+  f.sched.run_until(msec(1));  // one fsync latency after the append
   EXPECT_TRUE(durable);
   EXPECT_TRUE(f.wal->idle());
+  EXPECT_EQ(f.wal->durable_prefix(), f.wal->end_offset());
+  EXPECT_EQ(f.sched.executed(), 1u);  // the fsync completion, nothing else
+}
+
+TEST(Wal, RecordsAppendedMidSyncFormTheNextBatchInAppendOrder) {
+  obs::Registry reg;
+  WalFixture f(/*fsync=*/msec(1), TornWriteFault{},
+               Wal::register_counters(reg));
+  std::vector<int> order;
+  f.append_abort(TxId{1, 1}, [&]() { order.push_back(1); });  // sync 1 begins
+  f.sched.run_until(msec(0) + 300);
+  f.append_abort(TxId{1, 2}, [&]() { order.push_back(2); });  // wait behind it
+  const std::uint64_t end = f.append_abort(TxId{1, 3}, [&]() {
+    order.push_back(3);
+  });
+  EXPECT_FALSE(f.wal->idle());
+
+  f.sched.run_until(msec(1));  // sync 1 lands; sync 2 begins at once
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(f.wal->medium().sync_in_flight());
+  EXPECT_LT(f.wal->durable_prefix(), end);
+
+  f.sched.run_until(msec(2));  // one fsync later, both records at once
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(f.wal->idle());
+  EXPECT_EQ(f.wal->durable_prefix(), end);
+  EXPECT_EQ(reg.counter("wal.records").value(), 3u);
+  EXPECT_EQ(reg.counter("wal.flushes").value(), 2u);
+  EXPECT_EQ(reg.counter("wal.flushed_bytes").value(), end);
 }
 
 TEST(Wal, SyncOnCleanLogCompletesImmediately) {
@@ -501,19 +514,32 @@ TEST(Wal, SyncOnCleanLogCompletesImmediately) {
 }
 
 TEST(Wal, SyncForcesAPartialBatchOut) {
-  WalFixture f(/*batch=*/8, /*interval=*/msec(50), /*fsync=*/msec(1));
+  // sync() rides the sync that covers the tail: the one in flight when no
+  // record waits behind it, else the next.
+  WalFixture f(/*fsync=*/msec(1));
   f.append_abort(TxId{1, 1});
-  bool done = false;
-  f.wal->sync([&]() { done = true; });
+  bool first = false;
+  f.wal->sync([&]() { first = true; });
   f.sched.run_until(msec(1));
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(first);
+  EXPECT_EQ(f.wal->durable_prefix(), f.wal->end_offset());
+
+  f.append_abort(TxId{1, 2});
+  f.append_abort(TxId{1, 3});  // a partial batch behind the sync in flight
+  bool second = false;
+  f.wal->sync([&]() { second = true; });
+  f.sched.run_until(msec(2));
+  EXPECT_FALSE(second);
+  f.sched.run_until(msec(3));
+  EXPECT_TRUE(second);
   EXPECT_EQ(f.wal->durable_prefix(), f.wal->end_offset());
 }
 
 TEST(Wal, CrashDropsUnflushedRecordsAndTheirCallbacks) {
-  WalFixture f(/*batch=*/8, /*interval=*/msec(50), /*fsync=*/msec(1));
+  WalFixture f(/*fsync=*/msec(1));
   bool ran = false;
-  f.append_abort(TxId{1, 1}, [&]() { ran = true; });
+  f.append_abort(TxId{1, 0});  // its sync is in flight
+  f.append_abort(TxId{1, 1}, [&]() { ran = true; });  // waits behind it
   f.wal->crash();
   f.sched.run_until(msec(100));
   EXPECT_FALSE(ran);
@@ -530,7 +556,7 @@ TEST(Wal, CrashDropsUnflushedRecordsAndTheirCallbacks) {
 }
 
 TEST(Wal, CrashMidFlushWithoutTornFaultLosesTheWholeChunk) {
-  WalFixture f(/*batch=*/1, /*interval=*/msec(2), /*fsync=*/msec(5));
+  WalFixture f(/*fsync=*/msec(5));
   bool ran = false;
   f.append_abort(TxId{1, 1}, [&]() { ran = true; });  // flush begins now
   f.sched.run_until(msec(2));                         // fsync still in flight
@@ -550,10 +576,12 @@ TEST(Wal, TornCrashPersistsOnlyACheckedPrefix) {
     for (int run = 0; run < 2; ++run) {
       Rng rng(seed);
       TornWriteFault torn{1.0, &rng};
-      WalFixture f(/*batch=*/4, msec(2), msec(5), torn);
-      for (std::uint64_t i = 1; i <= 4; ++i) f.append_abort(TxId{1, i});
+      WalFixture f(/*fsync=*/msec(5), torn);
+      // Four records wait behind a first one's sync and share the next.
+      for (std::uint64_t i = 0; i <= 4; ++i) f.append_abort(TxId{1, i});
       const std::uint64_t full = f.wal->end_offset();
-      f.sched.run_until(msec(1));  // sync in flight
+      f.sched.run_until(msec(6));  // the sync of the four is in flight
+      EXPECT_TRUE(f.wal->medium().sync_in_flight());
       f.wal->crash();
 
       const std::uint64_t prefix = f.wal->durable_prefix();
@@ -578,7 +606,7 @@ TEST(Wal, TornCrashPersistsOnlyACheckedPrefix) {
 }
 
 TEST(Wal, RewriteReplacesTheLogWithACheckpoint) {
-  WalFixture f(/*batch=*/1, msec(2), msec(1));
+  WalFixture f(/*fsync=*/msec(1));
   for (std::uint64_t i = 1; i <= 5; ++i) f.append_abort(TxId{1, i});
   f.sched.run_until(msec(20));
   ASSERT_TRUE(f.wal->idle());
@@ -605,7 +633,7 @@ TEST(Wal, AppendedSinceCheckpointLeavesOutTheImage) {
   // the log's leading checkpoint, through a crash that tears a sync, the
   // replay that truncates it, and a replay of the log adopted whole.
   Rng rng(3);
-  WalFixture f(/*batch=*/2, msec(2), msec(5), TornWriteFault{1.0, &rng});
+  WalFixture f(/*fsync=*/msec(5), TornWriteFault{1.0, &rng});
   f.append_abort(TxId{1, 1});
   f.append_abort(TxId{1, 2});
   f.sched.run_until(msec(10));
@@ -626,8 +654,8 @@ TEST(Wal, AppendedSinceCheckpointLeavesOutTheImage) {
   ASSERT_TRUE(f.wal->idle());
   EXPECT_EQ(f.wal->appended_since_checkpoint(), synced - image);
 
-  f.append_abort(TxId{2, 3});
-  f.append_abort(TxId{2, 4});  // its sync is in flight at the crash
+  f.append_abort(TxId{2, 3});  // its sync is in flight at the crash
+  f.append_abort(TxId{2, 4});
   f.wal->crash();
   const WalScanResult r = f.wal->replay(nullptr);
   EXPECT_GE(r.valid_bytes, synced);
@@ -638,7 +666,7 @@ TEST(Wal, AppendedSinceCheckpointLeavesOutTheImage) {
   auto medium = std::make_unique<SimMedium>(&f.sched, msec(1),
                                             TornWriteFault{});
   medium->reset_durable(LogBuffer(concat(f.wal->medium().durable_chunks())));
-  Wal adopted(f.sched, std::move(medium), f.options, Wal::Counters{});
+  Wal adopted(std::move(medium), Wal::Counters{});
   EXPECT_EQ(adopted.appended_since_checkpoint(), r.valid_bytes);
   adopted.replay(nullptr);
   EXPECT_EQ(adopted.appended_since_checkpoint(), r.valid_bytes - image);
@@ -655,13 +683,214 @@ TEST(Wal, AppendedSinceCheckpointLeavesOutTheImage) {
 }
 
 TEST(Wal, AppendReturnsEndOffsetsComparableToDurablePrefix) {
-  WalFixture f(/*batch=*/2, msec(50), msec(1));
+  WalFixture f(/*fsync=*/msec(1));
   const std::uint64_t e1 = f.append_abort(TxId{1, 1});
   const std::uint64_t e2 = f.append_abort(TxId{1, 2});
   EXPECT_GT(e2, e1);
   EXPECT_LT(f.wal->durable_prefix(), e1);  // nothing durable yet
+  f.sched.run_until(msec(1));
+  EXPECT_EQ(f.wal->durable_prefix(), e1);  // the first sync covered one
   f.sched.run_until(msec(2));
-  EXPECT_GE(f.wal->durable_prefix(), e2);  // batch of 2 flushed
+  EXPECT_GE(f.wal->durable_prefix(), e2);  // the second, the other
+}
+
+// -- the rule, property-tested ----------------------------------------------
+
+/// What the rule predicts for one log, driven beside it: the sync in flight
+/// and the batch waiting behind it, the bytes each covers, and the time
+/// each registered callback is owed.
+struct RuleModel {
+  Timestamp fsync = 0;
+  bool in_flight = false;
+  Timestamp done_at = 0;  ///< completion of the sync in flight
+  bool waiting = false;   ///< records appended since that sync began
+  std::uint64_t inflight_bytes = 0;
+  std::uint64_t waiting_bytes = 0;
+  std::uint64_t durable = 0;  ///< bytes whose sync completed
+  std::uint64_t begun = 0;    ///< syncs begun
+  std::uint64_t completed = 0;
+
+  /// Complete every sync due by `now`; each that finds a batch waiting
+  /// begins the next at its own completion.
+  void settle(Timestamp now) {
+    while (in_flight && done_at <= now) {
+      durable += inflight_bytes;
+      ++completed;
+      in_flight = waiting;
+      inflight_bytes = std::exchange(waiting_bytes, 0);
+      if (waiting) {
+        done_at += fsync;
+        ++begun;
+        waiting = false;
+      }
+    }
+  }
+
+  /// An append of `bytes` at `now`: returns when its callback is owed.
+  Timestamp append(Timestamp now, std::uint64_t bytes) {
+    if (!in_flight) {
+      in_flight = true;
+      done_at = now + fsync;
+      inflight_bytes = bytes;
+      ++begun;
+      return done_at;
+    }
+    waiting = true;
+    waiting_bytes += bytes;
+    return done_at + fsync;
+  }
+
+  /// A sync() at `now`: when its callback is owed.
+  Timestamp sync(Timestamp now) const {
+    if (!in_flight) return now;
+    return waiting ? done_at + fsync : done_at;
+  }
+
+  /// A crash loses the sync in flight and the batch behind it.
+  void crash() {
+    in_flight = false;
+    waiting = false;
+    inflight_bytes = 0;
+    waiting_bytes = 0;
+  }
+};
+
+TEST(Wal, RandomAppendsSyncsAndCrashesKeepTheRule) {
+  // Seeded random sequences of appends (with and without callbacks),
+  // sync() calls, scheduler steps and crashes (torn or clean, each followed
+  // by the restart's replay), checked after every step against RuleModel:
+  // pending records imply a sync in flight, each callback runs once, in
+  // registration order, at the completion the rule owes it (a lone append
+  // to an idle log: exactly one fsync latency later) unless a crash came
+  // first, and the durable prefix never passes the end offset. Every event
+  // the scheduler runs is an fsync completion.
+  constexpr Timestamp kFsync = msec(2);
+  std::uint64_t lone_appends = 0;
+  std::uint64_t batched_appends = 0;
+  std::uint64_t callbacks_run = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t torn_tails = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Rng fault_rng(seed * 0x9e3779b97f4a7c15ULL);
+    const double torn_prob = (seed % 3 == 0) ? 0.0 : (seed % 3 == 1 ? 1.0
+                                                                    : 0.5);
+    obs::Registry reg;
+    WalFixture f(kFsync, TornWriteFault{torn_prob, &fault_rng},
+                 Wal::register_counters(reg));
+    Wal& wal = *f.wal;
+    RuleModel model;
+    model.fsync = kFsync;
+
+    struct Owed {
+      std::uint64_t id;
+      Timestamp due;
+    };
+    std::deque<Owed> owed;  // registration order
+    std::vector<std::pair<std::uint64_t, Timestamp>> ran;
+    std::uint64_t next_id = 0;
+    auto callback = [&](std::uint64_t id) {
+      return [&ran, &f, id]() { ran.emplace_back(id, f.sched.now()); };
+    };
+
+    auto check = [&](int step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      model.settle(f.sched.now());
+      for (const auto& [id, at] : ran) {
+        ASSERT_FALSE(owed.empty()) << "callback " << id << " ran unowed";
+        EXPECT_EQ(id, owed.front().id) << "out of registration order";
+        EXPECT_EQ(at, owed.front().due) << "callback " << id;
+        owed.pop_front();
+        ++callbacks_run;
+      }
+      ran.clear();
+      if (!owed.empty()) {
+        EXPECT_GT(owed.front().due, f.sched.now());
+      }
+      const Medium& m = wal.medium();
+      EXPECT_EQ(m.sync_in_flight(), model.in_flight);
+      EXPECT_EQ(wal.idle(), !m.sync_in_flight());
+      EXPECT_TRUE(m.sync_in_flight() || wal.end_offset() == m.durable_size())
+          << "records pending with no sync in flight";
+      EXPECT_EQ(m.buffered_bytes(), model.inflight_bytes + model.waiting_bytes);
+      EXPECT_EQ(m.durable_size(), model.durable);
+      EXPECT_LE(wal.durable_prefix(), wal.end_offset());
+      EXPECT_EQ(reg.counter("wal.flushes").value(), model.completed);
+    };
+
+    const int steps = 20 + static_cast<int>(rng.uniform(40));
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t action = rng.uniform(100);
+      const Timestamp now = f.sched.now();
+      if (action < 45) {  // append, two in three with a callback
+        LogBuffer frame;
+        if (rng.chance(0.5)) {
+          encode_abort(frame, TxId{1, next_id});
+        } else {
+          encode_commit(frame, TxId{1, next_id}, next_id,
+                        {{next_id, val(std::string(rng.uniform(300), 'v'))}});
+        }
+        const std::uint64_t bytes = frame.size();
+        const bool idle = !model.in_flight;
+        const Timestamp due = model.append(now, bytes);
+        ++(idle ? lone_appends : batched_appends);
+        if (idle) {
+          EXPECT_EQ(due, now + kFsync);
+        }
+        if (rng.uniform(3) != 0) {
+          owed.push_back({next_id, due});
+          wal.append(std::move(frame), callback(next_id));
+        } else {
+          wal.append(std::move(frame));
+        }
+        ++next_id;
+      } else if (action < 55) {  // sync(), mostly with a callback
+        const Timestamp due = model.sync(now);
+        if (rng.uniform(4) != 0) {
+          owed.push_back({next_id, due});
+          wal.sync(callback(next_id));
+        } else {
+          wal.sync({});
+        }
+        ++next_id;
+      } else if (action < 70) {  // to the next event, whatever it is
+        if (f.sched.pending() > 0) f.sched.run_until(f.sched.next_event_time());
+      } else if (action < 95) {  // a random stretch of virtual time
+        f.sched.run_until(now + rng.uniform(2 * kFsync + 1));
+      } else {  // crash, then the restart's replay
+        const std::uint64_t durable = model.durable;
+        const std::uint64_t inflight = model.inflight_bytes;
+        wal.crash();
+        dropped += owed.size();
+        owed.clear();
+        model.crash();
+        const WalScanResult r = wal.replay(nullptr);
+        EXPECT_GE(r.valid_bytes, durable);  // completed syncs survive
+        EXPECT_LE(r.valid_bytes, durable + inflight);  // only that sync tore
+        if (r.torn || r.valid_bytes > durable) ++torn_tails;
+        model.durable = r.valid_bytes;
+        EXPECT_EQ(wal.end_offset(), r.valid_bytes);
+      }
+      check(step);
+      if (testing::Test::HasFailure()) return;
+    }
+    f.sched.run();
+    check(steps);
+    EXPECT_TRUE(owed.empty());
+    EXPECT_TRUE(wal.idle());
+    EXPECT_EQ(wal.durable_prefix(), wal.end_offset());
+    // Nothing but fsync completions: no timer was ever armed. A crash
+    // leaves its sync's completion to run as a no-op.
+    EXPECT_EQ(f.sched.executed(), model.begun);
+    if (testing::Test::HasFailure()) return;
+  }
+  // The sequences reached every branch of the rule.
+  EXPECT_GT(lone_appends, 1000u);
+  EXPECT_GT(batched_appends, 1000u);
+  EXPECT_GT(callbacks_run, 1000u);
+  EXPECT_GT(dropped, 100u);
+  EXPECT_GT(torn_tails, 10u);
 }
 
 // -- chunked durable storage -------------------------------------------------
@@ -686,8 +915,7 @@ struct TornLog {
 TornLog tear_chunked_log(std::uint64_t seed, bool sliced) {
   TornLog out;
   Rng rng(seed);
-  WalFixture f(/*batch=*/3, msec(2), /*fsync=*/msec(1),
-               TornWriteFault{1.0, &rng});
+  WalFixture f(/*fsync=*/msec(1), TornWriteFault{1.0, &rng});
   auto append = [&](LogBuffer frame) {
     f.wal->append(sliced ? std::move(frame) : flat(frame));
   };
@@ -706,17 +934,17 @@ TornLog tear_chunked_log(std::uint64_t seed, bool sliced) {
   encode_checkpoint(ckpt, /*watermark=*/5, snap);
   f.wal->rewrite(sliced ? std::move(ckpt) : flat(ckpt));
 
-  for (std::uint64_t i = 7; i <= 12; ++i) {
+  for (std::uint64_t i = 7; i <= 12; ++i) {  // two syncs: 1 and 11 records
     commit(i);
     LogBuffer abort;
     encode_abort(abort, TxId{2, i});
     append(std::move(abort));
   }
-  f.sched.run_until(f.sched.now() + msec(10));
-  EXPECT_TRUE(f.wal->idle());
-  const std::size_t whole = f.wal->medium().durable_size();
+  f.sched.run_until(f.sched.now() + msec(1));  // the first lands
+  EXPECT_TRUE(f.wal->medium().sync_in_flight());
 
-  // The last sync: in flight when the crash hits.
+  // The last sync: three records that waited behind the second, in flight
+  // when the crash hits.
   wire::Buffer last;
   for (std::uint64_t i = 13; i <= 15; ++i) {
     LogBuffer frame;
@@ -725,6 +953,9 @@ TornLog tear_chunked_log(std::uint64_t seed, bool sliced) {
     last.insert(last.end(), bytes.begin(), bytes.end());
     append(std::move(frame));
   }
+  f.sched.run_until(f.sched.now() + msec(1));  // the second lands
+  const std::size_t whole = f.wal->medium().durable_size();
+  EXPECT_EQ(whole, f.wal->end_offset() - last.size());
   EXPECT_TRUE(f.wal->medium().sync_in_flight());
   f.wal->crash();
   out.next_draw = rng.next();
@@ -825,7 +1056,7 @@ TEST(WalPayloads, CheckpointImageHoldsItsPayloadsByReference) {
 }
 
 TEST(WalPayloads, ReplayDecodesASlicedValueToTheSamePayload) {
-  WalFixture f(/*batch=*/1, msec(2), msec(1));
+  WalFixture f(/*fsync=*/msec(1));
   const SharedValue committed = val("committed payload");
   const SharedValue empty = val("");
   LogBuffer frame;
@@ -867,8 +1098,7 @@ TEST(WalPayloads, TornTailNeverWritesThroughASharedPayload) {
   int flips_in_payload = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
-    WalFixture f(/*batch=*/2, msec(2), /*fsync=*/msec(5),
-                 TornWriteFault{1.0, &rng});
+    WalFixture f(/*fsync=*/msec(5), TornWriteFault{1.0, &rng});
     const std::string text(1000, 'x');
     const WalUpdates updates = {{1, val(text)}, {2, val(text)}};
     wire::Buffer logged;
@@ -917,10 +1147,9 @@ TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
     return frame;
   };
   {
-    Wal wal(sched,
-            std::make_unique<FileMedium>(path, &sched, msec(1),
+    Wal wal(std::make_unique<FileMedium>(path, &sched, msec(1),
                                          TornWriteFault{1.0, &rng}),
-            Wal::Options{1, msec(2)}, Wal::Counters{});
+            Wal::Counters{});
     const Medium& medium = wal.medium();
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
       wal.append(decision(seq));
@@ -955,10 +1184,9 @@ TEST(FileMedium, MirrorsDurableBytesAndAdoptsThemBack) {
     EXPECT_TRUE(static_cast<const FileMedium&>(medium).io_ok());
   }
   // A second medium over the same path adopts the file's contents.
-  Wal wal2(sched,
-           std::make_unique<FileMedium>(path, &sched, msec(1),
+  Wal wal2(std::make_unique<FileMedium>(path, &sched, msec(1),
                                         TornWriteFault{}),
-           Wal::Options{}, Wal::Counters{});
+           Wal::Counters{});
   std::vector<WalRecord> records;
   wal2.replay([&](const WalRecord& rec) { records.push_back(rec); });
   ASSERT_EQ(records.size(), 3u);

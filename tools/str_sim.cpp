@@ -62,7 +62,6 @@ struct Options {
   bool wal = false;
   std::string wal_dir;
   double fsync_ms = 2;
-  std::uint32_t wal_batch = 8;
   std::uint32_t decision_quorum = 0;
 };
 
@@ -131,7 +130,6 @@ void usage() {
       "  --wal-dir PATH      mirror each log to a file under PATH (implies\n"
       "                      --wal; PATH must exist and be writable)\n"
       "  --fsync-ms MS       modeled fsync latency                      [2]\n"
-      "  --wal-batch N       group-commit batch size                    [8]\n"
       "  --torn-write P      probability a crash mid-fsync leaves a torn\n"
       "                      record at the log tail (replay truncates it)\n"
       "  --decision-quorum N replicate every commit decision across the\n"
@@ -288,9 +286,6 @@ bool parse(int argc, char** argv, Options& opt) {
                      "--fsync-ms wants a finite, non-negative latency\n");
         return false;
       }
-    } else if (arg == "--wal-batch") {
-      if (!count(1, INT32_MAX)) return false;
-      opt.wal_batch = static_cast<std::uint32_t>(n);
     } else if (arg == "--decision-quorum") {
       if (!count(1, INT32_MAX)) return false;
       opt.decision_quorum = static_cast<std::uint32_t>(n);
@@ -450,7 +445,6 @@ int main(int argc, char** argv) {
     d.wal_enabled = true;
     d.wal_dir = opt.wal_dir;
     d.fsync_latency = static_cast<Timestamp>(opt.fsync_ms * 1e3);
-    d.group_commit_batch = opt.wal_batch;
     d.decision_quorum = opt.decision_quorum;
     if (d.decision_quorum > opt.nodes) {
       std::fprintf(stderr, "--decision-quorum %u exceeds the cluster size\n",
@@ -498,8 +492,7 @@ int main(int argc, char** argv) {
                   std::to_string(
                       cfg.cluster.protocol.durability.group_size())
             : "";
-    std::fprintf(rpt, "wal: fsync=%.1fms batch=%u%s%s%s\n", opt.fsync_ms,
-                 opt.wal_batch,
+    std::fprintf(rpt, "wal: fsync=%.1fms%s%s%s\n", opt.fsync_ms,
                  opt.wal_dir.empty() ? "" : (" dir=" + opt.wal_dir).c_str(),
                  quorum_note.c_str(),
                  opt.faults.storage.any() ? " (torn-write faults on)" : "");
@@ -627,8 +620,8 @@ int main(int argc, char** argv) {
         first.quiesce.permanently_down);
     if (first.lost_commits != 0) {
       std::fprintf(stderr,
-                   "LOST COMMITS: %llu client-acked commit(s) were aborted "
-                   "by recovery\n",
+                   "LOST COMMITS: %llu replica abort(s) of client-acked "
+                   "transactions by recovery\n",
                    static_cast<unsigned long long>(first.lost_commits));
     }
     if (opt.verify) {
